@@ -85,23 +85,6 @@ def gf2_mod(a: int, mod: int) -> int:
     return a
 
 
-def gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, gf2_mod(a, b)
-    return a
-
-
-def gf2_powmod(base: int, exp: int, mod: int) -> int:
-    out = 1
-    base = gf2_mod(base, mod)
-    while exp:
-        if exp & 1:
-            out = gf2_mod(gf2_mul(out, base), mod)
-        base = gf2_mod(gf2_mul(base, base), mod)
-        exp >>= 1
-    return out
-
-
 def gf2_is_irreducible(poly: int) -> bool:
     """Trial division by every polynomial of degree 1..deg/2."""
     deg = poly.bit_length() - 1
@@ -587,9 +570,3 @@ class UnivariatePolyPF:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.p
         return acc
-
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] % self.p:
-                return i
-        return -1

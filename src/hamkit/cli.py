@@ -166,6 +166,25 @@ def _cmd_oracle(args, g: Digraph, seed: int) -> tuple[dict, str]:
     raise ValueError(f"unknown oracle subcommand {sub!r}")
 
 
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid seed {text!r} (from --seed or $HAMKIT_SEED)"
+        ) from None
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamkit",
@@ -175,8 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("graph", help="path to a graph file (header 'n m', arc lines 'tail head')")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (default: $HAMKIT_SEED or 0)")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads; never changes answers")
+        # argparse runs a string default through `type` too, so a bad
+        # $HAMKIT_SEED is a usage error like a bad --seed
+        sp.add_argument("--seed", type=_seed, default=os.environ.get("HAMKIT_SEED", "0"),
+                        help="RNG seed (default: $HAMKIT_SEED or 0)")
+        sp.add_argument("--threads", type=_thread_count, default=1,
+                        help="worker threads, at least 1; never changes answers")
 
     sp = subs.add_parser("count-branchings", help="exact spanning out-branching count for one root")
     common(sp)
@@ -250,11 +273,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else int(os.environ.get("HAMKIT_SEED", "0"))
     started = time.perf_counter()
     try:
         g = _load_graph(args.graph)
-        payload, human = _HANDLERS[args.command](args, g, seed)
+        payload, human = _HANDLERS[args.command](args, g, args.seed)
     except (ParseError, OSError) as exc:
         print(f"hamkit: {exc}", file=sys.stderr)
         return 2
@@ -269,7 +291,7 @@ def main(argv=None) -> int:
     if args.command == "oracle":
         report["oracle_command"] = args.oracle_command
     report.update(payload)
-    report["seed"] = seed
+    report["seed"] = args.seed
     report["elapsed_ms"] = elapsed_ms
     print(json.dumps(report))
     print(f"hamkit: {human} [{elapsed_ms} ms]", file=sys.stderr)

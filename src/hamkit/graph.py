@@ -56,25 +56,6 @@ class Digraph:
         """Neighbor bitmasks of the underlying undirected graph."""
         return [self.out_mask[v] | self.in_mask[v] for v in range(self.n)]
 
-    def is_underlying_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        nbr = self.undirected_neighbor_masks()
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            v = 0
-            f = frontier
-            while f:
-                if f & 1:
-                    nxt |= nbr[v]
-                f >>= 1
-                v += 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
-
 
 def make_digraph(n: int, arcs) -> Digraph:
     return Digraph(n, frozenset((int(a), int(b)) for a, b in arcs))
@@ -134,12 +115,6 @@ def parse_digraph(text: str) -> Digraph:
     if duplicates:
         warnings.warn(f"{duplicates} duplicate arc(s) collapsed", stacklevel=2)
     return Digraph(n, frozenset(arcs))
-
-
-def format_digraph(g: Digraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.arcs))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hamiltonian-cycle counting modulo prime powers, and exact counts via CRT.
+"""Hamiltonian-cycle counting: exact integer sieve, residues mod p^k, CRT.
 
 Pipeline: split one vertex so that Hamiltonian cycles through it become
 Hamiltonian s-to-t paths of the split graph; attach a virtual arc from the
@@ -6,8 +6,10 @@ sink t to every other vertex, weighted by a random residue mod p; then the
 path count equals an inclusion-exclusion sum, over subsets O of vertices
 allowed to keep their out-arcs, of signed determinants of the punctured
 Laplacian with the other tails' out-arcs zeroed. The identity holds over the
-integers for any choice of virtual-arc weights, so the naive subset sum is
-exact with probability 1.
+integers for any choice of virtual-arc weights (zero included), so one naive
+pass over all subsets yields the exact count, and the naive residue mod p^k
+is that sum reduced once. The random weights matter only for the pruning
+below.
 
 The meet-in-the-middle evaluator splits the subset lattice into two halves
 and only evaluates determinants for pairs that could be nonzero mod p^k: a
@@ -15,9 +17,12 @@ vertex whose two half-fingerprints agree contributes a row divisible by p,
 and more than k such rows force the determinant to 0 mod p^k. Lookup tables
 keyed by fingerprint restrictions to index blocks list the surviving pairs.
 
-CRT over all primes p up to a cutoff q upgrades residues to an exact count
-whenever the combined modulus exceeds a user-certified bound d^n on the
-count; q = ceil(e^2 d^4) makes that hold at desk scale.
+The modular route of the paper combines meet-in-the-middle residues by CRT
+over all primes p up to a cutoff q; that gives the exact count whenever the
+combined modulus exceeds a user-certified bound d^n on the count, and
+q = ceil(e^2 d^4) makes that hold at desk scale. The capped exact counters
+take this route only in mitm mode; in naive mode they run the integer pass
+once, which is exact even when the certificate is wrong.
 """
 
 from __future__ import annotations
@@ -117,17 +122,12 @@ class MitmDiagnostics:
 
 
 class _SieveCore:
-    """Precomputed masks for fast signed subset determinants."""
+    """Precomputed masks for fast signed subset determinants over the integers."""
 
-    def __init__(self, split: VertexSplit, wt: RandomTailWeights, p: int, k: int):
+    def __init__(self, split: VertexSplit, weights: tuple[int, ...]):
         g = split.graph
-        self.split = split
-        self.p = p
-        self.k = k
-        self.modulus = p**k
-        self.wt = wt.values
+        self.wt = weights
         self.t = split.t
-        self.s = split.s
         self.n0 = g.n - 1  # |V_t|
         self.vst = tuple(u for u in range(self.n0) if u != split.s)
         self.in_mask = g.in_mask
@@ -168,13 +168,9 @@ class _SieveCore:
         return dead_prod * det_bareiss_int(rows)
 
     def signed_contribution(self, omask: int) -> int:
+        """The subset's inclusion-exclusion term: its determinant, negated when |V_t| - |O| is odd."""
         det = self.subset_det(omask)
-        if det == 0:
-            return 0
-        contrib = det % self.modulus
-        if (self.n0 - omask.bit_count()) & 1:
-            contrib = -contrib % self.modulus
-        return contrib
+        return -det if (self.n0 - omask.bit_count()) & 1 else det
 
 
 # ---------------------------------------------------------------------------
@@ -225,33 +221,32 @@ def restricted_laplacian(
 
 
 def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
-    """Inclusion-exclusion over all tail subsets; exact mod p^k."""
+    """Inclusion-exclusion over all tail subsets, reduced mod p^k once at the end."""
+    k = params.effective_k(split.graph.n - 1)
+    modulus = params.p**k
+    if modulus >= ResidueRing.MODULUS_LIMIT:
+        raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
+    wt = RandomTailWeights.draw(split, params.p, params.seed)
+    total = naive_sieve_sum(split, wt.values, params.threads)
+    return ResidueElem(value=total % modulus, p=params.p, k=k)
+
+
+def naive_sieve_sum(split: VertexSplit, weights: tuple[int, ...], threads: int = 1) -> int:
+    """Exact signed sum over all tail subsets: the Hamiltonian s-to-t path count."""
     n0 = split.graph.n - 1
     if n0 > NAIVE_SUBSET_GUARD:
         raise GuardError(f"naive sieve guard: 2^{n0} subsets is past 2^{NAIVE_SUBSET_GUARD}")
-    k = params.effective_k(n0)
-    ring = ResidueRing(params.p, k)
-    wt = RandomTailWeights.draw(split, params.p, params.seed)
-    core = _SieveCore(split, wt, params.p, k)
-    total_subsets = 1 << n0
+    core = _SieveCore(split, weights)
 
     def run_range(lo: int, hi: int) -> int:
-        acc = 0
-        mod = core.modulus
-        for omask in range(lo, hi):
-            acc = (acc + core.signed_contribution(omask)) % mod
-        return acc
+        return sum(map(core.signed_contribution, range(lo, hi)))
 
-    if params.threads == 1:
-        value = run_range(0, total_subsets)
-    else:
-        bounds = _chunk_bounds(total_subsets, params.threads * 4)
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            partials = list(pool.map(lambda b: run_range(*b), bounds))
-        value = 0
-        for part in partials:
-            value = (value + part) % core.modulus
-    return ResidueElem(value=value, p=params.p, k=k)
+    total_subsets = 1 << n0
+    if threads == 1:
+        return run_range(0, total_subsets)
+    bounds = _chunk_bounds(total_subsets, threads * 4)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(lambda b: run_range(*b), bounds))
 
 
 def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -452,7 +447,7 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
                 fallback=True,
             ),
         )
-    core = _SieveCore(split, wt, params.p, k)
+    core = _SieveCore(split, wt.values)
     tables = build_lookup_tables(split, wt, k, halves)
     blocks = tables.blocks
 
@@ -461,7 +456,6 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
     listed = 0
     candidates = 0
     value = 0
-    mod = core.modulus
 
     second_masks = []
     for picks in range(1 << len(second_bits)):
@@ -493,7 +487,7 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
                 if agree > k:
                     continue
                 omask = o1 | o2
-                acc = (acc + core.signed_contribution(omask)) % mod
+                acc += core.signed_contribution(omask)
                 listed_local += 1
                 accepted.append(omask)
         return acc, listed_local, cand_local, accepted
@@ -504,14 +498,15 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
         with ThreadPoolExecutor(max_workers=params.threads) as pool:
             results = pool.map(handle_o2, second_masks)
     for acc, listed_local, cand_local, accepted in results:
-        value = (value + acc) % mod
+        value += acc
         listed += listed_local
         candidates += cand_local
         for omask in accepted:
             assert omask not in seen, "duplicate subset accepted"
             seen.add(omask)
 
-    residue = ResidueElem(value=value, p=params.p, k=k)
+    # pruned pairs vanish only mod p^k, so the sum is meaningful only as a residue
+    residue = ResidueElem(value=value % params.p**k, p=params.p, k=k)
     diag = MitmDiagnostics(
         pairs_listed=listed,
         pairs_naive=1 << n0,
@@ -544,12 +539,12 @@ def crt_count(
     q: int,
     lam: float = DEFAULT_LAMBDA,
     seed: int = 0,
-    mode: str = "naive",
     threads: int = 1,
 ) -> tuple[int, int]:
     """Hamiltonian-cycle count mod M, M the product of p^{k_p} over primes p <= q.
 
-    Per-prime exponents follow k_p = max(1, floor((1-lam) n / (3 p))).
+    Per-prime exponents follow k_p = max(1, floor((1-lam) n / (3 p))); each
+    residue comes from the meet-in-the-middle sieve.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -560,7 +555,7 @@ def crt_count(
     def run(p: int) -> tuple[int, int]:
         kp = max(1, math.floor((1.0 - lam) * g.n / (3 * p)))
         params = SieveParams(
-            p=p, k=kp, lam=lam, mode=mode, seed=seed, threads=1
+            p=p, k=kp, lam=lam, mode="mitm", seed=seed, threads=1
         )
         residue, _ = count_hc_mod(g, params)
         return residue.value, kp
@@ -586,10 +581,15 @@ def count_exact_capped(
     mode: str = "naive",
     threads: int = 1,
 ) -> int:
-    """Exact Hamiltonian-cycle count, valid whenever the count is at most d^n.
+    """Exact Hamiltonian-cycle count, certified whenever the count is at most d^n.
 
-    Uses q = ceil(e^2 d^4). Raises CapExceededError when the combined CRT
-    modulus fails to exceed d^n, in which case no exactness claim is possible.
+    Raises CapExceededError when the CRT modulus of q = ceil(e^2 d^4) fails
+    to exceed d^n, in either mode. mode="mitm" combines meet-in-the-middle
+    residues by CRT, so a count above d^n comes back reduced mod that
+    modulus. mode="naive" sums the sieve over the integers in one pass, with
+    zero virtual-arc weights (the identity holds for any weights, and zero
+    ones let more subsets drop out early); its answer is exact even past
+    d^n, and `seed` does not enter it.
     """
     dfrac = Fraction(d)
     if dfrac <= 1:
@@ -603,9 +603,14 @@ def count_exact_capped(
         raise CapExceededError(
             f"CRT modulus {modulus} does not exceed the count cap d^n"
         )
-    value, mod = crt_count(g, q, lam=lam, seed=seed, mode=mode, threads=threads)
-    assert mod == modulus
-    return value
+    if mode == "mitm":
+        value, mod = crt_count(g, q, lam=lam, seed=seed, threads=threads)
+        assert mod == modulus
+        return value
+    if mode != "naive":
+        raise ValueError(f"unknown mode {mode!r}")
+    split = split_vertex(g, 0)
+    return naive_sieve_sum(split, (0,) * split.graph.n, threads)
 
 
 def count_avg_degree(

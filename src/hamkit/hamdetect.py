@@ -426,7 +426,6 @@ def detect_hamiltonian_cycle(
         )
     layout = PortLayout.from_partition(g, part)
     field = make_binary_field(n)
-    per_trial = n / field.q
     pairs = 0
     for t in range(tmax):
         w = PortWeights.draw(g, layout, field, derive_seed("hc-trial", seed, t))
@@ -440,13 +439,17 @@ def detect_hamiltonian_cycle(
             )
     return DetectionReport(
         verdict=False, trials_run=tmax, trials_max=tmax, seed=seed,
-        failure_bound=per_trial**tmax,
+        failure_bound=failure_bound(n, tmax),
         detail={"pairs_per_trial": pairs, "field_bits": field.m, "engine": engine},
     )
 
 
 def failure_bound(n: int, trials: int) -> float:
-    """Upper bound on the false-negative probability of the cycle test."""
+    """Upper bound on the false-negative probability of the cycle test.
+
+    The field from `make_binary_field(n)` has order q = 2^(2 bitlen(n-1)),
+    and each zero trial misses a cycle with probability at most n/q.
+    """
     if n < 2:
         return 0.0
     q = 1 << (2 * (n - 1).bit_length())

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import GuardError
 from .graph import Digraph
+
+# Largest vertex count for an exact branching count: the bigint elimination
+# on the (n-1)^2 Laplacian takes seconds at a few hundred vertices.
+BRANCHING_COUNT_GUARD = 512
 
 
 @dataclass(frozen=True)
@@ -39,9 +44,6 @@ class SquareMatrix:
     @property
     def order(self) -> int:
         return len(self.row_labels)
-
-    def entry(self, row_label, col_label):
-        return self.entries[self.row_labels.index(row_label)][self.col_labels.index(col_label)]
 
 
 def build_laplacian(g: Digraph, weights: dict, ring) -> SquareMatrix:
@@ -207,9 +209,15 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
 
 
 def count_out_branchings(g: Digraph, root: int) -> int:
-    """Number of spanning out-branchings of g rooted at `root`."""
+    """Number of spanning out-branchings of g rooted at `root`.
+
+    Refuses graphs past BRANCHING_COUNT_GUARD vertices (GuardError) before
+    the matrix is built.
+    """
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
+    if g.n > BRANCHING_COUNT_GUARD:
+        raise GuardError(f"branching count guard: n={g.n} > {BRANCHING_COUNT_GUARD}")
     rows = []
     for u in range(g.n):
         if u == root:

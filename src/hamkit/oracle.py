@@ -112,15 +112,6 @@ class Branching:
     def leaf_count(self) -> int:
         return len(self.parents) - self.internal_count
 
-    @property
-    def multi_child_count(self) -> int:
-        """How many vertices feed two or more children (the s statistic)."""
-        seen: dict[int, int] = {}
-        for p in self.parents:
-            if p >= 0:
-                seen[p] = seen.get(p, 0) + 1
-        return sum(1 for c in seen.values() if c >= 2)
-
 
 def iter_out_branchings(g: Digraph, root: int):
     """Yield every spanning out-branching rooted at `root`, without a size guard."""

@@ -12,7 +12,9 @@ from conftest import (
     directed_path,
     out_star,
 )
+from hamkit import oracle
 from hamkit.cli import main as cli_main
+from hamkit.matrixtree import BRANCHING_COUNT_GUARD
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -96,6 +98,12 @@ class TestAnswers:
         )
         assert rep["answer"] == "cap-exceeded"
 
+    def test_count_exact_mitm(self, tmp_path, capsys):
+        g = complete_digraph(5)
+        path = write_graph(tmp_path, g)
+        rep, _ = run_json(["count-exact", path, "--d", "3", "--mode", "mitm", "--seed", "4"], capsys)
+        assert rep["answer"] == oracle.held_karp_count_hc(g) == 24
+
     def test_count_avg_degree(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(5))
         rep, _ = run_json(["count-avg-degree", path, "--seed", "3"], capsys)
@@ -174,6 +182,35 @@ class TestExitCodes:
         nine = write_graph(tmp_path, directed_cycle(9), "nine.txt")
         code, _, _ = run_cli(["detect-k-internal", nine, "--k", "7"], capsys)
         assert code == 3
+
+    def test_branching_count_guard(self, tmp_path, capsys):
+        wide = tmp_path / "wide.txt"
+        wide.write_text(f"{BRANCHING_COUNT_GUARD + 1} 0\n", encoding="utf-8")
+        code, out, err = run_cli(["count-branchings", str(wide), "--root", "0"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "guard" in err
+
+    def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path, directed_cycle(5))
+        monkeypatch.setenv("HAMKIT_SEED", "abc")
+        code, out, err = run_cli(["detect-hc", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "HAMKIT_SEED" in err
+        rep, _ = run_json(["detect-hc", path, "--seed", "3"], capsys)
+        assert rep["seed"] == 3  # an explicit flag never reads the variable
+
+    @pytest.mark.parametrize("argv", [
+        ["detect-hc", "{g}", "--threads", "-3"],
+        ["detect-k-internal", "{g}", "--k", "2", "--threads", "0"],
+        ["count-mod", "{g}", "--p", "3", "--threads", "two"],
+    ])
+    def test_nonpositive_threads(self, argv, tmp_path, capsys):
+        path = write_graph(tmp_path, directed_cycle(5))
+        code, out, _ = run_cli([a.replace("{g}", path) for a in argv], capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestSeeding:

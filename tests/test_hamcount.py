@@ -28,6 +28,7 @@ from hamkit.hamcount import (
     crt_count,
     mitm_count_mod,
     naive_sieve_count,
+    naive_sieve_sum,
     restricted_laplacian,
     z_vector,
 )
@@ -91,7 +92,7 @@ class TestRestrictedLaplacian:
             g, split, p, wt = self._setup(rnd, 6)
             k = rnd.choice([1, 2, 3])
             ring = ResidueRing(p, k)
-            core = hamcount_mod._SieveCore(split, wt, p, k)
+            core = hamcount_mod._SieveCore(split, wt.values)
             for _ in range(8):
                 omask = rnd.getrandbits(split.graph.n - 1)
                 m = restricted_laplacian(split, omask, wt, ring)
@@ -136,6 +137,25 @@ class TestNaiveSieve:
         g = directed_cycle(27)
         with pytest.raises(GuardError):
             naive_sieve_count(split_vertex(g, 0), SieveParams(p=2))
+
+    def test_residue_guard(self):
+        split = split_vertex(directed_cycle(5), 0)
+        with pytest.raises(GuardError, match="2\\^62"):
+            naive_sieve_count(split, SieveParams(p=2, k=62, mode="naive"))
+        assert naive_sieve_count(split, SieveParams(p=2, k=61)).value == 1
+
+    def test_exact_sum_any_weights(self):
+        # the identity holds over the integers, whatever the virtual-arc weights
+        rnd = random.Random(57)
+        for _ in range(12):
+            n = rnd.randint(2, 8)
+            g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
+            split = split_vertex(g, rnd.randrange(n))
+            want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
+            zero = (0,) * split.graph.n
+            assert naive_sieve_sum(split, zero) == want
+            drawn = RandomTailWeights.draw(split, rnd.choice([2, 3, 101]), rnd.randrange(100))
+            assert naive_sieve_sum(split, drawn.values, threads=2) == want
 
 
 class TestFingerprints:
@@ -326,6 +346,28 @@ class TestGraphLevel:
             if want >= 2**9:
                 continue
             assert count_exact_capped(g, 2, seed=3) == want
+
+    def test_exact_mitm_matches_held_karp(self):
+        rnd = random.Random(63)
+        for _ in range(4):
+            g = random_digraph(rnd, rnd.randint(4, 7), 0.4)
+            want = oracle.held_karp_count_hc(g)
+            assert count_exact_capped(g, 3, seed=rnd.randrange(100), mode="mitm") == want
+        assert count_exact_capped(directed_cycle(6), 2, mode="mitm", threads=2) == 1
+
+    def test_invalid_certificate(self):
+        # K8 has 7! = 5040 cycles, far past (11/10)^8; the primes up to
+        # q = 11 give M = 2310, so only the integer pass recovers the count
+        g = complete_digraph(8)
+        assert count_exact_capped(g, Fraction(11, 10), seed=0) == 5040
+        assert count_exact_capped(g, Fraction(11, 10), seed=0, mode="mitm") == 5040 % 2310
+
+    def test_exact_edge_cases(self):
+        single = make_digraph(1, [])
+        assert count_exact_capped(single, 2, mode="naive") == 0
+        assert count_exact_capped(single, 2, mode="mitm") == 0
+        with pytest.raises(ValueError, match="unknown mode"):
+            count_exact_capped(directed_cycle(4), 2, mode="fast")
 
     def test_cap_exceeded(self):
         # with lam near 1 every exponent clamps to 1, so the modulus is the
