@@ -1,19 +1,19 @@
 """Hamiltonian-cycle counting: exact integer sieve, residues mod p^k, CRT.
 
 Pipeline: split one vertex so that Hamiltonian cycles through it become
-Hamiltonian s-to-t paths of the split graph; attach a virtual arc from the
-sink t to every other vertex, weighted by a random residue mod p; then the
-path count equals an inclusion-exclusion sum, over subsets O of vertices
-allowed to keep their out-arcs, of signed determinants of the punctured
-Laplacian with the other tails' out-arcs zeroed. The identity holds over the
-integers for any choice of virtual-arc weights (zero included), so one naive
-pass over all subsets yields the exact count, and the naive residue mod p^k
-is that sum reduced once. The random weights matter only for the pruning
-below.
+Hamiltonian s-to-t paths of the split graph; attach a weighted virtual arc
+from the sink t to every other vertex; then the path count equals an
+inclusion-exclusion sum, over subsets O of vertices allowed to keep their
+out-arcs, of signed determinants of the punctured Laplacian with the other
+tails' out-arcs zeroed. The identity holds over the integers for any
+virtual-arc weights, so the naive pass uses zero ones, sums all subsets
+exactly and reduces mod p^k once; with a modulus above the largest possible
+count its residue is the count itself.
 
-The meet-in-the-middle evaluator splits the subset lattice into two halves
-and only evaluates determinants for pairs that could be nonzero mod p^k: a
-vertex whose two half-fingerprints agree contributes a row divisible by p,
+The meet-in-the-middle evaluator draws the virtual-arc weights as random
+residues mod p, splits the subset lattice into two halves and only
+evaluates determinants for pairs that could be nonzero mod p^k: a vertex
+whose two half-fingerprints agree contributes a row divisible by p,
 and more than k such rows force the determinant to 0 mod p^k. Lookup tables
 keyed by fingerprint restrictions to index blocks list the surviving pairs.
 
@@ -221,32 +221,28 @@ def restricted_laplacian(
 
 
 def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
-    """Inclusion-exclusion over all tail subsets, reduced mod p^k once at the end."""
-    k = params.effective_k(split.graph.n - 1)
-    modulus = params.p**k
-    if modulus >= ResidueRing.MODULUS_LIMIT:
-        raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
-    wt = RandomTailWeights.draw(split, params.p, params.seed)
-    total = naive_sieve_sum(split, wt.values, params.threads)
-    return ResidueElem(value=total % modulus, p=params.p, k=k)
+    """Inclusion-exclusion over all tail subsets, summed over the integers, reduced mod p^k once.
 
-
-def naive_sieve_sum(split: VertexSplit, weights: tuple[int, ...], threads: int = 1) -> int:
-    """Exact signed sum over all tail subsets: the Hamiltonian s-to-t path count."""
+    The virtual-arc weights are zero (the identity holds for any weights, and
+    zero ones let more subsets drop out early), so the seed does not enter.
+    """
     n0 = split.graph.n - 1
     if n0 > NAIVE_SUBSET_GUARD:
         raise GuardError(f"naive sieve guard: 2^{n0} subsets is past 2^{NAIVE_SUBSET_GUARD}")
-    core = _SieveCore(split, weights)
+    k = params.effective_k(n0)
+    core = _SieveCore(split, (0,) * split.graph.n)
 
     def run_range(lo: int, hi: int) -> int:
         return sum(map(core.signed_contribution, range(lo, hi)))
 
     total_subsets = 1 << n0
-    if threads == 1:
-        return run_range(0, total_subsets)
-    bounds = _chunk_bounds(total_subsets, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda b: run_range(*b), bounds))
+    if params.threads == 1:
+        total = run_range(0, total_subsets)
+    else:
+        bounds = _chunk_bounds(total_subsets, params.threads * 4)
+        with ThreadPoolExecutor(max_workers=params.threads) as pool:
+            total = sum(pool.map(lambda b: run_range(*b), bounds))
+    return ResidueElem(value=total % params.p**k, p=params.p, k=k)
 
 
 def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -421,7 +417,7 @@ class SieveResult:
 
 
 def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
-    """Same residue as the naive sieve for the same seed, fewer determinants.
+    """Same residue as the naive sieve (the exact count mod p^k), fewer determinants.
 
     Pairs (O1, O2) whose fingerprints agree in more than k positions are
     skipped: each agreement marks a row divisible by p, and k+1 of those
@@ -529,6 +525,9 @@ def count_hc_mod(
         return ResidueElem(value=0, p=params.p, k=k), None
     split = split_vertex(g, origin)
     if params.mode == "naive":
+        k = params.effective_k(g.n)
+        if params.p**k >= ResidueRing.MODULUS_LIMIT:
+            raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
         return naive_sieve_count(split, params), None
     res = mitm_count_mod(split, params)
     return res.residue, res.diagnostics
@@ -586,10 +585,9 @@ def count_exact_capped(
     Raises CapExceededError when the CRT modulus of q = ceil(e^2 d^4) fails
     to exceed d^n, in either mode. mode="mitm" combines meet-in-the-middle
     residues by CRT, so a count above d^n comes back reduced mod that
-    modulus. mode="naive" sums the sieve over the integers in one pass, with
-    zero virtual-arc weights (the identity holds for any weights, and zero
-    ones let more subsets drop out early); its answer is exact even past
-    d^n, and `seed` does not enter it.
+    modulus. mode="naive" runs the naive sieve once, modulo a power of two
+    above (n-1)!, the most cycles n vertices can carry, so its answer is
+    exact even past d^n, and `seed` does not enter it.
     """
     dfrac = Fraction(d)
     if dfrac <= 1:
@@ -609,8 +607,8 @@ def count_exact_capped(
         return value
     if mode != "naive":
         raise ValueError(f"unknown mode {mode!r}")
-    split = split_vertex(g, 0)
-    return naive_sieve_sum(split, (0,) * split.graph.n, threads)
+    bits = math.factorial(g.n - 1).bit_length()
+    return naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=bits, threads=threads)).value
 
 
 def count_avg_degree(

@@ -190,6 +190,12 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "guard" in err
+        # the branching detectors count branchings per root, so the same cap binds them
+        for cmd in ("detect-k-internal", "detect-k-leaf"):
+            code, out, err = run_cli([cmd, str(wide), "--k", "2"], capsys)
+            assert code == 3
+            assert out == ""
+            assert "branching count guard" in err
 
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path, directed_cycle(5))

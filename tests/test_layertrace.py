@@ -37,5 +37,7 @@ def test_naive_exact_count_is_one_pass():
         tracer.uninstall()
     counters = tracer.counters
     assert counters["hamcount.subsets"] == 1 << 7
+    assert tracer.spans["hamcount.naive_sieve_count"][2] == 1
+    assert tracer.lists["naive_pass_subsets"] == [1 << 7]
     assert counters["hamcount.crt_passes"] == 0
     assert "hamcount.crt_count" not in tracer.spans
