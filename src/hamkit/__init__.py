@@ -4,18 +4,23 @@ The package is organised around a weighted-Laplacian toolbox:
 
 - graph: digraph parsing, the cycle-to-path vertex split, independent-set
   partitions of the vertex set.
-- algebra: binary fields GF(2^m), prime fields, residue rings Z/p^k, group
-  algebras of (Z/2)^k, truncated polynomials, CRT, interpolation.
-- matrixtree: symbolic Laplacians and determinant kernels (Gaussian,
-  division-free, fraction-free integer), out-branching counting.
+- algebra: binary fields GF(2^m) with numpy batched kernels, prime fields,
+  prime-power residues, CRT, interpolation.
+- matrixtree: out-branching counts and the fraction-free integer
+  determinant.
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
   inclusion-exclusion determinant sieve, with meet-in-the-middle pruning and
   CRT boosting to exact counts under a degree cap.
 - hamdetect: one-sided randomized Hamiltonicity detection driven by a
   port matrix indexed by an independent-set partition of the vertices.
 - branchings: detectors for out-branchings with many internal vertices or
-  many leaves, via group-algebra sieves and degree-window divisibility tests.
+  many leaves, via a marker-algebra determinant sieve and degree-window
+  divisibility tests.
 - oracle: small-instance brute-force reference implementations.
+
+Each question has one determinant route, batched over numpy arrays. The
+scalar routes those batches are tested against live with the tests, in
+tests/reference.py.
 """
 
 from .branchings import (

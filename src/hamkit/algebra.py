@@ -1,8 +1,8 @@
-"""Ring and field descriptors with plain Python values as elements.
+"""Finite fields, prime-power residues, CRT and interpolation.
 
-Every descriptor exposes zero/one attributes and add/sub/mul/neg/is_zero
-methods; fields add inv. Elements are ints (fields, residues) or tuples
-(group algebras, truncated polynomials), so they hash and compare naturally.
+Fields are descriptors with ints as elements: zero/one attributes and
+add/sub/mul/neg/inv/is_zero methods. The binary fields GF(2^m) add numpy
+batched multiplication and inversion through log/exp tables.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def gf2_is_irreducible(poly: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fields and rings
+# fields and residues
 
 
 class PrimeField:
@@ -133,74 +133,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-class IntegerRing:
-    """Plain arbitrary-precision integers."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-INTEGERS = IntegerRing()
-
-
-class ResidueRing:
-    """Z modulo p^k on ints 0..p^k-1. Not a field for k > 1."""
-
-    MODULUS_LIMIT = 1 << 62
-
-    def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("exponent must be at least 1")
-        modulus = p**k
-        if modulus >= self.MODULUS_LIMIT:
-            raise GuardError(f"modulus {p}^{k} exceeds the 2^62 residue guard")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        self.zero = 0
-        self.one = 1 % modulus
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return a * b % self.modulus
-
-    def neg(self, a):
-        return -a % self.modulus
-
-    def is_zero(self, a):
-        return a % self.modulus == 0
-
-    def __repr__(self):
-        return f"ResidueRing({self.p}^{self.k})"
 
 
 @dataclass(frozen=True)
@@ -345,141 +277,6 @@ def make_binary_field(n: int) -> BinaryField:
         raise ValueError("need n >= 2")
     m = 2 * (n - 1).bit_length()
     return BinaryField(m)
-
-
-# ---------------------------------------------------------------------------
-# group algebra of (Z/2)^k over a binary field
-
-
-class GroupAlgebra:
-    """Formal sums over the group (Z/2)^k with binary-field coefficients.
-
-    Elements are tuples of 2^k field values, indexed by group element. The
-    product is xor-convolution. Every (unit(g) + one) squares to zero, which
-    is what kills non-multilinear monomials in the sieves built on top.
-    """
-
-    K_LIMIT = 8
-
-    def __init__(self, field: BinaryField, k: int):
-        if not (0 <= k <= self.K_LIMIT):
-            raise GuardError(f"group algebra rank {k} outside supported 0..{self.K_LIMIT}")
-        self.field = field
-        self.k = k
-        self.dim = 1 << k
-        self.zero = (0,) * self.dim
-        self.one = self.unit(0)
-
-    def unit(self, g: int):
-        if not (0 <= g < self.dim):
-            raise ValueError(f"group element {g} out of range")
-        out = [0] * self.dim
-        out[g] = 1
-        return tuple(out)
-
-    def from_coeffs(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.dim:
-            raise ValueError("wrong coefficient count")
-        return coeffs
-
-    def add(self, a, b):
-        return tuple(x ^ y for x, y in zip(a, b))
-
-    sub = add
-
-    def neg(self, a):
-        return a
-
-    def scale(self, c: int, a):
-        if c == 0:
-            return self.zero
-        mul = self.field.mul
-        return tuple(mul(c, x) for x in a)
-
-    def mul(self, a, b):
-        fexp = self.field._exp
-        flog = self.field._log
-        out = [0] * self.dim
-        for g, ca in enumerate(a):
-            if ca == 0:
-                continue
-            la = flog[ca]
-            for h, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                out[g ^ h] ^= fexp[la + flog[cb]]
-        return tuple(out)
-
-    def is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def __repr__(self):
-        return f"GroupAlgebra(2^{self.k} over GF(2^{self.field.m}))"
-
-
-# ---------------------------------------------------------------------------
-# truncated polynomials over an arbitrary coefficient ring
-
-
-class TruncatedPolyRing:
-    """Polynomials in one variable t, truncated beyond degree cap.
-
-    Elements are tuples of cap+1 coefficient-ring values, low degree first.
-    """
-
-    def __init__(self, coeff_ring, cap: int):
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        self.coeff = coeff_ring
-        self.cap = cap
-        self.zero = (coeff_ring.zero,) * (cap + 1)
-        self.one = (coeff_ring.one,) + (coeff_ring.zero,) * cap
-
-    def const(self, c):
-        return (c,) + (self.coeff.zero,) * self.cap
-
-    def t_times(self, c):
-        """The element c*t (zero when the cap is 0)."""
-        if self.cap == 0:
-            return self.zero
-        out = [self.coeff.zero] * (self.cap + 1)
-        out[1] = c
-        return tuple(out)
-
-    def add(self, a, b):
-        cadd = self.coeff.add
-        return tuple(cadd(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        csub = self.coeff.sub
-        return tuple(csub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        cneg = self.coeff.neg
-        return tuple(cneg(x) for x in a)
-
-    def mul(self, a, b):
-        czero = self.coeff.zero
-        cadd = self.coeff.add
-        cmul = self.coeff.mul
-        cis0 = self.coeff.is_zero
-        out = [czero] * (self.cap + 1)
-        for i, ai in enumerate(a):
-            if cis0(ai):
-                continue
-            for j in range(self.cap + 1 - i):
-                bj = b[j]
-                if cis0(bj):
-                    continue
-                out[i + j] = cadd(out[i + j], cmul(ai, bj))
-        return tuple(out)
-
-    def is_zero(self, a):
-        return all(self.coeff.is_zero(x) for x in a)
-
-    def __repr__(self):
-        return f"TruncatedPolyRing(cap={self.cap}, coeff={self.coeff!r})"
 
 
 # ---------------------------------------------------------------------------

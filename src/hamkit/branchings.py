@@ -31,9 +31,6 @@ import numpy as np
 
 from .algebra import (
     BinaryField,
-    GroupAlgebra,
-    PrimeField,
-    TruncatedPolyRing,
     UnivariatePolyPF,
     interpolate_univariate,
     make_binary_field,
@@ -41,11 +38,15 @@ from .algebra import (
 )
 from .errors import GuardError
 from .graph import Digraph
-from .matrixtree import build_laplacian, count_out_branchings, det_division_free, det_gauss, puncture
+from .matrixtree import count_out_branchings
 from .rand import derive_seed, make_rng
 from .report import DetectionReport
 
 GROUP_RANK_LIMIT = 6
+# Trials drawn and evaluated together per root by detect_k_internal
+INTERNAL_CHUNK = 34
+# batched_modp_det multiplies two residues in int64, so p must stay below 2^31
+MODP_WORD_LIMIT = 1 << 31
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +60,10 @@ class InternalSieveConfig:
     trials: int = 100
     seed: int = 0
     threads: int = 1
-    engine: str = "batched"
-    chunk: int = 34
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.chunk < 1:
-            raise ValueError("chunk must be positive")
-        if self.engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
 
 
 @lru_cache(maxsize=None)
@@ -100,24 +95,6 @@ def _pair_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ib = np.array([b for _, _, b in pairs], dtype=np.int64)
     offsets = np.searchsorted(out, np.arange((k + 1) * d, dtype=np.int64))
     return ia, ib, offsets
-
-
-def xbasis_to_group(ga: GroupAlgebra, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Convert marker-subset coordinates to group-element coordinates.
-
-    The marker basis writes elements over products of (unit(e_i) + 1); the
-    group basis over unit(g). In characteristic 2 the change of basis is the
-    superset xor-sum, which is its own inverse.
-    """
-    d = ga.dim
-    out = [0] * d
-    for g in range(d):
-        acc = 0
-        for t in range(d):
-            if t & g == g:
-                acc ^= coeffs[t]
-        out[g] = acc
-    return tuple(out)
 
 
 class _InternalSieveEngine:
@@ -226,35 +203,6 @@ def _draw_internal_chunk(
     return zeta, rmul, gvec
 
 
-def _scalar_internal_chunk(
-    g: Digraph,
-    root: int,
-    k: int,
-    field: BinaryField,
-    zeta: np.ndarray,
-    rmul: np.ndarray,
-    gvec: np.ndarray,
-) -> np.ndarray:
-    """Reference route: explicit ring elements and the generic det kernel."""
-    ga = GroupAlgebra(field, k)
-    ring = TruncatedPolyRing(ga, cap=k)
-    arcs = sorted(g.arcs)
-    hits = np.zeros(zeta.shape[0], dtype=bool)
-    for b in range(zeta.shape[0]):
-        weights = {}
-        for ai, (u, v) in enumerate(arcs):
-            z = int(zeta[b, ai])
-            w1 = field.mul(z, int(rmul[b, ai]))
-            marker = ga.add(ga.unit(int(gvec[b, u])), ga.one)
-            poly = list(ring.const(ga.scale(z, ga.one)))
-            poly[1] = ga.scale(w1, marker)
-            weights[(u, v)] = tuple(poly)
-        lap = build_laplacian(g, weights, ring)
-        det = det_division_free(puncture(lap, root))
-        hits[b] = not ga.is_zero(det[k])
-    return hits
-
-
 def internal_sieve_success_floor(n: int, k: int) -> float:
     """Per-trial detection probability floor on a qualifying instance.
 
@@ -303,52 +251,52 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
         engine = _InternalSieveEngine(g, root, k, field)
         done = 0
         while done < cfg.trials:
-            b = min(cfg.chunk, cfg.trials - done)
-            zeta, rmul, gvec = _draw_internal_chunk(g, k, field, cfg.seed, root, done, b)
-            if cfg.engine == "batched":
-                hits = engine.run_chunk(zeta, rmul, gvec)
-            else:
-                hits = _scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec)
+            b = min(INTERNAL_CHUNK, cfg.trials - done)
+            hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, cfg.seed, root, done, b))
             if hits.any():
                 return done + int(np.argmax(hits)) + 1, True
             done += b
         return done, False
 
-    results: dict[int, tuple[int, bool]] = {}
-    if cfg.threads > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for root, res in zip(roots, pool.map(run_root, roots)):
-                results[root] = res
-    else:
-        for root in roots:
-            results[root] = run_root(root)
-            if results[root][1]:
-                break
-
-    # Truncate to the prefix a sequential scan would have visited, so the
-    # report does not depend on the thread count.
-    visited: list[int] = []
-    for root in roots:
-        if root not in results:
-            break
-        visited.append(root)
-        if results[root][1]:
-            break
-    trials_run = sum(results[r][0] for r in visited)
-    hit = any(results[r][1] for r in visited)
+    results = _scan_roots(roots, run_root, lambda res: res[1], cfg.threads)
+    hit = any(found for _, found in results.values())
     floor = internal_sieve_success_floor(n, k)
     return DetectionReport(
         verdict=hit,
-        trials_run=trials_run,
+        trials_run=sum(done for done, _ in results.values()),
         trials_max=cfg.trials * len(roots),
         seed=cfg.seed,
         failure_bound=0.0 if hit else (1.0 - floor) ** cfg.trials,
         detail={
-            "engine": cfg.engine,
-            "roots": visited,
-            "per_root": {str(r): {"trials": results[r][0], "hit": results[r][1]} for r in visited},
+            "engine": "batched",
+            "roots": list(results),
+            "per_root": {str(r): {"trials": done, "hit": found} for r, (done, found) in results.items()},
         },
     )
+
+
+def _scan_roots(roots: list[int], run_root, is_hit, threads: int) -> dict:
+    """run_root's result for each root a sequential scan visits, in root order.
+
+    The scan stops after the first root whose result is_hit. With threads > 1
+    every root runs in parallel and the results past the first hit are
+    dropped, so the outcome does not depend on the thread count.
+    """
+    if threads > 1 and len(roots) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            ran = list(pool.map(run_root, roots))
+    else:
+        ran = []
+        for root in roots:
+            ran.append(run_root(root))
+            if is_hit(ran[-1]):
+                break
+    visited = {}
+    for root, res in zip(roots, ran):
+        visited[root] = res
+        if is_hit(res):
+            break
+    return visited
 
 
 # ---------------------------------------------------------------------------
@@ -361,55 +309,14 @@ class PolynomialEvaluator(Protocol):
 
     Declared properties the solver relies on: homogeneity of degree n and
     nonnegative integer coefficients (so reductions mod a prime cannot
-    cancel across monomials). evaluate() must be deterministic per
-    (assignment, p).
+    cancel across monomials). evaluate_batch() maps a [B, n] int64 array of
+    assignments to the B values mod p and must be deterministic per
+    (assignments, p).
     """
 
     n: int
 
-    def evaluate(self, assignment: Sequence[int], p: int) -> int: ...
-
-
-class MonomialListPolynomial:
-    """Explicit sum of monomials; the test harness's evaluator of choice."""
-
-    def __init__(self, n: int, monomials):
-        self.n = n
-        cleaned = []
-        for coeff, exps in monomials:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n:
-                raise ValueError("exponent vector length mismatch")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            if coeff < 0:
-                raise ValueError("coefficients must be nonnegative")
-            if coeff == 0:
-                continue
-            if sum(exps) != n:
-                raise ValueError("polynomial must be homogeneous of degree n")
-            cleaned.append((int(coeff), exps))
-        self.monomials = tuple(cleaned)
-
-    def evaluate(self, assignment: Sequence[int], p: int) -> int:
-        total = 0
-        for coeff, exps in self.monomials:
-            term = coeff % p
-            for y, e in zip(assignment, exps):
-                if e:
-                    term = term * pow(y % p, e, p) % p
-            total = (total + term) % p
-        return total
-
-    def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
-        out = np.zeros(ys.shape[0], dtype=np.int64)
-        for coeff, exps in self.monomials:
-            term = np.full(ys.shape[0], coeff % p, dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * _batched_modpow(ys[:, i] % p, e, p) % p
-            out = (out + term) % p
-        return out
+    def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray: ...
 
 
 def _batched_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -427,8 +334,11 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     """Determinants of an int64 stack [B, d, d] mod prime p. Consumes mats.
 
     Entries must already lie in [0, p). Matrices that run out of pivots get
-    determinant 0 (a zero pivot zeroes the running product for good).
+    determinant 0 (a zero pivot zeroes the running product for good). The
+    products are taken in int64, so p must be below MODP_WORD_LIMIT (2^31).
     """
+    if p >= MODP_WORD_LIMIT:
+        raise ValueError(f"prime {p} is past the 2^31 word-size limit of batched_modp_det")
     nmats, d, _ = mats.shape
     det = np.ones(nmats, dtype=np.int64)
     if d == 0:
@@ -468,13 +378,6 @@ class BranchingLeafPolynomial:
         self.n = g.n
         self._verts = [u for u in range(g.n) if u != root]
         self._pos = {u: i for i, u in enumerate(self._verts)}
-
-    def evaluate(self, assignment: Sequence[int], p: int) -> int:
-        field = PrimeField(p)
-        weights = {(u, v): assignment[u] % p for u, v in self.g.arcs}
-        lap = build_laplacian(self.g, weights, field)
-        det = det_gauss(puncture(lap, self.root))
-        return det * (assignment[self.root] % p) % p
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
         g = self.g
@@ -546,13 +449,9 @@ def dv_trial(P: PolynomialEvaluator, assignment: Sequence[bool], p: int) -> Univ
         raise ValueError("assignment length mismatch")
     low_count = bits.count(False)
     taus = list(range(2 * n + 1))
-    if hasattr(P, "evaluate_batch"):
-        mask = np.array(bits, dtype=bool)
-        ys = np.where(mask[None, :], np.array(taus, dtype=np.int64)[:, None], 1)
-        vals = P.evaluate_batch(ys, p)
-        raw = [int(v) for v in vals]
-    else:
-        raw = [P.evaluate([t if b else 1 for b in bits], p) for t in taus]
+    mask = np.array(bits, dtype=bool)
+    ys = np.where(mask[None, :], np.array(taus, dtype=np.int64)[:, None], 1)
+    raw = [int(v) for v in P.evaluate_batch(ys, p)]
     points = [(t, v * pow(t, low_count, p) % p) for t, v in zip(taus, raw)]
     return UnivariatePolyPF(p=p, coeffs=interpolate_univariate(points, 2 * n, p))
 
@@ -641,37 +540,19 @@ def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionR
         sub = replace(cfg, seed=derive_seed("leaf-root", cfg.seed, root), threads=1)
         return solve_nk_dv(BranchingLeafPolynomial(g, root), k, sub)
 
-    results: dict[int, DetectionReport] = {}
-    if cfg.threads > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for root, rep in zip(roots, pool.map(run_root, roots)):
-                results[root] = rep
-    else:
-        for root in roots:
-            results[root] = run_root(root)
-            if results[root].verdict:
-                break
-
-    visited: list[int] = []
-    for root in roots:
-        if root not in results:
-            break
-        visited.append(root)
-        if results[root].verdict:
-            break
-    hit = any(results[r].verdict for r in visited)
-    bounds = [results[r].failure_bound for r in visited]
+    results = _scan_roots(roots, run_root, lambda rep: rep.verdict, cfg.threads)
+    hit = any(rep.verdict for rep in results.values())
     return DetectionReport(
         verdict=hit,
-        trials_run=sum(results[r].trials_run for r in visited),
-        trials_max=sum(results[r].trials_max for r in visited),
+        trials_run=sum(rep.trials_run for rep in results.values()),
+        trials_max=sum(rep.trials_max for rep in results.values()),
         seed=cfg.seed,
-        failure_bound=0.0 if hit else max(bounds),
+        failure_bound=0.0 if hit else max(rep.failure_bound for rep in results.values()),
         detail={
-            "roots": visited,
+            "roots": list(results),
             "per_root": {
-                str(r): {"verdict": results[r].verdict, "trials": results[r].trials_run}
-                for r in visited
+                str(r): {"verdict": rep.verdict, "trials": rep.trials_run}
+                for r, rep in results.items()
             },
         },
     )

@@ -10,7 +10,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import GuardError, ParseError
+
+# Largest vertex count parse_digraph accepts. Building the adjacency indexes
+# costs about 190 bytes per vertex before any command can check its own
+# guard, and no command answers past 512 vertices.
+VERTEX_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,8 @@ def parse_digraph(text: str) -> Digraph:
     """Parse the "n m" / "tail head" text format.
 
     Duplicate arcs are collapsed with a warning. Malformed lines raise
-    ParseError naming the 1-based line number.
+    ParseError naming the 1-based line number; a header past VERTEX_LIMIT
+    vertices raises GuardError before anything is allocated.
     """
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
@@ -85,6 +91,8 @@ def parse_digraph(text: str) -> Digraph:
                 raise ParseError(f"line {lineno}: header must be two integers") from exc
             if n < 1:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
+            if n > VERTEX_LIMIT:
+                raise GuardError(f"line {lineno}: vertex count guard: n={n} > {VERTEX_LIMIT}")
             if m < 0:
                 raise ParseError(f"line {lineno}: arc count must be non-negative")
             header = (n, m)
@@ -151,22 +159,6 @@ class IndependentPartition:
     yellow: frozenset[int]
 
 
-def greedy_maximal_matching(g: Digraph) -> list[tuple[int, int]]:
-    """Maximal matching of the underlying undirected graph, greedy in id order."""
-    nbr = g.undirected_neighbor_masks()
-    used = 0
-    matching = []
-    for u in range(g.n):
-        if used & (1 << u):
-            continue
-        cand = nbr[u] & ~used & ~((1 << (u + 1)) - 1)
-        if cand:
-            v = (cand & -cand).bit_length() - 1
-            matching.append((u, v))
-            used |= (1 << u) | (1 << v)
-    return matching
-
-
 def _popcount(x: int) -> int:
     return x.bit_count()
 
@@ -209,63 +201,9 @@ def mis_branch_and_bound(g: Digraph) -> int:
     return best
 
 
-def mis_via_matching(g: Digraph) -> int:
-    """Maximum independent set found by 3-way enumeration over a maximal matching.
-
-    Vertices left unmatched by a maximal matching are pairwise non-adjacent,
-    so it suffices to try, for every matched pair, keeping either endpoint or
-    neither, and then absorb all compatible unmatched vertices.
-    """
-    nbr = g.undirected_neighbor_masks()
-    matching = greedy_maximal_matching(g)
-    matched_mask = 0
-    for u, v in matching:
-        matched_mask |= (1 << u) | (1 << v)
-    unmatched = ((1 << g.n) - 1) & ~matched_mask
-
-    best = 0
-    best_size = -1
-    choices = [0] * len(matching)
-    while True:
-        chosen = 0
-        ok = True
-        for (u, v), c in zip(matching, choices):
-            if c == 0:
-                continue
-            w = u if c == 1 else v
-            if nbr[w] & chosen:
-                ok = False
-                break
-            chosen |= 1 << w
-        if ok:
-            ext = chosen
-            r = unmatched
-            while r:
-                x = (r & -r).bit_length() - 1
-                r &= r - 1
-                if not (nbr[x] & ext):
-                    ext |= 1 << x
-            if _popcount(ext) > best_size:
-                best, best_size = ext, _popcount(ext)
-        # next 3-ary choice vector
-        i = 0
-        while i < len(choices) and choices[i] == 2:
-            choices[i] = 0
-            i += 1
-        if i == len(choices):
-            break
-        choices[i] += 1
-    return best
-
-
-def find_independent_partition(g: Digraph, engine: str = "branch_and_bound") -> IndependentPartition:
+def find_independent_partition(g: Digraph) -> IndependentPartition:
     """Split the vertex set into blue and a maximum independent yellow set."""
-    if engine == "branch_and_bound":
-        mask = mis_branch_and_bound(g)
-    elif engine == "matching":
-        mask = mis_via_matching(g)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    mask = mis_branch_and_bound(g)
     yellow = frozenset(v for v in range(g.n) if mask & (1 << v))
     blue = frozenset(range(g.n)) - yellow
     nbr = g.undirected_neighbor_masks()

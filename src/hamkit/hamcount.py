@@ -33,14 +33,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ResidueElem, ResidueRing, crt_combine, is_prime, primes_up_to
+from .algebra import ResidueElem, crt_combine, is_prime, primes_up_to
 from .errors import CapExceededError, GuardError
 from .graph import Digraph, VertexSplit, split_vertex
-from .matrixtree import SquareMatrix, det_bareiss_int
+from .matrixtree import det_bareiss_int
 from .rand import make_rng
 
 NAIVE_SUBSET_GUARD = 24
 MITM_TABLE_GUARD = 30_000_000
+# count_hc_mod answers mod p^k only below this modulus, in either mode
+RESIDUE_MODULUS_LIMIT = 1 << 62
 DEFAULT_LAMBDA = 0.01
 DEFAULT_BETA = 1.0 / 6.0
 
@@ -171,49 +173,6 @@ class _SieveCore:
         """The subset's inclusion-exclusion term: its determinant, negated when |V_t| - |O| is odd."""
         det = self.subset_det(omask)
         return -det if (self.n0 - omask.bit_count()) & 1 else det
-
-
-# ---------------------------------------------------------------------------
-# contract surface: the restricted Laplacian as an explicit matrix
-
-
-def restricted_laplacian(
-    split: VertexSplit, omask: int, wt: RandomTailWeights, ring: ResidueRing
-) -> SquareMatrix:
-    """Punctured Laplacian over Z/p^k with tails outside O zeroed.
-
-    Rows and columns are labelled by the vertices other than s. Virtual arcs
-    t->u exist for every u != t and keep their random weights; real arcs keep
-    weight 1 when their tail lies in O (or is t) and are zeroed otherwise.
-    """
-    g = split.graph
-    s, t = split.s, split.t
-    labels = tuple(u for u in range(g.n) if u != s)
-    idx = {u: i for i, u in enumerate(labels)}
-    size = len(labels)
-    rows = [[0] * size for _ in range(size)]
-    for u in labels:
-        diag = 0
-        for w in g.in_adj[u]:
-            if w == t or (omask >> w & 1):
-                diag = ring.add(diag, ring.one)
-        if u != t:
-            diag = ring.add(diag, wt.values[u] % ring.modulus)
-        rows[idx[u]][idx[u]] = diag
-        if u == t:
-            for v in range(g.n - 1):
-                if v != s:
-                    rows[idx[t]][idx[v]] = ring.neg(wt.values[v] % ring.modulus)
-        elif omask >> u & 1:
-            for v in g.out_adj[u]:
-                if v != s:
-                    rows[idx[u]][idx[v]] = ring.neg(ring.one)
-    return SquareMatrix(
-        ring=ring,
-        row_labels=labels,
-        col_labels=labels,
-        entries=tuple(tuple(r) for r in rows),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +478,18 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
 def count_hc_mod(
     g: Digraph, params: SieveParams, origin: int = 0
 ) -> tuple[ResidueElem, MitmDiagnostics | None]:
-    """Hamiltonian-cycle count of g modulo p^k, splitting at `origin`."""
+    """Hamiltonian-cycle count of g modulo p^k, splitting at `origin`.
+
+    Refuses p^k >= RESIDUE_MODULUS_LIMIT (GuardError) before any work; the
+    k test comes first so that p^k is never formed for a huge k.
+    """
+    k = params.effective_k(g.n)
+    if k >= 62 or params.p**k >= RESIDUE_MODULUS_LIMIT:
+        raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
     if g.n == 1:
-        k = params.effective_k(1)
         return ResidueElem(value=0, p=params.p, k=k), None
     split = split_vertex(g, origin)
     if params.mode == "naive":
-        k = params.effective_k(g.n)
-        if params.p**k >= ResidueRing.MODULUS_LIMIT:
-            raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
         return naive_sieve_count(split, params), None
     res = mitm_count_mod(split, params)
     return res.residue, res.diagnostics

@@ -16,10 +16,9 @@ the graph has a Hamiltonian cycle. Random weights then make a one-sided test:
 a nonzero sum proves a cycle exists, and a zero sum is wrong with probability
 at most n/q per trial.
 
-The batched engine builds all pair matrices per chunk with numpy (xor-sums
-via float32 bit-plane matmuls, determinants via table-driven batched Gaussian
-elimination); the scalar engine does the same one pair at a time and exists
-as the reference the batched one is tested against.
+All pair matrices of a chunk are built at once with numpy (xor-sums via
+float32 bit-plane matmuls) and their determinants taken by table-driven
+batched Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 
 from .algebra import BinaryField, make_binary_field
 from .graph import Digraph, IndependentPartition, find_independent_partition
-from .matrixtree import SquareMatrix, det_gauss
 from .rand import derive_seed
 from .report import DetectionReport
 
@@ -77,10 +75,6 @@ class PortLayout:
         exit_ = tuple(("exit", y) for y in self.yellow)
         return pool + entry + exit_
 
-    @property
-    def row_order(self) -> tuple[int, ...]:
-        return self.blue + self.yellow
-
     @staticmethod
     def from_partition(g: Digraph, part: IndependentPartition) -> "PortLayout":
         if len(part.blue) + len(part.yellow) != g.n:
@@ -111,103 +105,9 @@ class PortWeights:
             values[:, tails, heads] = rng.integers(0, field.q, size=(nports, len(arcs)), dtype=np.int32)
         return PortWeights(layout, field, values)
 
-    def value(self, port_index: int, u: int, v: int) -> int:
-        return int(self.values[port_index, u, v])
-
-
-def iter_membership_pairs(layout: PortLayout):
-    """Yield every (imask, omask) with I union O = blue and anchor in I.
-
-    Masks are vertex bitmasks. Each non-anchor blue vertex independently sits
-    in I only, O only, or both; the anchor is always in I and may also be in
-    O, for 2 * 3^(|blue| - 1) pairs in total.
-    """
-    blue = layout.blue
-    anchor_bit = 1 << blue[0]
-    rest = blue[1:]
-    reps = 3 ** len(rest)
-    for half in range(2):
-        for code in range(reps):
-            imask = anchor_bit
-            omask = anchor_bit if half else 0
-            c = code
-            for v in rest:
-                d = c % 3
-                c //= 3
-                if d != 1:
-                    imask |= 1 << v
-                if d != 0:
-                    omask |= 1 << v
-            yield imask, omask
-
-
-def build_port_matrix(
-    g: Digraph,
-    layout: PortLayout,
-    weights: PortWeights,
-    imask: int,
-    omask: int,
-    skewed: bool = True,
-) -> SquareMatrix:
-    """Port matrix for one membership pair, as a labeled scalar matrix.
-
-    Blue row u: in a pool port, the xor of that port's weights on arcs w->u
-    from blue w in O (present when u is in I), xored with the weights on arcs
-    u->w to blue w in I (present when u is in O and not the anchor). In the
-    entry port of yellow y, the weight on u->y when u is in O and not the
-    anchor; in the exit port of y, the weight on y->u when u is in I.
-
-    Yellow row y: its own entry port holds the xor over blue w in O of the
-    weights on w->y, its own exit port the xor over blue w in I of the
-    weights on y->w, everything else zero.
-
-    With skewed=False the two "not the anchor" conditions are dropped; then
-    the pair I = O = blue gives a matrix whose columns all sum to zero.
-    """
-    field = weights.field
-    ports = layout.ports
-    blue_set = set(layout.blue)
-    row_order = layout.row_order
-    anchor = layout.anchor
-    rows = []
-    for u in row_order:
-        u_in = bool(imask >> u & 1)
-        u_out = bool(omask >> u & 1) and (not skewed or u != anchor)
-        row = []
-        for ci, (kind, tag) in enumerate(ports):
-            val = 0
-            if u in blue_set:
-                if kind == "pool":
-                    if u_in:
-                        for w in g.in_adj[u]:
-                            if w in blue_set and omask >> w & 1:
-                                val ^= weights.value(ci, w, u)
-                    if u_out:
-                        for w in g.out_adj[u]:
-                            if w in blue_set and imask >> w & 1:
-                                val ^= weights.value(ci, u, w)
-                elif kind == "entry":
-                    if u_out and g.has_arc(u, tag):
-                        val = weights.value(ci, u, tag)
-                else:
-                    if u_in and g.has_arc(tag, u):
-                        val = weights.value(ci, tag, u)
-            else:
-                if kind == "entry" and tag == u:
-                    for w in g.in_adj[u]:
-                        if omask >> w & 1:
-                            val ^= weights.value(ci, w, u)
-                elif kind == "exit" and tag == u:
-                    for w in g.out_adj[u]:
-                        if imask >> w & 1:
-                            val ^= weights.value(ci, u, w)
-            row.append(val)
-        rows.append(tuple(row))
-    return SquareMatrix(ring=field, row_labels=row_order, col_labels=ports, entries=tuple(rows))
-
 
 # ---------------------------------------------------------------------------
-# batched engine
+# batched pair sums
 
 
 def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
@@ -346,30 +246,18 @@ def sieve_membership_pairs(
     layout: PortLayout,
     weights: PortWeights,
     threads: int = 1,
-    engine: str = "batched",
-    chunk: int = STATE_CHUNK,
 ) -> tuple[int, int]:
     """Sum det(port matrix) over all gated membership pairs.
 
     Returns (field element, number of pairs visited). The sum is the xor of
-    2 * 3^(|blue| - 1) determinants and is independent of visit order, so
-    thread partitioning cannot change the answer.
+    2 * 3^(|blue| - 1) determinants, evaluated in chunks of STATE_CHUNK
+    pairs, and is independent of visit order, so thread partitioning cannot
+    change the answer.
     """
-    field = weights.field
-    if engine == "scalar":
-        total = 0
-        pairs = 0
-        for imask, omask in iter_membership_pairs(layout):
-            mat = build_port_matrix(g, layout, weights, imask, omask)
-            total = field.add(total, det_gauss(mat))
-            pairs += 1
-        return total, pairs
-
-    if engine != "batched":
-        raise ValueError(f"unknown engine {engine!r}")
     nb = len(layout.blue)
     npairs = 2 * 3 ** (nb - 1)
     sieve = _BatchedSieve(g, layout, weights)
+    chunk = STATE_CHUNK
     spans = [(a, min(a + chunk, npairs)) for a in range(0, npairs, chunk)]
 
     def run(span: tuple[int, int]) -> int:
@@ -396,8 +284,6 @@ def detect_hamiltonian_cycle(
     trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
-    engine: str = "batched",
-    mis_engine: str = "branch_and_bound",
 ) -> DetectionReport:
     """One-sided randomized test for the existence of a Hamiltonian cycle.
 
@@ -415,7 +301,7 @@ def detect_hamiltonian_cycle(
             verdict=False, trials_run=0, trials_max=0, seed=seed,
             failure_bound=0.0, detail={"reason": "fewer than two vertices"},
         )
-    part = find_independent_partition(g, engine=mis_engine)
+    part = find_independent_partition(g)
     tmax = trials if trials is not None else default_trial_count(n)
     if len(part.yellow) > n // 2:
         return DetectionReport(
@@ -429,18 +315,18 @@ def detect_hamiltonian_cycle(
     pairs = 0
     for t in range(tmax):
         w = PortWeights.draw(g, layout, field, derive_seed("hc-trial", seed, t))
-        total, pairs = sieve_membership_pairs(g, layout, w, threads=threads, engine=engine)
+        total, pairs = sieve_membership_pairs(g, layout, w, threads=threads)
         if total != 0:
             return DetectionReport(
                 verdict=True, trials_run=t + 1, trials_max=tmax, seed=seed,
                 failure_bound=0.0,
                 detail={"pairs_per_trial": pairs, "field_bits": field.m,
-                        "witness_value": total, "engine": engine},
+                        "witness_value": total, "engine": "batched"},
             )
     return DetectionReport(
         verdict=False, trials_run=tmax, trials_max=tmax, seed=seed,
         failure_bound=failure_bound(n, tmax),
-        detail={"pairs_per_trial": pairs, "field_bits": field.m, "engine": engine},
+        detail={"pairs_per_trial": pairs, "field_bits": field.m, "engine": "batched"},
     )
 
 

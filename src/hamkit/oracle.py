@@ -20,14 +20,8 @@ MONOMIAL_VAR_LIMIT = 20
 PERMUTATION_LIMIT = 8
 
 
-def held_karp_count_hp(g: Digraph, s: int, t: int) -> int:
-    """Exact count of Hamiltonian s-to-t paths by bitmask dynamic programming."""
-    if g.n > HELD_KARP_LIMIT:
-        raise GuardError(f"held_karp_count_hp guard: n={g.n} > {HELD_KARP_LIMIT}")
-    if s == t:
-        raise ValueError("endpoints must differ")
-    if g.n == 1:
-        return 0
+def _hamiltonian_path_ends(g: Digraph, s: int) -> dict[int, int]:
+    """Held-Karp bitmask DP: end vertex v -> number of Hamiltonian paths from s to v."""
     size = 1 << g.n
     table: list[dict[int, int] | None] = [None] * size
     table[1 << s] = {s: 1}
@@ -45,37 +39,26 @@ def held_karp_count_hp(g: Digraph, s: int, t: int) -> int:
                 if d is None:
                     d = table[mask | bit] = {}
                 d[w] = d.get(w, 0) + cnt
-    final = table[size - 1]
-    return 0 if final is None else final.get(t, 0)
+    return table[size - 1] or {}
+
+
+def held_karp_count_hp(g: Digraph, s: int, t: int) -> int:
+    """Exact count of Hamiltonian s-to-t paths by bitmask dynamic programming."""
+    if g.n > HELD_KARP_LIMIT:
+        raise GuardError(f"held_karp_count_hp guard: n={g.n} > {HELD_KARP_LIMIT}")
+    if s == t:
+        raise ValueError("endpoints must differ")
+    if g.n == 1:
+        return 0
+    return _hamiltonian_path_ends(g, s).get(t, 0)
 
 
 def held_karp_count_hc(g: Digraph) -> int:
     """Exact count of directed Hamiltonian cycles (length-2 cycles count)."""
     if g.n > HELD_KARP_LIMIT:
         raise GuardError(f"held_karp_count_hc guard: n={g.n} > {HELD_KARP_LIMIT}")
-    if g.n == 1:
-        return 0
-    size = 1 << g.n
-    table: list[dict[int, int] | None] = [None] * size
-    table[1] = {0: 1}
-    out_adj = g.out_adj
-    for mask in range(size):
-        cur = table[mask]
-        if cur is None:
-            continue
-        for v, cnt in cur.items():
-            for w in out_adj[v]:
-                bit = 1 << w
-                if mask & bit:
-                    continue
-                d = table[mask | bit]
-                if d is None:
-                    d = table[mask | bit] = {}
-                d[w] = d.get(w, 0) + cnt
-    final = table[size - 1]
-    if final is None:
-        return 0
-    return sum(cnt for v, cnt in final.items() if g.has_arc(v, 0))
+    ends = _hamiltonian_path_ends(g, 0)
+    return sum(cnt for v, cnt in ends.items() if g.has_arc(v, 0))
 
 
 def perm_count_hp(g: Digraph, s: int, t: int) -> int:

@@ -22,7 +22,6 @@ import pytest
 from conftest import out_star, random_digraph
 from hamkit import oracle
 from hamkit.algebra import (
-    GroupAlgebra,
     PrimeField,
     crt_combine,
     interpolate_univariate,
@@ -32,7 +31,6 @@ from hamkit.algebra import (
 from hamkit.branchings import (
     DvConfig,
     InternalSieveConfig,
-    MonomialListPolynomial,
     detect_k_internal,
     detect_k_leaf,
     solve_nk_dv,
@@ -50,11 +48,11 @@ from hamkit.hamcount import (
 from hamkit.hamdetect import (
     PortLayout,
     PortWeights,
-    build_port_matrix,
     detect_hamiltonian_cycle,
     sieve_membership_pairs,
 )
 from hamkit.matrixtree import count_out_branchings
+from reference import GroupAlgebra, MonomialListPolynomial, build_port_matrix
 
 
 def weakly_connected(n: int, arcs) -> bool:

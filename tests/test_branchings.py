@@ -12,12 +12,12 @@ from conftest import (
     out_star,
     random_digraph,
 )
-from hamkit.algebra import BinaryField, GroupAlgebra, make_binary_field
+from hamkit import branchings
+from hamkit.algebra import BinaryField
 from hamkit.branchings import (
     BranchingLeafPolynomial,
     DvConfig,
     InternalSieveConfig,
-    MonomialListPolynomial,
     batched_modp_det,
     detect_k_internal,
     detect_k_leaf,
@@ -25,12 +25,18 @@ from hamkit.branchings import (
     internal_sieve_success_floor,
     solve_nk_dv,
     window_hits,
-    xbasis_to_group,
 )
 from hamkit.errors import GuardError
 from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings
 from hamkit import oracle
+from reference import (
+    GroupAlgebra,
+    MonomialListPolynomial,
+    internal_scan,
+    leaf_polynomial_value,
+    xbasis_to_group,
+)
 
 
 class TestMarkerBasis:
@@ -118,27 +124,33 @@ class TestDetectKInternal:
         with pytest.raises(GuardError):
             detect_k_internal(directed_cycle(9), 7)
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
-    def test_matches_brute_force(self, engine):
+    @pytest.mark.parametrize("route", ["batched", "scalar"])
+    def test_matches_brute_force(self, route):
+        # "scalar" runs the same root scan on the reference ring determinant
         rnd = random.Random(83)
         for _ in range(15):
             n = rnd.randint(2, 6)
             g = random_digraph(rnd, n, rnd.uniform(0.25, 0.7))
             k = rnd.randint(1, min(4, n - 1))
             want = oracle.brute_k_internal(g, k)
-            cfg = InternalSieveConfig(trials=40, seed=7, engine=engine)
-            assert detect_k_internal(g, k, cfg).verdict == want
+            if route == "batched":
+                got = detect_k_internal(g, k, InternalSieveConfig(trials=40, seed=7)).verdict
+            else:
+                got = any(r["hit"] for r in internal_scan(g, k, 40, 7, chunk=34).values())
+            assert got == want
 
-    def test_engines_consume_identical_trials(self):
+    def test_engines_consume_identical_trials(self, monkeypatch):
+        # batched hits equal the reference's on the same draws, whatever the chunking
+        monkeypatch.setattr(branchings, "INTERNAL_CHUNK", 4)
         rnd = random.Random(84)
         for _ in range(8):
             g = random_digraph(rnd, 5, 0.5)
             k = rnd.randint(1, 3)
-            a = detect_k_internal(g, k, InternalSieveConfig(trials=25, seed=3, engine="batched", chunk=4))
-            b = detect_k_internal(g, k, InternalSieveConfig(trials=25, seed=3, engine="scalar", chunk=9))
-            assert a.verdict == b.verdict
-            assert a.trials_run == b.trials_run
-            assert a.detail["per_root"] == b.detail["per_root"]
+            a = detect_k_internal(g, k, InternalSieveConfig(trials=25, seed=3))
+            per_root = internal_scan(g, k, 25, 3, chunk=9)
+            assert a.detail["per_root"] == per_root
+            assert a.verdict == any(r["hit"] for r in per_root.values())
+            assert a.trials_run == sum(r["trials"] for r in per_root.values())
 
     def test_threads_do_not_change_report(self):
         g = random_digraph(random.Random(85), 6, 0.4)
@@ -171,6 +183,18 @@ class TestBatchedPrimeDet:
     def test_zero_order(self):
         assert batched_modp_det(np.zeros((4, 0, 0), dtype=np.int64), 7).tolist() == [1] * 4
 
+    def test_word_size_guard(self):
+        # int64 products of residues need p < 2^31; past it batch values would be silently wrong
+        g = random_digraph(random.Random(20), 6, 0.5)
+        P = BranchingLeafPolynomial(g, 0)
+        ys = np.array([[3, 5, 7, 11, 13, 17]], dtype=np.int64)
+        p = 2**31 - 1
+        assert P.evaluate_batch(ys, p).tolist() == [leaf_polynomial_value(g, 0, ys[0].tolist(), p)]
+        with pytest.raises(ValueError, match="2\\^31"):
+            P.evaluate_batch(ys, 2**61 - 1)
+        with pytest.raises(ValueError):
+            batched_modp_det(np.zeros((1, 2, 2), dtype=np.int64), 2**31)
+
 
 class TestLeafPolynomial:
     def test_all_ones_counts_branchings(self):
@@ -180,8 +204,7 @@ class TestLeafPolynomial:
             n = rnd.randint(2, 7)
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
             r = rnd.randrange(n)
-            P = BranchingLeafPolynomial(g, r)
-            assert P.evaluate([1] * n, p) == count_out_branchings(g, r) % p
+            assert leaf_polynomial_value(g, r, [1] * n, p) == count_out_branchings(g, r) % p
 
     def test_batch_matches_scalar(self):
         rnd = random.Random(87)
@@ -191,17 +214,17 @@ class TestLeafPolynomial:
         ys = np.array([[rnd.randrange(p) for _ in range(6)] for _ in range(10)], dtype=np.int64)
         batch = P.evaluate_batch(ys, p)
         for row, got in zip(ys.tolist(), batch.tolist()):
-            assert P.evaluate(row, p) == got
+            assert leaf_polynomial_value(g, 0, row, p) == got
 
     def test_homogeneous_degree_n(self):
         rnd = random.Random(88)
         p = 1_000_003
-        g = complete_digraph(5)
-        P = BranchingLeafPolynomial(g, 1)
+        P = BranchingLeafPolynomial(complete_digraph(5), 1)
         ys = [rnd.randrange(1, p) for _ in range(5)]
         c = rnd.randrange(2, p)
         scaled = [y * c % p for y in ys]
-        assert P.evaluate(scaled, p) == P.evaluate(ys, p) * pow(c, 5, p) % p
+        base, got = P.evaluate_batch(np.array([ys, scaled], dtype=np.int64), p).tolist()
+        assert got == base * pow(c, 5, p) % p
 
 
 class TestSolveNkDv:

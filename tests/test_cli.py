@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -196,6 +197,27 @@ class TestExitCodes:
             assert code == 3
             assert out == ""
             assert "branching count guard" in err
+
+    def test_residue_guard_both_modes(self, tmp_path, capsys):
+        # p^k >= 2^62 is refused up front in either mode, even for a k too big to exponentiate
+        path = write_graph(tmp_path, directed_cycle(5))
+        for mode in ("naive", "mitm"):
+            for k in ("70", "10000000000"):
+                code, out, err = run_cli(["count-mod", path, "--p", "2", "--k", k, "--mode", mode], capsys)
+                assert code == 3
+                assert out == ""
+                assert "residue guard" in err
+
+    def test_vertex_cap_at_parse(self, tmp_path, capsys):
+        # a huge header is refused before the adjacency indexes are built
+        huge = tmp_path / "huge.txt"
+        huge.write_text("50000000 0\n", encoding="utf-8")
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["count-branchings", str(huge), "--root", "0"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+        assert "vertex count guard" in err
 
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path, directed_cycle(5))

@@ -8,7 +8,6 @@ from conftest import complete_digraph, directed_cycle, random_digraph
 from hamkit.errors import ParseError
 from hamkit.graph import (
     find_independent_partition,
-    greedy_maximal_matching,
     make_digraph,
     parse_digraph,
     split_vertex,
@@ -105,12 +104,11 @@ class TestIndependentPartition:
         part = find_independent_partition(complete_digraph(5))
         assert len(part.yellow) == 1
 
-    @pytest.mark.parametrize("engine", ["branch_and_bound", "matching"])
-    def test_yellow_is_independent(self, engine):
+    def test_yellow_is_independent(self):
         rnd = random.Random(31)
         for _ in range(25):
             g = random_digraph(rnd, rnd.randint(1, 10), rnd.uniform(0.1, 0.7))
-            part = find_independent_partition(g, engine=engine)
+            part = find_independent_partition(g)
             assert part.blue | part.yellow == frozenset(range(g.n))
             assert not (part.blue & part.yellow)
             for u in part.yellow:
@@ -123,14 +121,3 @@ class TestIndependentPartition:
             g = random_digraph(rnd, 10, rnd.uniform(0.15, 0.6))
             part = find_independent_partition(g)
             assert len(part.yellow) == len(oracle.brute_mis(g))
-
-    def test_greedy_matching_is_maximal(self):
-        rnd = random.Random(13)
-        for _ in range(20):
-            g = random_digraph(rnd, 9, 0.4)
-            matching = greedy_maximal_matching(g)
-            matched = {v for e in matching for v in e}
-            assert len(matched) == 2 * len(matching)
-            for u, v in g.arcs:
-                # maximality: no arc with both ends unmatched
-                assert u in matched or v in matched

@@ -13,7 +13,6 @@ from conftest import (
     random_digraph,
     random_out_degree_graph,
 )
-from hamkit.algebra import ResidueRing
 from hamkit.errors import CapExceededError, GuardError
 from hamkit.graph import make_digraph, split_vertex
 from hamkit.hamcount import (
@@ -28,11 +27,10 @@ from hamkit.hamcount import (
     crt_count,
     mitm_count_mod,
     naive_sieve_count,
-    restricted_laplacian,
     z_vector,
 )
-from hamkit.matrixtree import det_division_free
 from hamkit import oracle
+from reference import ResidueRing, det_division_free, restricted_laplacian
 
 import hamkit.hamcount as hamcount_mod
 
@@ -138,11 +136,16 @@ class TestNaiveSieve:
             naive_sieve_count(split_vertex(g, 0), SieveParams(p=2))
 
     def test_residue_guard(self):
-        # naive count-mod refuses p^k >= 2^62; the exact counters go past it
+        # count-mod refuses p^k >= 2^62 in both modes, before any work and
+        # without forming p^k for a huge k; the exact counters go past it
         g = directed_cycle(5)
-        with pytest.raises(GuardError, match="2\\^62"):
-            count_hc_mod(g, SieveParams(p=2, k=62, mode="naive"))
-        assert count_hc_mod(g, SieveParams(p=2, k=61, mode="naive"))[0].value == 1
+        for mode in ("naive", "mitm"):
+            for k in (62, 70, 10**8, 10**10):
+                with pytest.raises(GuardError, match="2\\^62"):
+                    count_hc_mod(g, SieveParams(p=2, k=k, mode=mode))
+            with pytest.raises(GuardError, match="2\\^62"):
+                count_hc_mod(make_digraph(1, []), SieveParams(p=2, k=70, mode=mode))
+            assert count_hc_mod(g, SieveParams(p=2, k=61, mode=mode))[0].value == 1
         assert naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=70)).value == 1
 
     def test_exact_sum_any_weights(self):

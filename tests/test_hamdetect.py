@@ -12,21 +12,20 @@ from conftest import (
     out_star,
     random_digraph,
 )
+from hamkit import hamdetect
 from hamkit.algebra import make_binary_field
 from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamdetect import (
     PortLayout,
     PortWeights,
     batched_gf_det,
-    build_port_matrix,
     default_trial_count,
     detect_hamiltonian_cycle,
     failure_bound,
-    iter_membership_pairs,
     sieve_membership_pairs,
 )
-from hamkit.matrixtree import det_gauss
 from hamkit import oracle
+from reference import build_port_matrix, det_gauss, iter_membership_pairs, scalar_pair_sum, square
 
 
 def make_layout(g):
@@ -115,25 +114,25 @@ class TestPortMatrix:
 
 class TestSieve:
     def test_batched_matches_scalar(self):
+        # per-trial pair sums of the batched engine against one det_gauss per pair
         rnd = random.Random(73)
         for _ in range(20):
             g = random_digraph(rnd, rnd.randint(2, 8), rnd.uniform(0.2, 0.8))
             layout = make_layout(g)
             field = make_binary_field(g.n)
             w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
-            ts, ps = sieve_membership_pairs(g, layout, w, engine="scalar")
-            tb, pb = sieve_membership_pairs(g, layout, w, engine="batched")
-            assert ts == tb
-            assert ps == pb
+            assert sieve_membership_pairs(g, layout, w) == scalar_pair_sum(g, layout, w)
 
-    def test_threads_do_not_change_sum(self):
+    def test_threads_do_not_change_sum(self, monkeypatch):
         g = random_digraph(random.Random(74), 9, 0.5)
         layout = make_layout(g)
         field = make_binary_field(g.n)
         w = PortWeights.draw(g, layout, field, 5)
-        t1, _ = sieve_membership_pairs(g, layout, w, threads=1, chunk=7)
-        t4, _ = sieve_membership_pairs(g, layout, w, threads=4, chunk=7)
-        assert t1 == t4
+        whole, _ = sieve_membership_pairs(g, layout, w)
+        monkeypatch.setattr(hamdetect, "STATE_CHUNK", 7)
+        t1, _ = sieve_membership_pairs(g, layout, w, threads=1)
+        t4, _ = sieve_membership_pairs(g, layout, w, threads=4)
+        assert t1 == t4 == whole
 
     def test_homogeneity_scaling(self):
         # every monomial of the pair-sum has total degree n, so scaling all
@@ -163,16 +162,12 @@ class TestSieve:
 
 class TestBatchedDet:
     def test_matches_det_gauss(self):
-        from hamkit.matrixtree import SquareMatrix
-
         field = make_binary_field(9)
         rng = np.random.default_rng(8)
         mats = rng.integers(0, field.q, size=(40, 6, 6), dtype=np.int32)
         dets = batched_gf_det(field, mats.copy())
-        labels = tuple(range(6))
         for i in range(40):
-            m = SquareMatrix(field, labels, labels, tuple(map(tuple, mats[i].tolist())))
-            assert det_gauss(m) == int(dets[i])
+            assert det_gauss(square(field, mats[i].tolist())) == int(dets[i])
 
     def test_singular_batch(self):
         field = make_binary_field(4)
@@ -234,12 +229,3 @@ class TestDetect:
         assert failure_bound(10, 10) == (10 / 256) ** 10
         rep = detect_hamiltonian_cycle(acyclic_tournament(6), trials=5, seed=0)
         assert rep.trials_run == rep.trials_max == 5
-
-    def test_scalar_engine_agrees(self):
-        rnd = random.Random(78)
-        for _ in range(10):
-            g = random_digraph(rnd, rnd.randint(2, 7), 0.5)
-            a = detect_hamiltonian_cycle(g, trials=4, seed=9, engine="batched")
-            b = detect_hamiltonian_cycle(g, trials=4, seed=9, engine="scalar")
-            assert a.verdict == b.verdict
-            assert a.trials_run == b.trials_run

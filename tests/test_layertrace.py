@@ -3,9 +3,11 @@
 import importlib.util
 from pathlib import Path
 
-from conftest import directed_cycle
+from conftest import acyclic_tournament, directed_cycle, directed_path, out_star
 from hamkit import hamcount
+from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
 from hamkit.hamcount import count_exact_capped
+from hamkit.hamdetect import detect_hamiltonian_cycle
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -41,3 +43,21 @@ def test_naive_exact_count_is_one_pass():
     assert tracer.lists["naive_pass_subsets"] == [1 << 7]
     assert counters["hamcount.crt_passes"] == 0
     assert "hamcount.crt_count" not in tracer.spans
+
+
+def test_detector_kernels_are_spanned():
+    # a kernel moved out from under its traced name would drop its layer from the benchmark
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        rep = detect_hamiltonian_cycle(acyclic_tournament(6), trials=3, seed=1)
+        detect_k_internal(directed_path(5), 2, InternalSieveConfig(trials=5, seed=1))
+        detect_k_leaf(out_star(5), 2, DvConfig(budget=2, seed=1))
+    finally:
+        tracer.uninstall()
+    for name in ("hamdetect.batched_gf_det", "branchings.det_batch",
+                 "branchings.batched_modp_det", "algebra.interpolate_univariate"):
+        assert tracer.spans[name][2] > 0, name
+    (blue,) = tracer.lists["blue"]
+    assert not rep.verdict and tracer.counters["hamdetect.trials"] == rep.trials_run == 3
+    assert tracer.counters["hamdetect.gf_matrices"] == rep.trials_run * 2 * 3 ** (blue - 1)

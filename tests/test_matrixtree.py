@@ -1,24 +1,26 @@
-"""Laplacians, puncturing, the three determinant kernels, branching counts."""
+"""Branching counts and the integer determinant, plus the scalar reference kernels they are checked with."""
 
 import random
 
 import pytest
 
 from conftest import complete_digraph, directed_cycle, directed_path, random_digraph
-from hamkit.algebra import INTEGERS, BinaryField, PrimeField, ResidueRing
+from hamkit.algebra import BinaryField, PrimeField
 from hamkit.graph import make_digraph
-from hamkit.matrixtree import (
+from hamkit.matrixtree import count_out_branchings, det_bareiss_int
+from hamkit import oracle
+from reference import (
+    INTEGERS,
+    ResidueRing,
     SquareMatrix,
     build_laplacian,
-    count_out_branchings,
     det_bareiss,
-    det_bareiss_int,
     det_division_free,
     det_gauss,
     puncture,
+    square,
     unit_weights,
 )
-from hamkit import oracle
 
 
 def cofactor_det(ring, rows):
@@ -36,11 +38,6 @@ def cofactor_det(ring, rows):
         term = ring.mul(rows[0][j], cofactor_det(ring, minor))
         total = ring.add(total, term) if j % 2 == 0 else ring.sub(total, term)
     return total
-
-
-def square(ring, rows):
-    labels = tuple(range(len(rows)))
-    return SquareMatrix(ring, labels, labels, tuple(tuple(r) for r in rows))
 
 
 class TestBuildLaplacian:
