@@ -361,9 +361,3 @@ class UnivariatePolyPF:
 
     p: int
     coeffs: tuple[int, ...]
-
-    def eval_at(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc

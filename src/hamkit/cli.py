@@ -3,7 +3,9 @@
 Every subcommand reads the text graph format (header "n m", one "tail head"
 line per arc), takes --seed (falling back to the HAMKIT_SEED environment
 variable) and --threads, and prints a single JSON object to stdout plus a
-short human summary to stderr. Exit codes: 0 for completed runs including
+short human summary to stderr. --threads drives the detect-hc,
+detect-k-internal and detect-k-leaf worker pools; the other commands accept
+it and run on one thread. Exit codes: 0 for completed runs including
 NO answers and cap-exceeded outcomes, 2 for usage or input errors, 3 for
 guard violations (instances beyond the desk-scale limits).
 """
@@ -49,10 +51,7 @@ def _cmd_count_branchings(args, g: Digraph, seed: int) -> tuple[dict, str]:
 
 
 def _cmd_count_mod(args, g: Digraph, seed: int) -> tuple[dict, str]:
-    params = hamcount.SieveParams(
-        p=args.p, k=args.k, lam=args.lam, beta=args.beta,
-        mode=args.mode, seed=seed, threads=args.threads,
-    )
+    params = hamcount.SieveParams(p=args.p, k=args.k, lam=args.lam, mode=args.mode, seed=seed)
     residue, diag = hamcount.count_hc_mod(g, params)
     payload = {
         "answer": residue.value,
@@ -70,11 +69,9 @@ def _cmd_count_mod(args, g: Digraph, seed: int) -> tuple[dict, str]:
 
 
 def _cmd_count_exact(args, g: Digraph, seed: int) -> tuple[dict, str]:
-    d = Fraction(args.d)
+    d = args.d
     try:
-        count = hamcount.count_exact_capped(
-            g, d, lam=args.lam, seed=seed, mode=args.mode, threads=args.threads
-        )
+        count = hamcount.count_exact_capped(g, d, lam=args.lam, seed=seed, mode=args.mode)
     except CapExceededError as exc:
         return (
             {"answer": "cap-exceeded", "cap_base": str(d), "message": str(exc)},
@@ -88,9 +85,7 @@ def _cmd_count_exact(args, g: Digraph, seed: int) -> tuple[dict, str]:
 
 def _cmd_count_avg_degree(args, g: Digraph, seed: int) -> tuple[dict, str]:
     try:
-        count = hamcount.count_avg_degree(
-            g, lam=args.lam, seed=seed, mode=args.mode, threads=args.threads
-        )
+        count = hamcount.count_avg_degree(g, lam=args.lam, seed=seed, mode=args.mode)
     except CapExceededError as exc:
         return (
             {"answer": "cap-exceeded", "message": str(exc)},
@@ -175,6 +170,16 @@ def _seed(text: str) -> int:
         ) from None
 
 
+def _cap_base(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 1:
+        raise argparse.ArgumentTypeError(f"need a number above 1 such as 9/8, got {text!r}")
+    return value
+
+
 def _thread_count(text: str) -> int:
     try:
         value = int(text)
@@ -199,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_seed, default=os.environ.get("HAMKIT_SEED", "0"),
                         help="RNG seed (default: $HAMKIT_SEED or 0)")
         sp.add_argument("--threads", type=_thread_count, default=1,
-                        help="worker threads, at least 1; never changes answers")
+                        help="detector worker threads, at least 1; never changes answers")
 
     sp = subs.add_parser("count-branchings", help="exact spanning out-branching count for one root")
     common(sp)
@@ -210,12 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True, help="prime modulus base")
     sp.add_argument("--k", type=int, default=None, help="exponent (default: the built-in schedule)")
     sp.add_argument("--lambda", dest="lam", type=float, default=hamcount.DEFAULT_LAMBDA)
-    sp.add_argument("--beta", type=float, default=hamcount.DEFAULT_BETA)
     sp.add_argument("--mode", choices=("naive", "mitm"), default="mitm")
 
     sp = subs.add_parser("count-exact", help="exact count, certified when the count is at most d^n")
     common(sp)
-    sp.add_argument("--d", required=True, help="cap base, an integer or fraction like 9/8")
+    sp.add_argument("--d", type=_cap_base, required=True,
+                    help="cap base above 1, an integer or fraction like 9/8")
     sp.add_argument("--lambda", dest="lam", type=float, default=hamcount.DEFAULT_LAMBDA)
     sp.add_argument("--mode", choices=("naive", "mitm"), default="naive")
 

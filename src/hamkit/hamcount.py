@@ -18,18 +18,22 @@ and more than k such rows force the determinant to 0 mod p^k. Lookup tables
 keyed by fingerprint restrictions to index blocks list the surviving pairs.
 
 The modular route of the paper combines meet-in-the-middle residues by CRT
-over all primes p up to a cutoff q; that gives the exact count whenever the
+over all primes p up to a cutoff q, each modulo p^k with the paper's one
+exponent schedule `default_k`; that gives the exact count whenever the
 combined modulus exceeds a user-certified bound d^n on the count, and
 q = ceil(e^2 d^4) makes that hold at desk scale. The capped exact counters
 take this route only in mitm mode; in naive mode they run the integer pass
 once, which is exact even when the certificate is wrong.
+
+Every pass runs on the calling thread: the sieve is pure-Python integer
+work, which more threads only slow down.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +47,15 @@ NAIVE_SUBSET_GUARD = 24
 MITM_TABLE_GUARD = 30_000_000
 # count_hc_mod answers mod p^k only below this modulus, in either mode
 RESIDUE_MODULUS_LIMIT = 1 << 62
+# count_exact_capped runs one meet-in-the-middle pass per prime up to q,
+# so mitm mode refuses a larger q
+MITM_PRIME_LIMIT = 1 << 12
 DEFAULT_LAMBDA = 0.01
-DEFAULT_BETA = 1.0 / 6.0
+
+
+def default_k(n: int, p: int, lam: float) -> int:
+    """The paper's exponent for prime p on n vertices: max(1, floor((1 - lam) n / (3 p)))."""
+    return max(1, math.floor((1.0 - lam) * n / (3 * p)))
 
 
 @dataclass(frozen=True)
@@ -59,31 +70,22 @@ class SieveParams:
     p: int
     k: int | None = None
     lam: float = DEFAULT_LAMBDA
-    beta: float = DEFAULT_BETA
     mode: str = "mitm"
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
         if not (0.0 < self.lam < 1.0):
             raise ValueError("lambda must lie in (0, 1)")
-        if not (0.0 <= self.beta < 0.5):
-            raise ValueError("beta must lie in [0, 1/2)")
         if self.mode not in ("naive", "mitm"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
     def effective_k(self, n: int) -> int:
         """The exponent actually used for an n-vertex input graph."""
-        if self.k is not None:
-            return self.k
-        raw = math.floor((1.0 - self.lam) * (0.5 - self.beta) * n / self.p)
-        return max(1, raw)
+        return self.k if self.k is not None else default_k(n, self.p, self.lam)
 
 
 @dataclass(frozen=True)
@@ -190,24 +192,8 @@ def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
         raise GuardError(f"naive sieve guard: 2^{n0} subsets is past 2^{NAIVE_SUBSET_GUARD}")
     k = params.effective_k(n0)
     core = _SieveCore(split, (0,) * split.graph.n)
-
-    def run_range(lo: int, hi: int) -> int:
-        return sum(map(core.signed_contribution, range(lo, hi)))
-
-    total_subsets = 1 << n0
-    if params.threads == 1:
-        total = run_range(0, total_subsets)
-    else:
-        bounds = _chunk_bounds(total_subsets, params.threads * 4)
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            total = sum(pool.map(lambda b: run_range(*b), bounds))
+    total = sum(map(core.signed_contribution, range(1 << n0)))
     return ResidueElem(value=total % params.p**k, p=params.p, k=k)
-
-
-def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(chunks, total)) if total else 1
-    step = (total + chunks - 1) // chunks if total else 1
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)] or [(0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +310,10 @@ def build_lookup_tables(
     vst = tuple(u for u in range(g.n - 1) if u != split.s)
     blocks = block_partition(len(vst), p)
     thr = k // len(blocks)
-    first_bits = [u for u in halves.first]
-    z1_by_mask: dict[int, tuple[int, ...]] = {}
-    for picks in range(1 << len(first_bits)):
-        omask = 0
-        for i, u in enumerate(first_bits):
-            if picks >> i & 1:
-                omask |= 1 << u
-        z1_by_mask[omask] = z_vector(split, omask, "first", wt, halves).entries
+    z1_by_mask = {
+        omask: z_vector(split, omask, "first", wt, halves).entries
+        for omask in _subset_masks(halves.first)
+    }
     tables = []
     for block in blocks:
         table: dict[tuple[int, ...], list[int]] = {}
@@ -347,6 +329,12 @@ def build_lookup_tables(
     return LookupTables(
         blocks=blocks, threshold=thr, tables=tuple(tables), z1_by_mask=z1_by_mask
     )
+
+
+def _subset_masks(vertices: tuple[int, ...]):
+    """Bitmasks of every subset of `vertices`, in binary counting order."""
+    for picks in range(1 << len(vertices)):
+        yield sum(1 << u for i, u in enumerate(vertices) if picks >> i & 1)
 
 
 def _iter_keys(p: int, size: int):
@@ -406,34 +394,20 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
     tables = build_lookup_tables(split, wt, k, halves)
     blocks = tables.blocks
 
-    second_bits = list(halves.second)
     seen: set[int] = set()
     listed = 0
     candidates = 0
     value = 0
-
-    second_masks = []
-    for picks in range(1 << len(second_bits)):
-        omask = 0
-        for i, u in enumerate(second_bits):
-            if picks >> i & 1:
-                omask |= 1 << u
-        second_masks.append(omask)
-
-    def handle_o2(o2: int) -> tuple[int, int, int, list[int]]:
+    for o2 in _subset_masks(halves.second):
         z2 = z_vector(split, o2, "second", wt, halves).entries
         local_seen: set[int] = set()
-        acc = 0
-        listed_local = 0
-        cand_local = 0
-        accepted: list[int] = []
         for bi, block in enumerate(blocks):
             key = tuple(z2[pos] for pos in block)
             bucket = tables.tables[bi].get(key)
             if not bucket:
                 continue
             for o1 in bucket:
-                cand_local += 1
+                candidates += 1
                 if o1 in local_seen:
                     continue
                 local_seen.add(o1)
@@ -442,23 +416,10 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
                 if agree > k:
                     continue
                 omask = o1 | o2
-                acc += core.signed_contribution(omask)
-                listed_local += 1
-                accepted.append(omask)
-        return acc, listed_local, cand_local, accepted
-
-    if params.threads == 1:
-        results = map(handle_o2, second_masks)
-    else:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            results = pool.map(handle_o2, second_masks)
-    for acc, listed_local, cand_local, accepted in results:
-        value += acc
-        listed += listed_local
-        candidates += cand_local
-        for omask in accepted:
-            assert omask not in seen, "duplicate subset accepted"
-            seen.add(omask)
+                assert omask not in seen, "duplicate subset accepted"
+                seen.add(omask)
+                value += core.signed_contribution(omask)
+                listed += 1
 
     # pruned pairs vanish only mod p^k, so the sum is meaningful only as a residue
     residue = ResidueElem(value=value % params.p**k, p=params.p, k=k)
@@ -500,38 +461,50 @@ def crt_count(
     q: int,
     lam: float = DEFAULT_LAMBDA,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[int, int]:
     """Hamiltonian-cycle count mod M, M the product of p^{k_p} over primes p <= q.
 
-    Per-prime exponents follow k_p = max(1, floor((1-lam) n / (3 p))); each
-    residue comes from the meet-in-the-middle sieve.
+    Per-prime exponents follow k_p = default_k(n, p, lam); each residue
+    comes from the meet-in-the-middle sieve.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    value_mod_pairs = []
-    primes = primes_up_to(q)
-    results = {}
+    triples = []
+    for p in primes_up_to(q):
+        kp = default_k(g.n, p, lam)
+        residue, _ = count_hc_mod(g, SieveParams(p=p, k=kp, lam=lam, mode="mitm", seed=seed))
+        triples.append((residue.value, p, kp))
+    return crt_combine(triples)
 
-    def run(p: int) -> tuple[int, int]:
-        kp = max(1, math.floor((1.0 - lam) * g.n / (3 * p)))
-        params = SieveParams(
-            p=p, k=kp, lam=lam, mode="mitm", seed=seed, threads=1
-        )
-        residue, _ = count_hc_mod(g, params)
-        return residue.value, kp
 
-    if threads == 1:
-        for p in primes:
-            results[p] = run(p)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for p, out in zip(primes, pool.map(run, primes)):
-                results[p] = out
-    for p in primes:
-        val, kp = results[p]
-        value_mod_pairs.append((val, p, kp))
-    return crt_combine(value_mod_pairs)
+def _prime_cutoff(d: Fraction) -> float:
+    """q = ceil(e^2 d^4), the largest CRT prime for bound base d; inf past the float range."""
+    try:
+        return math.ceil(math.e**2 * float(d) ** 4)
+    except OverflowError:
+        return math.inf
+
+
+def _check_cap(n: int, d: Fraction, q: float, lam: float) -> None:
+    """Raise CapExceededError unless M = prod of p^default_k(n, p, lam) over primes p <= q exceeds d^n.
+
+    Chebyshev's theta(q) = sum of ln p over primes p <= q exceeds
+    q (1 - 1/ln q) for q >= 41 (Rosser and Schoenfeld 1962), a lower bound
+    on ln M that settles a clear pass without forming d^n. Otherwise the
+    primes are taken one at a time until their product passes d^n; that
+    only happens for q up to about n ln d.
+    """
+    log_cap = n * (math.log(d.numerator) - math.log(d.denominator))
+    if q >= 41 and q * (1 - 1 / math.log(q)) > 1.01 * log_cap + 1:
+        return
+    cap = d**n
+    modulus = 1
+    for p in filter(is_prime, itertools.count(2)):
+        if p > q:
+            raise CapExceededError(f"CRT modulus {modulus} does not exceed the count cap d^n")
+        modulus *= p ** default_k(n, p, lam)
+        if modulus > cap:
+            return
 
 
 def count_exact_capped(
@@ -540,37 +513,32 @@ def count_exact_capped(
     lam: float = DEFAULT_LAMBDA,
     seed: int = 0,
     mode: str = "naive",
-    threads: int = 1,
 ) -> int:
     """Exact Hamiltonian-cycle count, certified whenever the count is at most d^n.
 
     Raises CapExceededError when the CRT modulus of q = ceil(e^2 d^4) fails
-    to exceed d^n, in either mode. mode="mitm" combines meet-in-the-middle
-    residues by CRT, so a count above d^n comes back reduced mod that
-    modulus. mode="naive" runs the naive sieve once, modulo a power of two
-    above (n-1)!, the most cycles n vertices can carry, so its answer is
-    exact even past d^n, and `seed` does not enter it.
+    to exceed d^n, in either mode (see _check_cap). mode="mitm" combines
+    meet-in-the-middle residues by CRT, so a count above d^n comes back
+    reduced mod that modulus; it refuses q > MITM_PRIME_LIMIT (GuardError)
+    before the first pass. mode="naive" runs the naive sieve once, modulo a
+    power of two above (n-1)!, the most cycles n vertices can carry, so its
+    answer is exact even past d^n, and `seed` does not enter it.
     """
     dfrac = Fraction(d)
     if dfrac <= 1:
         raise ValueError("bound base d must exceed 1")
-    q = math.ceil(math.e**2 * float(dfrac) ** 4)
-    modulus = 1
-    for p in primes_up_to(q):
-        kp = max(1, math.floor((1.0 - lam) * g.n / (3 * p)))
-        modulus *= p**kp
-    if modulus <= dfrac**g.n:
-        raise CapExceededError(
-            f"CRT modulus {modulus} does not exceed the count cap d^n"
-        )
+    if not (0.0 < lam < 1.0):
+        raise ValueError("lambda must lie in (0, 1)")
+    q = _prime_cutoff(dfrac)
+    _check_cap(g.n, dfrac, q, lam)
     if mode == "mitm":
-        value, mod = crt_count(g, q, lam=lam, seed=seed, threads=threads)
-        assert mod == modulus
-        return value
+        if q > MITM_PRIME_LIMIT:
+            raise GuardError(f"mitm CRT guard: q={q} primes cutoff is past {MITM_PRIME_LIMIT}")
+        return crt_count(g, q, lam=lam, seed=seed)[0]
     if mode != "naive":
         raise ValueError(f"unknown mode {mode!r}")
     bits = math.factorial(g.n - 1).bit_length()
-    return naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=bits, threads=threads)).value
+    return naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=bits)).value
 
 
 def count_avg_degree(
@@ -578,7 +546,6 @@ def count_avg_degree(
     lam: float = DEFAULT_LAMBDA,
     seed: int = 0,
     mode: str = "naive",
-    threads: int = 1,
 ) -> int:
     """Exact count with the bound base derived from the average out-degree.
 
@@ -586,4 +553,4 @@ def count_avg_degree(
     most (m/n)^n, so d = max(m/n, 9/8) certifies the cap on its own.
     """
     d = max(Fraction(g.m, g.n), Fraction(9, 8))
-    return count_exact_capped(g, d, lam=lam, seed=seed, mode=mode, threads=threads)
+    return count_exact_capped(g, d, lam=lam, seed=seed, mode=mode)

@@ -30,11 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import BinaryField, make_binary_field
+from .errors import GuardError
 from .graph import Digraph, IndependentPartition, find_independent_partition
 from .rand import derive_seed
 from .report import DetectionReport
 
 STATE_CHUNK = 1 << 14
+# 2 * 3^(BLUE_LIMIT - 1) pair determinants per trial, about 2.9e7 at 16
+BLUE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -292,6 +295,11 @@ def detect_hamiltonian_cycle(
     field size (at least n^2). Two structural rejections are exact: fewer
     than two vertices, or an independent set larger than n/2 (every vertex
     of an independent set needs a distinct successor outside it).
+
+    Refuses (GuardError) n > 2 * BLUE_LIMIT before the independent-set
+    search, and more than BLUE_LIMIT blue vertices before the first trial.
+    Past 2 * BLUE_LIMIT vertices every graph either has too many blue
+    vertices or is a structural NO that only an exponential search finds.
     """
     n = g.n
     if trials is not None and trials < 1:
@@ -301,6 +309,8 @@ def detect_hamiltonian_cycle(
             verdict=False, trials_run=0, trials_max=0, seed=seed,
             failure_bound=0.0, detail={"reason": "fewer than two vertices"},
         )
+    if n > 2 * BLUE_LIMIT:
+        raise GuardError(f"detect-hc guard: n={n} > {2 * BLUE_LIMIT}")
     part = find_independent_partition(g)
     tmax = trials if trials is not None else default_trial_count(n)
     if len(part.yellow) > n // 2:
@@ -309,6 +319,11 @@ def detect_hamiltonian_cycle(
             failure_bound=0.0,
             detail={"reason": "independent set larger than half the graph",
                     "independent_set_size": len(part.yellow)},
+        )
+    if len(part.blue) > BLUE_LIMIT:
+        raise GuardError(
+            f"detect-hc guard: {len(part.blue)} blue vertices > {BLUE_LIMIT}, "
+            f"2*3^{len(part.blue) - 1} pair determinants per trial"
         )
     layout = PortLayout.from_partition(g, part)
     field = make_binary_field(n)

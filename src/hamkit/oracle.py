@@ -46,6 +46,8 @@ def held_karp_count_hp(g: Digraph, s: int, t: int) -> int:
     """Exact count of Hamiltonian s-to-t paths by bitmask dynamic programming."""
     if g.n > HELD_KARP_LIMIT:
         raise GuardError(f"held_karp_count_hp guard: n={g.n} > {HELD_KARP_LIMIT}")
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"endpoints {s}, {t} must be vertices 0..{g.n - 1}")
     if s == t:
         raise ValueError("endpoints must differ")
     if g.n == 1:

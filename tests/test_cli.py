@@ -133,6 +133,14 @@ class TestOracleCommands:
         rep, _ = run_json(["oracle", "hp-count", path, "--s", "0", "--t", "3"], capsys)
         assert rep["answer"] == 1
 
+    @pytest.mark.parametrize("s,t", [("9", "0"), ("0", "9"), ("-1", "2")])
+    def test_hp_count_endpoint_out_of_range(self, s, t, tmp_path, capsys):
+        path = write_graph(tmp_path, directed_cycle(5))
+        code, out, err = run_cli(["oracle", "hp-count", path, "--s", s, "--t", t], capsys)
+        assert code == 2
+        assert out == ""
+        assert "endpoints" in err
+
     def test_branchings(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_digraph(3))
         rep, _ = run_json(["oracle", "branchings", path, "--root", "0"], capsys)
@@ -167,8 +175,31 @@ class TestExitCodes:
 
     def test_bad_fraction(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(4))
-        code, _, _ = run_cli(["count-exact", path, "--d", "fast"], capsys)
+        for d in ("fast", "0/0", "3/0", "nan", "1", "1/2", "-2"):
+            code, out, _ = run_cli(["count-exact", path, "--d", d], capsys)
+            assert code == 2, d
+            assert out == ""
+
+    def test_large_cap_base(self, tmp_path, capsys):
+        # the primes stop once their product passes d^n, so a huge d is
+        # quick in naive mode; mitm mode refuses a prime cutoff past 2^12
+        path = write_graph(tmp_path, directed_cycle(5))
+        t0 = time.perf_counter()
+        for d in ("30", "1e400"):
+            rep, _ = run_json(["count-exact", path, "--d", d], capsys)
+            assert rep["answer"] == 1
+        assert time.perf_counter() - t0 < 1.0
+        for d in ("5", "1e400"):
+            code, out, err = run_cli(["count-exact", path, "--d", d, "--mode", "mitm"], capsys)
+            assert code == 3
+            assert out == ""
+            assert "mitm CRT guard" in err
+
+    def test_removed_beta_option(self, tmp_path, capsys):
+        path = write_graph(tmp_path, directed_cycle(4))
+        code, out, _ = run_cli(["count-mod", path, "--p", "3", "--beta", "0.1"], capsys)
         assert code == 2
+        assert out == ""
 
     def test_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(4))
@@ -197,6 +228,19 @@ class TestExitCodes:
             assert code == 3
             assert out == ""
             assert "branching count guard" in err
+
+    @pytest.mark.parametrize("g", [directed_cycle(40), directed_cycle(300), complete_digraph(18)],
+                             ids=["cycle40", "cycle300", "k18"])
+    def test_detect_hc_guards(self, g, tmp_path, capsys):
+        # n > 32 is refused before the independent-set search, and K18's
+        # 17 blue vertices before the first trial
+        path = write_graph(tmp_path, g)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["detect-hc", path], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+        assert "detect-hc guard" in err
 
     def test_residue_guard_both_modes(self, tmp_path, capsys):
         # p^k >= 2^62 is refused up front in either mode, even for a k too big to exponentiate

@@ -1,5 +1,6 @@
 """Modular Hamiltonian-cycle counting: sieve, meet-in-the-middle, CRT caps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,11 +26,13 @@ from hamkit.hamcount import (
     count_exact_capped,
     count_hc_mod,
     crt_count,
+    default_k,
     mitm_count_mod,
     naive_sieve_count,
     z_vector,
 )
 from hamkit import oracle
+from hamkit.algebra import primes_up_to
 from reference import ResidueRing, det_division_free, restricted_laplacian
 
 import hamkit.hamcount as hamcount_mod
@@ -122,13 +125,6 @@ class TestNaiveSieve:
                 k = rnd.choice([1, 2, 3])
                 res = naive_sieve_count(split, SieveParams(p=p, k=k, seed=seed))
                 assert res.value == want % (p**k)
-
-    def test_threads_do_not_change_answer(self):
-        g = random_digraph(random.Random(55), 8, 0.5)
-        split = split_vertex(g, 0)
-        params1 = SieveParams(p=3, k=2, seed=4, threads=1)
-        params4 = SieveParams(p=3, k=2, seed=4, threads=4)
-        assert naive_sieve_count(split, params1) == naive_sieve_count(split, params4)
 
     def test_guard(self):
         g = directed_cycle(27)
@@ -257,14 +253,6 @@ class TestMitm:
                 == naive_sieve_count(split, params)
             )
 
-    def test_threads_do_not_change_answer(self):
-        g = random_digraph(random.Random(58), 9, 0.5)
-        split = split_vertex(g, 0)
-        r1 = mitm_count_mod(split, SieveParams(p=2, k=2, seed=4, threads=1))
-        r4 = mitm_count_mod(split, SieveParams(p=2, k=2, seed=4, threads=4))
-        assert r1.residue == r4.residue
-        assert r1.diagnostics.pairs_listed == r4.diagnostics.pairs_listed
-
     def test_listing_soundness(self):
         # every subset with a nonvanishing determinant appears in some bucket
         # and survives the full agreement re-check
@@ -357,7 +345,7 @@ class TestGraphLevel:
             g = random_digraph(rnd, rnd.randint(4, 7), 0.4)
             want = oracle.held_karp_count_hc(g)
             assert count_exact_capped(g, 3, seed=rnd.randrange(100), mode="mitm") == want
-        assert count_exact_capped(directed_cycle(6), 2, mode="mitm", threads=2) == 1
+        assert count_exact_capped(directed_cycle(6), 2, mode="mitm") == 1
 
     def test_invalid_certificate(self):
         # K8 has 7! = 5040 cycles, far past (11/10)^8; the primes up to
@@ -372,6 +360,10 @@ class TestGraphLevel:
         assert count_exact_capped(single, 2, mode="mitm") == 0
         with pytest.raises(ValueError, match="unknown mode"):
             count_exact_capped(directed_cycle(4), 2, mode="fast")
+        for lam in (1.5, float("inf"), float("nan")):
+            for mode in ("naive", "mitm"):
+                with pytest.raises(ValueError, match="lambda"):
+                    count_exact_capped(directed_cycle(4), 2, lam=lam, mode=mode)
 
     def test_cap_exceeded(self):
         # with lam near 1 every exponent clamps to 1, so the modulus is the
@@ -379,6 +371,25 @@ class TestGraphLevel:
         # before any counting happens
         with pytest.raises(CapExceededError):
             count_exact_capped(directed_cycle(62), Fraction(13, 10), lam=0.999, seed=0)
+
+    def test_cap_check_matches_full_product(self):
+        # the Chebyshev shortcut and the early stop give the verdict of the
+        # full product over every prime up to q, on both sides of the cap
+        verdicts = set()
+        for n in (2, 5, 9, 30, 62, 200, 1000, 5000):
+            for d in (Fraction(11, 10), Fraction(13, 10), Fraction(3, 2), Fraction(2), Fraction(5)):
+                for lam in (0.01, 0.5, 0.999):
+                    q = hamcount_mod._prime_cutoff(d)
+                    full = math.prod(p ** default_k(n, p, lam) for p in primes_up_to(q))
+                    try:
+                        hamcount_mod._check_cap(n, d, q, lam)
+                        passed = True
+                    except CapExceededError as exc:
+                        passed = False
+                        assert str(full) in str(exc)
+                    assert passed == (full > d**n), (n, d, lam)
+                    verdicts.add(passed)
+        assert verdicts == {True, False}
 
     def test_avg_degree_cycle(self):
         assert count_avg_degree(directed_cycle(10), seed=0) == 1
