@@ -353,11 +353,3 @@ def interpolate_univariate(points, degree: int, p: int) -> tuple[int, ...]:
         if acc != y % p:
             raise ValueError("points are not on a single degree-bounded polynomial")
     return tuple(coeffs)
-
-
-@dataclass(frozen=True)
-class UnivariatePolyPF:
-    """A univariate polynomial over GF(p), coefficients low degree first."""
-
-    p: int
-    coeffs: tuple[int, ...]

@@ -31,7 +31,6 @@ import numpy as np
 
 from .algebra import (
     BinaryField,
-    UnivariatePolyPF,
     interpolate_univariate,
     make_binary_field,
     random_prime_31,
@@ -45,8 +44,13 @@ from .report import DetectionReport
 GROUP_RANK_LIMIT = 6
 # Trials drawn and evaluated together per root by detect_k_internal
 INTERNAL_CHUNK = 34
+# Bytes of the largest Berkowitz gather in _InternalSieveEngine._mul that
+# detect_k_internal allows (see _internal_gather_bytes)
+INTERNAL_GATHER_LIMIT = 1 << 28
 # batched_modp_det multiplies two residues in int64, so p must stay below 2^31
 MODP_WORD_LIMIT = 1 << 31
+# detect_k_leaf runs at most this many solver trials per root (4^k by default)
+LEAF_BUDGET_LIMIT = 4**6
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +207,16 @@ def _draw_internal_chunk(
     return zeta, rmul, gvec
 
 
+def _internal_gather_bytes(n: int, k: int) -> int:
+    """Bytes of the largest int32 gather that _mul makes in det_batch.
+
+    It covers (n-2)^2 matrix entries of a full chunk of trials, one slot per
+    product pair; the pair plan at rank k has (k+1)(k+2)/2 * 3^k pairs
+    (degree pairs with i1 + i2 <= k times disjoint marker-subset pairs).
+    """
+    return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
+
+
 def internal_sieve_success_floor(n: int, k: int) -> float:
     """Per-trial detection probability floor on a qualifying instance.
 
@@ -225,6 +239,8 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     runs `cfg.trials` randomized determinant evaluations; any nonzero
     degree-k slice certifies YES. Reports are identical for any thread
     count: per-root trial consumption depends only on (seed, root, trial).
+    Refuses k > GROUP_RANK_LIMIT and a Berkowitz gather past
+    INTERNAL_GATHER_LIMIT bytes (GuardError) before the roots are scanned.
     """
     cfg = cfg or InternalSieveConfig()
     n = g.n
@@ -234,6 +250,11 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
         raise ValueError(f"k must be in 0..{n - 1}, got {k}")
     if k > GROUP_RANK_LIMIT:
         raise GuardError(f"k={k} exceeds the rank-{GROUP_RANK_LIMIT} marker-algebra guard")
+    gather = _internal_gather_bytes(n, k)
+    if gather > INTERNAL_GATHER_LIMIT:
+        raise GuardError(
+            f"k-internal gather of {gather} bytes at n={n}, k={k} is past the 2^28-byte guard"
+        )
     roots = [r for r in range(n) if count_out_branchings(g, r) > 0]
     if not roots:
         return DetectionReport(
@@ -398,48 +419,23 @@ class BranchingLeafPolynomial:
 
 @dataclass(frozen=True)
 class DvConfig:
-    """Knobs for the few-distinct-variables solver.
-
-    budget defaults to 4^k (the worst case with as many repeated-variable
-    slots as the parameter allows); a caller who can estimate s, the number
-    of variables of degree > 1 in a qualifying monomial, can pass it to skew
-    the coin toward the typically-smaller side. skew overrides both.
-    """
+    """Knobs for the few-distinct-variables solver; budget defaults to 4^k trials."""
 
     budget: int | None = None
-    skew: float | None = None
-    s_estimate: int | None = None
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.skew is not None and not 0.0 < self.skew < 1.0:
-            raise ValueError("skew must be strictly between 0 and 1")
-        if self.s_estimate is not None and self.s_estimate < 0:
-            raise ValueError("s_estimate must be nonnegative")
 
 
-def _dv_params(k: int, cfg: DvConfig) -> tuple[int, float, int]:
-    budget = cfg.budget if cfg.budget is not None else 4**k
-    s_eff = cfg.s_estimate if cfg.s_estimate is not None else k
-    if cfg.skew is not None:
-        skew = cfg.skew
-    elif cfg.s_estimate is not None and k + cfg.s_estimate > 0:
-        skew = k / (k + cfg.s_estimate)
-    else:
-        skew = 0.5
-    return budget, skew, s_eff
-
-
-def dv_trial(P: PolynomialEvaluator, assignment: Sequence[bool], p: int) -> UnivariatePolyPF:
-    """One substituted-and-interpolated univariate image of P.
+def dv_trial(P: PolynomialEvaluator, assignment: Sequence[bool], p: int) -> tuple[int, ...]:
+    """Coefficients, low degree first, of one substituted-and-interpolated univariate image of P.
 
     assignment[i] True routes index i to the probe side (variable sampled at
     tau, companion weight at 1); False routes it the other way (variable at
     1, companion weight at tau). The result is the dehomogenized polynomial
-    of degree <= 2n: P at the routed inputs times tau^(count of False).
+    of degree <= 2n over GF(p): P at the routed inputs times tau^(count of False).
     """
     n = P.n
     if p <= 2 * n + 1:
@@ -453,30 +449,30 @@ def dv_trial(P: PolynomialEvaluator, assignment: Sequence[bool], p: int) -> Univ
     ys = np.where(mask[None, :], np.array(taus, dtype=np.int64)[:, None], 1)
     raw = [int(v) for v in P.evaluate_batch(ys, p)]
     points = [(t, v * pow(t, low_count, p) % p) for t, v in zip(taus, raw)]
-    return UnivariatePolyPF(p=p, coeffs=interpolate_univariate(points, 2 * n, p))
+    return interpolate_univariate(points, 2 * n, p)
 
 
-def window_hits(poly: UnivariatePolyPF, n: int, k: int) -> list[int]:
+def window_hits(coeffs: Sequence[int], n: int, k: int) -> list[int]:
     """Coefficient indices outside the center band [n-k+1, n+k-1]."""
-    return [i for i, c in enumerate(poly.coeffs) if c != 0 and (i <= n - k or i >= n + k)]
+    return [i for i, c in enumerate(coeffs) if c != 0 and (i <= n - k or i >= n + k)]
 
 
 def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> DetectionReport:
     """Does P (homogeneous degree n, nonnegative coefficients) have a
     monomial with at most n-k distinct variables?
 
-    Each trial flips one coin per index and interpolates the substituted
-    univariate image over two random 31-bit primes; any coefficient outside
-    the center band proves a qualifying monomial (YES is certain because
-    nonnegative coefficients cannot cancel). A qualifying monomial lands
-    outside the band with probability >= skew^k*(1-skew)^s per trial, so NO
-    answers carry the bound (1 - p_hit)^budget.
+    Each trial flips one fair coin per index and interpolates the
+    substituted univariate image over two random 31-bit primes; any
+    coefficient outside the center band proves a qualifying monomial (YES is
+    certain because nonnegative coefficients cannot cancel). A qualifying
+    monomial lands outside the band with probability >= 2^-k * 2^-k = 4^-k
+    per trial, so NO answers carry the bound (1 - 4^-k)^budget.
     """
     cfg = cfg or DvConfig()
     n = P.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    budget, skew, s_eff = _dv_params(k, cfg)
+    budget = cfg.budget if cfg.budget is not None else 4**k
     prime_rng = make_rng("dv-primes", cfg.seed)
     p1 = random_prime_31(prime_rng)
     p2 = random_prime_31(prime_rng)
@@ -487,7 +483,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     trials_run = 0
     for t in range(budget):
         rng = make_rng("dv-assignment", cfg.seed, t)
-        bits = [rng.random() < skew for _ in range(n)]
+        bits = [rng.random() < 0.5 for _ in range(n)]
         trials_run += 1
         for p in (p1, p2):
             hits = window_hits(dv_trial(P, bits, p), n, k)
@@ -497,18 +493,15 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
         if hit_detail is not None:
             break
 
-    term_a = skew**k * (1.0 - skew) ** s_eff
-    term_b = (1.0 - skew) ** k * skew**s_eff
-    per_trial = max(term_a, term_b)
     return DetectionReport(
         verdict=hit_detail is not None,
         trials_run=trials_run,
         trials_max=budget,
         seed=cfg.seed,
-        failure_bound=0.0 if hit_detail else (1.0 - per_trial) ** budget,
+        failure_bound=0.0 if hit_detail else (1.0 - 4.0**-k) ** budget,
         detail={
             "primes": [p1, p2],
-            "skew": skew,
+            "skew": 0.5,
             "evaluations": trials_run * 2 * (2 * n + 1),
             **({"hit": hit_detail} if hit_detail else {}),
         },
@@ -520,8 +513,10 @@ def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionR
 
     Wraps each viable root's branching polynomial (n-distinct-variable count
     = internal count, so >= k leaves means <= n-k distinct variables) and
-    asks solve_nk_dv. YES answers are certain; the NO bound is inherited
-    from the per-root solver.
+    asks solve_nk_dv, one root after another until the first YES. YES
+    answers are certain; the NO bound is inherited from the per-root solver.
+    Refuses a per-root budget above LEAF_BUDGET_LIMIT (GuardError) before
+    the roots are scanned.
     """
     cfg = cfg or DvConfig()
     n = g.n
@@ -529,6 +524,9 @@ def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionR
         raise ValueError("need at least two vertices")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    budget = cfg.budget if cfg.budget is not None else 4**k
+    if budget > LEAF_BUDGET_LIMIT:
+        raise GuardError(f"k-leaf trial budget {budget} is past the 4^6 = {LEAF_BUDGET_LIMIT} guard")
     roots = [r for r in range(n) if count_out_branchings(g, r) > 0]
     if not roots:
         return DetectionReport(
@@ -537,10 +535,10 @@ def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionR
         )
 
     def run_root(root: int) -> DetectionReport:
-        sub = replace(cfg, seed=derive_seed("leaf-root", cfg.seed, root), threads=1)
+        sub = replace(cfg, seed=derive_seed("leaf-root", cfg.seed, root))
         return solve_nk_dv(BranchingLeafPolynomial(g, root), k, sub)
 
-    results = _scan_roots(roots, run_root, lambda rep: rep.verdict, cfg.threads)
+    results = _scan_roots(roots, run_root, lambda rep: rep.verdict, 1)
     hit = any(rep.verdict for rep in results.values())
     return DetectionReport(
         verdict=hit,

@@ -3,11 +3,11 @@
 Every subcommand reads the text graph format (header "n m", one "tail head"
 line per arc), takes --seed (falling back to the HAMKIT_SEED environment
 variable) and --threads, and prints a single JSON object to stdout plus a
-short human summary to stderr. --threads drives the detect-hc,
-detect-k-internal and detect-k-leaf worker pools; the other commands accept
-it and run on one thread. Exit codes: 0 for completed runs including
-NO answers and cap-exceeded outcomes, 2 for usage or input errors, 3 for
-guard violations (instances beyond the desk-scale limits).
+short human summary to stderr. --threads drives the detect-hc and
+detect-k-internal worker pools; the other commands accept it and run on one
+thread. Exit codes: 0 for completed runs including NO answers and
+cap-exceeded outcomes, 2 for usage or input errors, 3 for guard violations
+(instances beyond the desk-scale limits).
 """
 
 from __future__ import annotations
@@ -111,10 +111,7 @@ def _cmd_detect_k_internal(args, g: Digraph, seed: int) -> tuple[dict, str]:
 
 
 def _cmd_detect_k_leaf(args, g: Digraph, seed: int) -> tuple[dict, str]:
-    cfg = br.DvConfig(
-        budget=args.budget, skew=args.skew, s_estimate=args.s_estimate,
-        seed=seed, threads=args.threads,
-    )
+    cfg = br.DvConfig(budget=args.budget, seed=seed)
     rep = br.detect_k_leaf(g, args.k, cfg)
     human = f"out-branching with >= {args.k} leaves: {'yes' if rep.verdict else 'no'}"
     return {**_verdict_fields(rep), "k": args.k}, human
@@ -242,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--budget", type=int, default=None, help="trial budget (default 4^k)")
-    sp.add_argument("--s-estimate", dest="s_estimate", type=int, default=None)
-    sp.add_argument("--skew", type=float, default=None)
 
     sp = subs.add_parser("oracle", help="exhaustive reference answers (small inputs only)")
     osubs = sp.add_subparsers(dest="oracle_command", required=True)

@@ -129,15 +129,14 @@ def parse_digraph(text: str) -> Digraph:
 class VertexSplit:
     """A digraph with one vertex pulled apart into a source and a sink.
 
-    The source s keeps the out-arcs of the origin vertex, the new sink t
-    receives its in-arcs. Hamiltonian s-to-t paths of the split graph are in
-    bijection with Hamiltonian cycles of the original through the origin.
+    The source s is the split vertex itself and keeps its out-arcs, the new
+    sink t receives its in-arcs. Hamiltonian s-to-t paths of the split graph
+    are in bijection with Hamiltonian cycles of the original through s.
     """
 
     graph: Digraph
     s: int
     t: int
-    origin: int
 
 
 def split_vertex(g: Digraph, u: int) -> VertexSplit:
@@ -148,7 +147,7 @@ def split_vertex(g: Digraph, u: int) -> VertexSplit:
     split = Digraph(g.n + 1, frozenset(arcs))
     assert not split.out_adj[t], "sink acquired out-arcs"
     assert not split.in_adj[u], "source kept in-arcs"
-    return VertexSplit(graph=split, s=u, t=t, origin=u)
+    return VertexSplit(graph=split, s=u, t=t)
 
 
 @dataclass(frozen=True)

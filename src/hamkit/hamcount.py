@@ -11,11 +11,13 @@ exactly and reduces mod p^k once; with a modulus above the largest possible
 count its residue is the count itself.
 
 The meet-in-the-middle evaluator draws the virtual-arc weights as random
-residues mod p, splits the subset lattice into two halves and only
-evaluates determinants for pairs that could be nonzero mod p^k: a vertex
-whose two half-fingerprints agree contributes a row divisible by p,
-and more than k such rows force the determinant to 0 mod p^k. Lookup tables
-keyed by fingerprint restrictions to index blocks list the surviving pairs.
+residues mod p (`tail_weights`), cuts the tail vertices by id into a first
+third and the rest, and only evaluates determinants for pairs of half-subsets
+that could be nonzero mod p^k: a vertex whose two half-fingerprints
+(`_SieveCore.fingerprint`) agree contributes a row divisible by p, and more
+than k such rows force the determinant to 0 mod p^k. One dict per index
+block, keyed by fingerprint restrictions to that block, lists the first-half
+subsets each second-half subset is paired with.
 
 The modular route of the paper combines meet-in-the-middle residues by CRT
 over all primes p up to a cutoff q, each modulo p^k with the paper's one
@@ -88,22 +90,10 @@ class SieveParams:
         return self.k if self.k is not None else default_k(n, self.p, self.lam)
 
 
-@dataclass(frozen=True)
-class RandomTailWeights:
-    """Weights of the virtual arcs t->u, one residue mod p per u != t."""
-
-    p: int
-    seed: int
-    values: tuple[int, ...]  # indexed by vertex id of the split graph, t slot unused
-
-    @classmethod
-    def draw(cls, split: VertexSplit, p: int, seed: int) -> "RandomTailWeights":
-        rng = make_rng("tail-weights", seed, p)
-        vals = [0] * split.graph.n
-        for u in range(split.graph.n):
-            if u != split.t:
-                vals[u] = rng.randrange(p)
-        return cls(p=p, seed=seed, values=tuple(vals))
+def tail_weights(split: VertexSplit, p: int, seed: int) -> tuple[int, ...]:
+    """Weights of the virtual arcs t->u, one residue mod p per u != t, indexed by vertex id (t slot 0)."""
+    rng = make_rng("tail-weights", seed, p)
+    return tuple(0 if u == split.t else rng.randrange(p) for u in range(split.graph.n))
 
 
 @dataclass(frozen=True)
@@ -176,9 +166,35 @@ class _SieveCore:
         det = self.subset_det(omask)
         return -det if (self.n0 - omask.bit_count()) & 1 else det
 
+    def fingerprint(self, omask: int, p: int, first: bool) -> tuple[int, ...]:
+        """Fingerprint of one half-subset over the V_st positions; entry p marks a vertex inside O.
+
+        The first-half fingerprint carries the virtual weight plus the in-arc
+        count from O1, the second-half one minus the in-arc count from O2, so
+        the two agree at u exactly when row u of the restricted Laplacian is
+        divisible by p.
+        """
+        wt = self.wt
+        in_mask = self.in_mask
+        entries = []
+        for u in self.vst:
+            if omask >> u & 1:
+                entries.append(p)
+            elif first:
+                entries.append((wt[u] + (in_mask[u] & omask).bit_count()) % p)
+            else:
+                entries.append(-(in_mask[u] & omask).bit_count() % p)
+        return tuple(entries)
+
 
 # ---------------------------------------------------------------------------
 # naive sieve
+
+
+def _check_subset_guard(n0: int) -> None:
+    """Refuse a naive pass over 2^n0 tail subsets past 2^NAIVE_SUBSET_GUARD."""
+    if n0 > NAIVE_SUBSET_GUARD:
+        raise GuardError(f"naive sieve guard: 2^{n0} subsets is past 2^{NAIVE_SUBSET_GUARD}")
 
 
 def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
@@ -188,8 +204,7 @@ def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
     zero ones let more subsets drop out early), so the seed does not enter.
     """
     n0 = split.graph.n - 1
-    if n0 > NAIVE_SUBSET_GUARD:
-        raise GuardError(f"naive sieve guard: 2^{n0} subsets is past 2^{NAIVE_SUBSET_GUARD}")
+    _check_subset_guard(n0)
     k = params.effective_k(n0)
     core = _SieveCore(split, (0,) * split.graph.n)
     total = sum(map(core.signed_contribution, range(1 << n0)))
@@ -197,92 +212,7 @@ def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
 
 
 # ---------------------------------------------------------------------------
-# fingerprints and lookup tables for the meet-in-the-middle listing
-
-
-@dataclass(frozen=True)
-class SieveHalves:
-    """Bipartition of the non-sink vertices V_t into two id-ordered halves."""
-
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-    first_mask: int
-    second_mask: int
-
-    @classmethod
-    def for_split(cls, split: VertexSplit) -> "SieveHalves":
-        nsplit = split.graph.n
-        vt = list(range(nsplit - 1))
-        cut = math.ceil(nsplit / 3)
-        first = tuple(vt[:cut])
-        second = tuple(vt[cut:])
-        fm = sum(1 << u for u in first)
-        sm = sum(1 << u for u in second)
-        return cls(first=first, second=second, first_mask=fm, second_mask=sm)
-
-
-@dataclass(frozen=True)
-class ZVector:
-    """Half-restricted row fingerprint; entry p means 'vertex inside O'."""
-
-    side: str  # "first" or "second"
-    p: int
-    entries: tuple[int, ...]  # indexed by position in the sorted V_st list
-
-
-def z_vector(
-    split: VertexSplit,
-    omask: int,
-    side: str,
-    wt: RandomTailWeights,
-    halves: SieveHalves,
-) -> ZVector:
-    """Fingerprint of one half-subset over the V_st positions.
-
-    The first-half fingerprint carries the virtual weight plus in-arc count
-    from O1; the second-half one carries minus the in-arc count from O2, so
-    the two agree at u exactly when row u of the restricted Laplacian is
-    divisible by p.
-    """
-    p = wt.p
-    g = split.graph
-    if side == "first":
-        if omask & ~halves.first_mask:
-            raise ValueError("subset leaks outside the first half")
-    elif side == "second":
-        if omask & ~halves.second_mask:
-            raise ValueError("subset leaks outside the second half")
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    vst = tuple(u for u in range(g.n - 1) if u != split.s)
-    entries = []
-    for u in vst:
-        if omask >> u & 1:
-            entries.append(p)
-        elif side == "first":
-            entries.append((wt.values[u] + (g.in_mask[u] & omask).bit_count()) % p)
-        else:
-            entries.append(-(g.in_mask[u] & omask).bit_count() % p)
-    return ZVector(side=side, p=p, entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class LookupTables:
-    """Per-block tables: fingerprint restriction -> first-half subsets.
-
-    Block i's table, queried with any restriction g, returns every first-half
-    subset whose fingerprint agrees with g in at most `threshold` positions
-    of that block. Each (subset, g) pair appears exactly once.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]  # position indices into the V_st order
-    threshold: int
-    tables: tuple[dict, ...]
-    z1_by_mask: dict  # first-half subset mask -> full fingerprint tuple
-
-    @property
-    def key_count(self) -> int:
-        return sum(len(t) for t in self.tables)
+# meet-in-the-middle sieve
 
 
 def block_partition(positions: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -300,35 +230,34 @@ def block_partition(positions: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def build_lookup_tables(
-    split: VertexSplit,
-    wt: RandomTailWeights,
+    core: _SieveCore,
+    first: tuple[int, ...],
+    blocks: tuple[tuple[int, ...], ...],
+    p: int,
     k: int,
-    halves: SieveHalves,
-) -> LookupTables:
-    p = wt.p
-    g = split.graph
-    vst = tuple(u for u in range(g.n - 1) if u != split.s)
-    blocks = block_partition(len(vst), p)
+) -> tuple[list[dict], dict]:
+    """Per-block tables over the first-half subsets, and their fingerprints by subset mask.
+
+    Block i's table maps every restriction of a fingerprint to that block
+    (values 0..p-1 plus the inside-O mark p) to the first-half subsets whose
+    fingerprints agree with it in at most k // len(blocks) of the block's
+    positions; restrictions no subset qualifies for are left out.
+    """
     thr = k // len(blocks)
-    z1_by_mask = {
-        omask: z_vector(split, omask, "first", wt, halves).entries
-        for omask in _subset_masks(halves.first)
-    }
+    z1_by_mask = {o1: core.fingerprint(o1, p, True) for o1 in _subset_masks(first)}
     tables = []
     for block in blocks:
-        table: dict[tuple[int, ...], list[int]] = {}
-        for key in _iter_keys(p, len(block)):
+        table = {}
+        for key in itertools.product(range(p + 1), repeat=len(block)):
             bucket = []
-            for omask, z1 in z1_by_mask.items():
-                agree = sum(1 for j, pos in enumerate(block) if z1[pos] == key[j])
+            for o1, z1 in z1_by_mask.items():
+                agree = sum(1 for pos, v in zip(block, key) if z1[pos] == v)
                 if agree <= thr:
-                    bucket.append(omask)
+                    bucket.append(o1)
             if bucket:
                 table[key] = bucket
         tables.append(table)
-    return LookupTables(
-        blocks=blocks, threshold=thr, tables=tuple(tables), z1_by_mask=z1_by_mask
-    )
+    return tables, z1_by_mask
 
 
 def _subset_masks(vertices: tuple[int, ...]):
@@ -337,82 +266,50 @@ def _subset_masks(vertices: tuple[int, ...]):
         yield sum(1 << u for i, u in enumerate(vertices) if picks >> i & 1)
 
 
-def _iter_keys(p: int, size: int):
-    """All fingerprint restrictions over a block: values 0..p-1 plus the inf mark p."""
-    if size == 0:
-        yield ()
-        return
-    for rest in _iter_keys(p, size - 1):
-        for v in range(p + 1):
-            yield rest + (v,)
-
-
-def mitm_table_cost(split: VertexSplit, p: int, halves: SieveHalves) -> int:
-    vst_len = split.graph.n - 2
-    blocks = block_partition(vst_len, p)
-    return sum((p + 1) ** len(b) for b in blocks) * (1 << len(halves.first))
-
-
-# ---------------------------------------------------------------------------
-# meet-in-the-middle sieve
-
-
-@dataclass(frozen=True)
-class SieveResult:
-    residue: ResidueElem
-    diagnostics: MitmDiagnostics
-
-
-def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
+def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem, MitmDiagnostics]:
     """Same residue as the naive sieve (the exact count mod p^k), fewer determinants.
 
-    Pairs (O1, O2) whose fingerprints agree in more than k positions are
-    skipped: each agreement marks a row divisible by p, and k+1 of those
-    force the determinant to vanish mod p^k. Every pair is accepted at its
-    smallest qualifying block only, and re-verified against the full
-    agreement budget before its determinant is evaluated.
+    V_t is cut by vertex id into a first third and the rest. Pairs (O1, O2)
+    whose fingerprints agree in more than k positions are skipped: each
+    agreement marks a row divisible by p, and k+1 of those force the
+    determinant to vanish mod p^k. A pair can surface in several block
+    tables; it is examined at the first only, and re-verified against the
+    full agreement budget before its determinant is evaluated. Falls back
+    to the naive sieve when the tables would exceed MITM_TABLE_GUARD entries.
     """
-    g = split.graph
-    n0 = g.n - 1
+    n0 = split.graph.n - 1
+    p = params.p
     k = params.effective_k(n0)
-    wt = RandomTailWeights.draw(split, params.p, params.seed)
-    halves = SieveHalves.for_split(split)
-    if mitm_table_cost(split, params.p, halves) > MITM_TABLE_GUARD:
+    core = _SieveCore(split, tail_weights(split, p, params.seed))
+    cut = math.ceil(split.graph.n / 3)
+    first, second = tuple(range(n0)[:cut]), tuple(range(n0)[cut:])
+    blocks = block_partition(len(core.vst), p)
+    if sum((p + 1) ** len(b) for b in blocks) * (1 << len(first)) > MITM_TABLE_GUARD:
         warnings.warn("meet-in-the-middle tables too large, falling back to naive sieve")
-        residue = naive_sieve_count(split, params)
-        return SieveResult(
-            residue=residue,
-            diagnostics=MitmDiagnostics(
-                pairs_listed=1 << n0,
-                pairs_naive=1 << n0,
-                candidates_examined=0,
-                table_keys=0,
-                fallback=True,
-            ),
+        diag = MitmDiagnostics(
+            pairs_listed=1 << n0,
+            pairs_naive=1 << n0,
+            candidates_examined=0,
+            table_keys=0,
+            fallback=True,
         )
-    core = _SieveCore(split, wt.values)
-    tables = build_lookup_tables(split, wt, k, halves)
-    blocks = tables.blocks
+        return naive_sieve_count(split, params), diag
+    tables, z1_by_mask = build_lookup_tables(core, first, blocks, p, k)
 
     seen: set[int] = set()
     listed = 0
     candidates = 0
     value = 0
-    for o2 in _subset_masks(halves.second):
-        z2 = z_vector(split, o2, "second", wt, halves).entries
+    for o2 in _subset_masks(second):
+        z2 = core.fingerprint(o2, p, False)
         local_seen: set[int] = set()
-        for bi, block in enumerate(blocks):
-            key = tuple(z2[pos] for pos in block)
-            bucket = tables.tables[bi].get(key)
-            if not bucket:
-                continue
-            for o1 in bucket:
+        for table, block in zip(tables, blocks):
+            for o1 in table.get(tuple(z2[pos] for pos in block), ()):
                 candidates += 1
                 if o1 in local_seen:
                     continue
                 local_seen.add(o1)
-                z1 = tables.z1_by_mask[o1]
-                agree = sum(1 for a, b in zip(z1, z2) if a == b)
+                agree = sum(1 for a, b in zip(z1_by_mask[o1], z2) if a == b)
                 if agree > k:
                     continue
                 omask = o1 | o2
@@ -421,39 +318,36 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> SieveResult:
                 value += core.signed_contribution(omask)
                 listed += 1
 
-    # pruned pairs vanish only mod p^k, so the sum is meaningful only as a residue
-    residue = ResidueElem(value=value % params.p**k, p=params.p, k=k)
     diag = MitmDiagnostics(
         pairs_listed=listed,
         pairs_naive=1 << n0,
         candidates_examined=candidates,
-        table_keys=tables.key_count,
+        table_keys=sum(map(len, tables)),
     )
-    return SieveResult(residue=residue, diagnostics=diag)
+    # pruned pairs vanish only mod p^k, so the sum is meaningful only as a residue
+    return ResidueElem(value=value % p**k, p=p, k=k), diag
 
 
 # ---------------------------------------------------------------------------
 # graph-level entry points
 
 
-def count_hc_mod(
-    g: Digraph, params: SieveParams, origin: int = 0
-) -> tuple[ResidueElem, MitmDiagnostics | None]:
-    """Hamiltonian-cycle count of g modulo p^k, splitting at `origin`.
+def count_hc_mod(g: Digraph, params: SieveParams) -> tuple[ResidueElem, MitmDiagnostics | None]:
+    """Hamiltonian-cycle count of g modulo p^k, splitting at vertex 0.
 
     Refuses p^k >= RESIDUE_MODULUS_LIMIT (GuardError) before any work; the
-    k test comes first so that p^k is never formed for a huge k.
+    k test comes first so that p^k is never formed for a huge k. Naive mode
+    checks the subset guard before the split graph is built.
     """
     k = params.effective_k(g.n)
     if k >= 62 or params.p**k >= RESIDUE_MODULUS_LIMIT:
         raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
     if g.n == 1:
         return ResidueElem(value=0, p=params.p, k=k), None
-    split = split_vertex(g, origin)
     if params.mode == "naive":
-        return naive_sieve_count(split, params), None
-    res = mitm_count_mod(split, params)
-    return res.residue, res.diagnostics
+        _check_subset_guard(g.n)
+        return naive_sieve_count(split_vertex(g, 0), params), None
+    return mitm_count_mod(split_vertex(g, 0), params)
 
 
 def crt_count(
@@ -537,6 +431,7 @@ def count_exact_capped(
         return crt_count(g, q, lam=lam, seed=seed)[0]
     if mode != "naive":
         raise ValueError(f"unknown mode {mode!r}")
+    _check_subset_guard(g.n)
     bits = math.factorial(g.n - 1).bit_length()
     return naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=bits)).value
 

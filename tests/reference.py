@@ -461,8 +461,8 @@ def leaf_polynomial_value(g, root: int, assignment, p: int) -> int:
 def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
     """Punctured Laplacian with tails outside O zeroed, rows/columns the vertices other than s.
 
-    Virtual arcs t->u exist for every u != t with their random weights; real
-    arcs keep weight 1 when their tail lies in O (or is t).
+    Virtual arcs t->u exist for every u != t with weights wt[u]; real arcs
+    keep weight 1 when their tail lies in O (or is t).
     """
     g, s, t = split.graph, split.s, split.t
     labels = tuple(u for u in range(g.n) if u != s)
@@ -471,12 +471,12 @@ def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
     for u in labels:
         diag = sum(1 for w in g.in_adj[u] if w == t or omask >> w & 1)
         if u != t:
-            diag += wt.values[u]
+            diag += wt[u]
         rows[idx[u]][idx[u]] = diag % ring.modulus
         if u == t:
             for v in labels:
                 if v != t:
-                    rows[idx[t]][idx[v]] = ring.neg(wt.values[v])
+                    rows[idx[t]][idx[v]] = ring.neg(wt[v])
         elif omask >> u & 1:
             for v in g.out_adj[u]:
                 if v != s:

@@ -270,11 +270,11 @@ class TestSolveNkDv:
 
     def test_dv_trial_shape(self):
         P = MonomialListPolynomial(3, [(2, (1, 1, 1)), (1, (3, 0, 0))])
-        poly = dv_trial(P, [True, True, True], 1_000_003)
-        assert len(poly.coeffs) == 2 * 3 + 1
+        coeffs = dv_trial(P, [True, True, True], 1_000_003)
+        assert len(coeffs) == 2 * 3 + 1
         # all-probe routing sends y1y2y3 to tau^3 and y1^3 to tau^3
-        assert poly.coeffs[3] == 3
-        assert window_hits(poly, 3, 2) == []
+        assert coeffs[3] == 3
+        assert window_hits(coeffs, 3, 2) == []
 
     def test_small_prime_rejected(self):
         P = MonomialListPolynomial(3, [(1, (1, 1, 1))])
@@ -313,12 +313,6 @@ class TestDetectKLeaf:
             want = oracle.brute_k_leaf(g, k)
             rep = detect_k_leaf(g, k, DvConfig(seed=13))
             assert rep.verdict == want, (g.arcs, k)
-
-    def test_threads_do_not_change_report(self):
-        g = random_digraph(random.Random(91), 6, 0.5)
-        a = detect_k_leaf(g, 2, DvConfig(seed=2, threads=1))
-        b = detect_k_leaf(g, 2, DvConfig(seed=2, threads=4))
-        assert a == b
 
     def test_k_range(self):
         with pytest.raises(ValueError):

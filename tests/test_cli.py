@@ -121,6 +121,20 @@ class TestAnswers:
         assert rep["answer"] == "no"
 
 
+    def test_readme_count_mod_example(self, tmp_path, capsys):
+        # the README example, whole stdout: answer and every MITM diagnostic
+        path = tmp_path / "c5.txt"
+        path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
+        code, out, _ = run_cli(["count-mod", str(path), "--p", "3", "--k", "2", "--seed", "1"], capsys)
+        assert code == 0
+        assert strip_elapsed(out) == (
+            '{"command": "count-mod", "answer": 1, "modulus": 9, "p": 3, "k": 2, "mode": "mitm", '
+            '"diagnostics": {"pairs_listed": 31, "pairs_naive": 32, "candidates_examined": 104, '
+            '"table_keys": 14, "fallback": false, "pruning_ratio": 0.03125}, '
+            '"seed": 1, "elapsed_ms": _}\n'
+        )
+
+
 class TestOracleCommands:
     def test_hc_count(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(5))
@@ -201,6 +215,13 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("flag,value", [("--skew", "0.3"), ("--s-estimate", "2")])
+    def test_removed_k_leaf_options(self, flag, value, tmp_path, capsys):
+        path = write_graph(tmp_path, directed_path(4))
+        code, out, _ = run_cli(["detect-k-leaf", path, "--k", "2", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+
     def test_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(4))
         code, _, _ = run_cli(["count-mod", path], capsys)  # --p missing
@@ -222,9 +243,10 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "guard" in err
-        # the branching detectors count branchings per root, so the same cap binds them
-        for cmd in ("detect-k-internal", "detect-k-leaf"):
-            code, out, err = run_cli([cmd, str(wide), "--k", "2"], capsys)
+        # the branching detectors count branchings per root, so the same cap binds them;
+        # k = 0 keeps k-internal under its gather guard, which fires from k = 1 at this n
+        for cmd, k in (("detect-k-internal", "0"), ("detect-k-leaf", "2")):
+            code, out, err = run_cli([cmd, str(wide), "--k", k], capsys)
             assert code == 3
             assert out == ""
             assert "branching count guard" in err
@@ -241,6 +263,21 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "detect-hc guard" in err
+
+    @pytest.mark.parametrize("argv,n", [
+        (["detect-k-leaf", "--k", "15"], 30),  # default budget 4^15
+        (["detect-k-leaf", "--k", "7"], 8),
+        (["detect-k-leaf", "--k", "2", "--budget", "4097"], 8),
+        (["detect-k-internal", "--k", "6"], 12),  # 277 MB Berkowitz gather
+    ], ids=["leaf-k15", "leaf-k7", "leaf-budget", "internal-n12-k6"])
+    def test_branching_detector_guards(self, argv, n, tmp_path, capsys):
+        path = write_graph(tmp_path, directed_path(n))
+        t0 = time.perf_counter()
+        code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+        assert "guard" in err
 
     def test_residue_guard_both_modes(self, tmp_path, capsys):
         # p^k >= 2^62 is refused up front in either mode, even for a k too big to exponentiate

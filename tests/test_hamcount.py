@@ -17,8 +17,6 @@ from conftest import (
 from hamkit.errors import CapExceededError, GuardError
 from hamkit.graph import make_digraph, split_vertex
 from hamkit.hamcount import (
-    RandomTailWeights,
-    SieveHalves,
     SieveParams,
     block_partition,
     build_lookup_tables,
@@ -29,7 +27,7 @@ from hamkit.hamcount import (
     default_k,
     mitm_count_mod,
     naive_sieve_count,
-    z_vector,
+    tail_weights,
 )
 from hamkit import oracle
 from hamkit.algebra import primes_up_to
@@ -43,7 +41,7 @@ class TestRestrictedLaplacian:
         g = random_digraph(rnd, n, 0.5)
         split = split_vertex(g, rnd.randrange(n))
         p = rnd.choice([2, 3, 5])
-        wt = RandomTailWeights.draw(split, p, rnd.randrange(1000))
+        wt = tail_weights(split, p, rnd.randrange(1000))
         return g, split, p, wt
 
     def test_empty_subset_rows_are_diagonal(self):
@@ -76,7 +74,7 @@ class TestRestrictedLaplacian:
     def test_full_subset_keeps_all_arcs(self):
         g = directed_cycle(4)
         split = split_vertex(g, 0)
-        wt = RandomTailWeights.draw(split, 5, 3)
+        wt = tail_weights(split, 5, 3)
         full = (1 << (split.graph.n - 1)) - 1
         ring = ResidueRing(5, 1)
         m = restricted_laplacian(split, full, wt, ring)
@@ -92,7 +90,7 @@ class TestRestrictedLaplacian:
             g, split, p, wt = self._setup(rnd, 6)
             k = rnd.choice([1, 2, 3])
             ring = ResidueRing(p, k)
-            core = hamcount_mod._SieveCore(split, wt.values)
+            core = hamcount_mod._SieveCore(split, wt)
             for _ in range(8):
                 omask = rnd.getrandbits(split.graph.n - 1)
                 m = restricted_laplacian(split, omask, wt, ring)
@@ -131,6 +129,18 @@ class TestNaiveSieve:
         with pytest.raises(GuardError):
             naive_sieve_count(split_vertex(g, 0), SieveParams(p=2))
 
+    def test_guard_before_split(self, monkeypatch):
+        # the subset guard depends only on n, so it fires before the split graph is built
+        def refuse(*args):
+            raise AssertionError("split graph built before the subset guard")
+
+        monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
+        g = directed_cycle(27)
+        with pytest.raises(GuardError, match="naive sieve guard"):
+            count_hc_mod(g, SieveParams(p=2, mode="naive"))
+        with pytest.raises(GuardError, match="naive sieve guard"):
+            count_exact_capped(g, 2)
+
     def test_residue_guard(self):
         # count-mod refuses p^k >= 2^62 in both modes, before any work and
         # without forming p^k for a huge k; the exact counters go past it
@@ -153,44 +163,38 @@ class TestNaiveSieve:
             split = split_vertex(g, rnd.randrange(n))
             want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
             assert naive_sieve_count(split, SieveParams(p=2, k=64)).value == want
-            drawn = RandomTailWeights.draw(split, rnd.choice([2, 3, 101]), rnd.randrange(100))
-            core = hamcount_mod._SieveCore(split, drawn.values)
+            drawn = tail_weights(split, rnd.choice([2, 3, 101]), rnd.randrange(100))
+            core = hamcount_mod._SieveCore(split, drawn)
             assert sum(map(core.signed_contribution, range(1 << (split.graph.n - 1)))) == want
+
+
+def first_half_mask(split) -> int:
+    """Mask of the first half of V_t, the ids below ceil(|V| / 3), as mitm_count_mod cuts it."""
+    return (1 << math.ceil(split.graph.n / 3)) - 1
 
 
 class TestFingerprints:
     def test_z1_empty_is_tail_weights(self):
         split = split_vertex(directed_cycle(5), 0)
-        wt = RandomTailWeights.draw(split, 5, 7)
-        halves = SieveHalves.for_split(split)
-        z = z_vector(split, 0, "first", wt, halves)
+        wt = tail_weights(split, 5, 7)
+        z = hamcount_mod._SieveCore(split, wt).fingerprint(0, 5, True)
         vst = [u for u in range(split.graph.n - 1) if u != split.s]
-        assert z.entries == tuple(wt.values[u] % 5 for u in vst)
+        assert z == tuple(wt[u] % 5 for u in vst)
 
     def test_z2_empty_is_zero(self):
         split = split_vertex(directed_cycle(5), 0)
-        wt = RandomTailWeights.draw(split, 3, 7)
-        halves = SieveHalves.for_split(split)
-        z = z_vector(split, 0, "second", wt, halves)
-        assert z.entries == (0,) * len(z.entries)
+        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 7))
+        assert core.fingerprint(0, 3, False) == (0,) * (split.graph.n - 2)
 
     def test_subset_positions_marked(self):
         split = split_vertex(directed_cycle(6), 1)
-        wt = RandomTailWeights.draw(split, 3, 2)
-        halves = SieveHalves.for_split(split)
-        o1 = 1 << halves.first[0]
-        z = z_vector(split, o1, "first", wt, halves)
+        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 2))
+        o1 = 1  # vertex 0, the first vertex of the first half
+        z = core.fingerprint(o1, 3, True)
         vst = [u for u in range(split.graph.n - 1) if u != split.s]
         for pos, u in enumerate(vst):
             if o1 >> u & 1:
-                assert z.entries[pos] == 3  # the out-of-range marker
-
-    def test_leak_rejected(self):
-        split = split_vertex(directed_cycle(6), 0)
-        wt = RandomTailWeights.draw(split, 3, 2)
-        halves = SieveHalves.for_split(split)
-        with pytest.raises(ValueError):
-            z_vector(split, halves.second_mask, "first", wt, halves)
+                assert z[pos] == 3  # the out-of-range marker
 
     def test_agreement_marks_divisible_row(self):
         rnd = random.Random(56)
@@ -198,12 +202,13 @@ class TestFingerprints:
             g = random_digraph(rnd, 7, 0.5)
             split = split_vertex(g, rnd.randrange(7))
             p = rnd.choice([2, 3, 5])
-            wt = RandomTailWeights.draw(split, p, rnd.randrange(100))
-            halves = SieveHalves.for_split(split)
-            o1 = rnd.getrandbits(split.graph.n - 1) & halves.first_mask
-            o2 = rnd.getrandbits(split.graph.n - 1) & halves.second_mask
-            z1 = z_vector(split, o1, "first", wt, halves).entries
-            z2 = z_vector(split, o2, "second", wt, halves).entries
+            wt = tail_weights(split, p, rnd.randrange(100))
+            core = hamcount_mod._SieveCore(split, wt)
+            first_mask = first_half_mask(split)
+            o1 = rnd.getrandbits(split.graph.n - 1) & first_mask
+            o2 = rnd.getrandbits(split.graph.n - 1) & ~first_mask
+            z1 = core.fingerprint(o1, p, True)
+            z2 = core.fingerprint(o2, p, False)
             ring = ResidueRing(p, 1)
             m = restricted_laplacian(split, o1 | o2, wt, ring)
             vst = [u for u in range(split.graph.n - 1) if u != split.s]
@@ -229,14 +234,14 @@ class TestFingerprints:
 class TestMitm:
     def test_cycle_p2k2(self):
         split = split_vertex(directed_cycle(6), 0)
-        res = mitm_count_mod(split, SieveParams(p=2, k=2, seed=0))
-        assert res.residue.value == 1
-        assert res.residue.modulus == 4
+        residue, _ = mitm_count_mod(split, SieveParams(p=2, k=2, seed=0))
+        assert residue.value == 1
+        assert residue.modulus == 4
 
     def test_k5_p3(self):
         split = split_vertex(complete_digraph(5), 0)
-        res = mitm_count_mod(split, SieveParams(p=3, k=1, seed=0))
-        assert res.residue.value == 24 % 3
+        residue, _ = mitm_count_mod(split, SieveParams(p=3, k=1, seed=0))
+        assert residue.value == 24 % 3
 
     def test_matches_naive_same_seed(self):
         rnd = random.Random(57)
@@ -248,10 +253,7 @@ class TestMitm:
             k = rnd.choice([1, 2])
             seed = rnd.randrange(10**6)
             params = SieveParams(p=p, k=k, seed=seed)
-            assert (
-                mitm_count_mod(split, params).residue
-                == naive_sieve_count(split, params)
-            )
+            assert mitm_count_mod(split, params)[0] == naive_sieve_count(split, params)
 
     def test_listing_soundness(self):
         # every subset with a nonvanishing determinant appears in some bucket
@@ -263,25 +265,28 @@ class TestMitm:
             split = split_vertex(g, rnd.randrange(n))
             p = rnd.choice([2, 3])
             k = rnd.choice([1, 2])
-            wt = RandomTailWeights.draw(split, p, rnd.randrange(100))
-            halves = SieveHalves.for_split(split)
-            tables = build_lookup_tables(split, wt, k, halves)
+            wt = tail_weights(split, p, rnd.randrange(100))
+            core = hamcount_mod._SieveCore(split, wt)
+            first_mask = first_half_mask(split)
+            first = tuple(range(first_mask.bit_length()))
+            blocks = block_partition(len(core.vst), p)
+            tables, z1_by_mask = build_lookup_tables(core, first, blocks, p, k)
             ring = ResidueRing(p, k)
             n0 = split.graph.n - 1
             for omask in range(1 << n0):
                 det = det_division_free(restricted_laplacian(split, omask, wt, ring))
                 if det == 0:
                     continue
-                o1 = omask & halves.first_mask
-                o2 = omask & halves.second_mask
-                z1 = tables.z1_by_mask[o1]
-                z2 = z_vector(split, o2, "second", wt, halves).entries
+                o1 = omask & first_mask
+                o2 = omask & ~first_mask
+                z1 = z1_by_mask[o1]
+                z2 = core.fingerprint(o2, p, False)
                 agree = sum(1 for a, b in zip(z1, z2) if a == b)
                 assert agree <= k, "nonzero determinant but too many agreements"
                 hit = False
-                for bi, block in enumerate(tables.blocks):
+                for table, block in zip(tables, blocks):
                     key = tuple(z2[pos] for pos in block)
-                    if o1 in tables.tables[bi].get(key, ()):
+                    if o1 in table.get(key, ()):
                         hit = True
                         break
                 assert hit, "surviving subset missed by every block table"
@@ -291,9 +296,9 @@ class TestMitm:
         split = split_vertex(directed_cycle(6), 0)
         params = SieveParams(p=3, k=1, seed=2)
         with pytest.warns(UserWarning, match="falling back"):
-            res = mitm_count_mod(split, params)
-        assert res.diagnostics.fallback
-        assert res.residue == naive_sieve_count(split, params)
+            residue, diag = mitm_count_mod(split, params)
+        assert diag.fallback
+        assert residue == naive_sieve_count(split, params)
 
 
 class TestGraphLevel:

@@ -3,10 +3,10 @@
 import importlib.util
 from pathlib import Path
 
-from conftest import acyclic_tournament, directed_cycle, directed_path, out_star
+from conftest import acyclic_tournament, complete_digraph, directed_cycle, directed_path, out_star
 from hamkit import hamcount
 from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
-from hamkit.hamcount import count_exact_capped
+from hamkit.hamcount import SieveParams, count_exact_capped
 from hamkit.hamdetect import detect_hamiltonian_cycle
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -43,6 +43,21 @@ def test_naive_exact_count_is_one_pass():
     assert tracer.lists["naive_pass_subsets"] == [1 << 7]
     assert counters["hamcount.crt_passes"] == 0
     assert "hamcount.crt_count" not in tracer.spans
+
+
+def test_mitm_count_is_spanned():
+    # the benchmark's mitm-listed-subsets check and its two MITM layers
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        residue, diag = hamcount.count_hc_mod(complete_digraph(6), SieveParams(p=2, k=1, seed=1))
+    finally:
+        tracer.uninstall()
+    assert residue.value == 120 % 2
+    assert not diag.fallback and diag.pairs_listed < diag.pairs_naive
+    assert tracer.counters["hamcount.subsets"] == diag.pairs_listed
+    for name in ("hamcount.build_lookup_tables", "hamcount.mitm_count_mod"):
+        assert tracer.spans[name][2] == 1, name
 
 
 def test_detector_kernels_are_spanned():
