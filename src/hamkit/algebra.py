@@ -2,7 +2,8 @@
 
 Fields are descriptors with ints as elements: zero/one attributes and
 add/sub/mul/neg/inv/is_zero methods. The binary fields GF(2^m) add numpy
-batched multiplication and inversion through log/exp tables.
+batched multiplication through log/exp tables and inversion through an
+inverse table.
 """
 
 from __future__ import annotations
@@ -197,8 +198,15 @@ class BinaryField:
         self.generator = gen
         self._exp = exp
         self._log = log
-        self.np_exp = np.array(exp + [0], dtype=np.int32)
+        # Zero sentinel: log 0 is 2(q-1), and np_exp is zero from index 2(q-1)
+        # on. Two nonzero logs sum below 2(q-1), any sum with the sentinel lands
+        # in the zero tail, so nmul is one add and one gather with no mask.
         self.np_log = np.array(log, dtype=np.int32)
+        self.np_log[0] = 2 * order
+        self.np_exp = np.zeros(4 * order + 1, dtype=np.int32)
+        self.np_exp[: 2 * order] = exp
+        self.np_inv = np.zeros(q, dtype=np.int32)  # ninv(0) == 0
+        self.np_inv[1:] = self.np_exp[order - self.np_log[1:]]
 
     # scalar ops
     def add(self, a, b):
@@ -229,11 +237,10 @@ class BinaryField:
 
     # numpy batched ops on int32 arrays
     def nmul(self, a, b):
-        prod = self.np_exp[self.np_log[a] + self.np_log[b]]
-        return np.where((a == 0) | (b == 0), 0, prod)
+        return self.np_exp[self.np_log[a] + self.np_log[b]]
 
     def ninv(self, a):
-        return self.np_exp[(self.q - 1) - self.np_log[a]]
+        return self.np_inv[a]
 
     def __repr__(self):
         return f"BinaryField(m={self.m}, poly={self.poly:#x})"

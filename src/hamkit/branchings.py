@@ -123,10 +123,7 @@ class _InternalSieveEngine:
         self.ia, self.ib, self.offsets = _pair_plan(k)
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        va = a[..., self.ia]
-        vb = b[..., self.ib]
-        prod = self.f.np_exp[self.f.np_log[va] + self.f.np_log[vb]]
-        prod = np.where((va == 0) | (vb == 0), 0, prod)
+        prod = self.f.nmul(a[..., self.ia], b[..., self.ib])
         return np.bitwise_xor.reduceat(prod, self.offsets, axis=-1)
 
     def build_matrices(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:

@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 
 from .errors import GuardError, ParseError
 
-# Largest vertex count parse_digraph accepts. Building the adjacency indexes
-# costs about 190 bytes per vertex before any command can check its own
-# guard, and no command answers past 512 vertices.
-VERTEX_LIMIT = 1 << 16
+# Largest vertex count parse_digraph accepts: the largest n any command
+# answers (the branching count guard). Building the adjacency indexes comes
+# before any command can check its own guard, and a vertex's masks are as
+# wide as its largest neighbour id, so this caps each mask at 64 bytes and
+# the in- and out-masks together at 64 KB.
+VERTEX_LIMIT = 512
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,13 @@ the graph has a Hamiltonian cycle. Random weights then make a one-sided test:
 a nonzero sum proves a cycle exists, and a zero sum is wrong with probability
 at most n/q per trial.
 
-All pair matrices of a chunk are built at once with numpy (xor-sums via
-float32 bit-plane matmuls) and their determinants taken by table-driven
-batched Gaussian elimination.
+The n x n port matrix is never built. A yellow row holds only din at its
+entry port E and dout at its exit port X, so folding it away leaves a
+|blue| x |blue| matrix with the same determinant: one row per blue vertex,
+the pool columns, and per yellow vertex one merged column din*X + dout*E
+over the blue rows. All pair matrices of a chunk are built at once with
+numpy (xor-sums via float32 bit-plane matmuls) and their determinants taken
+by table-driven batched Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ class PortLayout:
     Columns are `pool_count` shared pool ports, then one entry port per
     yellow vertex, then one exit port per yellow vertex. The anchor is the
     smallest blue vertex; its exiting role is suppressed in gated entries.
+    The sieve folds the yellow rows away and keeps only the blue ones.
     """
 
     blue: tuple[int, ...]
@@ -138,13 +143,22 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
 class _BatchedSieve:
     """Per-trial precomputation for chunked evaluation of the pair sum.
 
+    Each pair gets a |blue| x |blue| matrix: one row per blue vertex, the
+    pool columns, then one merged column per yellow vertex y. In the port
+    matrix, yellow row y holds din at its entry port E_y and dout at its exit
+    port X_y, and nothing else. In characteristic 2:
+      replacing X_y by din*X_y + dout*E_y scales det by din, leaving din alone in row y;
+      expanding along row y gives det = det(that matrix without row y and column E_y);
+      if din = 0, linearity in column X_y gives the same result.
+    So the merged column over the blue rows is
+    din_y * (gate_in * vexit[:, y]) + dout_y * (gate_out * ventry[:, y]).
+
     Xor-sums of weights over membership-gated neighbor sets are computed as
     float32 matmuls on bit planes (counts stay below 2^24, so float32 sums
     are exact), reduced mod 2, and repacked into field elements.
     """
 
     def __init__(self, g: Digraph, layout: PortLayout, weights: PortWeights):
-        self.layout = layout
         self.field = weights.field
         m = self.field.m
         blue = layout.blue
@@ -169,20 +183,18 @@ class _BatchedSieve:
         self.bits_pool_in = bits(pool_in).reshape(nb, nb * npool * m)
         self.bits_pool_out = bits(pool_out).reshape(nb, nb * npool * m)
 
+        # ventry[u_i, y_i] = entry-port weight on blue[u_i] -> y, vexit the exit-port
+        # weight on y -> blue[u_i]; din and dout are their gated xor-sums down a column
         self.ventry = np.zeros((nb, ny), dtype=np.int32)
         self.vexit = np.zeros((nb, ny), dtype=np.int32)
-        ydiag_in = np.zeros((nb, ny), dtype=np.int32)
-        ydiag_out = np.zeros((nb, ny), dtype=np.int32)
         for yi, yv in enumerate(yellow):
             for ui, uv in enumerate(blue):
                 if g.has_arc(uv, yv):
                     self.ventry[ui, yi] = w[npool + yi, uv, yv]
-                    ydiag_in[ui, yi] = w[npool + yi, uv, yv]
                 if g.has_arc(yv, uv):
                     self.vexit[ui, yi] = w[npool + ny + yi, yv, uv]
-                    ydiag_out[ui, yi] = w[npool + ny + yi, yv, uv]
-        self.bits_ydiag_in = bits(ydiag_in).reshape(nb, ny * m)
-        self.bits_ydiag_out = bits(ydiag_out).reshape(nb, ny * m)
+        self.bits_entry = bits(self.ventry).reshape(nb, ny * m)
+        self.bits_exit = bits(self.vexit).reshape(nb, ny * m)
         self.mbits = m
 
     def _pack(self, parity: np.ndarray, *shape: int) -> np.ndarray:
@@ -190,11 +202,10 @@ class _BatchedSieve:
         bitvals = 1 << np.arange(m, dtype=np.int32)
         return (parity.reshape(*shape, m) * bitvals).sum(axis=-1, dtype=np.int32)
 
-    def chunk_sum(self, isel: np.ndarray, osel: np.ndarray) -> int:
-        """Xor of port-matrix determinants for one chunk of membership rows."""
+    def matrices(self, isel: np.ndarray, osel: np.ndarray) -> np.ndarray:
+        """[B, |blue|, |blue|] matrices for one chunk of membership rows."""
         field = self.field
         nb, ny, npool = self.nb, self.ny, self.npool
-        n = nb + ny
         nc = isel.shape[0]
         i_f = isel.astype(np.float32)
         o_f = osel.astype(np.float32)
@@ -205,21 +216,23 @@ class _BatchedSieve:
         def parity(x: np.ndarray) -> np.ndarray:
             return np.rint(x).astype(np.int32) & 1
 
-        q = np.zeros((nc, n, n), dtype=np.int32)
+        mats = np.empty((nc, nb, nb), dtype=np.int32)
         if npool:
             in_pool = self._pack(parity(o_f @ self.bits_pool_in), nc, nb, npool)
             out_pool = self._pack(parity(i_f @ self.bits_pool_out), nc, nb, npool)
-            q[:, :nb, :npool] = np.where(gate_in[:, :, None], in_pool, 0)
-            q[:, :nb, :npool] ^= np.where(gate_out[:, :, None], out_pool, 0)
+            mats[:, :, :npool] = np.where(gate_in[:, :, None], in_pool, 0)
+            mats[:, :, :npool] ^= np.where(gate_out[:, :, None], out_pool, 0)
         if ny:
-            q[:, :nb, npool : npool + ny] = np.where(gate_out[:, :, None], self.ventry[None], 0)
-            q[:, :nb, npool + ny :] = np.where(gate_in[:, :, None], self.vexit[None], 0)
-            din = self._pack(parity(o_f @ self.bits_ydiag_in), nc, ny)
-            dout = self._pack(parity(i_f @ self.bits_ydiag_out), nc, ny)
-            yrows = nb + np.arange(ny)
-            q[:, yrows, npool + np.arange(ny)] = din
-            q[:, yrows, npool + ny + np.arange(ny)] = dout
-        dets = batched_gf_det(field, q)
+            din = self._pack(parity(o_f @ self.bits_entry), nc, 1, ny)
+            dout = self._pack(parity(i_f @ self.bits_exit), nc, 1, ny)
+            exit_col = np.where(gate_in[:, :, None], self.vexit, 0)
+            entry_col = np.where(gate_out[:, :, None], self.ventry, 0)
+            mats[:, :, npool:] = field.nmul(din, exit_col) ^ field.nmul(dout, entry_col)
+        return mats
+
+    def chunk_sum(self, isel: np.ndarray, osel: np.ndarray) -> int:
+        """Xor of port-matrix determinants for one chunk of membership rows."""
+        dets = batched_gf_det(self.field, self.matrices(isel, osel))
         return int(np.bitwise_xor.reduce(dets))
 
 

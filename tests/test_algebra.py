@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,8 +87,6 @@ class TestBinaryField:
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
     def test_batched_matches_scalar(self):
-        import numpy as np
-
         f = BinaryField(7)
         rnd = np.random.default_rng(4)
         a = rnd.integers(0, f.q, size=300, dtype=np.int32)
@@ -103,6 +102,57 @@ class TestBinaryField:
     def test_degree_guard(self):
         with pytest.raises(GuardError):
             BinaryField(17)
+
+
+class TestBatchedBinaryField:
+    """nmul and ninv read the zero sentinel in np_log instead of masking zeros."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_nmul_every_pair(self, m):
+        f = BinaryField(m)
+        a, b = np.meshgrid(np.arange(f.q, dtype=np.int32), np.arange(f.q, dtype=np.int32))
+        prod = f.nmul(a, b)
+        for x, y, z in zip(a.ravel().tolist(), b.ravel().tolist(), prod.ravel().tolist()):
+            assert f.mul(x, y) == z, (x, y)
+
+    @pytest.mark.parametrize("m", range(7, BinaryField.TABLE_LIMIT_M + 1))
+    def test_nmul_random_pairs_with_zeros(self, m):
+        f = BinaryField(m)
+        rng = np.random.default_rng(m)
+        a = rng.integers(0, f.q, size=2000, dtype=np.int32)
+        b = rng.integers(0, f.q, size=2000, dtype=np.int32)
+        a[:100] = 0
+        b[50:150] = 0
+        a[150:160] = b[160:170] = f.q - 1
+        prod = f.nmul(a, b)
+        assert prod.dtype == np.int32
+        for x, y, z in zip(a.tolist(), b.tolist(), prod.tolist()):
+            assert f.mul(x, y) == z, (x, y)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 13])
+    def test_ninv(self, m):
+        f = BinaryField(m)
+        assert f.ninv(0) == 0
+        nz = np.arange(1, f.q, dtype=np.int32)
+        assert np.all(f.nmul(nz, f.ninv(nz)) == 1)
+        assert np.all(f.ninv(np.zeros(3, dtype=np.int32)) == 0)
+
+    def test_broadcast_shapes(self):
+        # the [B, r, 1] x [B, 1, c] products of batched_gf_det's row updates
+        f = BinaryField(10)
+        rng = np.random.default_rng(5)
+        col = rng.integers(0, f.q, size=(4, 5, 1), dtype=np.int32)
+        row = rng.integers(0, f.q, size=(4, 1, 3), dtype=np.int32)
+        col[0, 1, 0] = row[2, 0, 2] = 0
+        prod = f.nmul(col, row)
+        assert prod.shape == (4, 5, 3)
+        for bi in range(4):
+            for r in range(5):
+                for c in range(3):
+                    assert prod[bi, r, c] == f.mul(int(col[bi, r, 0]), int(row[bi, 0, c]))
+        scalar = f.nmul(np.int32(7), row)
+        assert scalar.shape == row.shape
+        assert scalar.ravel().tolist() == [f.mul(7, int(x)) for x in row.ravel()]
 
 
 class TestPrimeFieldAndResidues:

@@ -13,8 +13,11 @@ from conftest import (
     directed_path,
     out_star,
 )
-from hamkit import oracle
+from hamkit import count_out_branchings, detect_k_internal, detect_k_leaf, oracle
+from hamkit.branchings import DvConfig, InternalSieveConfig
 from hamkit.cli import main as cli_main
+from hamkit.errors import GuardError
+from hamkit.graph import VERTEX_LIMIT, make_digraph
 from hamkit.matrixtree import BRANCHING_COUNT_GUARD
 
 
@@ -134,6 +137,18 @@ class TestAnswers:
             '"seed": 1, "elapsed_ms": _}\n'
         )
 
+    def test_readme_detect_hc_example(self, tmp_path, capsys):
+        # the README example, whole stdout: the witness of the first trial's pair sum
+        path = tmp_path / "c5.txt"
+        path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
+        code, out, _ = run_cli(["detect-hc", str(path), "--seed", "7"], capsys)
+        assert code == 0
+        assert strip_elapsed(out) == (
+            '{"command": "detect-hc", "answer": "yes", "trials": 1, "failure_bound": 0.0, '
+            '"diagnostics": {"pairs_per_trial": 18, "field_bits": 6, "witness_value": 58, '
+            '"engine": "batched"}, "seed": 7, "elapsed_ms": _}\n'
+        )
+
 
 class TestOracleCommands:
     def test_hc_count(self, tmp_path, capsys):
@@ -236,20 +251,16 @@ class TestExitCodes:
         code, _, _ = run_cli(["detect-k-internal", nine, "--k", "7"], capsys)
         assert code == 3
 
-    def test_branching_count_guard(self, tmp_path, capsys):
-        wide = tmp_path / "wide.txt"
-        wide.write_text(f"{BRANCHING_COUNT_GUARD + 1} 0\n", encoding="utf-8")
-        code, out, err = run_cli(["count-branchings", str(wide), "--root", "0"], capsys)
-        assert code == 3
-        assert out == ""
-        assert "guard" in err
-        # the branching detectors count branchings per root, so the same cap binds them;
+    def test_branching_count_guard(self):
+        # the header cap stops a 513-vertex file at parse, so the library carries this guard;
+        # the branching detectors count branchings per root, so the same cap binds them, and
         # k = 0 keeps k-internal under its gather guard, which fires from k = 1 at this n
-        for cmd, k in (("detect-k-internal", "0"), ("detect-k-leaf", "2")):
-            code, out, err = run_cli([cmd, str(wide), "--k", k], capsys)
-            assert code == 3
-            assert out == ""
-            assert "branching count guard" in err
+        wide = make_digraph(BRANCHING_COUNT_GUARD + 1, [])
+        for run in (lambda: count_out_branchings(wide, 0),
+                    lambda: detect_k_internal(wide, 0, InternalSieveConfig()),
+                    lambda: detect_k_leaf(wide, 2, DvConfig())):
+            with pytest.raises(GuardError, match="branching count guard"):
+                run()
 
     @pytest.mark.parametrize("g", [directed_cycle(40), directed_cycle(300), complete_digraph(18)],
                              ids=["cycle40", "cycle300", "k18"])
@@ -296,6 +307,22 @@ class TestExitCodes:
         t0 = time.perf_counter()
         code, out, err = run_cli(["count-branchings", str(huge), "--root", "0"], capsys)
         assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+        assert "vertex count guard" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["count-branchings", "--root", "0"],
+        ["count-exact", "--d", "13/10", "--lambda", "0.999"],
+        ["count-avg-degree", "--lambda", "0.999"],
+        ["detect-hc"],
+    ], ids=["count-branchings", "count-exact", "count-avg-degree", "detect-hc"])
+    def test_vertex_cap_is_the_branching_guard(self, argv, tmp_path, capsys):
+        # one past the largest n any command answers is refused at parse, every command
+        # alike; the capped counters used to answer cap-exceeded on this cycle
+        assert VERTEX_LIMIT == BRANCHING_COUNT_GUARD
+        wide = write_graph(tmp_path, directed_cycle(VERTEX_LIMIT + 1), "wide.txt")
+        code, out, err = run_cli([argv[0], wide, *argv[1:]], capsys)
         assert code == 3
         assert out == ""
         assert "vertex count guard" in err

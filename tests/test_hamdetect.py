@@ -160,6 +160,52 @@ class TestSieve:
         assert total == 0
 
 
+def random_bipartite(rnd, n, density):
+    """Arcs both ways between two halves, so a yellow half leaves no pool ports."""
+    left, right = range(n // 2), range(n // 2, n)
+    arcs = [(a, b) for a in left for b in right if rnd.random() < density]
+    arcs += [(b, a) for a in left for b in right if rnd.random() < density]
+    return make_digraph(n, arcs)
+
+
+class TestFoldedMatrix:
+    def test_pair_determinants_match_port_matrix(self):
+        # every |blue| x |blue| determinant of a trial against det of its n x n port matrix
+        rnd = random.Random(79)
+        graphs = [make_digraph(2, [(0, 1), (1, 0)])]
+        graphs += [random_bipartite(rnd, 2 * rnd.randint(2, 4), rnd.uniform(0.3, 0.9)) for _ in range(8)]
+        graphs += [random_digraph(rnd, rnd.randint(4, 8), rnd.uniform(0.3, 0.7)) for _ in range(8)]
+        seen = set()
+        for g in graphs:
+            layout = make_layout(g)
+            field = make_binary_field(g.n)
+            nb, npool = len(layout.blue), layout.pool_count
+            seen.add("pool" if npool else "no pool")
+            for sparse in (False, True):
+                w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
+                if sparse:  # zero most weights, so din = 0 and dout = 0 turn up
+                    w.values[np.random.default_rng(rnd.randrange(1 << 30)).random(w.values.shape) < 0.7] = 0
+                isel, osel = hamdetect._membership_chunk(nb, 0, 2 * 3 ** (nb - 1))
+                mats = hamdetect._BatchedSieve(g, layout, w).matrices(isel, osel)
+                assert mats.shape == (len(isel), nb, nb)
+                dets = batched_gf_det(field, mats.copy())
+                for row in range(len(isel)):
+                    imask = sum(1 << v for i, v in enumerate(layout.blue) if isel[row, i])
+                    omask = sum(1 << v for i, v in enumerate(layout.blue) if osel[row, i])
+                    port = build_port_matrix(g, layout, w, imask, omask)
+                    want = det_gauss(port)
+                    assert det_gauss(square(field, mats[row].tolist())) == int(dets[row]) == want
+                    for yi in range(len(layout.yellow)):
+                        yrow = port.entries[nb + yi]
+                        if yrow[npool + yi] == 0:
+                            seen.add("din = 0")
+                        if yrow[npool + len(layout.yellow) + yi] == 0:
+                            seen.add("dout = 0")
+                    if want:
+                        seen.add("nonzero det")
+        assert seen == {"pool", "no pool", "din = 0", "dout = 0", "nonzero det"}
+
+
 class TestBatchedDet:
     def test_matches_det_gauss(self):
         field = make_binary_field(9)

@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from conftest import acyclic_tournament, complete_digraph, directed_cycle, directed_path, out_star
-from hamkit import hamcount
+from hamkit import hamcount, hamdetect
 from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
 from hamkit.hamcount import SieveParams, count_exact_capped
 from hamkit.hamdetect import detect_hamiltonian_cycle
@@ -60,8 +60,16 @@ def test_mitm_count_is_spanned():
         assert tracer.spans[name][2] == 1, name
 
 
-def test_detector_kernels_are_spanned():
+def test_detector_kernels_are_spanned(monkeypatch):
     # a kernel moved out from under its traced name would drop its layer from the benchmark
+    shapes = []
+    gf_det = hamdetect.batched_gf_det
+
+    def recording_gf_det(field, mats):
+        shapes.append(mats.shape)
+        return gf_det(field, mats)
+
+    monkeypatch.setattr(hamdetect, "batched_gf_det", recording_gf_det)
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
@@ -76,3 +84,6 @@ def test_detector_kernels_are_spanned():
     (blue,) = tracer.lists["blue"]
     assert not rep.verdict and tracer.counters["hamdetect.trials"] == rep.trials_run == 3
     assert tracer.counters["hamdetect.gf_matrices"] == rep.trials_run * 2 * 3 ** (blue - 1)
+    # one |blue| x |blue| matrix per pair: the yellow rows are folded away
+    assert shapes and all(shape[1:] == (blue, blue) for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == tracer.counters["hamdetect.gf_matrices"]
