@@ -4,8 +4,8 @@ The package is organised around a weighted-Laplacian toolbox:
 
 - graph: digraph parsing, the cycle-to-path vertex split, independent-set
   partitions of the vertex set.
-- algebra: binary fields GF(2^m) with numpy batched kernels, prime fields,
-  prime-power residues, CRT, interpolation.
+- algebra: binary fields GF(2^m) with numpy batched kernels, primes,
+  prime-power residues, CRT.
 - matrixtree: out-branching counts and the fraction-free integer
   determinant.
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
@@ -15,7 +15,7 @@ The package is organised around a weighted-Laplacian toolbox:
   port matrix indexed by an independent-set partition of the vertices.
 - branchings: detectors for out-branchings with many internal vertices or
   many leaves, via a marker-algebra determinant sieve and degree-window
-  divisibility tests.
+  tests on trial-batched mod-p determinants and interpolation.
 - oracle: small-instance brute-force reference implementations.
 
 Each question has one determinant route, batched over numpy arrays. The

@@ -1,9 +1,9 @@
-"""Finite fields, prime-power residues, CRT and interpolation.
+"""Primes, binary fields, prime-power residues and CRT.
 
-Fields are descriptors with ints as elements: zero/one attributes and
-add/sub/mul/neg/inv/is_zero methods. The binary fields GF(2^m) add numpy
-batched multiplication through log/exp tables and inversion through an
-inverse table.
+The binary fields GF(2^m) work on numpy int32 arrays: batched
+multiplication through log/exp tables and inversion through an inverse
+table. Mod-p arithmetic is plain int64 numpy, beside its kernels in
+branchings.
 """
 
 from __future__ import annotations
@@ -102,40 +102,6 @@ def gf2_is_irreducible(poly: int) -> bool:
 # fields and residues
 
 
-class PrimeField:
-    """GF(p) on ints 0..p-1."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
 @dataclass(frozen=True)
 class ResidueElem:
     """A value together with its prime-power modulus."""
@@ -168,8 +134,6 @@ class BinaryField:
         self.m = m
         self.q = 1 << m
         self.poly = poly
-        self.zero = 0
-        self.one = 1
         self._build_tables()
 
     def _raw_mul(self, a: int, b: int) -> int:
@@ -207,33 +171,6 @@ class BinaryField:
         self.np_exp[: 2 * order] = exp
         self.np_inv = np.zeros(q, dtype=np.int32)  # ninv(0) == 0
         self.np_inv[1:] = self.np_exp[order - self.np_log[1:]]
-
-    # scalar ops
-    def add(self, a, b):
-        return a ^ b
-
-    sub = add
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def neg(self, a):
-        return a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[(self.q - 1) - self._log[a]]
-
-    def pow(self, a, e):
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def is_zero(self, a):
-        return a == 0
 
     # numpy batched ops on int32 arrays
     def nmul(self, a, b):
@@ -287,7 +224,7 @@ def make_binary_field(n: int) -> BinaryField:
 
 
 # ---------------------------------------------------------------------------
-# CRT and interpolation
+# CRT
 
 
 def crt_combine(triples) -> tuple[int, int]:
@@ -311,52 +248,3 @@ def crt_combine(triples) -> tuple[int, int]:
         x = x + modulus * step
         modulus *= pk
     return x % modulus, modulus
-
-
-def interpolate_univariate(points, degree: int, p: int) -> tuple[int, ...]:
-    """Coefficients (low first) of the degree <= `degree` poly through points mod p.
-
-    Needs at least degree+1 points with distinct abscissae; any extra points
-    are checked for consistency.
-    """
-    field = PrimeField(p)
-    pts = list(points)
-    if len(pts) < degree + 1:
-        raise ValueError("not enough points")
-    xs = [x % p for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("abscissae must be distinct")
-    base = pts[: degree + 1]
-    # full = prod (X - x_i) for the base points
-    full = [1]
-    for x, _ in base:
-        nxt = [0] * (len(full) + 1)
-        for i, c in enumerate(full):
-            nxt[i + 1] = (nxt[i + 1] + c) % p
-            nxt[i] = (nxt[i] - c * x) % p
-        full = nxt
-    coeffs = [0] * (degree + 1)
-    for x, y in base:
-        # quotient full / (X - x) by synthetic division
-        quot = [0] * (degree + 1)
-        carry = 0
-        for i in range(degree + 1, 0, -1):
-            carry = (full[i] + carry * x) % p
-            quot[i - 1] = carry
-        denom = 0
-        xe = 1
-        for c in quot:
-            denom = (denom + c * xe) % p
-            xe = xe * x % p
-        scale = y % p * field.inv(denom) % p
-        for i in range(degree + 1):
-            coeffs[i] = (coeffs[i] + scale * quot[i]) % p
-    for x, y in pts[degree + 1 :]:
-        acc = 0
-        xe = 1
-        for c in coeffs:
-            acc = (acc + c * xe) % p
-            xe = xe * x % p
-        if acc != y % p:
-            raise ValueError("points are not on a single degree-bounded polynomial")
-    return tuple(coeffs)

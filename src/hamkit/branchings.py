@@ -25,16 +25,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .algebra import (
-    BinaryField,
-    interpolate_univariate,
-    make_binary_field,
-    random_prime_31,
-)
+from .algebra import BinaryField, make_binary_field, random_prime_31
 from .errors import GuardError
 from .graph import Digraph
 from .matrixtree import count_out_branchings
@@ -51,6 +46,11 @@ INTERNAL_GATHER_LIMIT = 1 << 28
 MODP_WORD_LIMIT = 1 << 31
 # detect_k_leaf runs at most this many solver trials per root (4^k by default)
 LEAF_BUDGET_LIMIT = 4**6
+# Bytes of the largest int64 stack the k-leaf solver builds at once: one
+# batched_modp_det call of BranchingLeafPolynomial, or one chunk's assignments
+LEAF_STACK_LIMIT = 1 << 24
+# solve_nk_dv evaluates its trials in chunks of 1, 2, 4, ... up to this many
+LEAF_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +351,81 @@ def _batched_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
 def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     """Determinants of an int64 stack [B, d, d] mod prime p. Consumes mats.
 
-    Entries must already lie in [0, p). Matrices that run out of pivots get
-    determinant 0 (a zero pivot zeroes the running product for good). The
-    products are taken in int64, so p must be below MODP_WORD_LIMIT (2^31).
+    Entries must already lie in [0, p). Elimination is division-free: each
+    row below pivot j becomes piv*row - a*row_j, which scales the determinant
+    by piv once per row. Those scalings multiply to the product over j < d-1
+    of the pivots 0..j, so one Fermat inverse per matrix at the end undoes
+    them all. A matrix that runs out of pivots has a zero pivot product and
+    determinant 0. The products are taken in int64, so p must be below
+    MODP_WORD_LIMIT (2^31).
     """
     if p >= MODP_WORD_LIMIT:
         raise ValueError(f"prime {p} is past the 2^31 word-size limit of batched_modp_det")
     nmats, d, _ = mats.shape
-    det = np.ones(nmats, dtype=np.int64)
-    if d == 0:
-        return det
+    pivots = np.ones(nmats, dtype=np.int64)
+    scale = np.ones(nmats, dtype=np.int64)
+    flip = np.zeros(nmats, dtype=bool)
     bidx = np.arange(nmats)
     for j in range(d):
         pidx = j + np.argmax(mats[:, j:, j] != 0, axis=1)
-        swapped = pidx != j
+        flip ^= pidx != j
         rowj = mats[bidx, j, :].copy()
         mats[bidx, j, :] = mats[bidx, pidx, :]
         mats[bidx, pidx, :] = rowj
-        det = np.where(swapped, (p - det) % p, det)
-        piv = mats[:, j, j]
-        det = det * piv % p
+        pivots = pivots * mats[:, j, j] % p
         if j + 1 < d:
-            inv = _batched_modpow(piv, p - 2, p)  # zero pivot -> zero factor
-            fac = mats[:, j + 1 :, j] * inv[:, None] % p
-            mats[:, j + 1 :, j + 1 :] = (
-                mats[:, j + 1 :, j + 1 :] - fac[:, :, None] * mats[:, j, j + 1 :][:, None, :]
-            ) % p
-    return det
+            scale = scale * pivots % p
+            rest = mats[:, j + 1 :, j + 1 :]
+            rest *= mats[:, j, j, None, None]
+            rest -= mats[:, j + 1 :, j, None] * mats[:, j, None, j + 1 :]
+            rest %= p
+    det = pivots * _batched_modpow(scale, p - 2, p) % p
+    return np.where(flip, (p - det) % p, det)
+
+
+def inverse_vandermonde(xs: np.ndarray, p: int) -> np.ndarray:
+    """V^-1 mod p for V[i, j] = xs[i]^j, built from the Lagrange basis.
+
+    Column i holds the coefficients, low degree first, of L_i(X) =
+    prod_{k != i} (X - x_k) / (x_i - x_k): one synthetic division of
+    F = prod_k (X - x_k) by every (X - x_i) at once, then one Fermat inverse
+    per denominator. The abscissae must be distinct mod p, and p below 2^31.
+    """
+    xs = np.asarray(xs, dtype=np.int64) % p
+    npts = xs.shape[0]
+    full = np.zeros(npts + 1, dtype=np.int64)  # F, low degree first
+    full[0] = 1
+    for x in xs.tolist():
+        shifted = np.zeros_like(full)
+        shifted[1:] = full[:-1]
+        full = (shifted - x * full) % p
+    quot = np.empty((npts, npts), dtype=np.int64)  # quot[j, i]: X^j in F / (X - x_i)
+    carry = np.zeros(npts, dtype=np.int64)
+    for j in range(npts, 0, -1):
+        carry = (full[j] + carry * xs) % p
+        quot[j - 1] = carry
+    denom = np.zeros(npts, dtype=np.int64)  # (F / (X - x_i)) at x_i, by Horner
+    for j in range(npts - 1, -1, -1):
+        denom = (denom * xs + quot[j]) % p
+    if not denom.all():
+        raise ValueError("abscissae must be distinct mod p")
+    return quot * _batched_modpow(denom, p - 2, p) % p
+
+
+def interpolate_univariate(values: np.ndarray, vinv: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients, low degree first, of the polynomial through each row of values mod p.
+
+    values is [T, N] with entries in [0, p), row t holding one polynomial's
+    values at the N abscissae that vinv = inverse_vandermonde(xs, p) was
+    built on; the result is [T, N], values @ vinv.T mod p. The product runs
+    in int64 on the 16-bit limbs of vinv: every term is below 2^31 * 2^16 =
+    2^47, so a row sum stays below 2^57 for N up to 1,025 points (n = 512)
+    and the result is exact.
+    """
+    lo = vinv & 0xFFFF
+    hi = vinv >> 16
+    high = values @ hi.T % p
+    return (high * 0x10000 + values @ lo.T) % p
 
 
 class BranchingLeafPolynomial:
@@ -398,20 +446,27 @@ class BranchingLeafPolynomial:
         self._pos = {u: i for i, u in enumerate(self._verts)}
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
-        g = self.g
-        nn = len(self._verts)
-        nb = ys.shape[0]
+        """P at each row of ys mod p, in batched_modp_det calls of at most LEAF_STACK_LIMIT bytes."""
         ys = ys % p
-        mats = np.zeros((nb, nn, nn), dtype=np.int64)
-        for u, v in sorted(g.arcs):
+        nn = len(self._verts)
+        step = max(1, LEAF_STACK_LIMIT // max(1, 8 * nn * nn))
+        dets = np.empty(ys.shape[0], dtype=np.int64)
+        for lo in range(0, ys.shape[0], step):
+            dets[lo : lo + step] = batched_modp_det(self._laplacians(ys[lo : lo + step], p), p)
+        return dets * ys[:, self.root] % p
+
+    def _laplacians(self, ys: np.ndarray, p: int) -> np.ndarray:
+        """Punctured Laplacians mod p, [B, n-1, n-1]: arc u->v weighs ys[:, u]."""
+        nn = len(self._verts)
+        mats = np.zeros((ys.shape[0], nn, nn), dtype=np.int64)
+        for u, v in sorted(self.g.arcs):
             if v != self.root:
                 iv = self._pos[v]
                 mats[:, iv, iv] += ys[:, u]
                 if u != self.root:
                     mats[:, self._pos[u], iv] = (p - ys[:, u]) % p
         np.mod(mats, p, out=mats)
-        dets = batched_modp_det(mats, p)
-        return dets * ys[:, self.root] % p
+        return mats
 
 
 @dataclass(frozen=True)
@@ -426,44 +481,37 @@ class DvConfig:
             raise ValueError("budget must be positive")
 
 
-def dv_trial(P: PolynomialEvaluator, assignment: Sequence[bool], p: int) -> tuple[int, ...]:
-    """Coefficients, low degree first, of one substituted-and-interpolated univariate image of P.
-
-    assignment[i] True routes index i to the probe side (variable sampled at
-    tau, companion weight at 1); False routes it the other way (variable at
-    1, companion weight at tau). The result is the dehomogenized polynomial
-    of degree <= 2n over GF(p): P at the routed inputs times tau^(count of False).
-    """
-    n = P.n
-    if p <= 2 * n + 1:
-        raise ValueError(f"prime {p} too small: need p > 2n+1 = {2 * n + 1}")
-    bits = [bool(b) for b in assignment]
-    if len(bits) != n:
-        raise ValueError("assignment length mismatch")
-    low_count = bits.count(False)
-    taus = list(range(2 * n + 1))
-    mask = np.array(bits, dtype=bool)
-    ys = np.where(mask[None, :], np.array(taus, dtype=np.int64)[:, None], 1)
-    raw = [int(v) for v in P.evaluate_batch(ys, p)]
-    points = [(t, v * pow(t, low_count, p) % p) for t, v in zip(taus, raw)]
-    return interpolate_univariate(points, 2 * n, p)
-
-
-def window_hits(coeffs: Sequence[int], n: int, k: int) -> list[int]:
-    """Coefficient indices outside the center band [n-k+1, n+k-1]."""
-    return [i for i, c in enumerate(coeffs) if c != 0 and (i <= n - k or i >= n + k)]
+def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:
+    """Fair-coin routings of trials start..start+count-1, [count, n] bool (True: probe side)."""
+    bits = np.empty((count, n), dtype=bool)
+    for i in range(count):
+        rng = make_rng("dv-assignment", seed, start + i)
+        bits[i] = [rng.random() < 0.5 for _ in range(n)]
+    return bits
 
 
 def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> DetectionReport:
     """Does P (homogeneous degree n, nonnegative coefficients) have a
     monomial with at most n-k distinct variables?
 
-    Each trial flips one fair coin per index and interpolates the
-    substituted univariate image over two random 31-bit primes; any
-    coefficient outside the center band proves a qualifying monomial (YES is
-    certain because nonnegative coefficients cannot cancel). A qualifying
-    monomial lands outside the band with probability >= 2^-k * 2^-k = 4^-k
-    per trial, so NO answers carry the bound (1 - 4^-k)^budget.
+    Each trial flips one fair coin per index and routes True indices to the
+    probe side (variable at tau) and False ones to the other (variable at 1,
+    companion weight tau), giving a univariate image tau^(count of False) *
+    P(routed) of degree <= 2n over GF(p) for two random 31-bit primes. Any
+    coefficient outside the center band [n-k+1, n+k-1] proves a qualifying
+    monomial (YES is certain because nonnegative coefficients cannot
+    cancel). A qualifying monomial lands outside the band with probability
+    >= 2^-k * 2^-k = 4^-k per trial, so NO answers carry the bound
+    (1 - 4^-k)^budget.
+
+    Trials run in chunks of 1, 2, 4, ... up to LEAF_CHUNK (fewer when a
+    chunk's assignments would pass LEAF_STACK_LIMIT bytes). Per chunk and
+    prime, P is evaluated at tau = 0..2n for every trial in one batch, and
+    one interpolate_univariate call turns those values into coefficients
+    through an inverse Vandermonde built once per prime. The scan order is
+    trial, then p1, then p2 (p2 runs only on the trials before p1's first
+    hit in the chunk), so trials_run and the hit are those of a one-trial,
+    one-prime-at-a-time scan.
     """
     cfg = cfg or DvConfig()
     n = P.n
@@ -476,19 +524,36 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     while p2 == p1:
         p2 = random_prime_31(prime_rng)
 
+    npts = 2 * n + 1
+    taus = np.arange(npts, dtype=np.int64)
+    vinvs = {p: inverse_vandermonde(taus, p) for p in (p1, p2)}
+    chunk_cap = max(1, LEAF_STACK_LIMIT // (8 * npts * n))  # trials whose assignments fit
     hit_detail = None
     trials_run = 0
-    for t in range(budget):
-        rng = make_rng("dv-assignment", cfg.seed, t)
-        bits = [rng.random() < 0.5 for _ in range(n)]
-        trials_run += 1
+    size = 1
+    while trials_run < budget and hit_detail is None:
+        count = min(size, budget - trials_run, chunk_cap)
+        bits = _draw_dv_chunk(cfg.seed, trials_run, count, n)
+        ys = np.where(bits[:, None, :], taus[None, :, None], 1).reshape(count * npts, n)
+        # coefficient j of P(routed) sits at index j + (count of False) of the image
+        index = taus[None, :] + (n - bits.sum(axis=1))[:, None]
+        outside = (index <= n - k) | (index >= n + k)
+        first = count
         for p in (p1, p2):
-            hits = window_hits(dv_trial(P, bits, p), n, k)
-            if hits:
-                hit_detail = {"trial": t, "prime": p, "coefficient_indices": hits}
+            if first == 0:
                 break
-        if hit_detail is not None:
-            break
+            values = P.evaluate_batch(ys[: first * npts], p).reshape(first, npts)
+            found = (interpolate_univariate(values, vinvs[p], p) != 0) & outside[:first]
+            rows = np.flatnonzero(found.any(axis=1))
+            if rows.size:
+                first = int(rows[0])
+                hit_detail = {
+                    "trial": trials_run + first,
+                    "prime": p,
+                    "coefficient_indices": index[first][found[first]].tolist(),
+                }
+        trials_run += count if hit_detail is None else first + 1
+        size = min(2 * size, LEAF_CHUNK)
 
     return DetectionReport(
         verdict=hit_detail is not None,

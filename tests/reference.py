@@ -2,11 +2,12 @@
 
 Each route here computes one determinant at a time over explicit ring
 elements, the slow and obvious way: labelled Laplacians with Gaussian,
-division-free and fraction-free determinants; the rings Z, Z/p^k, the group
-algebra of (Z/2)^k and truncated polynomials; the port matrix of one
-membership pair; the k-internal marker determinant of one draw; the
-branching polynomial at one point; the restricted Laplacian of one tail
-subset. Tests import this module the way they import conftest.
+division-free and fraction-free determinants; the fields GF(p) and GF(2^m)
+and the rings Z, Z/p^k, the group algebra of (Z/2)^k and truncated
+polynomials; the port matrix of one membership pair; the k-internal marker
+determinant of one draw; the branching polynomial at one point; one k-leaf
+trial at one prime, interpolated point by point; the restricted Laplacian
+of one tail subset. Tests import this module the way they import conftest.
 """
 
 from __future__ import annotations
@@ -15,14 +16,90 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hamkit.algebra import PrimeField, is_prime, make_binary_field
+from hamkit.algebra import is_prime, make_binary_field, random_prime_31
 from hamkit.branchings import _batched_modpow, _draw_internal_chunk
 from hamkit.errors import GuardError
 from hamkit.hamcount import RESIDUE_MODULUS_LIMIT
 from hamkit.matrixtree import count_out_branchings, det_bareiss_int
+from hamkit.rand import make_rng
 
 # ---------------------------------------------------------------------------
 # rings: plain values as elements, zero/one plus add/sub/mul/neg/is_zero
+
+
+class PrimeField:
+    """GF(p) on ints 0..p-1."""
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.zero = 0
+        self.one = 1 % p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def is_zero(self, a):
+        return a % self.p == 0
+
+
+class ScalarBinaryField:
+    """One element at a time over a hamkit BinaryField's scalar log/exp lists.
+
+    The package's GF(2^m) multiplies only numpy arrays (nmul, ninv); this is
+    the scalar ring the reference routes and the tests check those against.
+    """
+
+    zero = 0
+    one = 1
+
+    def __init__(self, field):
+        self.field = field
+        self.m = field.m
+        self.q = field.q
+        self._exp = field._exp
+        self._log = field._log
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
+
+    def neg(self, a):
+        return a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[(self.q - 1) - self._log[a]]
+
+    def pow(self, a, e):
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    def is_zero(self, a):
+        return a == 0
 
 
 class IntegerRing:
@@ -89,7 +166,8 @@ class GroupAlgebra:
     """Formal sums over the group (Z/2)^k with binary-field coefficients.
 
     Elements are tuples of 2^k field values, indexed by group element; the
-    product is xor-convolution. Every (unit(g) + one) squares to zero.
+    product is xor-convolution. Every (unit(g) + one) squares to zero. The
+    field is a hamkit BinaryField, used through its ScalarBinaryField.
     """
 
     K_LIMIT = 8
@@ -97,7 +175,7 @@ class GroupAlgebra:
     def __init__(self, field, k: int):
         if not (0 <= k <= self.K_LIMIT):
             raise GuardError(f"group algebra rank {k} outside supported 0..{self.K_LIMIT}")
-        self.field = field
+        self.field = ScalarBinaryField(field)
         self.k = k
         self.dim = 1 << k
         self.zero = (0,) * self.dim
@@ -348,7 +426,8 @@ def build_port_matrix(g, layout, weights, imask: int, omask: int, skewed: bool =
                         val ^= int(w[ci, u, x])
             row.append(val)
         rows.append(tuple(row))
-    return SquareMatrix(weights.field, layout.blue + layout.yellow, layout.ports, tuple(rows))
+    return SquareMatrix(ScalarBinaryField(weights.field), layout.blue + layout.yellow, layout.ports,
+                        tuple(rows))
 
 
 def scalar_pair_sum(g, layout, weights) -> tuple[int, int]:
@@ -385,7 +464,7 @@ def scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec) -> np.ndarray:
             z = int(zeta[b, ai])
             marker = ga.add(ga.unit(int(gvec[b, u])), ga.one)
             poly = list(ring.const(ga.scale(z, ga.one)))
-            poly[1] = ga.scale(field.mul(z, int(rmul[b, ai])), marker)
+            poly[1] = ga.scale(ga.field.mul(z, int(rmul[b, ai])), marker)
             weights[(u, v)] = tuple(poly)
         det = det_division_free(puncture(build_laplacian(g, weights, ring), root))
         hits[b] = not ga.is_zero(det[k])
@@ -452,6 +531,102 @@ def leaf_polynomial_value(g, root: int, assignment, p: int) -> int:
     weights = {(u, v): assignment[u] % p for u, v in g.arcs}
     det = det_gauss(puncture(build_laplacian(g, weights, field), root))
     return det * (assignment[root] % p) % p
+
+
+def interpolate_univariate(points, degree: int, p: int) -> tuple[int, ...]:
+    """Coefficients (low first) of the degree <= `degree` poly through points mod p.
+
+    Needs at least degree+1 points with distinct abscissae; any extra points
+    are checked for consistency.
+    """
+    field = PrimeField(p)
+    pts = list(points)
+    if len(pts) < degree + 1:
+        raise ValueError("not enough points")
+    xs = [x % p for x, _ in pts]
+    if len(set(xs)) != len(xs):
+        raise ValueError("abscissae must be distinct")
+    base = pts[: degree + 1]
+    # full = prod (X - x_i) for the base points
+    full = [1]
+    for x, _ in base:
+        nxt = [0] * (len(full) + 1)
+        for i, c in enumerate(full):
+            nxt[i + 1] = (nxt[i + 1] + c) % p
+            nxt[i] = (nxt[i] - c * x) % p
+        full = nxt
+    coeffs = [0] * (degree + 1)
+    for x, y in base:
+        # quotient full / (X - x) by synthetic division
+        quot = [0] * (degree + 1)
+        carry = 0
+        for i in range(degree + 1, 0, -1):
+            carry = (full[i] + carry * x) % p
+            quot[i - 1] = carry
+        denom = 0
+        xe = 1
+        for c in quot:
+            denom = (denom + c * xe) % p
+            xe = xe * x % p
+        scale = y % p * field.inv(denom) % p
+        for i in range(degree + 1):
+            coeffs[i] = (coeffs[i] + scale * quot[i]) % p
+    for x, y in pts[degree + 1 :]:
+        acc = 0
+        xe = 1
+        for c in coeffs:
+            acc = (acc + c * xe) % p
+            xe = xe * x % p
+        if acc != y % p:
+            raise ValueError("points are not on a single degree-bounded polynomial")
+    return tuple(coeffs)
+
+
+def dv_trial(P, assignment, p: int) -> tuple[int, ...]:
+    """Coefficients, low degree first, of one substituted-and-interpolated univariate image of P.
+
+    assignment[i] True routes index i to the probe side (variable sampled at
+    tau, companion weight at 1); False routes it the other way (variable at
+    1, companion weight at tau). The result is the dehomogenized polynomial
+    of degree <= 2n over GF(p): P at the routed inputs times tau^(count of False).
+    """
+    n = P.n
+    if p <= 2 * n + 1:
+        raise ValueError(f"prime {p} too small: need p > 2n+1 = {2 * n + 1}")
+    bits = [bool(b) for b in assignment]
+    if len(bits) != n:
+        raise ValueError("assignment length mismatch")
+    low_count = bits.count(False)
+    taus = list(range(2 * n + 1))
+    mask = np.array(bits, dtype=bool)
+    ys = np.where(mask[None, :], np.array(taus, dtype=np.int64)[:, None], 1)
+    raw = [int(v) for v in P.evaluate_batch(ys, p)]
+    points = [(t, v * pow(t, low_count, p) % p) for t, v in zip(taus, raw)]
+    return interpolate_univariate(points, 2 * n, p)
+
+
+def window_hits(coeffs, n: int, k: int) -> list[int]:
+    """Coefficient indices outside the center band [n-k+1, n+k-1]."""
+    return [i for i, c in enumerate(coeffs) if c != 0 and (i <= n - k or i >= n + k)]
+
+
+def scalar_solve_nk_dv(P, k: int, budget: int, seed: int) -> dict:
+    """solve_nk_dv's scan one trial and one prime at a time over dv_trial:
+    its verdict, trials_run, primes and hit (None on a NO)."""
+    prime_rng = make_rng("dv-primes", seed)
+    p1 = random_prime_31(prime_rng)
+    p2 = random_prime_31(prime_rng)
+    while p2 == p1:
+        p2 = random_prime_31(prime_rng)
+    for t in range(budget):
+        rng = make_rng("dv-assignment", seed, t)
+        bits = [rng.random() < 0.5 for _ in range(P.n)]
+        for p in (p1, p2):
+            hits = window_hits(dv_trial(P, bits, p), P.n, k)
+            if hits:
+                hit = {"trial": t, "prime": p, "coefficient_indices": hits}
+                return {"verdict": True, "trials_run": t + 1, "primes": [p1, p2], "hit": hit}
+    return {"verdict": False, "trials_run": budget, "primes": [p1, p2], "hit": None}
 
 
 # ---------------------------------------------------------------------------

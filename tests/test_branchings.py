@@ -21,10 +21,10 @@ from hamkit.branchings import (
     batched_modp_det,
     detect_k_internal,
     detect_k_leaf,
-    dv_trial,
     internal_sieve_success_floor,
+    interpolate_univariate,
+    inverse_vandermonde,
     solve_nk_dv,
-    window_hits,
 )
 from hamkit.errors import GuardError
 from hamkit.graph import make_digraph
@@ -33,10 +33,19 @@ from hamkit import oracle
 from reference import (
     GroupAlgebra,
     MonomialListPolynomial,
+    PrimeField,
+    det_gauss,
+    dv_trial,
     internal_scan,
     leaf_polynomial_value,
+    scalar_solve_nk_dv,
+    square,
+    window_hits,
     xbasis_to_group,
 )
+from reference import interpolate_univariate as scalar_interpolate
+
+MERSENNE_31 = 2**31 - 1
 
 
 class TestMarkerBasis:
@@ -183,6 +192,42 @@ class TestBatchedPrimeDet:
     def test_zero_order(self):
         assert batched_modp_det(np.zeros((4, 0, 0), dtype=np.int64), 7).tolist() == [1] * 4
 
+    def test_order_one(self):
+        p = MERSENNE_31
+        entries = [0, 1, 5, p - 1]
+        mats = np.array(entries, dtype=np.int64).reshape(4, 1, 1)
+        assert batched_modp_det(mats, p).tolist() == entries
+
+    def test_entries_p_minus_one(self):
+        # the largest residues: every product piv * a is just below 2^62
+        p = MERSENNE_31
+        field = PrimeField(p)
+        rng = np.random.default_rng(21)
+        mats = np.full((6, 5, 5), p - 1, dtype=np.int64)  # rank one: det 0
+        mats[1:] = np.where(rng.random((5, 5, 5)) < 0.5, p - 1, rng.integers(0, p, (5, 5, 5)))
+        mats[5] = np.diag([p - 1] * 5)
+        dets = batched_modp_det(mats.copy(), p)
+        for i in range(6):
+            assert int(dets[i]) == det_gauss(square(field, mats[i].tolist())), i
+        assert dets[0] == 0 and dets[5] == p - 1  # (-1)^5
+
+    def test_zero_pivots_and_singular_stacks(self):
+        p = MERSENNE_31
+        field = PrimeField(p)
+        rng = np.random.default_rng(22)
+        mats = rng.integers(0, p, size=(40, 6, 6), dtype=np.int64)
+        mats[:10, :, 0] = 0  # zero first column: singular
+        mats[10:20, 3] = mats[10:20, 1]  # repeated row: singular
+        mats[20:30, 0, 0] = 0  # zero leading pivot: a row swap
+        mats[20:30, 2, 2] = mats[20:30, 1, 2] = 0
+        for i in range(30, 40):  # permutation matrices, odd and even
+            mats[i] = np.eye(6, dtype=np.int64)[rng.permutation(6)] * rng.integers(1, p)
+        dets = batched_modp_det(mats.copy(), p)
+        for i in range(40):
+            assert int(dets[i]) == det_gauss(square(field, mats[i].tolist())), i
+        assert not dets[:20].any()
+        assert dets[30:].all()
+
     def test_word_size_guard(self):
         # int64 products of residues need p < 2^31; past it batch values would be silently wrong
         g = random_digraph(random.Random(20), 6, 0.5)
@@ -194,6 +239,43 @@ class TestBatchedPrimeDet:
             P.evaluate_batch(ys, 2**61 - 1)
         with pytest.raises(ValueError):
             batched_modp_det(np.zeros((1, 2, 2), dtype=np.int64), 2**31)
+
+
+class TestBatchedInterpolation:
+    def test_inverse_vandermonde(self):
+        p = 1_000_003
+        xs = np.array([0, 3, 7, 2, 999_999], dtype=np.int64)
+        vinv = inverse_vandermonde(xs, p)
+        vander = np.array([[pow(int(x), j, p) for j in range(5)] for x in xs], dtype=np.int64)
+        assert (vander @ vinv % p).tolist() == np.eye(5, dtype=np.int64).tolist()
+        with pytest.raises(ValueError, match="distinct"):
+            inverse_vandermonde(np.array([1, 2, p + 1]), p)
+
+    def test_matches_scalar_at_512_vertices(self):
+        # 1,025 points over 0..2n at n = 512 and p = 2^31 - 1: the largest
+        # values and vinv entries the 16-bit limbs have to carry exactly
+        p = MERSENNE_31
+        npts = 2 * 512 + 1
+        vinv = inverse_vandermonde(np.arange(npts), p)
+        values = np.full((2, npts), p - 1, dtype=np.int64)
+        values[1] = np.random.default_rng(23).integers(0, p, size=npts)
+        got = interpolate_univariate(values, vinv, p)
+        assert got.shape == (2, npts)
+        assert got[0].tolist() == [p - 1] + [0] * (npts - 1)  # the constant -1
+        for row in range(2):
+            points = list(enumerate(values[row].tolist()))
+            assert tuple(got[row].tolist()) == scalar_interpolate(points, npts - 1, p), row
+
+    def test_random_rows(self):
+        rnd = random.Random(24)
+        for npts in (1, 2, 9, 17):
+            p = rnd.choice([1_000_003, 2_147_483_029, MERSENNE_31])
+            vinv = inverse_vandermonde(np.arange(npts), p)
+            values = np.array([[rnd.randrange(p) for _ in range(npts)] for _ in range(5)], dtype=np.int64)
+            got = interpolate_univariate(values, vinv, p)
+            for row in range(5):
+                points = list(enumerate(values[row].tolist()))
+                assert tuple(got[row].tolist()) == scalar_interpolate(points, npts - 1, p)
 
 
 class TestLeafPolynomial:
@@ -261,6 +343,76 @@ class TestSolveNkDv:
                 cfg = DvConfig(budget=4000 if want else 40, seed=5)
                 rep = solve_nk_dv(P, k, cfg)
                 assert rep.verdict == want, (monos, k)
+
+    def test_batched_matches_scalar_scan(self):
+        # verdict, trials_run, primes and hit of the chunked solver against
+        # one dv_trial per (trial, prime), on explicit and branching polynomials
+        rnd = random.Random(91)
+        cases = []
+        for i in range(12):
+            n = rnd.randint(2, 6)
+            monos = []
+            for _ in range(rnd.randint(1, 4)):
+                exps = [0] * n
+                for _ in range(n):
+                    exps[rnd.randrange(n)] += 1
+                monos.append((rnd.randint(1, 9), tuple(exps)))
+            cases.append((MonomialListPolynomial(n, monos), rnd.randint(1, n)))
+            g = random_digraph(rnd, rnd.randint(3, 6), rnd.uniform(0.3, 0.8))
+            root = next((r for r in range(g.n) if count_out_branchings(g, r)), None)
+            if root is not None:
+                cases.append((BranchingLeafPolynomial(g, root), rnd.randint(2, min(4, g.n))))
+        for i, (P, k) in enumerate(cases):
+            for budget in (1, 5, 100):  # 100 = 1+2+4+8+16+32+37: the last chunk is cut short
+                rep = solve_nk_dv(P, k, DvConfig(budget=budget, seed=i))
+                want = scalar_solve_nk_dv(P, k, budget, i)
+                assert rep.verdict == want["verdict"], (i, budget)
+                assert rep.trials_run == want["trials_run"], (i, budget)
+                assert rep.detail["primes"] == want["primes"]
+                assert rep.detail.get("hit") == want["hit"], (i, budget)
+
+    def test_hit_on_trial_zero(self):
+        P = MonomialListPolynomial(4, [(1, (4, 0, 0, 0))])
+        seed = next(s for s in range(50) if scalar_solve_nk_dv(P, 3, 64, s)["trials_run"] == 1)
+        rep = solve_nk_dv(P, 3, DvConfig(budget=64, seed=seed))
+        assert rep.trials_run == 1
+        assert rep.detail["hit"] == scalar_solve_nk_dv(P, 3, 64, seed)["hit"]
+
+    def test_hit_only_at_second_prime(self):
+        # the qualifying monomial's coefficient is p1 itself, so it vanishes
+        # mod p1 and only p2 can see it; the all-distinct monomial stays in the band
+        seed = 6
+        p1, p2 = scalar_solve_nk_dv(MonomialListPolynomial(1, [(1, (1,))]), 1, 1, seed)["primes"]
+        n = 5
+        P = MonomialListPolynomial(n, [(p1, (n, 0, 0, 0, 0)), (1, (1,) * n)])
+        rep = solve_nk_dv(P, n - 1, DvConfig(budget=200, seed=seed))
+        want = scalar_solve_nk_dv(P, n - 1, 200, seed)
+        assert rep.verdict and want["hit"]["prime"] == p2
+        assert rep.trials_run == want["trials_run"] > 1
+        assert rep.detail["hit"] == want["hit"]
+
+    def test_stack_bytes_capped_on_120_path(self, monkeypatch):
+        # one trial is 241 matrices of 119 x 119, 27 MB: split across calls under the cap
+        shapes = []
+        modp_det = branchings.batched_modp_det
+
+        def recording(mats, p):
+            shapes.append(mats.shape)
+            return modp_det(mats, p)
+
+        monkeypatch.setattr(branchings, "batched_modp_det", recording)
+        P = BranchingLeafPolynomial(directed_path(120), 0)
+        rep = solve_nk_dv(P, 2, DvConfig(budget=1, seed=4))
+        assert not rep.verdict and rep.trials_run == 1  # a path has one leaf
+        assert sum(shape[0] for shape in shapes) == 2 * 241
+        assert len(shapes) > 2
+        assert all(shape[0] * shape[1] * shape[2] * 8 <= branchings.LEAF_STACK_LIMIT for shape in shapes)
+        shapes.clear()
+        rep = solve_nk_dv(P, 1, DvConfig(budget=4, seed=4))
+        assert rep.verdict
+        assert all(shape[0] * shape[1] * shape[2] * 8 <= branchings.LEAF_STACK_LIMIT for shape in shapes)
+        monkeypatch.setattr(branchings, "LEAF_STACK_LIMIT", 1 << 40)
+        assert solve_nk_dv(P, 1, DvConfig(budget=4, seed=4)) == rep
 
     def test_rejects_bad_polynomials(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,18 @@ class TestAnswers:
             '"engine": "batched"}, "seed": 7, "elapsed_ms": _}\n'
         )
 
+    def test_readme_detect_k_leaf_example(self, tmp_path, capsys):
+        # the README example, whole stdout: the fourth trial is the first hit
+        path = tmp_path / "c5.txt"
+        path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
+        code, out, _ = run_cli(["detect-k-leaf", str(path), "--k", "1", "--seed", "2"], capsys)
+        assert code == 0
+        assert strip_elapsed(out) == (
+            '{"command": "detect-k-leaf", "answer": "yes", "trials": 4, "failure_bound": 0.0, '
+            '"diagnostics": {"roots": [0], "per_root": {"0": {"verdict": true, "trials": 4}}}, '
+            '"k": 1, "seed": 2, "elapsed_ms": _}\n'
+        )
+
 
 class TestOracleCommands:
     def test_hc_count(self, tmp_path, capsys):

@@ -87,3 +87,19 @@ def test_detector_kernels_are_spanned(monkeypatch):
     # one |blue| x |blue| matrix per pair: the yellow rows are folded away
     assert shapes and all(shape[1:] == (blue, blue) for shape in shapes)
     assert sum(shape[0] for shape in shapes) == tracer.counters["hamdetect.gf_matrices"]
+
+
+def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
+    # the benchmark's modp-matrices check on a NO whose budget ends mid-chunk:
+    # 100 = 1+2+4+8+16+32+37 trials, seven chunks, each prime once per chunk
+    n = 5
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        rep = detect_k_leaf(directed_path(n), 2, DvConfig(budget=100, seed=3))
+    finally:
+        tracer.uninstall()
+    assert not rep.verdict and rep.trials_run == 100
+    assert tracer.counters["branchings.modp_matrices"] == 100 * 2 * (2 * n + 1)
+    assert tracer.spans["algebra.interpolate_univariate"][2] == 7 * 2
+    assert tracer.spans["branchings.batched_modp_det"][2] == 7 * 2
