@@ -32,7 +32,9 @@ import numpy as np
 from .algebra import BinaryField, make_binary_field, random_prime_31
 from .errors import GuardError
 from .graph import Digraph
-from .matrixtree import count_out_branchings
+# count_out_branchings is not called here; it stays bound because the layer
+# tracer in perfbench/layertrace.py rebinds it under this module's name
+from .matrixtree import BRANCHING_COUNT_GUARD, count_out_branchings  # noqa: F401
 from .rand import derive_seed, make_rng
 from .report import DetectionReport
 
@@ -231,8 +233,8 @@ def internal_sieve_success_floor(n: int, k: int) -> float:
 def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None) -> DetectionReport:
     """One-sided test for a spanning out-branching with >= k internal vertices.
 
-    Roots without any spanning out-branching are discarded by an exact
-    integer count; k = 0 is answered exactly. Otherwise each surviving root
+    Roots without any spanning out-branching are discarded (see
+    _spanning_roots); k = 0 is answered exactly. Otherwise each surviving root
     runs `cfg.trials` randomized determinant evaluations; any nonzero
     degree-k slice certifies YES. Reports are identical for any thread
     count: per-root trial consumption depends only on (seed, root, trial).
@@ -252,7 +254,7 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
         raise GuardError(
             f"k-internal gather of {gather} bytes at n={n}, k={k} is past the 2^28-byte guard"
         )
-    roots = [r for r in range(n) if count_out_branchings(g, r) > 0]
+    roots = _spanning_roots(g)
     if not roots:
         return DetectionReport(
             verdict=False, trials_run=0, trials_max=0, seed=cfg.seed, failure_bound=0.0,
@@ -291,6 +293,31 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
             "per_root": {str(r): {"trials": done, "hit": found} for r, (done, found) in results.items()},
         },
     )
+
+
+def _spanning_roots(g: Digraph) -> list[int]:
+    """The roots of g's spanning out-branchings, in id order: the vertices that reach every vertex.
+
+    Refuses graphs past BRANCHING_COUNT_GUARD vertices (GuardError), the
+    same cap as an exact branching count.
+    """
+    if g.n > BRANCHING_COUNT_GUARD:
+        raise GuardError(f"branching count guard: n={g.n} > {BRANCHING_COUNT_GUARD}")
+    everyone = (1 << g.n) - 1
+    roots = []
+    for r in range(g.n):
+        seen = frontier = 1 << r
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= g.out_mask[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~seen
+            seen |= frontier
+        if seen == everyone:
+            roots.append(r)
+    return roots
 
 
 def _scan_roots(roots: list[int], run_root, is_hit, threads: int) -> dict:
@@ -589,7 +616,7 @@ def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionR
     budget = cfg.budget if cfg.budget is not None else 4**k
     if budget > LEAF_BUDGET_LIMIT:
         raise GuardError(f"k-leaf trial budget {budget} is past the 4^6 = {LEAF_BUDGET_LIMIT} guard")
-    roots = [r for r in range(n) if count_out_branchings(g, r) > 0]
+    roots = _spanning_roots(g)
     if not roots:
         return DetectionReport(
             verdict=False, trials_run=0, trials_max=0, seed=cfg.seed, failure_bound=0.0,

@@ -20,9 +20,13 @@ The n x n port matrix is never built. A yellow row holds only din at its
 entry port E and dout at its exit port X, so folding it away leaves a
 |blue| x |blue| matrix with the same determinant: one row per blue vertex,
 the pool columns, and per yellow vertex one merged column din*X + dout*E
-over the blue rows. All pair matrices of a chunk are built at once with
-numpy (xor-sums via float32 bit-plane matmuls) and their determinants taken
-by table-driven batched Gaussian elimination.
+over the blue rows. Every entry of that matrix is GF(2)-linear in the
+selector of its own side, the merged columns included (din*X is the xor over
+w in O of the entry weight on w -> y times X), so each trial tabulates the
+xor of every subset of per-vertex rows over each half of the blue vertices,
+and a pair matrix is two table lookups and one xor per side, its rows gated
+by I and O. The determinants of a chunk of pairs are taken at once by
+table-driven batched Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -140,8 +144,16 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     return det
 
 
+def subset_xor_table(rows: np.ndarray) -> np.ndarray:
+    """table[mask] = xor of rows[i] over the set bits i of mask, built by doubling."""
+    table = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
+    for i, row in enumerate(rows):
+        table[1 << i : 2 << i] = table[: 1 << i] ^ row
+    return table
+
+
 class _BatchedSieve:
-    """Per-trial precomputation for chunked evaluation of the pair sum.
+    """Per-trial XOR subset tables for chunked evaluation of the pair sum.
 
     Each pair gets a |blue| x |blue| matrix: one row per blue vertex, the
     pool columns, then one merged column per yellow vertex y. In the port
@@ -153,81 +165,61 @@ class _BatchedSieve:
     So the merged column over the blue rows is
     din_y * (gate_in * vexit[:, y]) + dout_y * (gate_out * ventry[:, y]).
 
-    Xor-sums of weights over membership-gated neighbor sets are computed as
-    float32 matmuls on bit planes (counts stay below 2^24, so float32 sums
-    are exact), reduced mod 2, and repacked into field elements.
+    Every entry is GF(2)-linear in the selector of its own side. din_y is
+    the xor over w in O of ventry[w, y], so din_y * vexit[u, y] is the xor
+    over w in O of ventry[w, y] * vexit[u, y]; dout_y * ventry[u, y] is the
+    xor over w in I of vexit[w, y] * ventry[u, y]. With the row tables
+      A_in[w, u, :]  = pool weights of arc w -> u, then ventry[w, y] * vexit[u, y] per y,
+      A_out[w, u, :] = pool weights of arc u -> w, then vexit[w, y] * ventry[u, y] per y
+    (so A_out is A_in with w and u swapped), row u of a pair matrix is
+      gate_in[u] * (xor over w in O of A_in[w, u]) + gate_out[u] * (xor over w in I of A_out[w, u]),
+    where gate_in[u] says u is in I and gate_out[u] that u is in O and not the anchor.
+    Each xor over a selector is one lookup in a subset table of each half
+    of the blue vertices and one xor; the field products are taken once per
+    trial, when A_in is built.
     """
 
     def __init__(self, g: Digraph, layout: PortLayout, weights: PortWeights):
         self.field = weights.field
-        m = self.field.m
-        blue = layout.blue
-        yellow = layout.yellow
+        blue = np.array(layout.blue, dtype=np.intp)
+        yellow = np.array(layout.yellow, dtype=np.intp)
         nb, ny, npool = len(blue), len(yellow), layout.pool_count
-        self.nb, self.ny, self.npool = nb, ny, npool
-        w = weights.values
-
-        def bits(arr: np.ndarray) -> np.ndarray:
-            # [..., m] float32 bit planes of an int array
-            return ((arr[..., None] >> np.arange(m)) & 1).astype(np.float32)
-
-        # pool_in[w_i, u_i, c] = weight of port c on arc blue[w_i] -> blue[u_i]
-        pool_in = np.zeros((nb, nb, npool), dtype=np.int32)
-        pool_out = np.zeros((nb, nb, npool), dtype=np.int32)
-        for wi, wv in enumerate(blue):
-            for ui, uv in enumerate(blue):
-                if g.has_arc(wv, uv):
-                    pool_in[wi, ui, :] = w[:npool, wv, uv]
-                if g.has_arc(uv, wv):
-                    pool_out[wi, ui, :] = w[:npool, uv, wv]
-        self.bits_pool_in = bits(pool_in).reshape(nb, nb * npool * m)
-        self.bits_pool_out = bits(pool_out).reshape(nb, nb * npool * m)
+        adj = np.zeros((g.n, g.n), dtype=bool)
+        if g.arcs:
+            tails, heads = zip(*g.arcs)
+            adj[tails, heads] = True
+        w = np.where(adj, weights.values, 0)
 
         # ventry[u_i, y_i] = entry-port weight on blue[u_i] -> y, vexit the exit-port
-        # weight on y -> blue[u_i]; din and dout are their gated xor-sums down a column
-        self.ventry = np.zeros((nb, ny), dtype=np.int32)
-        self.vexit = np.zeros((nb, ny), dtype=np.int32)
-        for yi, yv in enumerate(yellow):
-            for ui, uv in enumerate(blue):
-                if g.has_arc(uv, yv):
-                    self.ventry[ui, yi] = w[npool + yi, uv, yv]
-                if g.has_arc(yv, uv):
-                    self.vexit[ui, yi] = w[npool + ny + yi, yv, uv]
-        self.bits_entry = bits(self.ventry).reshape(nb, ny * m)
-        self.bits_exit = bits(self.vexit).reshape(nb, ny * m)
-        self.mbits = m
+        # weight on y -> blue[u_i]
+        yi = np.arange(ny)
+        ventry = w[npool + yi, blue[:, None], yellow]
+        vexit = w[npool + ny + yi, yellow, blue[:, None]]
+        a_in = np.empty((nb, nb, nb), dtype=np.int32)
+        a_in[:, :, :npool] = w[:npool][:, blue[:, None], blue].transpose(1, 2, 0)
+        a_in[:, :, npool:] = self.field.nmul(ventry[:, None, :], vexit[None, :, :])
+        a_out = a_in.transpose(1, 0, 2)
 
-    def _pack(self, parity: np.ndarray, *shape: int) -> np.ndarray:
-        m = self.mbits
-        bitvals = 1 << np.arange(m, dtype=np.int32)
-        return (parity.reshape(*shape, m) * bitvals).sum(axis=-1, dtype=np.int32)
+        # blue indices [0, half) index the low table, the rest the high one
+        self.half = half = nb // 2
+        self.bit = 1 << np.arange(nb)
+        self.in_lo, self.in_hi = subset_xor_table(a_in[:half]), subset_xor_table(a_in[half:])
+        self.out_lo, self.out_hi = subset_xor_table(a_out[:half]), subset_xor_table(a_out[half:])
 
     def matrices(self, isel: np.ndarray, osel: np.ndarray) -> np.ndarray:
         """[B, |blue|, |blue|] matrices for one chunk of membership rows."""
-        field = self.field
-        nb, ny, npool = self.nb, self.ny, self.npool
-        nc = isel.shape[0]
-        i_f = isel.astype(np.float32)
-        o_f = osel.astype(np.float32)
-        gate_in = isel.astype(bool)
-        gate_out = osel.astype(bool).copy()
-        gate_out[:, 0] = False  # anchor's exiting role is suppressed
-
-        def parity(x: np.ndarray) -> np.ndarray:
-            return np.rint(x).astype(np.int32) & 1
-
-        mats = np.empty((nc, nb, nb), dtype=np.int32)
-        if npool:
-            in_pool = self._pack(parity(o_f @ self.bits_pool_in), nc, nb, npool)
-            out_pool = self._pack(parity(i_f @ self.bits_pool_out), nc, nb, npool)
-            mats[:, :, :npool] = np.where(gate_in[:, :, None], in_pool, 0)
-            mats[:, :, :npool] ^= np.where(gate_out[:, :, None], out_pool, 0)
-        if ny:
-            din = self._pack(parity(o_f @ self.bits_entry), nc, 1, ny)
-            dout = self._pack(parity(i_f @ self.bits_exit), nc, 1, ny)
-            exit_col = np.where(gate_in[:, :, None], self.vexit, 0)
-            entry_col = np.where(gate_out[:, :, None], self.ventry, 0)
-            mats[:, :, npool:] = field.nmul(din, exit_col) ^ field.nmul(dout, entry_col)
+        half = self.half
+        low = (1 << half) - 1
+        imask = isel @ self.bit
+        omask = osel @ self.bit
+        mats = self.in_lo[omask & low]
+        mats ^= self.in_hi[omask >> half]
+        mats[isel == 0] = 0
+        out = self.out_lo[imask & low]
+        out ^= self.out_hi[imask >> half]
+        out[osel == 0] = 0
+        out[:, 0] = 0  # anchor's exiting role is suppressed
+        mats ^= out
         return mats
 
     def chunk_sum(self, isel: np.ndarray, osel: np.ndarray) -> int:

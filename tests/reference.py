@@ -430,6 +430,26 @@ def build_port_matrix(g, layout, weights, imask: int, omask: int, skewed: bool =
                         tuple(rows))
 
 
+def fold_port_matrix(layout, port: SquareMatrix) -> list[list[int]]:
+    """The |blue| x |blue| matrix with port's determinant: its yellow rows folded away.
+
+    Blue rows only; the pool columns as they are, then per yellow vertex y
+    the merged column din*X_y + dout*E_y, where din and dout are the entries
+    of yellow row y at its entry port E_y and exit port X_y.
+    """
+    f = port.ring
+    nb, ny, npool = len(layout.blue), len(layout.yellow), layout.pool_count
+    rows = []
+    for u in range(nb):
+        row = list(port.entries[u][:npool])
+        for yi in range(ny):
+            ent, ext = npool + yi, npool + ny + yi
+            din, dout = port.entries[nb + yi][ent], port.entries[nb + yi][ext]
+            row.append(f.add(f.mul(din, port.entries[u][ext]), f.mul(dout, port.entries[u][ent])))
+        rows.append(row)
+    return rows
+
+
 def scalar_pair_sum(g, layout, weights) -> tuple[int, int]:
     """(xor of the port-matrix determinants over all membership pairs, pair count)."""
     total = pairs = 0

@@ -94,6 +94,37 @@ class TestMarkerBasis:
             assert lhs == rhs
 
 
+class TestSpanningRoots:
+    def test_matches_branching_count(self):
+        # r roots a spanning out-branching exactly when it reaches every vertex
+        rnd = random.Random(91)
+        graphs = [random_digraph(rnd, rnd.randint(1, 9), rnd.uniform(0.05, 0.6)) for _ in range(150)]
+        for _ in range(40):  # two random parts, arcs only from the first into the second
+            a, b = rnd.randint(1, 4), rnd.randint(1, 4)
+            arcs = [(u, v) for u in range(a + b) for v in range(a + b) if u != v
+                    and (u < a or v >= a) and rnd.random() < 0.5]
+            graphs.append(make_digraph(a + b, arcs))
+        graphs += [directed_path(6), out_star(5), make_digraph(5, [(0, 1), (1, 0), (2, 3), (3, 4)]),
+                   make_digraph(4, [(0, 2), (1, 2), (2, 3)]), make_digraph(3, [])]
+        kinds = set()
+        for g in graphs:
+            got = branchings._spanning_roots(g)
+            assert got == [r for r in range(g.n) if count_out_branchings(g, r) > 0], g.arcs
+            kinds.add("none" if not got else "all" if len(got) == g.n else "some")
+        assert kinds == {"none", "some", "all"}
+
+    def test_detectors_count_no_branchings(self, monkeypatch):
+        def refuse(g, root):
+            raise AssertionError("count_out_branchings called")
+
+        monkeypatch.setattr(branchings, "count_out_branchings", refuse)
+        for g in (directed_path(5), out_star(5), make_digraph(4, [(0, 1), (2, 3)])):
+            for k in (0, 1, 2):
+                detect_k_internal(g, k, InternalSieveConfig(trials=4))
+                if k:
+                    detect_k_leaf(g, k, DvConfig(seed=0, budget=4))
+
+
 class TestDetectKInternal:
     def test_path_all_internal(self):
         rep = detect_k_internal(directed_path(5), 4, InternalSieveConfig(trials=20))

@@ -23,12 +23,14 @@ from hamkit.hamdetect import (
     detect_hamiltonian_cycle,
     failure_bound,
     sieve_membership_pairs,
+    subset_xor_table,
 )
 from hamkit import oracle
 from reference import (
     ScalarBinaryField,
     build_port_matrix,
     det_gauss,
+    fold_port_matrix,
     iter_membership_pairs,
     scalar_pair_sum,
     square,
@@ -213,6 +215,81 @@ class TestFoldedMatrix:
                     if want:
                         seen.add("nonzero det")
         assert seen == {"pool", "no pool", "din = 0", "dout = 0", "nonzero det"}
+
+
+def random_with_yellow(rnd, n, nyellow, density):
+    """Random digraph whose yellow set (random ids, no arcs among them) is given; its layout."""
+    yellow = sorted(rnd.sample(range(n), nyellow))
+    arcs = [(a, b) for a in range(n) for b in range(n)
+            if a != b and not (a in yellow and b in yellow) and rnd.random() < density]
+    blue = tuple(v for v in range(n) if v not in yellow)
+    return make_digraph(n, arcs), PortLayout(blue=blue, yellow=tuple(yellow))
+
+
+class TestSubsetTables:
+    def test_doubling_matches_brute_force(self):
+        rng = np.random.default_rng(81)
+        for k in range(7):
+            rows = rng.integers(0, 1 << 16, size=(k, 3, 4), dtype=np.int32)
+            table = subset_xor_table(rows)
+            assert table.shape == (1 << k, 3, 4) and table.dtype == np.int32
+            for mask in range(1 << k):
+                want = np.zeros((3, 4), dtype=np.int32)
+                for i in range(k):
+                    if mask >> i & 1:
+                        want ^= rows[i]
+                assert np.array_equal(table[mask], want)
+
+    def test_pair_matrices_match_folded_port_matrix(self, monkeypatch):
+        # every chunk's matrices against the port matrix with its yellow rows folded,
+        # with |blue| = 1, 5, 7 (unequal table halves) and chunks starting mid-range
+        rnd = random.Random(82)
+        cases = [(make_digraph(1, []), PortLayout(blue=(0,), yellow=()))]
+        g2 = make_digraph(2, [(0, 1), (1, 0)])
+        cases.append((g2, PortLayout(blue=(1,), yellow=(0,))))
+        cases.append((g2, PortLayout(blue=(0, 1), yellow=())))
+        cases += [random_with_yellow(rnd, n, ny, rnd.uniform(0.3, 0.8))
+                  for n, ny in [(8, 3), (10, 5), (10, 3), (12, 5), (9, 2)]]
+        chunks = []
+        real = hamdetect._BatchedSieve.matrices
+
+        def record(self, isel, osel):
+            mats = real(self, isel, osel)
+            chunks.append((isel.copy(), osel.copy(), mats.copy()))
+            return mats
+
+        monkeypatch.setattr(hamdetect._BatchedSieve, "matrices", record)
+        monkeypatch.setattr(hamdetect, "STATE_CHUNK", 97)
+        seen = set()
+        for g, layout in cases:
+            nb = len(layout.blue)
+            seen.add(nb)
+            field = make_binary_field(max(g.n, 2))
+            sf = ScalarBinaryField(field)
+            for fill in ("arcs", "sparse", "everywhere"):
+                w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
+                rng = np.random.default_rng(rnd.randrange(1 << 30))
+                if fill == "sparse":
+                    w.values[rng.random(w.values.shape) < 0.7] = 0
+                if fill == "everywhere":  # weights off the arcs must be ignored
+                    w.values[...] = rng.integers(0, field.q, size=w.values.shape)
+                chunks.clear()
+                total, npairs = sieve_membership_pairs(g, layout, w)
+                assert (total, npairs) == scalar_pair_sum(g, layout, w)
+                assert [len(c[0]) for c in chunks] == [min(97, npairs - a) for a in range(0, npairs, 97)]
+                isel_all, osel_all = hamdetect._membership_chunk(nb, 0, npairs)
+                start = 0
+                for isel, osel, mats in chunks:
+                    assert np.array_equal(isel, isel_all[start : start + len(isel)])
+                    assert np.array_equal(osel, osel_all[start : start + len(isel)])
+                    assert mats.shape == (len(isel), nb, nb) and mats.dtype == np.int32
+                    for row in range(len(isel)):
+                        imask = sum(1 << v for i, v in enumerate(layout.blue) if isel[row, i])
+                        omask = sum(1 << v for i, v in enumerate(layout.blue) if osel[row, i])
+                        port = build_port_matrix(g, layout, w, imask, omask)
+                        assert mats[row].tolist() == fold_port_matrix(layout, port)
+                    start += len(isel)
+        assert {1, 5, 7} <= seen
 
 
 class TestBatchedDet:
