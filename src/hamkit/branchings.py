@@ -39,10 +39,11 @@ from .rand import derive_seed, make_rng
 from .report import DetectionReport
 
 GROUP_RANK_LIMIT = 6
-# Trials drawn and evaluated together per root by detect_k_internal
+# detect_k_internal evaluates each root's trials in chunks of 1, 2, 4, ...
+# up to this many
 INTERNAL_CHUNK = 34
-# Bytes of the largest Berkowitz gather in _InternalSieveEngine._mul that
-# detect_k_internal allows (see _internal_gather_bytes)
+# Bytes of the largest gather in _InternalSieveEngine._mul, det_batch's first
+# rank-1 update, that detect_k_internal allows (see _internal_gather_bytes)
 INTERNAL_GATHER_LIMIT = 1 << 28
 # batched_modp_det multiplies two residues in int64, so p must stay below 2^31
 MODP_WORD_LIMIT = 1 << 31
@@ -104,12 +105,22 @@ def _pair_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _InternalSieveEngine:
-    """Berkowitz determinant of the marker-weighted Laplacian, trial-batched.
+    """Determinant of the marker-weighted Laplacian, trial-batched.
 
-    The coefficient ring has zero divisors, so elimination is off the table;
-    the characteristic-polynomial recurrence uses only ring additions and
-    multiplications. All per-entry ring products across the trial batch are
-    fused into single gather/table-lookup/reduceat passes.
+    Entries live in R = GF(2^m)[t]/(t^(k+1)) (x) GF(2^m)[x_1..x_k]/(x_i^2),
+    flat vectors laid out as in _pair_plan. R is a local ring: the elements
+    with a zero constant slot (slot 0) form its maximal ideal M, generated by
+    t and the markers, and M^(2k+1) = 0 (a nonzero monomial has t-degree at
+    most k and at most k markers). So an element is a unit exactly when its
+    slot 0 is nonzero, and Gaussian elimination goes through whenever each
+    pivot column has an entry with a nonzero slot 0 at or below the
+    diagonal. The slot-0 parts of the entries form the zeta-weighted
+    Laplacian over GF(2^m), and elimination acts on them as plain Gaussian
+    elimination, so a draw whose slot-0 Laplacian is nonsingular never
+    lacks a unit pivot. The rare draws that do (det_batch) take the
+    division-free Berkowitz recurrence instead. All per-entry ring products
+    across the trial batch are fused into single gather/table-lookup/reduceat
+    passes.
     """
 
     def __init__(self, g: Digraph, root: int, k: int, field: BinaryField):
@@ -127,6 +138,24 @@ class _InternalSieveEngine:
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = self.f.nmul(a[..., self.ia], b[..., self.ib])
         return np.bitwise_xor.reduceat(prod, self.offsets, axis=-1)
+
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
+        """u^-1 for units u (slot 0 nonzero), [..., len].
+
+        Write u = c(1 + x) with c = u[0] and x in M. In characteristic 2
+        squaring is additive, so (1 + y)^2 = 1 + y^2, and
+        (1 + x) * prod_{i<L} (1 + x^(2^i)) = 1 + x^(2^L). Squaring also keeps
+        only the squares of x's pure t-power terms (each marker squares to
+        zero), so x^(2^i) vanishes once 2^i > k: L = k.bit_length() factors,
+        each the square of the one before, 2(L - 1) ring products.
+        """
+        cinv = self.f.ninv(u[..., :1])
+        factor = self.f.nmul(u, cinv)  # 1 + x
+        inv = factor
+        for _ in range(self.k.bit_length() - 1):
+            factor = self._mul(factor, factor)
+            inv = self._mul(inv, factor)
+        return self.f.nmul(inv, cinv)
 
     def build_matrices(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         """Punctured Laplacians for a batch of draws, shape [nn, nn, B, len].
@@ -160,7 +189,46 @@ class _InternalSieveEngine:
         return mats
 
     def det_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Characteristic-polynomial determinants; negation-free in char 2."""
+        """Determinants [B, len] of a [nn, nn, B, len] stack, by unit-pivot elimination.
+
+        At column j the pivot is the first row at or below j whose slot 0 is
+        nonzero, a unit of R; rows swap only in the matrices whose pivot
+        moved (characteristic 2 makes swaps sign-free). The determinant takes
+        the pivot as a factor, and one rank-1 update with the pivot's inverse
+        clears the column below it. The last pivot is multiplied in and never
+        inverted, so it may be a non-unit. A matrix with no unit in some
+        column j < nn - 1 at or below the diagonal stalls: its slot-0
+        Laplacian has dependent leading columns. Only the stalled matrices
+        are recomputed, by _det_berkowitz. mats is left unchanged.
+        """
+        nn, _, nb, _ = mats.shape
+        a = mats.copy()
+        det = np.zeros((nb, self.len), dtype=np.int32)
+        det[:, 0] = 1
+        stalled = np.zeros(nb, dtype=bool)
+        for j in range(nn - 1):
+            unit = a[j:, j, :, 0] != 0
+            stalled |= ~unit.any(axis=0)
+            pidx = j + np.argmax(unit, axis=0)
+            moved = np.flatnonzero(pidx != j)
+            src = pidx[moved]
+            rowj = a[j, j:, moved]
+            a[j, j:, moved] = a[src, j:, moved]
+            a[src, j:, moved] = rowj
+            det = self._mul(det, a[j, j])
+            fac = self._mul(a[j + 1 :, j], self._inverse(a[j, j])[None])
+            a[j + 1 :, j + 1 :] ^= self._mul(fac[:, None], a[j, j + 1 :][None])
+        det = self._mul(det, a[nn - 1, nn - 1])
+        if stalled.any():
+            det[stalled] = self._det_berkowitz(mats[:, :, stalled])
+        return det
+
+    def _det_berkowitz(self, mats: np.ndarray) -> np.ndarray:
+        """Characteristic-polynomial determinants of a [nn, nn, B, len] stack.
+
+        Uses only ring additions and multiplications, so it needs no unit
+        pivot; negation-free in characteristic 2.
+        """
         nn = mats.shape[0]
         nb = mats.shape[2]
         one = np.zeros((nb, self.len), dtype=np.int32)
@@ -209,9 +277,13 @@ def _draw_internal_chunk(
 def _internal_gather_bytes(n: int, k: int) -> int:
     """Bytes of the largest int32 gather that _mul makes in det_batch.
 
-    It covers (n-2)^2 matrix entries of a full chunk of trials, one slot per
-    product pair; the pair plan at rank k has (k+1)(k+2)/2 * 3^k pairs
-    (degree pairs with i1 + i2 <= k times disjoint marker-subset pairs).
+    That is the rank-1 update at column 0: the n-2 entries below the first
+    pivot times the n-2 entries right of it, (n-2)^2 products for each trial
+    of a full chunk, one int32 slot per product pair; the pair plan at rank
+    k has (k+1)(k+2)/2 * 3^k pairs (degree pairs with i1 + i2 <= k times
+    disjoint marker-subset pairs). Later columns update smaller blocks, and
+    the Berkowitz fallback multiplies at most (n-2)^2 entries of at most a
+    chunk of stalled trials, so no gather is larger.
     """
     return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
 
@@ -235,11 +307,13 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
 
     Roots without any spanning out-branching are discarded (see
     _spanning_roots); k = 0 is answered exactly. Otherwise each surviving root
-    runs `cfg.trials` randomized determinant evaluations; any nonzero
-    degree-k slice certifies YES. Reports are identical for any thread
-    count: per-root trial consumption depends only on (seed, root, trial).
-    Refuses k > GROUP_RANK_LIMIT and a Berkowitz gather past
-    INTERNAL_GATHER_LIMIT bytes (GuardError) before the roots are scanned.
+    runs `cfg.trials` randomized determinant evaluations, in chunks of 1, 2,
+    4, ... up to INTERNAL_CHUNK trials, and stops after the chunk with its
+    first hit; any nonzero degree-k slice certifies YES. Reports are
+    identical for any thread count and chunking: per-root trial consumption
+    depends only on (seed, root, trial). Refuses k > GROUP_RANK_LIMIT and a
+    determinant gather past INTERNAL_GATHER_LIMIT bytes (GuardError) before
+    the roots are scanned.
     """
     cfg = cfg or InternalSieveConfig()
     n = g.n
@@ -270,12 +344,14 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     def run_root(root: int) -> tuple[int, bool]:
         engine = _InternalSieveEngine(g, root, k, field)
         done = 0
+        size = 1
         while done < cfg.trials:
-            b = min(INTERNAL_CHUNK, cfg.trials - done)
+            b = min(size, cfg.trials - done)
             hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, cfg.seed, root, done, b))
             if hits.any():
                 return done + int(np.argmax(hits)) + 1, True
             done += b
+            size = min(2 * size, INTERNAL_CHUNK)
         return done, False
 
     results = _scan_roots(roots, run_root, lambda res: res[1], cfg.threads)
@@ -392,13 +468,14 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     pivots = np.ones(nmats, dtype=np.int64)
     scale = np.ones(nmats, dtype=np.int64)
     flip = np.zeros(nmats, dtype=bool)
-    bidx = np.arange(nmats)
     for j in range(d):
         pidx = j + np.argmax(mats[:, j:, j] != 0, axis=1)
         flip ^= pidx != j
-        rowj = mats[bidx, j, :].copy()
-        mats[bidx, j, :] = mats[bidx, pidx, :]
-        mats[bidx, pidx, :] = rowj
+        moved = np.flatnonzero(pidx != j)
+        src = pidx[moved]
+        rowj = mats[moved, j, j:]
+        mats[moved, j, j:] = mats[moved, src, j:]
+        mats[moved, src, j:] = rowj
         pivots = pivots * mats[:, j, j] % p
         if j + 1 < d:
             scale = scale * pivots % p

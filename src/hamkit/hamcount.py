@@ -266,6 +266,27 @@ def _subset_masks(vertices: tuple[int, ...]):
         yield sum(1 << u for i, u in enumerate(vertices) if picks >> i & 1)
 
 
+def _mitm_fallback(n0: int, p: int) -> MitmDiagnostics | None:
+    """The naive fallback's diagnostics (with a warning) when the MITM tables
+    over n0 tail vertices would pass MITM_TABLE_GUARD entries, else None.
+
+    The tables hold (p+1)^|block| keys per block of the n0 - 1 positions of
+    V_st, for each of the 2^ceil((n0+1)/3) first-half subsets, so the
+    decision needs only n0 and p, not the split graph.
+    """
+    blocks = block_partition(n0 - 1, p)
+    if sum((p + 1) ** len(b) for b in blocks) << math.ceil((n0 + 1) / 3) <= MITM_TABLE_GUARD:
+        return None
+    warnings.warn("meet-in-the-middle tables too large, falling back to naive sieve")
+    return MitmDiagnostics(
+        pairs_listed=1 << n0,
+        pairs_naive=1 << n0,
+        candidates_examined=0,
+        table_keys=0,
+        fallback=True,
+    )
+
+
 def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem, MitmDiagnostics]:
     """Same residue as the naive sieve (the exact count mod p^k), fewer determinants.
 
@@ -279,21 +300,14 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem
     """
     n0 = split.graph.n - 1
     p = params.p
+    diag = _mitm_fallback(n0, p)
+    if diag is not None:
+        return naive_sieve_count(split, params), diag
     k = params.effective_k(n0)
     core = _SieveCore(split, tail_weights(split, p, params.seed))
     cut = math.ceil(split.graph.n / 3)
     first, second = tuple(range(n0)[:cut]), tuple(range(n0)[cut:])
     blocks = block_partition(len(core.vst), p)
-    if sum((p + 1) ** len(b) for b in blocks) * (1 << len(first)) > MITM_TABLE_GUARD:
-        warnings.warn("meet-in-the-middle tables too large, falling back to naive sieve")
-        diag = MitmDiagnostics(
-            pairs_listed=1 << n0,
-            pairs_naive=1 << n0,
-            candidates_examined=0,
-            table_keys=0,
-            fallback=True,
-        )
-        return naive_sieve_count(split, params), diag
     tables, z1_by_mask = build_lookup_tables(core, first, blocks, p, k)
 
     seen: set[int] = set()
@@ -336,18 +350,22 @@ def count_hc_mod(g: Digraph, params: SieveParams) -> tuple[ResidueElem, MitmDiag
     """Hamiltonian-cycle count of g modulo p^k, splitting at vertex 0.
 
     Refuses p^k >= RESIDUE_MODULUS_LIMIT (GuardError) before any work; the
-    k test comes first so that p^k is never formed for a huge k. Naive mode
-    checks the subset guard before the split graph is built.
+    k test comes first so that p^k is never formed for a huge k. Mitm mode
+    decides its naive fallback from n and p, and the naive pass checks the
+    subset guard, before the split graph is built.
     """
     k = params.effective_k(g.n)
     if k >= 62 or params.p**k >= RESIDUE_MODULUS_LIMIT:
         raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
     if g.n == 1:
         return ResidueElem(value=0, p=params.p, k=k), None
-    if params.mode == "naive":
-        _check_subset_guard(g.n)
-        return naive_sieve_count(split_vertex(g, 0), params), None
-    return mitm_count_mod(split_vertex(g, 0), params)
+    diag = None
+    if params.mode == "mitm":
+        diag = _mitm_fallback(g.n, params.p)
+        if diag is None:
+            return mitm_count_mod(split_vertex(g, 0), params)
+    _check_subset_guard(g.n)
+    return naive_sieve_count(split_vertex(g, 0), params), diag
 
 
 def crt_count(

@@ -125,18 +125,20 @@ class PortWeights:
 def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     """Determinants of a [B, n, n] int32 stack over GF(2^m). Consumes mats.
 
-    Plain Gaussian elimination; characteristic 2 makes row swaps sign-free.
-    Matrices that run out of pivots flow through with determinant 0 (their
-    pivot columns are all zero, so the masked table products stay zero).
+    Plain Gaussian elimination; rows swap only in the matrices whose pivot
+    moved, and characteristic 2 makes swaps sign-free. Matrices that run out
+    of pivots flow through with determinant 0 (their pivot columns are all
+    zero, so the masked table products stay zero).
     """
     nmats, n, _ = mats.shape
     det = np.ones(nmats, dtype=np.int32)
-    bidx = np.arange(nmats)
     for j in range(n):
         pidx = j + np.argmax(mats[:, j:, j] != 0, axis=1)
-        rj = mats[bidx, j, :].copy()
-        mats[bidx, j, :] = mats[bidx, pidx, :]
-        mats[bidx, pidx, :] = rj
+        moved = np.flatnonzero(pidx != j)
+        src = pidx[moved]
+        rj = mats[moved, j, j:]
+        mats[moved, j, j:] = mats[moved, src, j:]
+        mats[moved, src, j:] = rj
         det = field.nmul(det, mats[:, j, j])
         if j + 1 < n:
             fac = field.nmul(mats[:, j + 1 :, j], field.ninv(mats[:, j, j])[:, None])

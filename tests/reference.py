@@ -473,11 +473,11 @@ def xbasis_to_group(ga: GroupAlgebra, coeffs) -> tuple[int, ...]:
     return tuple(out)
 
 
-def scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec) -> np.ndarray:
-    """Per draw: is the degree-k slice of det(punctured marker Laplacian) nonzero?"""
+def internal_determinants(g, root, k, field, zeta, rmul, gvec) -> list:
+    """Per draw: det(punctured marker Laplacian), t-degree by t-degree in group-basis coordinates."""
     ga = GroupAlgebra(field, k)
     ring = TruncatedPolyRing(ga, cap=k)
-    hits = np.zeros(zeta.shape[0], dtype=bool)
+    dets = []
     for b in range(zeta.shape[0]):
         weights = {}
         for ai, (u, v) in enumerate(sorted(g.arcs)):
@@ -486,9 +486,15 @@ def scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec) -> np.ndarray:
             poly = list(ring.const(ga.scale(z, ga.one)))
             poly[1] = ga.scale(ga.field.mul(z, int(rmul[b, ai])), marker)
             weights[(u, v)] = tuple(poly)
-        det = det_division_free(puncture(build_laplacian(g, weights, ring), root))
-        hits[b] = not ga.is_zero(det[k])
-    return hits
+        dets.append(det_division_free(puncture(build_laplacian(g, weights, ring), root)))
+    return dets
+
+
+def scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec) -> np.ndarray:
+    """Per draw: is the degree-k slice of det(punctured marker Laplacian) nonzero?"""
+    ga = GroupAlgebra(field, k)
+    dets = internal_determinants(g, root, k, field, zeta, rmul, gvec)
+    return np.array([not ga.is_zero(det[k]) for det in dets], dtype=bool)
 
 
 def internal_scan(g, k: int, trials: int, seed: int, chunk: int) -> dict:

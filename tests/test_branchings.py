@@ -13,7 +13,7 @@ from conftest import (
     random_digraph,
 )
 from hamkit import branchings
-from hamkit.algebra import BinaryField
+from hamkit.algebra import BinaryField, make_binary_field
 from hamkit.branchings import (
     BranchingLeafPolynomial,
     DvConfig,
@@ -36,6 +36,7 @@ from reference import (
     PrimeField,
     det_gauss,
     dv_trial,
+    internal_determinants,
     internal_scan,
     leaf_polynomial_value,
     scalar_solve_nk_dv,
@@ -206,6 +207,67 @@ class TestDetectKInternal:
     def test_success_floor_sane(self):
         floor = internal_sieve_success_floor(8, 4)
         assert 0.2 < floor < 1.0
+
+
+class TestInternalDeterminant:
+    """_InternalSieveEngine.det_batch against the reference ring determinant, in every slot."""
+
+    def test_matches_reference_every_slot(self, monkeypatch):
+        # stalled matrices (no unit pivot in some column before the last) go
+        # to the Berkowitz fallback; both kinds must occur and agree
+        routed = []
+        berkowitz = branchings._InternalSieveEngine._det_berkowitz
+
+        def recording(engine, mats):
+            routed.append(mats.shape[2])
+            return berkowitz(engine, mats)
+
+        monkeypatch.setattr(branchings._InternalSieveEngine, "_det_berkowitz", recording)
+        rnd = random.Random(86)
+        cases = []
+        for k in (1, 2, 3, 4):
+            for _ in range(6 if k < 4 else 3):
+                n = rnd.randint(k + 1, 8 if k < 3 else 6)
+                cases.append((random_digraph(rnd, n, rnd.uniform(0.3, 0.8)), k, False))
+            # complete digraph, even n, one zeta on every arc: each vertex's n-1
+            # equal in-arcs sum to that zeta in characteristic 2, so every slot-0
+            # entry is the same, the slot-0 Laplacian has rank one and column 1 stalls
+            cases.append((complete_digraph(4 if k < 4 else 6), k, True))
+        total = 0
+        for g, k, equal_zeta in cases:
+            roots = branchings._spanning_roots(g)
+            if not roots:
+                continue
+            root = rnd.choice(roots)
+            field = make_binary_field(g.n)
+            zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
+            if equal_zeta:
+                zeta[:] = zeta[:, :1]
+            engine = branchings._InternalSieveEngine(g, root, k, field)
+            mats = engine.build_matrices(zeta, rmul, gvec)
+            got = engine.det_batch(mats)
+            want = internal_determinants(g, root, k, field, zeta, rmul, gvec)
+            ga = GroupAlgebra(field, k)
+            d = 1 << k
+            for b, det in enumerate(want):
+                for i in range(k + 1):
+                    assert xbasis_to_group(ga, got[b, i * d : (i + 1) * d].tolist()) == det[i], (g.arcs, k, b, i)
+            total += len(want)
+        stalled = sum(routed)
+        assert 0 < stalled < total, (stalled, total)
+
+    def test_unit_inverse(self):
+        rng = np.random.default_rng(87)
+        field = make_binary_field(8)
+        for k in range(1, branchings.GROUP_RANK_LIMIT + 1):
+            engine = branchings._InternalSieveEngine(complete_digraph(8), 0, k, field)
+            units = rng.integers(0, field.q, size=(40, engine.len), dtype=np.int32)
+            units[:20, 1:] *= rng.random((20, engine.len - 1)) < 0.2  # sparse ones too
+            units[:, 0] = rng.integers(1, field.q, size=40)
+            units[0, 1:] = 0
+            one = np.zeros_like(units)
+            one[:, 0] = 1
+            assert (engine._mul(units, engine._inverse(units)) == one).all(), k
 
 
 class TestBatchedPrimeDet:

@@ -141,6 +141,25 @@ class TestNaiveSieve:
         with pytest.raises(GuardError, match="naive sieve guard"):
             count_exact_capped(g, 2)
 
+    def test_mitm_fallback_decided_before_split(self, monkeypatch):
+        # whether the MITM tables fit depends only on n and p, so a mitm call
+        # past MITM_TABLE_GUARD falls back, and meets the subset guard, before
+        # the split graph is built
+        def refuse(*args):
+            raise AssertionError("split graph built before the MITM fallback decision")
+
+        monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
+        with pytest.warns(UserWarning, match="falling back"):
+            with pytest.raises(GuardError, match="naive sieve guard"):
+                count_hc_mod(directed_cycle(27), SieveParams(p=2, k=1, mode="mitm"))
+        monkeypatch.undo()
+        monkeypatch.setattr(hamcount_mod, "MITM_TABLE_GUARD", 1)
+        params = SieveParams(p=3, k=1, seed=2, mode="mitm")
+        with pytest.warns(UserWarning, match="falling back"):
+            residue, diag = count_hc_mod(directed_cycle(6), params)
+        assert diag.fallback and diag.pairs_listed == diag.pairs_naive == 1 << 6
+        assert residue == naive_sieve_count(split_vertex(directed_cycle(6), 0), params)
+
     def test_residue_guard(self):
         # count-mod refuses p^k >= 2^62 in both modes, before any work and
         # without forming p^k for a huge k; the exact counters go past it

@@ -103,3 +103,23 @@ def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
     assert tracer.counters["branchings.modp_matrices"] == 100 * 2 * (2 * n + 1)
     assert tracer.spans["algebra.interpolate_univariate"][2] == 7 * 2
     assert tracer.spans["branchings.batched_modp_det"][2] == 7 * 2
+
+
+def test_internal_chunks_double_and_a_yes_stops_at_its_hit():
+    # each root's trials run in chunks of 1, 2, 4, ... up to INTERNAL_CHUNK = 34,
+    # so a NO with 100 trials is 1+2+4+8+16+32+34+3 over eight det_batch calls,
+    # and a YES that hits on its first trial evaluates that one trial
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        no = detect_k_internal(out_star(5), 2, InternalSieveConfig(trials=100, seed=3))
+        counted = dict(tracer.counters), tracer.spans["branchings.det_batch"][2]
+        tracer.reset()
+        yes = detect_k_internal(directed_path(6), 4, InternalSieveConfig(trials=100, seed=3))
+    finally:
+        tracer.uninstall()
+    assert not no.verdict and no.trials_run == 100 and no.detail["roots"] == [0]
+    assert counted == ({"branchings.internal_trials": 100}, 8)
+    assert yes.verdict and yes.trials_run == 1
+    assert tracer.counters["branchings.internal_trials"] == 1
+    assert tracer.spans["branchings.det_batch"][2] == 1
