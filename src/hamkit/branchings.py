@@ -9,6 +9,10 @@ module:
   put k distinct markers together. Markers are nilpotent group-algebra
   elements, so a repeated vertex squares to zero; random group elements make
   k distinct markers multiply to something nonzero with constant probability.
+  Every entry lies in the span S of the t^a * x^T with |T| >= a, and
+  t^a * x^T -> x^T if a = |T|, else 0, is a ring homomorphism from S onto
+  the 2^k-slot ring GF(2^m)[x_1..x_k]/(x_i^2) that keeps the verdict term
+  t^k * x^[k], so the determinant is taken there.
 
 * detect_k_leaf: is there a spanning out-branching with at least k leaves?
   Equivalently one with at most n-k internal vertices. The branching
@@ -77,50 +81,50 @@ class InternalSieveConfig:
 def _pair_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather/scatter plan for one ring multiplication at rank k.
 
-    Ring elements are flat int32 vectors of length (k+1)*2^k: slot i*2^k + T
-    holds the field coefficient of t^i times the product of the markers in
-    subset T. A product pairs every (i1, T1) with (i2, T2) having i1+i2 <= k
-    and T1, T2 disjoint (overlapping marker subsets vanish by nilpotency).
-    Returns (ia, ib, offsets) with pairs sorted by output slot so that
-    bitwise_xor.reduceat accumulates each output in one pass.
+    Ring elements are flat int32 vectors of length 2^k: slot T holds the
+    field coefficient of the product of the markers in subset T. A product
+    pairs every T1 with every T2 disjoint from it (overlapping marker
+    subsets vanish by nilpotency), 3^k pairs. Returns (ia, ib, offsets)
+    with pairs sorted by output slot so that bitwise_xor.reduceat
+    accumulates each output in one pass.
     """
     d = 1 << k
     pairs = []
-    for i1 in range(k + 1):
-        for i2 in range(k + 1 - i1):
-            for t1 in range(d):
-                rest = (~t1) & (d - 1)
-                t2 = rest
-                while True:
-                    pairs.append(((i1 + i2) * d + (t1 | t2), i1 * d + t1, i2 * d + t2))
-                    if t2 == 0:
-                        break
-                    t2 = (t2 - 1) & rest
+    for t1 in range(d):
+        rest = (~t1) & (d - 1)
+        t2 = rest
+        while True:
+            pairs.append((t1 | t2, t1, t2))
+            if t2 == 0:
+                break
+            t2 = (t2 - 1) & rest
     pairs.sort()
     out = np.array([o for o, _, _ in pairs], dtype=np.int64)
     ia = np.array([a for _, a, _ in pairs], dtype=np.int64)
     ib = np.array([b for _, _, b in pairs], dtype=np.int64)
-    offsets = np.searchsorted(out, np.arange((k + 1) * d, dtype=np.int64))
+    offsets = np.searchsorted(out, np.arange(d, dtype=np.int64))
     return ia, ib, offsets
 
 
 class _InternalSieveEngine:
     """Determinant of the marker-weighted Laplacian, trial-batched.
 
-    Entries live in R = GF(2^m)[t]/(t^(k+1)) (x) GF(2^m)[x_1..x_k]/(x_i^2),
-    flat vectors laid out as in _pair_plan. R is a local ring: the elements
-    with a zero constant slot (slot 0) form its maximal ideal M, generated by
-    t and the markers, and M^(2k+1) = 0 (a nonzero monomial has t-degree at
-    most k and at most k markers). So an element is a unit exactly when its
-    slot 0 is nonzero, and Gaussian elimination goes through whenever each
-    pivot column has an entry with a nonzero slot 0 at or below the
-    diagonal. The slot-0 parts of the entries form the zeta-weighted
-    Laplacian over GF(2^m), and elimination acts on them as plain Gaussian
-    elimination, so a draw whose slot-0 Laplacian is nonsingular never
-    lacks a unit pivot. The rare draws that do (det_batch) take the
-    division-free Berkowitz recurrence instead. All per-entry ring products
-    across the trial batch are fused into single gather/table-lookup/reduceat
-    passes.
+    The sieve's entries lie in GF(2^m)[t]/(t^(k+1)) (x) GF(2^m)[x_1..x_k]/(x_i^2),
+    in fact in its subring S spanned by the t^a * x^T with |T| >= a, where
+    the terms with |T| > a span an ideal. So t^a * x^T -> x^T if a = |T|,
+    else 0, is a ring homomorphism onto R = GF(2^m)[x_1..x_k]/(x_i^2);
+    determinants commute with it, and it keeps slot 0 and the verdict term
+    t^k * x^[k]. The engine works in R, laid out as in _pair_plan. R is a
+    local ring: the elements with a zero slot 0 form its maximal ideal M,
+    and M^(k+1) = 0. So an element is a unit exactly when its slot 0 is
+    nonzero, and Gaussian elimination goes through whenever each pivot
+    column has an entry with a nonzero slot 0 at or below the diagonal. The
+    slot-0 parts of the entries form the zeta-weighted Laplacian over
+    GF(2^m), and elimination acts on them as plain Gaussian elimination, so
+    a draw whose slot-0 Laplacian is nonsingular never lacks a unit pivot.
+    The rare draws that do (det_batch) take the division-free Berkowitz
+    recurrence instead. All per-entry ring products across the trial batch
+    are fused into single gather/table-lookup/reduceat passes.
     """
 
     def __init__(self, g: Digraph, root: int, k: int, field: BinaryField):
@@ -128,8 +132,7 @@ class _InternalSieveEngine:
         self.root = root
         self.k = k
         self.f = field
-        self.d = 1 << k
-        self.len = (k + 1) * self.d
+        self.len = 1 << k
         self.verts = [u for u in range(g.n) if u != root]
         self.pos = {u: i for i, u in enumerate(self.verts)}
         self.arcs = sorted(g.arcs)
@@ -142,50 +145,41 @@ class _InternalSieveEngine:
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """u^-1 for units u (slot 0 nonzero), [..., len].
 
-        Write u = c(1 + x) with c = u[0] and x in M. In characteristic 2
-        squaring is additive, so (1 + y)^2 = 1 + y^2, and
-        (1 + x) * prod_{i<L} (1 + x^(2^i)) = 1 + x^(2^L). Squaring also keeps
-        only the squares of x's pure t-power terms (each marker squares to
-        zero), so x^(2^i) vanishes once 2^i > k: L = k.bit_length() factors,
-        each the square of the one before, 2(L - 1) ring products.
+        Write u = c + x with c = u[0] and x in M. In characteristic 2
+        squaring is additive, and every marker monomial squares to zero, so
+        x^2 = 0 and u^2 = c^2: the inverse is u * c^-2, with no ring product.
         """
         cinv = self.f.ninv(u[..., :1])
-        factor = self.f.nmul(u, cinv)  # 1 + x
-        inv = factor
-        for _ in range(self.k.bit_length() - 1):
-            factor = self._mul(factor, factor)
-            inv = self._mul(inv, factor)
-        return self.f.nmul(inv, cinv)
+        return self.f.nmul(u, self.f.nmul(cinv, cinv))
 
     def build_matrices(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         """Punctured Laplacians for a batch of draws, shape [nn, nn, B, len].
 
-        Arc weight: zeta at the constant slot, and at the t-slot the tail's
-        marker pattern (nonempty subsets of the tail's group element) scaled
-        by zeta*rmul. The per-arc rmul factor keeps sibling arcs from
-        collapsing pairwise in characteristic 2: a vertex with c children
-        contributes 1 + t*(sum of c independent scalars)*marker, nonzero for
-        any c >= 1, where a bare (1 + t*marker)^c would vanish for even c.
+        The sieve's arc weight is zeta + t * zeta*rmul * (the tail's marker
+        pattern, the sum of x^T over the nonempty subsets T of the tail's
+        group element). Its image in R keeps only the |T| = 1 terms of the
+        t part: zeta at slot 0 and zeta*rmul at each singleton slot {i} for
+        the bits i of the tail's group element. The per-arc rmul factor keeps
+        sibling arcs from collapsing pairwise in characteristic 2: a vertex
+        with c children contributes 1 + (sum of c independent scalars)*marker,
+        nonzero for any c >= 1, where a bare (1 + marker)^c would vanish for
+        even c.
         """
-        f = self.f
-        d = self.d
-        nb = zeta.shape[0]
-        tsub = np.arange(d, dtype=np.int64)
-        gamma = (tsub[None, None, :] & ~gvec[:, :, None]) == 0
-        gamma &= tsub[None, None, :] != 0
-        w1 = f.nmul(zeta, rmul)
+        nb, m = zeta.shape
+        single = 1 << np.arange(self.k, dtype=np.int64)
+        tails = np.array([u for u, _ in self.arcs], dtype=np.int64)
+        marked = (gvec[:, tails, None] & single) != 0
+        weights = np.zeros((nb, m, self.len), dtype=np.int32)
+        weights[:, :, 0] = zeta
+        weights[:, :, single] = np.where(marked, self.f.nmul(zeta, rmul)[:, :, None], 0)
         nn = len(self.verts)
         mats = np.zeros((nn, nn, nb, self.len), dtype=np.int32)
         for ai, (u, v) in enumerate(self.arcs):
-            x1 = np.where(gamma[:, u, :], w1[:, ai, None], 0)
             if v != self.root:
                 iv = self.pos[v]
-                mats[iv, iv, :, 0] ^= zeta[:, ai]
-                mats[iv, iv, :, d : 2 * d] ^= x1
+                mats[iv, iv] ^= weights[:, ai]
                 if u != self.root:
-                    iu = self.pos[u]
-                    mats[iu, iv, :, 0] ^= zeta[:, ai]
-                    mats[iu, iv, :, d : 2 * d] ^= x1
+                    mats[self.pos[u], iv] ^= weights[:, ai]
         return mats
 
     def det_batch(self, mats: np.ndarray) -> np.ndarray:
@@ -254,9 +248,9 @@ class _InternalSieveEngine:
         return p[nn]
 
     def run_chunk(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
+        """Per draw: is the verdict slot x^[k] (the image of t^k * x^[k]) nonzero?"""
         dets = self.det_batch(self.build_matrices(zeta, rmul, gvec))
-        slice_k = dets[:, self.k * self.d : (self.k + 1) * self.d]
-        return np.any(slice_k != 0, axis=1)
+        return dets[:, self.len - 1] != 0
 
 
 def _draw_internal_chunk(
@@ -275,15 +269,14 @@ def _draw_internal_chunk(
 
 
 def _internal_gather_bytes(n: int, k: int) -> int:
-    """Bytes of the largest int32 gather that _mul makes in det_batch.
+    """Bound on the bytes of the largest int32 gather that _mul makes in det_batch.
 
-    That is the rank-1 update at column 0: the n-2 entries below the first
-    pivot times the n-2 entries right of it, (n-2)^2 products for each trial
-    of a full chunk, one int32 slot per product pair; the pair plan at rank
-    k has (k+1)(k+2)/2 * 3^k pairs (degree pairs with i1 + i2 <= k times
-    disjoint marker-subset pairs). Later columns update smaller blocks, and
-    the Berkowitz fallback multiplies at most (n-2)^2 entries of at most a
-    chunk of stalled trials, so no gather is larger.
+    That is the rank-1 update at column 0: (n-2)^2 products for each trial
+    of a full chunk, one int32 slot per pair of the 3^k-pair plan, so
+    (n-2)^2 * 34 * 3^k * 4 bytes. Later columns and the Berkowitz fallback
+    gather no more. The formula still counts the (k+1)(k+2)/2 * 3^k pairs
+    of the truncated ring and so over-bounds the gather by (k+1)(k+2)/2; it
+    is kept so the guard accepts exactly the same inputs.
     """
     return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
 
@@ -309,11 +302,11 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     _spanning_roots); k = 0 is answered exactly. Otherwise each surviving root
     runs `cfg.trials` randomized determinant evaluations, in chunks of 1, 2,
     4, ... up to INTERNAL_CHUNK trials, and stops after the chunk with its
-    first hit; any nonzero degree-k slice certifies YES. Reports are
-    identical for any thread count and chunking: per-root trial consumption
-    depends only on (seed, root, trial). Refuses k > GROUP_RANK_LIMIT and a
-    determinant gather past INTERNAL_GATHER_LIMIT bytes (GuardError) before
-    the roots are scanned.
+    first hit; a nonzero verdict slot (the degree-k slice) certifies YES.
+    Reports are identical for any thread count and chunking: per-root trial
+    consumption depends only on (seed, root, trial). Refuses k >
+    GROUP_RANK_LIMIT and a determinant gather bound past
+    INTERNAL_GATHER_LIMIT bytes (GuardError) before the roots are scanned.
     """
     cfg = cfg or InternalSieveConfig()
     n = g.n

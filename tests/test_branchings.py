@@ -209,52 +209,81 @@ class TestDetectKInternal:
         assert 0.2 < floor < 1.0
 
 
+def _internal_determinant_cases(seed: int):
+    """(engine, its matrices, reference determinants) for three draws per graph, stalled draws included."""
+    rnd = random.Random(seed)
+    cases = []
+    for k in (1, 2, 3, 4):
+        for _ in range(6 if k < 4 else 3):
+            n = rnd.randint(k + 1, 8 if k < 3 else 6)
+            cases.append((random_digraph(rnd, n, rnd.uniform(0.3, 0.8)), k, False))
+        # complete digraph, even n, one zeta on every arc: each vertex's n-1
+        # equal in-arcs sum to that zeta in characteristic 2, so every slot-0
+        # entry is the same, the slot-0 Laplacian has rank one and column 1 stalls
+        cases.append((complete_digraph(4 if k < 4 else 6), k, True))
+    for g, k, equal_zeta in cases:
+        roots = branchings._spanning_roots(g)
+        if not roots:
+            continue
+        root = rnd.choice(roots)
+        field = make_binary_field(g.n)
+        zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
+        if equal_zeta:
+            zeta[:] = zeta[:, :1]
+        engine = branchings._InternalSieveEngine(g, root, k, field)
+        yield engine, engine.build_matrices(zeta, rmul, gvec), internal_determinants(
+            g, root, k, field, zeta, rmul, gvec
+        )
+
+
+@pytest.fixture
+def berkowitz_draws(monkeypatch):
+    """The number of draws each _det_berkowitz call receives, in call order."""
+    routed = []
+    berkowitz = branchings._InternalSieveEngine._det_berkowitz
+
+    def recording(engine, mats):
+        routed.append(mats.shape[2])
+        return berkowitz(engine, mats)
+
+    monkeypatch.setattr(branchings._InternalSieveEngine, "_det_berkowitz", recording)
+    return routed
+
+
 class TestInternalDeterminant:
-    """_InternalSieveEngine.det_batch against the reference ring determinant, in every slot."""
+    """_InternalSieveEngine.det_batch against the reference ring determinant."""
 
-    def test_matches_reference_every_slot(self, monkeypatch):
-        # stalled matrices (no unit pivot in some column before the last) go
-        # to the Berkowitz fallback; both kinds must occur and agree
-        routed = []
-        berkowitz = branchings._InternalSieveEngine._det_berkowitz
-
-        def recording(engine, mats):
-            routed.append(mats.shape[2])
-            return berkowitz(engine, mats)
-
-        monkeypatch.setattr(branchings._InternalSieveEngine, "_det_berkowitz", recording)
-        rnd = random.Random(86)
-        cases = []
-        for k in (1, 2, 3, 4):
-            for _ in range(6 if k < 4 else 3):
-                n = rnd.randint(k + 1, 8 if k < 3 else 6)
-                cases.append((random_digraph(rnd, n, rnd.uniform(0.3, 0.8)), k, False))
-            # complete digraph, even n, one zeta on every arc: each vertex's n-1
-            # equal in-arcs sum to that zeta in characteristic 2, so every slot-0
-            # entry is the same, the slot-0 Laplacian has rank one and column 1 stalls
-            cases.append((complete_digraph(4 if k < 4 else 6), k, True))
+    def test_matches_reference_every_slot(self, berkowitz_draws):
+        # engine slot T is the reference's t^|T| * x^T coefficient (the image
+        # of the truncated ring in the 2^k-slot marker ring). Stalled matrices
+        # (no unit pivot in some column before the last) go to the Berkowitz
+        # fallback; both kinds must occur and agree
         total = 0
-        for g, k, equal_zeta in cases:
-            roots = branchings._spanning_roots(g)
-            if not roots:
-                continue
-            root = rnd.choice(roots)
-            field = make_binary_field(g.n)
-            zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
-            if equal_zeta:
-                zeta[:] = zeta[:, :1]
-            engine = branchings._InternalSieveEngine(g, root, k, field)
-            mats = engine.build_matrices(zeta, rmul, gvec)
+        for engine, mats, want in _internal_determinant_cases(86):
             got = engine.det_batch(mats)
-            want = internal_determinants(g, root, k, field, zeta, rmul, gvec)
-            ga = GroupAlgebra(field, k)
-            d = 1 << k
+            ga = GroupAlgebra(engine.f, engine.k)
             for b, det in enumerate(want):
-                for i in range(k + 1):
-                    assert xbasis_to_group(ga, got[b, i * d : (i + 1) * d].tolist()) == det[i], (g.arcs, k, b, i)
+                xdet = [xbasis_to_group(ga, det[a]) for a in range(engine.k + 1)]
+                for t in range(engine.len):
+                    assert got[b, t] == xdet[t.bit_count()][t], (engine.g.arcs, engine.k, b, t)
             total += len(want)
-        stalled = sum(routed)
+        stalled = sum(berkowitz_draws)
         assert 0 < stalled < total, (stalled, total)
+
+    def test_reference_dets_live_in_graded_subring(self, berkowitz_draws):
+        # the reference determinant has no t^a * x^T term with |T| < a, stalled
+        # draws included: the kernel of the map to the marker ring is an ideal
+        # of the subring these terms span
+        total = 0
+        for engine, mats, want in _internal_determinant_cases(88):
+            engine.det_batch(mats)  # counts the stalled draws
+            total += len(want)
+            ga = GroupAlgebra(engine.f, engine.k)
+            for det in want:
+                for a in range(engine.k + 1):
+                    xdet = xbasis_to_group(ga, det[a])
+                    assert all(xdet[t] == 0 for t in range(engine.len) if t.bit_count() < a), (engine.k, a)
+        assert 0 < sum(berkowitz_draws) < total, (berkowitz_draws, total)
 
     def test_unit_inverse(self):
         rng = np.random.default_rng(87)
