@@ -10,6 +10,12 @@ virtual-arc weights, so the naive pass uses zero ones, sums all subsets
 exactly and reduces mod p^k once; with a modulus above the largest possible
 count its residue is the count itself.
 
+Subsets without s contribute 0 for any weights: every column of their
+matrix sums to zero, since s is the one tail whose arcs the diagonals count
+but no row carries. So a pass visits all 2^|V_t| tail subsets, but at most
+half of them reach a determinant. With zero weights t's row is diagonal as
+well and joins the factored-out diagonals.
+
 The meet-in-the-middle evaluator draws the virtual-arc weights as random
 residues mod p (`tail_weights`), cuts the tail vertices by id into a first
 third and the rest, and only evaluates determinants for pairs of half-subsets
@@ -121,22 +127,37 @@ class _SieveCore:
     def __init__(self, split: VertexSplit, weights: tuple[int, ...]):
         g = split.graph
         self.wt = weights
+        self.s = split.s
         self.t = split.t
         self.n0 = g.n - 1  # |V_t|
         self.vst = tuple(u for u in range(self.n0) if u != split.s)
         self.in_mask = g.in_mask
         self.out_mask = g.out_mask
+        # with zero virtual-arc weights t's row carries only its diagonal
+        self.t_row_diagonal = not any(weights)
 
     def subset_det(self, omask: int) -> int:
         """Integer determinant of the tail-restricted punctured Laplacian.
 
         Rows of vertices outside O carry only their diagonal, so the
         determinant factors into those diagonals times the minor on the
-        surviving rows, which is what gets eliminated here.
+        surviving rows, which is what gets eliminated here. Column v of that
+        minor (rows O ∩ V_st plus t) sums to [s in O and s->v] for any
+        virtual-arc weights, since t's entry -wt[v] cancels the +wt[v] on
+        v's diagonal; so a subset without s has determinant 0 and no row is
+        built for it. With zero weights t's row is diagonal too, and its
+        entry in_t(O) joins the dead-row product.
         """
+        if not omask >> self.s & 1:
+            return 0
         wt = self.wt
         in_mask = self.in_mask
+        t = self.t
         dead_prod = 1
+        if self.t_row_diagonal:
+            dead_prod = (in_mask[t] & omask).bit_count()
+            if dead_prod == 0:
+                return 0
         alive = []
         for u in self.vst:
             if omask >> u & 1:
@@ -146,9 +167,9 @@ class _SieveCore:
                 if d == 0:
                     return 0
                 dead_prod *= d
-        alive.append(self.t)
+        if not self.t_row_diagonal:
+            alive.append(t)
         out_mask = self.out_mask
-        t = self.t
         rows = []
         for i, u in enumerate(alive):
             if u == t:
@@ -201,7 +222,8 @@ def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
     """Inclusion-exclusion over all tail subsets, summed over the integers, reduced mod p^k once.
 
     The virtual-arc weights are zero (the identity holds for any weights, and
-    zero ones let more subsets drop out early), so the seed does not enter.
+    zero ones make t's row diagonal and let more subsets drop out early), so
+    the seed does not enter.
     """
     n0 = split.graph.n - 1
     _check_subset_guard(n0)

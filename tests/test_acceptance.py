@@ -148,8 +148,9 @@ def test_criterion_3_mitm_equals_naive():
     t0 = time.perf_counter()
     runs = 0
     for i, (g, p, k) in enumerate(sieve_corpus(14, 1002)):
+        # the naive residue does not depend on the seed
+        a, _ = count_hc_mod(g, SieveParams(p=p, k=k, seed=3 * i, mode="naive"))
         for seed in (3 * i, 3 * i + 1, 3 * i + 2):
-            a, _ = count_hc_mod(g, SieveParams(p=p, k=k, seed=seed, mode="naive"))
             b, _ = count_hc_mod(g, SieveParams(p=p, k=k, seed=seed, mode="mitm"))
             assert (a.value, a.p, a.k) == (b.value, b.p, b.k), (g.arcs, p, k, seed)
             runs += 1

@@ -96,6 +96,38 @@ class TestRestrictedLaplacian:
                 m = restricted_laplacian(split, omask, wt, ring)
                 assert det_division_free(m) == core.subset_det(omask) % ring.modulus
 
+    def test_zero_weights_match_reference_every_subset(self):
+        # the naive pass folds t's diagonal-only row into the dead-row product
+        rnd = random.Random(55)
+        ring = ResidueRing(7, 3)
+        for _ in range(10):
+            g, split, _, _ = self._setup(rnd, rnd.randint(2, 6))
+            wt = (0,) * split.graph.n
+            core = hamcount_mod._SieveCore(split, wt)
+            assert core.t_row_diagonal
+            for omask in range(1 << (split.graph.n - 1)):
+                m = restricted_laplacian(split, omask, wt, ring)
+                assert det_division_free(m) == core.subset_det(omask) % ring.modulus
+
+    def test_subsets_without_s_have_zero_determinant(self, monkeypatch):
+        # every column of the surviving minor sums to [s in O and s->v], so
+        # no elimination runs for a subset without s
+        def refuse(rows):
+            raise AssertionError("eliminated a subset without s")
+
+        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", refuse)
+        rnd = random.Random(56)
+        for _ in range(10):
+            g, split, p, random_wt = self._setup(rnd, rnd.randint(2, 7))
+            ring = ResidueRing(p, 2)
+            for wt in (random_wt, (0,) * split.graph.n):
+                core = hamcount_mod._SieveCore(split, wt)
+                for omask in range(1 << (split.graph.n - 1)):
+                    if omask >> split.s & 1:
+                        continue
+                    assert core.subset_det(omask) == 0
+                    assert det_division_free(restricted_laplacian(split, omask, wt, ring)) == 0
+
 
 class TestNaiveSieve:
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])

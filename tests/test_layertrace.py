@@ -39,6 +39,8 @@ def test_naive_exact_count_is_one_pass():
         tracer.uninstall()
     counters = tracer.counters
     assert counters["hamcount.subsets"] == 1 << 7
+    # determinants are taken only for subsets that contain s
+    assert counters["hamcount.dets"] <= 1 << 6
     assert tracer.spans["hamcount.naive_sieve_count"][2] == 1
     assert tracer.lists["naive_pass_subsets"] == [1 << 7]
     assert counters["hamcount.crt_passes"] == 0
