@@ -18,18 +18,21 @@ The package is organised around a weighted-Laplacian toolbox:
   tests on trial-batched mod-p determinants and interpolation.
 - oracle: small-instance brute-force reference implementations.
 
-Each question has one determinant route, batched over numpy arrays. The
-scalar routes those batches are tested against live with the tests, in
-tests/reference.py.
+Each question has one determinant route. The counts are exact Python
+integer arithmetic: hamcount takes one fraction-free Bareiss determinant
+per subset (or listed MITM pair), and count_out_branchings one bigint
+Bareiss determinant. Only the detectors batch over numpy arrays: hamdetect,
+branchings, and the binary-field tables in algebra, which import numpy
+when the first field is built. So `import hamkit`, the counting commands
+and the oracles never load numpy; the six numpy-backed exports
+(detect_hamiltonian_cycle, detect_k_internal, detect_k_leaf, solve_nk_dv,
+InternalSieveConfig, DvConfig) load hamdetect or branchings on first
+access. The scalar routes the batches are tested against live with the
+tests, in tests/reference.py.
 """
 
-from .branchings import (
-    DvConfig,
-    InternalSieveConfig,
-    detect_k_internal,
-    detect_k_leaf,
-    solve_nk_dv,
-)
+import importlib
+
 from .errors import CapExceededError, GuardError, ParseError
 from .graph import (
     Digraph,
@@ -46,7 +49,6 @@ from .hamcount import (
     count_hc_mod,
     crt_count,
 )
-from .hamdetect import detect_hamiltonian_cycle
 from .matrixtree import count_out_branchings
 from .report import DetectionReport
 
@@ -76,3 +78,26 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# numpy-backed exports, loaded on first access (PEP 562)
+_LAZY = {
+    "detect_hamiltonian_cycle": "hamdetect",
+    "detect_k_internal": "branchings",
+    "detect_k_leaf": "branchings",
+    "solve_nk_dv": "branchings",
+    "InternalSieveConfig": "branchings",
+    "DvConfig": "branchings",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

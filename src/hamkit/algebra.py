@@ -3,14 +3,13 @@
 The binary fields GF(2^m) work on numpy int32 arrays: batched
 multiplication through log/exp tables and inversion through an inverse
 table. Mod-p arithmetic is plain int64 numpy, beside its kernels in
-branchings.
+branchings. numpy is imported when the first field builds its tables, so
+the primes, residues and CRT that the counting modules use load without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GuardError
 
@@ -140,6 +139,8 @@ class BinaryField:
         return gf2_mod(gf2_mul(a, b), self.poly)
 
     def _build_tables(self) -> None:
+        import numpy as np
+
         q = self.q
         order = q - 1
         factors = _prime_factors(order)

@@ -33,6 +33,10 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+# numpy loads numpy.random lazily; importing it with this module keeps that
+# import (~11 ms) out of the first detection call
+from numpy.random import default_rng
+
 from .algebra import BinaryField, make_binary_field, random_prime_31
 from .errors import GuardError
 from .graph import Digraph
@@ -261,7 +265,7 @@ def _draw_internal_chunk(
     rmul = np.empty((count, m), dtype=np.int32)
     gvec = np.empty((count, g.n), dtype=np.int64)
     for i in range(count):
-        rng = np.random.default_rng(derive_seed("internal-sieve", seed, root, start + i))
+        rng = default_rng(derive_seed("internal-sieve", seed, root, start + i))
         zeta[i] = rng.integers(1, field.q, size=m, dtype=np.int32)
         rmul[i] = rng.integers(1, field.q, size=m, dtype=np.int32)
         gvec[i] = rng.integers(0, 1 << k, size=g.n, dtype=np.int64)

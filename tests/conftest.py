@@ -1,8 +1,32 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and a fresh-interpreter runner for the test suite."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hamkit.graph import Digraph, make_digraph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Run `code` in a new interpreter with src on PYTHONPATH; return its stdout.
+
+    For checks on what a process imports, which the test process itself,
+    having imported every module, cannot show.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def directed_cycle(n: int) -> Digraph:

@@ -1,9 +1,17 @@
 """The benchmark's outside-in tracer must find every entry point it wraps."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-from conftest import acyclic_tournament, complete_digraph, directed_cycle, directed_path, out_star
+from conftest import (
+    acyclic_tournament,
+    complete_digraph,
+    directed_cycle,
+    directed_path,
+    out_star,
+    run_fresh,
+)
 from hamkit import hamcount, hamdetect
 from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
 from hamkit.hamcount import SieveParams, count_exact_capped
@@ -28,6 +36,71 @@ def test_install_binds_every_entry_point_and_uninstall_restores():
     finally:
         tracer.uninstall()
     assert (hamcount.det_bareiss_int, vars(hamcount._SieveCore)["signed_contribution"]) == before
+
+
+# In a process that imported only hamkit.cli (argv[1]: layertrace.py, argv[2]:
+# one CLI argv), install the tracer, run the argv untraced and traced, and
+# report what install loaded, both stdouts and what uninstall left behind.
+FRESH_TRACE = """
+import contextlib, importlib, importlib.util, io, json, re, sys
+from hamkit import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": _', out.getvalue())
+
+spec = importlib.util.spec_from_file_location("layertrace", sys.argv[1])
+layertrace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layertrace)
+argv = json.loads(sys.argv[2])
+detectors = ("hamkit.hamdetect", "hamkit.branchings")
+loaded_before = [m for m in detectors if m in sys.modules]
+cli_names = (cli.parse_digraph, cli.count_out_branchings)
+plain = run(argv)
+tracer = layertrace.Tracer()
+tracer.install()
+try:
+    loaded_by_install = [m for m in detectors if m in sys.modules]
+    traced = run(argv)
+finally:
+    tracer.uninstall()
+still_wrapped = []
+for module, attr, _ in layertrace.bindings(tracer):
+    owner = importlib.import_module(f"hamkit.{module[0]}")
+    if len(module) > 1:
+        owner = getattr(owner, module[1])
+    raw = vars(owner)[attr]
+    fn = raw.__func__ if isinstance(raw, staticmethod) else raw
+    if fn.__module__ == layertrace.__name__:
+        still_wrapped.append(".".join(module + (attr,)))
+print(json.dumps({
+    "loaded_before": loaded_before,
+    "loaded_by_install": loaded_by_install,
+    "plain": plain,
+    "traced": traced,
+    "subsets": tracer.counters["hamcount.subsets"],
+    "still_wrapped": still_wrapped,
+    "cli_names_restored": (cli.parse_digraph, cli.count_out_branchings) == cli_names,
+}))
+"""
+
+
+def test_install_loads_lazily_imported_modules_itself(tmp_path):
+    # hamkit.cli imports hamdetect and branchings only for detect-* commands,
+    # so the tracer must load them itself before binding their entry points
+    path = tmp_path / "c5.txt"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
+    argv = ["count-mod", str(path), "--p", "3", "--k", "2", "--seed", "1"]
+    report = json.loads(run_fresh(FRESH_TRACE, str(LAYERTRACE), json.dumps(argv)))
+    assert report["loaded_before"] == []
+    assert report["loaded_by_install"] == ["hamkit.hamdetect", "hamkit.branchings"]
+    assert report["plain"][0] == 0 and '"answer": 1' in report["plain"][1]
+    assert report["traced"] == report["plain"]
+    assert report["subsets"] > 0  # the traced run went through the wrappers
+    assert report["still_wrapped"] == []
+    assert report["cli_names_restored"]
 
 
 def test_naive_exact_count_is_one_pass():
