@@ -161,8 +161,8 @@ class BinaryField:
             acc = self._raw_mul(acc, gen)
         assert acc == 1, "generator order mismatch"
         self.generator = gen
-        self._exp = exp
-        self._log = log
+        self._exp = tuple(exp)
+        self._log = tuple(log)
         # Zero sentinel: log 0 is 2(q-1), and np_exp is zero from index 2(q-1)
         # on. Two nonzero logs sum below 2(q-1), any sum with the sentinel lands
         # in the zero tail, so nmul is one add and one gather with no mask.
@@ -172,6 +172,9 @@ class BinaryField:
         self.np_exp[: 2 * order] = exp
         self.np_inv = np.zeros(q, dtype=np.int32)  # ninv(0) == 0
         self.np_inv[1:] = self.np_exp[order - self.np_log[1:]]
+        # make_binary_field shares one field per degree across callers
+        for table in (self.np_log, self.np_exp, self.np_inv):
+            table.setflags(write=False)
 
     # numpy batched ops on int32 arrays
     def nmul(self, a, b):
@@ -216,12 +219,24 @@ def find_irreducible(m: int) -> int:
     raise AssertionError(f"no irreducible polynomial of degree {m}")
 
 
+_FIELDS: dict[int, BinaryField] = {}
+
+
 def make_binary_field(n: int) -> BinaryField:
-    """Field sized for an n-vertex instance: order at least n squared."""
+    """Field sized for an n-vertex instance: order at least n squared.
+
+    One field per degree m per process, built on first use and shared by
+    every later caller; its numpy tables are read-only. The field is
+    deterministic (smallest irreducible polynomial, first generator), so
+    sharing it changes no answer. BinaryField(m) itself builds a new one.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     m = 2 * (n - 1).bit_length()
-    return BinaryField(m)
+    field = _FIELDS.get(m)
+    if field is None:
+        field = _FIELDS[m] = BinaryField(m)  # a GuardError leaves nothing cached
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,22 @@
 """Command-line front end: one JSON report per run on stdout.
 
 Every subcommand reads the text graph format (header "n m", one "tail head"
-line per arc), takes --seed (falling back to the HAMKIT_SEED environment
-variable) and --threads, and prints a single JSON object to stdout plus a
-short human summary to stderr. --threads drives the detect-hc and
-detect-k-internal worker pools; the other commands accept it and run on one
-thread. Exit codes: 0 for completed runs including NO answers and
-cap-exceeded outcomes, 2 for usage or input errors, 3 for guard violations
-(instances beyond the desk-scale limits). Only the detect-* commands import
-hamdetect or branchings, and numpy with them; the counting and oracle
-commands run without numpy.
+line per arc), takes --seed and --threads, and prints a single JSON object
+to stdout plus a short human summary to stderr. Without --seed, the
+HAMKIT_SEED environment variable (then 0) gives the seed; main reads it after
+parsing, on every call, since the parser is built once per process.
+--threads drives the detect-hc and detect-k-internal worker pools; the other
+commands accept it and run on one thread. Exit codes: 0 for completed runs
+including NO answers and cap-exceeded outcomes, 2 for usage or input errors,
+3 for guard violations (instances beyond the desk-scale limits). Only the
+detect-* commands import hamdetect or branchings, and numpy with them; the
+counting and oracle commands run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import os
@@ -195,6 +197,7 @@ def _thread_count(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first main() call, not at import, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamkit",
@@ -204,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("graph", help="path to a graph file (header 'n m', arc lines 'tail head')")
-        # argparse runs a string default through `type` too, so a bad
-        # $HAMKIT_SEED is a usage error like a bad --seed
-        sp.add_argument("--seed", type=_seed, default=os.environ.get("HAMKIT_SEED", "0"),
+        # None: main reads $HAMKIT_SEED per call, which a cached parser cannot
+        sp.add_argument("--seed", type=_seed, default=None,
                         help="RNG seed (default: $HAMKIT_SEED or 0)")
         sp.add_argument("--threads", type=_thread_count, default=1,
                         help="detector worker threads, at least 1; never changes answers")
@@ -287,8 +289,13 @@ _DETECTOR_MODULES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.seed is None:
+        try:
+            args.seed = _seed(os.environ.get("HAMKIT_SEED", "0"))
+        except argparse.ArgumentTypeError as exc:
+            print(f"hamkit: {exc}", file=sys.stderr)
+            return 2
     if args.command in _DETECTOR_MODULES:
         importlib.import_module(f".{_DETECTOR_MODULES[args.command]}", __package__)
     started = time.perf_counter()

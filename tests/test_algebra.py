@@ -110,6 +110,20 @@ class TestBinaryField:
         with pytest.raises(GuardError):
             BinaryField(17)
 
+    def test_fields_are_shared_and_read_only(self):
+        # one field per degree per process: both sizes below need m = 8
+        shared = make_binary_field(9)
+        assert shared is make_binary_field(16)
+        for table in (shared.np_log, shared.np_exp, shared.np_inv):
+            with pytest.raises(ValueError):
+                table[1] = 0
+            with pytest.raises(ValueError):
+                table += 1
+        assert BinaryField(8) is not shared
+        for _ in range(2):  # a guard violation is raised afresh, never cached
+            with pytest.raises(GuardError):
+                make_binary_field(300)
+
 
 class TestBatchedBinaryField:
     """nmul and ninv read the zero sentinel in np_log instead of masking zeros."""

@@ -378,6 +378,25 @@ class TestSeeding:
         rep, _ = run_json(["detect-hc", path], capsys)
         assert rep["seed"] == 0
 
+    def test_env_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process, so a default frozen from
+        # os.environ at build time would report the first call's seed forever
+        path = write_graph(tmp_path, directed_cycle(5))
+        for value, seed in (("5", 5), ("9", 9), (None, 0)):
+            if value is None:
+                monkeypatch.delenv("HAMKIT_SEED", raising=False)
+            else:
+                monkeypatch.setenv("HAMKIT_SEED", value)
+            rep, _ = run_json(["count-branchings", path, "--root", "0"], capsys)
+            assert rep["seed"] == seed, value
+        monkeypatch.setenv("HAMKIT_SEED", "abc")
+        code, out, err = run_cli(["count-branchings", path, "--root", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "HAMKIT_SEED" in err
+        rep, _ = run_json(["count-branchings", path, "--root", "0", "--seed", "3"], capsys)
+        assert rep["seed"] == 3
+
 
 REPRO_COMMANDS = [
     ["count-mod", "{g}", "--p", "3", "--k", "2", "--seed", "11", "--mode", "mitm"],
@@ -410,7 +429,8 @@ class TestReproducibility:
 
 
 # Runs each argv of the JSON list in argv[1] and prints, per run, the exit
-# code, whether numpy is loaded after it and the reported elapsed_ms.
+# code, whether numpy is loaded after it, the reported elapsed_ms and the
+# rest of the report.
 FRESH_CLI = """
 import contextlib, io, json, sys
 from hamkit.cli import main
@@ -419,7 +439,9 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    runs.append([code, "numpy" in sys.modules, json.loads(out.getvalue())["elapsed_ms"]])
+    report = json.loads(out.getvalue())
+    elapsed = report.pop("elapsed_ms")
+    runs.append([code, "numpy" in sys.modules, elapsed, report])
 print(json.dumps(runs))
 """
 
@@ -491,6 +513,18 @@ class TestLazyLoading:
             if first <= 3 * second:
                 break
         assert first <= 3 * second, (first, second)
+
+    @pytest.mark.parametrize("template", DETECT_COMMANDS, ids=lambda t: t[0])
+    def test_first_call_builds_what_later_calls_reuse(self, template, tmp_path, capsys):
+        # the first call in a process builds the parser and the GF(2^m) field,
+        # the second reuses both; this test process has long since built them
+        path = write_graph(tmp_path, complete_digraph(5))
+        argv = [a.replace("{g}", path) for a in template] + ["--seed", "7"]
+        first, second = json.loads(run_fresh(FRESH_CLI, json.dumps([argv, argv])))
+        here, _ = run_json(argv, capsys)
+        del here["elapsed_ms"]
+        assert first[0] == second[0] == 0
+        assert first[3] == second[3] == here
 
     @pytest.mark.parametrize("how", ["getattr", "star"])
     def test_every_export_resolves(self, how):

@@ -162,6 +162,9 @@ def test_detector_kernels_are_spanned(monkeypatch):
     # one |blue| x |blue| matrix per pair: the yellow rows are folded away
     assert shapes and all(shape[1:] == (blue, blue) for shape in shapes)
     assert sum(shape[0] for shape in shapes) == tracer.counters["hamdetect.gf_matrices"]
+    # detect-hc and detect-k-internal each ask for a field, k-leaf works mod p;
+    # the span counts calls even when the field comes from the per-degree cache
+    assert tracer.spans["algebra.make_binary_field"][2] == 2
 
 
 def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
