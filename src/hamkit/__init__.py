@@ -20,15 +20,16 @@ The package is organised around a weighted-Laplacian toolbox:
 
 Each question has one determinant route. The counts are exact Python
 integer arithmetic: hamcount takes one fraction-free Bareiss determinant
-per subset (or listed MITM pair), and count_out_branchings one bigint
-Bareiss determinant. Only the detectors batch over numpy arrays: hamdetect,
-branchings, and the binary-field tables in algebra, which import numpy
-when the first field is built. So `import hamkit`, the counting commands
-and the oracles never load numpy; the six numpy-backed exports
-(detect_hamiltonian_cycle, detect_k_internal, detect_k_leaf, solve_nk_dv,
-InternalSieveConfig, DvConfig) load hamdetect or branchings on first
-access. The scalar routes the batches are tested against live with the
-tests, in tests/reference.py.
+per subset (or listed MITM pair) whose dead-row product is nonzero mod the
+pass modulus p^k (the other terms vanish mod p^k), and
+count_out_branchings one bigint Bareiss determinant. Only the detectors
+batch over numpy arrays: hamdetect, branchings, and the binary-field tables
+in algebra, which import numpy when the first field is built. So `import
+hamkit`, the counting commands and the oracles never load numpy; the six
+numpy-backed exports (detect_hamiltonian_cycle, detect_k_internal,
+detect_k_leaf, solve_nk_dv, InternalSieveConfig, DvConfig) load hamdetect
+or branchings on first access. The scalar routes the batches are tested
+against live with the tests, in tests/reference.py.
 """
 
 import importlib

@@ -6,15 +6,18 @@ from the sink t to every other vertex; then the path count equals an
 inclusion-exclusion sum, over subsets O of vertices allowed to keep their
 out-arcs, of signed determinants of the punctured Laplacian with the other
 tails' out-arcs zeroed. The identity holds over the integers for any
-virtual-arc weights, so the naive pass uses zero ones, sums all subsets
-exactly and reduces mod p^k once; with a modulus above the largest possible
-count its residue is the count itself.
+virtual-arc weights, so the naive pass uses zero ones, sums the subset
+terms over the integers and reduces mod p^k once; with a modulus above the
+largest possible count its residue is the count itself.
 
 Subsets without s contribute 0 for any weights: every column of their
 matrix sums to zero, since s is the one tail whose arcs the diagonals count
 but no row carries. So a pass visits all 2^|V_t| tail subsets, but at most
 half of them reach a determinant. With zero weights t's row is diagonal as
-well and joins the factored-out diagonals.
+well and joins the factored-out diagonals. Each term only has to be right
+mod p^k, so a subset whose dead-row product (the product of those
+diagonals) is 0 mod p^k is skipped before its minor is built; every residue
+stays the same.
 
 The meet-in-the-middle evaluator draws the virtual-arc weights as random
 residues mod p (`tail_weights`), cuts the tail vertices by id into a first
@@ -122,11 +125,12 @@ class MitmDiagnostics:
 
 
 class _SieveCore:
-    """Precomputed masks for fast signed subset determinants over the integers."""
+    """Precomputed masks for signed subset determinants, each right modulo the pass modulus q."""
 
-    def __init__(self, split: VertexSplit, weights: tuple[int, ...]):
+    def __init__(self, split: VertexSplit, weights: tuple[int, ...], modulus: int):
         g = split.graph
         self.wt = weights
+        self.modulus = modulus
         self.s = split.s
         self.t = split.t
         self.n0 = g.n - 1  # |V_t|
@@ -137,7 +141,7 @@ class _SieveCore:
         self.t_row_diagonal = not any(weights)
 
     def subset_det(self, omask: int) -> int:
-        """Integer determinant of the tail-restricted punctured Laplacian.
+        """An integer ≡ the determinant of the tail-restricted punctured Laplacian mod q.
 
         Rows of vertices outside O carry only their diagonal, so the
         determinant factors into those diagonals times the minor on the
@@ -146,7 +150,9 @@ class _SieveCore:
         virtual-arc weights, since t's entry -wt[v] cancels the +wt[v] on
         v's diagonal; so a subset without s has determinant 0 and no row is
         built for it. With zero weights t's row is diagonal too, and its
-        entry in_t(O) joins the dead-row product.
+        entry in_t(O) joins the dead-row product. A dead-row product
+        divisible by q makes the term vanish mod q, so it returns 0 before
+        the minor is built; any other term is the exact determinant.
         """
         if not omask >> self.s & 1:
             return 0
@@ -167,6 +173,8 @@ class _SieveCore:
                 if d == 0:
                     return 0
                 dead_prod *= d
+        if dead_prod % self.modulus == 0:
+            return 0
         if not self.t_row_diagonal:
             alive.append(t)
         out_mask = self.out_mask
@@ -223,14 +231,16 @@ def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
 
     The virtual-arc weights are zero (the identity holds for any weights, and
     zero ones make t's row diagonal and let more subsets drop out early), so
-    the seed does not enter.
+    the seed does not enter. Each term is ≡ its subset's determinant mod
+    p^k, and is 0 when the dead-row product is; the sum is the count mod p^k.
     """
     n0 = split.graph.n - 1
     _check_subset_guard(n0)
     k = params.effective_k(n0)
-    core = _SieveCore(split, (0,) * split.graph.n)
+    modulus = params.p**k
+    core = _SieveCore(split, (0,) * split.graph.n, modulus)
     total = sum(map(core.signed_contribution, range(1 << n0)))
-    return ResidueElem(value=total % params.p**k, p=params.p, k=k)
+    return ResidueElem(value=total % modulus, p=params.p, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +336,7 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem
     if diag is not None:
         return naive_sieve_count(split, params), diag
     k = params.effective_k(n0)
-    core = _SieveCore(split, tail_weights(split, p, params.seed))
+    core = _SieveCore(split, tail_weights(split, p, params.seed), p**k)
     cut = math.ceil(split.graph.n / 3)
     first, second = tuple(range(n0)[:cut]), tuple(range(n0)[cut:])
     blocks = block_partition(len(core.vst), p)

@@ -144,12 +144,17 @@ def test_criterion_2_path_sieve_identity():
 
 
 def test_criterion_3_mitm_equals_naive():
-    # same corpus recipe as criterion 2 with the size cap raised to 14
+    # same corpus recipe as criterion 2 with the size cap raised to 14; both
+    # modes share the sieve core, so the naive residue is also pinned to
+    # Held-Karp on the split graph, as in criterion 2
     t0 = time.perf_counter()
     runs = 0
     for i, (g, p, k) in enumerate(sieve_corpus(14, 1002)):
+        split = split_vertex(g, 0)
+        want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
         # the naive residue does not depend on the seed
         a, _ = count_hc_mod(g, SieveParams(p=p, k=k, seed=3 * i, mode="naive"))
+        assert a.value == want % p**k, (g.arcs, p, k)
         for seed in (3 * i, 3 * i + 1, 3 * i + 2):
             b, _ = count_hc_mod(g, SieveParams(p=p, k=k, seed=seed, mode="mitm"))
             assert (a.value, a.p, a.k) == (b.value, b.p, b.k), (g.arcs, p, k, seed)

@@ -90,7 +90,7 @@ class TestRestrictedLaplacian:
             g, split, p, wt = self._setup(rnd, 6)
             k = rnd.choice([1, 2, 3])
             ring = ResidueRing(p, k)
-            core = hamcount_mod._SieveCore(split, wt)
+            core = hamcount_mod._SieveCore(split, wt, ring.modulus)
             for _ in range(8):
                 omask = rnd.getrandbits(split.graph.n - 1)
                 m = restricted_laplacian(split, omask, wt, ring)
@@ -103,11 +103,50 @@ class TestRestrictedLaplacian:
         for _ in range(10):
             g, split, _, _ = self._setup(rnd, rnd.randint(2, 6))
             wt = (0,) * split.graph.n
-            core = hamcount_mod._SieveCore(split, wt)
+            core = hamcount_mod._SieveCore(split, wt, ring.modulus)
             assert core.t_row_diagonal
             for omask in range(1 << (split.graph.n - 1)):
                 m = restricted_laplacian(split, omask, wt, ring)
                 assert det_division_free(m) == core.subset_det(omask) % ring.modulus
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
+    def test_every_subset_matches_reference_mod_q(self, p, k):
+        # terms skipped for a dead-row product divisible by q are still right mod q
+        rnd = random.Random(100 * p + k)
+        ring = ResidueRing(p, k)
+        for _ in range(4):
+            g, split, _, _ = self._setup(rnd, rnd.randint(3, 7))
+            for wt in (tail_weights(split, p, rnd.randrange(1000)), (0,) * split.graph.n):
+                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
+                for omask in range(1 << (split.graph.n - 1)):
+                    m = restricted_laplacian(split, omask, wt, ring)
+                    assert core.subset_det(omask) % ring.modulus == det_division_free(m)
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
+    def test_dead_product_divisible_by_q_skips_elimination(self, p, k, monkeypatch):
+        # the dead-row product is read off the reference matrix: the diagonals
+        # of the rows outside O, and t's diagonal when the weights are zero
+        def refuse(rows):
+            raise AssertionError("eliminated a subset whose dead-row product is 0 mod q")
+
+        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", refuse)
+        rnd = random.Random(200 * p + k)
+        ring = ResidueRing(p, k)
+        skipped = 0
+        for _ in range(4):
+            g, split, _, _ = self._setup(rnd, rnd.randint(3, 7))
+            for wt in (tail_weights(split, p, rnd.randrange(1000)), (0,) * split.graph.n):
+                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
+                for omask in range(1 << (split.graph.n - 1)):
+                    m = restricted_laplacian(split, omask, wt, ring)
+                    dead = 1
+                    for i, u in enumerate(m.row_labels):
+                        if (u != split.t and not omask >> u & 1) or (u == split.t and not any(wt)):
+                            dead = dead * m.entries[i][i] % ring.modulus
+                    if dead == 0:
+                        assert core.subset_det(omask) == 0
+                        skipped += omask >> split.s & 1
+        assert skipped > 0
 
     def test_subsets_without_s_have_zero_determinant(self, monkeypatch):
         # every column of the surviving minor sums to [s in O and s->v], so
@@ -121,7 +160,7 @@ class TestRestrictedLaplacian:
             g, split, p, random_wt = self._setup(rnd, rnd.randint(2, 7))
             ring = ResidueRing(p, 2)
             for wt in (random_wt, (0,) * split.graph.n):
-                core = hamcount_mod._SieveCore(split, wt)
+                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
                 for omask in range(1 << (split.graph.n - 1)):
                     if omask >> split.s & 1:
                         continue
@@ -215,7 +254,9 @@ class TestNaiveSieve:
             want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
             assert naive_sieve_count(split, SieveParams(p=2, k=64)).value == want
             drawn = tail_weights(split, rnd.choice([2, 3, 101]), rnd.randrange(100))
-            core = hamcount_mod._SieveCore(split, drawn)
+            # no dead-row product on n <= 8 vertices (at most 108^7 < 2^64)
+            # is a nonzero multiple of 2^64, so no term is skipped
+            core = hamcount_mod._SieveCore(split, drawn, 2**64)
             assert sum(map(core.signed_contribution, range(1 << (split.graph.n - 1)))) == want
 
 
@@ -228,18 +269,18 @@ class TestFingerprints:
     def test_z1_empty_is_tail_weights(self):
         split = split_vertex(directed_cycle(5), 0)
         wt = tail_weights(split, 5, 7)
-        z = hamcount_mod._SieveCore(split, wt).fingerprint(0, 5, True)
+        z = hamcount_mod._SieveCore(split, wt, 5).fingerprint(0, 5, True)
         vst = [u for u in range(split.graph.n - 1) if u != split.s]
         assert z == tuple(wt[u] % 5 for u in vst)
 
     def test_z2_empty_is_zero(self):
         split = split_vertex(directed_cycle(5), 0)
-        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 7))
+        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 7), 3)
         assert core.fingerprint(0, 3, False) == (0,) * (split.graph.n - 2)
 
     def test_subset_positions_marked(self):
         split = split_vertex(directed_cycle(6), 1)
-        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 2))
+        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 2), 3)
         o1 = 1  # vertex 0, the first vertex of the first half
         z = core.fingerprint(o1, 3, True)
         vst = [u for u in range(split.graph.n - 1) if u != split.s]
@@ -254,7 +295,7 @@ class TestFingerprints:
             split = split_vertex(g, rnd.randrange(7))
             p = rnd.choice([2, 3, 5])
             wt = tail_weights(split, p, rnd.randrange(100))
-            core = hamcount_mod._SieveCore(split, wt)
+            core = hamcount_mod._SieveCore(split, wt, p)
             first_mask = first_half_mask(split)
             o1 = rnd.getrandbits(split.graph.n - 1) & first_mask
             o2 = rnd.getrandbits(split.graph.n - 1) & ~first_mask
@@ -317,7 +358,7 @@ class TestMitm:
             p = rnd.choice([2, 3])
             k = rnd.choice([1, 2])
             wt = tail_weights(split, p, rnd.randrange(100))
-            core = hamcount_mod._SieveCore(split, wt)
+            core = hamcount_mod._SieveCore(split, wt, p**k)
             first_mask = first_half_mask(split)
             first = tuple(range(first_mask.bit_length()))
             blocks = block_partition(len(core.vst), p)

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from conftest import (
@@ -18,6 +20,7 @@ from hamkit.hamcount import SieveParams, count_exact_capped
 from hamkit.hamdetect import detect_hamiltonian_cycle
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+SELFTEST = LAYERTRACE.with_name("selftest.py")
 
 
 def load_layertrace():
@@ -201,3 +204,11 @@ def test_internal_chunks_double_and_a_yes_stops_at_its_hit():
     assert yes.verdict and yes.trials_run == 1
     assert tracer.counters["branchings.internal_trials"] == 1
     assert tracer.spans["branchings.det_batch"][2] == 1
+
+
+def test_benchmark_selftest_passes():
+    # smoke runs of every workload, traced and not: a kernel change that moves
+    # a traced entry point or breaks a closed-form counter check fails here
+    proc = subprocess.run([sys.executable, str(SELFTEST)], cwd=SELFTEST.parents[1],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
