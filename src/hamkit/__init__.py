@@ -6,8 +6,8 @@ The package is organised around a weighted-Laplacian toolbox:
   partitions of the vertex set.
 - algebra: binary fields GF(2^m) with numpy batched kernels, primes,
   prime-power residues, CRT.
-- matrixtree: out-branching counts and the fraction-free integer
-  determinant.
+- matrixtree: out-branching counts and the exact integer determinant
+  (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
   inclusion-exclusion determinant sieve, with meet-in-the-middle pruning and
   CRT boosting to exact counts under a degree cap.
@@ -19,10 +19,11 @@ The package is organised around a weighted-Laplacian toolbox:
 - oracle: small-instance brute-force reference implementations.
 
 Each question has one determinant route. The counts are exact Python
-integer arithmetic: hamcount takes one fraction-free Bareiss determinant
-per subset (or listed MITM pair) whose dead-row product is nonzero mod the
-pass modulus p^k (the other terms vanish mod p^k), and
-count_out_branchings one bigint Bareiss determinant. Only the detectors
+integer arithmetic, with one determinant kernel (±1-pivot elimination,
+then Bareiss): hamcount takes one determinant per subset (or listed MITM
+pair) whose dead-row product is nonzero mod the pass modulus p^k (the other
+terms vanish mod p^k), and count_out_branchings one bigint determinant of
+the punctured Laplacian. Only the detectors
 batch over numpy arrays: hamdetect, branchings, and the binary-field tables
 in algebra, which import numpy when the first field is built. So `import
 hamkit`, the counting commands and the oracles never load numpy; the six

@@ -3,8 +3,10 @@
 The directed Laplacian puts the in-degree of a vertex on the diagonal and -1
 at entry (u, v) for every arc. Deleting the row and column of a root r
 leaves a matrix whose determinant counts the spanning out-branchings rooted
-at r. Determinants over the integers use fraction-free (Bareiss)
-elimination, which the Hamiltonian-cycle sieve shares.
+at r. Determinants over the integers, which the Hamiltonian-cycle sieve
+shares, use ±1-pivot elimination, then Bareiss: every ±1 that can still be a
+pivot is eliminated without division or rescaling, and fraction-free
+(Bareiss) elimination finishes the block with no ±1 left.
 """
 
 from __future__ import annotations
@@ -12,19 +14,82 @@ from __future__ import annotations
 from .errors import GuardError
 from .graph import Digraph
 
-# Largest vertex count for an exact branching count: the bigint elimination
-# on the (n-1)^2 Laplacian takes seconds at a few hundred vertices.
+# Largest vertex count for an exact branching count: on a 512-vertex
+# Hamiltonian cycle plus 1,024 random arcs the determinant takes about 0.7 s
+# (2-vCPU machine, Python 3.11). Dense graphs keep few ±1 pivots and take
+# far longer: at density 0.5, 32 s at 300 vertices and 128 s at 400.
 BRANCHING_COUNT_GUARD = 512
 
 
 def det_bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of a list-of-lists integer matrix (consumed)."""
+    """Exact determinant of a list-of-lists integer matrix (consumed).
+
+    While the trailing block holds a ±1, it is moved to the pivot by a row
+    and a column swap (each flips the sign) and eliminated: only rows with a
+    nonzero in the pivot column change, and only at the pivot row's nonzero
+    columns. The eliminated pivots have determinant ±1, so the block left
+    holds ± minors of the input, and Bareiss finishes it in place. A zero
+    column answers 0 before any elimination.
+    """
     n = len(rows)
     if n == 0:
         return 1
+    if not all(map(any, zip(*rows))):
+        return 0
     sign = 1
+    last = n - 1
+    for k in range(last):
+        rk = rows[k]
+        piv = rk[k]
+        k1 = k + 1
+        if piv != 1 and piv != -1:
+            # a ±1 lower in column k needs only a row swap
+            for i in range(k1, n):
+                piv = rows[i][k]
+                if piv == 1 or piv == -1:
+                    rows[k], rows[i] = rows[i], rk
+                    rk = rows[k]
+                    sign = -sign
+                    break
+            else:
+                # columns left of k are zero in these rows, so any ±1 is right of k
+                for i in range(k, n):
+                    ri = rows[i]
+                    if -1 in ri:
+                        j = ri.index(-1)
+                    elif 1 in ri:
+                        j = ri.index(1)
+                    else:
+                        continue
+                    break
+                else:
+                    break
+                if i != k:
+                    rows[k], rows[i] = ri, rk
+                    rk = ri
+                    sign = -sign
+                for r in rows[k:]:
+                    r[j], r[k] = r[k], r[j]
+                sign = -sign
+                piv = rk[k]
+        # a plain loop: cheaper than a comprehension on the sieve's small minors
+        nz = []
+        for j in range(k1, n):
+            if rk[j]:
+                nz.append(j)
+        sign *= piv
+        for ri in rows[k1:]:
+            f = ri[k]
+            if f:
+                f *= piv  # piv is its own inverse
+                for j in nz:
+                    ri[j] -= f * rk[j]
+                ri[k] = 0
+    else:
+        return sign * rows[last][last]
+    # no ±1 left: Bareiss on the trailing block, rows and columns k onwards
     prev = 1
-    for k in range(n - 1):
+    for k in range(k, last):
         if rows[k][k] == 0:
             for r in range(k + 1, n):
                 if rows[r][k] != 0:
@@ -46,7 +111,7 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
                     ri[j] = (pkk * ri[j] - rik * rk[j]) // prev
                 ri[k] = 0
         prev = pkk
-    return sign * rows[n - 1][n - 1]
+    return sign * rows[last][last]
 
 
 def count_out_branchings(g: Digraph, root: int) -> int:
@@ -59,22 +124,17 @@ def count_out_branchings(g: Digraph, root: int) -> int:
         raise ValueError(f"root {root} out of range")
     if g.n > BRANCHING_COUNT_GUARD:
         raise GuardError(f"branching count guard: n={g.n} > {BRANCHING_COUNT_GUARD}")
+    # vertex v sits at index v - (v > root) once the root's row and column go
     rows = []
     for u in range(g.n):
         if u == root:
             continue
-        row = []
-        for v in range(g.n):
-            if v == root:
-                continue
-            if u == v:
-                row.append(len(g.in_adj[u]))
-            elif g.has_arc(u, v):
-                row.append(-1)
-            else:
-                row.append(0)
+        row = [0] * (g.n - 1)
+        for v in g.out_adj[u]:
+            if v != root:
+                row[v - (v > root)] = -1
+        row[u - (u > root)] = len(g.in_adj[u])
         rows.append(row)
     det = det_bareiss_int(rows)
     assert det >= 0, "branching count came out negative"
     return det
-

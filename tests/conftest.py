@@ -67,3 +67,15 @@ def random_out_degree_graph(rnd: random.Random, n: int, d: int) -> Digraph:
         for v in rnd.sample(others, min(d, len(others))):
             arcs.append((u, v))
     return make_digraph(n, arcs)
+
+
+def cycle_plus(rnd: random.Random, n: int, extra: int) -> Digraph:
+    """A Hamiltonian cycle on a random vertex order plus `extra` random other arcs."""
+    order = list(range(n))
+    rnd.shuffle(order)
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    while len(arcs) < n + extra:
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    return make_digraph(n, arcs)

@@ -20,7 +20,7 @@ from hamkit.algebra import is_prime, make_binary_field, random_prime_31
 from hamkit.branchings import _batched_modpow, _draw_internal_chunk
 from hamkit.errors import GuardError
 from hamkit.hamcount import RESIDUE_MODULUS_LIMIT
-from hamkit.matrixtree import count_out_branchings, det_bareiss_int
+from hamkit.matrixtree import count_out_branchings
 from hamkit.rand import make_rng
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,28 @@ def det_division_free(m: SquareMatrix):
 
 
 def det_bareiss(m: SquareMatrix) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    return det_bareiss_int([list(row) for row in m.entries])
+    """Exact integer determinant by the classic fraction-free (Bareiss) loop.
+
+    Each step scales every row below the pivot and divides exactly by the
+    previous pivot; a zero pivot is swapped with the first nonzero below it.
+    """
+    a = [list(row) for row in m.entries]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

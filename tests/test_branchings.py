@@ -31,9 +31,11 @@ from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings
 from hamkit import oracle
 from reference import (
+    INTEGERS,
     GroupAlgebra,
     MonomialListPolynomial,
     PrimeField,
+    det_bareiss,
     det_gauss,
     dv_trial,
     internal_determinants,
@@ -301,14 +303,12 @@ class TestInternalDeterminant:
 
 class TestBatchedPrimeDet:
     def test_matches_fraction_free(self):
-        from hamkit.matrixtree import det_bareiss_int
-
         rnd = np.random.default_rng(19)
         p = 2_147_483_029  # a 31-bit prime
         mats = rnd.integers(0, p, size=(25, 5, 5), dtype=np.int64)
         dets = batched_modp_det(mats.copy(), p)
         for i in range(25):
-            want = det_bareiss_int([row[:] for row in mats[i].tolist()]) % p
+            want = det_bareiss(square(INTEGERS, mats[i].tolist())) % p
             assert int(dets[i]) == want
 
     def test_zero_order(self):

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, JSON shape, seeding, reproducibility."""
 
 import json
+import random
 import re
 import time
 
@@ -10,6 +11,7 @@ import hamkit
 from conftest import (
     acyclic_tournament,
     complete_digraph,
+    cycle_plus,
     directed_cycle,
     directed_path,
     out_star,
@@ -267,7 +269,7 @@ class TestExitCodes:
 
     def test_branching_count_guard(self):
         # the header cap stops a 513-vertex file at parse, so the library carries this guard;
-        # the branching detectors count branchings per root, so the same cap binds them, and
+        # the branching detectors screen their roots under the same cap, and
         # k = 0 keeps k-internal under its gather guard, which fires from k = 1 at this n
         wide = make_digraph(BRANCHING_COUNT_GUARD + 1, [])
         for run in (lambda: count_out_branchings(wide, 0),
@@ -275,6 +277,14 @@ class TestExitCodes:
                     lambda: detect_k_leaf(wide, 2, DvConfig())):
             with pytest.raises(GuardError, match="branching count guard"):
                 run()
+
+    def test_branching_count_at_the_guard(self, tmp_path, capsys):
+        # the largest input count-branchings answers takes about a second, so a
+        # slower determinant shows in the suite's time rather than as a hang
+        n = BRANCHING_COUNT_GUARD
+        g = cycle_plus(random.Random(45), n, 2 * n)
+        rep, _ = run_json(["count-branchings", write_graph(tmp_path, g), "--root", "0"], capsys)
+        assert rep["answer"] == count_out_branchings(g, 0)
 
     @pytest.mark.parametrize("g", [directed_cycle(40), directed_cycle(300), complete_digraph(18)],
                              ids=["cycle40", "cycle300", "k18"])

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import complete_digraph, directed_cycle, directed_path, random_digraph
+from conftest import complete_digraph, cycle_plus, directed_cycle, directed_path, random_digraph
 from hamkit.algebra import BinaryField
 from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings, det_bareiss_int
@@ -154,6 +156,108 @@ class TestDetKernels:
         assert det_bareiss_int([r[:] for r in rows]) == cofactor_det(INTEGERS, rows)
 
 
+def unimodular(rnd, d):
+    """A random d x d integer matrix of determinant +-1, and that determinant.
+
+    A signed permutation matrix, mixed by adding +-1 times one row to another.
+    """
+    perm = list(range(d))
+    rnd.shuffle(perm)
+    rows = [[0] * d for _ in range(d)]
+    det = 1
+    for i, j in enumerate(perm):
+        rows[i][j] = rnd.choice((1, -1))
+        det *= rows[i][j]
+    inversions = sum(perm[a] > perm[b] for a in range(d) for b in range(a + 1, d))
+    det *= (-1) ** inversions
+    for _ in range(3 * d if d > 1 else 0):
+        a, b = rnd.sample(range(d), 2)
+        c = rnd.choice((1, -1))
+        rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return rows, det
+
+
+def check_det(rows):
+    """det_bareiss_int agrees with the Berkowitz and cofactor references on rows."""
+    want = det_division_free(square(INTEGERS, rows))
+    if len(rows) <= 6:
+        assert cofactor_det(INTEGERS, rows) == want
+    assert det_bareiss_int([r[:] for r in rows]) == want, rows
+    return want
+
+
+class TestUnitPivotDeterminant:
+    """The +-1 pivot phase, the Bareiss fallback, and the hand-over between them."""
+
+    def test_empty_and_one_by_one(self):
+        assert det_bareiss_int([]) == 1
+        for x in (-7, -1, 0, 1, 2):
+            assert det_bareiss_int([[x]]) == x
+
+    def test_no_unit_anywhere(self):
+        # only Bareiss runs
+        rnd = random.Random(40)
+        for d in range(2, 8):
+            for _ in range(6):
+                rows = [[rnd.choice((0, 2, -2, 3, -3, 5)) for _ in range(d)] for _ in range(d)]
+                check_det(rows)
+
+    def test_all_unit_unimodular(self):
+        rnd = random.Random(41)
+        for d in range(1, 10):
+            for _ in range(5):
+                rows, det = unimodular(rnd, d)
+                assert check_det(rows) == det
+
+    def test_unit_steps_then_bareiss(self):
+        # a few +-1 entries among entries that are not units: the unit phase
+        # runs out partway and Bareiss finishes the Schur complement
+        rnd = random.Random(42)
+        for d in range(2, 9):
+            for _ in range(8):
+                rows = [[rnd.choice((0, 0, 2, -2, 3, -4)) for _ in range(d)] for _ in range(d)]
+                for _ in range(rnd.randint(1, d)):
+                    rows[rnd.randrange(d)][rnd.randrange(d)] = rnd.choice((1, -1))
+                check_det(rows)
+
+    def test_minus_one_pivot_needs_row_and_column_swap(self):
+        # the only unit sits below row 0 and right of column 0
+        cases = [
+            [[2, 3, 0], [4, 0, -1], [0, 5, 2]],
+            [[3, 2, 2], [2, 4, 2], [2, 2, -1]],
+            [[0, 2, 0, 3], [2, 0, 4, 0], [0, 3, 0, -1], [5, 0, 2, 2]],
+        ]
+        for rows in cases:
+            check_det(rows)
+        # and the same with the rows and columns in every cyclic order
+        for rows in cases:
+            d = len(rows)
+            for shift in range(1, d):
+                check_det([row[shift:] + row[:shift] for row in rows[shift:] + rows[:shift]])
+
+    def test_singular_after_unit_steps(self):
+        assert det_bareiss_int([[1, 1], [1, 1]]) == 0
+        assert det_bareiss_int([[1, 2, 3], [1, 2, 3], [4, 5, 7]]) == 0
+        rnd = random.Random(43)
+        for d in range(2, 8):
+            for _ in range(6):
+                rows = [[rnd.randint(-2, 2) for _ in range(d)] for _ in range(d - 1)]
+                coeffs = [rnd.choice((1, -1, 0)) for _ in range(d - 1)]
+                rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)])
+                rnd.shuffle(rows)
+                assert check_det(rows) == 0
+
+    def test_zero_column_and_zero_row(self):
+        assert det_bareiss_int([[1, 0, 2], [-1, 0, 3], [4, 0, 1]]) == 0
+        assert det_bareiss_int([[1, -1, 2], [0, 0, 0], [4, 1, 1]]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 7).flatmap(
+        lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)))
+    def test_small_entries_property(self, rows):
+        check_det(rows)
+
+
 class TestCountOutBranchings:
     def test_path(self):
         assert count_out_branchings(directed_path(3), 0) == 1
@@ -196,3 +300,16 @@ class TestCountOutBranchings:
             }
             scaled = det_gauss(puncture(build_laplacian(g, scaled_w, f), 0))
             assert scaled == base * c % p
+
+    def test_large_counts_match_prime_field_determinants(self):
+        # hundreds of digits, checked mod two 31-bit primes by plain Gaussian elimination
+        rnd = random.Random(44)
+        for n in (100, 150):
+            g = cycle_plus(rnd, n, 2 * n)
+            root = n // 2
+            count = count_out_branchings(g, root)
+            assert count > 0
+            for p in (2_147_483_029, 2**31 - 1):
+                f = PrimeField(p)
+                want = det_gauss(puncture(build_laplacian(g, unit_weights(g, f), f), root))
+                assert count % p == want, (n, p)
