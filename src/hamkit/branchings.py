@@ -26,7 +26,6 @@ explicit failure-probability bound in the report.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Protocol, runtime_checkable
@@ -74,7 +73,6 @@ class InternalSieveConfig:
 
     trials: int = 100
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -307,8 +305,8 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     runs `cfg.trials` randomized determinant evaluations, in chunks of 1, 2,
     4, ... up to INTERNAL_CHUNK trials, and stops after the chunk with its
     first hit; a nonzero verdict slot (the degree-k slice) certifies YES.
-    Reports are identical for any thread count and chunking: per-root trial
-    consumption depends only on (seed, root, trial). Refuses k >
+    Reports are identical for any chunking: per-root trial consumption
+    depends only on (seed, root, trial). Refuses k >
     GROUP_RANK_LIMIT and a determinant gather bound past
     INTERNAL_GATHER_LIMIT bytes (GuardError) before the roots are scanned.
     """
@@ -351,7 +349,7 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
             size = min(2 * size, INTERNAL_CHUNK)
         return done, False
 
-    results = _scan_roots(roots, run_root, lambda res: res[1], cfg.threads)
+    results = _scan_roots(roots, run_root, lambda res: res[1])
     hit = any(found for _, found in results.values())
     floor = internal_sieve_success_floor(n, k)
     return DetectionReport(
@@ -393,25 +391,14 @@ def _spanning_roots(g: Digraph) -> list[int]:
     return roots
 
 
-def _scan_roots(roots: list[int], run_root, is_hit, threads: int) -> dict:
+def _scan_roots(roots: list[int], run_root, is_hit) -> dict:
     """run_root's result for each root a sequential scan visits, in root order.
 
-    The scan stops after the first root whose result is_hit. With threads > 1
-    every root runs in parallel and the results past the first hit are
-    dropped, so the outcome does not depend on the thread count.
+    The scan stops after the first root whose result is_hit.
     """
-    if threads > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ran = list(pool.map(run_root, roots))
-    else:
-        ran = []
-        for root in roots:
-            ran.append(run_root(root))
-            if is_hit(ran[-1]):
-                break
     visited = {}
-    for root, res in zip(roots, ran):
-        visited[root] = res
+    for root in roots:
+        visited[root] = res = run_root(root)
         if is_hit(res):
             break
     return visited
@@ -664,7 +651,6 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
         failure_bound=0.0 if hit_detail else (1.0 - 4.0**-k) ** budget,
         detail={
             "primes": [p1, p2],
-            "skew": 0.5,
             "evaluations": trials_run * 2 * (2 * n + 1),
             **({"hit": hit_detail} if hit_detail else {}),
         },
@@ -701,7 +687,7 @@ def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionR
         sub = replace(cfg, seed=derive_seed("leaf-root", cfg.seed, root))
         return solve_nk_dv(BranchingLeafPolynomial(g, root), k, sub)
 
-    results = _scan_roots(roots, run_root, lambda rep: rep.verdict, 1)
+    results = _scan_roots(roots, run_root, lambda rep: rep.verdict)
     hit = any(rep.verdict for rep in results.values())
     return DetectionReport(
         verdict=hit,

@@ -5,10 +5,10 @@ line per arc), takes --seed and --threads, and prints a single JSON object
 to stdout plus a short human summary to stderr. Without --seed, the
 HAMKIT_SEED environment variable (then 0) gives the seed; main reads it after
 parsing, on every call, since the parser is built once per process.
---threads drives the detect-hc and detect-k-internal worker pools; the other
-commands accept it and run on one thread. Exit codes: 0 for completed runs
-including NO answers and cap-exceeded outcomes, 2 for usage or input errors,
-3 for guard violations (instances beyond the desk-scale limits). Only the
+--threads is accepted for compatibility and has no effect: every command
+runs on the calling thread. Exit codes: 0 for completed runs including NO
+answers and cap-exceeded outcomes, 2 for usage or input errors, 3 for guard
+violations (instances beyond the desk-scale limits). Only the
 detect-* commands import hamdetect or branchings, and numpy with them; the
 counting and oracle commands run without numpy.
 """
@@ -101,19 +101,14 @@ def _cmd_count_avg_degree(args, g: Digraph, seed: int) -> tuple[dict, str]:
 def _cmd_detect_hc(args, g: Digraph, seed: int) -> tuple[dict, str]:
     from . import hamdetect
 
-    rep = hamdetect.detect_hamiltonian_cycle(
-        g, trials=args.trials, seed=seed, threads=args.threads
-    )
+    rep = hamdetect.detect_hamiltonian_cycle(g, trials=args.trials, seed=seed)
     return _verdict_fields(rep), f"hamiltonian cycle: {'yes' if rep.verdict else 'no'}"
 
 
 def _cmd_detect_k_internal(args, g: Digraph, seed: int) -> tuple[dict, str]:
     from . import branchings as br
 
-    cfg = br.InternalSieveConfig(
-        trials=args.trials, seed=seed, threads=args.threads
-    )
-    rep = br.detect_k_internal(g, args.k, cfg)
+    rep = br.detect_k_internal(g, args.k, br.InternalSieveConfig(trials=args.trials, seed=seed))
     human = f"out-branching with >= {args.k} internal vertices: {'yes' if rep.verdict else 'no'}"
     return {**_verdict_fields(rep), "k": args.k}, human
 
@@ -211,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_seed, default=None,
                         help="RNG seed (default: $HAMKIT_SEED or 0)")
         sp.add_argument("--threads", type=_thread_count, default=1,
-                        help="detector worker threads, at least 1; never changes answers")
+                        help="accepted for compatibility, at least 1; has no effect")
 
     sp = subs.add_parser("count-branchings", help="exact spanning out-branching count for one root")
     common(sp)

@@ -35,9 +35,6 @@ combined modulus exceeds a user-certified bound d^n on the count, and
 q = ceil(e^2 d^4) makes that hold at desk scale. The capped exact counters
 take this route only in mitm mode; in naive mode they run the integer pass
 once, which is exact even when the certificate is wrong.
-
-Every pass runs on the calling thread: the sieve is pure-Python integer
-work, which more threads only slow down.
 """
 
 from __future__ import annotations
@@ -151,42 +148,46 @@ class _SieveCore:
         v's diagonal; so a subset without s has determinant 0 and no row is
         built for it. With zero weights t's row is diagonal too, and its
         entry in_t(O) joins the dead-row product. A dead-row product
-        divisible by q makes the term vanish mod q, so it returns 0 before
-        the minor is built; any other term is the exact determinant.
+        divisible by q makes the term vanish mod q. A zero diagonal on a
+        surviving row, t's included, makes it vanish outright: the weights
+        are residues, so that vertex has weight 0 and no in-arc from O, and
+        its column is zero. Either way it returns 0 before the minor is
+        built; any other term is the exact determinant.
         """
         if not omask >> self.s & 1:
             return 0
         wt = self.wt
         in_mask = self.in_mask
         t = self.t
-        dead_prod = 1
-        if self.t_row_diagonal:
-            dead_prod = (in_mask[t] & omask).bit_count()
-            if dead_prod == 0:
-                return 0
+        in_t = (in_mask[t] & omask).bit_count()
+        if in_t == 0:
+            return 0
+        dead_prod = in_t if self.t_row_diagonal else 1
         alive = []
+        diag = []
         for u in self.vst:
+            d = wt[u] + (in_mask[u] & omask).bit_count()
+            if d == 0:
+                return 0
             if omask >> u & 1:
                 alive.append(u)
+                diag.append(d)
             else:
-                d = wt[u] + (in_mask[u] & omask).bit_count()
-                if d == 0:
-                    return 0
                 dead_prod *= d
         if dead_prod % self.modulus == 0:
             return 0
         if not self.t_row_diagonal:
             alive.append(t)
+            diag.append(in_t)
         out_mask = self.out_mask
         rows = []
         for i, u in enumerate(alive):
             if u == t:
                 row = [-wt[v] for v in alive]
-                row[-1] = (in_mask[t] & omask).bit_count()
             else:
                 om = out_mask[u]
                 row = [-1 if om >> v & 1 else 0 for v in alive]
-                row[i] = wt[u] + (in_mask[u] & omask).bit_count()
+            row[i] = diag[i]
             rows.append(row)
         return dead_prod * det_bareiss_int(rows)
 

@@ -32,7 +32,6 @@ table-driven batched Gaussian elimination.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,37 +254,19 @@ def _membership_chunk(nb: int, start: int, stop: int) -> tuple[np.ndarray, np.nd
     return isel, osel
 
 
-def sieve_membership_pairs(
-    g: Digraph,
-    layout: PortLayout,
-    weights: PortWeights,
-    threads: int = 1,
-) -> tuple[int, int]:
+def sieve_membership_pairs(g: Digraph, layout: PortLayout, weights: PortWeights) -> tuple[int, int]:
     """Sum det(port matrix) over all gated membership pairs.
 
     Returns (field element, number of pairs visited). The sum is the xor of
     2 * 3^(|blue| - 1) determinants, evaluated in chunks of STATE_CHUNK
-    pairs, and is independent of visit order, so thread partitioning cannot
-    change the answer.
+    pairs, and is independent of visit order.
     """
     nb = len(layout.blue)
     npairs = 2 * 3 ** (nb - 1)
     sieve = _BatchedSieve(g, layout, weights)
-    chunk = STATE_CHUNK
-    spans = [(a, min(a + chunk, npairs)) for a in range(0, npairs, chunk)]
-
-    def run(span: tuple[int, int]) -> int:
-        isel, osel = _membership_chunk(nb, *span)
-        return sieve.chunk_sum(isel, osel)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, spans))
-    else:
-        partials = [run(s) for s in spans]
     total = 0
-    for part in partials:
-        total ^= part
+    for a in range(0, npairs, STATE_CHUNK):
+        total ^= sieve.chunk_sum(*_membership_chunk(nb, a, min(a + STATE_CHUNK, npairs)))
     return total, npairs
 
 
@@ -293,12 +274,7 @@ def default_trial_count(n: int) -> int:
     return 2 * max(1, (n - 1).bit_length()) + 4
 
 
-def detect_hamiltonian_cycle(
-    g: Digraph,
-    trials: int | None = None,
-    seed: int = 0,
-    threads: int = 1,
-) -> DetectionReport:
+def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 0) -> DetectionReport:
     """One-sided randomized test for the existence of a Hamiltonian cycle.
 
     A True verdict is certain. After T zero trials the graph is declared
@@ -341,7 +317,7 @@ def detect_hamiltonian_cycle(
     pairs = 0
     for t in range(tmax):
         w = PortWeights.draw(g, layout, field, derive_seed("hc-trial", seed, t))
-        total, pairs = sieve_membership_pairs(g, layout, w, threads=threads)
+        total, pairs = sieve_membership_pairs(g, layout, w)
         if total != 0:
             return DetectionReport(
                 verdict=True, trials_run=t + 1, trials_max=tmax, seed=seed,

@@ -1,9 +1,9 @@
 """Deterministic seed derivation.
 
 All randomness in the package flows through derive_seed so that runs are
-reproducible for a fixed top-level seed and independent of thread schedules:
-every work item (prime, root, trial, chunk) derives its own child seed from
-stable labels rather than from draw order.
+reproducible for a fixed top-level seed: every work item (prime, root,
+trial, chunk) derives its own child seed from stable labels rather than from
+draw order.
 """
 
 from __future__ import annotations

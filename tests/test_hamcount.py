@@ -148,6 +148,31 @@ class TestRestrictedLaplacian:
                         skipped += omask >> split.s & 1
         assert skipped > 0
 
+    def test_zero_diagonal_on_surviving_row_skips_elimination(self, monkeypatch):
+        # a surviving vertex (t included) with weight 0 and no in-arc from O
+        # has an all-zero column, so its subset is 0 without any elimination
+        def refuse(rows):
+            raise AssertionError("eliminated a minor with a zero column")
+
+        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", refuse)
+        rnd = random.Random(57)
+        ring = ResidueRing(7, 3)
+        skipped = 0
+        for _ in range(10):
+            g, split, _, random_wt = self._setup(rnd, rnd.randint(3, 7))
+            for wt in (random_wt, (0,) * split.graph.n):
+                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
+                for omask in range(1 << (split.graph.n - 1)):
+                    if not omask >> split.s & 1:
+                        continue
+                    m = restricted_laplacian(split, omask, wt, ring)
+                    if any(m.entries[i][i] == 0 for i, u in enumerate(m.row_labels)
+                           if u == split.t or omask >> u & 1):
+                        assert core.subset_det(omask) == 0
+                        assert det_division_free(m) == 0
+                        skipped += 1
+        assert skipped > 0
+
     def test_subsets_without_s_have_zero_determinant(self, monkeypatch):
         # every column of the surviving minor sums to [s in O and s->v], so
         # no elimination runs for a subset without s

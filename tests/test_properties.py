@@ -2,9 +2,7 @@
 
 For detect-hc, detect-k-internal and detect-k-leaf alike: a YES is also a
 YES of the exhaustive oracle, and a NO reports a failure_bound no larger
-than the analytic one. The two threaded detectors, detect-hc and
-detect-k-internal, must also give the same whole report for 1, 2 and 4
-threads.
+than the analytic one.
 """
 
 from hypothesis import given, settings
@@ -27,13 +25,6 @@ def digraph_and_k(draw, max_k):
     return make_digraph(n, [a for a, kept in zip(pairs, keep) if kept]), k
 
 
-def thread_independent(detect):
-    rep = detect(1)
-    for threads in (2, 4):
-        assert detect(threads) == rep
-    return rep
-
-
 def field_order(n: int) -> int:
     # make_binary_field(n): GF(2^m) with m = 2 bitlen(n - 1), so q >= n^2
     return 1 << (2 * (n - 1).bit_length())
@@ -47,7 +38,7 @@ def within(bound: float, analytic: float) -> bool:
 @given(digraph_and_k(lambda n: 1))
 def test_detect_hc(case):
     g, _ = case
-    rep = thread_independent(lambda threads: detect_hamiltonian_cycle(g, trials=2, seed=3, threads=threads))
+    rep = detect_hamiltonian_cycle(g, trials=2, seed=3)
     if rep.verdict:
         assert oracle.held_karp_count_hc(g) > 0
     else:
@@ -60,8 +51,7 @@ def test_detect_hc(case):
 def test_detect_k_internal(case):
     g, k = case
     trials = 4
-    rep = thread_independent(
-        lambda threads: detect_k_internal(g, k, InternalSieveConfig(trials=trials, seed=3, threads=threads)))
+    rep = detect_k_internal(g, k, InternalSieveConfig(trials=trials, seed=3))
     if rep.verdict:
         assert oracle.brute_k_internal(g, k)
     else:
