@@ -9,8 +9,9 @@ The package is organised around a weighted-Laplacian toolbox:
 - matrixtree: out-branching counts and the exact integer determinant
   (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
-  inclusion-exclusion determinant sieve, with meet-in-the-middle pruning and
-  CRT boosting to exact counts under a degree cap.
+  inclusion-exclusion determinant sieve, with meet-in-the-middle pruning
+  and CRT over prime powers; exact counts under a degree cap from one
+  integer sieve pass.
 - hamdetect: one-sided randomized Hamiltonicity detection driven by a
   port matrix indexed by an independent-set partition of the vertices.
 - branchings: detectors for out-branchings with many internal vertices or

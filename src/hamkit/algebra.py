@@ -222,8 +222,13 @@ def find_irreducible(m: int) -> int:
 _FIELDS: dict[int, BinaryField] = {}
 
 
+def binary_field_degree(n: int) -> int:
+    """Degree m = 2 bitlen(n-1) of the field for n vertices, so 2^m >= n^2."""
+    return 2 * (n - 1).bit_length()
+
+
 def make_binary_field(n: int) -> BinaryField:
-    """Field sized for an n-vertex instance: order at least n squared.
+    """Field sized for an n-vertex instance: GF(2^binary_field_degree(n)).
 
     One field per degree m per process, built on first use and shared by
     every later caller; its numpy tables are read-only. The field is
@@ -232,7 +237,7 @@ def make_binary_field(n: int) -> BinaryField:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    m = 2 * (n - 1).bit_length()
+    m = binary_field_degree(n)
     field = _FIELDS.get(m)
     if field is None:
         field = _FIELDS[m] = BinaryField(m)  # a GuardError leaves nothing cached

@@ -36,7 +36,7 @@ import numpy as np
 # import (~11 ms) out of the first detection call
 from numpy.random import default_rng
 
-from .algebra import BinaryField, make_binary_field, random_prime_31
+from .algebra import BinaryField, binary_field_degree, make_binary_field, random_prime_31
 from .errors import GuardError
 from .graph import Digraph
 # count_out_branchings is not called here; it stays bound because the layer
@@ -288,12 +288,13 @@ def internal_sieve_success_floor(n: int, k: int) -> float:
 
     k uniform group elements are linearly independent with probability
     prod(1 - 2^-j); the surviving coefficient is a nonzero polynomial of
-    degree under 2n in the scalar draws, losing at most 2n/q more.
+    degree under 2n in the scalar draws, losing at most 2n/q more, where
+    q = 2^binary_field_degree(n) is the order of `make_binary_field(n)`.
     """
     indep = 1.0
     for j in range(1, k + 1):
         indep *= 1.0 - 2.0**-j
-    q = 1 << (2 * max(1, (n - 1).bit_length()))
+    q = 1 << binary_field_degree(n)
     return indep * max(0.0, 1.0 - 2.0 * n / q)
 
 

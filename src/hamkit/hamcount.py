@@ -28,13 +28,13 @@ than k such rows force the determinant to 0 mod p^k. One dict per index
 block, keyed by fingerprint restrictions to that block, lists the first-half
 subsets each second-half subset is paired with.
 
-The modular route of the paper combines meet-in-the-middle residues by CRT
-over all primes p up to a cutoff q, each modulo p^k with the paper's one
-exponent schedule `default_k`; that gives the exact count whenever the
-combined modulus exceeds a user-certified bound d^n on the count, and
-q = ceil(e^2 d^4) makes that hold at desk scale. The capped exact counters
-take this route only in mitm mode; in naive mode they run the integer pass
-once, which is exact even when the certificate is wrong.
+The modular route of the paper (`crt_count`) combines meet-in-the-middle
+residues by CRT over all primes p up to a cutoff q, each modulo p^k with the
+paper's one exponent schedule `default_k`; that gives the exact count
+whenever the combined modulus exceeds a bound d^n on the count. The capped
+exact counters keep that modulus test for q = ceil(e^2 d^4) as their cap,
+but count with one integer pass, which is exact even when the certificate
+is wrong.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ NAIVE_SUBSET_GUARD = 24
 MITM_TABLE_GUARD = 30_000_000
 # count_hc_mod answers mod p^k only below this modulus, in either mode
 RESIDUE_MODULUS_LIMIT = 1 << 62
-# count_exact_capped runs one meet-in-the-middle pass per prime up to q,
-# so mitm mode refuses a larger q
-MITM_PRIME_LIMIT = 1 << 12
 DEFAULT_LAMBDA = 0.01
 
 
@@ -452,51 +449,30 @@ def _check_cap(n: int, d: Fraction, q: float, lam: float) -> None:
             return
 
 
-def count_exact_capped(
-    g: Digraph,
-    d,
-    lam: float = DEFAULT_LAMBDA,
-    seed: int = 0,
-    mode: str = "naive",
-) -> int:
-    """Exact Hamiltonian-cycle count, certified whenever the count is at most d^n.
+def count_exact_capped(g: Digraph, d, lam: float = DEFAULT_LAMBDA) -> int:
+    """Exact Hamiltonian-cycle count, refused when the CRT cap for d fails.
 
     Raises CapExceededError when the CRT modulus of q = ceil(e^2 d^4) fails
-    to exceed d^n, in either mode (see _check_cap). mode="mitm" combines
-    meet-in-the-middle residues by CRT, so a count above d^n comes back
-    reduced mod that modulus; it refuses q > MITM_PRIME_LIMIT (GuardError)
-    before the first pass. mode="naive" runs the naive sieve once, modulo a
-    power of two above (n-1)!, the most cycles n vertices can carry, so its
-    answer is exact even past d^n, and `seed` does not enter it.
+    to exceed d^n (see _check_cap). Otherwise it runs the naive sieve once,
+    modulo a power of two above (n-1)!, the most cycles n vertices can
+    carry, so its answer is exact even past d^n.
     """
     dfrac = Fraction(d)
     if dfrac <= 1:
         raise ValueError("bound base d must exceed 1")
     if not (0.0 < lam < 1.0):
         raise ValueError("lambda must lie in (0, 1)")
-    q = _prime_cutoff(dfrac)
-    _check_cap(g.n, dfrac, q, lam)
-    if mode == "mitm":
-        if q > MITM_PRIME_LIMIT:
-            raise GuardError(f"mitm CRT guard: q={q} primes cutoff is past {MITM_PRIME_LIMIT}")
-        return crt_count(g, q, lam=lam, seed=seed)[0]
-    if mode != "naive":
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_cap(g.n, dfrac, _prime_cutoff(dfrac), lam)
     _check_subset_guard(g.n)
     bits = math.factorial(g.n - 1).bit_length()
     return naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=bits)).value
 
 
-def count_avg_degree(
-    g: Digraph,
-    lam: float = DEFAULT_LAMBDA,
-    seed: int = 0,
-    mode: str = "naive",
-) -> int:
+def count_avg_degree(g: Digraph, lam: float = DEFAULT_LAMBDA) -> int:
     """Exact count with the bound base derived from the average out-degree.
 
     The product of out-degrees bounds the cycle count, and by AM-GM it is at
     most (m/n)^n, so d = max(m/n, 9/8) certifies the cap on its own.
     """
     d = max(Fraction(g.m, g.n), Fraction(9, 8))
-    return count_exact_capped(g, d, lam=lam, seed=seed, mode=mode)
+    return count_exact_capped(g, d, lam=lam)

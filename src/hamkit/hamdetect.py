@@ -40,7 +40,7 @@ import numpy as np
 # import (~11 ms) out of the first detection call
 from numpy.random import default_rng
 
-from .algebra import BinaryField, make_binary_field
+from .algebra import BinaryField, binary_field_degree, make_binary_field
 from .errors import GuardError
 from .graph import Digraph, IndependentPartition, find_independent_partition
 from .rand import derive_seed
@@ -335,10 +335,10 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
 def failure_bound(n: int, trials: int) -> float:
     """Upper bound on the false-negative probability of the cycle test.
 
-    The field from `make_binary_field(n)` has order q = 2^(2 bitlen(n-1)),
+    The field from `make_binary_field(n)` has order q = 2^binary_field_degree(n),
     and each zero trial misses a cycle with probability at most n/q.
     """
     if n < 2:
         return 0.0
-    q = 1 << (2 * (n - 1).bit_length())
+    q = 1 << binary_field_degree(n)
     return math.pow(n / q, trials)

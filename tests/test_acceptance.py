@@ -188,10 +188,10 @@ def test_criterion_4_crt_boosting():
         assert value == hk % modulus, (g.arcs, i)
         d = next((d for d in ladder if d**n > hk), None)
         if d is not None:
-            assert count_exact_capped(g, d, seed=i) == hk, (g.arcs, d)
+            assert count_exact_capped(g, d) == hk, (g.arcs, d)
             capped_runs += 1
         if Fraction(g.m, max(g.n, 1)) <= 3:
-            assert count_avg_degree(g, seed=i) == hk, g.arcs
+            assert count_avg_degree(g) == hk, g.arcs
             avg_runs += 1
     assert capped_runs >= 40 and avg_runs >= 30
     finish(4, "crt boosting", t0, 120.0, f"50 graphs, {capped_runs} capped + {avg_runs} avg-degree runs")

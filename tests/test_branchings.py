@@ -204,6 +204,12 @@ class TestDetectKInternal:
         floor = internal_sieve_success_floor(8, 4)
         assert 0.2 < floor < 1.0
 
+    def test_success_floor_field_order(self):
+        # the 1 - 2n/q factor takes q from the field the detector draws from
+        for n in range(2, 257):
+            q = make_binary_field(n).q
+            assert internal_sieve_success_floor(n, 0) == max(0.0, 1.0 - 2.0 * n / q), n
+
 
 def _internal_determinant_cases(seed: int):
     """(engine, its matrices, reference determinants) for three draws per graph, stalled draws included."""

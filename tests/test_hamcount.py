@@ -447,10 +447,10 @@ class TestGraphLevel:
             assert value == want % modulus
 
     def test_exact_cycle_low_cap(self):
-        assert count_exact_capped(directed_cycle(9), Fraction(11, 10), seed=0) == 1
+        assert count_exact_capped(directed_cycle(9), Fraction(11, 10)) == 1
 
     def test_exact_k4(self):
-        assert count_exact_capped(complete_digraph(4), 2, seed=0) == 6
+        assert count_exact_capped(complete_digraph(4), 2) == 6
 
     def test_exact_matches_held_karp_sparse(self):
         rnd = random.Random(61)
@@ -459,40 +459,30 @@ class TestGraphLevel:
             want = oracle.held_karp_count_hc(g)
             if want >= 2**9:
                 continue
-            assert count_exact_capped(g, 2, seed=3) == want
-
-    def test_exact_mitm_matches_held_karp(self):
+            assert count_exact_capped(g, 2) == want
         rnd = random.Random(63)
         for _ in range(4):
             g = random_digraph(rnd, rnd.randint(4, 7), 0.4)
-            want = oracle.held_karp_count_hc(g)
-            assert count_exact_capped(g, 3, seed=rnd.randrange(100), mode="mitm") == want
-        assert count_exact_capped(directed_cycle(6), 2, mode="mitm") == 1
+            assert count_exact_capped(g, 3) == oracle.held_karp_count_hc(g)
+        assert count_exact_capped(directed_cycle(6), 2) == 1
 
     def test_invalid_certificate(self):
         # K8 has 7! = 5040 cycles, far past (11/10)^8; the primes up to
-        # q = 11 give M = 2310, so only the integer pass recovers the count
-        g = complete_digraph(8)
-        assert count_exact_capped(g, Fraction(11, 10), seed=0) == 5040
-        assert count_exact_capped(g, Fraction(11, 10), seed=0, mode="mitm") == 5040 % 2310
+        # q = 11 give M = 2310, but the integer pass still recovers the count
+        assert count_exact_capped(complete_digraph(8), Fraction(11, 10)) == 5040
 
     def test_exact_edge_cases(self):
-        single = make_digraph(1, [])
-        assert count_exact_capped(single, 2, mode="naive") == 0
-        assert count_exact_capped(single, 2, mode="mitm") == 0
-        with pytest.raises(ValueError, match="unknown mode"):
-            count_exact_capped(directed_cycle(4), 2, mode="fast")
+        assert count_exact_capped(make_digraph(1, []), 2) == 0
         for lam in (1.5, float("inf"), float("nan")):
-            for mode in ("naive", "mitm"):
-                with pytest.raises(ValueError, match="lambda"):
-                    count_exact_capped(directed_cycle(4), 2, lam=lam, mode=mode)
+            with pytest.raises(ValueError, match="lambda"):
+                count_exact_capped(directed_cycle(4), 2, lam=lam)
 
     def test_cap_exceeded(self):
         # with lam near 1 every exponent clamps to 1, so the modulus is the
         # primorial of q = 22 and (13/10)^62 overtakes it; the check fires
         # before any counting happens
         with pytest.raises(CapExceededError):
-            count_exact_capped(directed_cycle(62), Fraction(13, 10), lam=0.999, seed=0)
+            count_exact_capped(directed_cycle(62), Fraction(13, 10), lam=0.999)
 
     def test_cap_check_matches_full_product(self):
         # the Chebyshev shortcut and the early stop give the verdict of the
@@ -514,13 +504,13 @@ class TestGraphLevel:
         assert verdicts == {True, False}
 
     def test_avg_degree_cycle(self):
-        assert count_avg_degree(directed_cycle(10), seed=0) == 1
+        assert count_avg_degree(directed_cycle(10)) == 1
 
     def test_avg_degree_star(self):
-        assert count_avg_degree(out_star(6), seed=0) == 0
+        assert count_avg_degree(out_star(6)) == 0
 
     def test_avg_degree_out_degree_2(self):
         rnd = random.Random(62)
         for _ in range(4):
             g = random_out_degree_graph(rnd, 9, 2)
-            assert count_avg_degree(g, seed=1) == oracle.held_karp_count_hc(g)
+            assert count_avg_degree(g) == oracle.held_karp_count_hc(g)

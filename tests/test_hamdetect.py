@@ -357,5 +357,7 @@ class TestDetect:
     def test_trial_defaults_and_bound(self):
         assert default_trial_count(10) == 2 * 4 + 4
         assert failure_bound(10, 10) == (10 / 256) ** 10
+        for n in range(2, 33):
+            assert failure_bound(n, 1) == n / make_binary_field(n).q, n
         rep = detect_hamiltonian_cycle(acyclic_tournament(6), trials=5, seed=0)
         assert rep.trials_run == rep.trials_max == 5
