@@ -10,8 +10,7 @@ The package is organised around a weighted-Laplacian toolbox:
   (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
   inclusion-exclusion determinant sieve, with meet-in-the-middle pruning
-  and CRT over prime powers; exact counts under a degree cap from one
-  integer sieve pass.
+  and CRT over prime powers; exact counts from one integer sieve pass.
 - hamdetect: one-sided randomized Hamiltonicity detection driven by a
   port matrix indexed by an independent-set partition of the vertices.
 - branchings: detectors for out-branchings with many internal vertices or
@@ -36,7 +35,7 @@ against live with the tests, in tests/reference.py.
 
 import importlib
 
-from .errors import CapExceededError, GuardError, ParseError
+from .errors import GuardError, ParseError
 from .graph import (
     Digraph,
     IndependentPartition,
@@ -47,8 +46,7 @@ from .graph import (
 )
 from .hamcount import (
     SieveParams,
-    count_avg_degree,
-    count_exact_capped,
+    count_exact,
     count_hc_mod,
     crt_count,
 )
@@ -56,7 +54,6 @@ from .matrixtree import count_out_branchings
 from .report import DetectionReport
 
 __all__ = [
-    "CapExceededError",
     "GuardError",
     "ParseError",
     "Digraph",
@@ -68,8 +65,7 @@ __all__ = [
     "SieveParams",
     "count_hc_mod",
     "crt_count",
-    "count_exact_capped",
-    "count_avg_degree",
+    "count_exact",
     "count_out_branchings",
     "detect_hamiltonian_cycle",
     "detect_k_internal",

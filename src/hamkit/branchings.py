@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -409,7 +409,6 @@ def _scan_roots(roots: list[int], run_root, is_hit) -> dict:
 # few-distinct-variables detection for homogeneous polynomials
 
 
-@runtime_checkable
 class PolynomialEvaluator(Protocol):
     """Black-box homogeneous polynomial of degree n in n variables.
 

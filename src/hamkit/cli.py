@@ -7,8 +7,8 @@ HAMKIT_SEED environment variable (then 0) gives the seed; main reads it after
 parsing, on every call, since the parser is built once per process.
 --threads is accepted for compatibility and has no effect: every command
 runs on the calling thread. Exit codes: 0 for completed runs including NO
-answers and cap-exceeded outcomes, 2 for usage or input errors, 3 for guard
-violations (instances beyond the desk-scale limits). Only the
+answers, 2 for usage or input errors, 3 for guard violations (instances
+beyond the desk-scale limits). Only the
 detect-* commands import hamdetect or branchings, and numpy with them; the
 counting and oracle commands run without numpy.
 """
@@ -26,7 +26,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import hamcount, oracle
-from .errors import CapExceededError, GuardError, ParseError
+from .errors import GuardError, ParseError
 from .graph import Digraph, parse_digraph
 from .matrixtree import count_out_branchings
 from .report import DetectionReport
@@ -73,28 +73,15 @@ def _cmd_count_mod(args, g: Digraph, seed: int) -> tuple[dict, str]:
 
 
 def _cmd_count_exact(args, g: Digraph, seed: int) -> tuple[dict, str]:
-    d = args.d
-    try:
-        count = hamcount.count_exact_capped(g, d, lam=args.lam)
-    except CapExceededError as exc:
-        return (
-            {"answer": "cap-exceeded", "cap_base": str(d), "message": str(exc)},
-            f"cap exceeded for d={d}: {exc}",
-        )
+    count = hamcount.count_exact(g)
     return (
-        {"answer": count, "cap_base": str(d)},
-        f"exactly {count} hamiltonian cycles (cap base d={d})",
+        {"answer": count, "cap_base": str(args.d)},
+        f"exactly {count} hamiltonian cycles (cap base d={args.d})",
     )
 
 
 def _cmd_count_avg_degree(args, g: Digraph, seed: int) -> tuple[dict, str]:
-    try:
-        count = hamcount.count_avg_degree(g, lam=args.lam)
-    except CapExceededError as exc:
-        return (
-            {"answer": "cap-exceeded", "message": str(exc)},
-            f"cap exceeded: {exc}",
-        )
+    count = hamcount.count_exact(g)
     return {"answer": count}, f"exactly {count} hamiltonian cycles"
 
 
@@ -219,15 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, default=hamcount.DEFAULT_LAMBDA)
     sp.add_argument("--mode", choices=("naive", "mitm"), default="mitm")
 
-    sp = subs.add_parser("count-exact", help="exact count, certified when the count is at most d^n")
+    sp = subs.add_parser("count-exact", help="exact hamiltonian cycle count")
     common(sp)
     sp.add_argument("--d", type=_cap_base, required=True,
-                    help="cap base above 1, an integer or fraction like 9/8")
-    sp.add_argument("--lambda", dest="lam", type=float, default=hamcount.DEFAULT_LAMBDA)
+                    help="cap base above 1, an integer or fraction like 9/8; echoed as cap_base, "
+                         "it does not change the count")
 
-    sp = subs.add_parser("count-avg-degree", help="exact count with the cap from the average degree")
+    sp = subs.add_parser("count-avg-degree", help="exact hamiltonian cycle count")
     common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, default=hamcount.DEFAULT_LAMBDA)
 
     sp = subs.add_parser("detect-hc", help="randomized hamiltonian cycle detection")
     common(sp)

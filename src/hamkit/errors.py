@@ -1,8 +1,7 @@
 """Shared exception types.
 
 ParseError marks malformed graph input, GuardError marks a size guard that
-refused to run, CapExceededError marks a CRT modulus too small to pin the
-exact count. The CLI maps these to distinct exit codes.
+refused to run. The CLI maps these to distinct exit codes.
 """
 
 
@@ -13,6 +12,3 @@ class ParseError(ValueError):
 class GuardError(RuntimeError):
     """Instance exceeds a documented size guard for this operation."""
 
-
-class CapExceededError(RuntimeError):
-    """The combined CRT modulus does not exceed the count upper bound."""

@@ -31,10 +31,9 @@ subsets each second-half subset is paired with.
 The modular route of the paper (`crt_count`) combines meet-in-the-middle
 residues by CRT over all primes p up to a cutoff q, each modulo p^k with the
 paper's one exponent schedule `default_k`; that gives the exact count
-whenever the combined modulus exceeds a bound d^n on the count. The capped
-exact counters keep that modulus test for q = ceil(e^2 d^4) as their cap,
-but count with one integer pass, which is exact even when the certificate
-is wrong.
+whenever the combined modulus exceeds a bound d^n on the count. The exact
+counter `count_exact` takes no such bound: it runs the one integer pass
+modulo a power of two above (n-1)!.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import ResidueElem, crt_combine, is_prime, primes_up_to
-from .errors import CapExceededError, GuardError
+from .errors import GuardError
 from .graph import Digraph, VertexSplit, split_vertex
 from .matrixtree import det_bareiss_int
 from .rand import make_rng
@@ -419,60 +417,13 @@ def crt_count(
     return crt_combine(triples)
 
 
-def _prime_cutoff(d: Fraction) -> float:
-    """q = ceil(e^2 d^4), the largest CRT prime for bound base d; inf past the float range."""
-    try:
-        return math.ceil(math.e**2 * float(d) ** 4)
-    except OverflowError:
-        return math.inf
+def count_exact(g: Digraph) -> int:
+    """Exact Hamiltonian-cycle count of g from one naive sieve pass.
 
-
-def _check_cap(n: int, d: Fraction, q: float, lam: float) -> None:
-    """Raise CapExceededError unless M = prod of p^default_k(n, p, lam) over primes p <= q exceeds d^n.
-
-    Chebyshev's theta(q) = sum of ln p over primes p <= q exceeds
-    q (1 - 1/ln q) for q >= 41 (Rosser and Schoenfeld 1962), a lower bound
-    on ln M that settles a clear pass without forming d^n. Otherwise the
-    primes are taken one at a time until their product passes d^n; that
-    only happens for q up to about n ln d.
+    The pass runs modulo a power of two above (n-1)!, the most cycles n
+    vertices can carry, so its residue is the count itself; the subset
+    guard is checked before the split graph is built.
     """
-    log_cap = n * (math.log(d.numerator) - math.log(d.denominator))
-    if q >= 41 and q * (1 - 1 / math.log(q)) > 1.01 * log_cap + 1:
-        return
-    cap = d**n
-    modulus = 1
-    for p in filter(is_prime, itertools.count(2)):
-        if p > q:
-            raise CapExceededError(f"CRT modulus {modulus} does not exceed the count cap d^n")
-        modulus *= p ** default_k(n, p, lam)
-        if modulus > cap:
-            return
-
-
-def count_exact_capped(g: Digraph, d, lam: float = DEFAULT_LAMBDA) -> int:
-    """Exact Hamiltonian-cycle count, refused when the CRT cap for d fails.
-
-    Raises CapExceededError when the CRT modulus of q = ceil(e^2 d^4) fails
-    to exceed d^n (see _check_cap). Otherwise it runs the naive sieve once,
-    modulo a power of two above (n-1)!, the most cycles n vertices can
-    carry, so its answer is exact even past d^n.
-    """
-    dfrac = Fraction(d)
-    if dfrac <= 1:
-        raise ValueError("bound base d must exceed 1")
-    if not (0.0 < lam < 1.0):
-        raise ValueError("lambda must lie in (0, 1)")
-    _check_cap(g.n, dfrac, _prime_cutoff(dfrac), lam)
     _check_subset_guard(g.n)
     bits = math.factorial(g.n - 1).bit_length()
     return naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=bits)).value
-
-
-def count_avg_degree(g: Digraph, lam: float = DEFAULT_LAMBDA) -> int:
-    """Exact count with the bound base derived from the average out-degree.
-
-    The product of out-degrees bounds the cycle count, and by AM-GM it is at
-    most (m/n)^n, so d = max(m/n, 9/8) certifies the cap on its own.
-    """
-    d = max(Fraction(g.m, g.n), Fraction(9, 8))
-    return count_exact_capped(g, d, lam=lam)

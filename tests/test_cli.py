@@ -1,9 +1,13 @@
 """End-to-end CLI checks: exit codes, JSON shape, seeding, reproducibility."""
 
+import ast
 import json
 import random
 import re
 import time
+from collections import defaultdict
+from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -18,11 +22,14 @@ from conftest import (
     run_fresh,
 )
 from hamkit import count_out_branchings, detect_k_internal, detect_k_leaf
+from hamkit.algebra import ResidueElem
 from hamkit.branchings import DvConfig, InternalSieveConfig
 from hamkit.cli import main as cli_main
 from hamkit.errors import GuardError
 from hamkit.graph import VERTEX_LIMIT, make_digraph
 from hamkit.matrixtree import BRANCHING_COUNT_GUARD
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -96,16 +103,6 @@ class TestAnswers:
         assert rep["answer"] == 1
         assert rep["cap_base"] == "11/10"
 
-    def test_count_exact_cap_exceeded(self, tmp_path, capsys):
-        # large n with lambda near 1 pins every prime exponent at 1, so the
-        # fixed modulus falls below d^n and the run reports the cap honestly
-        path = write_graph(tmp_path, directed_cycle(62))
-        rep, _ = run_json(
-            ["count-exact", path, "--d", "13/10", "--lambda", "0.999", "--seed", "2"],
-            capsys,
-        )
-        assert rep["answer"] == "cap-exceeded"
-
     def test_count_avg_degree(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(5))
         rep, _ = run_json(["count-avg-degree", path, "--seed", "3"], capsys)
@@ -158,6 +155,27 @@ class TestAnswers:
             '"diagnostics": {"roots": [0], "per_root": {"0": {"verdict": true, "trials": 4}}}, '
             '"k": 1, "seed": 2, "elapsed_ms": _}\n'
         )
+
+    def test_readme_library_example(self):
+        # run the README's python block statement by statement; each commented
+        # expression must equal its comment, where a bare name such as
+        # `diagnostics` stands for any value
+        text = README.read_text(encoding="utf-8")
+        source = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+        lines = source.splitlines()
+        namespace = {}
+        checked = 0
+        for stmt in ast.parse(source).body:
+            line = lines[stmt.end_lineno - 1]
+            if isinstance(stmt, ast.Expr) and "# " in line:
+                got = eval(ast.get_source_segment(source, stmt), namespace)
+                names = defaultdict(lambda: ANY, ResidueElem=ResidueElem)
+                want = eval(line.split("# ", 1)[1], {}, names)
+                assert got == want, line
+                checked += 1
+            else:
+                exec(ast.get_source_segment(source, stmt), namespace)
+        assert checked == 4
 
 
 class TestOracleCommands:
@@ -220,7 +238,6 @@ class TestExitCodes:
             assert out == ""
 
     def test_large_cap_base(self, tmp_path, capsys):
-        # the primes stop once their product passes d^n, so a huge d is quick
         path = write_graph(tmp_path, directed_cycle(5))
         t0 = time.perf_counter()
         for d in ("30", "1e400"):
@@ -239,7 +256,10 @@ class TestExitCodes:
         ["detect-k-leaf", "--k", "2", "--s-estimate", "2"],
         ["count-exact", "--d", "2", "--mode", "mitm"],
         ["count-avg-degree", "--mode", "naive"],
-    ], ids=["leaf-skew", "leaf-s-estimate", "exact-mode", "avg-degree-mode"])
+        ["count-exact", "--d", "2", "--lambda", "0.5"],
+        ["count-avg-degree", "--lambda", "0.5"],
+    ], ids=["leaf-skew", "leaf-s-estimate", "exact-mode", "avg-degree-mode",
+            "exact-lambda", "avg-degree-lambda"])
     def test_removed_options(self, argv, tmp_path, capsys):
         path = write_graph(tmp_path, directed_path(4))
         code, out, _ = run_cli([argv[0], path, *argv[1:]], capsys)
@@ -331,13 +351,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["count-branchings", "--root", "0"],
-        ["count-exact", "--d", "13/10", "--lambda", "0.999"],
-        ["count-avg-degree", "--lambda", "0.999"],
+        ["count-exact", "--d", "13/10"],
+        ["count-avg-degree"],
         ["detect-hc"],
     ], ids=["count-branchings", "count-exact", "count-avg-degree", "detect-hc"])
     def test_vertex_cap_is_the_branching_guard(self, argv, tmp_path, capsys):
-        # one past the largest n any command answers is refused at parse, every command
-        # alike; the capped counters used to answer cap-exceeded on this cycle
+        # one past the largest n any command answers is refused at parse, every command alike
         assert VERTEX_LIMIT == BRANCHING_COUNT_GUARD
         wide = write_graph(tmp_path, directed_cycle(VERTEX_LIMIT + 1), "wide.txt")
         code, out, err = run_cli([argv[0], wide, *argv[1:]], capsys)

@@ -1,8 +1,7 @@
-"""Modular Hamiltonian-cycle counting: sieve, meet-in-the-middle, CRT caps."""
+"""Hamiltonian-cycle counting: sieve, meet-in-the-middle, CRT, exact counts."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,23 +13,20 @@ from conftest import (
     random_digraph,
     random_out_degree_graph,
 )
-from hamkit.errors import CapExceededError, GuardError
+from hamkit.errors import GuardError
 from hamkit.graph import make_digraph, split_vertex
 from hamkit.hamcount import (
     SieveParams,
     block_partition,
     build_lookup_tables,
-    count_avg_degree,
-    count_exact_capped,
+    count_exact,
     count_hc_mod,
     crt_count,
-    default_k,
     mitm_count_mod,
     naive_sieve_count,
     tail_weights,
 )
 from hamkit import oracle
-from hamkit.algebra import primes_up_to
 from reference import ResidueRing, det_division_free, restricted_laplacian
 
 import hamkit.hamcount as hamcount_mod
@@ -235,7 +231,7 @@ class TestNaiveSieve:
         with pytest.raises(GuardError, match="naive sieve guard"):
             count_hc_mod(g, SieveParams(p=2, mode="naive"))
         with pytest.raises(GuardError, match="naive sieve guard"):
-            count_exact_capped(g, 2)
+            count_exact(g)
 
     def test_mitm_fallback_decided_before_split(self, monkeypatch):
         # whether the MITM tables fit depends only on n and p, so a mitm call
@@ -447,70 +443,38 @@ class TestGraphLevel:
             assert value == want % modulus
 
     def test_exact_cycle_low_cap(self):
-        assert count_exact_capped(directed_cycle(9), Fraction(11, 10)) == 1
+        assert count_exact(directed_cycle(9)) == 1
 
     def test_exact_k4(self):
-        assert count_exact_capped(complete_digraph(4), 2) == 6
+        assert count_exact(complete_digraph(4)) == 6
 
     def test_exact_matches_held_karp_sparse(self):
         rnd = random.Random(61)
         for _ in range(5):
             g = random_digraph(rnd, 9, 0.25)
-            want = oracle.held_karp_count_hc(g)
-            if want >= 2**9:
-                continue
-            assert count_exact_capped(g, 2) == want
+            assert count_exact(g) == oracle.held_karp_count_hc(g)
         rnd = random.Random(63)
         for _ in range(4):
             g = random_digraph(rnd, rnd.randint(4, 7), 0.4)
-            assert count_exact_capped(g, 3) == oracle.held_karp_count_hc(g)
-        assert count_exact_capped(directed_cycle(6), 2) == 1
+            assert count_exact(g) == oracle.held_karp_count_hc(g)
+        assert count_exact(directed_cycle(6)) == 1
 
     def test_invalid_certificate(self):
-        # K8 has 7! = 5040 cycles, far past (11/10)^8; the primes up to
-        # q = 11 give M = 2310, but the integer pass still recovers the count
-        assert count_exact_capped(complete_digraph(8), Fraction(11, 10)) == 5040
+        # K8 carries the most cycles 8 vertices can, 7! = 5040; the pass
+        # modulus 2^bitlen(7!) = 8192 must exceed that, or the residue wraps
+        assert count_exact(complete_digraph(8)) == 5040
 
     def test_exact_edge_cases(self):
-        assert count_exact_capped(make_digraph(1, []), 2) == 0
-        for lam in (1.5, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="lambda"):
-                count_exact_capped(directed_cycle(4), 2, lam=lam)
-
-    def test_cap_exceeded(self):
-        # with lam near 1 every exponent clamps to 1, so the modulus is the
-        # primorial of q = 22 and (13/10)^62 overtakes it; the check fires
-        # before any counting happens
-        with pytest.raises(CapExceededError):
-            count_exact_capped(directed_cycle(62), Fraction(13, 10), lam=0.999)
-
-    def test_cap_check_matches_full_product(self):
-        # the Chebyshev shortcut and the early stop give the verdict of the
-        # full product over every prime up to q, on both sides of the cap
-        verdicts = set()
-        for n in (2, 5, 9, 30, 62, 200, 1000, 5000):
-            for d in (Fraction(11, 10), Fraction(13, 10), Fraction(3, 2), Fraction(2), Fraction(5)):
-                for lam in (0.01, 0.5, 0.999):
-                    q = hamcount_mod._prime_cutoff(d)
-                    full = math.prod(p ** default_k(n, p, lam) for p in primes_up_to(q))
-                    try:
-                        hamcount_mod._check_cap(n, d, q, lam)
-                        passed = True
-                    except CapExceededError as exc:
-                        passed = False
-                        assert str(full) in str(exc)
-                    assert passed == (full > d**n), (n, d, lam)
-                    verdicts.add(passed)
-        assert verdicts == {True, False}
+        assert count_exact(make_digraph(1, [])) == 0
 
     def test_avg_degree_cycle(self):
-        assert count_avg_degree(directed_cycle(10)) == 1
+        assert count_exact(directed_cycle(10)) == 1
 
     def test_avg_degree_star(self):
-        assert count_avg_degree(out_star(6)) == 0
+        assert count_exact(out_star(6)) == 0
 
     def test_avg_degree_out_degree_2(self):
         rnd = random.Random(62)
         for _ in range(4):
             g = random_out_degree_graph(rnd, 9, 2)
-            assert count_avg_degree(g) == oracle.held_karp_count_hc(g)
+            assert count_exact(g) == oracle.held_karp_count_hc(g)

@@ -16,7 +16,7 @@ from conftest import (
 )
 from hamkit import hamcount, hamdetect
 from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
-from hamkit.hamcount import SieveParams, count_exact_capped
+from hamkit.hamcount import SieveParams, count_exact
 from hamkit.hamdetect import detect_hamiltonian_cycle
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -110,7 +110,7 @@ def test_naive_exact_count_is_one_pass():
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
-        assert count_exact_capped(directed_cycle(7), 2) == 1
+        assert count_exact(directed_cycle(7)) == 1
     finally:
         tracer.uninstall()
     counters = tracer.counters
