@@ -119,7 +119,7 @@ class ResidueElem:
 
 
 class BinaryField:
-    """GF(2^m) on ints, with log/exp tables and numpy batched helpers."""
+    """GF(2^m) on ints, as numpy log/exp/inverse tables with batched helpers."""
 
     TABLE_LIMIT_M = 16
 
@@ -141,7 +141,7 @@ class BinaryField:
     def _build_tables(self) -> None:
         import numpy as np
 
-        q = self.q
+        m, q = self.m, self.q
         order = q - 1
         factors = _prime_factors(order)
         gen = None
@@ -151,25 +151,22 @@ class BinaryField:
                 break
         if gen is None:  # q == 2
             gen = 1
-        exp = [0] * (2 * order)
-        log = [0] * q
-        acc = 1
-        for i in range(order):
-            exp[i] = acc
-            exp[i + order] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, gen)
-        assert acc == 1, "generator order mismatch"
+        # exp[i] = gen^i for i < q, by doubling: exp[2^j : 2^(j+1)] = exp[: 2^j] * gen^(2^j)
+        exp = np.ones(q, dtype=np.int64)
+        step = gen
+        for j in range(m):
+            exp[1 << j : 2 << j] = _mul_by_constant(exp[: 1 << j], step, self.poly)
+            step = self._raw_mul(step, step)
+        assert exp[order] == 1, "generator order mismatch"
         self.generator = gen
-        self._exp = tuple(exp)
-        self._log = tuple(log)
         # Zero sentinel: log 0 is 2(q-1), and np_exp is zero from index 2(q-1)
         # on. Two nonzero logs sum below 2(q-1), any sum with the sentinel lands
         # in the zero tail, so nmul is one add and one gather with no mask.
-        self.np_log = np.array(log, dtype=np.int32)
+        self.np_log = np.empty(q, dtype=np.int32)
+        self.np_log[exp[:order]] = np.arange(order, dtype=np.int32)
         self.np_log[0] = 2 * order
         self.np_exp = np.zeros(4 * order + 1, dtype=np.int32)
-        self.np_exp[: 2 * order] = exp
+        self.np_exp[:order] = self.np_exp[order : 2 * order] = exp[:order]
         self.np_inv = np.zeros(q, dtype=np.int32)  # ninv(0) == 0
         self.np_inv[1:] = self.np_exp[order - self.np_log[1:]]
         # make_binary_field shares one field per degree across callers
@@ -194,6 +191,19 @@ def _raw_pow(field: BinaryField, base: int, e: int) -> int:
             out = field._raw_mul(out, base)
         base = field._raw_mul(base, base)
         e >>= 1
+    return out
+
+
+def _mul_by_constant(values, c: int, poly: int):
+    """values * c mod poly, elementwise over an int64 array of field elements."""
+    m = poly.bit_length() - 1
+    out = values * (c & 1)
+    for i in range(1, c.bit_length()):
+        if c >> i & 1:
+            out ^= values << i
+    # the product has degree below m + bitlen(c) - 1; clear its bits from the top
+    for d in range(m + c.bit_length() - 2, m - 1, -1):
+        out ^= (out >> d & 1) * (poly << (d - m))
     return out
 
 
@@ -223,21 +233,18 @@ _FIELDS: dict[int, BinaryField] = {}
 
 
 def binary_field_degree(n: int) -> int:
-    """Degree m = 2 bitlen(n-1) of the field for n vertices, so 2^m >= n^2."""
+    """Degree m = 2 bitlen(n-1) of k-internal's field for n vertices, so 2^m >= n^2."""
     return 2 * (n - 1).bit_length()
 
 
-def make_binary_field(n: int) -> BinaryField:
-    """Field sized for an n-vertex instance: GF(2^binary_field_degree(n)).
+def make_binary_field(m: int) -> BinaryField:
+    """The shared GF(2^m).
 
     One field per degree m per process, built on first use and shared by
     every later caller; its numpy tables are read-only. The field is
     deterministic (smallest irreducible polynomial, first generator), so
     sharing it changes no answer. BinaryField(m) itself builds a new one.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    m = binary_field_degree(n)
     field = _FIELDS.get(m)
     if field is None:
         field = _FIELDS[m] = BinaryField(m)  # a GuardError leaves nothing cached

@@ -289,7 +289,7 @@ def internal_sieve_success_floor(n: int, k: int) -> float:
     k uniform group elements are linearly independent with probability
     prod(1 - 2^-j); the surviving coefficient is a nonzero polynomial of
     degree under 2n in the scalar draws, losing at most 2n/q more, where
-    q = 2^binary_field_degree(n) is the order of `make_binary_field(n)`.
+    q = 2^binary_field_degree(n) is the order of the detector's field.
     """
     indep = 1.0
     for j in range(1, k + 1):
@@ -335,7 +335,7 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
             verdict=True, trials_run=0, trials_max=0, seed=cfg.seed, failure_bound=0.0,
             detail={"reason": "spanning out-branchings exist and k = 0", "roots": roots},
         )
-    field = make_binary_field(n)
+    field = make_binary_field(binary_field_degree(n))
 
     def run_root(root: int) -> tuple[int, bool]:
         engine = _InternalSieveEngine(g, root, k, field)

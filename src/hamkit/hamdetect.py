@@ -14,7 +14,9 @@ anchor vertex (smallest blue id) pinned to I gives, in characteristic 2, a
 polynomial in the weights that is nonzero for some weight choice exactly when
 the graph has a Hamiltonian cycle. Random weights then make a one-sided test:
 a nonzero sum proves a cycle exists, and a zero sum is wrong with probability
-at most n/q per trial.
+at most n/q per trial. Every detection runs in the one field GF(2^FIELD_BITS),
+and the default trial count is the smallest T with (n/q)^T <= 2^-84
+(FAILURE_TARGET_BITS).
 
 The n x n port matrix is never built. A yellow row holds only din at its
 entry port E and dout at its exit port X, so folding it away leaves a
@@ -40,15 +42,23 @@ import numpy as np
 # import (~11 ms) out of the first detection call
 from numpy.random import default_rng
 
-from .algebra import BinaryField, binary_field_degree, make_binary_field
+from .algebra import BinaryField, make_binary_field
 from .errors import GuardError
 from .graph import Digraph, IndependentPartition, find_independent_partition
 from .rand import derive_seed
 from .report import DetectionReport
 
+# every detection draws its weights from GF(2^FIELD_BITS)
+FIELD_BITS = 16
+# default trials bound the miss probability by 2^-FAILURE_TARGET_BITS
+FAILURE_TARGET_BITS = 84
 STATE_CHUNK = 1 << 14
 # 2 * 3^(BLUE_LIMIT - 1) pair determinants per trial, about 2.9e7 at 16
 BLUE_LIMIT = 16
+
+# building the field's tables (~7 ms) at import, like numpy.random above,
+# keeps them out of the first detection call
+make_binary_field(FIELD_BITS)
 
 
 @dataclass(frozen=True)
@@ -271,17 +281,23 @@ def sieve_membership_pairs(g: Digraph, layout: PortLayout, weights: PortWeights)
 
 
 def default_trial_count(n: int) -> int:
-    return 2 * max(1, (n - 1).bit_length()) + 4
+    """Fewest trials T with (n/2^FIELD_BITS)^T <= 2^-FAILURE_TARGET_BITS, in integers."""
+    t = 1
+    while n**t << FAILURE_TARGET_BITS > 1 << (FIELD_BITS * t):
+        t += 1
+    return t
 
 
 def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 0) -> DetectionReport:
     """One-sided randomized test for the existence of a Hamiltonian cycle.
 
     A True verdict is certain. After T zero trials the graph is declared
-    cycle-free, wrongly with probability at most (n/q)^T where q is the
-    field size (at least n^2). Two structural rejections are exact: fewer
-    than two vertices, or an independent set larger than n/2 (every vertex
-    of an independent set needs a distinct successor outside it).
+    cycle-free, wrongly with probability at most (n/q)^T where q =
+    2^FIELD_BITS is the field size; the default T makes that at most
+    2^-FAILURE_TARGET_BITS (6 to 8 trials for n <= 32). Two structural
+    rejections are exact: fewer than two vertices, or an independent set
+    larger than n/2 (every vertex of an independent set needs a distinct
+    successor outside it).
 
     Refuses (GuardError) n > 2 * BLUE_LIMIT before the independent-set
     search, and more than BLUE_LIMIT blue vertices before the first trial.
@@ -313,7 +329,7 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
             f"2*3^{len(part.blue) - 1} pair determinants per trial"
         )
     layout = PortLayout.from_partition(g, part)
-    field = make_binary_field(n)
+    field = make_binary_field(FIELD_BITS)
     pairs = 0
     for t in range(tmax):
         w = PortWeights.draw(g, layout, field, derive_seed("hc-trial", seed, t))
@@ -335,10 +351,9 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
 def failure_bound(n: int, trials: int) -> float:
     """Upper bound on the false-negative probability of the cycle test.
 
-    The field from `make_binary_field(n)` has order q = 2^binary_field_degree(n),
-    and each zero trial misses a cycle with probability at most n/q.
+    Every detection draws from GF(2^FIELD_BITS), of order q, and each zero
+    trial misses a cycle with probability at most n/q.
     """
     if n < 2:
         return 0.0
-    q = 1 << binary_field_degree(n)
-    return math.pow(n / q, trials)
+    return math.pow(n / (1 << FIELD_BITS), trials)

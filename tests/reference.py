@@ -13,10 +13,18 @@ of one tail subset. Tests import this module the way they import conftest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from hamkit.algebra import is_prime, make_binary_field, random_prime_31
+from hamkit.algebra import (
+    binary_field_degree,
+    gf2_mod,
+    gf2_mul,
+    is_prime,
+    make_binary_field,
+    random_prime_31,
+)
 from hamkit.branchings import _batched_modpow, _draw_internal_chunk
 from hamkit.errors import GuardError
 from hamkit.hamcount import RESIDUE_MODULUS_LIMIT
@@ -58,11 +66,38 @@ class PrimeField:
         return a % self.p == 0
 
 
+@lru_cache(maxsize=None)
+def scalar_field_tables(m: int, poly: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(generator, exp, log) of GF(2^m) mod poly from gf2_mul and gf2_mod alone.
+
+    The generator is the smallest element whose powers run through all of
+    GF(2^m)*, found by walking those powers; exp lists them twice over, so
+    exp[log[a] + log[b]] needs no reduction, and log[0] is unused.
+    """
+    order = (1 << m) - 1
+    for gen in range(1, 1 << m):
+        powers = [1]
+        acc = gen
+        while acc != 1 and len(powers) < order:
+            powers.append(acc)
+            acc = gf2_mod(gf2_mul(acc, gen), poly)
+        if acc == 1 and len(powers) == order:
+            break
+    else:
+        raise ValueError(f"{poly:#x} has no primitive element")
+    log = [0] * (1 << m)
+    for i, a in enumerate(powers):
+        log[a] = i
+    return gen, tuple(powers + powers), tuple(log)
+
+
 class ScalarBinaryField:
-    """One element at a time over a hamkit BinaryField's scalar log/exp lists.
+    """One element at a time over GF(2^m), on log/exp tables of its own.
 
     The package's GF(2^m) multiplies only numpy arrays (nmul, ninv); this is
     the scalar ring the reference routes and the tests check those against.
+    It shares only the degree and the modulus with the hamkit BinaryField it
+    wraps: its tables come from scalar_field_tables, not from the field.
     """
 
     zero = 0
@@ -72,8 +107,7 @@ class ScalarBinaryField:
         self.field = field
         self.m = field.m
         self.q = field.q
-        self._exp = field._exp
-        self._log = field._log
+        _, self._exp, self._log = scalar_field_tables(field.m, field.poly)
 
     def add(self, a, b):
         return a ^ b
@@ -519,7 +553,7 @@ def scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec) -> np.ndarray:
 
 def internal_scan(g, k: int, trials: int, seed: int, chunk: int) -> dict:
     """detect_k_internal's sequential root scan on the scalar route: its per_root detail."""
-    field = make_binary_field(g.n)
+    field = make_binary_field(binary_field_degree(g.n))
     per_root = {}
     for root in range(g.n):
         if count_out_branchings(g, root) == 0:

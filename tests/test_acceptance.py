@@ -40,6 +40,7 @@ from hamkit.hamcount import (
     naive_sieve_count,
 )
 from hamkit.hamdetect import (
+    FIELD_BITS,
     PortLayout,
     PortWeights,
     detect_hamiltonian_cycle,
@@ -217,7 +218,7 @@ def test_criterion_5_hamiltonicity_detection():
     for n in range(2, 9):
         g = random_digraph(rnd, n, 0.6)
         layout = trimmed_layout(g)
-        field = make_binary_field(n)
+        field = make_binary_field(FIELD_BITS)
         w = PortWeights.draw(g, layout, field, n)
         blue_mask = sum(1 << v for v in layout.blue)
         anchor_bit = 1 << layout.anchor
@@ -236,7 +237,7 @@ def test_criterion_5_hamiltonicity_detection():
     for _ in range(10):
         g = random_digraph(rnd, rnd.randint(2, 8), 0.5)
         layout = trimmed_layout(g)
-        field = make_binary_field(g.n)
+        field = make_binary_field(FIELD_BITS)
         w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
         blue_mask = sum(1 << v for v in layout.blue)
         m = build_port_matrix(g, layout, w, blue_mask, blue_mask, skewed=False)
@@ -253,7 +254,7 @@ def test_criterion_5_hamiltonicity_detection():
         if oracle.held_karp_count_hc(g) == 0:
             continue
         layout = trimmed_layout(g)
-        field = make_binary_field(g.n)
+        field = make_binary_field(FIELD_BITS)
         w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
         c = rnd.randrange(2, field.q)
         scaled = PortWeights(layout, field, field.nmul(np.int32(c), w.values))
@@ -323,8 +324,8 @@ def test_criterion_7_distinct_variables_and_leaves():
 def test_criterion_8_algebra_substrate():
     t0 = time.perf_counter()
 
-    # field axioms, vectorized: 10,000 random triples per law
-    field = make_binary_field(10)
+    # field axioms, vectorized: 10,000 random triples per law, in detect-hc's field
+    field = make_binary_field(FIELD_BITS)
     rng = np.random.default_rng(1008)
     a = rng.integers(0, field.q, size=10_000, dtype=np.int32)
     b = rng.integers(0, field.q, size=10_000, dtype=np.int32)

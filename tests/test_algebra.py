@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hamkit.algebra import (
     BinaryField,
+    binary_field_degree,
     crt_combine,
     find_irreducible,
     gf2_is_irreducible,
@@ -25,6 +26,7 @@ from reference import (
     ScalarBinaryField,
     TruncatedPolyRing,
     interpolate_univariate,
+    scalar_field_tables,
 )
 
 
@@ -46,19 +48,19 @@ class TestPrimes:
 
 class TestBinaryField:
     def test_sizing_n10(self):
-        f = make_binary_field(10)
+        f = make_binary_field(binary_field_degree(10))
         assert f.m == 8
         assert f.q == 256
         assert f.q >= 10 * 10
 
     def test_sizing_n2(self):
-        f = make_binary_field(2)
+        f = make_binary_field(binary_field_degree(2))
         assert f.m == 2
         assert f.q == 4
 
     def test_sizing_always_at_least_n_squared(self):
         for n in range(2, 40):
-            assert make_binary_field(n).q >= n * n
+            assert make_binary_field(binary_field_degree(n)).q >= n * n
 
     def test_irreducible_search(self):
         for m in range(1, 12):
@@ -111,9 +113,10 @@ class TestBinaryField:
             BinaryField(17)
 
     def test_fields_are_shared_and_read_only(self):
-        # one field per degree per process: both sizes below need m = 8
-        shared = make_binary_field(9)
-        assert shared is make_binary_field(16)
+        # one field per degree per process, keyed by the degree m
+        shared = make_binary_field(8)
+        assert shared is make_binary_field(binary_field_degree(16))
+        assert shared.m == 8
         for table in (shared.np_log, shared.np_exp, shared.np_inv):
             with pytest.raises(ValueError):
                 table[1] = 0
@@ -122,7 +125,19 @@ class TestBinaryField:
         assert BinaryField(8) is not shared
         for _ in range(2):  # a guard violation is raised afresh, never cached
             with pytest.raises(GuardError):
-                make_binary_field(300)
+                make_binary_field(binary_field_degree(300))
+
+    @pytest.mark.parametrize("m", range(1, BinaryField.TABLE_LIMIT_M + 1))
+    def test_tables_match_scalar_construction(self, m):
+        # the numpy tables against exp/log lists walked one gf2_mul/gf2_mod
+        # product at a time, from the same modulus and the same generator
+        f = BinaryField(m)
+        order = f.q - 1
+        gen, exp, log = scalar_field_tables(m, f.poly)
+        assert f.generator == gen
+        assert f.np_exp.tolist() == list(exp) + [0] * (2 * order + 1)
+        assert f.np_log.tolist() == [2 * order] + list(log[1:])
+        assert f.np_inv.tolist() == [0] + [exp[order - log[a]] for a in range(1, f.q)]
 
 
 class TestBatchedBinaryField:

@@ -13,7 +13,7 @@ from conftest import (
     random_digraph,
 )
 from hamkit import branchings
-from hamkit.algebra import BinaryField, make_binary_field
+from hamkit.algebra import BinaryField, binary_field_degree, make_binary_field
 from hamkit.branchings import (
     BranchingLeafPolynomial,
     DvConfig,
@@ -207,7 +207,7 @@ class TestDetectKInternal:
     def test_success_floor_field_order(self):
         # the 1 - 2n/q factor takes q from the field the detector draws from
         for n in range(2, 257):
-            q = make_binary_field(n).q
+            q = make_binary_field(binary_field_degree(n)).q
             assert internal_sieve_success_floor(n, 0) == max(0.0, 1.0 - 2.0 * n / q), n
 
 
@@ -228,7 +228,7 @@ def _internal_determinant_cases(seed: int):
         if not roots:
             continue
         root = rnd.choice(roots)
-        field = make_binary_field(g.n)
+        field = make_binary_field(binary_field_degree(g.n))
         zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
         if equal_zeta:
             zeta[:] = zeta[:, :1]
@@ -289,7 +289,7 @@ class TestInternalDeterminant:
 
     def test_unit_inverse(self):
         rng = np.random.default_rng(87)
-        field = make_binary_field(8)
+        field = make_binary_field(binary_field_degree(8))
         for k in range(1, branchings.GROUP_RANK_LIMIT + 1):
             engine = branchings._InternalSieveEngine(complete_digraph(8), 0, k, field)
             units = rng.integers(0, field.q, size=(40, engine.len), dtype=np.int32)

@@ -140,7 +140,7 @@ class TestAnswers:
         assert code == 0
         assert strip_elapsed(out) == (
             '{"command": "detect-hc", "answer": "yes", "trials": 1, "failure_bound": 0.0, '
-            '"diagnostics": {"pairs_per_trial": 18, "field_bits": 6, "witness_value": 58, '
+            '"diagnostics": {"pairs_per_trial": 18, "field_bits": 16, "witness_value": 62385, '
             '"engine": "batched"}, "seed": 7, "elapsed_ms": _}\n'
         )
 
@@ -539,8 +539,9 @@ class TestLazyLoading:
 
     @pytest.mark.parametrize("template", DETECT_COMMANDS, ids=lambda t: t[0])
     def test_first_call_builds_what_later_calls_reuse(self, template, tmp_path, capsys):
-        # the first call in a process builds the parser and the GF(2^m) field,
-        # the second reuses both; this test process has long since built them
+        # the first call in a process builds the parser (and k-internal's GF(2^m)
+        # field; hamdetect builds its field at import), the second reuses them;
+        # this test process has long since built them
         path = write_graph(tmp_path, complete_digraph(5))
         argv = [a.replace("{g}", path) for a in template] + ["--seed", "7"]
         first, second = json.loads(run_fresh(FRESH_CLI, json.dumps([argv, argv])))

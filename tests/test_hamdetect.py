@@ -16,6 +16,8 @@ from hamkit import hamdetect
 from hamkit.algebra import make_binary_field
 from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamdetect import (
+    FAILURE_TARGET_BITS,
+    FIELD_BITS,
     PortLayout,
     PortWeights,
     batched_gf_det,
@@ -85,7 +87,7 @@ class TestPortMatrix:
         for _ in range(12):
             g = random_digraph(rnd, rnd.randint(2, 6), 0.6)
             layout = make_layout(g)
-            field = make_binary_field(g.n)
+            field = make_binary_field(FIELD_BITS)
             w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
             blue_mask = sum(1 << v for v in layout.blue)
             anchor_bit = 1 << layout.anchor
@@ -110,7 +112,7 @@ class TestPortMatrix:
         for _ in range(15):
             g = random_digraph(rnd, rnd.randint(2, 8), 0.5)
             layout = make_layout(g)
-            field = make_binary_field(g.n)
+            field = make_binary_field(FIELD_BITS)
             w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
             blue_mask = sum(1 << v for v in layout.blue)
             m = build_port_matrix(g, layout, w, blue_mask, blue_mask, skewed=False)
@@ -128,14 +130,14 @@ class TestSieve:
         for _ in range(20):
             g = random_digraph(rnd, rnd.randint(2, 8), rnd.uniform(0.2, 0.8))
             layout = make_layout(g)
-            field = make_binary_field(g.n)
+            field = make_binary_field(FIELD_BITS)
             w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
             assert sieve_membership_pairs(g, layout, w) == scalar_pair_sum(g, layout, w)
 
     def test_chunking_does_not_change_sum(self, monkeypatch):
         g = random_digraph(random.Random(74), 9, 0.5)
         layout = make_layout(g)
-        field = make_binary_field(g.n)
+        field = make_binary_field(FIELD_BITS)
         w = PortWeights.draw(g, layout, field, 5)
         whole = sieve_membership_pairs(g, layout, w)
         monkeypatch.setattr(hamdetect, "STATE_CHUNK", 7)
@@ -150,7 +152,7 @@ class TestSieve:
             if oracle.held_karp_count_hc(g) == 0:
                 continue
             layout = make_layout(g)
-            field = make_binary_field(g.n)
+            field = make_binary_field(FIELD_BITS)
             w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
             c = rnd.randrange(2, field.q)
             scaled = PortWeights(layout, field, field.nmul(np.int32(c), w.values))
@@ -162,7 +164,7 @@ class TestSieve:
     def test_zero_weights_zero_sum(self):
         g = directed_cycle(5)
         layout = make_layout(g)
-        field = make_binary_field(5)
+        field = make_binary_field(FIELD_BITS)
         w = PortWeights(layout, field, np.zeros((5, 5, 5), dtype=np.int32))
         total, _ = sieve_membership_pairs(g, layout, w)
         assert total == 0
@@ -186,7 +188,7 @@ class TestFoldedMatrix:
         seen = set()
         for g in graphs:
             layout = make_layout(g)
-            field = make_binary_field(g.n)
+            field = make_binary_field(FIELD_BITS)
             sf = ScalarBinaryField(field)
             nb, npool = len(layout.blue), layout.pool_count
             seen.add("pool" if npool else "no pool")
@@ -262,7 +264,7 @@ class TestSubsetTables:
         for g, layout in cases:
             nb = len(layout.blue)
             seen.add(nb)
-            field = make_binary_field(max(g.n, 2))
+            field = make_binary_field(FIELD_BITS)
             sf = ScalarBinaryField(field)
             for fill in ("arcs", "sparse", "everywhere"):
                 w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
@@ -292,7 +294,7 @@ class TestSubsetTables:
 
 class TestBatchedDet:
     def test_matches_det_gauss(self):
-        field = make_binary_field(9)
+        field = make_binary_field(FIELD_BITS)
         rng = np.random.default_rng(8)
         mats = rng.integers(0, field.q, size=(40, 6, 6), dtype=np.int32)
         dets = batched_gf_det(field, mats.copy())
@@ -300,7 +302,7 @@ class TestBatchedDet:
             assert det_gauss(square(ScalarBinaryField(field), mats[i].tolist())) == int(dets[i])
 
     def test_singular_batch(self):
-        field = make_binary_field(4)
+        field = make_binary_field(FIELD_BITS)
         mats = np.zeros((3, 4, 4), dtype=np.int32)
         mats[1] = np.eye(4, dtype=np.int32)
         dets = batched_gf_det(field, mats)
@@ -355,9 +357,26 @@ class TestDetect:
                 assert not detect_hamiltonian_cycle(g, trials=3, seed=seed).verdict
 
     def test_trial_defaults_and_bound(self):
-        assert default_trial_count(10) == 2 * 4 + 4
-        assert failure_bound(10, 10) == (10 / 256) ** 10
+        # one field at every n, and the fewest trials with (n/q)^T <= 2^-84
+        assert (FIELD_BITS, FAILURE_TARGET_BITS) == (16, 84)
+        assert [default_trial_count(n) for n in (2, 4, 5, 10, 16, 17, 32)] == [6, 6, 7, 7, 7, 8, 8]
+        assert failure_bound(10, 10) == (10 / 65536) ** 10
         for n in range(2, 33):
-            assert failure_bound(n, 1) == n / make_binary_field(n).q, n
+            assert failure_bound(n, 1) == n / make_binary_field(FIELD_BITS).q, n
+            t = default_trial_count(n)
+            assert n**t << 84 <= 1 << (16 * t) < n ** (t - 1) << (84 + 16), n
+            assert failure_bound(n, t) <= 2.0**-84, n
         rep = detect_hamiltonian_cycle(acyclic_tournament(6), trials=5, seed=0)
         assert rep.trials_run == rep.trials_max == 5
+        rep = detect_hamiltonian_cycle(acyclic_tournament(6), seed=0)
+        assert rep.trials_run == rep.trials_max == 7
+        assert rep.detail["field_bits"] == 16
+        assert 0.0 < rep.failure_bound <= 2.0**-84
+
+    def test_default_bound_no_weaker_than_before(self):
+        # before one field served every n, n vertices ran in GF(2^(2 bitlen(n-1)))
+        # for 2 bitlen(n-1) + 4 trials
+        for n in range(2, 33):
+            bits = 2 * (n - 1).bit_length()
+            before = (n / 2**bits) ** (bits + 4)
+            assert failure_bound(n, default_trial_count(n)) <= before, n
