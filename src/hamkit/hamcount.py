@@ -23,10 +23,13 @@ The meet-in-the-middle evaluator draws the virtual-arc weights as random
 residues mod p (`tail_weights`), cuts the tail vertices by id into a first
 third and the rest, and only evaluates determinants for pairs of half-subsets
 that could be nonzero mod p^k: a vertex whose two half-fingerprints
-(`_SieveCore.fingerprint`) agree contributes a row divisible by p, and more
-than k such rows force the determinant to 0 mod p^k. One dict per index
-block, keyed by fingerprint restrictions to that block, lists the first-half
-subsets each second-half subset is paired with.
+(`_SieveCore.fingerprint`) agree is a dead row whose diagonal is divisible
+by p, so k agreements force the determinant to 0 mod p^k. Only the half
+that holds s is restricted to subsets containing s. One bitmask per
+(V_st position, residue) over the tabulated first-half subsets lets each
+second-half subset count its agreements with all of them at once, in k
+bit-planes; the pairs with fewer than k agreements are exactly the ones
+evaluated.
 
 The modular route of the paper (`crt_count`) combines meet-in-the-middle
 residues by CRT over all primes p up to a cutoff q, each modulo p^k with the
@@ -38,7 +41,6 @@ modulo a power of two above (n-1)!.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -258,49 +260,47 @@ def block_partition(positions: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def build_lookup_tables(
-    core: _SieveCore,
-    first: tuple[int, ...],
-    blocks: tuple[tuple[int, ...], ...],
-    p: int,
-    k: int,
-) -> tuple[list[dict], dict]:
-    """Per-block tables over the first-half subsets, and their fingerprints by subset mask.
+    core: _SieveCore, first: tuple[int, ...], p: int
+) -> tuple[list[int], list[dict[int, int]]]:
+    """The first-half subsets to pair, and one bitmask over their indices per (V_st position, residue).
 
-    Block i's table maps every restriction of a fingerprint to that block
-    (values 0..p-1 plus the inside-O mark p) to the first-half subsets whose
-    fingerprints agree with it in at most k // len(blocks) of the block's
-    positions; restrictions no subset qualifies for are left out.
+    The subsets are those of `first` that contain s, or all of them when s
+    lies in the other half. Bit i of masks[pos][r] is set when subset i's
+    fingerprint is r at position pos (r = p marks a vertex inside the
+    subset), so one mask names every subset that agrees with a second-half
+    fingerprint at one position. Each position keeps a dict of its nonzero
+    masks only, so the tables never grow with p.
     """
-    thr = k // len(blocks)
-    z1_by_mask = {o1: core.fingerprint(o1, p, True) for o1 in _subset_masks(first)}
-    tables = []
-    for block in blocks:
-        table = {}
-        for key in itertools.product(range(p + 1), repeat=len(block)):
-            bucket = []
-            for o1, z1 in z1_by_mask.items():
-                agree = sum(1 for pos, v in zip(block, key) if z1[pos] == v)
-                if agree <= thr:
-                    bucket.append(o1)
-            if bucket:
-                table[key] = bucket
-        tables.append(table)
-    return tables, z1_by_mask
+    o1s = _subsets_with(first, core.s)
+    masks = [{} for _ in core.vst]
+    for i, o1 in enumerate(o1s):
+        bit = 1 << i
+        for row, r in zip(masks, core.fingerprint(o1, p, True)):
+            row[r] = row.get(r, 0) | bit
+    return o1s, masks
 
 
-def _subset_masks(vertices: tuple[int, ...]):
-    """Bitmasks of every subset of `vertices`, in binary counting order."""
-    for picks in range(1 << len(vertices)):
-        yield sum(1 << u for i, u in enumerate(vertices) if picks >> i & 1)
+def _subsets_with(vertices: tuple[int, ...], s: int) -> list[int]:
+    """Bitmasks of the subsets of `vertices` that contain s, or of all of them when s is not among them."""
+    base = 1 << s if s in vertices else 0
+    free = [u for u in vertices if u != s]
+    return [
+        base | sum(1 << u for i, u in enumerate(free) if picks >> i & 1) for picks in range(1 << len(free))
+    ]
 
 
 def _mitm_fallback(n0: int, p: int) -> MitmDiagnostics | None:
-    """The naive fallback's diagnostics (with a warning) when the MITM tables
+    """The naive fallback's diagnostics (with a warning) when block tables
     over n0 tail vertices would pass MITM_TABLE_GUARD entries, else None.
 
-    The tables hold (p+1)^|block| keys per block of the n0 - 1 positions of
-    V_st, for each of the 2^ceil((n0+1)/3) first-half subsets, so the
-    decision needs only n0 and p, not the split graph.
+    This keeps the cutoff of the per-block tables the listing used before
+    its bitmasks: (p+1)^|block| keys per block of the n0 - 1 positions of
+    V_st, for each of the 2^ceil((n0+1)/3) first-half subsets. So the
+    `fallback` flag and the exit codes stay as they were until a work
+    estimate replaces the rule (see ROADMAP.md). The decision needs only
+    n0 and p, not the split graph. It leaves a first half of at most 10
+    vertices (checked for every prime below 3,000), so a listing bitmask
+    has at most 2^10 bits.
     """
     blocks = block_partition(n0 - 1, p)
     if sum((p + 1) ** len(b) for b in blocks) << math.ceil((n0 + 1) / 3) <= MITM_TABLE_GUARD:
@@ -318,13 +318,19 @@ def _mitm_fallback(n0: int, p: int) -> MitmDiagnostics | None:
 def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem, MitmDiagnostics]:
     """Same residue as the naive sieve (the exact count mod p^k), fewer determinants.
 
-    V_t is cut by vertex id into a first third and the rest. Pairs (O1, O2)
-    whose fingerprints agree in more than k positions are skipped: each
-    agreement marks a row divisible by p, and k+1 of those force the
-    determinant to vanish mod p^k. A pair can surface in several block
-    tables; it is examined at the first only, and re-verified against the
-    full agreement budget before its determinant is evaluated. Falls back
-    to the naive sieve when the tables would exceed MITM_TABLE_GUARD entries.
+    V_t is cut by vertex id into a first third and the rest, and the half
+    holding s pairs only its subsets that contain s (the others vanish).
+    Pairs (O1, O2) whose fingerprints agree in k or more positions are
+    skipped: each agreement is a dead row whose diagonal is divisible by p,
+    so k of them put p^k in the dead-row product. For each O2, bit-plane j
+    holds the O1 with more than j agreements so far, and every position
+    folds in the mask of the O1 that agree there; the O1 outside plane
+    k - 1 are exactly the pairs with fewer than k agreements, each
+    evaluated once. That costs 2^|second| * |V_st| * k small-int
+    operations plus one subset term per listed pair; a mask has one bit
+    per tabulated first-half subset, at most 2^(|first| - 1) with s there.
+    Falls back to the naive sieve when block tables would exceed
+    MITM_TABLE_GUARD entries (`_mitm_fallback`).
     """
     n0 = split.graph.n - 1
     p = params.p
@@ -335,36 +341,32 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem
     core = _SieveCore(split, tail_weights(split, p, params.seed), p**k)
     cut = math.ceil(split.graph.n / 3)
     first, second = tuple(range(n0)[:cut]), tuple(range(n0)[cut:])
-    blocks = block_partition(len(core.vst), p)
-    tables, z1_by_mask = build_lookup_tables(core, first, blocks, p, k)
+    o1s, masks = build_lookup_tables(core, first, p)
+    full = (1 << len(o1s)) - 1
 
-    seen: set[int] = set()
+    o2s = _subsets_with(second, core.s)
     listed = 0
-    candidates = 0
     value = 0
-    for o2 in _subset_masks(second):
-        z2 = core.fingerprint(o2, p, False)
-        local_seen: set[int] = set()
-        for table, block in zip(tables, blocks):
-            for o1 in table.get(tuple(z2[pos] for pos in block), ()):
-                candidates += 1
-                if o1 in local_seen:
-                    continue
-                local_seen.add(o1)
-                agree = sum(1 for a, b in zip(z1_by_mask[o1], z2) if a == b)
-                if agree > k:
-                    continue
-                omask = o1 | o2
-                assert omask not in seen, "duplicate subset accepted"
-                seen.add(omask)
-                value += core.signed_contribution(omask)
-                listed += 1
+    for o2 in o2s:
+        planes = [0] * k
+        for row, r in zip(masks, core.fingerprint(o2, p, False)):
+            m = row.get(r)
+            if m:
+                for j in range(k - 1, 0, -1):
+                    planes[j] |= planes[j - 1] & m
+                planes[0] |= m
+        survivors = full & ~planes[-1]
+        while survivors:
+            low = survivors & -survivors
+            survivors ^= low
+            value += core.signed_contribution(o1s[low.bit_length() - 1] | o2)
+            listed += 1
 
     diag = MitmDiagnostics(
         pairs_listed=listed,
         pairs_naive=1 << n0,
-        candidates_examined=candidates,
-        table_keys=sum(map(len, tables)),
+        candidates_examined=len(o1s) * len(o2s),
+        table_keys=sum(map(len, masks)),
     )
     # pruned pairs vanish only mod p^k, so the sum is meaningful only as a residue
     return ResidueElem(value=value % p**k, p=p, k=k), diag

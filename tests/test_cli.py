@@ -127,8 +127,8 @@ class TestAnswers:
         assert code == 0
         assert strip_elapsed(out) == (
             '{"command": "count-mod", "answer": 1, "modulus": 9, "p": 3, "k": 2, "mode": "mitm", '
-            '"diagnostics": {"pairs_listed": 31, "pairs_naive": 32, "candidates_examined": 104, '
-            '"table_keys": 14, "fallback": false, "pruning_ratio": 0.03125}, '
+            '"diagnostics": {"pairs_listed": 14, "pairs_naive": 32, "candidates_examined": 16, '
+            '"table_keys": 6, "fallback": false, "pruning_ratio": 0.5625}, '
             '"seed": 1, "elapsed_ms": _}\n'
         )
 

@@ -18,7 +18,6 @@ from hamkit.graph import make_digraph, split_vertex
 from hamkit.hamcount import (
     SieveParams,
     block_partition,
-    build_lookup_tables,
     count_exact,
     count_hc_mod,
     crt_count,
@@ -368,41 +367,64 @@ class TestMitm:
             params = SieveParams(p=p, k=k, seed=seed)
             assert mitm_count_mod(split, params)[0] == naive_sieve_count(split, params)
 
-    def test_listing_soundness(self):
-        # every subset with a nonvanishing determinant appears in some bucket
-        # and survives the full agreement re-check
+    def test_listing_soundness(self, monkeypatch):
+        # the listed pairs are exactly the subsets with s whose half-fingerprints
+        # agree in fewer than k positions, each evaluated once, and they cover
+        # every subset whose determinant is nonzero mod p^k
+        evaluated = []
+        contribution = hamcount_mod._SieveCore.signed_contribution
+
+        def record(core, omask):
+            evaluated.append(omask)
+            return contribution(core, omask)
+
+        monkeypatch.setattr(hamcount_mod._SieveCore, "signed_contribution", record)
         rnd = random.Random(59)
-        for _ in range(6):
+        for _ in range(10):
             n = rnd.randint(4, 8)
             g = random_digraph(rnd, n, 0.5)
             split = split_vertex(g, rnd.randrange(n))
-            p = rnd.choice([2, 3])
+            p = rnd.choice([2, 3, 5])
             k = rnd.choice([1, 2])
-            wt = tail_weights(split, p, rnd.randrange(100))
+            seed = rnd.randrange(100)
+            wt = tail_weights(split, p, seed)
             core = hamcount_mod._SieveCore(split, wt, p**k)
             first_mask = first_half_mask(split)
-            first = tuple(range(first_mask.bit_length()))
-            blocks = block_partition(len(core.vst), p)
-            tables, z1_by_mask = build_lookup_tables(core, first, blocks, p, k)
             ring = ResidueRing(p, k)
             n0 = split.graph.n - 1
+            want = set()
+            nonzero = set()
             for omask in range(1 << n0):
-                det = det_division_free(restricted_laplacian(split, omask, wt, ring))
-                if det == 0:
-                    continue
-                o1 = omask & first_mask
-                o2 = omask & ~first_mask
-                z1 = z1_by_mask[o1]
-                z2 = core.fingerprint(o2, p, False)
+                z1 = core.fingerprint(omask & first_mask, p, True)
+                z2 = core.fingerprint(omask & ~first_mask, p, False)
                 agree = sum(1 for a, b in zip(z1, z2) if a == b)
-                assert agree <= k, "nonzero determinant but too many agreements"
-                hit = False
-                for table, block in zip(tables, blocks):
-                    key = tuple(z2[pos] for pos in block)
-                    if o1 in table.get(key, ()):
-                        hit = True
-                        break
-                assert hit, "surviving subset missed by every block table"
+                if omask >> split.s & 1 and agree < k:
+                    want.add(omask)
+                if det_division_free(restricted_laplacian(split, omask, wt, ring)) != 0:
+                    nonzero.add(omask)
+            evaluated.clear()
+            _, diag = mitm_count_mod(split, SieveParams(p=p, k=k, seed=seed))
+            assert len(evaluated) == len(set(evaluated)), "a pair was evaluated twice"
+            assert set(evaluated) == want
+            assert nonzero <= want, "a subset with a nonzero determinant was skipped"
+            assert diag.pairs_listed == len(want)
+
+    def test_split_vertex_in_second_half(self):
+        # s past the first third: the first half is tabulated whole and only
+        # second-half subsets with s are scanned
+        residues = []
+        for seed in range(4):
+            g = random_digraph(random.Random(seed), 8, 0.6)
+            split = split_vertex(g, 6)
+            assert split.s >= math.ceil(split.graph.n / 3)
+            for p in (2, 3):
+                for k in (1, 2):
+                    params = SieveParams(p=p, k=k, seed=seed)
+                    residue, diag = mitm_count_mod(split, params)
+                    assert residue == naive_sieve_count(split, params)
+                    assert diag.pairs_listed <= diag.pairs_naive // 2
+                    residues.append(residue.value)
+        assert any(residues), "every residue is 0, so a wrong side filter could pass"
 
     def test_fallback_when_tables_too_large(self, monkeypatch):
         monkeypatch.setattr(hamcount_mod, "MITM_TABLE_GUARD", 1)
