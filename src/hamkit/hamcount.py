@@ -6,9 +6,9 @@ from the sink t to every other vertex; then the path count equals an
 inclusion-exclusion sum, over subsets O of vertices allowed to keep their
 out-arcs, of signed determinants of the punctured Laplacian with the other
 tails' out-arcs zeroed. The identity holds over the integers for any
-virtual-arc weights, so the naive pass uses zero ones, sums the subset
-terms over the integers and reduces mod p^k once; with a modulus above the
-largest possible count its residue is the count itself.
+virtual-arc weights, so both passes use zero ones; the naive pass sums the
+subset terms over the integers and reduces mod p^k once, and with a modulus
+above the largest possible count its residue is the count itself.
 
 Subsets without s contribute 0 for any weights: every column of their
 matrix sums to zero, since s is the one tail whose arcs the diagonals count
@@ -19,17 +19,18 @@ mod p^k, so a subset whose dead-row product (the product of those
 diagonals) is 0 mod p^k is skipped before its minor is built; every residue
 stays the same.
 
-The meet-in-the-middle evaluator draws the virtual-arc weights as random
-residues mod p (`tail_weights`), cuts the tail vertices by id into a first
-third and the rest, and only evaluates determinants for pairs of half-subsets
-that could be nonzero mod p^k: a vertex whose two half-fingerprints
-(`_SieveCore.fingerprint`) agree is a dead row whose diagonal is divisible
-by p, so k agreements force the determinant to 0 mod p^k. Only the half
-that holds s is restricted to subsets containing s. One bitmask per
-(V_st position, residue) over the tabulated first-half subsets lets each
-second-half subset count its agreements with all of them at once, in k
-bit-planes; the pairs with fewer than k agreements are exactly the ones
-evaluated.
+The meet-in-the-middle evaluator runs on the same zero weights. It cuts
+the tail vertices by id into a first third and the rest, and only evaluates
+determinants for pairs of half-subsets that could be nonzero mod p^k: a
+position (t, or a vertex of V_st) where the two half-fingerprints
+(`_SieveCore.fingerprint`) agree is a dead diagonal divisible by p, so k
+agreements put p^k in the dead-row product, and the naive pass skips that
+subset too. So the listing evaluates exactly the naive pass's determinants,
+without visiting the subsets it rejects. Only the half that holds s is
+restricted to subsets containing s. One bitmask per (position, residue)
+over the tabulated first-half subsets lets each second-half subset count
+its agreements with all of them at once, in k bit-planes; the pairs with
+fewer than k agreements are exactly the ones evaluated.
 
 The modular route of the paper (`crt_count`) combines meet-in-the-middle
 residues by CRT over all primes p up to a cutoff q, each modulo p^k with the
@@ -49,7 +50,6 @@ from .algebra import ResidueElem, crt_combine, is_prime, primes_up_to
 from .errors import GuardError
 from .graph import Digraph, VertexSplit, split_vertex
 from .matrixtree import det_bareiss_int
-from .rand import make_rng
 
 NAIVE_SUBSET_GUARD = 24
 MITM_TABLE_GUARD = 30_000_000
@@ -69,7 +69,8 @@ class SieveParams:
 
     The analysis behind the meet-in-the-middle speedup assumes 2 <= p < n,
     but every mode stays exact for any prime p >= 2, which the CRT booster
-    relies on for primes past n.
+    relies on for primes past n. `seed` is accepted and not read: both modes
+    run on zero virtual-arc weights, so no run draws anything.
     """
 
     p: int
@@ -93,12 +94,6 @@ class SieveParams:
         return self.k if self.k is not None else default_k(n, self.p, self.lam)
 
 
-def tail_weights(split: VertexSplit, p: int, seed: int) -> tuple[int, ...]:
-    """Weights of the virtual arcs t->u, one residue mod p per u != t, indexed by vertex id (t slot 0)."""
-    rng = make_rng("tail-weights", seed, p)
-    return tuple(0 if u == split.t else rng.randrange(p) for u in range(split.graph.n))
-
-
 @dataclass(frozen=True)
 class MitmDiagnostics:
     pairs_listed: int
@@ -119,51 +114,42 @@ class MitmDiagnostics:
 
 
 class _SieveCore:
-    """Precomputed masks for signed subset determinants, each right modulo the pass modulus q."""
+    """Signed subset determinants on zero virtual-arc weights, each right modulo the pass modulus q."""
 
-    def __init__(self, split: VertexSplit, weights: tuple[int, ...], modulus: int):
+    def __init__(self, split: VertexSplit, modulus: int):
         g = split.graph
-        self.wt = weights
         self.modulus = modulus
         self.s = split.s
-        self.t = split.t
         self.n0 = g.n - 1  # |V_t|
-        self.vst = tuple(u for u in range(self.n0) if u != split.s)
+        # every row but s's: t, whose row is diagonal with zero weights, then
+        # V_st; t comes first so that subset_det meets a zero in_t(O) at once
+        self.positions = (split.t,) + tuple(u for u in range(self.n0) if u != split.s)
         self.in_mask = g.in_mask
         self.out_mask = g.out_mask
-        # with zero virtual-arc weights t's row carries only its diagonal
-        self.t_row_diagonal = not any(weights)
 
     def subset_det(self, omask: int) -> int:
         """An integer ≡ the determinant of the tail-restricted punctured Laplacian mod q.
 
-        Rows of vertices outside O carry only their diagonal, so the
-        determinant factors into those diagonals times the minor on the
-        surviving rows, which is what gets eliminated here. Column v of that
-        minor (rows O ∩ V_st plus t) sums to [s in O and s->v] for any
-        virtual-arc weights, since t's entry -wt[v] cancels the +wt[v] on
-        v's diagonal; so a subset without s has determinant 0 and no row is
-        built for it. With zero weights t's row is diagonal too, and its
-        entry in_t(O) joins the dead-row product. A dead-row product
-        divisible by q makes the term vanish mod q. A zero diagonal on a
-        surviving row, t's included, makes it vanish outright: the weights
-        are residues, so that vertex has weight 0 and no in-arc from O, and
-        its column is zero. Either way it returns 0 before the minor is
-        built; any other term is the exact determinant.
+        With zero virtual-arc weights the rows of t and of the vertices
+        outside O carry only their diagonal, the in-arc count from O, so the
+        determinant factors into those diagonals (the dead-row product) times
+        the minor on the rows of O ∩ V_st, which is what gets eliminated here.
+        Column v of the restricted matrix sums to [s in O and s->v], since s
+        is the one tail whose arcs the diagonals count but no row carries; so
+        a subset without s has determinant 0 and no row is built for it. A
+        dead-row product divisible by q makes the term vanish mod q. A zero
+        diagonal on a surviving row makes it vanish outright: that vertex has
+        no in-arc from O, so its column is zero. Either way it returns 0
+        before the minor is built; any other term is the exact determinant.
         """
         if not omask >> self.s & 1:
             return 0
-        wt = self.wt
         in_mask = self.in_mask
-        t = self.t
-        in_t = (in_mask[t] & omask).bit_count()
-        if in_t == 0:
-            return 0
-        dead_prod = in_t if self.t_row_diagonal else 1
+        dead_prod = 1
         alive = []
         diag = []
-        for u in self.vst:
-            d = wt[u] + (in_mask[u] & omask).bit_count()
+        for u in self.positions:
+            d = (in_mask[u] & omask).bit_count()
             if d == 0:
                 return 0
             if omask >> u & 1:
@@ -173,17 +159,11 @@ class _SieveCore:
                 dead_prod *= d
         if dead_prod % self.modulus == 0:
             return 0
-        if not self.t_row_diagonal:
-            alive.append(t)
-            diag.append(in_t)
         out_mask = self.out_mask
         rows = []
         for i, u in enumerate(alive):
-            if u == t:
-                row = [-wt[v] for v in alive]
-            else:
-                om = out_mask[u]
-                row = [-1 if om >> v & 1 else 0 for v in alive]
+            om = out_mask[u]
+            row = [-1 if om >> v & 1 else 0 for v in alive]
             row[i] = diag[i]
             rows.append(row)
         return dead_prod * det_bareiss_int(rows)
@@ -194,24 +174,19 @@ class _SieveCore:
         return -det if (self.n0 - omask.bit_count()) & 1 else det
 
     def fingerprint(self, omask: int, p: int, first: bool) -> tuple[int, ...]:
-        """Fingerprint of one half-subset over the V_st positions; entry p marks a vertex inside O.
+        """Fingerprint of one half-subset over the positions (t, then V_st); entry p marks a vertex inside O.
 
-        The first-half fingerprint carries the virtual weight plus the in-arc
-        count from O1, the second-half one minus the in-arc count from O2, so
-        the two agree at u exactly when row u of the restricted Laplacian is
-        divisible by p.
+        The first-half fingerprint carries the in-arc count from O1 mod p,
+        the second-half one minus the in-arc count from O2, so the two agree
+        at a vertex outside O exactly when its diagonal, the in-arc count
+        from O1 ∪ O2, is divisible by p. t is never in O, so its entry is
+        always a residue, in_t(O1) or -in_t(O2) mod p.
         """
-        wt = self.wt
         in_mask = self.in_mask
-        entries = []
-        for u in self.vst:
-            if omask >> u & 1:
-                entries.append(p)
-            elif first:
-                entries.append((wt[u] + (in_mask[u] & omask).bit_count()) % p)
-            else:
-                entries.append(-(in_mask[u] & omask).bit_count() % p)
-        return tuple(entries)
+        sign = 1 if first else -1
+        return tuple(
+            p if omask >> u & 1 else sign * (in_mask[u] & omask).bit_count() % p for u in self.positions
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +203,15 @@ def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
     """Inclusion-exclusion over all tail subsets, summed over the integers, reduced mod p^k once.
 
     The virtual-arc weights are zero (the identity holds for any weights, and
-    zero ones make t's row diagonal and let more subsets drop out early), so
-    the seed does not enter. Each term is ≡ its subset's determinant mod
-    p^k, and is 0 when the dead-row product is; the sum is the count mod p^k.
+    zero ones make t's row diagonal and let more subsets drop out early).
+    Each term is ≡ its subset's determinant mod p^k, and is 0 when the
+    dead-row product is; the sum is the count mod p^k.
     """
     n0 = split.graph.n - 1
     _check_subset_guard(n0)
     k = params.effective_k(n0)
     modulus = params.p**k
-    core = _SieveCore(split, (0,) * split.graph.n, modulus)
+    core = _SieveCore(split, modulus)
     total = sum(map(core.signed_contribution, range(1 << n0)))
     return ResidueElem(value=total % modulus, p=params.p, k=k)
 
@@ -262,7 +237,7 @@ def block_partition(positions: int, p: int) -> tuple[tuple[int, ...], ...]:
 def build_lookup_tables(
     core: _SieveCore, first: tuple[int, ...], p: int
 ) -> tuple[list[int], list[dict[int, int]]]:
-    """The first-half subsets to pair, and one bitmask over their indices per (V_st position, residue).
+    """The first-half subsets to pair, and one bitmask over their indices per (position, residue).
 
     The subsets are those of `first` that contain s, or all of them when s
     lies in the other half. Bit i of masks[pos][r] is set when subset i's
@@ -272,7 +247,7 @@ def build_lookup_tables(
     masks only, so the tables never grow with p.
     """
     o1s = _subsets_with(first, core.s)
-    masks = [{} for _ in core.vst]
+    masks = [{} for _ in core.positions]
     for i, o1 in enumerate(o1s):
         bit = 1 << i
         for row, r in zip(masks, core.fingerprint(o1, p, True)):
@@ -316,19 +291,22 @@ def _mitm_fallback(n0: int, p: int) -> MitmDiagnostics | None:
 
 
 def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem, MitmDiagnostics]:
-    """Same residue as the naive sieve (the exact count mod p^k), fewer determinants.
+    """Same residue as the naive sieve (the exact count mod p^k), from the same determinants.
 
     V_t is cut by vertex id into a first third and the rest, and the half
     holding s pairs only its subsets that contain s (the others vanish).
-    Pairs (O1, O2) whose fingerprints agree in k or more positions are
-    skipped: each agreement is a dead row whose diagonal is divisible by p,
-    so k of them put p^k in the dead-row product. For each O2, bit-plane j
-    holds the O1 with more than j agreements so far, and every position
-    folds in the mask of the O1 that agree there; the O1 outside plane
-    k - 1 are exactly the pairs with fewer than k agreements, each
-    evaluated once. That costs 2^|second| * |V_st| * k small-int
-    operations plus one subset term per listed pair; a mask has one bit
-    per tabulated first-half subset, at most 2^(|first| - 1) with s there.
+    Pairs (O1, O2) whose fingerprints agree in k or more positions (t
+    and V_st) are skipped: each agreement is a dead diagonal divisible by p,
+    so k of them put p^k in the dead-row product, and the naive pass skips
+    the subset O1 ∪ O2 as well. So the determinants taken are exactly the
+    naive pass's, and only the masks it would reject go unvisited. For
+    each O2, bit-plane j holds the O1 with more than j agreements so far,
+    and every position folds in the mask of the O1 that agree there; the
+    O1 outside plane k - 1 are exactly the pairs with fewer than k
+    agreements, each evaluated once. That costs 2^|second| * |positions| *
+    k small-int operations plus one subset term per listed pair; a mask
+    has one bit per tabulated first-half subset, at most 2^(|first| - 1)
+    with s there.
     Falls back to the naive sieve when block tables would exceed
     MITM_TABLE_GUARD entries (`_mitm_fallback`).
     """
@@ -338,7 +316,7 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem
     if diag is not None:
         return naive_sieve_count(split, params), diag
     k = params.effective_k(n0)
-    core = _SieveCore(split, tail_weights(split, p, params.seed), p**k)
+    core = _SieveCore(split, p**k)
     cut = math.ceil(split.graph.n / 3)
     first, second = tuple(range(n0)[:cut]), tuple(range(n0)[cut:])
     o1s, masks = build_lookup_tables(core, first, p)
@@ -407,7 +385,8 @@ def crt_count(
     """Hamiltonian-cycle count mod M, M the product of p^{k_p} over primes p <= q.
 
     Per-prime exponents follow k_p = default_k(n, p, lam); each residue
-    comes from the meet-in-the-middle sieve.
+    comes from the meet-in-the-middle sieve. `seed` is accepted and not
+    read (see SieveParams).
     """
     if q < 2:
         raise ValueError("q must be at least 2")

@@ -7,7 +7,6 @@ than silently taking hours.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import GuardError
@@ -16,8 +15,6 @@ from .graph import Digraph
 HELD_KARP_LIMIT = 22
 BRANCHING_LIMIT = 9
 MIS_LIMIT = 16
-MONOMIAL_VAR_LIMIT = 20
-PERMUTATION_LIMIT = 8
 
 
 def _hamiltonian_path_ends(g: Digraph, s: int) -> dict[int, int]:
@@ -61,21 +58,6 @@ def held_karp_count_hc(g: Digraph) -> int:
         raise GuardError(f"held_karp_count_hc guard: n={g.n} > {HELD_KARP_LIMIT}")
     ends = _hamiltonian_path_ends(g, 0)
     return sum(cnt for v, cnt in ends.items() if g.has_arc(v, 0))
-
-
-def perm_count_hp(g: Digraph, s: int, t: int) -> int:
-    """Hamiltonian path count by raw permutation enumeration."""
-    if g.n > PERMUTATION_LIMIT:
-        raise GuardError(f"perm_count_hp guard: n={g.n} > {PERMUTATION_LIMIT}")
-    if s == t:
-        raise ValueError("endpoints must differ")
-    middle = [v for v in range(g.n) if v not in (s, t)]
-    count = 0
-    for perm in itertools.permutations(middle):
-        seq = (s, *perm, t)
-        if all(g.has_arc(a, b) for a, b in zip(seq, seq[1:])):
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -134,30 +116,6 @@ def enumerate_out_branchings(g: Digraph, root: int) -> list[Branching]:
     return list(iter_out_branchings(g, root))
 
 
-def brute_max_internal(g: Digraph) -> int:
-    """Largest internal-vertex count over all spanning out-branchings, -1 if none."""
-    if g.n > BRANCHING_LIMIT:
-        raise GuardError(f"brute_max_internal guard: n={g.n} > {BRANCHING_LIMIT}")
-    best = -1
-    for root in range(g.n):
-        for b in iter_out_branchings(g, root):
-            if b.internal_count > best:
-                best = b.internal_count
-    return best
-
-
-def brute_max_leaves(g: Digraph) -> int:
-    """Largest leaf count over all spanning out-branchings, -1 if none."""
-    if g.n > BRANCHING_LIMIT:
-        raise GuardError(f"brute_max_leaves guard: n={g.n} > {BRANCHING_LIMIT}")
-    best = -1
-    for root in range(g.n):
-        for b in iter_out_branchings(g, root):
-            if b.leaf_count > best:
-                best = b.leaf_count
-    return best
-
-
 def brute_k_internal(g: Digraph, k: int) -> bool:
     """Does some spanning out-branching have at least k internal vertices?"""
     if g.n > BRANCHING_LIMIT:
@@ -206,19 +164,3 @@ def brute_mis(g: Digraph) -> frozenset[int]:
         if ok:
             best, best_size = mask, size
     return frozenset(v for v in range(g.n) if best & (1 << v))
-
-
-def brute_min_distinct_vars(monomials) -> int:
-    """Minimum number of distinct variables over monomials with nonzero coefficient.
-
-    `monomials` is a sequence of (coefficient, exponent-tuple) pairs.
-    """
-    monos = [(c, tuple(e)) for c, e in monomials]
-    if not monos:
-        raise ValueError("empty polynomial")
-    if any(len(e) > MONOMIAL_VAR_LIMIT for _, e in monos):
-        raise GuardError(f"brute_min_distinct_vars guard: > {MONOMIAL_VAR_LIMIT} variables")
-    live = [e for c, e in monos if c != 0]
-    if not live:
-        raise ValueError("zero polynomial")
-    return min(sum(1 for d in e if d > 0) for e in live)

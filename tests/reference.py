@@ -6,12 +6,17 @@ division-free and fraction-free determinants; the fields GF(p) and GF(2^m)
 and the rings Z, Z/p^k, the group algebra of (Z/2)^k and truncated
 polynomials; the port matrix of one membership pair; the k-internal marker
 determinant of one draw; the branching polynomial at one point; one k-leaf
-trial at one prime, interpolated point by point; the restricted Laplacian
-of one tail subset. Tests import this module the way they import conftest.
+trial at one prime, interpolated point by point; random virtual-arc
+weights and the restricted Laplacian of one tail subset. It also holds the
+brute-force oracles that no command reaches: a permutation count of
+Hamiltonian paths, the largest internal-vertex and leaf counts, and the
+fewest distinct variables of a monomial. Tests import this module the way
+they import conftest.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,8 +32,10 @@ from hamkit.algebra import (
 )
 from hamkit.branchings import _batched_modpow, _draw_internal_chunk
 from hamkit.errors import GuardError
+from hamkit.graph import Digraph
 from hamkit.hamcount import RESIDUE_MODULUS_LIMIT
 from hamkit.matrixtree import count_out_branchings
+from hamkit.oracle import BRANCHING_LIMIT, iter_out_branchings
 from hamkit.rand import make_rng
 
 # ---------------------------------------------------------------------------
@@ -710,7 +717,17 @@ def scalar_solve_nk_dv(P, k: int, budget: int, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# counting: the restricted Laplacian of one tail subset
+# counting: random virtual-arc weights and the restricted Laplacian of one tail subset
+
+
+def tail_weights(split, p: int, seed: int) -> tuple[int, ...]:
+    """Random weights of the virtual arcs t->u, one residue mod p per u != t, indexed by vertex id (t slot 0).
+
+    The paper draws these; the sieve runs on zero weights, and the identity
+    it relies on holds for any weights, which the tests check with these.
+    """
+    rng = make_rng("tail-weights", seed, p)
+    return tuple(0 if u == split.t else rng.randrange(p) for u in range(split.graph.n))
 
 
 def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
@@ -737,3 +754,65 @@ def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
                 if v != s:
                     rows[idx[u]][idx[v]] = ring.neg(ring.one)
     return SquareMatrix(ring, labels, labels, tuple(map(tuple, rows)))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles that only tests use
+
+MONOMIAL_VAR_LIMIT = 20
+PERMUTATION_LIMIT = 8
+
+
+def perm_count_hp(g: Digraph, s: int, t: int) -> int:
+    """Hamiltonian path count by raw permutation enumeration."""
+    if g.n > PERMUTATION_LIMIT:
+        raise GuardError(f"perm_count_hp guard: n={g.n} > {PERMUTATION_LIMIT}")
+    if s == t:
+        raise ValueError("endpoints must differ")
+    middle = [v for v in range(g.n) if v not in (s, t)]
+    count = 0
+    for perm in itertools.permutations(middle):
+        seq = (s, *perm, t)
+        if all(g.has_arc(a, b) for a, b in zip(seq, seq[1:])):
+            count += 1
+    return count
+
+
+def brute_max_internal(g: Digraph) -> int:
+    """Largest internal-vertex count over all spanning out-branchings, -1 if none."""
+    if g.n > BRANCHING_LIMIT:
+        raise GuardError(f"brute_max_internal guard: n={g.n} > {BRANCHING_LIMIT}")
+    best = -1
+    for root in range(g.n):
+        for b in iter_out_branchings(g, root):
+            if b.internal_count > best:
+                best = b.internal_count
+    return best
+
+
+def brute_max_leaves(g: Digraph) -> int:
+    """Largest leaf count over all spanning out-branchings, -1 if none."""
+    if g.n > BRANCHING_LIMIT:
+        raise GuardError(f"brute_max_leaves guard: n={g.n} > {BRANCHING_LIMIT}")
+    best = -1
+    for root in range(g.n):
+        for b in iter_out_branchings(g, root):
+            if b.leaf_count > best:
+                best = b.leaf_count
+    return best
+
+
+def brute_min_distinct_vars(monomials) -> int:
+    """Minimum number of distinct variables over monomials with nonzero coefficient.
+
+    `monomials` is a sequence of (coefficient, exponent-tuple) pairs.
+    """
+    monos = [(c, tuple(e)) for c, e in monomials]
+    if not monos:
+        raise ValueError("empty polynomial")
+    if any(len(e) > MONOMIAL_VAR_LIMIT for _, e in monos):
+        raise GuardError(f"brute_min_distinct_vars guard: > {MONOMIAL_VAR_LIMIT} variables")
+    live = [e for c, e in monos if c != 0]
+    if not live:
+        raise ValueError("zero polynomial")
+    return min(sum(1 for d in e if d > 0) for e in live)

@@ -52,6 +52,7 @@ from reference import (
     MonomialListPolynomial,
     PrimeField,
     ScalarBinaryField,
+    brute_min_distinct_vars,
     build_port_matrix,
 )
 
@@ -304,7 +305,7 @@ def test_criterion_7_distinct_variables_and_leaves():
             monos.append((rnd.randint(1, 9), tuple(exps)))
         P = MonomialListPolynomial(n, monos)
         k = 1 + i % n
-        want = oracle.brute_min_distinct_vars(monos) <= n - k
+        want = brute_min_distinct_vars(monos) <= n - k
         rep = solve_nk_dv(P, k, DvConfig(budget=6000 if want else 60, seed=i))
         assert rep.verdict == want, (monos, k, i)
 

@@ -35,6 +35,7 @@ from reference import (
     GroupAlgebra,
     MonomialListPolynomial,
     PrimeField,
+    brute_min_distinct_vars,
     det_bareiss,
     det_gauss,
     dv_trial,
@@ -459,7 +460,7 @@ class TestSolveNkDv:
                     exps[rnd.randrange(n)] += 1
                 monos.append((rnd.randint(1, 9), tuple(exps)))
             P = MonomialListPolynomial(n, monos)
-            dmin = oracle.brute_min_distinct_vars(monos)
+            dmin = brute_min_distinct_vars(monos)
             for k in range(1, n + 1):
                 want = dmin <= n - k
                 cfg = DvConfig(budget=4000 if want else 40, seed=5)

@@ -19,6 +19,7 @@ from conftest import (
     directed_cycle,
     directed_path,
     out_star,
+    random_digraph,
     run_fresh,
 )
 from hamkit import count_out_branchings, detect_k_internal, detect_k_leaf
@@ -127,10 +128,23 @@ class TestAnswers:
         assert code == 0
         assert strip_elapsed(out) == (
             '{"command": "count-mod", "answer": 1, "modulus": 9, "p": 3, "k": 2, "mode": "mitm", '
-            '"diagnostics": {"pairs_listed": 14, "pairs_naive": 32, "candidates_examined": 16, '
-            '"table_keys": 6, "fallback": false, "pruning_ratio": 0.5625}, '
+            '"diagnostics": {"pairs_listed": 10, "pairs_naive": 32, "candidates_examined": 16, '
+            '"table_keys": 7, "fallback": false, "pruning_ratio": 0.6875}, '
             '"seed": 1, "elapsed_ms": _}\n'
         )
+
+    def test_count_mod_does_not_read_the_seed(self, tmp_path, capsys):
+        # both modes run on zero virtual-arc weights: the seed is only echoed
+        rnd = random.Random(64)
+        for mode in ("mitm", "naive"):
+            path = write_graph(tmp_path, random_digraph(rnd, 9, 0.5))
+            outs = []
+            for seed in ("1", "202"):
+                code, out, _ = run_cli(["count-mod", path, "--p", "3", "--k", "2", "--mode", mode,
+                                        "--seed", seed], capsys)
+                assert code == 0
+                outs.append(strip_elapsed(out).replace(f'"seed": {seed}', '"seed": _'))
+            assert outs[0] == outs[1], mode
 
     def test_readme_detect_hc_example(self, tmp_path, capsys):
         # the README example, whole stdout: the witness of the first trial's pair sum

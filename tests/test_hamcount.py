@@ -23,10 +23,9 @@ from hamkit.hamcount import (
     crt_count,
     mitm_count_mod,
     naive_sieve_count,
-    tail_weights,
 )
 from hamkit import oracle
-from reference import ResidueRing, det_division_free, restricted_laplacian
+from reference import ResidueRing, det_division_free, restricted_laplacian, tail_weights
 
 import hamkit.hamcount as hamcount_mod
 
@@ -79,48 +78,58 @@ class TestRestrictedLaplacian:
                 assert m.entries[idx[u]][idx[v]] == ring.neg(1)
 
     def test_matches_fast_subset_det(self):
-        # the explicit matrix and the factored integer path agree mod p^k
+        # the explicit zero-weight matrix and the factored integer path agree mod p^k
         rnd = random.Random(53)
         for _ in range(15):
-            g, split, p, wt = self._setup(rnd, 6)
+            g, split, p, _ = self._setup(rnd, 6)
             k = rnd.choice([1, 2, 3])
             ring = ResidueRing(p, k)
-            core = hamcount_mod._SieveCore(split, wt, ring.modulus)
+            core = hamcount_mod._SieveCore(split, ring.modulus)
             for _ in range(8):
                 omask = rnd.getrandbits(split.graph.n - 1)
-                m = restricted_laplacian(split, omask, wt, ring)
+                m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
                 assert det_division_free(m) == core.subset_det(omask) % ring.modulus
 
     def test_zero_weights_match_reference_every_subset(self):
-        # the naive pass folds t's diagonal-only row into the dead-row product
+        # zero weights leave t's row diagonal, so the core folds it into the dead-row product
         rnd = random.Random(55)
         ring = ResidueRing(7, 3)
         for _ in range(10):
             g, split, _, _ = self._setup(rnd, rnd.randint(2, 6))
             wt = (0,) * split.graph.n
-            core = hamcount_mod._SieveCore(split, wt, ring.modulus)
-            assert core.t_row_diagonal
+            core = hamcount_mod._SieveCore(split, ring.modulus)
+            assert core.positions[0] == split.t
             for omask in range(1 << (split.graph.n - 1)):
                 m = restricted_laplacian(split, omask, wt, ring)
+                t_row = m.entries[m.row_labels.index(split.t)]
+                assert sum(1 for x in t_row if x) <= 1
                 assert det_division_free(m) == core.subset_det(omask) % ring.modulus
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
     def test_every_subset_matches_reference_mod_q(self, p, k):
-        # terms skipped for a dead-row product divisible by q are still right mod q
+        # terms skipped for a dead-row product divisible by q are still right
+        # mod q, and the signed sum is the same mod q under random weights
         rnd = random.Random(100 * p + k)
         ring = ResidueRing(p, k)
         for _ in range(4):
             g, split, _, _ = self._setup(rnd, rnd.randint(3, 7))
-            for wt in (tail_weights(split, p, rnd.randrange(1000)), (0,) * split.graph.n):
-                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
-                for omask in range(1 << (split.graph.n - 1)):
-                    m = restricted_laplacian(split, omask, wt, ring)
-                    assert core.subset_det(omask) % ring.modulus == det_division_free(m)
+            drawn = tail_weights(split, p, rnd.randrange(1000))
+            core = hamcount_mod._SieveCore(split, ring.modulus)
+            zero_sum = drawn_sum = 0
+            for omask in range(1 << (split.graph.n - 1)):
+                m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
+                assert core.subset_det(omask) % ring.modulus == det_division_free(m)
+                zero_sum += core.signed_contribution(omask)
+                sign = -1 if (split.graph.n - 1 - omask.bit_count()) & 1 else 1
+                drawn_sum += sign * det_division_free(restricted_laplacian(split, omask, drawn, ring))
+            assert zero_sum % ring.modulus == drawn_sum % ring.modulus
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
     def test_dead_product_divisible_by_q_skips_elimination(self, p, k, monkeypatch):
         # the dead-row product is read off the reference matrix: the diagonals
-        # of the rows outside O, and t's diagonal when the weights are zero
+        # of the rows outside O, and t's diagonal when the weights are zero.
+        # Under random weights t's row is full, and a dead-row product
+        # divisible by q still makes the determinant 0 mod q
         def refuse(rows):
             raise AssertionError("eliminated a subset whose dead-row product is 0 mod q")
 
@@ -130,8 +139,8 @@ class TestRestrictedLaplacian:
         skipped = 0
         for _ in range(4):
             g, split, _, _ = self._setup(rnd, rnd.randint(3, 7))
+            core = hamcount_mod._SieveCore(split, ring.modulus)
             for wt in (tail_weights(split, p, rnd.randrange(1000)), (0,) * split.graph.n):
-                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
                 for omask in range(1 << (split.graph.n - 1)):
                     m = restricted_laplacian(split, omask, wt, ring)
                     dead = 1
@@ -139,13 +148,16 @@ class TestRestrictedLaplacian:
                         if (u != split.t and not omask >> u & 1) or (u == split.t and not any(wt)):
                             dead = dead * m.entries[i][i] % ring.modulus
                     if dead == 0:
-                        assert core.subset_det(omask) == 0
-                        skipped += omask >> split.s & 1
+                        assert det_division_free(m) == 0
+                        if not any(wt):
+                            assert core.subset_det(omask) == 0
+                            skipped += omask >> split.s & 1
         assert skipped > 0
 
     def test_zero_diagonal_on_surviving_row_skips_elimination(self, monkeypatch):
         # a surviving vertex (t included) with weight 0 and no in-arc from O
-        # has an all-zero column, so its subset is 0 without any elimination
+        # has an all-zero column, so its subset is 0, and the zero-weight core
+        # returns that without any elimination
         def refuse(rows):
             raise AssertionError("eliminated a minor with a zero column")
 
@@ -155,22 +167,23 @@ class TestRestrictedLaplacian:
         skipped = 0
         for _ in range(10):
             g, split, _, random_wt = self._setup(rnd, rnd.randint(3, 7))
+            core = hamcount_mod._SieveCore(split, ring.modulus)
             for wt in (random_wt, (0,) * split.graph.n):
-                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
                 for omask in range(1 << (split.graph.n - 1)):
                     if not omask >> split.s & 1:
                         continue
                     m = restricted_laplacian(split, omask, wt, ring)
                     if any(m.entries[i][i] == 0 for i, u in enumerate(m.row_labels)
                            if u == split.t or omask >> u & 1):
-                        assert core.subset_det(omask) == 0
                         assert det_division_free(m) == 0
+                        if not any(wt):
+                            assert core.subset_det(omask) == 0
                         skipped += 1
         assert skipped > 0
 
     def test_subsets_without_s_have_zero_determinant(self, monkeypatch):
-        # every column of the surviving minor sums to [s in O and s->v], so
-        # no elimination runs for a subset without s
+        # every column of the surviving minor sums to [s in O and s->v] for
+        # any weights, so no elimination runs for a subset without s
         def refuse(rows):
             raise AssertionError("eliminated a subset without s")
 
@@ -179,12 +192,12 @@ class TestRestrictedLaplacian:
         for _ in range(10):
             g, split, p, random_wt = self._setup(rnd, rnd.randint(2, 7))
             ring = ResidueRing(p, 2)
-            for wt in (random_wt, (0,) * split.graph.n):
-                core = hamcount_mod._SieveCore(split, wt, ring.modulus)
-                for omask in range(1 << (split.graph.n - 1)):
-                    if omask >> split.s & 1:
-                        continue
-                    assert core.subset_det(omask) == 0
+            core = hamcount_mod._SieveCore(split, ring.modulus)
+            for omask in range(1 << (split.graph.n - 1)):
+                if omask >> split.s & 1:
+                    continue
+                assert core.subset_det(omask) == 0
+                for wt in (random_wt, (0,) * split.graph.n):
                     assert det_division_free(restricted_laplacian(split, omask, wt, ring)) == 0
 
 
@@ -265,8 +278,11 @@ class TestNaiveSieve:
         assert naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=70)).value == 1
 
     def test_exact_sum_any_weights(self):
-        # the identity holds over the integers, whatever the virtual-arc weights
+        # the identity holds over the integers, whatever the virtual-arc
+        # weights: the naive pass on zero ones and the reference determinants
+        # under drawn ones both sum to the count
         rnd = random.Random(57)
+        ring = ResidueRing(2, 61)
         for _ in range(12):
             n = rnd.randint(2, 8)
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
@@ -274,10 +290,12 @@ class TestNaiveSieve:
             want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
             assert naive_sieve_count(split, SieveParams(p=2, k=64)).value == want
             drawn = tail_weights(split, rnd.choice([2, 3, 101]), rnd.randrange(100))
-            # no dead-row product on n <= 8 vertices (at most 108^7 < 2^64)
-            # is a nonzero multiple of 2^64, so no term is skipped
-            core = hamcount_mod._SieveCore(split, drawn, 2**64)
-            assert sum(map(core.signed_contribution, range(1 << (split.graph.n - 1)))) == want
+            total = 0
+            for omask in range(1 << n):
+                det = det_division_free(restricted_laplacian(split, omask, drawn, ring))
+                total += -det if (n - omask.bit_count()) & 1 else det
+            # at most 7! < 2^61 paths on n <= 8 vertices, so the sum mod 2^61 is the count
+            assert total % ring.modulus == want
 
 
 def first_half_mask(split) -> int:
@@ -286,27 +304,46 @@ def first_half_mask(split) -> int:
 
 
 class TestFingerprints:
-    def test_z1_empty_is_tail_weights(self):
+    def test_z1_empty_is_zero(self):
+        # zero virtual-arc weights: O1 = {} leaves every diagonal at 0
         split = split_vertex(directed_cycle(5), 0)
-        wt = tail_weights(split, 5, 7)
-        z = hamcount_mod._SieveCore(split, wt, 5).fingerprint(0, 5, True)
-        vst = [u for u in range(split.graph.n - 1) if u != split.s]
-        assert z == tuple(wt[u] % 5 for u in vst)
+        z = hamcount_mod._SieveCore(split, 5).fingerprint(0, 5, True)
+        assert z == (0,) * (split.graph.n - 1)
 
     def test_z2_empty_is_zero(self):
         split = split_vertex(directed_cycle(5), 0)
-        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 7), 3)
-        assert core.fingerprint(0, 3, False) == (0,) * (split.graph.n - 2)
+        core = hamcount_mod._SieveCore(split, 3)
+        assert core.fingerprint(0, 3, False) == (0,) * (split.graph.n - 1)
 
     def test_subset_positions_marked(self):
         split = split_vertex(directed_cycle(6), 1)
-        core = hamcount_mod._SieveCore(split, tail_weights(split, 3, 2), 3)
+        core = hamcount_mod._SieveCore(split, 3)
         o1 = 1  # vertex 0, the first vertex of the first half
         z = core.fingerprint(o1, 3, True)
-        vst = [u for u in range(split.graph.n - 1) if u != split.s]
-        for pos, u in enumerate(vst):
-            if o1 >> u & 1:
-                assert z[pos] == 3  # the out-of-range marker
+        for pos, u in enumerate(core.positions):
+            assert (z[pos] == 3) == bool(o1 >> u & 1)  # the out-of-range marker
+
+    def test_t_entry_is_signed_in_count(self):
+        # t is never in O: its entry is in_t(O1) mod p in the first half and
+        # -in_t(O2) mod p in the second, so the two agree exactly when t's
+        # diagonal in_t(O1 | O2) is divisible by p
+        rnd = random.Random(58)
+        agreed = 0
+        for _ in range(40):
+            g = random_digraph(rnd, 7, 0.6)
+            split = split_vertex(g, rnd.randrange(7))
+            p = rnd.choice([2, 3, 5])
+            core = hamcount_mod._SieveCore(split, p)
+            first_mask = first_half_mask(split)
+            o1 = rnd.getrandbits(split.graph.n - 1) & first_mask
+            o2 = rnd.getrandbits(split.graph.n - 1) & ~first_mask
+            in_t = [(split.graph.in_mask[split.t] & o).bit_count() for o in (o1, o2)]
+            z1 = core.fingerprint(o1, p, True)[0]
+            z2 = core.fingerprint(o2, p, False)[0]
+            assert (z1, z2) == (in_t[0] % p, -in_t[1] % p)
+            assert (z1 == z2) == (sum(in_t) % p == 0)
+            agreed += z1 == z2
+        assert 0 < agreed < 40
 
     def test_agreement_marks_divisible_row(self):
         rnd = random.Random(56)
@@ -314,18 +351,16 @@ class TestFingerprints:
             g = random_digraph(rnd, 7, 0.5)
             split = split_vertex(g, rnd.randrange(7))
             p = rnd.choice([2, 3, 5])
-            wt = tail_weights(split, p, rnd.randrange(100))
-            core = hamcount_mod._SieveCore(split, wt, p)
+            core = hamcount_mod._SieveCore(split, p)
             first_mask = first_half_mask(split)
             o1 = rnd.getrandbits(split.graph.n - 1) & first_mask
             o2 = rnd.getrandbits(split.graph.n - 1) & ~first_mask
             z1 = core.fingerprint(o1, p, True)
             z2 = core.fingerprint(o2, p, False)
             ring = ResidueRing(p, 1)
-            m = restricted_laplacian(split, o1 | o2, wt, ring)
-            vst = [u for u in range(split.graph.n - 1) if u != split.s]
+            m = restricted_laplacian(split, o1 | o2, (0,) * split.graph.n, ring)
             idx = {u: i for i, u in enumerate(m.row_labels)}
-            for pos, u in enumerate(vst):
+            for pos, u in enumerate(core.positions):
                 if z1[pos] == z2[pos]:
                     row = m.entries[idx[u]]
                     assert all(x % p == 0 for x in row)
@@ -369,8 +404,8 @@ class TestMitm:
 
     def test_listing_soundness(self, monkeypatch):
         # the listed pairs are exactly the subsets with s whose half-fingerprints
-        # agree in fewer than k positions, each evaluated once, and they cover
-        # every subset whose determinant is nonzero mod p^k
+        # (t and V_st) agree in fewer than k positions, each evaluated once, and
+        # they cover every subset whose determinant is nonzero mod p^k
         evaluated = []
         contribution = hamcount_mod._SieveCore.signed_contribution
 
@@ -386,9 +421,7 @@ class TestMitm:
             split = split_vertex(g, rnd.randrange(n))
             p = rnd.choice([2, 3, 5])
             k = rnd.choice([1, 2])
-            seed = rnd.randrange(100)
-            wt = tail_weights(split, p, seed)
-            core = hamcount_mod._SieveCore(split, wt, p**k)
+            core = hamcount_mod._SieveCore(split, p**k)
             first_mask = first_half_mask(split)
             ring = ResidueRing(p, k)
             n0 = split.graph.n - 1
@@ -400,14 +433,52 @@ class TestMitm:
                 agree = sum(1 for a, b in zip(z1, z2) if a == b)
                 if omask >> split.s & 1 and agree < k:
                     want.add(omask)
-                if det_division_free(restricted_laplacian(split, omask, wt, ring)) != 0:
+                m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
+                if det_division_free(m) != 0:
                     nonzero.add(omask)
             evaluated.clear()
-            _, diag = mitm_count_mod(split, SieveParams(p=p, k=k, seed=seed))
+            _, diag = mitm_count_mod(split, SieveParams(p=p, k=k))
             assert len(evaluated) == len(set(evaluated)), "a pair was evaluated twice"
             assert set(evaluated) == want
             assert nonzero <= want, "a subset with a nonzero determinant was skipped"
             assert diag.pairs_listed == len(want)
+
+    @pytest.mark.parametrize("s_half", ["first", "second"])
+    def test_evaluates_exactly_the_naive_determinants(self, s_half, monkeypatch):
+        # every pair the listing drops has p^k in its dead-row product, so the
+        # naive pass drops that subset too: both modes take the same determinants
+        current = []
+        reached = []
+        subset_det = hamcount_mod._SieveCore.subset_det
+        det = hamcount_mod.det_bareiss_int
+
+        def note_subset(core, omask):
+            current[:] = [omask]
+            return subset_det(core, omask)
+
+        def note_det(rows):
+            reached.append(current[0])
+            return det(rows)
+
+        monkeypatch.setattr(hamcount_mod._SieveCore, "subset_det", note_subset)
+        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", note_det)
+        rnd = random.Random(61 if s_half == "first" else 62)
+        evaluated = 0
+        for _ in range(24):
+            n = rnd.randint(4, 10)
+            g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
+            cut = math.ceil((n + 1) / 3)
+            split = split_vertex(g, rnd.randrange(cut) if s_half == "first" else rnd.randrange(cut, n))
+            params = SieveParams(p=rnd.choice([2, 3, 5, 7]), k=rnd.choice([1, 2, 3]))
+            reached.clear()
+            naive = naive_sieve_count(split, params)
+            by_naive = sorted(reached)
+            reached.clear()
+            residue, diag = mitm_count_mod(split, params)
+            assert sorted(reached) == by_naive
+            assert residue == naive and not diag.fallback
+            evaluated += len(by_naive)
+        assert evaluated > 0
 
     def test_split_vertex_in_second_half(self):
         # s past the first third: the first half is tabulated whole and only
