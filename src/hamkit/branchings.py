@@ -32,17 +32,13 @@ from typing import Protocol
 
 import numpy as np
 
-# numpy loads numpy.random lazily; importing it with this module keeps that
-# import (~11 ms) out of the first detection call
-from numpy.random import default_rng
-
 from .algebra import BinaryField, binary_field_degree, make_binary_field, random_prime_31
 from .errors import GuardError
 from .graph import Digraph
 # count_out_branchings is not called here; it stays bound because the layer
 # tracer in perfbench/layertrace.py rebinds it under this module's name
 from .matrixtree import BRANCHING_COUNT_GUARD, count_out_branchings  # noqa: F401
-from .rand import derive_seed, make_rng
+from .rand import counter_draw, derive_seed, make_rng
 from .report import DetectionReport
 
 GROUP_RANK_LIMIT = 6
@@ -124,9 +120,11 @@ class _InternalSieveEngine:
     slot-0 parts of the entries form the zeta-weighted Laplacian over
     GF(2^m), and elimination acts on them as plain Gaussian elimination, so
     a draw whose slot-0 Laplacian is nonsingular never lacks a unit pivot.
-    The rare draws that do (det_batch) take the division-free Berkowitz
-    recurrence instead. All per-entry ring products across the trial batch
-    are fused into single gather/table-lookup/reduceat passes.
+    The rare draws that do (det_batch) swap in a later column with a unit,
+    and a trailing block with no unit at all has determinant 0 past k rows
+    (M^(k+1) = 0) and goes to the division-free Berkowitz recurrence up to
+    k rows. All per-entry ring products across the trial batch are fused
+    into single gather/table-lookup/reduceat passes.
     """
 
     def __init__(self, g: Digraph, root: int, k: int, field: BinaryField):
@@ -189,22 +187,43 @@ class _InternalSieveEngine:
 
         At column j the pivot is the first row at or below j whose slot 0 is
         nonzero, a unit of R; rows swap only in the matrices whose pivot
-        moved (characteristic 2 makes swaps sign-free). The determinant takes
-        the pivot as a factor, and one rank-1 update with the pivot's inverse
-        clears the column below it. The last pivot is multiplied in and never
-        inverted, so it may be a non-unit. A matrix with no unit in some
-        column j < nn - 1 at or below the diagonal stalls: its slot-0
-        Laplacian has dependent leading columns. Only the stalled matrices
-        are recomputed, by _det_berkowitz. mats is left unchanged.
+        moved. A matrix whose column j has no unit at or below the diagonal
+        first swaps in the first later column with a unit in rows j and
+        below. Characteristic 2 makes both swaps sign-free. The determinant
+        takes the pivot as a factor, and one rank-1 update with the pivot's
+        inverse clears the column below it. The last pivot is multiplied in
+        and never inverted, so it may be a non-unit. A matrix whose whole
+        trailing s x s block at column j < nn - 1 holds no unit has every
+        entry of that block in M, so its determinant is 0 for s > k (it lies
+        in M^s, and M^(k+1) = 0) and otherwise the pivots so far times
+        _det_berkowitz of the block. Such a matrix rides along to the end of
+        the loop, where that value overwrites its row. mats is left unchanged.
         """
         nn, _, nb, _ = mats.shape
         a = mats.copy()
         det = np.zeros((nb, self.len), dtype=np.int32)
         det[:, 0] = 1
-        stalled = np.zeros(nb, dtype=bool)
+        live = np.ones(nb, dtype=bool)
+        settled = []  # (matrix indices, their determinants)
         for j in range(nn - 1):
             unit = a[j:, j, :, 0] != 0
-            stalled |= ~unit.any(axis=0)
+            lack = np.flatnonzero(live & ~unit.any(axis=0))
+            if lack.size:
+                cols = (a[j:, j:, lack, 0] != 0).any(axis=0)
+                found = cols.any(axis=0)
+                swap = lack[found]
+                src = j + np.argmax(cols[:, found], axis=0)
+                colj = a[:, j, swap]
+                a[:, j, swap] = a[:, src, swap]
+                a[:, src, swap] = colj
+                unit[:, swap] = a[j:, j, swap, 0] != 0
+                stuck = lack[~found]
+                if stuck.size:
+                    live[stuck] = False
+                    if nn - j > self.k:
+                        settled.append((stuck, 0))
+                    else:
+                        settled.append((stuck, self._mul(det[stuck], self._det_berkowitz(a[j:, j:, stuck]))))
             pidx = j + np.argmax(unit, axis=0)
             moved = np.flatnonzero(pidx != j)
             src = pidx[moved]
@@ -215,8 +234,8 @@ class _InternalSieveEngine:
             fac = self._mul(a[j + 1 :, j], self._inverse(a[j, j])[None])
             a[j + 1 :, j + 1 :] ^= self._mul(fac[:, None], a[j, j + 1 :][None])
         det = self._mul(det, a[nn - 1, nn - 1])
-        if stalled.any():
-            det[stalled] = self._det_berkowitz(mats[:, :, stalled])
+        for stuck, value in settled:
+            det[stuck] = value
         return det
 
     def _det_berkowitz(self, mats: np.ndarray) -> np.ndarray:
@@ -258,16 +277,25 @@ class _InternalSieveEngine:
 def _draw_internal_chunk(
     g: Digraph, k: int, field: BinaryField, seed: int, root: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draws of one root's trials start..start+count-1: zeta and rmul [count, m], gvec [count, n].
+
+    Trial t's values are counter_draw's words (t, 0..2m+n-1) under the key
+    derive_seed("internal-sieve", seed, root): m zetas, m rmuls, then one
+    group element per vertex. A group element is the low k bits of its word,
+    exactly uniform on 0..2^k-1. A scalar is z % (q-1) + 1 for a uniform
+    64-bit word z, within total variation (q-1)/2^64 of uniform on 1..q-1,
+    so the 2m scalars of a trial are jointly within 2m(q-1)/2^64 <= 2^-31
+    (m < 2^16 arcs and q <= 2^16 under the field guard). That fits in the
+    slack (q-2n)/(q(q-1)) >= 1/(2(q-1)) >= 2^-17 between Schwartz-Zippel's
+    (2n-1)/(q-1) for uniform nonzero scalars and the 2n/q of
+    internal_sieve_success_floor wherever that floor is positive (n >= 3,
+    where 2n <= q/2), so the floor holds as printed.
+    """
     m = g.m
-    zeta = np.empty((count, m), dtype=np.int32)
-    rmul = np.empty((count, m), dtype=np.int32)
-    gvec = np.empty((count, g.n), dtype=np.int64)
-    for i in range(count):
-        rng = default_rng(derive_seed("internal-sieve", seed, root, start + i))
-        zeta[i] = rng.integers(1, field.q, size=m, dtype=np.int32)
-        rmul[i] = rng.integers(1, field.q, size=m, dtype=np.int32)
-        gvec[i] = rng.integers(0, 1 << k, size=g.n, dtype=np.int64)
-    return zeta, rmul, gvec
+    words = counter_draw(derive_seed("internal-sieve", seed, root), start, count, 2 * m + g.n)
+    scalars = (words[:, : 2 * m] % np.uint64(field.q - 1)).astype(np.int32) + 1
+    gvec = (words[:, 2 * m :] & np.uint64((1 << k) - 1)).astype(np.int64)
+    return scalars[:, :m], scalars[:, m:], gvec
 
 
 def _internal_gather_bytes(n: int, k: int) -> int:
@@ -570,12 +598,13 @@ class DvConfig:
 
 
 def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:
-    """Fair-coin routings of trials start..start+count-1, [count, n] bool (True: probe side)."""
-    bits = np.empty((count, n), dtype=bool)
-    for i in range(count):
-        rng = make_rng("dv-assignment", seed, start + i)
-        bits[i] = [rng.random() < 0.5 for _ in range(n)]
-    return bits
+    """Fair-coin routings of trials start..start+count-1, [count, n] bool (True: probe side).
+
+    Coin (t, i) is the top bit of counter_draw's word (t, i) under the key
+    derive_seed("dv-assignment", seed).
+    """
+    words = counter_draw(derive_seed("dv-assignment", seed), start, count, n)
+    return (words >> np.uint64(63)).astype(bool)
 
 
 def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> DetectionReport:

@@ -38,14 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# numpy loads numpy.random lazily; importing it with this module keeps that
-# import (~11 ms) out of the first detection call
-from numpy.random import default_rng
-
 from .algebra import BinaryField, make_binary_field
 from .errors import GuardError
 from .graph import Digraph, IndependentPartition, find_independent_partition
-from .rand import derive_seed
+from .rand import counter_draw, derive_seed
 from .report import DetectionReport
 
 # every detection draws its weights from GF(2^FIELD_BITS)
@@ -56,8 +52,8 @@ STATE_CHUNK = 1 << 14
 # 2 * 3^(BLUE_LIMIT - 1) pair determinants per trial, about 2.9e7 at 16
 BLUE_LIMIT = 16
 
-# building the field's tables (~7 ms) at import, like numpy.random above,
-# keeps them out of the first detection call
+# building the field's tables (~7 ms) at import keeps them out of the first
+# detection call
 make_binary_field(FIELD_BITS)
 
 
@@ -119,15 +115,20 @@ class PortWeights:
         self.values = values
 
     @staticmethod
-    def draw(g: Digraph, layout: PortLayout, field: BinaryField, seed: int) -> "PortWeights":
+    def draw(g: Digraph, layout: PortLayout, field: BinaryField, key: int, trial: int = 0) -> "PortWeights":
+        """One trial's weights: counter_draw's words (trial, port * arcs + arc) under key.
+
+        Arcs are taken in sorted order. A weight is the top m bits of its
+        word for GF(2^m), so it is exactly uniform on 0..q-1.
+        """
         nports = len(layout.ports)
         values = np.zeros((nports, g.n, g.n), dtype=np.int32)
         arcs = sorted(g.arcs)
         if arcs:
-            rng = default_rng(seed)
+            words = counter_draw(key, trial, 1, nports * len(arcs)).reshape(nports, len(arcs))
             tails = np.array([a for a, _ in arcs])
             heads = np.array([b for _, b in arcs])
-            values[:, tails, heads] = rng.integers(0, field.q, size=(nports, len(arcs)), dtype=np.int32)
+            values[:, tails, heads] = (words >> np.uint64(64 - field.m)).astype(np.int32)
         return PortWeights(layout, field, values)
 
 
@@ -331,8 +332,9 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     layout = PortLayout.from_partition(g, part)
     field = make_binary_field(FIELD_BITS)
     pairs = 0
+    key = derive_seed("hc-trial", seed)
     for t in range(tmax):
-        w = PortWeights.draw(g, layout, field, derive_seed("hc-trial", seed, t))
+        w = PortWeights.draw(g, layout, field, key, t)
         total, pairs = sieve_membership_pairs(g, layout, w)
         if total != 0:
             return DetectionReport(

@@ -6,8 +6,10 @@ division-free and fraction-free determinants; the fields GF(p) and GF(2^m)
 and the rings Z, Z/p^k, the group algebra of (Z/2)^k and truncated
 polynomials; the port matrix of one membership pair; the k-internal marker
 determinant of one draw; the branching polynomial at one point; one k-leaf
-trial at one prime, interpolated point by point; random virtual-arc
-weights and the restricted Laplacian of one tail subset. It also holds the
+trial at one prime, interpolated point by point; the detectors' counter
+draw (splitmix64) one word at a time, with the k-internal draws and k-leaf
+coins it gives; random virtual-arc weights and the restricted Laplacian of
+one tail subset. It also holds the
 brute-force oracles that no command reaches: a permutation count of
 Hamiltonian paths, the largest internal-vertex and leaf counts, and the
 fewest distinct variables of a monomial. Tests import this module the way
@@ -30,13 +32,13 @@ from hamkit.algebra import (
     make_binary_field,
     random_prime_31,
 )
-from hamkit.branchings import _batched_modpow, _draw_internal_chunk
+from hamkit.branchings import _batched_modpow
 from hamkit.errors import GuardError
 from hamkit.graph import Digraph
 from hamkit.hamcount import RESIDUE_MODULUS_LIMIT
 from hamkit.matrixtree import count_out_branchings
 from hamkit.oracle import BRANCHING_LIMIT, iter_out_branchings
-from hamkit.rand import make_rng
+from hamkit.rand import derive_seed, make_rng
 
 # ---------------------------------------------------------------------------
 # rings: plain values as elements, zero/one plus add/sub/mul/neg/is_zero
@@ -558,6 +560,38 @@ def scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec) -> np.ndarray:
     return np.array([not ga.is_zero(det[k]) for det in dets], dtype=bool)
 
 
+def splitmix64_words(key: int, trial: int, width: int) -> list[int]:
+    """Words (trial, 0..width-1) of the counter draw under key, on Python ints.
+
+    Word (trial, index) is output number trial*width + index + 1 of a
+    splitmix64 generator seeded with key.
+    """
+    mask = (1 << 64) - 1
+    words = []
+    for i in range(trial * width + 1, (trial + 1) * width + 1):
+        z = (key + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def internal_draws(g, k: int, field, seed: int, root: int, start: int, count: int):
+    """detect_k_internal's draws of trials start..start+count-1, one word at a time:
+    zeta and rmul as z % (q-1) + 1, group elements as z mod 2^k."""
+    key = derive_seed("internal-sieve", seed, root)
+    zeta, rmul, gvec = [], [], []
+    for t in range(start, start + count):
+        words = splitmix64_words(key, t, 2 * g.m + g.n)
+        scalars = [z % (field.q - 1) + 1 for z in words[: 2 * g.m]]
+        zeta.append(scalars[: g.m])
+        rmul.append(scalars[g.m :])
+        gvec.append([z % (1 << k) for z in words[2 * g.m :]])
+    shape = (count, g.m)
+    return (np.array(zeta, dtype=np.int32).reshape(shape), np.array(rmul, dtype=np.int32).reshape(shape),
+            np.array(gvec, dtype=np.int64).reshape(count, g.n))
+
+
 def internal_scan(g, k: int, trials: int, seed: int, chunk: int) -> dict:
     """detect_k_internal's sequential root scan on the scalar route: its per_root detail."""
     field = make_binary_field(binary_field_degree(g.n))
@@ -569,7 +603,7 @@ def internal_scan(g, k: int, trials: int, seed: int, chunk: int) -> dict:
         hit = False
         while done < trials and not hit:
             b = min(chunk, trials - done)
-            draws = _draw_internal_chunk(g, k, field, seed, root, done, b)
+            draws = internal_draws(g, k, field, seed, root, done, b)
             hits = scalar_internal_chunk(g, root, k, field, *draws)
             hit = bool(hits.any())
             done += int(np.argmax(hits)) + 1 if hit else b
@@ -705,9 +739,9 @@ def scalar_solve_nk_dv(P, k: int, budget: int, seed: int) -> dict:
     p2 = random_prime_31(prime_rng)
     while p2 == p1:
         p2 = random_prime_31(prime_rng)
+    key = derive_seed("dv-assignment", seed)
     for t in range(budget):
-        rng = make_rng("dv-assignment", seed, t)
-        bits = [rng.random() < 0.5 for _ in range(P.n)]
+        bits = [z >> 63 == 1 for z in splitmix64_words(key, t, P.n)]
         for p in (p1, p2):
             hits = window_hits(dv_trial(P, bits, p), P.n, k)
             if hits:

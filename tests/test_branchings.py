@@ -1,6 +1,7 @@
 """Detectors for out-branchings with many internal vertices or many leaves."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from reference import (
     GroupAlgebra,
     MonomialListPolynomial,
     PrimeField,
+    ScalarBinaryField,
     brute_min_distinct_vars,
     det_bareiss,
     det_gauss,
@@ -212,8 +214,14 @@ class TestDetectKInternal:
             assert internal_sieve_success_floor(n, 0) == max(0.0, 1.0 - 2.0 * n / q), n
 
 
+# Root 4 only. With one zeta z on every arc, vertices 1 and 2 (in-arcs from
+# 0 and the root) have equal slot-0 columns (z in row 0, diagonal z + z = 0),
+# so column 2 has no unit once column 1 is cleared and column 3 swaps in.
+SWAP_GRAPH = make_digraph(5, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
+
+
 def _internal_determinant_cases(seed: int):
-    """(engine, its matrices, reference determinants) for three draws per graph, stalled draws included."""
+    """(engine, its matrices, reference determinants) for three draws per graph, every det_batch route included."""
     rnd = random.Random(seed)
     cases = []
     for k in (1, 2, 3, 4):
@@ -222,8 +230,11 @@ def _internal_determinant_cases(seed: int):
             cases.append((random_digraph(rnd, n, rnd.uniform(0.3, 0.8)), k, False))
         # complete digraph, even n, one zeta on every arc: each vertex's n-1
         # equal in-arcs sum to that zeta in characteristic 2, so every slot-0
-        # entry is the same, the slot-0 Laplacian has rank one and column 1 stalls
+        # entry is the same, the slot-0 Laplacian has rank one and the block
+        # left after column 0 holds no unit: 0 at k = 1 (nn - 1 = 2 rows),
+        # Berkowitz at k >= 2
         cases.append((complete_digraph(4 if k < 4 else 6), k, True))
+    cases.extend((SWAP_GRAPH, k, True) for k in (1, 2, 3, 4))
     for g, k, equal_zeta in cases:
         roots = branchings._spanning_roots(g)
         if not roots:
@@ -253,15 +264,49 @@ def berkowitz_draws(monkeypatch):
     return routed
 
 
+def _det_routes(engine, mats) -> list[set]:
+    """Per matrix of a det_batch stack, the routes its elimination takes: a subset of
+    {"swap", "zero", "berkowitz"}, replayed on slot 0 alone over the scalar field.
+
+    Slot 0 of every ring sum, product and inverse is the field's, and an entry
+    is a unit exactly when its slot 0 is nonzero, so slot 0 of det_batch's
+    elimination is this one: the first row with a unit, else the first later
+    column with a unit in the rows left, else a trailing block with no unit.
+    """
+    f = ScalarBinaryField(engine.f)
+    nn = mats.shape[0]
+    routes = []
+    for b in range(mats.shape[2]):
+        a = [[int(mats[i, j, b, 0]) for j in range(nn)] for i in range(nn)]
+        seen = set()
+        for j in range(nn - 1):
+            cols = [c for c in range(j, nn) if any(a[i][c] for i in range(j, nn))]
+            if not cols:
+                seen.add("zero" if nn - j > engine.k else "berkowitz")
+                break
+            if cols[0] != j:
+                seen.add("swap")
+                for row in a:
+                    row[j], row[cols[0]] = row[cols[0]], row[j]
+            piv = next(i for i in range(j, nn) if a[i][j])
+            a[j], a[piv] = a[piv], a[j]
+            inv = f.inv(a[j][j])
+            for i in range(j + 1, nn):
+                fac = f.mul(a[i][j], inv)
+                a[i] = [x ^ f.mul(fac, y) for x, y in zip(a[i], a[j])]
+        routes.append(seen)
+    return routes
+
+
 class TestInternalDeterminant:
     """_InternalSieveEngine.det_batch against the reference ring determinant."""
 
     def test_matches_reference_every_slot(self, berkowitz_draws):
         # engine slot T is the reference's t^|T| * x^T coefficient (the image
-        # of the truncated ring in the 2^k-slot marker ring). Stalled matrices
-        # (no unit pivot in some column before the last) go to the Berkowitz
-        # fallback; both kinds must occur and agree
-        total = 0
+        # of the truncated ring in the 2^k-slot marker ring), on every route:
+        # a column swap, a unit-free trailing block past k rows (determinant
+        # 0), and one of at most k rows (Berkowitz); each must occur
+        routes = Counter()
         for engine, mats, want in _internal_determinant_cases(86):
             got = engine.det_batch(mats)
             ga = GroupAlgebra(engine.f, engine.k)
@@ -269,24 +314,27 @@ class TestInternalDeterminant:
                 xdet = [xbasis_to_group(ga, det[a]) for a in range(engine.k + 1)]
                 for t in range(engine.len):
                     assert got[b, t] == xdet[t.bit_count()][t], (engine.g.arcs, engine.k, b, t)
-            total += len(want)
-        stalled = sum(berkowitz_draws)
-        assert 0 < stalled < total, (stalled, total)
+            for seen in _det_routes(engine, mats):
+                routes.update(seen or {"plain"})
+        assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz")) >= 1, routes
+        assert sum(berkowitz_draws) == routes["berkowitz"], (berkowitz_draws, routes)
 
     def test_reference_dets_live_in_graded_subring(self, berkowitz_draws):
-        # the reference determinant has no t^a * x^T term with |T| < a, stalled
-        # draws included: the kernel of the map to the marker ring is an ideal
-        # of the subring these terms span
-        total = 0
+        # the reference determinant has no t^a * x^T term with |T| < a, on
+        # every det_batch route: the kernel of the map to the marker ring is
+        # an ideal of the subring these terms span
+        routes = Counter()
         for engine, mats, want in _internal_determinant_cases(88):
-            engine.det_batch(mats)  # counts the stalled draws
-            total += len(want)
+            engine.det_batch(mats)  # counts the Berkowitz draws
+            for seen in _det_routes(engine, mats):
+                routes.update(seen or {"plain"})
             ga = GroupAlgebra(engine.f, engine.k)
             for det in want:
                 for a in range(engine.k + 1):
                     xdet = xbasis_to_group(ga, det[a])
                     assert all(xdet[t] == 0 for t in range(engine.len) if t.bit_count() < a), (engine.k, a)
-        assert 0 < sum(berkowitz_draws) < total, (berkowitz_draws, total)
+        assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz")) >= 1, routes
+        assert sum(berkowitz_draws) == routes["berkowitz"], (berkowitz_draws, routes)
 
     def test_unit_inverse(self):
         rng = np.random.default_rng(87)
@@ -588,6 +636,21 @@ class TestDetectKLeaf:
             want = oracle.brute_k_leaf(g, k)
             rep = detect_k_leaf(g, k, DvConfig(seed=13))
             assert rep.verdict == want, (g.arcs, k)
+
+    def test_chunking_does_not_change_report(self, monkeypatch):
+        # a trial's coins depend only on (seed, root, trial): one-trial chunks
+        # give the report of the default 1, 2, 4, ... chunks, YES and NO alike
+        rnd = random.Random(93)
+        cases = []
+        for i in range(10):
+            n = rnd.randint(3, 7)
+            cases.append((random_digraph(rnd, n, rnd.uniform(0.3, 0.8)), rnd.randint(2, min(4, n)), i))
+        want = [detect_k_leaf(g, k, DvConfig(budget=60, seed=s)) for g, k, s in cases]
+        assert {rep.verdict for rep in want} == {True, False}
+        assert any(rep.trials_run > 1 for rep in want if rep.verdict)
+        monkeypatch.setattr(branchings, "LEAF_CHUNK", 1)
+        for (g, k, s), rep in zip(cases, want):
+            assert detect_k_leaf(g, k, DvConfig(budget=60, seed=s)) == rep, (g.arcs, k, s)
 
     def test_k_range(self):
         with pytest.raises(ValueError):

@@ -154,19 +154,19 @@ class TestAnswers:
         assert code == 0
         assert strip_elapsed(out) == (
             '{"command": "detect-hc", "answer": "yes", "trials": 1, "failure_bound": 0.0, '
-            '"diagnostics": {"pairs_per_trial": 18, "field_bits": 16, "witness_value": 62385, '
+            '"diagnostics": {"pairs_per_trial": 18, "field_bits": 16, "witness_value": 51753, '
             '"engine": "batched"}, "seed": 7, "elapsed_ms": _}\n'
         )
 
     def test_readme_detect_k_leaf_example(self, tmp_path, capsys):
-        # the README example, whole stdout: the fourth trial is the first hit
+        # the README example, whole stdout: the first trial hits
         path = tmp_path / "c5.txt"
         path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
         code, out, _ = run_cli(["detect-k-leaf", str(path), "--k", "1", "--seed", "2"], capsys)
         assert code == 0
         assert strip_elapsed(out) == (
-            '{"command": "detect-k-leaf", "answer": "yes", "trials": 4, "failure_bound": 0.0, '
-            '"diagnostics": {"roots": [0], "per_root": {"0": {"verdict": true, "trials": 4}}}, '
+            '{"command": "detect-k-leaf", "answer": "yes", "trials": 1, "failure_bound": 0.0, '
+            '"diagnostics": {"roots": [0], "per_root": {"0": {"verdict": true, "trials": 1}}}, '
             '"k": 1, "seed": 2, "elapsed_ms": _}\n'
         )
 
@@ -466,8 +466,8 @@ class TestReproducibility:
 
 
 # Runs each argv of the JSON list in argv[1] and prints, per run, the exit
-# code, whether numpy is loaded after it, the reported elapsed_ms and the
-# rest of the report.
+# code, whether numpy is loaded after it, the reported elapsed_ms, the rest
+# of the report and whether numpy.random is loaded after it.
 FRESH_CLI = """
 import contextlib, io, json, sys
 from hamkit.cli import main
@@ -478,7 +478,7 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     report = json.loads(out.getvalue())
     elapsed = report.pop("elapsed_ms")
-    runs.append([code, "numpy" in sys.modules, elapsed, report])
+    runs.append([code, "numpy" in sys.modules, elapsed, report, "numpy.random" in sys.modules])
 print(json.dumps(runs))
 """
 
@@ -538,10 +538,11 @@ class TestLazyLoading:
 
     @pytest.mark.parametrize("template", DETECT_COMMANDS, ids=lambda t: t[0])
     def test_first_elapsed_excludes_module_loading(self, template, tmp_path):
-        # On the 5-cycle a detect call takes 1-3 ms; numpy's import (~150 ms)
-        # or its lazily loaded numpy.random (~11 ms) on the clock would make
-        # the first call many times the second. An import shows in every
-        # attempt, a stall of a loaded machine in few, hence the retries.
+        # On the 5-cycle a detect call takes 1-3 ms; numpy's import (~150 ms),
+        # or numpy.random's (~15 ms) if a detector loaded it lazily, on the
+        # clock would make the first call many times the second. An import
+        # shows in every attempt, a stall of a loaded machine in few, hence
+        # the retries.
         path = write_graph(tmp_path, directed_cycle(5))
         argv = [a.replace("{g}", path) for a in template] + ["--seed", "7"]
         for _ in range(3):
@@ -550,6 +551,16 @@ class TestLazyLoading:
             if first <= 3 * second:
                 break
         assert first <= 3 * second, (first, second)
+
+    @pytest.mark.parametrize("template", DETECT_COMMANDS, ids=lambda t: t[0])
+    def test_detectors_do_not_load_numpy_random(self, template, tmp_path):
+        # every per-trial draw comes from hamkit.rand.counter_draw, so a
+        # detect call never imports numpy.random (about 15 ms)
+        path = write_graph(tmp_path, complete_digraph(5))
+        argv = [a.replace("{g}", path) for a in template] + ["--seed", "7"]
+        (run,) = json.loads(run_fresh(FRESH_CLI, json.dumps([argv])))
+        assert run[0] == 0 and run[1] is True
+        assert run[4] is False
 
     @pytest.mark.parametrize("template", DETECT_COMMANDS, ids=lambda t: t[0])
     def test_first_call_builds_what_later_calls_reuse(self, template, tmp_path, capsys):
