@@ -28,7 +28,11 @@ w in O of the entry weight on w -> y times X), so each trial tabulates the
 xor of every subset of per-vertex rows over each half of the blue vertices,
 and a pair matrix is two table lookups and one xor per side, its rows gated
 by I and O. The determinants of a chunk of pairs are taken at once by
-table-driven batched Gaussian elimination.
+table-driven batched Gaussian elimination. Many pair matrices are singular
+and add nothing to the sum, so the elimination drops a matrix as soon as it
+is known to be singular: up front if it has an all-zero row or column, later
+if a pivot column has no nonzero entry left. A dropped matrix gets
+determinant 0, which is its exact determinant, so the sum does not change.
 """
 
 from __future__ import annotations
@@ -137,26 +141,40 @@ class PortWeights:
 
 
 def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
-    """Determinants of a [B, n, n] int32 stack over GF(2^m). Consumes mats.
+    """Determinants of a [B, n, n] int32 stack over GF(2^m). Leaves mats as it was.
 
-    Plain Gaussian elimination; rows swap only in the matrices whose pivot
-    moved, and characteristic 2 makes swaps sign-free. Matrices that run out
-    of pivots flow through with determinant 0 (their pivot columns are all
-    zero, so the masked table products stay zero).
+    Gaussian elimination on the matrices that can still be nonsingular; a
+    matrix leaves the batch with determinant 0 as soon as it is known to be
+    singular, which is exact whatever the field:
+      up front, a matrix with an all-zero row or column (a row or column of
+      entries in [0, q) sums to 0 exactly when it is zero, since q <= 2^16
+      and n <= 2^16 keep the int32 sum from wrapping);
+      at each pivot column, a matrix whose trailing column is all zero.
+    The survivors are copied out of mats, and each step replaces their
+    trailing block by the next, one row and one column smaller. A matrix
+    whose top entry is 0 gets the first row with a nonzero entry added to
+    its top row, which leaves the determinant unchanged.
     """
     nmats, n, _ = mats.shape
-    det = np.ones(nmats, dtype=np.int32)
-    for j in range(n):
-        pidx = j + np.argmax(mats[:, j:, j] != 0, axis=1)
-        moved = np.flatnonzero(pidx != j)
-        src = pidx[moved]
-        rj = mats[moved, j, j:]
-        mats[moved, j, j:] = mats[moved, src, j:]
-        mats[moved, src, j:] = rj
-        det = field.nmul(det, mats[:, j, j])
-        if j + 1 < n:
-            fac = field.nmul(mats[:, j + 1 :, j], field.ninv(mats[:, j, j])[:, None])
-            mats[:, j + 1 :, j + 1 :] ^= field.nmul(fac[:, :, None], mats[:, j, j + 1 :][:, None, :])
+    det = np.zeros(nmats, dtype=np.int32)
+    live = np.flatnonzero(np.einsum("bij->bi", mats).all(axis=1) & np.einsum("bij->bj", mats).all(axis=1))
+    m = mats[live]
+    d = np.ones(len(live), dtype=np.int32)
+    for _ in range(n):
+        nz = m[:, :, 0] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            keep = np.flatnonzero(has)
+            m, nz, live, d = m[keep], nz[keep], live[keep], d[keep]
+        moved = np.flatnonzero(~nz[:, 0])
+        m[moved, 0] ^= m[moved, np.argmax(nz[moved], axis=1)]
+        piv = m[:, 0, 0]
+        d = field.nmul(d, piv)
+        fac = field.nmul(m[:, 1:, :1], field.ninv(piv)[:, None, None])
+        block = field.nmul(fac, m[:, :1, 1:])
+        block ^= m[:, 1:, 1:]
+        m = block
+    det[live] = d
     return det
 
 

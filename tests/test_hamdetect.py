@@ -308,6 +308,87 @@ class TestBatchedDet:
         dets = batched_gf_det(field, mats)
         assert dets.tolist() == [0, 1, 0]
 
+    # The kernel drops a matrix with determinant 0 by one of two routes: the
+    # up-front screen (an all-zero row or column) or the pivot column whose
+    # trailing entries are all zero. Every other matrix is eliminated to the end.
+    @staticmethod
+    def nonsingular(field, rng, count, n):
+        """Random matrices whose only zero entry is the top-left one.
+
+        A pivot row must then be added on top at the first column; at the
+        seeds used here every such matrix has a nonzero determinant.
+        """
+        mats = rng.integers(1, field.q, size=(count, n, n), dtype=np.int32)
+        mats[:, 0, 0] = 0
+        return mats
+
+    @staticmethod
+    def routes(field, mats):
+        """Check mats matrix by matrix against det_gauss; return the drop routes taken."""
+        before = mats.copy()
+        dets = batched_gf_det(field, mats)
+        assert np.array_equal(mats, before)  # the kernel leaves its input as it was
+        assert dets.shape == (len(mats),)
+        sf = ScalarBinaryField(field)
+        taken = set()
+        for mat, got in zip(before, dets):
+            want = det_gauss(square(sf, mat.tolist()))
+            assert int(got) == want
+            if not (mat.any(axis=0).all() and mat.any(axis=1).all()):
+                taken.add("screen")
+            else:
+                taken.add("column" if want == 0 else "kept")
+        return taken
+
+    def test_zero_row(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(11)
+        mats = self.nonsingular(field, rng, 6, 5)
+        mats[2, 3] = 0
+        assert self.routes(field, mats) == {"screen", "kept"}
+
+    def test_zero_column(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(12)
+        mats = self.nonsingular(field, rng, 6, 5)
+        mats[4, :, 1] = 0
+        assert self.routes(field, mats) == {"screen", "kept"}
+
+    def test_singular_only_mid_elimination(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(13)
+        mats = self.nonsingular(field, rng, 6, 5)
+        mats[1, 4] = mats[1, 0] ^ field.nmul(np.int32(9), mats[1, 2])  # no zero row or column
+        mats[3, :, 2] = field.nmul(mats[3, :, 0], np.int32(3))
+        assert self.routes(field, mats) == {"column", "kept"}
+
+    def test_all_singular(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(14)
+        mats = self.nonsingular(field, rng, 4, 4)
+        mats[0, 1] = 0
+        mats[1, :, 3] = 0
+        mats[2, 3] = mats[2, 0]
+        mats[3] = 0
+        assert self.routes(field, mats) == {"screen", "column"}
+
+    def test_empty_batch(self):
+        field = make_binary_field(FIELD_BITS)
+        dets = batched_gf_det(field, np.zeros((0, 4, 4), dtype=np.int32))
+        assert dets.shape == (0,)
+
+    def test_one_by_one(self):
+        field = make_binary_field(FIELD_BITS)
+        mats = np.array([0, 1, 7, field.q - 1], dtype=np.int32).reshape(4, 1, 1)
+        assert self.routes(field, mats) == {"screen", "kept"}
+
+    def test_nothing_drops(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(15)
+        mats = self.nonsingular(field, rng, 30, 6)
+        assert self.routes(field, mats) == {"kept"}
+
+    def test_mixed_sparse_random(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(16)
+        mats = rng.integers(0, field.q, size=(400, 5, 5), dtype=np.int32)
+        mats[rng.random(mats.shape) < 0.6] = 0
+        assert self.routes(field, mats) == {"screen", "column", "kept"}
+
 
 class TestDetect:
     def test_cycle_yes(self):

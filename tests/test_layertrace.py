@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from conftest import (
     acyclic_tournament,
     complete_digraph,
@@ -16,6 +18,7 @@ from conftest import (
 )
 from hamkit import hamcount, hamdetect
 from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
+from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamcount import SieveParams, count_exact
 from hamkit.hamdetect import detect_hamiltonian_cycle
 
@@ -168,6 +171,31 @@ def test_detector_kernels_are_spanned(monkeypatch):
     # detect-hc and detect-k-internal each ask for a field, k-leaf works mod p;
     # the span counts calls even when the field comes from the per-degree cache
     assert tracer.spans["algebra.make_binary_field"][2] == 2
+
+
+def test_detector_kernel_sees_every_pair_matrix(monkeypatch):
+    # the benchmark's gf-matrices check counts what batched_gf_det receives,
+    # trials * 2 * 3^(|blue| - 1), so singular pair matrices may be dropped
+    # only inside the kernel; this sparse bipartite NO makes most of them singular
+    arcs = [(0, 5), (1, 2), (1, 6), (2, 7), (3, 2), (3, 6), (3, 8), (4, 5), (4, 9), (5, 0),
+            (5, 2), (5, 8), (6, 1), (6, 3), (6, 5), (7, 0), (7, 4), (8, 9), (9, 0), (9, 6)]
+    g = make_digraph(10, arcs)
+    shapes, dets = [], []
+    gf_det = hamdetect.batched_gf_det
+
+    def recording_gf_det(field, mats):
+        shapes.append(mats.shape)
+        dets.append(gf_det(field, mats))
+        return dets[-1]
+
+    monkeypatch.setattr(hamdetect, "batched_gf_det", recording_gf_det)
+    rep = detect_hamiltonian_cycle(g, trials=3, seed=1)
+    blue = len(find_independent_partition(g).blue)
+    assert not rep.verdict and rep.trials_run == 3 and blue == 5
+    assert sum(shape[0] for shape in shapes) == 3 * 2 * 3 ** (blue - 1)
+    assert all(shape[1:] == (blue, blue) for shape in shapes)
+    dets = np.concatenate(dets)
+    assert np.count_nonzero(dets == 0) > 0.7 * len(dets)
 
 
 def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
