@@ -48,8 +48,12 @@ INTERNAL_CHUNK = 34
 # Bytes of the largest gather in _InternalSieveEngine._mul, det_batch's first
 # rank-1 update, that detect_k_internal allows (see _internal_gather_bytes)
 INTERNAL_GATHER_LIMIT = 1 << 28
-# batched_modp_det multiplies two residues in int64, so p must stay below 2^31
+# batched_modp_det sums two int64 products of residues below p in magnitude
+# (centred ones, |r| <= p * (1/2 + 2^-20)), so p must stay below 2^31
 MODP_WORD_LIMIT = 1 << 31
+# Entries of the int64 and float64 scratch blocks that batched_modp_det reduces
+# at once: each elimination step updates its trailing rows a block at a time
+MODP_BLOCK = 1 << 16
 # detect_k_leaf runs at most this many solver trials per root (4^k by default)
 LEAF_BUDGET_LIMIT = 4**6
 # Bytes of the largest int64 stack the k-leaf solver builds at once: one
@@ -463,38 +467,90 @@ def _batched_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
-    """Determinants of an int64 stack [B, d, d] mod prime p. Consumes mats.
+def _centre_mod(x: np.ndarray, p: int, quot: np.ndarray | None = None,
+                fquot: np.ndarray | None = None) -> np.ndarray:
+    """Reduce the int64 array x in place to residues r = x - p * rint(x / p); returns x.
 
-    Entries must already lie in [0, p). Elimination is division-free: each
-    row below pivot j becomes piv*row - a*row_j, which scales the determinant
-    by piv once per row. Those scalings multiply to the product over j < d-1
-    of the pivots 0..j, so one Fermat inverse per matrix at the end undoes
-    them all. A matrix that runs out of pivots has a zero pivot product and
-    determinant 0. The products are taken in int64, so p must be below
-    MODP_WORD_LIMIT (2^31).
+    For |x| < 2^62 and 2 <= p < 2^31, r is congruent to x mod p and |r| <=
+    p/2 + 2^-51 * |x|: x, 1/p and their product are each rounded once in
+    float64, so the float quotient is off by less than 2^-51 * |x/p|, and
+    rint adds at most 1/2. quot (int64) and fquot (float64), shaped like x,
+    are scratch; they are allocated when not given.
+    """
+    if quot is None:
+        quot = np.empty(x.shape, dtype=np.int64)
+    if fquot is None:
+        fquot = np.empty(x.shape, dtype=np.float64)
+    np.multiply(x, 1.0 / p, out=fquot)
+    np.rint(fquot, out=quot, casting="unsafe")
+    quot *= p
+    x -= quot
+    return x
+
+
+def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
+    """Determinants of an int64 stack [B, d, d] mod prime p, in [0, p). Consumes mats.
+
+    Entries must lie in [0, p), or all be centred residues of magnitude at
+    most p * (1/2 + 2^-20). Elimination runs batch-last, on the [d, d, B]
+    array mats.transpose(1, 2, 0), so every update walks B contiguous
+    entries; a [B, d, d] view of a batch-last buffer (what
+    BranchingLeafPolynomial._laplacians returns) is eliminated in place.
+    Each step updates its trailing rows in blocks of about MODP_BLOCK
+    entries, through two scratch buffers of that size.
+
+    Elimination is division-free: each row below pivot j becomes piv*row -
+    a*row_j, which scales the determinant by piv once per row. Those
+    scalings multiply to the product over j < d-1 of the pivots 0..j, so
+    one Fermat inverse per matrix at the end undoes them all; only these
+    [B] pivot products are normalised with %. Every updated entry is
+    brought back to a centred residue by _centre_mod, one float quotient
+    instead of an int64 %. The entries then stay at most p * (1/2 + 2^-20)
+    in magnitude: each update piv*rest - col*row is at most p^2/2 * (1 +
+    2^-17) < 2^62 (below p^2 on [0, p) entries), and reducing it leaves at
+    most p/2 + 2^-51 * p^2 < p * (1/2 + 2^-20). As that is below p, an
+    entry is nonzero exactly when its residue is, so pivot search sees the
+    same matrices as over GF(p). A matrix that runs out of pivots has a
+    zero pivot product and determinant 0. The products are taken in int64,
+    so p must be below MODP_WORD_LIMIT (2^31).
     """
     if p >= MODP_WORD_LIMIT:
         raise ValueError(f"prime {p} is past the 2^31 word-size limit of batched_modp_det")
     nmats, d, _ = mats.shape
+    a = np.ascontiguousarray(mats.transpose(1, 2, 0))
     pivots = np.ones(nmats, dtype=np.int64)
     scale = np.ones(nmats, dtype=np.int64)
     flip = np.zeros(nmats, dtype=bool)
+    width = max(1, (d - 1) * nmats)  # entries in one row of the first update
+    rows = max(1, MODP_BLOCK // width)
+    quot = np.empty(min(rows, max(1, d - 1)) * width, dtype=np.int64)
+    fquot = np.empty(quot.shape, dtype=np.float64)
     for j in range(d):
-        pidx = j + np.argmax(mats[:, j:, j] != 0, axis=1)
-        flip ^= pidx != j
-        moved = np.flatnonzero(pidx != j)
-        src = pidx[moved]
-        rowj = mats[moved, j, j:]
-        mats[moved, j, j:] = mats[moved, src, j:]
-        mats[moved, src, j:] = rowj
-        pivots = pivots * mats[:, j, j] % p
+        zero = np.flatnonzero(a[j, j] == 0)
+        if zero.size:
+            pidx = j + np.argmax(a[j:, j, zero] != 0, axis=0)
+            moved = zero[pidx != j]  # zero pivots with a nonzero entry below
+            src = pidx[pidx != j]
+            flip[moved] = ~flip[moved]
+            rowj = a[j, j:, moved]
+            a[j, j:, moved] = a[src, j:, moved]
+            a[src, j:, moved] = rowj
+        piv = a[j, j]
+        pivots = pivots * piv % p
         if j + 1 < d:
             scale = scale * pivots % p
-            rest = mats[:, j + 1 :, j + 1 :]
-            rest *= mats[:, j, j, None, None]
-            rest -= mats[:, j + 1 :, j, None] * mats[:, j, None, j + 1 :]
-            rest %= p
+            m = d - j - 1
+            col = a[j + 1 :, j, None]
+            row = a[j, None, j + 1 :]
+            for lo in range(0, m, rows):
+                hi = min(lo + rows, m)
+                rest = a[j + 1 + lo : j + 1 + hi, j + 1 :]
+                size = rest.size
+                prod = quot[:size].reshape(rest.shape)
+                np.multiply(col[lo:hi], row, out=prod)
+                rest *= piv
+                rest -= prod
+                _centre_mod(rest, p, prod, fquot[:size].reshape(rest.shape))
     det = pivots * _batched_modpow(scale, p - 2, p) % p
     return np.where(flip, (p - det) % p, det)
 
@@ -572,17 +628,26 @@ class BranchingLeafPolynomial:
         return dets * ys[:, self.root] % p
 
     def _laplacians(self, ys: np.ndarray, p: int) -> np.ndarray:
-        """Punctured Laplacians mod p, [B, n-1, n-1]: arc u->v weighs ys[:, u]."""
+        """Punctured Laplacians mod p, a [B, n-1, n-1] view of a batch-last [n-1, n-1, B] stack.
+
+        Arc u->v weighs ys[:, u]. The stack is built from a transposed copy
+        of ys in centred residues, so each arc is one contiguous row write:
+        -y_u off the diagonal, and y_u added on it. The diagonal rows are
+        then centred again, so every entry is a centred residue of magnitude
+        at most p * (1/2 + 2^-20), as batched_modp_det requires, and its
+        transpose back to [n-1, n-1, B] copies nothing.
+        """
         nn = len(self._verts)
-        mats = np.zeros((ys.shape[0], nn, nn), dtype=np.int64)
+        yt = _centre_mod(ys.T.copy(), p)
+        mats = np.zeros((nn, nn, ys.shape[0]), dtype=np.int64)
         for u, v in sorted(self.g.arcs):
             if v != self.root:
                 iv = self._pos[v]
-                mats[:, iv, iv] += ys[:, u]
+                mats[iv, iv] += yt[u]
                 if u != self.root:
-                    mats[:, self._pos[u], iv] = (p - ys[:, u]) % p
-        np.mod(mats, p, out=mats)
-        return mats
+                    np.negative(yt[u], out=mats[self._pos[u], iv])
+        _centre_mod(mats.reshape(nn * nn, ys.shape[0])[:: nn + 1], p)
+        return mats.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -628,7 +693,8 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     through an inverse Vandermonde built once per prime. The scan order is
     trial, then p1, then p2 (p2 runs only on the trials before p1's first
     hit in the chunk), so trials_run and the hit are those of a one-trial,
-    one-prime-at-a-time scan.
+    one-prime-at-a-time scan. The detail's evaluations counts the points P
+    was evaluated at: every row passed to evaluate_batch.
     """
     cfg = cfg or DvConfig()
     n = P.n
@@ -647,6 +713,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     chunk_cap = max(1, LEAF_STACK_LIMIT // (8 * npts * n))  # trials whose assignments fit
     hit_detail = None
     trials_run = 0
+    evaluations = 0
     size = 1
     while trials_run < budget and hit_detail is None:
         count = min(size, budget - trials_run, chunk_cap)
@@ -660,6 +727,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
             if first == 0:
                 break
             values = P.evaluate_batch(ys[: first * npts], p).reshape(first, npts)
+            evaluations += first * npts
             found = (interpolate_univariate(values, vinvs[p], p) != 0) & outside[:first]
             rows = np.flatnonzero(found.any(axis=1))
             if rows.size:
@@ -680,7 +748,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
         failure_bound=0.0 if hit_detail else (1.0 - 4.0**-k) ** budget,
         detail={
             "primes": [p1, p2],
-            "evaluations": trials_run * 2 * (2 * n + 1),
+            "evaluations": evaluations,
             **({"hit": hit_detail} if hit_detail else {}),
         },
     )

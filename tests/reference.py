@@ -32,7 +32,6 @@ from hamkit.algebra import (
     make_binary_field,
     random_prime_31,
 )
-from hamkit.branchings import _batched_modpow
 from hamkit.errors import GuardError
 from hamkit.graph import Digraph
 from hamkit.hamcount import RESIDUE_MODULUS_LIMIT
@@ -636,12 +635,14 @@ class MonomialListPolynomial:
         self.monomials = tuple(cleaned)
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
+        """Each term one factor at a time, by repeated multiplication: no code from the package's powers."""
+        ys = ys % p
         out = np.zeros(ys.shape[0], dtype=np.int64)
         for coeff, exps in self.monomials:
             term = np.full(ys.shape[0], coeff % p, dtype=np.int64)
             for i, e in enumerate(exps):
-                if e:
-                    term = term * _batched_modpow(ys[:, i] % p, e, p) % p
+                for _ in range(e):
+                    term = term * ys[:, i] % p
             out = (out + term) % p
         return out
 

@@ -38,12 +38,14 @@ from reference import (
     PrimeField,
     ScalarBinaryField,
     brute_min_distinct_vars,
+    build_laplacian,
     det_bareiss,
     det_gauss,
     dv_trial,
     internal_determinants,
     internal_scan,
     leaf_polynomial_value,
+    puncture,
     scalar_solve_nk_dv,
     square,
     window_hits,
@@ -399,6 +401,63 @@ class TestBatchedPrimeDet:
         assert not dets[:20].any()
         assert dets[30:].all()
 
+    @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029, MERSENNE_31])
+    def test_batch_last_view_matches_contiguous(self, p):
+        # residues p-1, (p-1)/2 and (p+1)/2 everywhere, and stacks whose only
+        # nonzero pivot candidate at every column j < d-1 sits in the last row
+        field = PrimeField(p)
+        rng = np.random.default_rng(p % 1000)
+        d = 6
+        edge = np.array([p - 1, (p - 1) // 2, (p + 1) // 2 % p], dtype=np.int64)
+        full = edge[rng.integers(0, 3, size=(30, d, d))]
+        full[:3] = edge[:, None, None]  # constant stacks: rank one
+        mixed = rng.random((7, d, d)) < 0.5
+        full[3:10] = np.where(mixed, full[3:10], rng.integers(0, p, (7, d, d)))
+        # strictly upper triangular, a nonzero superdiagonal and a nonzero
+        # corner (d-1, 0): a cyclic chain, so column j's pivot is in row d-1
+        chain = edge[edge != 0]
+        swaps = np.triu(edge[rng.integers(0, 3, size=(30, d, d))], 1)
+        swaps[:, np.arange(d - 1), np.arange(1, d)] = chain[rng.integers(0, chain.size, (30, d - 1))]
+        swaps[:, d - 1, 0] = chain[rng.integers(0, chain.size, 30)]
+        mats = np.concatenate([full, swaps])
+        want = [det_gauss(square(field, m.tolist())) for m in mats]
+        batch_last = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert not batch_last.flags.c_contiguous
+        assert batch_last.shape == mats.shape
+        assert batched_modp_det(batch_last, p).tolist() == want
+        assert batched_modp_det(mats.copy(), p).tolist() == want
+        assert all(want[30:])  # a cyclic chain: every swap stack is nonsingular
+
+    def test_one_row_blocks(self, monkeypatch):
+        # MODP_BLOCK = 1: every step updates its trailing rows one at a time
+        monkeypatch.setattr(branchings, "MODP_BLOCK", 1)
+        p = MERSENNE_31
+        field = PrimeField(p)
+        rng = np.random.default_rng(25)
+        mats = rng.integers(0, p, size=(20, 7, 7), dtype=np.int64)
+        mats[:5, 0] = 0  # zero first row: singular
+        mats[5:10, 0, 0] = 0  # zero leading pivot: a row swap
+        dets = batched_modp_det(mats.copy(), p)
+        assert dets.tolist() == [det_gauss(square(field, m.tolist())) for m in mats]
+        assert not dets[:5].any() and dets[5:].all()
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029, MERSENNE_31])
+    def test_centred_reduction_bound(self, p):
+        # r = x - p * rint(x / p) in float64: r = x mod p, |r| <= p/2 + 2^-51 * |x|
+        top = 2**62 - 1
+        values = [top, -top]
+        half = ((p - 1) // 2, (p + 1) // 2)
+        for k in (0, 1, 5, 2**20, (top - p) // p, -1, -(2**33) // p, -((top - p) // p)):
+            values += [k * p, k * p + 1, k * p - 1]
+            values += [k * p + s * h for s in (1, -1) for h in half]
+        x = np.array(values, dtype=np.int64)
+        r = branchings._centre_mod(x.copy(), p)
+        for xi, ri in zip(values, r.tolist()):
+            assert (xi - ri) % p == 0, (xi, ri)
+            assert 2**51 * abs(ri) <= 2**50 * p + abs(xi), (xi, ri)
+            if abs(xi) < 2**50:  # then the quotient rounds exactly: |r| <= p/2
+                assert 2 * abs(ri) <= p, (xi, ri)
+
     def test_word_size_guard(self):
         # int64 products of residues need p < 2^31; past it batch values would be silently wrong
         g = random_digraph(random.Random(20), 6, 0.5)
@@ -468,6 +527,23 @@ class TestLeafPolynomial:
         batch = P.evaluate_batch(ys, p)
         for row, got in zip(ys.tolist(), batch.tolist()):
             assert leaf_polynomial_value(g, 0, row, p) == got
+
+    def test_laplacians_are_centred_and_batch_last(self):
+        # in-degree 8 sums eight weights on the diagonal; every entry must still
+        # be a centred residue, as batched_modp_det's int64 bound needs
+        p = MERSENNE_31
+        g = complete_digraph(9)
+        P = BranchingLeafPolynomial(g, 0)
+        ys = np.random.default_rng(26).integers(0, p, size=(12, 9))
+        ys[:4] = p - 1
+        ys[4] = p // 2
+        ys[5] = p // 2 + 1
+        lap = P._laplacians(ys, p)
+        assert lap.shape == (12, 8, 8) and lap.transpose(1, 2, 0).flags.c_contiguous
+        assert 2 * np.abs(lap).max() <= p
+        for b, row in enumerate(ys.tolist()):
+            want = puncture(build_laplacian(g, {(u, v): row[u] for u, v in g.arcs}, PrimeField(p)), 0)
+            assert (lap[b] % p).tolist() == [list(r) for r in want.entries], b
 
     def test_homogeneous_degree_n(self):
         rnd = random.Random(88)

@@ -17,7 +17,14 @@ from conftest import (
     run_fresh,
 )
 from hamkit import hamcount, hamdetect
-from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
+from hamkit.branchings import (
+    BranchingLeafPolynomial,
+    DvConfig,
+    InternalSieveConfig,
+    detect_k_internal,
+    detect_k_leaf,
+    solve_nk_dv,
+)
 from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamcount import SieveParams, count_exact
 from hamkit.hamdetect import detect_hamiltonian_cycle
@@ -212,6 +219,30 @@ def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
     assert tracer.counters["branchings.modp_matrices"] == 100 * 2 * (2 * n + 1)
     assert tracer.spans["algebra.interpolate_univariate"][2] == 7 * 2
     assert tracer.spans["branchings.batched_modp_det"][2] == 7 * 2
+
+
+def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
+    # solve_nk_dv's evaluations detail counts the rows it passes to
+    # evaluate_batch: on this YES, p1 evaluates the whole 8-trial chunk 7..14
+    # and p2 only its 4 trials before the hit at trial 11
+    yes_graph = make_digraph(6, [(0, 1), (0, 4), (1, 0), (1, 4), (1, 5), (2, 1), (2, 4), (2, 5),
+                                 (3, 1), (3, 5), (4, 0), (4, 3), (4, 5), (5, 0), (5, 1), (5, 2),
+                                 (5, 3)])
+    cases = [(yes_graph, 3, DvConfig(seed=1)), (directed_path(5), 2, DvConfig(budget=100, seed=3))]
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        reports = []
+        for g, k, cfg in cases:
+            tracer.reset()
+            rep = solve_nk_dv(BranchingLeafPolynomial(g, 0), k, cfg)
+            reports.append((rep, tracer.counters["branchings.modp_matrices"]))
+    finally:
+        tracer.uninstall()
+    (yes, yes_count), (no, no_count) = reports
+    assert yes.verdict and yes.detail["hit"]["trial"] == 11 and yes.trials_run == 12
+    assert yes.detail["evaluations"] == yes_count == (1 + 2 + 4) * 2 * 13 + (8 + 4) * 13
+    assert not no.verdict and no.detail["evaluations"] == no_count == 100 * 2 * 11
 
 
 def test_internal_chunks_double_and_a_yes_stops_at_its_hit():
