@@ -42,8 +42,8 @@ from .rand import counter_draw, derive_seed, make_rng
 from .report import DetectionReport
 
 GROUP_RANK_LIMIT = 6
-# detect_k_internal evaluates each root's trials in chunks of 1, 2, 4, ...
-# up to this many
+# detect_k_internal evaluates each root's trials in chunks of 1, 4, 16, ...
+# up to this many (see _trial_chunks)
 INTERNAL_CHUNK = 34
 # Bytes of the largest gather in _InternalSieveEngine._mul, det_batch's first
 # rank-1 update, that detect_k_internal allows (see _internal_gather_bytes)
@@ -59,8 +59,25 @@ LEAF_BUDGET_LIMIT = 4**6
 # Bytes of the largest int64 stack the k-leaf solver builds at once: one
 # batched_modp_det call of BranchingLeafPolynomial, or one chunk's assignments
 LEAF_STACK_LIMIT = 1 << 24
-# solve_nk_dv evaluates its trials in chunks of 1, 2, 4, ... up to this many
+# solve_nk_dv evaluates its trials in chunks of 1, 4, 16, ... up to this many
+# (see _trial_chunks)
 LEAF_CHUNK = 64
+
+
+def _trial_chunks(total: int, cap: int):
+    """Chunk sizes 1, 4, 16, ..., each at most cap, that add up to total.
+
+    A one-sided detector stops after the chunk with its first hit, so the
+    first chunks stay small for YES answers, and growth by 4 keeps the
+    number of fixed-cost kernel calls a NO pays for low.
+    """
+    done = 0
+    size = 1
+    while done < total:
+        count = min(size, cap, total - done)
+        yield count
+        done += count
+        size *= 4
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +352,8 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
 
     Roots without any spanning out-branching are discarded (see
     _spanning_roots); k = 0 is answered exactly. Otherwise each surviving root
-    runs `cfg.trials` randomized determinant evaluations, in chunks of 1, 2,
-    4, ... up to INTERNAL_CHUNK trials, and stops after the chunk with its
+    runs `cfg.trials` randomized determinant evaluations, in chunks of 1, 4,
+    16, ... up to INTERNAL_CHUNK trials, and stops after the chunk with its
     first hit; a nonzero verdict slot (the degree-k slice) certifies YES.
     Reports are identical for any chunking: per-root trial consumption
     depends only on (seed, root, trial). Refuses k >
@@ -372,14 +389,11 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     def run_root(root: int) -> tuple[int, bool]:
         engine = _InternalSieveEngine(g, root, k, field)
         done = 0
-        size = 1
-        while done < cfg.trials:
-            b = min(size, cfg.trials - done)
+        for b in _trial_chunks(cfg.trials, INTERNAL_CHUNK):
             hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, cfg.seed, root, done, b))
             if hits.any():
                 return done + int(np.argmax(hits)) + 1, True
             done += b
-            size = min(2 * size, INTERNAL_CHUNK)
         return done, False
 
     results = _scan_roots(roots, run_root, lambda res: res[1])
@@ -456,15 +470,29 @@ class PolynomialEvaluator(Protocol):
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray: ...
 
 
-def _batched_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(base)
-    acc = base % p
-    while e:
-        if e & 1:
-            out = out * acc % p
-        acc = acc * acc % p
-        e >>= 1
-    return out
+def _batch_inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod prime p of the int64 residues x in [0, p), [B]; 0 maps to 0.
+
+    One scalar Fermat inverse for the whole batch: the nonzero residues are
+    multiplied up a pairwise tree (zeros and an odd level's padding count
+    as 1), the root is inverted with pow, and each level's inverses come
+    back down as parent inverse times sibling. About 2 log2(B) vector steps
+    where an elementwise Fermat ladder takes about 62 whatever B is.
+    Products of two residues stay below 2^62, so p must be below 2^31.
+    """
+    live = x != 0
+    level = np.where(live, x, 1)
+    levels = []
+    while level.size > 1:
+        if level.size % 2:
+            level = np.append(level, 1)
+        levels.append(level)
+        pairs = level.reshape(-1, 2)
+        level = pairs[:, 0] * pairs[:, 1] % p
+    inv = np.array([pow(int(r), p - 2, p) for r in level.tolist()], dtype=np.int64)  # the root, if any
+    for below in reversed(levels):
+        inv = (inv[: below.size // 2, None] * below.reshape(-1, 2)[:, ::-1] % p).ravel()
+    return np.where(live, inv[: x.size], 0)
 
 
 def _centre_mod(x: np.ndarray, p: int, quot: np.ndarray | None = None,
@@ -502,8 +530,8 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     Elimination is division-free: each row below pivot j becomes piv*row -
     a*row_j, which scales the determinant by piv once per row. Those
     scalings multiply to the product over j < d-1 of the pivots 0..j, so
-    one Fermat inverse per matrix at the end undoes them all; only these
-    [B] pivot products are normalised with %. Every updated entry is
+    one _batch_inverse of all B such products at the end undoes them; only
+    these [B] pivot products are normalised with %. Every updated entry is
     brought back to a centred residue by _centre_mod, one float quotient
     instead of an int64 %. The entries then stay at most p * (1/2 + 2^-20)
     in magnitude: each update piv*rest - col*row is at most p^2/2 * (1 +
@@ -551,7 +579,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
                 rest *= piv
                 rest -= prod
                 _centre_mod(rest, p, prod, fquot[:size].reshape(rest.shape))
-    det = pivots * _batched_modpow(scale, p - 2, p) % p
+    det = pivots * _batch_inverse(scale, p) % p
     return np.where(flip, (p - det) % p, det)
 
 
@@ -560,8 +588,9 @@ def inverse_vandermonde(xs: np.ndarray, p: int) -> np.ndarray:
 
     Column i holds the coefficients, low degree first, of L_i(X) =
     prod_{k != i} (X - x_k) / (x_i - x_k): one synthetic division of
-    F = prod_k (X - x_k) by every (X - x_i) at once, then one Fermat inverse
-    per denominator. The abscissae must be distinct mod p, and p below 2^31.
+    F = prod_k (X - x_k) by every (X - x_i) at once, then one _batch_inverse
+    of all the denominators. The abscissae must be distinct mod p, and p
+    below 2^31.
     """
     xs = np.asarray(xs, dtype=np.int64) % p
     npts = xs.shape[0]
@@ -581,7 +610,7 @@ def inverse_vandermonde(xs: np.ndarray, p: int) -> np.ndarray:
         denom = (denom * xs + quot[j]) % p
     if not denom.all():
         raise ValueError("abscissae must be distinct mod p")
-    return quot * _batched_modpow(denom, p - 2, p) % p
+    return quot * _batch_inverse(denom, p) % p
 
 
 def interpolate_univariate(values: np.ndarray, vinv: np.ndarray, p: int) -> np.ndarray:
@@ -686,15 +715,16 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     >= 2^-k * 2^-k = 4^-k per trial, so NO answers carry the bound
     (1 - 4^-k)^budget.
 
-    Trials run in chunks of 1, 2, 4, ... up to LEAF_CHUNK (fewer when a
-    chunk's assignments would pass LEAF_STACK_LIMIT bytes). Per chunk and
-    prime, P is evaluated at tau = 0..2n for every trial in one batch, and
-    one interpolate_univariate call turns those values into coefficients
-    through an inverse Vandermonde built once per prime. The scan order is
-    trial, then p1, then p2 (p2 runs only on the trials before p1's first
-    hit in the chunk), so trials_run and the hit are those of a one-trial,
-    one-prime-at-a-time scan. The detail's evaluations counts the points P
-    was evaluated at: every row passed to evaluate_batch.
+    Trials run in chunks of 1, 4, 16, ... up to LEAF_CHUNK (fewer when a
+    chunk's assignments would pass LEAF_STACK_LIMIT bytes; see
+    _trial_chunks). Per chunk and prime, P is evaluated at tau = 0..2n for
+    every trial in one batch, and one interpolate_univariate call turns
+    those values into coefficients through an inverse Vandermonde built
+    once per prime. The scan order is trial, then p1, then p2 (p2 runs only
+    on the trials before p1's first hit in the chunk), so trials_run and the
+    hit are those of a one-trial, one-prime-at-a-time scan. The detail's
+    evaluations counts the points P was evaluated at: every row passed to
+    evaluate_batch.
     """
     cfg = cfg or DvConfig()
     n = P.n
@@ -714,9 +744,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     hit_detail = None
     trials_run = 0
     evaluations = 0
-    size = 1
-    while trials_run < budget and hit_detail is None:
-        count = min(size, budget - trials_run, chunk_cap)
+    for count in _trial_chunks(budget, min(LEAF_CHUNK, chunk_cap)):
         bits = _draw_dv_chunk(cfg.seed, trials_run, count, n)
         ys = np.where(bits[:, None, :], taus[None, :, None], 1).reshape(count * npts, n)
         # coefficient j of P(routed) sits at index j + (count of False) of the image
@@ -737,8 +765,10 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
                     "prime": p,
                     "coefficient_indices": index[first][found[first]].tolist(),
                 }
-        trials_run += count if hit_detail is None else first + 1
-        size = min(2 * size, LEAF_CHUNK)
+        if hit_detail is not None:
+            trials_run += first + 1
+            break
+        trials_run += count
 
     return DetectionReport(
         verdict=hit_detail is not None,

@@ -133,6 +133,25 @@ class TestSpanningRoots:
                     detect_k_leaf(g, k, DvConfig(seed=0, budget=4))
 
 
+class TestTrialChunks:
+    def test_literal_schedules(self):
+        assert list(branchings._trial_chunks(0, 34)) == []
+        assert list(branchings._trial_chunks(100, 34)) == [1, 4, 16, 34, 34, 11]
+        assert list(branchings._trial_chunks(100, 64)) == [1, 4, 16, 64, 15]
+        assert list(branchings._trial_chunks(256, 64)) == [1, 4, 16, 64, 64, 64, 43]
+
+    def test_sizes_grow_by_four_up_to_cap(self):
+        for total in (0, 1, 2, 5, 6, 21, 22, 100, 341, 4096):
+            for cap in (1, 3, 4, 16, 34, 64, 10**6):
+                sizes = list(branchings._trial_chunks(total, cap))
+                assert sum(sizes) == total, (total, cap)
+                assert all(0 < size <= cap for size in sizes), (total, cap)
+                # every chunk but the last is full; the last is cut short by total
+                full = [min(4**i, cap) for i in range(len(sizes))]
+                assert sizes[:-1] == full[:-1], (total, cap)
+                assert not sizes or sizes[-1] <= full[-1], (total, cap)
+
+
 class TestDetectKInternal:
     def test_path_all_internal(self):
         rep = detect_k_internal(directed_path(5), 4, InternalSieveConfig(trials=20))
@@ -441,6 +460,42 @@ class TestBatchedPrimeDet:
         assert dets.tolist() == [det_gauss(square(field, m.tolist())) for m in mats]
         assert not dets[:5].any() and dets[5:].all()
 
+    @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029])
+    def test_batch_inverse_matches_fermat(self, p):
+        # zeros at both ends and in odd positions of the product tree map to 0
+        rng = np.random.default_rng(p % 1009)
+        for size in (1, 2, 3, 16, 17, 1088):
+            dense = rng.integers(1, p, size=size)
+            holes = dense.copy()
+            holes[[0, -1]] = 0
+            holes[1::2][::3] = 0
+            for x in (dense, holes):
+                before = x.copy()
+                want = [pow(v, p - 2, p) if v else 0 for v in x.tolist()]
+                assert branchings._batch_inverse(x, p).tolist() == want, (size, x.tolist())
+                assert (x == before).all()
+        assert branchings._batch_inverse(np.zeros(0, dtype=np.int64), p).tolist() == []
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029])
+    def test_singular_between_nonsingular(self, p):
+        # a singular matrix's pivot product is 0, which the batch inverse must
+        # leave 0 without spoiling its neighbours' inverses in the tree
+        field = PrimeField(p)
+        rng = np.random.default_rng(p % 1013)
+        mats = rng.integers(0, p, size=(17, 5, 5), dtype=np.int64)
+        for i in (0, 16, 5):
+            mats[i, 3] = mats[i, 1]  # repeated row
+        for i in (1, 3, 9):
+            mats[i, :, 2] = 0  # zero column
+        mats[7, 4] = 0  # zero last row: only the last pivot is 0
+        mats[11] = np.triu(mats[11], 1)  # zero diagonal, nilpotent
+        mats[12] = np.eye(5, dtype=np.int64)[rng.permutation(5)] * rng.integers(1, p)
+        want = [det_gauss(square(field, m.tolist())) for m in mats]
+        assert batched_modp_det(mats.copy(), p).tolist() == want
+        singular = (0, 1, 3, 5, 7, 9, 11, 16)
+        assert not any(want[i] for i in singular)
+        assert want[12] and any(want[i] for i in range(17) if i not in singular and i != 12)
+
     @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029, MERSENNE_31])
     def test_centred_reduction_bound(self, p):
         # r = x - p * rint(x / p) in float64: r = x mod p, |r| <= p/2 + 2^-51 * |x|
@@ -610,7 +665,7 @@ class TestSolveNkDv:
             if root is not None:
                 cases.append((BranchingLeafPolynomial(g, root), rnd.randint(2, min(4, g.n))))
         for i, (P, k) in enumerate(cases):
-            for budget in (1, 5, 100):  # 100 = 1+2+4+8+16+32+37: the last chunk is cut short
+            for budget in (1, 5, 100):  # 100 = 1+4+16+64+15: the last chunk is cut short
                 rep = solve_nk_dv(P, k, DvConfig(budget=budget, seed=i))
                 want = scalar_solve_nk_dv(P, k, budget, i)
                 assert rep.verdict == want["verdict"], (i, budget)
@@ -715,7 +770,7 @@ class TestDetectKLeaf:
 
     def test_chunking_does_not_change_report(self, monkeypatch):
         # a trial's coins depend only on (seed, root, trial): one-trial chunks
-        # give the report of the default 1, 2, 4, ... chunks, YES and NO alike
+        # give the report of the default 1, 4, 16, ... chunks, YES and NO alike
         rnd = random.Random(93)
         cases = []
         for i in range(10):

@@ -207,7 +207,7 @@ def test_detector_kernel_sees_every_pair_matrix(monkeypatch):
 
 def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
     # the benchmark's modp-matrices check on a NO whose budget ends mid-chunk:
-    # 100 = 1+2+4+8+16+32+37 trials, seven chunks, each prime once per chunk
+    # 100 = 1+4+16+64+15 trials, five chunks, each prime once per chunk
     n = 5
     tracer = load_layertrace().Tracer()
     tracer.install()
@@ -217,14 +217,14 @@ def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
         tracer.uninstall()
     assert not rep.verdict and rep.trials_run == 100
     assert tracer.counters["branchings.modp_matrices"] == 100 * 2 * (2 * n + 1)
-    assert tracer.spans["algebra.interpolate_univariate"][2] == 7 * 2
-    assert tracer.spans["branchings.batched_modp_det"][2] == 7 * 2
+    assert tracer.spans["algebra.interpolate_univariate"][2] == 5 * 2
+    assert tracer.spans["branchings.batched_modp_det"][2] == 5 * 2
 
 
 def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
     # solve_nk_dv's evaluations detail counts the rows it passes to
-    # evaluate_batch: on this YES, p1 evaluates the whole 8-trial chunk 7..14
-    # and p2 only its 4 trials before the hit at trial 11
+    # evaluate_batch: on this YES, p1 evaluates the whole 16-trial chunk 5..20
+    # and p2 only its 6 trials before the hit at trial 11
     yes_graph = make_digraph(6, [(0, 1), (0, 4), (1, 0), (1, 4), (1, 5), (2, 1), (2, 4), (2, 5),
                                  (3, 1), (3, 5), (4, 0), (4, 3), (4, 5), (5, 0), (5, 1), (5, 2),
                                  (5, 3)])
@@ -241,13 +241,13 @@ def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
         tracer.uninstall()
     (yes, yes_count), (no, no_count) = reports
     assert yes.verdict and yes.detail["hit"]["trial"] == 11 and yes.trials_run == 12
-    assert yes.detail["evaluations"] == yes_count == (1 + 2 + 4) * 2 * 13 + (8 + 4) * 13
+    assert yes.detail["evaluations"] == yes_count == (1 + 4) * 2 * 13 + (16 + 6) * 13
     assert not no.verdict and no.detail["evaluations"] == no_count == 100 * 2 * 11
 
 
-def test_internal_chunks_double_and_a_yes_stops_at_its_hit():
-    # each root's trials run in chunks of 1, 2, 4, ... up to INTERNAL_CHUNK = 34,
-    # so a NO with 100 trials is 1+2+4+8+16+32+34+3 over eight det_batch calls,
+def test_internal_chunks_grow_by_four_and_a_yes_stops_at_its_hit():
+    # each root's trials run in chunks of 1, 4, 16, ... up to INTERNAL_CHUNK = 34,
+    # so a NO with 100 trials is 1+4+16+34+34+11 over six det_batch calls,
     # and a YES that hits on its first trial evaluates that one trial
     tracer = load_layertrace().Tracer()
     tracer.install()
@@ -259,7 +259,7 @@ def test_internal_chunks_double_and_a_yes_stops_at_its_hit():
     finally:
         tracer.uninstall()
     assert not no.verdict and no.trials_run == 100 and no.detail["roots"] == [0]
-    assert counted == ({"branchings.internal_trials": 100}, 8)
+    assert counted == ({"branchings.internal_trials": 100}, 6)
     assert yes.verdict and yes.trials_run == 1
     assert tracer.counters["branchings.internal_trials"] == 1
     assert tracer.spans["branchings.det_batch"][2] == 1
