@@ -720,11 +720,12 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     _trial_chunks). Per chunk and prime, P is evaluated at tau = 0..2n for
     every trial in one batch, and one interpolate_univariate call turns
     those values into coefficients through an inverse Vandermonde built
-    once per prime. The scan order is trial, then p1, then p2 (p2 runs only
-    on the trials before p1's first hit in the chunk), so trials_run and the
-    hit are those of a one-trial, one-prime-at-a-time scan. The detail's
-    evaluations counts the points P was evaluated at: every row passed to
-    evaluate_batch.
+    once per prime, when that prime first interpolates (a YES that p1 finds
+    in the first chunk never builds p2's). The scan order is trial, then
+    p1, then p2 (p2 runs only on the trials before p1's first hit in the
+    chunk), so trials_run and the hit are those of a one-trial,
+    one-prime-at-a-time scan. The detail's evaluations counts the points P
+    was evaluated at: every row passed to evaluate_batch.
     """
     cfg = cfg or DvConfig()
     n = P.n
@@ -739,7 +740,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
 
     npts = 2 * n + 1
     taus = np.arange(npts, dtype=np.int64)
-    vinvs = {p: inverse_vandermonde(taus, p) for p in (p1, p2)}
+    vinvs = {}  # a prime's inverse Vandermonde, built when it first interpolates
     chunk_cap = max(1, LEAF_STACK_LIMIT // (8 * npts * n))  # trials whose assignments fit
     hit_detail = None
     trials_run = 0
@@ -756,6 +757,8 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
                 break
             values = P.evaluate_batch(ys[: first * npts], p).reshape(first, npts)
             evaluations += first * npts
+            if p not in vinvs:
+                vinvs[p] = inverse_vandermonde(taus, p)
             found = (interpolate_univariate(values, vinvs[p], p) != 0) & outside[:first]
             rows = np.flatnonzero(found.any(axis=1))
             if rows.size:

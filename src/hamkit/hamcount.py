@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import ResidueElem, crt_combine, is_prime, primes_up_to
 from .errors import GuardError
@@ -114,7 +115,12 @@ class MitmDiagnostics:
 
 
 class _SieveCore:
-    """Signed subset determinants on zero virtual-arc weights, each right modulo the pass modulus q."""
+    """Signed subset determinants on zero virtual-arc weights, each right modulo the pass modulus q.
+
+    `row_of[u]` is vertex u's off-diagonal Laplacian row over all split-graph
+    vertices (-1 at each out-neighbour, 0 elsewhere), so a subset's minor row
+    is one `itemgetter` gather over its alive columns plus its diagonal.
+    """
 
     def __init__(self, split: VertexSplit, modulus: int):
         g = split.graph
@@ -125,7 +131,7 @@ class _SieveCore:
         # V_st; t comes first so that subset_det meets a zero in_t(O) at once
         self.positions = (split.t,) + tuple(u for u in range(self.n0) if u != split.s)
         self.in_mask = g.in_mask
-        self.out_mask = g.out_mask
+        self.row_of = tuple(tuple(-(om >> v & 1) for v in range(g.n)) for om in g.out_mask)
 
     def subset_det(self, omask: int) -> int:
         """An integer ≡ the determinant of the tail-restricted punctured Laplacian mod q.
@@ -159,13 +165,15 @@ class _SieveCore:
                 dead_prod *= d
         if dead_prod % self.modulus == 0:
             return 0
-        out_mask = self.out_mask
-        rows = []
-        for i, u in enumerate(alive):
-            om = out_mask[u]
-            row = [-1 if om >> v & 1 else 0 for v in alive]
-            row[i] = diag[i]
-            rows.append(row)
+        # alive is never empty: t's nonzero diagonal needs an in-arc from O ∩ V_st
+        if len(alive) == 1:
+            rows = [diag]  # itemgetter of one index gives a bare value
+        else:
+            row_of = self.row_of
+            gather = itemgetter(*alive)
+            rows = [list(gather(row_of[u])) for u in alive]
+            for i, d in enumerate(diag):
+                rows[i][i] = d
         return dead_prod * det_bareiss_int(rows)
 
     def signed_contribution(self, omask: int) -> int:

@@ -6,7 +6,10 @@ leaves a matrix whose determinant counts the spanning out-branchings rooted
 at r. Determinants over the integers, which the Hamiltonian-cycle sieve
 shares, use ±1-pivot elimination, then Bareiss: every ±1 that can still be a
 pivot is eliminated without division or rescaling, and fraction-free
-(Bareiss) elimination finishes the block with no ±1 left.
+(Bareiss) elimination finishes the block with no ±1 left. The kernel does
+not scan for a zero column first: the sieve's minors never have one, and
+count_out_branchings answers 0 for a vertex with no in-arc before it builds
+the matrix.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
     and a column swap (each flips the sign) and eliminated: only rows with a
     nonzero in the pivot column change, and only at the pivot row's nonzero
     columns. The eliminated pivots have determinant ±1, so the block left
-    holds ± minors of the input, and Bareiss finishes it in place. A zero
-    column answers 0 before any elimination.
+    holds ± minors of the input, and Bareiss finishes it in place. Nothing
+    scans for a zero column up front: the ±1 column swaps keep one in the
+    trailing block, and Bareiss returns 0 on its empty pivot column. So a
+    caller that can see a zero column coming answers 0 itself, as
+    count_out_branchings does for a vertex with no in-arc.
     """
     n = len(rows)
     if n == 0:
         return 1
-    if not all(map(any, zip(*rows))):
-        return 0
     sign = 1
     last = n - 1
     for k in range(last):
@@ -118,12 +122,15 @@ def count_out_branchings(g: Digraph, root: int) -> int:
     """Number of spanning out-branchings of g rooted at `root`.
 
     Refuses graphs past BRANCHING_COUNT_GUARD vertices (GuardError) before
-    the matrix is built.
+    the matrix is built. A non-root vertex with no in-arc (a zero row and
+    column of the matrix) answers 0 before the matrix is built.
     """
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
     if g.n > BRANCHING_COUNT_GUARD:
         raise GuardError(f"branching count guard: n={g.n} > {BRANCHING_COUNT_GUARD}")
+    if not all(ins or u == root for u, ins in enumerate(g.in_adj)):
+        return 0
     # vertex v sits at index v - (v > root) once the root's row and column go
     rows = []
     for u in range(g.n):

@@ -45,6 +45,42 @@ class TestPrimes:
             assert 1 << 30 <= p < 1 << 31
             assert is_prime(p)
 
+    def test_four_bases_agree_with_twelve(self):
+        # bases 2, 3, 5, 7 decide below 3,215,031,751 (Jaeschke 1993)
+        rnd = random.Random(31)
+        cases = [rnd.getrandbits(31) | 1 for _ in range(100_000)]
+        cases += [2047, 1_373_653, 25_326_001, 3_215_031_751, 3_215_031_749, 3_215_031_753]
+        for n in cases:
+            assert is_prime(n) == miller_rabin_all_bases(n), n
+        assert not is_prime(25_326_001)  # strong pseudoprime to 2, 3 and 5
+        assert not is_prime(3_215_031_751)  # strong pseudoprime to 2, 3, 5 and 7
+
+    def test_random_prime_31_sequence_is_fixed(self):
+        rnd = random.Random(2024)
+        assert [random_prime_31(rnd) for _ in range(8)] == [
+            1563935663, 1629136661, 1862090707, 1522640807,
+            1199337481, 1372168757, 1776220967, 1943564243,
+        ]
+
+
+def miller_rabin_all_bases(n: int) -> bool:
+    """Miller-Rabin to all twelve prime bases up to 37, for odd n > 37."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class TestBinaryField:
     def test_sizing_n10(self):

@@ -625,6 +625,23 @@ class TestSolveNkDv:
         assert rep.verdict
         assert rep.failure_bound == 0.0
 
+    def test_inverse_vandermonde_built_when_a_prime_first_interpolates(self, monkeypatch):
+        built = []
+
+        def recording(xs, p):
+            built.append(p)
+            return inverse_vandermonde(xs, p)
+
+        monkeypatch.setattr(branchings, "inverse_vandermonde", recording)
+        # p1 hits on trial 0, in the first chunk, so p2 never interpolates
+        yes = solve_nk_dv(BranchingLeafPolynomial(out_star(6), 0), 2, DvConfig(seed=0))
+        p1, p2 = yes.detail["primes"]
+        assert yes.verdict and yes.detail["hit"]["trial"] == 0 and yes.detail["hit"]["prime"] == p1
+        assert built == [p1]
+        built.clear()
+        no = solve_nk_dv(BranchingLeafPolynomial(directed_path(5), 0), 2, DvConfig(budget=100, seed=3))
+        assert not no.verdict and built == no.detail["primes"]
+
     def test_matches_brute_min_distinct(self):
         # NO instances cannot false-positive at any budget (one-sided error),
         # so they get a token budget; YES instances get one large enough that

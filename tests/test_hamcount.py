@@ -24,6 +24,7 @@ from hamkit.hamcount import (
     mitm_count_mod,
     naive_sieve_count,
 )
+from hamkit.matrixtree import det_bareiss_int
 from hamkit import oracle
 from reference import ResidueRing, det_division_free, restricted_laplacian, tail_weights
 
@@ -104,6 +105,26 @@ class TestRestrictedLaplacian:
                 t_row = m.entries[m.row_labels.index(split.t)]
                 assert sum(1 for x in t_row if x) <= 1
                 assert det_division_free(m) == core.subset_det(omask) % ring.modulus
+
+    def test_one_row_minors_match_reference_every_subset(self, monkeypatch):
+        # O = {s, u} leaves a one-row minor, which is built apart from the
+        # row gather (itemgetter of one index gives a bare value)
+        sizes = []
+
+        def recording(rows):
+            sizes.append(len(rows))
+            return det_bareiss_int(rows)
+
+        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", recording)
+        rnd = random.Random(56)
+        ring = ResidueRing(2, 61)  # no dead-row product reaches 2^61 here, so every term is exact
+        for _ in range(12):
+            g, split, _, _ = self._setup(rnd, rnd.randint(3, 6))
+            core = hamcount_mod._SieveCore(split, ring.modulus)
+            for omask in range(1 << (split.graph.n - 1)):
+                m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
+                assert core.subset_det(omask) % ring.modulus == det_division_free(m)
+        assert sizes.count(1) >= 5 and max(sizes) >= 3
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
     def test_every_subset_matches_reference_mod_q(self, p, k):

@@ -1,6 +1,7 @@
 """Branching counts and the integer determinant, plus the scalar reference kernels they are checked with."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from conftest import complete_digraph, cycle_plus, directed_cycle, directed_path
 from hamkit.algebra import BinaryField
 from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings, det_bareiss_int
-from hamkit import oracle
+from hamkit import matrixtree, oracle
 from reference import (
     INTEGERS,
     PrimeField,
@@ -251,6 +252,17 @@ class TestUnitPivotDeterminant:
         assert det_bareiss_int([[1, 0, 2], [-1, 0, 3], [4, 0, 1]]) == 0
         assert det_bareiss_int([[1, -1, 2], [0, 0, 0], [4, 1, 1]]) == 0
 
+    def test_zero_column_at_every_position(self):
+        # no scan finds the zero column up front: the ±1 column swaps must keep
+        # it in the trailing block, and Bareiss must stop on its empty pivot column
+        rnd = random.Random(46)
+        for d in range(1, 10):
+            for entries in ((0, 0, 1, -1, 2, -3), (0, 2, -2, 3, 5), (0, 1, -1)):
+                base = [[rnd.choice(entries) for _ in range(d)] for _ in range(d)]
+                for col in range(d):
+                    rows = [r[:col] + [0] + r[col + 1 :] for r in base]
+                    assert check_det(rows) == 0
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 7).flatmap(
         lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)))
@@ -273,6 +285,20 @@ class TestCountOutBranchings:
         g = make_digraph(3, [(0, 1), (1, 0), (2, 0)])
         # vertex 2 has no in-arcs, so no branching rooted at 0 exists
         assert count_out_branchings(g, 0) == 0
+
+    def test_in_degree_zero_nonroot_answers_before_elimination(self, monkeypatch):
+        # the kernel has no zero-column scan, so the count must stop first
+        def refuse(rows):
+            raise AssertionError("eliminated a matrix with a zero column")
+
+        rnd = random.Random(47)
+        n, lone = 512, 300
+        g = cycle_plus(rnd, n, 2 * n)
+        g = make_digraph(n, [(u, v) for u, v in g.arcs if v != lone])
+        monkeypatch.setattr(matrixtree, "det_bareiss_int", refuse)
+        start = time.perf_counter()
+        assert count_out_branchings(g, 0) == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_matches_enumeration(self):
         rnd = random.Random(17)
