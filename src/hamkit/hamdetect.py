@@ -26,19 +26,22 @@ over the blue rows. Every entry of that matrix is GF(2)-linear in the
 selector of its own side, the merged columns included (din*X is the xor over
 w in O of the entry weight on w -> y times X), so each trial tabulates the
 xor of every subset of per-vertex rows over each half of the blue vertices,
-and a pair matrix is two table lookups and one xor per side, its rows gated
-by I and O. The determinants of a chunk of pairs are taken at once by
-table-driven batched Gaussian elimination. Many pair matrices are singular
-and add nothing to the sum, so the elimination drops a matrix as soon as it
-is known to be singular: up front if it has an all-zero row or column, later
-if a pivot column has no nonzero entry left. A dropped matrix gets
-determinant 0, which is its exact determinant, so the sum does not change.
+next to a zero row for each gated-off vertex, and a pair matrix is the xor
+of four gathered rows per vertex, two per side. Which rows to gather
+depends only on |blue|, so one cached pair plan serves every trial. The
+determinants of a chunk of pairs are taken at once by table-driven batched
+Gaussian elimination. Many pair matrices are singular and add nothing to
+the sum, so the elimination drops a matrix as soon as it is known to be
+singular: up front if it has an all-zero row or column, later if a pivot
+column has no nonzero entry left. A dropped matrix gets determinant 0,
+which is its exact determinant, so the sum does not change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,35 +149,44 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     Gaussian elimination on the matrices that can still be nonsingular; a
     matrix leaves the batch with determinant 0 as soon as it is known to be
     singular, which is exact whatever the field:
-      up front, a matrix with an all-zero row or column (a row or column of
-      entries in [0, q) sums to 0 exactly when it is zero, since q <= 2^16
-      and n <= 2^16 keep the int32 sum from wrapping);
+      up front, a matrix with an all-zero row or column (the int32 sum of a
+      row or column of entries in [0, q) may wrap, but as a sum below 2^32
+      of nonnegative terms it wraps to 0 only when every term is 0);
       at each pivot column, a matrix whose trailing column is all zero.
     The survivors are copied out of mats, and each step replaces their
-    trailing block by the next, one row and one column smaller. A matrix
-    whose top entry is 0 gets the first row with a nonzero entry added to
-    its top row, which leaves the determinant unchanged.
+    trailing block by the next, one row and one column smaller, with one
+    exp-table gather: the logs of the pivot row and of the factor column are
+    taken on their [B, n-1] slices and added by broadcasting. A matrix whose
+    top entry is 0 gets the first row with a nonzero entry added to its top
+    row, which leaves the determinant unchanged. The last pivot needs no
+    update: it multiplies into the determinant, and a zero one gives 0.
     """
     nmats, n, _ = mats.shape
     det = np.zeros(nmats, dtype=np.int32)
     live = np.flatnonzero(np.einsum("bij->bi", mats).all(axis=1) & np.einsum("bij->bj", mats).all(axis=1))
     m = mats[live]
     d = np.ones(len(live), dtype=np.int32)
-    for _ in range(n):
+    log, exp = field.np_log, field.np_exp
+    order = field.q - 1
+    for _ in range(n - 1):
         nz = m[:, :, 0] != 0
         has = nz.any(axis=1)
         if not has.all():
             keep = np.flatnonzero(has)
             m, nz, live, d = m[keep], nz[keep], live[keep], d[keep]
         moved = np.flatnonzero(~nz[:, 0])
-        m[moved, 0] ^= m[moved, np.argmax(nz[moved], axis=1)]
-        piv = m[:, 0, 0]
-        d = field.nmul(d, piv)
-        fac = field.nmul(m[:, 1:, :1], field.ninv(piv)[:, None, None])
-        block = field.nmul(fac, m[:, :1, 1:])
+        if len(moved):
+            m[moved, 0] ^= m[moved, np.argmax(nz[moved], axis=1)]
+        lpiv = log.take(m[:, 0, 0])
+        d = exp.take(log.take(d) + lpiv)
+        # order - log(piv) in [1, order] is a log of 1/piv; added to a log below
+        # 2 * order, or to the zero sentinel, it stays inside the exp table
+        lfac = log.take(exp.take(log.take(m[:, 1:, 0]) + (order - lpiv)[:, None]))
+        lrow = log.take(m[:, 0, 1:])
+        block = exp.take(np.add(lfac[:, :, None], lrow[:, None, :], dtype=np.intp))
         block ^= m[:, 1:, 1:]
         m = block
-    det[live] = d
+    det[live] = field.nmul(d, m[:, 0, 0])
     return det
 
 
@@ -186,8 +198,76 @@ def subset_xor_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _table_halves(nb: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Blue positions [start, stop) of the low and the high subset table."""
+    half = nb // 2
+    return (0, half), (half, nb)
+
+
+@lru_cache(maxsize=None)
+def _pair_plan(nb: int, chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Trial-independent gather plan for the 2 * 3^(nb - 1) pairs of nb blue vertices.
+
+    A pair code is the anchor's O bit and one base-3 digit per other blue
+    position 1..nb-1 (0: I only, 1: O only, 2: both). A chunk holds every
+    code with the same high digits a+1..nb-1 (its prefix): the anchor bit
+    times digits 1..a, 2 * 3^a pairs, with a the largest value in
+    [0, nb - 1] such that 2 * 3^a <= chunk.
+
+    The four per-row tables of _BatchedSieve (in/out side, low/high half)
+    each hold, per blue row u, a zero block of S rows (gate 0) and the S
+    subset xors of its half (gate 1), so row u of a pair matrix on one table
+    is row u*2S + gate[u]*S + mask, where mask is the pair's selector bits
+    on the half (O for the in side, I for the out side) and gate[u] says u
+    is in I (in side) or in O and not the anchor (out side). That index is
+    a sum over positions, so it splits into a [2 * 3^a, nb] base over the
+    anchor and digits 1..a and a [3^(nb-1-a), nb] per-row offset over the
+    prefix digits (zero when there is a single prefix). Returns one
+    (base, offset) pair per table, in the order in_lo, in_hi, out_lo, out_hi.
+    The indices are uint16, since a table has at most 16 * 2 * 2^8 rows up
+    to BLUE_LIMIT; that keeps each cached plan a quarter of its intp size.
+    """
+    a = 0
+    while a < nb - 1 and 2 * 3 ** (a + 1) <= chunk:
+        a += 1
+
+    def selectors(ncodes, first, width):
+        """(isel, osel), [ncodes, nb]: base-3 digits of 0..ncodes-1 at positions first.., zero elsewhere."""
+        codes = np.arange(ncodes)
+        digits = codes[:, None] // 3 ** np.arange(width) % 3
+        isel = np.zeros((ncodes, nb), dtype=np.uint16)
+        osel = np.zeros((ncodes, nb), dtype=np.uint16)
+        isel[:, first : first + width] = digits != 1
+        osel[:, first : first + width] = digits != 0
+        return isel, osel
+
+    # low block: digits 1..a, and above them the anchor's O bit (the anchor is always in I)
+    lo_i, lo_o = selectors(2 * 3**a, 1, a)
+    lo_i[:, 0] = 1
+    lo_o[:, 0] = np.arange(2 * 3**a) // 3**a
+    hi_i, hi_o = selectors(3 ** (nb - 1 - a), a + 1, nb - 1 - a)
+    rows = np.arange(nb, dtype=np.uint16)
+    exits = rows != 0  # the anchor's exiting role is suppressed
+    plan = []
+    for side in ("in", "out"):
+        for start, stop in _table_halves(nb):
+            size = 1 << (stop - start)
+            place = np.zeros(nb, dtype=np.uint16)
+            place[start:stop] = 1 << np.arange(stop - start)
+            parts = []
+            for isel, osel in ((lo_i, lo_o), (hi_i, hi_o)):
+                gate, sel = (isel, osel) if side == "in" else (osel * exits, isel)
+                parts.append(gate * size + (sel @ place)[:, None])
+            base, offset = parts
+            base += rows * 2 * size
+            base.setflags(write=False)
+            offset.setflags(write=False)
+            plan.append((base, offset))
+    return tuple(plan)
+
+
 class _BatchedSieve:
-    """Per-trial XOR subset tables for chunked evaluation of the pair sum.
+    """Per-trial gated row tables for chunked evaluation of the pair sum.
 
     Each pair gets a |blue| x |blue| matrix: one row per blue vertex, the
     pool columns, then one merged column per yellow vertex y. In the port
@@ -208,9 +288,12 @@ class _BatchedSieve:
     (so A_out is A_in with w and u swapped), row u of a pair matrix is
       gate_in[u] * (xor over w in O of A_in[w, u]) + gate_out[u] * (xor over w in I of A_out[w, u]),
     where gate_in[u] says u is in I and gate_out[u] that u is in O and not the anchor.
-    Each xor over a selector is one lookup in a subset table of each half
-    of the blue vertices and one xor; the field products are taken once per
-    trial, when A_in is built.
+    Each xor over a selector is one row of a subset table of each half of
+    the blue vertices. The four tables (in/out side, low/high half) are laid
+    out per row as [|blue|, 2, 2^h, |blue|], a zero block for gate 0 and the
+    subset xors for gate 1, and flattened, so one gather per table through
+    a _pair_plan index builds a chunk's gated rows; the field products are
+    taken once per trial, when A_in is built.
     """
 
     def __init__(self, g: Digraph, layout: PortLayout, weights: PortWeights):
@@ -234,68 +317,45 @@ class _BatchedSieve:
         a_in[:, :, npool:] = self.field.nmul(ventry[:, None, :], vexit[None, :, :])
         a_out = a_in.transpose(1, 0, 2)
 
-        # blue indices [0, half) index the low table, the rest the high one
-        self.half = half = nb // 2
-        self.bit = 1 << np.arange(nb)
-        self.in_lo, self.in_hi = subset_xor_table(a_in[:half]), subset_xor_table(a_in[half:])
-        self.out_lo, self.out_hi = subset_xor_table(a_out[:half]), subset_xor_table(a_out[half:])
+        self.tables = []
+        for a_side in (a_in, a_out):
+            for start, stop in _table_halves(nb):
+                rows = np.zeros((nb, 2, 1 << (stop - start), nb), dtype=np.int32)
+                rows[:, 1] = subset_xor_table(a_side[start:stop]).transpose(1, 0, 2)
+                self.tables.append(rows.reshape(-1, nb))
 
-    def matrices(self, isel: np.ndarray, osel: np.ndarray) -> np.ndarray:
-        """[B, |blue|, |blue|] matrices for one chunk of membership rows."""
-        half = self.half
-        low = (1 << half) - 1
-        imask = isel @ self.bit
-        omask = osel @ self.bit
-        mats = self.in_lo[omask & low]
-        mats ^= self.in_hi[omask >> half]
-        mats[isel == 0] = 0
-        out = self.out_lo[imask & low]
-        out ^= self.out_hi[imask >> half]
-        out[osel == 0] = 0
-        out[:, 0] = 0  # anchor's exiting role is suppressed
-        mats ^= out
-        return mats
+    def matrices(self, index, out: np.ndarray) -> np.ndarray:
+        """The chunk's [B, |blue|, |blue|] pair matrices, gathered into out.
 
-    def chunk_sum(self, isel: np.ndarray, osel: np.ndarray) -> int:
-        """Xor of port-matrix determinants for one chunk of membership rows."""
-        dets = batched_gf_det(self.field, self.matrices(isel, osel))
-        return int(np.bitwise_xor.reduce(dets))
-
-
-def _membership_chunk(nb: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Membership selector rows for pair codes [start, stop).
-
-    Column order matches PortLayout.blue. Codes below 3^(nb-1) leave the
-    anchor out of O, the upper half puts it in; the base-3 digits of the
-    remainder place each other blue vertex in I only / O only / both.
-    """
-    reps = 3 ** (nb - 1)
-    codes = np.arange(start, stop, dtype=np.int64)
-    isel = np.ones((len(codes), nb), dtype=np.uint8)
-    osel = np.zeros((len(codes), nb), dtype=np.uint8)
-    osel[:, 0] = codes // reps
-    rem = codes % reps
-    for pos in range(1, nb):
-        d = rem % 3
-        rem = rem // 3
-        isel[:, pos] = d != 1
-        osel[:, pos] = d != 0
-    return isel, osel
+        index holds one [B, |blue|] row index per table (see _pair_plan).
+        The plan's indices are in range by construction; mode="clip" only
+        lets take write into out without buffering.
+        """
+        self.tables[0].take(index[0], axis=0, out=out, mode="clip")
+        for table, idx in zip(self.tables[1:], index[1:]):
+            out ^= table.take(idx, axis=0, mode="clip")
+        return out
 
 
 def sieve_membership_pairs(g: Digraph, layout: PortLayout, weights: PortWeights) -> tuple[int, int]:
     """Sum det(port matrix) over all gated membership pairs.
 
     Returns (field element, number of pairs visited). The sum is the xor of
-    2 * 3^(|blue| - 1) determinants, evaluated in chunks of STATE_CHUNK
-    pairs, and is independent of visit order.
+    2 * 3^(|blue| - 1) determinants, and is independent of visit order. The
+    pairs are taken in chunks of at most STATE_CHUNK, one per prefix of high
+    base-3 digits (see _pair_plan), each gathered from this trial's row
+    tables into one buffer that every chunk reuses.
     """
     nb = len(layout.blue)
     npairs = 2 * 3 ** (nb - 1)
     sieve = _BatchedSieve(g, layout, weights)
+    plan = _pair_plan(nb, STATE_CHUNK)
+    out = np.empty((len(plan[0][0]), nb, nb), dtype=np.int32)
     total = 0
-    for a in range(0, npairs, STATE_CHUNK):
-        total ^= sieve.chunk_sum(*_membership_chunk(nb, a, min(a + STATE_CHUNK, npairs)))
+    for h in range(len(plan[0][1])):
+        index = [base + offset[h] for base, offset in plan]
+        dets = batched_gf_det(sieve.field, sieve.matrices(index, out))
+        total ^= int(np.bitwise_xor.reduce(dets))
     return total, npairs
 
 

@@ -158,6 +158,28 @@ class TestAnswers:
             '"engine": "batched"}, "seed": 7, "elapsed_ms": _}\n'
         )
 
+    @pytest.mark.parametrize("n, mult, mod, below, seed, tail", [
+        # |blue| = 9, one chunk of 13,122 pairs per trial
+        (18, 2, 11, 3, 11, '"answer": "yes", "trials": 1, "failure_bound": 0.0, "diagnostics": '
+                           '{"pairs_per_trial": 13122, "field_bits": 16, "witness_value": 47666, '
+                           '"engine": "batched"}, "seed": 11'),
+        (18, 1, 7, 2, 12, '"answer": "no", "trials": 8, "failure_bound": 3.2384753508430804e-29, '
+                          '"diagnostics": {"pairs_per_trial": 13122, "field_bits": 16, '
+                          '"engine": "batched"}, "seed": 12'),
+        # |blue| = 10, three chunks of 13,122 pairs per trial
+        (20, 1, 5, 1, 13, '"answer": "no", "trials": 8, "failure_bound": 7.52316384526264e-29, '
+                          '"diagnostics": {"pairs_per_trial": 39366, "field_bits": 16, '
+                          '"engine": "batched"}, "seed": 13'),
+    ])
+    def test_detect_hc_golden_at_nine_and_ten_blue(self, tmp_path, capsys, n, mult, mod, below, seed, tail):
+        # whole stdout at a fixed seed, pinned before the pair plan replaced
+        # per-trial membership selectors; arcs join even and odd vertices
+        arcs = [(a, b) for a in range(n) for b in range(n) if (a - b) % 2 and (a + mult * b) % mod < below]
+        path = write_graph(tmp_path, make_digraph(n, arcs))
+        code, out, _ = run_cli(["detect-hc", path, "--seed", str(seed)], capsys)
+        assert code == 0
+        assert strip_elapsed(out) == '{"command": "detect-hc", ' + tail + ', "elapsed_ms": _}\n'
+
     def test_readme_detect_k_leaf_example(self, tmp_path, capsys):
         # the README example, whole stdout: the first trial hits
         path = tmp_path / "c5.txt"

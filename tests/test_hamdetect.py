@@ -178,8 +178,53 @@ def random_bipartite(rnd, n, density):
     return make_digraph(n, arcs)
 
 
+def decode_pairs(layout, index):
+    """(imask, omask) over vertex ids for each row of one chunk's plan index.
+
+    A table's index for row u is u*2S + gate*S + mask: mask is the pair's O
+    bits on the table's half (in side) or its I bits (out side), and gate
+    says u is in I (in side) or in O and not the anchor (out side). Checks
+    that the four tables agree on the pair.
+    """
+    nb = len(layout.blue)
+    halves = [(0, nb // 2), (nb // 2, nb)]
+    bits = {"in": 0, "out": 0}
+    gates = {}
+    for (side, (start, stop)), idx in zip([(s, h) for s in ("in", "out") for h in halves], index):
+        size = 1 << (stop - start)
+        rest = idx.astype(np.int64) - np.arange(nb) * 2 * size
+        gate, mask = rest // size, rest % size
+        assert ((gate == 0) | (gate == 1)).all() and (mask == mask[:, :1]).all()
+        bits[side] = bits[side] | mask[:, 0] << start
+        assert np.array_equal(gates.setdefault(side, gate), gate)
+    osel = (bits["in"][:, None] >> np.arange(nb)) & 1
+    isel = (bits["out"][:, None] >> np.arange(nb)) & 1
+    assert np.array_equal(gates["in"], isel)
+    out_gate = osel.copy()
+    out_gate[:, 0] = 0  # the anchor's exiting role is suppressed
+    assert np.array_equal(gates["out"], out_gate)
+    ids = 1 << np.array(layout.blue, dtype=np.int64)
+    return list(zip((isel @ ids).tolist(), (osel @ ids).tolist()))
+
+
+def gathered_chunks(monkeypatch, g, layout, w):
+    """One sieve pass: its (total, pairs) and, per chunk, (pairs, gathered matrices)."""
+    chunks = []
+    real = hamdetect._BatchedSieve.matrices
+
+    def record(self, index, out):
+        mats = real(self, index, out)
+        chunks.append((decode_pairs(layout, index), mats.copy()))
+        return mats
+
+    monkeypatch.setattr(hamdetect._BatchedSieve, "matrices", record)
+    result = sieve_membership_pairs(g, layout, w)
+    monkeypatch.setattr(hamdetect._BatchedSieve, "matrices", real)
+    return result, chunks
+
+
 class TestFoldedMatrix:
-    def test_pair_determinants_match_port_matrix(self):
+    def test_pair_determinants_match_port_matrix(self, monkeypatch):
         # every |blue| x |blue| determinant of a trial against det of its n x n port matrix
         rnd = random.Random(79)
         graphs = [make_digraph(2, [(0, 1), (1, 0)])]
@@ -196,16 +241,15 @@ class TestFoldedMatrix:
                 w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
                 if sparse:  # zero most weights, so din = 0 and dout = 0 turn up
                     w.values[np.random.default_rng(rnd.randrange(1 << 30)).random(w.values.shape) < 0.7] = 0
-                isel, osel = hamdetect._membership_chunk(nb, 0, 2 * 3 ** (nb - 1))
-                mats = hamdetect._BatchedSieve(g, layout, w).matrices(isel, osel)
-                assert mats.shape == (len(isel), nb, nb)
-                dets = batched_gf_det(field, mats.copy())
-                for row in range(len(isel)):
-                    imask = sum(1 << v for i, v in enumerate(layout.blue) if isel[row, i])
-                    omask = sum(1 << v for i, v in enumerate(layout.blue) if osel[row, i])
+                _, chunks = gathered_chunks(monkeypatch, g, layout, w)
+                assert len(chunks) == 1  # |blue| <= 9 is one chunk
+                pairs, mats = chunks[0]
+                assert mats.shape == (2 * 3 ** (nb - 1), nb, nb)
+                dets = batched_gf_det(field, mats)
+                for (imask, omask), mat, got in zip(pairs, mats, dets):
                     port = build_port_matrix(g, layout, w, imask, omask)
                     want = det_gauss(port)
-                    assert det_gauss(square(sf, mats[row].tolist())) == int(dets[row]) == want
+                    assert det_gauss(square(sf, mat.tolist())) == int(got) == want
                     for yi in range(len(layout.yellow)):
                         yrow = port.entries[nb + yi]
                         if yrow[npool + yi] == 0:
@@ -241,8 +285,9 @@ class TestSubsetTables:
                 assert np.array_equal(table[mask], want)
 
     def test_pair_matrices_match_folded_port_matrix(self, monkeypatch):
-        # every chunk's matrices against the port matrix with its yellow rows folded,
-        # with |blue| = 1, 5, 7 (unequal table halves) and chunks starting mid-range
+        # every chunk's gathered matrices against the port matrix with its yellow
+        # rows folded, with |blue| = 1, 2, 5, 7 (unequal table halves) and chunks
+        # of 2, 6 and 54 pairs (many per trial, nonzero offsets) or one per trial
         rnd = random.Random(82)
         cases = [(make_digraph(1, []), PortLayout(blue=(0,), yellow=()))]
         g2 = make_digraph(2, [(0, 1), (1, 0)])
@@ -250,22 +295,11 @@ class TestSubsetTables:
         cases.append((g2, PortLayout(blue=(0, 1), yellow=())))
         cases += [random_with_yellow(rnd, n, ny, rnd.uniform(0.3, 0.8))
                   for n, ny in [(8, 3), (10, 5), (10, 3), (12, 5), (9, 2)]]
-        chunks = []
-        real = hamdetect._BatchedSieve.matrices
-
-        def record(self, isel, osel):
-            mats = real(self, isel, osel)
-            chunks.append((isel.copy(), osel.copy(), mats.copy()))
-            return mats
-
-        monkeypatch.setattr(hamdetect._BatchedSieve, "matrices", record)
-        monkeypatch.setattr(hamdetect, "STATE_CHUNK", 97)
         seen = set()
         for g, layout in cases:
             nb = len(layout.blue)
             seen.add(nb)
             field = make_binary_field(FIELD_BITS)
-            sf = ScalarBinaryField(field)
             for fill in ("arcs", "sparse", "everywhere"):
                 w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
                 rng = np.random.default_rng(rnd.randrange(1 << 30))
@@ -273,23 +307,40 @@ class TestSubsetTables:
                     w.values[rng.random(w.values.shape) < 0.7] = 0
                 if fill == "everywhere":  # weights off the arcs must be ignored
                     w.values[...] = rng.integers(0, field.q, size=w.values.shape)
-                chunks.clear()
-                total, npairs = sieve_membership_pairs(g, layout, w)
-                assert (total, npairs) == scalar_pair_sum(g, layout, w)
-                assert [len(c[0]) for c in chunks] == [min(97, npairs - a) for a in range(0, npairs, 97)]
-                isel_all, osel_all = hamdetect._membership_chunk(nb, 0, npairs)
-                start = 0
-                for isel, osel, mats in chunks:
-                    assert np.array_equal(isel, isel_all[start : start + len(isel)])
-                    assert np.array_equal(osel, osel_all[start : start + len(isel)])
-                    assert mats.shape == (len(isel), nb, nb) and mats.dtype == np.int32
-                    for row in range(len(isel)):
-                        imask = sum(1 << v for i, v in enumerate(layout.blue) if isel[row, i])
-                        omask = sum(1 << v for i, v in enumerate(layout.blue) if osel[row, i])
-                        port = build_port_matrix(g, layout, w, imask, omask)
-                        assert mats[row].tolist() == fold_port_matrix(layout, port)
-                    start += len(isel)
-        assert {1, 5, 7} <= seen
+                folded, total = {}, 0
+                for pair in iter_membership_pairs(layout):
+                    port = build_port_matrix(g, layout, w, *pair)
+                    total ^= det_gauss(port)
+                    folded[pair] = fold_port_matrix(layout, port)
+                for chunk in (2, 7, 97, hamdetect.STATE_CHUNK):
+                    monkeypatch.setattr(hamdetect, "STATE_CHUNK", chunk)
+                    result, chunks = gathered_chunks(monkeypatch, g, layout, w)
+                    assert result == (total, len(folded))
+                    size = 2 * 3 ** max([0] + [a for a in range(nb) if 2 * 3**a <= chunk])
+                    assert [len(pairs) for pairs, _ in chunks] == [size] * (len(folded) // size)
+                    visited = [pair for pairs, _ in chunks for pair in pairs]
+                    assert sorted(visited) == sorted(folded)
+                    for pairs, mats in chunks:
+                        assert mats.shape == (size, nb, nb) and mats.dtype == np.int32
+                        for pair, mat in zip(pairs, mats):
+                            assert mat.tolist() == folded[pair]
+        assert {1, 2, 5, 7} <= seen
+
+    def test_plan_chunks_cover_every_pair_once(self):
+        # the decoded pairs of all chunks are the 2 * 3^(|blue| - 1) membership
+        # pairs, each once, for chunk limits below, at and above a power of 3
+        for nb in range(1, 9):
+            layout = PortLayout(blue=tuple(range(nb)), yellow=())
+            everything = sorted(iter_membership_pairs(layout))
+            for chunk in (1, 2, 6, 7, 97, 4374, hamdetect.STATE_CHUNK):
+                plan = hamdetect._pair_plan(nb, chunk)
+                base, offset = plan[0]
+                a = max([0] + [a for a in range(nb) if 2 * 3**a <= chunk])
+                assert base.shape == (2 * 3**a, nb) and offset.shape == (3 ** (nb - 1 - a), nb)
+                pairs = [pair for h in range(len(offset))
+                         for pair in decode_pairs(layout, [b + o[h] for b, o in plan])]
+                assert sorted(pairs) == everything, (nb, chunk)
+                assert all(not b.flags.writeable and not o.flags.writeable for b, o in plan)
 
 
 class TestBatchedDet:

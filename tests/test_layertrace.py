@@ -205,6 +205,31 @@ def test_detector_kernel_sees_every_pair_matrix(monkeypatch):
     assert np.count_nonzero(dets == 0) > 0.7 * len(dets)
 
 
+def test_detector_counters_hold_over_many_chunks(monkeypatch):
+    # the benchmark's gf-matrices and gf-trials checks when one trial runs many
+    # chunks: at STATE_CHUNK = 7 each chunk holds 2 * 3 pairs, so the 2 * 3^4
+    # pairs of |blue| = 5 take 27 chunks, one per prefix of high digits, and
+    # each of the plan's four tables gives them nonzero per-row offsets
+    arcs = [(0, 5), (1, 2), (1, 6), (2, 7), (3, 2), (3, 6), (3, 8), (4, 5), (4, 9), (5, 0),
+            (5, 2), (5, 8), (6, 1), (6, 3), (6, 5), (7, 0), (7, 4), (8, 9), (9, 0), (9, 6)]
+    g = make_digraph(10, arcs)
+    monkeypatch.setattr(hamdetect, "STATE_CHUNK", 7)
+    offsets = [offset for _, offset in hamdetect._pair_plan(5, 7)]
+    assert all(len(o) == 27 and o.any() for o in offsets)
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        rep = detect_hamiltonian_cycle(g, trials=3, seed=1)
+    finally:
+        tracer.uninstall()
+    assert not rep.verdict and rep.trials_run == 3
+    assert rep.detail["pairs_per_trial"] == 2 * 3**4
+    assert tracer.counters["hamdetect.gf_matrices"] == 3 * 2 * 3**4
+    assert tracer.counters["hamdetect.trials"] == 3
+    assert tracer.spans["hamdetect.sieve_membership_pairs"][2] == 3
+    assert tracer.spans["hamdetect.batched_gf_det"][2] == 3 * 27
+
+
 def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
     # the benchmark's modp-matrices check on a NO whose budget ends mid-chunk:
     # 100 = 1+4+16+64+15 trials, five chunks, each prime once per chunk
