@@ -48,6 +48,8 @@ INTERNAL_CHUNK = 34
 # Bytes of the largest gather in _InternalSieveEngine._mul, det_batch's first
 # rank-1 update, that detect_k_internal allows (see _internal_gather_bytes)
 INTERNAL_GATHER_LIMIT = 1 << 28
+# Entries of _InternalSieveEngine._mul's exp gather that one take call writes
+INTERNAL_EXP_BLOCK = 1 << 15
 # batched_modp_det sums two int64 products of residues below p in magnitude
 # (centred ones, |r| <= p * (1/2 + 2^-20)), so p must stay below 2^31
 MODP_WORD_LIMIT = 1 << 31
@@ -144,8 +146,9 @@ class _InternalSieveEngine:
     The rare draws that do (det_batch) swap in a later column with a unit,
     and a trailing block with no unit at all has determinant 0 past k rows
     (M^(k+1) = 0) and goes to the division-free Berkowitz recurrence up to
-    k rows. All per-entry ring products across the trial batch are fused
-    into single gather/table-lookup/reduceat passes.
+    k rows. Each batch of ring products is one pass (see _mul): log-table
+    lookups of the operands' 2^k slots, a take of the 3^k pairs' logs, an
+    exp-table take of their sums and one reduceat per output slot.
     """
 
     def __init__(self, g: Digraph, root: int, k: int, field: BinaryField):
@@ -158,10 +161,59 @@ class _InternalSieveEngine:
         self.pos = {u: i for i, u in enumerate(self.verts)}
         self.arcs = sorted(g.arcs)
         self.ia, self.ib, self.offsets = _pair_plan(k)
+        # build_matrices' plan: arc u->v adds its weight at (v, v), and at
+        # (u, v) unless u is the root. Row i of in_table lists the arcs into
+        # verts[i], padded with m, a zero weight row; an off-diagonal entry
+        # takes one arc's weight (the graph has no parallel arcs).
+        nn = len(self.verts)
+        into = [[] for _ in range(nn)]
+        off_entries = []
+        off_arcs = []
+        for ai, (u, v) in enumerate(self.arcs):
+            if v != root:
+                into[self.pos[v]].append(ai)
+                if u != root:
+                    off_entries.append(self.pos[u] * nn + self.pos[v])
+                    off_arcs.append(ai)
+        depth = max(map(len, into), default=0)
+        self.in_table = np.array(
+            [arcs + [g.m] * (depth - len(arcs)) for arcs in into], dtype=np.int64
+        ).reshape(nn, depth)
+        self.off_entries = np.array(off_entries, dtype=np.int64)
+        self.off_arcs = np.array(off_arcs, dtype=np.int64)
+        self.tails = np.array([u for u, _ in self.arcs], dtype=np.int64)
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = self.f.nmul(a[..., self.ia], b[..., self.ib])
-        return np.bitwise_xor.reduceat(prod, self.offsets, axis=-1)
+        """Ring products of broadcast [..., len] stacks, gathered in the log domain.
+
+        Each operand's 2^k slots are looked up in the log table first, so
+        the 3^k-pair gathers take logs, and their sum indexes the exp table
+        (the zero sentinel of BinaryField makes any pair with a zero factor
+        land in its zero tail). The exp gather writes over the log sums a
+        block of INTERNAL_EXP_BLOCK entries at a time: take copies each
+        block's int32 indices to intp, so no temporary outgrows the int32
+        pair gather. Log sums stay below the exp table's length, so the
+        clip mode never clips; it only spares take a buffered out.
+        """
+        log = self.f.np_log
+        sums = log.take(a).take(self.ia, axis=-1) + log.take(b).take(self.ib, axis=-1)
+        flat = sums.reshape(-1)
+        for lo in range(0, flat.size, INTERNAL_EXP_BLOCK):
+            block = flat[lo : lo + INTERNAL_EXP_BLOCK]
+            self.f.np_exp.take(block, out=block, mode="clip")
+        return np.bitwise_xor.reduceat(sums, self.offsets, axis=-1)
+
+    def _product(self, factors: np.ndarray) -> np.ndarray:
+        """Ring product over axis 0 of a [s, ..., len] stack, s >= 1, multiplied pairwise up a tree.
+
+        R is commutative and its arithmetic exact, so the tree gives the
+        same product as a left-to-right scan, in about log2(s) _mul calls.
+        """
+        while factors.shape[0] > 1:
+            half = factors.shape[0] // 2
+            prod = self._mul(factors[:half], factors[half : 2 * half])
+            factors = np.concatenate([prod, factors[2 * half :]]) if factors.shape[0] % 2 else prod
+        return factors[0]
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """u^-1 for units u (slot 0 nonzero), [..., len].
@@ -184,77 +236,84 @@ class _InternalSieveEngine:
         sibling arcs from collapsing pairwise in characteristic 2: a vertex
         with c children contributes 1 + (sum of c independent scalars)*marker,
         nonzero for any c >= 1, where a bare (1 + marker)^c would vanish for
-        even c.
+        even c. The weights are stacked arc-major with one zero row after
+        them. One gather through the engine's in_table and one xor
+        reduction give the diagonal, and one gather and one scatter the
+        off-diagonal entries. The diagonal's gather holds nn times the
+        largest in-degree weights, no more than the stack's nn^2 entries
+        plus one row per vertex.
         """
         nb, m = zeta.shape
         single = 1 << np.arange(self.k, dtype=np.int64)
-        tails = np.array([u for u, _ in self.arcs], dtype=np.int64)
-        marked = (gvec[:, tails, None] & single) != 0
-        weights = np.zeros((nb, m, self.len), dtype=np.int32)
-        weights[:, :, 0] = zeta
-        weights[:, :, single] = np.where(marked, self.f.nmul(zeta, rmul)[:, :, None], 0)
+        marked = (gvec.T[self.tails, :, None] & single) != 0
+        weights = np.zeros((m + 1, nb, self.len), dtype=np.int32)
+        weights[:m, :, 0] = zeta.T
+        weights[:m, :, single] = np.where(marked, self.f.nmul(zeta, rmul).T[:, :, None], 0)
         nn = len(self.verts)
-        mats = np.zeros((nn, nn, nb, self.len), dtype=np.int32)
-        for ai, (u, v) in enumerate(self.arcs):
-            if v != self.root:
-                iv = self.pos[v]
-                mats[iv, iv] ^= weights[:, ai]
-                if u != self.root:
-                    mats[self.pos[u], iv] ^= weights[:, ai]
-        return mats
+        mats = np.zeros((nn * nn, nb, self.len), dtype=np.int32)
+        mats[:: nn + 1] = np.bitwise_xor.reduce(weights[self.in_table], axis=1)
+        mats[self.off_entries] = weights[self.off_arcs]
+        return mats.reshape(nn, nn, nb, self.len)
 
     def det_batch(self, mats: np.ndarray) -> np.ndarray:
         """Determinants [B, len] of a [nn, nn, B, len] stack, by unit-pivot elimination.
 
         At column j the pivot is the first row at or below j whose slot 0 is
         nonzero, a unit of R; rows swap only in the matrices whose pivot
-        moved. A matrix whose column j has no unit at or below the diagonal
-        first swaps in the first later column with a unit in rows j and
-        below. Characteristic 2 makes both swaps sign-free. The determinant
-        takes the pivot as a factor, and one rank-1 update with the pivot's
-        inverse clears the column below it. The last pivot is multiplied in
-        and never inverted, so it may be a non-unit. A matrix whose whole
-        trailing s x s block at column j < nn - 1 holds no unit has every
-        entry of that block in M, so its determinant is 0 for s > k (it lies
-        in M^s, and M^(k+1) = 0) and otherwise the pivots so far times
-        _det_berkowitz of the block. Such a matrix rides along to the end of
-        the loop, where that value overwrites its row. mats is left unchanged.
+        moved. When every live matrix already has a unit on the diagonal, as
+        in most columns of most draws, that search and the swap bookkeeping
+        are skipped. A matrix whose column j has no unit at or below the
+        diagonal first swaps in the first later column with a unit in rows j
+        and below. Characteristic 2 makes both swaps sign-free. The pivot is
+        kept as a factor of the determinant, and one rank-1 update with its
+        inverse clears the column below it. The last pivot is never
+        inverted, so it may be a non-unit. The determinant is the product of
+        the nn pivots, taken once at the end by _product. A matrix whose
+        whole trailing s x s block at column j < nn - 1 holds no unit has
+        every entry of that block in M, so its determinant is 0 for s > k
+        (it lies in M^s, and M^(k+1) = 0) and otherwise the product of its j
+        pivots so far and _det_berkowitz of the block, which it takes at
+        once. Such a matrix rides along to the end of the loop, where that
+        value overwrites its row. mats is left unchanged.
         """
         nn, _, nb, _ = mats.shape
         a = mats.copy()
-        det = np.zeros((nb, self.len), dtype=np.int32)
-        det[:, 0] = 1
+        pivots = np.empty((nn, nb, self.len), dtype=np.int32)
         live = np.ones(nb, dtype=bool)
         settled = []  # (matrix indices, their determinants)
         for j in range(nn - 1):
-            unit = a[j:, j, :, 0] != 0
-            lack = np.flatnonzero(live & ~unit.any(axis=0))
-            if lack.size:
-                cols = (a[j:, j:, lack, 0] != 0).any(axis=0)
-                found = cols.any(axis=0)
-                swap = lack[found]
-                src = j + np.argmax(cols[:, found], axis=0)
-                colj = a[:, j, swap]
-                a[:, j, swap] = a[:, src, swap]
-                a[:, src, swap] = colj
-                unit[:, swap] = a[j:, j, swap, 0] != 0
-                stuck = lack[~found]
-                if stuck.size:
-                    live[stuck] = False
-                    if nn - j > self.k:
-                        settled.append((stuck, 0))
-                    else:
-                        settled.append((stuck, self._mul(det[stuck], self._det_berkowitz(a[j:, j:, stuck]))))
-            pidx = j + np.argmax(unit, axis=0)
-            moved = np.flatnonzero(pidx != j)
-            src = pidx[moved]
-            rowj = a[j, j:, moved]
-            a[j, j:, moved] = a[src, j:, moved]
-            a[src, j:, moved] = rowj
-            det = self._mul(det, a[j, j])
+            if (live & (a[j, j, :, 0] == 0)).any():
+                unit = a[j:, j, :, 0] != 0
+                lack = np.flatnonzero(live & ~unit.any(axis=0))
+                if lack.size:
+                    cols = (a[j:, j:, lack, 0] != 0).any(axis=0)
+                    found = cols.any(axis=0)
+                    swap = lack[found]
+                    src = j + np.argmax(cols[:, found], axis=0)
+                    colj = a[:, j, swap]
+                    a[:, j, swap] = a[:, src, swap]
+                    a[:, src, swap] = colj
+                    unit[:, swap] = a[j:, j, swap, 0] != 0
+                    stuck = lack[~found]
+                    if stuck.size:
+                        live[stuck] = False
+                        if nn - j > self.k:
+                            settled.append((stuck, 0))
+                        else:
+                            block = self._det_berkowitz(a[j:, j:, stuck])[None]
+                            value = self._product(np.concatenate([pivots[:j, stuck], block]))
+                            settled.append((stuck, value))
+                pidx = j + np.argmax(unit, axis=0)
+                moved = np.flatnonzero(pidx != j)
+                src = pidx[moved]
+                rowj = a[j, j:, moved]
+                a[j, j:, moved] = a[src, j:, moved]
+                a[src, j:, moved] = rowj
+            pivots[j] = a[j, j]
             fac = self._mul(a[j + 1 :, j], self._inverse(a[j, j])[None])
             a[j + 1 :, j + 1 :] ^= self._mul(fac[:, None], a[j, j + 1 :][None])
-        det = self._mul(det, a[nn - 1, nn - 1])
+        pivots[nn - 1] = a[nn - 1, nn - 1]
+        det = self._product(pivots)
         for stuck, value in settled:
             det[stuck] = value
         return det

@@ -3,17 +3,17 @@
 Each route here computes one determinant at a time over explicit ring
 elements, the slow and obvious way: labelled Laplacians with Gaussian,
 division-free and fraction-free determinants; the fields GF(p) and GF(2^m)
-and the rings Z, Z/p^k, the group algebra of (Z/2)^k and truncated
-polynomials; the port matrix of one membership pair; the k-internal marker
-determinant of one draw; the branching polynomial at one point; one k-leaf
-trial at one prime, interpolated point by point; the detectors' counter
-draw (splitmix64) one word at a time, with the k-internal draws and k-leaf
-coins it gives; random virtual-arc weights and the restricted Laplacian of
-one tail subset. It also holds the
-brute-force oracles that no command reaches: a permutation count of
-Hamiltonian paths, the largest internal-vertex and leaf counts, and the
-fewest distinct variables of a monomial. Tests import this module the way
-they import conftest.
+and the rings Z, Z/p^k, the group algebra of (Z/2)^k, the marker ring
+GF(2^m)[x_1..x_k]/(x_i^2) and truncated polynomials; the port matrix of
+one membership pair; the k-internal marker determinant of one draw; the
+branching polynomial at one point; one k-leaf trial at one prime,
+interpolated point by point; the detectors' counter draw (splitmix64) one
+word at a time, with the k-internal draws and k-leaf coins it gives; random
+virtual-arc weights and the restricted Laplacian of one tail subset. It
+also holds the brute-force oracles that no command reaches: a permutation
+count of Hamiltonian paths, the largest internal-vertex and leaf counts,
+and the fewest distinct variables of a monomial. Tests import this module
+the way they import conftest.
 """
 
 from __future__ import annotations
@@ -253,6 +253,43 @@ class GroupAlgebra:
                 for h, cb in enumerate(b):
                     if cb:
                         out[g ^ h] ^= fexp[flog[ca] + flog[cb]]
+        return tuple(out)
+
+    def is_zero(self, a):
+        return not any(a)
+
+
+class MarkerRing:
+    """GF(2^m)[x_1..x_k]/(x_i^2) one element at a time.
+
+    Elements are tuples of 2^k field values, slot T the coefficient of the
+    marker monomial x^T; the product is the disjoint-subset convolution
+    (overlapping subsets vanish by nilpotency). The field is a hamkit
+    BinaryField, used through its ScalarBinaryField.
+    """
+
+    def __init__(self, field, k: int):
+        self.field = ScalarBinaryField(field)
+        self.k = k
+        self.dim = 1 << k
+        self.zero = (0,) * self.dim
+        self.one = (1,) + self.zero[1:]
+
+    def add(self, a, b):
+        return tuple(x ^ y for x, y in zip(a, b))
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        out = [0] * self.dim
+        for t1, ca in enumerate(a):
+            if ca:
+                for t2, cb in enumerate(b):
+                    if cb and not t1 & t2:
+                        out[t1 | t2] ^= self.field.mul(ca, cb)
         return tuple(out)
 
     def is_zero(self, a):

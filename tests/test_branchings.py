@@ -34,12 +34,14 @@ from hamkit import oracle
 from reference import (
     INTEGERS,
     GroupAlgebra,
+    MarkerRing,
     MonomialListPolynomial,
     PrimeField,
     ScalarBinaryField,
     brute_min_distinct_vars,
     build_laplacian,
     det_bareiss,
+    det_division_free,
     det_gauss,
     dv_trial,
     internal_determinants,
@@ -80,24 +82,12 @@ class TestMarkerBasis:
         # multiplying in the marker basis with disjoint-subset convolution
         # agrees with the group-algebra product
         ga = GroupAlgebra(BinaryField(6), 3)
+        ring = MarkerRing(ga.field.field, 3)
         rnd = random.Random(82)
-        f = ga.field
-
-        def xmul(a, b):
-            out = [0] * ga.dim
-            for t1 in range(ga.dim):
-                if a[t1] == 0:
-                    continue
-                for t2 in range(ga.dim):
-                    if b[t2] == 0 or t1 & t2:
-                        continue
-                    out[t1 | t2] ^= f.mul(a[t1], b[t2])
-            return tuple(out)
-
         for _ in range(30):
-            xa = tuple(rnd.randrange(f.q) for _ in range(ga.dim))
-            xb = tuple(rnd.randrange(f.q) for _ in range(ga.dim))
-            lhs = xbasis_to_group(ga, xmul(xa, xb))
+            xa = tuple(rnd.randrange(ga.field.q) for _ in range(ga.dim))
+            xb = tuple(rnd.randrange(ga.field.q) for _ in range(ga.dim))
+            lhs = xbasis_to_group(ga, ring.mul(xa, xb))
             rhs = ga.mul(xbasis_to_group(ga, xa), xbasis_to_group(ga, xb))
             assert lhs == rhs
 
@@ -285,9 +275,11 @@ def berkowitz_draws(monkeypatch):
     return routed
 
 
-def _det_routes(engine, mats) -> list[set]:
-    """Per matrix of a det_batch stack, the routes its elimination takes: a subset of
-    {"swap", "zero", "berkowitz"}, replayed on slot 0 alone over the scalar field.
+def _det_routes(engine, mats) -> list[tuple[set, set]]:
+    """Per matrix of a det_batch stack, the routes its elimination takes, a subset of
+    {"swap", "zero", "berkowitz"}, and the columns whose pivot search it needs
+    (a non-unit on the diagonal while it is live), replayed on slot 0 alone
+    over the scalar field.
 
     Slot 0 of every ring sum, product and inverse is the field's, and an entry
     is a unit exactly when its slot 0 is nonzero, so slot 0 of det_batch's
@@ -300,7 +292,10 @@ def _det_routes(engine, mats) -> list[set]:
     for b in range(mats.shape[2]):
         a = [[int(mats[i, j, b, 0]) for j in range(nn)] for i in range(nn)]
         seen = set()
+        searched = set()
         for j in range(nn - 1):
+            if not a[j][j]:
+                searched.add(j)
             cols = [c for c in range(j, nn) if any(a[i][c] for i in range(j, nn))]
             if not cols:
                 seen.add("zero" if nn - j > engine.k else "berkowitz")
@@ -315,8 +310,51 @@ def _det_routes(engine, mats) -> list[set]:
             for i in range(j + 1, nn):
                 fac = f.mul(a[i][j], inv)
                 a[i] = [x ^ f.mul(fac, y) for x, y in zip(a[i], a[j])]
-        routes.append(seen)
+        routes.append((seen, searched))
     return routes
+
+
+def _route_pools(rnd: random.Random):
+    """(engine, draws) pools for mixed det_batch stacks, each draw an [nn, nn, len] matrix.
+
+    Per pool shape (nn, field degree m) and rank k: draws of the graphs
+    that force a route (SWAP_GRAPH, equal-zeta complete digraphs), and
+    random ring matrices whose slot 0 is a unit everywhere except in some
+    columns: none (plain), column nn-2 (a column swap), the last k+1 (a
+    trailing block with no unit past k rows, determinant 0) or the last k
+    (Berkowitz, or a non-unit last pivot at k = 1). GF(2^2) draws are
+    random throughout, slot 0 included.
+    """
+    nprng = np.random.default_rng(rnd.randrange(1 << 30))
+    shapes = (
+        (3, [(complete_digraph(4), True)]),
+        (4, [(SWAP_GRAPH, True), (random_digraph(rnd, 5, 0.6), False)]),
+        (5, [(complete_digraph(6), True)]),
+    )
+    for nn, graphs in shapes:
+        field = make_binary_field(binary_field_degree(nn + 1))
+        for k in (1, 2, 3):
+            g0 = graphs[0][0]
+            engine = branchings._InternalSieveEngine(g0, branchings._spanning_roots(g0)[-1], k, field)
+            draws = []
+            for g, equal_zeta in graphs:
+                root = branchings._spanning_roots(g)[-1]
+                zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
+                if equal_zeta:
+                    zeta[:] = zeta[:, :1]
+                mats = branchings._InternalSieveEngine(g, root, k, field).build_matrices(zeta, rmul, gvec)
+                draws.extend(mats[:, :, b] for b in range(3))
+            for zero_cols in ([], [nn - 2], range(max(0, nn - k - 1), nn), range(nn - k, nn)):
+                for _ in range(2):
+                    mat = nprng.integers(0, field.q, size=(nn, nn, engine.len), dtype=np.int32)
+                    mat[:, :, 0] = nprng.integers(1, field.q, size=(nn, nn))
+                    mat[:, list(zero_cols), 0] = 0
+                    draws.append(mat)
+            yield engine, draws
+    field = make_binary_field(2)
+    for k in (1, 2, 3):
+        engine = branchings._InternalSieveEngine(complete_digraph(5), 0, k, field)
+        yield engine, [nprng.integers(0, 4, size=(4, 4, engine.len), dtype=np.int32) for _ in range(12)]
 
 
 class TestInternalDeterminant:
@@ -335,7 +373,7 @@ class TestInternalDeterminant:
                 xdet = [xbasis_to_group(ga, det[a]) for a in range(engine.k + 1)]
                 for t in range(engine.len):
                     assert got[b, t] == xdet[t.bit_count()][t], (engine.g.arcs, engine.k, b, t)
-            for seen in _det_routes(engine, mats):
+            for seen, _ in _det_routes(engine, mats):
                 routes.update(seen or {"plain"})
         assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz")) >= 1, routes
         assert sum(berkowitz_draws) == routes["berkowitz"], (berkowitz_draws, routes)
@@ -347,7 +385,7 @@ class TestInternalDeterminant:
         routes = Counter()
         for engine, mats, want in _internal_determinant_cases(88):
             engine.det_batch(mats)  # counts the Berkowitz draws
-            for seen in _det_routes(engine, mats):
+            for seen, _ in _det_routes(engine, mats):
                 routes.update(seen or {"plain"})
             ga = GroupAlgebra(engine.f, engine.k)
             for det in want:
@@ -369,6 +407,110 @@ class TestInternalDeterminant:
             one = np.zeros_like(units)
             one[:, 0] = 1
             assert (engine._mul(units, engine._inverse(units)) == one).all(), k
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("m", [2, 6, 8, 16])
+    def test_mul_matches_scalar_convolution(self, m, block, monkeypatch):
+        # broadcast [r, 1, B, len] x [1, c, B, len] products against the
+        # disjoint-subset convolution, with zero slots (the log table's zero
+        # sentinel) and an all-zero operand; block 7 splits the exp gather
+        # into many blocks with a ragged last one
+        if block:
+            monkeypatch.setattr(branchings, "INTERNAL_EXP_BLOCK", block)
+        field = make_binary_field(m)
+        rng = np.random.default_rng(m)
+        for k in range(1, branchings.GROUP_RANK_LIMIT + 1):
+            ring = MarkerRing(field, k)
+            engine = branchings._InternalSieveEngine(complete_digraph(3), 0, k, field)
+            nb = 3 if k < 5 else 2
+            a = rng.integers(0, field.q, size=(2, 1, nb, ring.dim), dtype=np.int32)
+            b = rng.integers(0, field.q, size=(1, 3, nb, ring.dim), dtype=np.int32)
+            a *= rng.random(a.shape) < 0.7
+            b *= rng.random(b.shape) < 0.7
+            b[0, 1, 0] = 0
+            got = engine._mul(a, b)
+            assert got.shape == (2, 3, nb, ring.dim) and got.dtype == np.int32
+            for i in range(2):
+                for j in range(3):
+                    for t in range(nb):
+                        want = ring.mul(tuple(a[i, 0, t].tolist()), tuple(b[0, j, t].tolist()))
+                        assert tuple(got[i, j, t].tolist()) == want, (m, k, i, j, t)
+
+    def test_build_matrices_matches_per_arc_loop(self):
+        # the planned scatter against the loop it replaced: each arc u->v
+        # xors its weight into (v, v), and into (u, v) unless u is the root
+        rnd = random.Random(89)
+        graphs = [complete_digraph(5), SWAP_GRAPH, directed_cycle(4), out_star(5)]
+        graphs += [random_digraph(rnd, rnd.randint(2, 8), rnd.uniform(0.2, 0.9)) for _ in range(12)]
+        for g in graphs:
+            field = make_binary_field(binary_field_degree(g.n))
+            for k in (1, 3):
+                for root in range(g.n):
+                    engine = branchings._InternalSieveEngine(g, root, k, field)
+                    zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, 3, root, 0, 4)
+                    single = 1 << np.arange(k)
+                    want = np.zeros((g.n - 1, g.n - 1, 4, 1 << k), dtype=np.int32)
+                    for ai, (u, v) in enumerate(sorted(g.arcs)):
+                        if v == root:
+                            continue
+                        weight = np.zeros((4, 1 << k), dtype=np.int32)
+                        weight[:, 0] = zeta[:, ai]
+                        marked = (gvec[:, u, None] & single) != 0
+                        weight[:, single] = np.where(marked, field.nmul(zeta[:, ai], rmul[:, ai])[:, None], 0)
+                        want[engine.pos[v], engine.pos[v]] ^= weight
+                        if u != root:
+                            want[engine.pos[u], engine.pos[v]] ^= weight
+                    got = engine.build_matrices(zeta, rmul, gvec)
+                    assert got.dtype == np.int32 and np.array_equal(got, want), (sorted(g.arcs), root, k)
+
+    def test_mixed_route_stacks(self, berkowitz_draws, monkeypatch):
+        # plain, swap, zero and Berkowitz draws interleaved in one stack:
+        # every row equals that draw's det_batch alone and the reference
+        # determinant, and the stacks reach a column whose pivot search is
+        # skipped, the deferred pivot product and a settled matrix's own
+        # (nonempty) prefix product
+        products = []
+        product = branchings._InternalSieveEngine._product
+
+        def recording(engine, factors):
+            products.append(factors.shape[:2])
+            return product(engine, factors)
+
+        monkeypatch.setattr(branchings._InternalSieveEngine, "_product", recording)
+        rnd = random.Random(90)
+        routes = Counter()
+        skipped = 0
+        for engine, draws in _route_pools(rnd):
+            ring = MarkerRing(engine.f, engine.k)
+            nn = draws[0].shape[0]
+            alone = []
+            for draw in draws:
+                got = engine.det_batch(draw[:, :, None])[0]
+                rows = [[tuple(draw[i, j].tolist()) for j in range(nn)] for i in range(nn)]
+                assert tuple(got.tolist()) == det_division_free(square(ring, rows)), (engine.k, draw.tolist())
+                alone.append(got)
+            for nb in (1, 2, 16, 34):
+                order = [rnd.randrange(len(draws)) for _ in range(nb)]
+                mats = np.stack([draws[i] for i in order], axis=2)
+                products.clear()
+                calls = len(berkowitz_draws)
+                dets = engine.det_batch(mats)
+                for b, i in enumerate(order):
+                    assert np.array_equal(dets[b], alone[i]), (engine.k, nb, b)
+                replay = _det_routes(engine, mats)
+                for seen, _ in replay:
+                    routes.update(seen or {"plain"})
+                assert products[-1] == (nn, nb)  # every draw's pivots, once
+                # one prefix product per settled Berkowitz group, each taking
+                # the j pivots before its stuck column and the block's value
+                assert sorted(p[1] for p in products[:-1]) == sorted(berkowitz_draws[calls:])
+                assert all(p[0] < nn for p in products[:-1])
+                routes["prefix"] += sum(p[0] > 1 for p in products[:-1])
+                if any(seen for seen, _ in replay):
+                    searched = set().union(*(cols for _, cols in replay))
+                    skipped += len(set(range(nn - 1)) - searched)
+        assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz", "prefix")) >= 1, routes
+        assert skipped >= 1
 
 
 class TestBatchedPrimeDet:

@@ -567,7 +567,7 @@ class TestLazyLoading:
         # the retries.
         path = write_graph(tmp_path, directed_cycle(5))
         argv = [a.replace("{g}", path) for a in template] + ["--seed", "7"]
-        for _ in range(3):
+        for _ in range(5):
             runs = json.loads(run_fresh(FRESH_CLI, json.dumps([argv, argv])))
             first, second = (run[2] for run in runs)
             if first <= 3 * second:
