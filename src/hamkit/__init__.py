@@ -18,6 +18,14 @@ The package is organised around a weighted-Laplacian toolbox:
   tests on trial-batched mod-p determinants and interpolation.
 - oracle: small-instance brute-force reference implementations.
 
+Entry points take a run's settings as plain arguments and check them
+before any graph work: count_hc_mod(g, p, k=None, lam=0.01,
+mode="mitm"), crt_count(g, q, lam), count_exact(g),
+detect_hamiltonian_cycle(g, trials=None, seed=0), detect_k_internal(g, k,
+trials=100, seed=0), detect_k_leaf(g, k, budget=None, seed=0) and
+solve_nk_dv(P, k, budget=None, seed=0). The seed is the detectors' only
+source of randomness; the counters draw nothing.
+
 Each question has one determinant route. The counts are exact Python
 integer arithmetic, with one determinant kernel (±1-pivot elimination,
 then Bareiss): hamcount takes one determinant per subset (or listed MITM
@@ -26,11 +34,11 @@ terms vanish mod p^k), and count_out_branchings one bigint determinant of
 the punctured Laplacian. Only the detectors
 batch over numpy arrays: hamdetect, branchings, and the binary-field tables
 in algebra, which import numpy when the first field is built. So `import
-hamkit`, the counting commands and the oracles never load numpy; the six
+hamkit`, the counting commands and the oracles never load numpy; the four
 numpy-backed exports (detect_hamiltonian_cycle, detect_k_internal,
-detect_k_leaf, solve_nk_dv, InternalSieveConfig, DvConfig) load hamdetect
-or branchings on first access. The scalar routes the batches are tested
-against live with the tests, in tests/reference.py.
+detect_k_leaf, solve_nk_dv) load hamdetect or branchings on first access.
+The scalar routes the batches are tested against live with the tests, in
+tests/reference.py.
 """
 
 import importlib
@@ -44,12 +52,7 @@ from .graph import (
     parse_digraph,
     split_vertex,
 )
-from .hamcount import (
-    SieveParams,
-    count_exact,
-    count_hc_mod,
-    crt_count,
-)
+from .hamcount import count_exact, count_hc_mod, crt_count
 from .matrixtree import count_out_branchings
 from .report import DetectionReport
 
@@ -62,7 +65,6 @@ __all__ = [
     "find_independent_partition",
     "parse_digraph",
     "split_vertex",
-    "SieveParams",
     "count_hc_mod",
     "crt_count",
     "count_exact",
@@ -71,8 +73,6 @@ __all__ = [
     "detect_k_internal",
     "detect_k_leaf",
     "solve_nk_dv",
-    "InternalSieveConfig",
-    "DvConfig",
     "DetectionReport",
 ]
 
@@ -84,8 +84,6 @@ _LAZY = {
     "detect_k_internal": "branchings",
     "detect_k_leaf": "branchings",
     "solve_nk_dv": "branchings",
-    "InternalSieveConfig": "branchings",
-    "DvConfig": "branchings",
 }
 
 

@@ -129,16 +129,12 @@ class BinaryField:
 
     TABLE_LIMIT_M = 16
 
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int):
         if not (1 <= m <= self.TABLE_LIMIT_M):
             raise GuardError(f"binary field degree {m} outside supported 1..{self.TABLE_LIMIT_M}")
-        if poly is None:
-            poly = find_irreducible(m)
-        if poly.bit_length() - 1 != m or not gf2_is_irreducible(poly):
-            raise ValueError(f"{poly:#x} is not an irreducible polynomial of degree {m}")
         self.m = m
         self.q = 1 << m
-        self.poly = poly
+        self.poly = find_irreducible(m)
         self._build_tables()
 
     def _raw_mul(self, a: int, b: int) -> int:

@@ -26,7 +26,6 @@ explicit failure-probability bound in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Protocol
 
@@ -84,18 +83,6 @@ def _trial_chunks(total: int, cap: int):
 
 # ---------------------------------------------------------------------------
 # k-internal out-branchings
-
-
-@dataclass(frozen=True)
-class InternalSieveConfig:
-    """Knobs for detect_k_internal. Randomness depends only on (seed, root, trial)."""
-
-    trials: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
 
 
 @lru_cache(maxsize=None)
@@ -406,20 +393,22 @@ def internal_sieve_success_floor(n: int, k: int) -> float:
     return indep * max(0.0, 1.0 - 2.0 * n / q)
 
 
-def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None) -> DetectionReport:
+def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> DetectionReport:
     """One-sided test for a spanning out-branching with >= k internal vertices.
 
     Roots without any spanning out-branching are discarded (see
     _spanning_roots); k = 0 is answered exactly. Otherwise each surviving root
-    runs `cfg.trials` randomized determinant evaluations, in chunks of 1, 4,
+    runs `trials` randomized determinant evaluations, in chunks of 1, 4,
     16, ... up to INTERNAL_CHUNK trials, and stops after the chunk with its
     first hit; a nonzero verdict slot (the degree-k slice) certifies YES.
     Reports are identical for any chunking: per-root trial consumption
-    depends only on (seed, root, trial). Refuses k >
-    GROUP_RANK_LIMIT and a determinant gather bound past
-    INTERNAL_GATHER_LIMIT bytes (GuardError) before the roots are scanned.
+    depends only on (seed, root, trial). Refuses trials < 1 (ValueError)
+    before it reads the graph, then k > GROUP_RANK_LIMIT and a determinant
+    gather bound past INTERNAL_GATHER_LIMIT bytes (GuardError) before the
+    roots are scanned.
     """
-    cfg = cfg or InternalSieveConfig()
+    if trials < 1:
+        raise ValueError("need at least one trial")
     n = g.n
     if n < 1:
         raise ValueError("graph is empty")
@@ -435,12 +424,12 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     roots = _spanning_roots(g)
     if not roots:
         return DetectionReport(
-            verdict=False, trials_run=0, trials_max=0, seed=cfg.seed, failure_bound=0.0,
+            verdict=False, trials_run=0, trials_max=0, failure_bound=0.0,
             detail={"reason": "no spanning out-branching from any root"},
         )
     if k == 0:
         return DetectionReport(
-            verdict=True, trials_run=0, trials_max=0, seed=cfg.seed, failure_bound=0.0,
+            verdict=True, trials_run=0, trials_max=0, failure_bound=0.0,
             detail={"reason": "spanning out-branchings exist and k = 0", "roots": roots},
         )
     field = make_binary_field(binary_field_degree(n))
@@ -448,8 +437,8 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     def run_root(root: int) -> tuple[int, bool]:
         engine = _InternalSieveEngine(g, root, k, field)
         done = 0
-        for b in _trial_chunks(cfg.trials, INTERNAL_CHUNK):
-            hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, cfg.seed, root, done, b))
+        for b in _trial_chunks(trials, INTERNAL_CHUNK):
+            hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, seed, root, done, b))
             if hits.any():
                 return done + int(np.argmax(hits)) + 1, True
             done += b
@@ -461,9 +450,8 @@ def detect_k_internal(g: Digraph, k: int, cfg: InternalSieveConfig | None = None
     return DetectionReport(
         verdict=hit,
         trials_run=sum(done for done, _ in results.values()),
-        trials_max=cfg.trials * len(roots),
-        seed=cfg.seed,
-        failure_bound=0.0 if hit else (1.0 - floor) ** cfg.trials,
+        trials_max=trials * len(roots),
+        failure_bound=0.0 if hit else (1.0 - floor) ** trials,
         detail={
             "engine": "batched",
             "roots": list(results),
@@ -738,18 +726,6 @@ class BranchingLeafPolynomial:
         return mats.transpose(2, 0, 1)
 
 
-@dataclass(frozen=True)
-class DvConfig:
-    """Knobs for the few-distinct-variables solver; budget defaults to 4^k trials."""
-
-    budget: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be positive")
-
-
 def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:
     """Fair-coin routings of trials start..start+count-1, [count, n] bool (True: probe side).
 
@@ -760,7 +736,9 @@ def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:
     return (words >> np.uint64(63)).astype(bool)
 
 
-def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> DetectionReport:
+def solve_nk_dv(
+    P: PolynomialEvaluator, k: int, budget: int | None = None, seed: int = 0
+) -> DetectionReport:
     """Does P (homogeneous degree n, nonnegative coefficients) have a
     monomial with at most n-k distinct variables?
 
@@ -772,7 +750,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     monomial (YES is certain because nonnegative coefficients cannot
     cancel). A qualifying monomial lands outside the band with probability
     >= 2^-k * 2^-k = 4^-k per trial, so NO answers carry the bound
-    (1 - 4^-k)^budget.
+    (1 - 4^-k)^budget; budget defaults to 4^k trials.
 
     Trials run in chunks of 1, 4, 16, ... up to LEAF_CHUNK (fewer when a
     chunk's assignments would pass LEAF_STACK_LIMIT bytes; see
@@ -786,12 +764,14 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     one-prime-at-a-time scan. The detail's evaluations counts the points P
     was evaluated at: every row passed to evaluate_batch.
     """
-    cfg = cfg or DvConfig()
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be positive")
     n = P.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    budget = cfg.budget if cfg.budget is not None else 4**k
-    prime_rng = make_rng("dv-primes", cfg.seed)
+    if budget is None:
+        budget = 4**k
+    prime_rng = make_rng("dv-primes", seed)
     p1 = random_prime_31(prime_rng)
     p2 = random_prime_31(prime_rng)
     while p2 == p1:
@@ -805,7 +785,7 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     trials_run = 0
     evaluations = 0
     for count in _trial_chunks(budget, min(LEAF_CHUNK, chunk_cap)):
-        bits = _draw_dv_chunk(cfg.seed, trials_run, count, n)
+        bits = _draw_dv_chunk(seed, trials_run, count, n)
         ys = np.where(bits[:, None, :], taus[None, :, None], 1).reshape(count * npts, n)
         # coefficient j of P(routed) sits at index j + (count of False) of the image
         index = taus[None, :] + (n - bits.sum(axis=1))[:, None]
@@ -836,7 +816,6 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
         verdict=hit_detail is not None,
         trials_run=trials_run,
         trials_max=budget,
-        seed=cfg.seed,
         failure_bound=0.0 if hit_detail else (1.0 - 4.0**-k) ** budget,
         detail={
             "primes": [p1, p2],
@@ -846,35 +825,39 @@ def solve_nk_dv(P: PolynomialEvaluator, k: int, cfg: DvConfig | None = None) -> 
     )
 
 
-def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionReport:
+def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) -> DetectionReport:
     """One-sided test for a spanning out-branching with >= k leaves.
 
     Wraps each viable root's branching polynomial (n-distinct-variable count
     = internal count, so >= k leaves means <= n-k distinct variables) and
     asks solve_nk_dv, one root after another until the first YES. YES
     answers are certain; the NO bound is inherited from the per-root solver.
-    Refuses a per-root budget above LEAF_BUDGET_LIMIT (GuardError) before
-    the roots are scanned.
+    The per-root budget defaults to 4^k. Refuses a budget below 1
+    (ValueError) before it reads the graph, and one above LEAF_BUDGET_LIMIT
+    (GuardError) before the roots are scanned.
     """
-    cfg = cfg or DvConfig()
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be positive")
     n = g.n
     if n < 2:
         raise ValueError("need at least two vertices")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    budget = cfg.budget if cfg.budget is not None else 4**k
+    if budget is None:
+        budget = 4**k
     if budget > LEAF_BUDGET_LIMIT:
         raise GuardError(f"k-leaf trial budget {budget} is past the 4^6 = {LEAF_BUDGET_LIMIT} guard")
     roots = _spanning_roots(g)
     if not roots:
         return DetectionReport(
-            verdict=False, trials_run=0, trials_max=0, seed=cfg.seed, failure_bound=0.0,
+            verdict=False, trials_run=0, trials_max=0, failure_bound=0.0,
             detail={"reason": "no spanning out-branching from any root"},
         )
 
     def run_root(root: int) -> DetectionReport:
-        sub = replace(cfg, seed=derive_seed("leaf-root", cfg.seed, root))
-        return solve_nk_dv(BranchingLeafPolynomial(g, root), k, sub)
+        return solve_nk_dv(
+            BranchingLeafPolynomial(g, root), k, budget, derive_seed("leaf-root", seed, root)
+        )
 
     results = _scan_roots(roots, run_root, lambda rep: rep.verdict)
     hit = any(rep.verdict for rep in results.values())
@@ -882,7 +865,6 @@ def detect_k_leaf(g: Digraph, k: int, cfg: DvConfig | None = None) -> DetectionR
         verdict=hit,
         trials_run=sum(rep.trials_run for rep in results.values()),
         trials_max=sum(rep.trials_max for rep in results.values()),
-        seed=cfg.seed,
         failure_bound=0.0 if hit else max(rep.failure_bound for rep in results.values()),
         detail={
             "roots": list(results),

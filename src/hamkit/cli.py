@@ -55,8 +55,7 @@ def _cmd_count_branchings(args, g: Digraph, seed: int) -> tuple[dict, str]:
 
 
 def _cmd_count_mod(args, g: Digraph, seed: int) -> tuple[dict, str]:
-    params = hamcount.SieveParams(p=args.p, k=args.k, lam=args.lam, mode=args.mode, seed=seed)
-    residue, diag = hamcount.count_hc_mod(g, params)
+    residue, diag = hamcount.count_hc_mod(g, args.p, args.k, args.lam, args.mode)
     payload = {
         "answer": residue.value,
         "modulus": residue.modulus,
@@ -95,7 +94,7 @@ def _cmd_detect_hc(args, g: Digraph, seed: int) -> tuple[dict, str]:
 def _cmd_detect_k_internal(args, g: Digraph, seed: int) -> tuple[dict, str]:
     from . import branchings as br
 
-    rep = br.detect_k_internal(g, args.k, br.InternalSieveConfig(trials=args.trials, seed=seed))
+    rep = br.detect_k_internal(g, args.k, trials=args.trials, seed=seed)
     human = f"out-branching with >= {args.k} internal vertices: {'yes' if rep.verdict else 'no'}"
     return {**_verdict_fields(rep), "k": args.k}, human
 
@@ -103,8 +102,7 @@ def _cmd_detect_k_internal(args, g: Digraph, seed: int) -> tuple[dict, str]:
 def _cmd_detect_k_leaf(args, g: Digraph, seed: int) -> tuple[dict, str]:
     from . import branchings as br
 
-    cfg = br.DvConfig(budget=args.budget, seed=seed)
-    rep = br.detect_k_leaf(g, args.k, cfg)
+    rep = br.detect_k_leaf(g, args.k, budget=args.budget, seed=seed)
     human = f"out-branching with >= {args.k} leaves: {'yes' if rep.verdict else 'no'}"
     return {**_verdict_fields(rep), "k": args.k}, human
 

@@ -65,37 +65,6 @@ def default_k(n: int, p: int, lam: float) -> int:
 
 
 @dataclass(frozen=True)
-class SieveParams:
-    """Parameters of one modular counting run.
-
-    The analysis behind the meet-in-the-middle speedup assumes 2 <= p < n,
-    but every mode stays exact for any prime p >= 2, which the CRT booster
-    relies on for primes past n. `seed` is accepted and not read: both modes
-    run on zero virtual-arc weights, so no run draws anything.
-    """
-
-    p: int
-    k: int | None = None
-    lam: float = DEFAULT_LAMBDA
-    mode: str = "mitm"
-    seed: int = 0
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if not (0.0 < self.lam < 1.0):
-            raise ValueError("lambda must lie in (0, 1)")
-        if self.mode not in ("naive", "mitm"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be at least 1")
-
-    def effective_k(self, n: int) -> int:
-        """The exponent actually used for an n-vertex input graph."""
-        return self.k if self.k is not None else default_k(n, self.p, self.lam)
-
-
-@dataclass(frozen=True)
 class MitmDiagnostics:
     pairs_listed: int
     pairs_naive: int
@@ -207,7 +176,7 @@ def _check_subset_guard(n0: int) -> None:
         raise GuardError(f"naive sieve guard: 2^{n0} subsets is past 2^{NAIVE_SUBSET_GUARD}")
 
 
-def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
+def naive_sieve_count(split: VertexSplit, p: int, k: int) -> ResidueElem:
     """Inclusion-exclusion over all tail subsets, summed over the integers, reduced mod p^k once.
 
     The virtual-arc weights are zero (the identity holds for any weights, and
@@ -217,11 +186,10 @@ def naive_sieve_count(split: VertexSplit, params: SieveParams) -> ResidueElem:
     """
     n0 = split.graph.n - 1
     _check_subset_guard(n0)
-    k = params.effective_k(n0)
-    modulus = params.p**k
+    modulus = p**k
     core = _SieveCore(split, modulus)
     total = sum(map(core.signed_contribution, range(1 << n0)))
-    return ResidueElem(value=total % modulus, p=params.p, k=k)
+    return ResidueElem(value=total % modulus, p=p, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +266,7 @@ def _mitm_fallback(n0: int, p: int) -> MitmDiagnostics | None:
     )
 
 
-def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem, MitmDiagnostics]:
+def mitm_count_mod(split: VertexSplit, p: int, k: int) -> tuple[ResidueElem, MitmDiagnostics]:
     """Same residue as the naive sieve (the exact count mod p^k), from the same determinants.
 
     V_t is cut by vertex id into a first third and the rest, and the half
@@ -319,11 +287,9 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem
     MITM_TABLE_GUARD entries (`_mitm_fallback`).
     """
     n0 = split.graph.n - 1
-    p = params.p
     diag = _mitm_fallback(n0, p)
     if diag is not None:
-        return naive_sieve_count(split, params), diag
-    k = params.effective_k(n0)
+        return naive_sieve_count(split, p, k), diag
     core = _SieveCore(split, p**k)
     cut = math.ceil(split.graph.n / 3)
     first, second = tuple(range(n0)[:cut]), tuple(range(n0)[cut:])
@@ -362,46 +328,59 @@ def mitm_count_mod(split: VertexSplit, params: SieveParams) -> tuple[ResidueElem
 # graph-level entry points
 
 
-def count_hc_mod(g: Digraph, params: SieveParams) -> tuple[ResidueElem, MitmDiagnostics | None]:
+def count_hc_mod(
+    g: Digraph,
+    p: int,
+    k: int | None = None,
+    lam: float = DEFAULT_LAMBDA,
+    mode: str = "mitm",
+) -> tuple[ResidueElem, MitmDiagnostics | None]:
     """Hamiltonian-cycle count of g modulo p^k, splitting at vertex 0.
 
-    Refuses p^k >= RESIDUE_MODULUS_LIMIT (GuardError) before any work; the
-    k test comes first so that p^k is never formed for a huge k. Mitm mode
-    decides its naive fallback from n and p, and the naive pass checks the
-    subset guard, before the split graph is built.
+    k defaults to default_k(n, p, lam), the one use of lam. The analysis
+    behind the meet-in-the-middle speedup assumes 2 <= p < n, but both modes
+    stay exact for any prime p, which crt_count relies on for primes past n.
+    Checks its arguments first (ValueError), then refuses p^k >=
+    RESIDUE_MODULUS_LIMIT (GuardError) before any work; the k test comes
+    first so that p^k is never formed for a huge k. Mitm mode decides its
+    naive fallback from n and p, and the naive pass checks the subset
+    guard, before the split graph is built.
     """
-    k = params.effective_k(g.n)
-    if k >= 62 or params.p**k >= RESIDUE_MODULUS_LIMIT:
-        raise GuardError(f"modulus {params.p}^{k} exceeds the 2^62 residue guard")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if not (0.0 < lam < 1.0):
+        raise ValueError("lambda must lie in (0, 1)")
+    if mode not in ("naive", "mitm"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if k is None:
+        k = default_k(g.n, p, lam)
+    elif k < 1:
+        raise ValueError("k must be at least 1")
+    if k >= 62 or p**k >= RESIDUE_MODULUS_LIMIT:
+        raise GuardError(f"modulus {p}^{k} exceeds the 2^62 residue guard")
     if g.n == 1:
-        return ResidueElem(value=0, p=params.p, k=k), None
+        return ResidueElem(value=0, p=p, k=k), None
     diag = None
-    if params.mode == "mitm":
-        diag = _mitm_fallback(g.n, params.p)
+    if mode == "mitm":
+        diag = _mitm_fallback(g.n, p)
         if diag is None:
-            return mitm_count_mod(split_vertex(g, 0), params)
+            return mitm_count_mod(split_vertex(g, 0), p, k)
     _check_subset_guard(g.n)
-    return naive_sieve_count(split_vertex(g, 0), params), diag
+    return naive_sieve_count(split_vertex(g, 0), p, k), diag
 
 
-def crt_count(
-    g: Digraph,
-    q: int,
-    lam: float = DEFAULT_LAMBDA,
-    seed: int = 0,
-) -> tuple[int, int]:
+def crt_count(g: Digraph, q: int, lam: float = DEFAULT_LAMBDA) -> tuple[int, int]:
     """Hamiltonian-cycle count mod M, M the product of p^{k_p} over primes p <= q.
 
     Per-prime exponents follow k_p = default_k(n, p, lam); each residue
-    comes from the meet-in-the-middle sieve. `seed` is accepted and not
-    read (see SieveParams).
+    comes from the meet-in-the-middle sieve.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     triples = []
     for p in primes_up_to(q):
         kp = default_k(g.n, p, lam)
-        residue, _ = count_hc_mod(g, SieveParams(p=p, k=kp, lam=lam, mode="mitm", seed=seed))
+        residue, _ = count_hc_mod(g, p, kp, lam)
         triples.append((residue.value, p, kp))
     return crt_combine(triples)
 
@@ -415,4 +394,4 @@ def count_exact(g: Digraph) -> int:
     """
     _check_subset_guard(g.n)
     bits = math.factorial(g.n - 1).bit_length()
-    return naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=bits)).value
+    return naive_sieve_count(split_vertex(g, 0), 2, bits).value

@@ -388,8 +388,8 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
         raise ValueError("need at least one trial")
     if n < 2:
         return DetectionReport(
-            verdict=False, trials_run=0, trials_max=0, seed=seed,
-            failure_bound=0.0, detail={"reason": "fewer than two vertices"},
+            verdict=False, trials_run=0, trials_max=0, failure_bound=0.0,
+            detail={"reason": "fewer than two vertices"},
         )
     if n > 2 * BLUE_LIMIT:
         raise GuardError(f"detect-hc guard: n={n} > {2 * BLUE_LIMIT}")
@@ -397,8 +397,7 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     tmax = trials if trials is not None else default_trial_count(n)
     if len(part.yellow) > n // 2:
         return DetectionReport(
-            verdict=False, trials_run=0, trials_max=tmax, seed=seed,
-            failure_bound=0.0,
+            verdict=False, trials_run=0, trials_max=tmax, failure_bound=0.0,
             detail={"reason": "independent set larger than half the graph",
                     "independent_set_size": len(part.yellow)},
         )
@@ -416,13 +415,12 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
         total, pairs = sieve_membership_pairs(g, layout, w)
         if total != 0:
             return DetectionReport(
-                verdict=True, trials_run=t + 1, trials_max=tmax, seed=seed,
-                failure_bound=0.0,
+                verdict=True, trials_run=t + 1, trials_max=tmax, failure_bound=0.0,
                 detail={"pairs_per_trial": pairs, "field_bits": field.m,
                         "witness_value": total, "engine": "batched"},
             )
     return DetectionReport(
-        verdict=False, trials_run=tmax, trials_max=tmax, seed=seed,
+        verdict=False, trials_run=tmax, trials_max=tmax,
         failure_bound=failure_bound(n, tmax),
         detail={"pairs_per_trial": pairs, "field_bits": field.m, "engine": "batched"},
     )

@@ -17,6 +17,5 @@ class DetectionReport:
     verdict: bool
     trials_run: int
     trials_max: int
-    seed: int
     failure_bound: float
     detail: dict = field(default_factory=dict)

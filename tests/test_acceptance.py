@@ -22,8 +22,6 @@ from conftest import out_star, random_digraph
 from hamkit import oracle
 from hamkit.algebra import crt_combine, make_binary_field, primes_up_to
 from hamkit.branchings import (
-    DvConfig,
-    InternalSieveConfig,
     detect_k_internal,
     detect_k_leaf,
     interpolate_univariate,
@@ -32,13 +30,7 @@ from hamkit.branchings import (
 )
 from hamkit.cli import main as cli_main
 from hamkit.graph import find_independent_partition, make_digraph, split_vertex
-from hamkit.hamcount import (
-    SieveParams,
-    count_exact,
-    count_hc_mod,
-    crt_count,
-    naive_sieve_count,
-)
+from hamkit.hamcount import count_exact, count_hc_mod, crt_count, naive_sieve_count
 from hamkit.hamdetect import (
     FIELD_BITS,
     PortLayout,
@@ -133,13 +125,12 @@ def sieve_corpus(max_n: int, seed: int):
 def test_criterion_2_path_sieve_identity():
     t0 = time.perf_counter()
     runs = 0
-    for i, (g, p, k) in enumerate(sieve_corpus(12, 1002)):
+    for g, p, k in sieve_corpus(12, 1002):
         split = split_vertex(g, 0)
         want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
-        for seed in (3 * i, 3 * i + 1, 3 * i + 2):
-            got = naive_sieve_count(split, SieveParams(p=p, k=k, seed=seed))
-            assert got.value == want % p**k, (g.arcs, p, k, seed)
-            runs += 1
+        got = naive_sieve_count(split, p, k)
+        assert got.value == want % p**k, (g.arcs, p, k)
+        runs += 1
     finish(2, "path sieve identity", t0, 120.0, f"{runs} sieve runs")
 
 
@@ -149,23 +140,21 @@ def test_criterion_3_mitm_equals_naive():
     # Held-Karp on the split graph, as in criterion 2
     t0 = time.perf_counter()
     runs = 0
-    for i, (g, p, k) in enumerate(sieve_corpus(14, 1002)):
+    for g, p, k in sieve_corpus(14, 1002):
         split = split_vertex(g, 0)
         want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
-        # the naive residue does not depend on the seed
-        a, _ = count_hc_mod(g, SieveParams(p=p, k=k, seed=3 * i, mode="naive"))
+        a, _ = count_hc_mod(g, p, k, mode="naive")
         assert a.value == want % p**k, (g.arcs, p, k)
-        for seed in (3 * i, 3 * i + 1, 3 * i + 2):
-            b, _ = count_hc_mod(g, SieveParams(p=p, k=k, seed=seed, mode="mitm"))
-            assert (a.value, a.p, a.k) == (b.value, b.p, b.k), (g.arcs, p, k, seed)
-            runs += 1
+        b, _ = count_hc_mod(g, p, k, mode="mitm")
+        assert (a.value, a.p, a.k) == (b.value, b.p, b.k), (g.arcs, p, k)
+        runs += 1
 
     # soft diagnostic: listed pairs should stay below the naive subset count
     rnd = random.Random(1003)
     listed = []
-    for seed in range(20):
+    for _ in range(20):
         g = random_digraph(rnd, 16, 0.75)
-        _, diag = count_hc_mod(g, SieveParams(p=2, k=2, seed=seed, mode="mitm"))
+        _, diag = count_hc_mod(g, 2, 2, mode="mitm")
         listed.append(diag.pairs_listed)
     med = statistics.median(listed)
     if med >= 2**15:
@@ -181,7 +170,7 @@ def test_criterion_4_crt_boosting():
         n = rnd.randint(3, 12)
         g = random_digraph(rnd, n, rnd.uniform(0.15, min(0.45, 4.0 / n)))
         hk = oracle.held_karp_count_hc(g)
-        value, modulus = crt_count(g, 5, seed=i)
+        value, modulus = crt_count(g, 5)
         assert value == hk % modulus, (g.arcs, i)
         assert count_exact(g) == hk, g.arcs
     finish(4, "crt boosting", t0, 120.0, "50 graphs, 50 crt + 50 exact runs")
@@ -276,13 +265,13 @@ def test_criterion_6_internal_vertex_detection():
         g = random_digraph(rnd, n, rnd.uniform(0.2, 0.7))
         k = min(1 + i % 4, n - 1)
         want = oracle.brute_k_internal(g, k)
-        rep = detect_k_internal(g, k, InternalSieveConfig(trials=100, seed=i))
+        rep = detect_k_internal(g, k, trials=100, seed=i)
         assert rep.verdict == want, (g.arcs, k, i)
 
     # constructed NO-instances: a star's only branching has one internal
     # vertex, so k=2 must stay NO across 500 trials
     for n in range(4, 9):
-        rep = detect_k_internal(out_star(n), 2, InternalSieveConfig(trials=500, seed=n))
+        rep = detect_k_internal(out_star(n), 2, trials=500, seed=n)
         assert not rep.verdict
         assert rep.trials_run == 500
     finish(6, "internal vertex detection", t0, 600.0, "100 matched verdicts + 5 star NO-instances")
@@ -306,7 +295,7 @@ def test_criterion_7_distinct_variables_and_leaves():
         P = MonomialListPolynomial(n, monos)
         k = 1 + i % n
         want = brute_min_distinct_vars(monos) <= n - k
-        rep = solve_nk_dv(P, k, DvConfig(budget=6000 if want else 60, seed=i))
+        rep = solve_nk_dv(P, k, budget=6000 if want else 60, seed=i)
         assert rep.verdict == want, (monos, k, i)
 
     leaf_runs = 0
@@ -315,7 +304,7 @@ def test_criterion_7_distinct_variables_and_leaves():
         g = random_digraph(rnd, n, rnd.uniform(0.25, 0.75))
         k = min(2 + i % 4, min(5, n))
         want = oracle.brute_k_leaf(g, k)
-        rep = detect_k_leaf(g, k, DvConfig(budget=4**k, seed=i))
+        rep = detect_k_leaf(g, k, budget=4**k, seed=i)
         assert rep.verdict == want, (g.arcs, k, i)
         leaf_runs += 1
     finish(7, "distinct variables and leaves", t0, 600.0,

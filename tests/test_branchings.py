@@ -17,8 +17,6 @@ from hamkit import branchings
 from hamkit.algebra import BinaryField, binary_field_degree, make_binary_field
 from hamkit.branchings import (
     BranchingLeafPolynomial,
-    DvConfig,
-    InternalSieveConfig,
     batched_modp_det,
     detect_k_internal,
     detect_k_leaf,
@@ -118,9 +116,9 @@ class TestSpanningRoots:
         monkeypatch.setattr(branchings, "count_out_branchings", refuse)
         for g in (directed_path(5), out_star(5), make_digraph(4, [(0, 1), (2, 3)])):
             for k in (0, 1, 2):
-                detect_k_internal(g, k, InternalSieveConfig(trials=4))
+                detect_k_internal(g, k, trials=4)
                 if k:
-                    detect_k_leaf(g, k, DvConfig(seed=0, budget=4))
+                    detect_k_leaf(g, k, seed=0, budget=4)
 
 
 class TestTrialChunks:
@@ -144,19 +142,19 @@ class TestTrialChunks:
 
 class TestDetectKInternal:
     def test_path_all_internal(self):
-        rep = detect_k_internal(directed_path(5), 4, InternalSieveConfig(trials=20))
+        rep = detect_k_internal(directed_path(5), 4, trials=20)
         assert rep.verdict
         assert rep.failure_bound == 0.0
 
     def test_out_star_k2_no(self):
-        rep = detect_k_internal(out_star(5), 2, InternalSieveConfig(trials=30))
+        rep = detect_k_internal(out_star(5), 2, trials=30)
         assert not rep.verdict
         assert 0.0 < rep.failure_bound < 1.0
 
     def test_out_star_k1_yes(self):
         # the root has 4 children; an even child count must not cancel the
         # degree-1 slice
-        rep = detect_k_internal(out_star(5), 1, InternalSieveConfig(trials=20))
+        rep = detect_k_internal(out_star(5), 1, trials=20)
         assert rep.verdict
 
     def test_k0_exact(self):
@@ -181,6 +179,19 @@ class TestDetectKInternal:
         with pytest.raises(GuardError):
             detect_k_internal(directed_cycle(9), 7)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_checked_first(self, trials, monkeypatch):
+        # before the graph is looked at: a k out of range, the rank guard and
+        # a graph without spanning roots all come later
+        def refuse(g):
+            raise AssertionError("roots screened before the trial count was checked")
+
+        monkeypatch.setattr(branchings, "_spanning_roots", refuse)
+        for g, k in ((make_digraph(1, []), 1), (directed_path(4), 9), (directed_cycle(9), 7),
+                     (make_digraph(4, [(0, 1), (2, 3)]), 1), (directed_path(4), 2)):
+            with pytest.raises(ValueError, match="at least one trial"):
+                detect_k_internal(g, k, trials=trials)
+
     @pytest.mark.parametrize("route", ["batched", "scalar"])
     def test_matches_brute_force(self, route):
         # "scalar" runs the same root scan on the reference ring determinant
@@ -191,7 +202,7 @@ class TestDetectKInternal:
             k = rnd.randint(1, min(4, n - 1))
             want = oracle.brute_k_internal(g, k)
             if route == "batched":
-                got = detect_k_internal(g, k, InternalSieveConfig(trials=40, seed=7)).verdict
+                got = detect_k_internal(g, k, trials=40, seed=7).verdict
             else:
                 got = any(r["hit"] for r in internal_scan(g, k, 40, 7, chunk=34).values())
             assert got == want
@@ -203,7 +214,7 @@ class TestDetectKInternal:
         for _ in range(8):
             g = random_digraph(rnd, 5, 0.5)
             k = rnd.randint(1, 3)
-            a = detect_k_internal(g, k, InternalSieveConfig(trials=25, seed=3))
+            a = detect_k_internal(g, k, trials=25, seed=3)
             per_root = internal_scan(g, k, 25, 3, chunk=9)
             assert a.detail["per_root"] == per_root
             assert a.verdict == any(r["hit"] for r in per_root.values())
@@ -211,7 +222,7 @@ class TestDetectKInternal:
 
     def test_no_false_positive_many_trials(self):
         # out-star with k=2 is a NO instance; hammer it
-        rep = detect_k_internal(out_star(6), 2, InternalSieveConfig(trials=300, seed=11))
+        rep = detect_k_internal(out_star(6), 2, trials=300, seed=11)
         assert not rep.verdict
 
     def test_success_floor_sane(self):
@@ -757,13 +768,13 @@ class TestSolveNkDv:
     def test_all_distinct_no(self):
         n = 6
         P = MonomialListPolynomial(n, [(1, (1,) * n)])
-        rep = solve_nk_dv(P, 1, DvConfig(budget=64, seed=0))
+        rep = solve_nk_dv(P, 1, budget=64, seed=0)
         assert not rep.verdict
 
     def test_single_variable_yes(self):
         n = 6
         P = MonomialListPolynomial(n, [(1, (n,) + (0,) * (n - 1))])
-        rep = solve_nk_dv(P, n - 1, DvConfig(seed=0))
+        rep = solve_nk_dv(P, n - 1, seed=0)
         assert rep.verdict
         assert rep.failure_bound == 0.0
 
@@ -776,12 +787,12 @@ class TestSolveNkDv:
 
         monkeypatch.setattr(branchings, "inverse_vandermonde", recording)
         # p1 hits on trial 0, in the first chunk, so p2 never interpolates
-        yes = solve_nk_dv(BranchingLeafPolynomial(out_star(6), 0), 2, DvConfig(seed=0))
+        yes = solve_nk_dv(BranchingLeafPolynomial(out_star(6), 0), 2, seed=0)
         p1, p2 = yes.detail["primes"]
         assert yes.verdict and yes.detail["hit"]["trial"] == 0 and yes.detail["hit"]["prime"] == p1
         assert built == [p1]
         built.clear()
-        no = solve_nk_dv(BranchingLeafPolynomial(directed_path(5), 0), 2, DvConfig(budget=100, seed=3))
+        no = solve_nk_dv(BranchingLeafPolynomial(directed_path(5), 0), 2, budget=100, seed=3)
         assert not no.verdict and built == no.detail["primes"]
 
     def test_matches_brute_min_distinct(self):
@@ -801,8 +812,7 @@ class TestSolveNkDv:
             dmin = brute_min_distinct_vars(monos)
             for k in range(1, n + 1):
                 want = dmin <= n - k
-                cfg = DvConfig(budget=4000 if want else 40, seed=5)
-                rep = solve_nk_dv(P, k, cfg)
+                rep = solve_nk_dv(P, k, budget=4000 if want else 40, seed=5)
                 assert rep.verdict == want, (monos, k)
 
     def test_batched_matches_scalar_scan(self):
@@ -825,7 +835,7 @@ class TestSolveNkDv:
                 cases.append((BranchingLeafPolynomial(g, root), rnd.randint(2, min(4, g.n))))
         for i, (P, k) in enumerate(cases):
             for budget in (1, 5, 100):  # 100 = 1+4+16+64+15: the last chunk is cut short
-                rep = solve_nk_dv(P, k, DvConfig(budget=budget, seed=i))
+                rep = solve_nk_dv(P, k, budget=budget, seed=i)
                 want = scalar_solve_nk_dv(P, k, budget, i)
                 assert rep.verdict == want["verdict"], (i, budget)
                 assert rep.trials_run == want["trials_run"], (i, budget)
@@ -835,7 +845,7 @@ class TestSolveNkDv:
     def test_hit_on_trial_zero(self):
         P = MonomialListPolynomial(4, [(1, (4, 0, 0, 0))])
         seed = next(s for s in range(50) if scalar_solve_nk_dv(P, 3, 64, s)["trials_run"] == 1)
-        rep = solve_nk_dv(P, 3, DvConfig(budget=64, seed=seed))
+        rep = solve_nk_dv(P, 3, budget=64, seed=seed)
         assert rep.trials_run == 1
         assert rep.detail["hit"] == scalar_solve_nk_dv(P, 3, 64, seed)["hit"]
 
@@ -846,7 +856,7 @@ class TestSolveNkDv:
         p1, p2 = scalar_solve_nk_dv(MonomialListPolynomial(1, [(1, (1,))]), 1, 1, seed)["primes"]
         n = 5
         P = MonomialListPolynomial(n, [(p1, (n, 0, 0, 0, 0)), (1, (1,) * n)])
-        rep = solve_nk_dv(P, n - 1, DvConfig(budget=200, seed=seed))
+        rep = solve_nk_dv(P, n - 1, budget=200, seed=seed)
         want = scalar_solve_nk_dv(P, n - 1, 200, seed)
         assert rep.verdict and want["hit"]["prime"] == p2
         assert rep.trials_run == want["trials_run"] > 1
@@ -863,17 +873,17 @@ class TestSolveNkDv:
 
         monkeypatch.setattr(branchings, "batched_modp_det", recording)
         P = BranchingLeafPolynomial(directed_path(120), 0)
-        rep = solve_nk_dv(P, 2, DvConfig(budget=1, seed=4))
+        rep = solve_nk_dv(P, 2, budget=1, seed=4)
         assert not rep.verdict and rep.trials_run == 1  # a path has one leaf
         assert sum(shape[0] for shape in shapes) == 2 * 241
         assert len(shapes) > 2
         assert all(shape[0] * shape[1] * shape[2] * 8 <= branchings.LEAF_STACK_LIMIT for shape in shapes)
         shapes.clear()
-        rep = solve_nk_dv(P, 1, DvConfig(budget=4, seed=4))
+        rep = solve_nk_dv(P, 1, budget=4, seed=4)
         assert rep.verdict
         assert all(shape[0] * shape[1] * shape[2] * 8 <= branchings.LEAF_STACK_LIMIT for shape in shapes)
         monkeypatch.setattr(branchings, "LEAF_STACK_LIMIT", 1 << 40)
-        assert solve_nk_dv(P, 1, DvConfig(budget=4, seed=4)) == rep
+        assert solve_nk_dv(P, 1, budget=4, seed=4) == rep
 
     def test_rejects_bad_polynomials(self):
         with pytest.raises(ValueError):
@@ -901,19 +911,26 @@ class TestSolveNkDv:
         with pytest.raises(ValueError):
             solve_nk_dv(P, 4)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_checked_first(self, budget):
+        P = MonomialListPolynomial(3, [(1, (1, 1, 1))])
+        for k in (1, 0, 4):  # before the k range, which would raise its own ValueError
+            with pytest.raises(ValueError, match="budget must be positive"):
+                solve_nk_dv(P, k, budget=budget)
+
 
 class TestDetectKLeaf:
     def test_path_unique_leaf(self):
-        assert detect_k_leaf(directed_path(5), 1, DvConfig(seed=0)).verdict
-        assert not detect_k_leaf(directed_path(5), 2, DvConfig(seed=0)).verdict
+        assert detect_k_leaf(directed_path(5), 1, seed=0).verdict
+        assert not detect_k_leaf(directed_path(5), 2, seed=0).verdict
 
     def test_out_star(self):
-        rep = detect_k_leaf(out_star(6), 5, DvConfig(seed=0))
+        rep = detect_k_leaf(out_star(6), 5, seed=0)
         assert rep.verdict
 
     def test_no_branching(self):
         g = make_digraph(4, [(0, 1), (2, 3)])
-        rep = detect_k_leaf(g, 1, DvConfig(seed=0))
+        rep = detect_k_leaf(g, 1, seed=0)
         assert not rep.verdict
         assert rep.failure_bound == 0.0
 
@@ -924,7 +941,7 @@ class TestDetectKLeaf:
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
             k = rnd.randint(2, min(4, n))
             want = oracle.brute_k_leaf(g, k)
-            rep = detect_k_leaf(g, k, DvConfig(seed=13))
+            rep = detect_k_leaf(g, k, seed=13)
             assert rep.verdict == want, (g.arcs, k)
 
     def test_chunking_does_not_change_report(self, monkeypatch):
@@ -935,15 +952,28 @@ class TestDetectKLeaf:
         for i in range(10):
             n = rnd.randint(3, 7)
             cases.append((random_digraph(rnd, n, rnd.uniform(0.3, 0.8)), rnd.randint(2, min(4, n)), i))
-        want = [detect_k_leaf(g, k, DvConfig(budget=60, seed=s)) for g, k, s in cases]
+        want = [detect_k_leaf(g, k, budget=60, seed=s) for g, k, s in cases]
         assert {rep.verdict for rep in want} == {True, False}
         assert any(rep.trials_run > 1 for rep in want if rep.verdict)
         monkeypatch.setattr(branchings, "LEAF_CHUNK", 1)
         for (g, k, s), rep in zip(cases, want):
-            assert detect_k_leaf(g, k, DvConfig(budget=60, seed=s)) == rep, (g.arcs, k, s)
+            assert detect_k_leaf(g, k, budget=60, seed=s) == rep, (g.arcs, k, s)
 
     def test_k_range(self):
         with pytest.raises(ValueError):
             detect_k_leaf(directed_path(4), 0)
         with pytest.raises(ValueError):
             detect_k_leaf(directed_path(4), 5)
+
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_budget_checked_first(self, budget, monkeypatch):
+        # before the graph is looked at: too few vertices, a k out of range,
+        # the budget guard and a graph without spanning roots all come later
+        def refuse(g):
+            raise AssertionError("roots screened before the budget was checked")
+
+        monkeypatch.setattr(branchings, "_spanning_roots", refuse)
+        for g, k in ((make_digraph(1, []), 1), (directed_path(4), 0), (directed_path(30), 15),
+                     (make_digraph(4, [(0, 1), (2, 3)]), 1), (directed_path(4), 1)):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                detect_k_leaf(g, k, budget=budget)

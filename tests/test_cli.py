@@ -24,7 +24,6 @@ from conftest import (
 )
 from hamkit import count_out_branchings, detect_k_internal, detect_k_leaf
 from hamkit.algebra import ResidueElem
-from hamkit.branchings import DvConfig, InternalSieveConfig
 from hamkit.cli import main as cli_main
 from hamkit.errors import GuardError
 from hamkit.graph import VERTEX_LIMIT, make_digraph
@@ -211,7 +210,7 @@ class TestAnswers:
                 checked += 1
             else:
                 exec(ast.get_source_segment(source, stmt), namespace)
-        assert checked == 4
+        assert checked == 6
 
 
 class TestOracleCommands:
@@ -302,6 +301,36 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["count-mod", "{g}", "--p", "4"],
+        ["count-mod", "{g}", "--p", "1"],
+        ["count-mod", "{g}", "--p", "9", "--k", "70"],  # before the residue guard
+        ["count-mod", "{g}", "--p", "2", "--lambda", "0"],
+        ["count-mod", "{g}", "--p", "2", "--lambda", "1"],
+        ["count-mod", "{g}", "--p", "2", "--lambda", "-0.5"],
+        ["count-mod", "{g}", "--p", "2", "--lambda", "nan"],
+        ["count-mod", "{g}", "--p", "2", "--k", "3", "--lambda", "1.5"],
+        ["count-mod", "{g}", "--p", "2", "--mode", "fast"],
+        ["count-mod", "{g}", "--p", "2", "--k", "0"],
+        ["count-mod", "{g}", "--p", "2", "--k", "-1", "--mode", "naive"],
+        ["detect-k-internal", "{g}", "--k", "1", "--trials", "0"],
+        ["detect-k-internal", "{g}", "--k", "7", "--trials", "-2"],  # before the rank guard
+        ["detect-k-internal", "{none}", "--k", "1", "--trials", "0"],  # before the root screen
+        ["detect-k-leaf", "{g}", "--k", "2", "--budget", "0"],
+        ["detect-k-leaf", "{g}", "--k", "15", "--budget", "-1"],  # before the k range
+        ["detect-k-leaf", "{none}", "--k", "1", "--budget", "0"],  # before the root screen
+    ])
+    def test_invalid_arguments_exit_2(self, argv, tmp_path, capsys):
+        # each is checked before any graph work: the 27-cycle would otherwise
+        # meet count-mod's naive subset guard (exit 3), and the graph with no
+        # spanning root would answer NO at once
+        paths = {"{g}": write_graph(tmp_path, directed_cycle(27), "g.txt"),
+                 "{none}": write_graph(tmp_path, make_digraph(4, [(0, 1), (2, 3)]), "none.txt")}
+        code, out, err = run_cli([paths.get(a, a) for a in argv], capsys)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith(("hamkit: ", "usage: "))
+
     def test_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(4))
         code, _, _ = run_cli(["count-mod", path], capsys)  # --p missing
@@ -322,8 +351,8 @@ class TestExitCodes:
         # k = 0 keeps k-internal under its gather guard, which fires from k = 1 at this n
         wide = make_digraph(BRANCHING_COUNT_GUARD + 1, [])
         for run in (lambda: count_out_branchings(wide, 0),
-                    lambda: detect_k_internal(wide, 0, InternalSieveConfig()),
-                    lambda: detect_k_leaf(wide, 2, DvConfig())):
+                    lambda: detect_k_internal(wide, 0),
+                    lambda: detect_k_leaf(wide, 2)):
             with pytest.raises(GuardError, match="branching count guard"):
                 run()
 

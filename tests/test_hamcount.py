@@ -16,7 +16,6 @@ from conftest import (
 from hamkit.errors import GuardError
 from hamkit.graph import make_digraph, split_vertex
 from hamkit.hamcount import (
-    SieveParams,
     block_partition,
     count_exact,
     count_hc_mod,
@@ -226,16 +225,16 @@ class TestNaiveSieve:
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
     def test_cycle(self, p, k):
         split = split_vertex(directed_cycle(6), 0)
-        res = naive_sieve_count(split, SieveParams(p=p, k=k, seed=9))
+        res = naive_sieve_count(split, p, k)
         assert res.value == 1 % res.modulus
         assert res.modulus == p**k
 
     def test_k4(self):
         split = split_vertex(complete_digraph(4), 2)
-        res = naive_sieve_count(split, SieveParams(p=5, k=2, seed=1))
+        res = naive_sieve_count(split, 5, 2)
         assert res.value == 6
 
-    def test_matches_held_karp_any_seed(self):
+    def test_matches_held_karp(self):
         rnd = random.Random(54)
         for _ in range(12):
             n = rnd.randint(2, 8)
@@ -243,16 +242,16 @@ class TestNaiveSieve:
             u = rnd.randrange(n)
             split = split_vertex(g, u)
             want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
-            for seed in (0, 1, 2):
-                p = rnd.choice([2, 3, 5, 7])
-                k = rnd.choice([1, 2, 3])
-                res = naive_sieve_count(split, SieveParams(p=p, k=k, seed=seed))
+            # three (p, k) draws per graph, each case run once
+            cases = {(rnd.choice([2, 3, 5, 7]), rnd.choice([1, 2, 3])) for _ in range(3)}
+            for p, k in sorted(cases):
+                res = naive_sieve_count(split, p, k)
                 assert res.value == want % (p**k)
 
     def test_guard(self):
         g = directed_cycle(27)
         with pytest.raises(GuardError):
-            naive_sieve_count(split_vertex(g, 0), SieveParams(p=2))
+            naive_sieve_count(split_vertex(g, 0), 2, 1)
 
     def test_guard_before_split(self, monkeypatch):
         # the subset guard depends only on n, so it fires before the split graph is built
@@ -262,7 +261,7 @@ class TestNaiveSieve:
         monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
         g = directed_cycle(27)
         with pytest.raises(GuardError, match="naive sieve guard"):
-            count_hc_mod(g, SieveParams(p=2, mode="naive"))
+            count_hc_mod(g, 2, mode="naive")
         with pytest.raises(GuardError, match="naive sieve guard"):
             count_exact(g)
 
@@ -276,14 +275,13 @@ class TestNaiveSieve:
         monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
         with pytest.warns(UserWarning, match="falling back"):
             with pytest.raises(GuardError, match="naive sieve guard"):
-                count_hc_mod(directed_cycle(27), SieveParams(p=2, k=1, mode="mitm"))
+                count_hc_mod(directed_cycle(27), 2, 1, mode="mitm")
         monkeypatch.undo()
         monkeypatch.setattr(hamcount_mod, "MITM_TABLE_GUARD", 1)
-        params = SieveParams(p=3, k=1, seed=2, mode="mitm")
         with pytest.warns(UserWarning, match="falling back"):
-            residue, diag = count_hc_mod(directed_cycle(6), params)
+            residue, diag = count_hc_mod(directed_cycle(6), 3, 1, mode="mitm")
         assert diag.fallback and diag.pairs_listed == diag.pairs_naive == 1 << 6
-        assert residue == naive_sieve_count(split_vertex(directed_cycle(6), 0), params)
+        assert residue == naive_sieve_count(split_vertex(directed_cycle(6), 0), 3, 1)
 
     def test_residue_guard(self):
         # count-mod refuses p^k >= 2^62 in both modes, before any work and
@@ -292,11 +290,11 @@ class TestNaiveSieve:
         for mode in ("naive", "mitm"):
             for k in (62, 70, 10**8, 10**10):
                 with pytest.raises(GuardError, match="2\\^62"):
-                    count_hc_mod(g, SieveParams(p=2, k=k, mode=mode))
+                    count_hc_mod(g, 2, k, mode=mode)
             with pytest.raises(GuardError, match="2\\^62"):
-                count_hc_mod(make_digraph(1, []), SieveParams(p=2, k=70, mode=mode))
-            assert count_hc_mod(g, SieveParams(p=2, k=61, mode=mode))[0].value == 1
-        assert naive_sieve_count(split_vertex(g, 0), SieveParams(p=2, k=70)).value == 1
+                count_hc_mod(make_digraph(1, []), 2, 70, mode=mode)
+            assert count_hc_mod(g, 2, 61, mode=mode)[0].value == 1
+        assert naive_sieve_count(split_vertex(g, 0), 2, 70).value == 1
 
     def test_exact_sum_any_weights(self):
         # the identity holds over the integers, whatever the virtual-arc
@@ -309,7 +307,7 @@ class TestNaiveSieve:
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
             split = split_vertex(g, rnd.randrange(n))
             want = oracle.held_karp_count_hp(split.graph, split.s, split.t)
-            assert naive_sieve_count(split, SieveParams(p=2, k=64)).value == want
+            assert naive_sieve_count(split, 2, 64).value == want
             drawn = tail_weights(split, rnd.choice([2, 3, 101]), rnd.randrange(100))
             total = 0
             for omask in range(1 << n):
@@ -402,16 +400,16 @@ class TestFingerprints:
 class TestMitm:
     def test_cycle_p2k2(self):
         split = split_vertex(directed_cycle(6), 0)
-        residue, _ = mitm_count_mod(split, SieveParams(p=2, k=2, seed=0))
+        residue, _ = mitm_count_mod(split, 2, 2)
         assert residue.value == 1
         assert residue.modulus == 4
 
     def test_k5_p3(self):
         split = split_vertex(complete_digraph(5), 0)
-        residue, _ = mitm_count_mod(split, SieveParams(p=3, k=1, seed=0))
+        residue, _ = mitm_count_mod(split, 3, 1)
         assert residue.value == 24 % 3
 
-    def test_matches_naive_same_seed(self):
+    def test_matches_naive(self):
         rnd = random.Random(57)
         for _ in range(10):
             n = rnd.randint(3, 9)
@@ -419,9 +417,8 @@ class TestMitm:
             split = split_vertex(g, rnd.randrange(n))
             p = rnd.choice([2, 3, 5])
             k = rnd.choice([1, 2])
-            seed = rnd.randrange(10**6)
-            params = SieveParams(p=p, k=k, seed=seed)
-            assert mitm_count_mod(split, params)[0] == naive_sieve_count(split, params)
+            rnd.randrange(10**6)  # unused; keeps the later graphs of this fixed corpus
+            assert mitm_count_mod(split, p, k)[0] == naive_sieve_count(split, p, k)
 
     def test_listing_soundness(self, monkeypatch):
         # the listed pairs are exactly the subsets with s whose half-fingerprints
@@ -458,7 +455,7 @@ class TestMitm:
                 if det_division_free(m) != 0:
                     nonzero.add(omask)
             evaluated.clear()
-            _, diag = mitm_count_mod(split, SieveParams(p=p, k=k))
+            _, diag = mitm_count_mod(split, p, k)
             assert len(evaluated) == len(set(evaluated)), "a pair was evaluated twice"
             assert set(evaluated) == want
             assert nonzero <= want, "a subset with a nonzero determinant was skipped"
@@ -490,12 +487,12 @@ class TestMitm:
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
             cut = math.ceil((n + 1) / 3)
             split = split_vertex(g, rnd.randrange(cut) if s_half == "first" else rnd.randrange(cut, n))
-            params = SieveParams(p=rnd.choice([2, 3, 5, 7]), k=rnd.choice([1, 2, 3]))
+            p, k = rnd.choice([2, 3, 5, 7]), rnd.choice([1, 2, 3])
             reached.clear()
-            naive = naive_sieve_count(split, params)
+            naive = naive_sieve_count(split, p, k)
             by_naive = sorted(reached)
             reached.clear()
-            residue, diag = mitm_count_mod(split, params)
+            residue, diag = mitm_count_mod(split, p, k)
             assert sorted(reached) == by_naive
             assert residue == naive and not diag.fallback
             evaluated += len(by_naive)
@@ -511,9 +508,8 @@ class TestMitm:
             assert split.s >= math.ceil(split.graph.n / 3)
             for p in (2, 3):
                 for k in (1, 2):
-                    params = SieveParams(p=p, k=k, seed=seed)
-                    residue, diag = mitm_count_mod(split, params)
-                    assert residue == naive_sieve_count(split, params)
+                    residue, diag = mitm_count_mod(split, p, k)
+                    assert residue == naive_sieve_count(split, p, k)
                     assert diag.pairs_listed <= diag.pairs_naive // 2
                     residues.append(residue.value)
         assert any(residues), "every residue is 0, so a wrong side filter could pass"
@@ -521,31 +517,60 @@ class TestMitm:
     def test_fallback_when_tables_too_large(self, monkeypatch):
         monkeypatch.setattr(hamcount_mod, "MITM_TABLE_GUARD", 1)
         split = split_vertex(directed_cycle(6), 0)
-        params = SieveParams(p=3, k=1, seed=2)
         with pytest.warns(UserWarning, match="falling back"):
-            residue, diag = mitm_count_mod(split, params)
+            residue, diag = mitm_count_mod(split, 3, 1)
         assert diag.fallback
-        assert residue == naive_sieve_count(split, params)
+        assert residue == naive_sieve_count(split, 3, 1)
 
 
 class TestGraphLevel:
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((4,), {}, "p=4 is not prime"),
+        ((1,), {}, "p=1 is not prime"),
+        ((9, 70), {}, "p=9 is not prime"),  # before the residue guard
+        ((2,), {"lam": 0.0}, "lambda"),
+        ((2,), {"lam": 1.0}, "lambda"),
+        ((2,), {"lam": -0.5}, "lambda"),
+        ((2,), {"lam": float("nan")}, "lambda"),
+        ((2, 3), {"lam": 1.5}, "lambda"),  # checked even when k is given
+        ((2,), {"mode": "fast"}, "unknown mode"),
+        ((2, 0), {}, "k must be at least 1"),
+        ((2, -1), {"mode": "naive"}, "k must be at least 1"),
+    ])
+    def test_arguments_checked_first(self, args, kwargs, message, monkeypatch):
+        # ValueError before any graph work: a 27-cycle would otherwise fall
+        # back from mitm and meet the naive subset guard
+        def refuse(*a):
+            raise AssertionError("split graph built before the arguments were checked")
+
+        monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
+        monkeypatch.setattr(hamcount_mod, "_mitm_fallback", refuse)
+        for g in (directed_cycle(27), make_digraph(1, []), directed_cycle(4)):
+            with pytest.raises(ValueError, match=message):
+                count_hc_mod(g, *args, **kwargs)
+
+    def test_crt_checks_lambda(self):
+        for lam in (0.0, 1.5):
+            with pytest.raises(ValueError, match="lambda"):
+                crt_count(directed_cycle(5), 5, lam)
+
     def test_count_hc_mod_cycle(self):
-        res, diag = count_hc_mod(directed_cycle(7), SieveParams(p=3, k=2, mode="mitm"))
+        res, diag = count_hc_mod(directed_cycle(7), 3, 2, mode="mitm")
         assert res.value == 1
         assert diag is not None
 
     def test_count_hc_mod_naive_no_diag(self):
-        res, diag = count_hc_mod(directed_cycle(7), SieveParams(p=3, k=2, mode="naive"))
+        res, diag = count_hc_mod(directed_cycle(7), 3, 2, mode="naive")
         assert res.value == 1
         assert diag is None
 
     def test_crt_cycle(self):
-        value, modulus = crt_count(directed_cycle(8), q=5, seed=0)
+        value, modulus = crt_count(directed_cycle(8), q=5)
         assert value == 1
         assert modulus > 1
 
     def test_crt_dag(self):
-        value, _ = crt_count(acyclic_tournament(7), q=5, seed=0)
+        value, _ = crt_count(acyclic_tournament(7), q=5)
         assert value == 0
 
     def test_crt_matches_held_karp(self):
@@ -553,7 +578,8 @@ class TestGraphLevel:
         for _ in range(8):
             g = random_digraph(rnd, rnd.randint(3, 9), rnd.uniform(0.3, 0.7))
             want = oracle.held_karp_count_hc(g)
-            value, modulus = crt_count(g, q=5, seed=rnd.randrange(100))
+            rnd.randrange(100)  # unused; keeps the later graphs of this fixed corpus
+            value, modulus = crt_count(g, q=5)
             assert value == want % modulus
 
     def test_exact_cycle_low_cap(self):

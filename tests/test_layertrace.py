@@ -19,14 +19,12 @@ from conftest import (
 from hamkit import hamcount, hamdetect
 from hamkit.branchings import (
     BranchingLeafPolynomial,
-    DvConfig,
-    InternalSieveConfig,
     detect_k_internal,
     detect_k_leaf,
     solve_nk_dv,
 )
 from hamkit.graph import find_independent_partition, make_digraph
-from hamkit.hamcount import SieveParams, count_exact
+from hamkit.hamcount import count_exact
 from hamkit.hamdetect import detect_hamiltonian_cycle
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -138,7 +136,7 @@ def test_mitm_count_is_spanned():
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
-        residue, diag = hamcount.count_hc_mod(complete_digraph(6), SieveParams(p=2, k=1, seed=1))
+        residue, diag = hamcount.count_hc_mod(complete_digraph(6), 2, 1)
     finally:
         tracer.uninstall()
     assert residue.value == 120 % 2
@@ -162,8 +160,8 @@ def test_detector_kernels_are_spanned(monkeypatch):
     tracer.install()
     try:
         rep = detect_hamiltonian_cycle(acyclic_tournament(6), trials=3, seed=1)
-        detect_k_internal(directed_path(5), 2, InternalSieveConfig(trials=5, seed=1))
-        detect_k_leaf(out_star(5), 2, DvConfig(budget=2, seed=1))
+        detect_k_internal(directed_path(5), 2, trials=5, seed=1)
+        detect_k_leaf(out_star(5), 2, budget=2, seed=1)
     finally:
         tracer.uninstall()
     for name in ("hamdetect.batched_gf_det", "branchings.det_batch",
@@ -237,7 +235,7 @@ def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
-        rep = detect_k_leaf(directed_path(n), 2, DvConfig(budget=100, seed=3))
+        rep = detect_k_leaf(directed_path(n), 2, budget=100, seed=3)
     finally:
         tracer.uninstall()
     assert not rep.verdict and rep.trials_run == 100
@@ -253,14 +251,14 @@ def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
     yes_graph = make_digraph(6, [(0, 1), (0, 4), (1, 0), (1, 4), (1, 5), (2, 1), (2, 4), (2, 5),
                                  (3, 1), (3, 5), (4, 0), (4, 3), (4, 5), (5, 0), (5, 1), (5, 2),
                                  (5, 3)])
-    cases = [(yes_graph, 3, DvConfig(seed=1)), (directed_path(5), 2, DvConfig(budget=100, seed=3))]
+    cases = [(yes_graph, 3, None, 1), (directed_path(5), 2, 100, 3)]
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
         reports = []
-        for g, k, cfg in cases:
+        for g, k, budget, seed in cases:
             tracer.reset()
-            rep = solve_nk_dv(BranchingLeafPolynomial(g, 0), k, cfg)
+            rep = solve_nk_dv(BranchingLeafPolynomial(g, 0), k, budget, seed)
             reports.append((rep, tracer.counters["branchings.modp_matrices"]))
     finally:
         tracer.uninstall()
@@ -277,10 +275,10 @@ def test_internal_chunks_grow_by_four_and_a_yes_stops_at_its_hit():
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
-        no = detect_k_internal(out_star(5), 2, InternalSieveConfig(trials=100, seed=3))
+        no = detect_k_internal(out_star(5), 2, trials=100, seed=3)
         counted = dict(tracer.counters), tracer.spans["branchings.det_batch"][2]
         tracer.reset()
-        yes = detect_k_internal(directed_path(6), 4, InternalSieveConfig(trials=100, seed=3))
+        yes = detect_k_internal(directed_path(6), 4, trials=100, seed=3)
     finally:
         tracer.uninstall()
     assert not no.verdict and no.trials_run == 100 and no.detail["roots"] == [0]

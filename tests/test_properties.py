@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamkit import oracle
-from hamkit.branchings import DvConfig, InternalSieveConfig, detect_k_internal, detect_k_leaf
+from hamkit.branchings import detect_k_internal, detect_k_leaf
 from hamkit.graph import make_digraph
 from hamkit.hamdetect import detect_hamiltonian_cycle
 
@@ -52,7 +52,7 @@ def test_detect_hc(case):
 def test_detect_k_internal(case):
     g, k = case
     trials = 4
-    rep = detect_k_internal(g, k, InternalSieveConfig(trials=trials, seed=3))
+    rep = detect_k_internal(g, k, trials=trials, seed=3)
     if rep.verdict:
         assert oracle.brute_k_internal(g, k)
     else:
@@ -69,7 +69,7 @@ def test_detect_k_internal(case):
 def test_detect_k_leaf(case):
     g, k = case
     budget = 2
-    rep = detect_k_leaf(g, k, DvConfig(budget=budget, seed=3))
+    rep = detect_k_leaf(g, k, budget=budget, seed=3)
     if rep.verdict:
         assert oracle.brute_k_leaf(g, k)
     else:
