@@ -158,14 +158,18 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     exp-table gather: the logs of the pivot row and of the factor column are
     taken on their [B, n-1] slices and added by broadcasting. A matrix whose
     top entry is 0 gets the first row with a nonzero entry added to its top
-    row, which leaves the determinant unchanged. The last pivot needs no
-    update: it multiplies into the determinant, and a zero one gives 0.
+    row, which leaves the determinant unchanged. The pivots multiply as an
+    intp sum of their logs, reduced mod q - 1 once at the end, where the last
+    pivot's log (the zero sentinel when it is 0) is added before the one exp
+    lookup. Every log and exp index is in range by construction, so each
+    lookup is a take with mode="clip": it never clips, and it costs less
+    than the default mode's raise-on-error index check.
     """
     nmats, n, _ = mats.shape
     det = np.zeros(nmats, dtype=np.int32)
     live = np.flatnonzero(np.einsum("bij->bi", mats).all(axis=1) & np.einsum("bij->bj", mats).all(axis=1))
     m = mats[live]
-    d = np.ones(len(live), dtype=np.int32)
+    lsum = np.zeros(len(live), dtype=np.intp)
     log, exp = field.np_log, field.np_exp
     order = field.q - 1
     for _ in range(n - 1):
@@ -173,20 +177,23 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
         has = nz.any(axis=1)
         if not has.all():
             keep = np.flatnonzero(has)
-            m, nz, live, d = m[keep], nz[keep], live[keep], d[keep]
+            m, nz, live, lsum = m[keep], nz[keep], live[keep], lsum[keep]
         moved = np.flatnonzero(~nz[:, 0])
         if len(moved):
             m[moved, 0] ^= m[moved, np.argmax(nz[moved], axis=1)]
-        lpiv = log.take(m[:, 0, 0])
-        d = exp.take(log.take(d) + lpiv)
+        lpiv = log.take(m[:, 0, 0], mode="clip")
+        lsum += lpiv
         # order - log(piv) in [1, order] is a log of 1/piv; added to a log below
         # 2 * order, or to the zero sentinel, it stays inside the exp table
-        lfac = log.take(exp.take(log.take(m[:, 1:, 0]) + (order - lpiv)[:, None]))
-        lrow = log.take(m[:, 0, 1:])
-        block = exp.take(np.add(lfac[:, :, None], lrow[:, None, :], dtype=np.intp))
+        lfac = log.take(exp.take(log.take(m[:, 1:, 0], mode="clip") + (order - lpiv)[:, None], mode="clip"),
+                        mode="clip")
+        lrow = log.take(m[:, 0, 1:], mode="clip")
+        block = exp.take(np.add(lfac[:, :, None], lrow[:, None, :], dtype=np.intp), mode="clip")
         block ^= m[:, 1:, 1:]
         m = block
-    det[live] = field.nmul(d, m[:, 0, 0])
+    lsum %= order
+    lsum += log.take(m[:, 0, 0], mode="clip")
+    det[live] = exp.take(lsum, mode="clip")
     return det
 
 
@@ -324,37 +331,57 @@ class _BatchedSieve:
                 rows[:, 1] = subset_xor_table(a_side[start:stop]).transpose(1, 0, 2)
                 self.tables.append(rows.reshape(-1, nb))
 
-    def matrices(self, index, out: np.ndarray) -> np.ndarray:
+    def matrices(self, index, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """The chunk's [B, |blue|, |blue|] pair matrices, gathered into out.
 
         index holds one [B, |blue|] row index per table (see _pair_plan).
-        The plan's indices are in range by construction; mode="clip" only
-        lets take write into out without buffering.
+        The first table is gathered straight into out; each other table is
+        gathered into scratch, of out's shape, and xored into out, so a
+        chunk allocates no stack of its own. The plan's indices are in
+        range by construction; mode="clip" only lets take write into out
+        and scratch without buffering.
         """
         self.tables[0].take(index[0], axis=0, out=out, mode="clip")
         for table, idx in zip(self.tables[1:], index[1:]):
-            out ^= table.take(idx, axis=0, mode="clip")
+            out ^= table.take(idx, axis=0, out=scratch, mode="clip")
         return out
 
 
-def sieve_membership_pairs(g: Digraph, layout: PortLayout, weights: PortWeights) -> tuple[int, int]:
+def _gather_buffers(nb: int) -> np.ndarray:
+    """A chunk's gather stack and take scratch at nb blue vertices, as one [2, B, nb, nb] int32 block.
+
+    One block, not two arrays: glibc raises its mmap and trim thresholds to
+    the largest block freed, so once a detection has freed this one, the
+    next detection's block and the elimination's temporaries come from heap
+    pages that stay mapped instead of pages faulted in afresh.
+    """
+    return np.empty((2, len(_pair_plan(nb, STATE_CHUNK)[0][0]), nb, nb), dtype=np.int32)
+
+
+def sieve_membership_pairs(
+    g: Digraph, layout: PortLayout, weights: PortWeights,
+    buffers: np.ndarray | None = None,
+) -> tuple[int, int]:
     """Sum det(port matrix) over all gated membership pairs.
 
     Returns (field element, number of pairs visited). The sum is the xor of
     2 * 3^(|blue| - 1) determinants, and is independent of visit order. The
     pairs are taken in chunks of at most STATE_CHUNK, one per prefix of high
     base-3 digits (see _pair_plan), each gathered from this trial's row
-    tables into one buffer that every chunk reuses.
+    tables into the same gather stack, with the same take scratch. buffers
+    holds that stack and scratch (see _gather_buffers); a detection passes
+    its own, so that its trials reuse them too, and without it the pass
+    allocates its own. Their contents on entry do not matter.
     """
     nb = len(layout.blue)
     npairs = 2 * 3 ** (nb - 1)
     sieve = _BatchedSieve(g, layout, weights)
     plan = _pair_plan(nb, STATE_CHUNK)
-    out = np.empty((len(plan[0][0]), nb, nb), dtype=np.int32)
+    out, scratch = buffers if buffers is not None else _gather_buffers(nb)
     total = 0
     for h in range(len(plan[0][1])):
         index = [base + offset[h] for base, offset in plan]
-        dets = batched_gf_det(sieve.field, sieve.matrices(index, out))
+        dets = batched_gf_det(sieve.field, sieve.matrices(index, out, scratch))
         total ^= int(np.bitwise_xor.reduce(dets))
     return total, npairs
 
@@ -410,9 +437,12 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     field = make_binary_field(FIELD_BITS)
     pairs = 0
     key = derive_seed("hc-trial", seed)
+    # one gather stack and take scratch serve every trial and every chunk,
+    # so a trial allocates nothing large
+    buffers = _gather_buffers(len(layout.blue))
     for t in range(tmax):
         w = PortWeights.draw(g, layout, field, key, t)
-        total, pairs = sieve_membership_pairs(g, layout, w)
+        total, pairs = sieve_membership_pairs(g, layout, w, buffers)
         if total != 0:
             return DetectionReport(
                 verdict=True, trials_run=t + 1, trials_max=tmax, failure_bound=0.0,

@@ -16,6 +16,7 @@ from hamkit import hamdetect
 from hamkit.algebra import make_binary_field
 from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamdetect import (
+    BLUE_LIMIT,
     FAILURE_TARGET_BITS,
     FIELD_BITS,
     PortLayout,
@@ -169,6 +170,47 @@ class TestSieve:
         total, _ = sieve_membership_pairs(g, layout, w)
         assert total == 0
 
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_detection_reuses_one_gather_stack(self, monkeypatch, chunk):
+        # a NO at |blue| = 5 (an acyclic tournament has one yellow vertex):
+        # 162 pairs a trial, one chunk by default and 27 chunks of 6 at STATE_CHUNK = 7
+        if chunk is not None:
+            monkeypatch.setattr(hamdetect, "STATE_CHUNK", chunk)
+        g = acyclic_tournament(6)
+        layout = PortLayout.from_partition(g, find_independent_partition(g))
+        assert len(layout.blue) == 5
+        stacks, passes = [], []
+        real_det, real_sieve = hamdetect.batched_gf_det, hamdetect.sieve_membership_pairs
+
+        def record_det(field, mats):
+            stacks.append(mats)
+            return real_det(field, mats)
+
+        def record_sieve(g, layout, weights, buffers=None):
+            passes.append((weights, buffers))
+            return real_sieve(g, layout, weights, buffers)
+
+        monkeypatch.setattr(hamdetect, "batched_gf_det", record_det)
+        monkeypatch.setattr(hamdetect, "sieve_membership_pairs", record_sieve)
+        rep = detect_hamiltonian_cycle(g, trials=3, seed=4)
+        assert not rep.verdict and rep.trials_run == 3
+        assert len(passes) == 3 and len(stacks) == 3 * (27 if chunk else 1)
+        assert all(np.shares_memory(mats, stacks[0]) for mats in stacks)
+        buffers = passes[0][1]
+        assert all(b is buffers for _, b in passes)
+        # the buffers' leftover contents do not matter, on this NO or on a YES
+        # at the same |blue| (a directed 10-cycle: five blue, five yellow)
+        field = make_binary_field(FIELD_BITS)
+        yes = directed_cycle(10)
+        yes_layout = PortLayout.from_partition(yes, find_independent_partition(yes))
+        assert len(yes_layout.blue) == 5
+        cases = [(g, layout, w) for w, _ in passes]
+        cases += [(yes, yes_layout, PortWeights.draw(yes, yes_layout, field, 9, t)) for t in range(3)]
+        for graph, lay, w in cases:
+            alone = sieve_membership_pairs(graph, lay, w)
+            assert sieve_membership_pairs(graph, lay, w, buffers) == alone
+            assert alone[1] == 162 and (alone[0] != 0) == (graph is yes)
+
 
 def random_bipartite(rnd, n, density):
     """Arcs both ways between two halves, so a yellow half leaves no pool ports."""
@@ -212,8 +254,8 @@ def gathered_chunks(monkeypatch, g, layout, w):
     chunks = []
     real = hamdetect._BatchedSieve.matrices
 
-    def record(self, index, out):
-        mats = real(self, index, out)
+    def record(self, index, *buffers):
+        mats = real(self, index, *buffers)
         chunks.append((decode_pairs(layout, index), mats.copy()))
         return mats
 
@@ -439,6 +481,45 @@ class TestBatchedDet:
         mats = rng.integers(0, field.q, size=(400, 5, 5), dtype=np.int32)
         mats[rng.random(mats.shape) < 0.6] = 0
         assert self.routes(field, mats) == {"screen", "column", "kept"}
+
+    @pytest.mark.parametrize("n", [8, 12, BLUE_LIMIT])
+    def test_large_stacks(self, n):
+        # Three kinds of n x n matrix, up to the largest pair matrix a detection builds.
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(17 + n)
+        order = field.q - 1
+        log, exp = field.np_log, field.np_exp
+
+        # Upper triangular U with its rows rotated up by one: the top row is
+        # U[1], whose first entry is 0, and only the bottom row U[0] has a
+        # nonzero there. The fix-up adds U[0] on top, eliminating leaves the
+        # bottom row U[1], and the trailing block is again a rotated upper
+        # triangular matrix, so the fix-up runs at every column and the
+        # pivots are U's diagonal. Diagonal logs in [order - 9, order - 1]
+        # sum past (n - 1) * order, so the log-sum product must wrap.
+        upper = np.triu(rng.integers(1, field.q, size=(10, n, n), dtype=np.int32), 1)
+        diag_logs = order - rng.integers(1, 10, size=(10, n))
+        upper[:, np.arange(n), np.arange(n)] = exp[diag_logs]
+        rotated = np.roll(upper, -1, axis=1)
+        assert (diag_logs.sum(axis=1) > (n - 1) * order).all()
+
+        # Nonsingular leading (n-1) x (n-1) minor, last row a combination of
+        # the others: every pivot column has a nonzero entry until the last
+        # pivot, which is 0.
+        last = rng.integers(1, field.q, size=(10, n, n), dtype=np.int32)
+        coef = rng.integers(1, field.q, size=(10, n - 1), dtype=np.int32)
+        last[:, -1] = np.bitwise_xor.reduce(field.nmul(coef[:, :, None], last[:, :-1]), axis=1)
+
+        dense = rng.integers(0, field.q, size=(10, n, n), dtype=np.int32)
+        mats = np.concatenate([rotated, last, dense])
+        assert self.routes(field, mats) == {"column", "kept"}
+
+        sf = ScalarBinaryField(field)
+        dets = batched_gf_det(field, mats)
+        want = exp[diag_logs.sum(axis=1) % order]
+        assert np.array_equal(dets[:10], want) and (want != 0).all()
+        assert not dets[10:20].any()
+        for mat in last:
+            assert det_gauss(square(sf, mat[:-1, :-1].tolist())) != 0
 
 
 class TestDetect:
