@@ -30,11 +30,14 @@ next to a zero row for each gated-off vertex, and a pair matrix is the xor
 of four gathered rows per vertex, two per side. Which rows to gather
 depends only on |blue|, so one cached pair plan serves every trial. The
 determinants of a chunk of pairs are taken at once by table-driven batched
-Gaussian elimination. Many pair matrices are singular and add nothing to
-the sum, so the elimination drops a matrix as soon as it is known to be
-singular: up front if it has an all-zero row or column, later if a pivot
-column has no nonzero entry left. A dropped matrix gets determinant 0,
-which is its exact determinant, so the sum does not change.
+Gaussian elimination, batch-last: the matrices that pass an all-zero
+column screen are laid out in one [n, n, L] stack whose innermost axis
+runs over the L matrices, so every step works on rows of L entries. Many
+pair matrices are singular and add nothing to the sum, so the elimination
+drops a matrix as soon as it is known to be singular: up front if it has
+an all-zero column, later if a pivot column has no nonzero entry left.
+A dropped matrix gets determinant 0, which is its exact determinant, so
+the sum does not change.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ FAILURE_TARGET_BITS = 84
 STATE_CHUNK = 1 << 14
 # 2 * 3^(BLUE_LIMIT - 1) pair determinants per trial, about 2.9e7 at 16
 BLUE_LIMIT = 16
+# batched_gf_det lays its survivors out batch-last this many matrices at a time
+LAYOUT_BLOCK = 1 << 12
 
 # building the field's tables (~7 ms) at import keeps them out of the first
 # detection call
@@ -149,50 +154,67 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     Gaussian elimination on the matrices that can still be nonsingular; a
     matrix leaves the batch with determinant 0 as soon as it is known to be
     singular, which is exact whatever the field:
-      up front, a matrix with an all-zero row or column (the int32 sum of a
-      row or column of entries in [0, q) may wrap, but as a sum below 2^32
-      of nonnegative terms it wraps to 0 only when every term is 0);
+      up front, a matrix with an all-zero column (the int32 sum of a column
+      of entries in [0, q) may wrap, but as a sum below 2^32 of nonnegative
+      terms it wraps to 0 only when every term is 0);
       at each pivot column, a matrix whose trailing column is all zero.
-    The survivors are copied out of mats, and each step replaces their
-    trailing block by the next, one row and one column smaller, with one
-    exp-table gather: the logs of the pivot row and of the factor column are
-    taken on their [B, n-1] slices and added by broadcasting. A matrix whose
-    top entry is 0 gets the first row with a nonzero entry added to its top
-    row, which leaves the determinant unchanged. The pivots multiply as an
-    intp sum of their logs, reduced mod q - 1 once at the end, where the last
-    pivot's log (the zero sentinel when it is 0) is added before the one exp
-    lookup. Every log and exp index is in range by construction, so each
-    lookup is a take with mode="clip": it never clips, and it costs less
-    than the default mode's raise-on-error index check.
+    There is no row screen: a matrix with an all-zero row but no all-zero
+    column is singular, so its elimination runs out of pivots, and it leaves
+    at a pivot column or ends on a zero last pivot, with determinant 0.
+    The L survivors are laid out batch-last, in one C-contiguous [n, n, L]
+    stack gathered LAYOUT_BLOCK matrices at a time, so that no second
+    full-size copy is ever held. Each step then works on rows of L entries,
+    one per matrix: it tests the pivot column on its [s, L] slice, and
+    replaces the trailing block by the next, one row and one column smaller,
+    with one exp-table gather, the logs of the factor column and of the
+    pivot row being taken on their [s-1, L] slices and added by broadcasting
+    into intp. A matrix whose top entry is 0 gets the first row with a
+    nonzero entry added to its top row, which leaves the determinant
+    unchanged; one flat take gathers those rows for the whole stack. The
+    pivots multiply as an intp sum of their logs, reduced mod q - 1 once at
+    the end, where the last pivot's log (the zero sentinel when it is 0) is
+    added before the one exp lookup. Every log and exp index is in range by
+    construction, so each lookup is a take with mode="clip": it never clips,
+    and it costs less than the default mode's raise-on-error index check.
+    The call returns as soon as no matrix is left.
     """
     nmats, n, _ = mats.shape
     det = np.zeros(nmats, dtype=np.int32)
-    live = np.flatnonzero(np.einsum("bij->bi", mats).all(axis=1) & np.einsum("bij->bj", mats).all(axis=1))
-    m = mats[live]
+    live = np.flatnonzero(np.einsum("bij->bj", mats).all(axis=1))
+    if not len(live):
+        return det
+    # m[i, j, b] is entry (i, j) of matrix live[b]
+    m = np.empty((n, n, len(live)), dtype=np.int32)
+    for a in range(0, len(live), LAYOUT_BLOCK):
+        m[:, :, a : a + LAYOUT_BLOCK] = mats[live[a : a + LAYOUT_BLOCK]].transpose(1, 2, 0)
     lsum = np.zeros(len(live), dtype=np.intp)
     log, exp = field.np_log, field.np_exp
     order = field.q - 1
     for _ in range(n - 1):
-        nz = m[:, :, 0] != 0
-        has = nz.any(axis=1)
+        nz = m[:, 0] != 0
+        has = nz.any(axis=0)
         if not has.all():
             keep = np.flatnonzero(has)
-            m, nz, live, lsum = m[keep], nz[keep], live[keep], lsum[keep]
-        moved = np.flatnonzero(~nz[:, 0])
-        if len(moved):
-            m[moved, 0] ^= m[moved, np.argmax(nz[moved], axis=1)]
-        lpiv = log.take(m[:, 0, 0], mode="clip")
-        lsum += lpiv
+            if not len(keep):
+                return det
+            m, nz, live, lsum = m.take(keep, axis=2), nz.take(keep, axis=1), live[keep], lsum[keep]
+        top = nz[0]
+        if not top.all():
+            # per matrix, the flat offsets in the C-contiguous m of its first
+            # row with a nonzero entry in the pivot column
+            first = nz.argmax(axis=0) * m[0].size + np.arange(m[0].size).reshape(m[0].shape)
+            np.bitwise_xor(m[0], m.reshape(-1).take(first, mode="clip"), out=m[0], where=~top)
+        lcol = log.take(m[:, 0], mode="clip")
+        lsum += lcol[0]
         # order - log(piv) in [1, order] is a log of 1/piv; added to a log below
         # 2 * order, or to the zero sentinel, it stays inside the exp table
-        lfac = log.take(exp.take(log.take(m[:, 1:, 0], mode="clip") + (order - lpiv)[:, None], mode="clip"),
-                        mode="clip")
-        lrow = log.take(m[:, 0, 1:], mode="clip")
-        block = exp.take(np.add(lfac[:, :, None], lrow[:, None, :], dtype=np.intp), mode="clip")
-        block ^= m[:, 1:, 1:]
+        lfac = log.take(exp.take(lcol[1:] + (order - lcol[0]), mode="clip"), mode="clip")
+        lrow = log.take(m[0, 1:], mode="clip")
+        block = exp.take(np.add(lfac[:, None, :], lrow[None, :, :], dtype=np.intp), mode="clip")
+        block ^= m[1:, 1:]
         m = block
     lsum %= order
-    lsum += log.take(m[:, 0, 0], mode="clip")
+    lsum += log.take(m[0, 0], mode="clip")
     det[live] = exp.take(lsum, mode="clip")
     return det
 

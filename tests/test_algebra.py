@@ -210,7 +210,10 @@ class TestBatchedBinaryField:
         assert np.all(f.ninv(np.zeros(3, dtype=np.int32)) == 0)
 
     def test_broadcast_shapes(self):
-        # the [B, r, 1] x [B, 1, c] products of batched_gf_det's row updates
+        # broadcast products as nmul's callers take them: the [|blue|, 1, |yellow|]
+        # x [1, |blue|, |yellow|] merged-column weights of hamdetect._BatchedSieve.__init__
+        # and the k-internal engine's [..., len] x [..., 1] unit inverses
+        # (branchings._InternalSieveEngine._inverse)
         f = BinaryField(10)
         sf = ScalarBinaryField(f)
         rng = np.random.default_rng(5)

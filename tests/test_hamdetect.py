@@ -402,8 +402,9 @@ class TestBatchedDet:
         assert dets.tolist() == [0, 1, 0]
 
     # The kernel drops a matrix with determinant 0 by one of two routes: the
-    # up-front screen (an all-zero row or column) or the pivot column whose
-    # trailing entries are all zero. Every other matrix is eliminated to the end.
+    # up-front screen (an all-zero column) or the pivot column whose trailing
+    # entries are all zero. Every other matrix is eliminated to the end, and a
+    # singular one among them ends on a zero last pivot.
     @staticmethod
     def nonsingular(field, rng, count, n):
         """Random matrices whose only zero entry is the top-left one.
@@ -427,7 +428,7 @@ class TestBatchedDet:
         for mat, got in zip(before, dets):
             want = det_gauss(square(sf, mat.tolist()))
             assert int(got) == want
-            if not (mat.any(axis=0).all() and mat.any(axis=1).all()):
+            if not mat.any(axis=0).all():
                 taken.add("screen")
             else:
                 taken.add("column" if want == 0 else "kept")
@@ -437,7 +438,17 @@ class TestBatchedDet:
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(11)
         mats = self.nonsingular(field, rng, 6, 5)
         mats[2, 3] = 0
-        assert self.routes(field, mats) == {"screen", "kept"}
+        assert self.routes(field, mats) == {"column", "kept"}
+
+    def test_zero_row_without_zero_column(self):
+        # no row screen: a zero row at any position, in matrices with no zero
+        # column, still gives the exact determinant 0
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(18)
+        for n in range(2, 8):
+            mats = rng.integers(1, field.q, size=(n, n, n), dtype=np.int32)
+            mats[np.arange(n), np.arange(n)] = 0  # matrix i has row i zero
+            assert mats.any(axis=1).all()
+            assert self.routes(field, mats) == {"column"}
 
     def test_zero_column(self):
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(12)
@@ -451,6 +462,38 @@ class TestBatchedDet:
         mats[1, 4] = mats[1, 0] ^ field.nmul(np.int32(9), mats[1, 2])  # no zero row or column
         mats[3, :, 2] = field.nmul(mats[3, :, 0], np.int32(3))
         assert self.routes(field, mats) == {"column", "kept"}
+
+    def test_drop_and_fix_up_at_one_column(self):
+        # at pivot column 2, the first matrix drops (its trailing column is all
+        # zero) while the second needs the row-add fix-up (top entry 0, a
+        # nonzero below it); both have every earlier pivot nonzero
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(19)
+        n = 5
+        upper = np.triu(rng.integers(1, field.q, size=(4, n, n), dtype=np.int32))
+        drops = upper[0].copy()
+        drops[2, 2] = 0  # column 2 is nonzero only in rows 0 and 1
+        fixed = upper[1][[0, 1, 3, 2, 4]]  # rows 2 and 3 swapped: a zero on top at column 2
+        mats = np.stack([drops, fixed, upper[2], rng.integers(0, field.q, size=(n, n), dtype=np.int32)])
+        assert self.routes(field, mats) == {"column", "kept"}
+        dets = batched_gf_det(field, mats)
+        diag = upper[:, np.arange(n), np.arange(n)]
+        assert dets[0] == 0
+        assert dets[1] == field.np_exp[field.np_log[diag[1]].sum() % (field.q - 1)] != 0
+
+    def test_one_survivor(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(20)
+        mats = self.nonsingular(field, rng, 4, 6)
+        mats[0, :, 5] = mats[2, :, 0] = mats[3, :, 3] = 0
+        assert self.routes(field, mats) == {"screen", "kept"}
+        dets = batched_gf_det(field, mats)
+        assert dets[1] != 0 and not dets[[0, 2, 3]].any()
+
+    def test_every_matrix_screened(self):
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(21)
+        mats = rng.integers(1, field.q, size=(7, 5, 5), dtype=np.int32)
+        mats[np.arange(7), :, np.arange(7) % 5] = 0
+        assert self.routes(field, mats) == {"screen"}  # all 0, input unchanged
+        assert batched_gf_det(field, mats).dtype == np.int32
 
     def test_all_singular(self):
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(14)
