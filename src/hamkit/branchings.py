@@ -26,6 +26,7 @@ explicit failure-probability bound in the report.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Protocol
 
@@ -41,7 +42,7 @@ from .rand import counter_draw, derive_seed, make_rng
 from .report import DetectionReport
 
 GROUP_RANK_LIMIT = 6
-# detect_k_internal evaluates each root's trials in chunks of 1, 4, 16, ...
+# detect_k_internal evaluates its trials in chunks of 1, 4, 16, ...
 # up to this many (see _trial_chunks)
 INTERNAL_CHUNK = 34
 # Bytes of the largest gather in _InternalSieveEngine._mul, det_batch's first
@@ -55,7 +56,7 @@ MODP_WORD_LIMIT = 1 << 31
 # Entries of the int64 and float64 scratch blocks that batched_modp_det reduces
 # at once: each elimination step updates its trailing rows a block at a time
 MODP_BLOCK = 1 << 16
-# detect_k_leaf runs at most this many solver trials per root (4^k by default)
+# detect_k_leaf runs at most this many solver trials (4^k by default)
 LEAF_BUDGET_LIMIT = 4**6
 # Bytes of the largest int64 stack the k-leaf solver builds at once: one
 # batched_modp_det call of BranchingLeafPolynomial, or one chunk's assignments
@@ -115,7 +116,10 @@ def _pair_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _InternalSieveEngine:
-    """Determinant of the marker-weighted Laplacian, trial-batched.
+    """Determinant of the root-bordered marker-weighted Laplacian, trial-batched.
+
+    With w = 1 on the roots (see _bordered_vertices) it sums every root's
+    punctured determinant, whose branchings have different arc sets.
 
     The sieve's entries lie in GF(2^m)[t]/(t^(k+1)) (x) GF(2^m)[x_1..x_k]/(x_i^2),
     in fact in its subring S spanned by the t^a * x^T with |T| >= a, where
@@ -127,47 +131,50 @@ class _InternalSieveEngine:
     and M^(k+1) = 0. So an element is a unit exactly when its slot 0 is
     nonzero, and Gaussian elimination goes through whenever each pivot
     column has an entry with a nonzero slot 0 at or below the diagonal. The
-    slot-0 parts of the entries form the zeta-weighted Laplacian over
-    GF(2^m), and elimination acts on them as plain Gaussian elimination, so
-    a draw whose slot-0 Laplacian is nonsingular never lacks a unit pivot.
-    The rare draws that do (det_batch) swap in a later column with a unit,
-    and a trailing block with no unit at all has determinant 0 past k rows
-    (M^(k+1) = 0) and goes to the division-free Berkowitz recurrence up to
-    k rows. Each batch of ring products is one pass (see _mul): log-table
-    lookups of the operands' 2^k slots, a take of the 3^k pairs' logs, an
-    exp-table take of their sums and one reduceat per output slot.
+    slot-0 parts of the entries form the bordered zeta-weighted Laplacian
+    over GF(2^m), and elimination acts on them as plain Gaussian
+    elimination, so a draw whose slot-0 matrix is nonsingular never lacks a
+    unit pivot. The rare draws that do (det_batch) swap in a later column
+    with a unit, and a trailing block with no unit at all has determinant 0
+    past k rows (M^(k+1) = 0) and goes to the division-free Berkowitz
+    recurrence up to k rows. Each batch of ring products is one pass (see
+    _mul): log-table lookups of the operands' 2^k slots, a take of the 3^k
+    pairs' logs, an exp-table take of their sums and one reduceat per
+    output slot.
     """
 
-    def __init__(self, g: Digraph, root: int, k: int, field: BinaryField):
+    def __init__(self, g: Digraph, roots: list[int], k: int, field: BinaryField):
         self.g = g
-        self.root = root
         self.k = k
         self.f = field
         self.len = 1 << k
-        self.verts = [u for u in range(g.n) if u != root]
+        r = roots[0]
+        self.verts = _bordered_vertices(g, roots)
         self.pos = {u: i for i, u in enumerate(self.verts)}
         self.arcs = sorted(g.arcs)
         self.ia, self.ib, self.offsets = _pair_plan(k)
-        # build_matrices' plan: arc u->v adds its weight at (v, v), and at
-        # (u, v) unless u is the root. Row i of in_table lists the arcs into
-        # verts[i], padded with m, a zero weight row; an off-diagonal entry
-        # takes one arc's weight (the graph has no parallel arcs).
+        # build_matrices' plan: arc u->v adds its weight at (v, v) and (u, v)
+        # outside row r and a dropped column r. Row i of in_table lists the
+        # arcs into verts[i], padded with m, a zero weight row; an entry off
+        # the diagonal takes one arc's weight (the graph has no parallel arcs).
         nn = len(self.verts)
         into = [[] for _ in range(nn)]
         off_entries = []
         off_arcs = []
         for ai, (u, v) in enumerate(self.arcs):
-            if v != root:
+            if v != r:
                 into[self.pos[v]].append(ai)
-                if u != root:
-                    off_entries.append(self.pos[u] * nn + self.pos[v])
-                    off_arcs.append(ai)
+            if u != r and v in self.pos:
+                off_entries.append(self.pos[u] * nn + self.pos[v])
+                off_arcs.append(ai)
         depth = max(map(len, into), default=0)
         self.in_table = np.array(
             [arcs + [g.m] * (depth - len(arcs)) for arcs in into], dtype=np.int64
         ).reshape(nn, depth)
         self.off_entries = np.array(off_entries, dtype=np.int64)
         self.off_arcs = np.array(off_arcs, dtype=np.int64)
+        row_r = [self.pos[r] * nn + self.pos[v] for v in roots if r in self.pos]
+        self.border = np.array(row_r, dtype=np.int64)
         self.tails = np.array([u for u, _ in self.arcs], dtype=np.int64)
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,7 +220,7 @@ class _InternalSieveEngine:
         return self.f.nmul(u, self.f.nmul(cinv, cinv))
 
     def build_matrices(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
-        """Punctured Laplacians for a batch of draws, shape [nn, nn, B, len].
+        """Root-bordered Laplacians for a batch of draws, shape [nn, nn, B, len].
 
         The sieve's arc weight is zeta + t * zeta*rmul * (the tail's marker
         pattern, the sum of x^T over the nonempty subsets T of the tail's
@@ -225,10 +232,10 @@ class _InternalSieveEngine:
         nonzero for any c >= 1, where a bare (1 + marker)^c would vanish for
         even c. The weights are stacked arc-major with one zero row after
         them. One gather through the engine's in_table and one xor
-        reduction give the diagonal, and one gather and one scatter the
-        off-diagonal entries. The diagonal's gather holds nn times the
-        largest in-degree weights, no more than the stack's nn^2 entries
-        plus one row per vertex.
+        reduction give the diagonal, one gather and one scatter the other
+        entries, and row r, if kept, takes 1 on the roots. The diagonal's
+        gather holds nn times the largest in-degree weights, no more than
+        the stack's nn^2 entries plus one row per vertex.
         """
         nb, m = zeta.shape
         single = 1 << np.arange(self.k, dtype=np.int64)
@@ -240,6 +247,7 @@ class _InternalSieveEngine:
         mats = np.zeros((nn * nn, nb, self.len), dtype=np.int32)
         mats[:: nn + 1] = np.bitwise_xor.reduce(weights[self.in_table], axis=1)
         mats[self.off_entries] = weights[self.off_arcs]
+        mats[self.border, :, 0] = 1
         return mats.reshape(nn, nn, nb, self.len)
 
     def det_batch(self, mats: np.ndarray) -> np.ndarray:
@@ -344,19 +352,20 @@ class _InternalSieveEngine:
 def _draw_internal_chunk(
     g: Digraph, k: int, field: BinaryField, seed: int, root: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draws of one root's trials start..start+count-1: zeta and rmul [count, m], gvec [count, n].
+    """Draws of trials start..start+count-1: zeta and rmul [count, m], gvec [count, n].
 
     Trial t's values are counter_draw's words (t, 0..2m+n-1) under the key
-    derive_seed("internal-sieve", seed, root): m zetas, m rmuls, then one
-    group element per vertex. A group element is the low k bits of its word,
-    exactly uniform on 0..2^k-1. A scalar is z % (q-1) + 1 for a uniform
-    64-bit word z, within total variation (q-1)/2^64 of uniform on 1..q-1,
-    so the 2m scalars of a trial are jointly within 2m(q-1)/2^64 <= 2^-31
-    (m < 2^16 arcs and q <= 2^16 under the field guard). That fits in the
-    slack (q-2n)/(q(q-1)) >= 1/(2(q-1)) >= 2^-17 between Schwartz-Zippel's
-    (2n-1)/(q-1) for uniform nonzero scalars and the 2n/q of
-    internal_sieve_success_floor wherever that floor is positive (n >= 3,
-    where 2n <= q/2), so the floor holds as printed.
+    derive_seed("internal-sieve", seed, root), root the first spanning
+    root: m zetas, m rmuls, then one group element per vertex. A group
+    element is the low k bits of its word, exactly uniform on 0..2^k-1. A
+    scalar is z % (q-1) + 1 for a uniform 64-bit word z, within total
+    variation (q-1)/2^64 of uniform on 1..q-1, so the 2m scalars of a trial
+    are jointly within 2m(q-1)/2^64 <= 2^-31 (m < 2^16 arcs and q <= 2^16
+    under the field guard). That fits in the slack (q-2n)/(q(q-1)) >=
+    1/(2(q-1)) >= 2^-17 between Schwartz-Zippel's (2n-1)/(q-1) for uniform
+    nonzero scalars and the 2n/q of internal_sieve_success_floor wherever
+    that floor is positive (n >= 3, where 2n <= q/2), so the floor holds as
+    printed.
     """
     m = g.m
     words = counter_draw(derive_seed("internal-sieve", seed, root), start, count, 2 * m + g.n)
@@ -368,12 +377,13 @@ def _draw_internal_chunk(
 def _internal_gather_bytes(n: int, k: int) -> int:
     """Bound on the bytes of the largest int32 gather that _mul makes in det_batch.
 
-    That is the rank-1 update at column 0: (n-2)^2 products for each trial
+    That is the rank-1 update at column 0: (nn-1)^2 products for each trial
     of a full chunk, one int32 slot per pair of the 3^k-pair plan, so
-    (n-2)^2 * 34 * 3^k * 4 bytes. Later columns and the Berkowitz fallback
-    gather no more. The formula still counts the (k+1)(k+2)/2 * 3^k pairs
-    of the truncated ring and so over-bounds the gather by (k+1)(k+2)/2; it
-    is kept so the guard accepts exactly the same inputs.
+    (nn-1)^2 * 34 * 3^k * 4 bytes, nn = n-1 with one spanning root and n
+    with more. Later columns and the Berkowitz fallback gather no more. The
+    formula still counts the (k+1)(k+2)/2 * 3^k pairs of the truncated ring,
+    kept so the guard accepts exactly the same inputs; so it bounds the
+    n-row gather too, but at n = 2 and at n = 3, k = 1 (at most 1,632 bytes).
     """
     return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
 
@@ -396,16 +406,16 @@ def internal_sieve_success_floor(n: int, k: int) -> float:
 def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> DetectionReport:
     """One-sided test for a spanning out-branching with >= k internal vertices.
 
-    Roots without any spanning out-branching are discarded (see
-    _spanning_roots); k = 0 is answered exactly. Otherwise each surviving root
-    runs `trials` randomized determinant evaluations, in chunks of 1, 4,
-    16, ... up to INTERNAL_CHUNK trials, and stops after the chunk with its
-    first hit; a nonzero verdict slot (the degree-k slice) certifies YES.
-    Reports are identical for any chunking: per-root trial consumption
-    depends only on (seed, root, trial). Refuses trials < 1 (ValueError)
-    before it reads the graph, then k > GROUP_RANK_LIMIT and a determinant
-    gather bound past INTERNAL_GATHER_LIMIT bytes (GuardError) before the
-    roots are scanned.
+    The spanning roots reach every vertex (see _spanning_roots); k = 0 is
+    answered exactly. Otherwise `trials` randomized evaluations of one
+    determinant over every spanning root (see _InternalSieveEngine) run in
+    chunks of 1, 4, 16, ... up to INTERNAL_CHUNK trials, stopping after the
+    chunk with the first hit; a nonzero verdict slot (the degree-k slice)
+    certifies YES. Reports are identical for any chunking: trial t's draws
+    depend only on (seed, the first spanning root, t). Refuses trials < 1
+    (ValueError) before it reads the graph, then k > GROUP_RANK_LIMIT and a
+    determinant gather bound past INTERNAL_GATHER_LIMIT bytes (GuardError)
+    before the roots are screened.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -433,31 +443,36 @@ def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> D
             detail={"reason": "spanning out-branchings exist and k = 0", "roots": roots},
         )
     field = make_binary_field(binary_field_degree(n))
-
-    def run_root(root: int) -> tuple[int, bool]:
-        engine = _InternalSieveEngine(g, root, k, field)
-        done = 0
-        for b in _trial_chunks(trials, INTERNAL_CHUNK):
-            hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, seed, root, done, b))
-            if hits.any():
-                return done + int(np.argmax(hits)) + 1, True
-            done += b
-        return done, False
-
-    results = _scan_roots(roots, run_root, lambda res: res[1])
-    hit = any(found for _, found in results.values())
+    engine = _InternalSieveEngine(g, roots, k, field)
+    done = 0
+    hit = False
+    for b in _trial_chunks(trials, INTERNAL_CHUNK):
+        hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, seed, roots[0], done, b))
+        if hits.any():
+            done += int(np.argmax(hits)) + 1
+            hit = True
+            break
+        done += b
     floor = internal_sieve_success_floor(n, k)
     return DetectionReport(
         verdict=hit,
-        trials_run=sum(done for done, _ in results.values()),
-        trials_max=trials * len(roots),
+        trials_run=done,
+        trials_max=trials,
         failure_bound=0.0 if hit else (1.0 - floor) ** trials,
-        detail={
-            "engine": "batched",
-            "roots": list(results),
-            "per_root": {str(r): {"trials": done, "hit": found} for r, (done, found) in results.items()},
-        },
+        detail={"engine": "batched", "roots": roots},
     )
+
+
+def _bordered_vertices(g: Digraph, roots: list[int]) -> list[int]:
+    """The rows (and columns) of the root-bordered in-arc Laplacian of (g, roots).
+
+    Row r = roots[0] of the in-arc Laplacian L is replaced by a vector w,
+    zero off the roots. L's rows add up to the zero row, so over any
+    commutative ring det = sum_v w_v * det(L_vv), L_vv being L punctured at
+    v (the all-minors matrix-tree theorem). With one root, w = w_r * e_r,
+    and the Laplace expansion along row r leaves w_r * det(L_rr).
+    """
+    return [u for u in range(g.n) if len(roots) > 1 or u != roots[0]]
 
 
 def _spanning_roots(g: Digraph) -> list[int]:
@@ -483,19 +498,6 @@ def _spanning_roots(g: Digraph) -> list[int]:
         if seen == everyone:
             roots.append(r)
     return roots
-
-
-def _scan_roots(roots: list[int], run_root, is_hit) -> dict:
-    """run_root's result for each root a sequential scan visits, in root order.
-
-    The scan stops after the first root whose result is_hit.
-    """
-    visited = {}
-    for root in roots:
-        visited[root] = res = run_root(root)
-        if is_hit(res):
-            break
-    return visited
 
 
 # ---------------------------------------------------------------------------
@@ -677,20 +679,22 @@ def interpolate_univariate(values: np.ndarray, vinv: np.ndarray, p: int) -> np.n
 
 
 class BranchingLeafPolynomial:
-    """The branching polynomial of (g, root): one monomial per spanning
-    out-branching, with each vertex's variable raised to its child count and
-    the root's bumped by one. Homogeneous of degree n with coefficients that
-    count branchings sharing a child-count profile, hence nonnegative. The
-    number of distinct variables in a monomial is the branching's internal
-    vertex count."""
+    """The branching polynomial of (g, roots): one monomial per spanning
+    out-branching rooted at one of roots, with each vertex's variable raised
+    to its child count and the root's bumped by one. Homogeneous of degree n
+    with coefficients that count branchings sharing a child-count profile,
+    hence nonnegative. The number of distinct variables in a monomial is the
+    branching's internal vertex count. It is the determinant of the in-arc
+    Laplacian L(y) (arc u->v weighs y_u) bordered with w_v = y_v on the
+    roots (see _bordered_vertices): sum_v y_v * det(L_vv(y))."""
 
-    def __init__(self, g: Digraph, root: int):
-        if not 0 <= root < g.n:
+    def __init__(self, g: Digraph, roots: list[int]):
+        if not roots or not all(0 <= r < g.n for r in roots):
             raise ValueError("root out of range")
         self.g = g
-        self.root = root
+        self.roots = roots
         self.n = g.n
-        self._verts = [u for u in range(g.n) if u != root]
+        self._verts = _bordered_vertices(g, roots)
         self._pos = {u: i for i, u in enumerate(self._verts)}
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
@@ -701,28 +705,33 @@ class BranchingLeafPolynomial:
         dets = np.empty(ys.shape[0], dtype=np.int64)
         for lo in range(0, ys.shape[0], step):
             dets[lo : lo + step] = batched_modp_det(self._laplacians(ys[lo : lo + step], p), p)
-        return dets * ys[:, self.root] % p
+        r = self.roots[0]
+        return dets if r in self._pos else dets * ys[:, r] % p
 
     def _laplacians(self, ys: np.ndarray, p: int) -> np.ndarray:
-        """Punctured Laplacians mod p, a [B, n-1, n-1] view of a batch-last [n-1, n-1, B] stack.
+        """Root-bordered Laplacians mod p, a [B, nn, nn] view of a batch-last [nn, nn, B] stack.
 
         Arc u->v weighs ys[:, u]. The stack is built from a transposed copy
         of ys in centred residues, so each arc is one contiguous row write:
-        -y_u off the diagonal, and y_u added on it. The diagonal rows are
-        then centred again, so every entry is a centred residue of magnitude
+        -y_u off the diagonal, and y_u added on it, outside row r = roots[0].
+        The diagonal rows are then centred again, and row r, if kept, takes
+        y_v at the roots v, so every entry is a centred residue of magnitude
         at most p * (1/2 + 2^-20), as batched_modp_det requires, and its
-        transpose back to [n-1, n-1, B] copies nothing.
+        transpose back to [nn, nn, B] copies nothing.
         """
         nn = len(self._verts)
+        r = self.roots[0]
         yt = _centre_mod(ys.T.copy(), p)
         mats = np.zeros((nn, nn, ys.shape[0]), dtype=np.int64)
         for u, v in sorted(self.g.arcs):
-            if v != self.root:
+            if v != r:
                 iv = self._pos[v]
                 mats[iv, iv] += yt[u]
-                if u != self.root:
-                    np.negative(yt[u], out=mats[self._pos[u], iv])
+            if u != r and v in self._pos:
+                np.negative(yt[u], out=mats[self._pos[u], self._pos[v]])
         _centre_mod(mats.reshape(nn * nn, ys.shape[0])[:: nn + 1], p)
+        for v in self.roots if r in self._pos else []:
+            mats[self._pos[r], self._pos[v]] = yt[v]
         return mats.transpose(2, 0, 1)
 
 
@@ -828,19 +837,20 @@ def solve_nk_dv(
 def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) -> DetectionReport:
     """One-sided test for a spanning out-branching with >= k leaves.
 
-    Wraps each viable root's branching polynomial (n-distinct-variable count
-    = internal count, so >= k leaves means <= n-k distinct variables) and
-    asks solve_nk_dv, one root after another until the first YES. YES
-    answers are certain; the NO bound is inherited from the per-root solver.
-    The per-root budget defaults to 4^k. Refuses a budget below 1
+    Wraps the branching polynomial of every spanning root at once
+    (distinct-variable count = internal count, so >= k leaves means <= n-k
+    distinct variables) and asks solve_nk_dv, seeded by the first root.
+    YES answers are certain; the NO bound is the solver's. The budget
+    defaults to 4^k. A single vertex, one leaf, is answered YES without a
+    trial (its polynomial y_0 would read as NO). Refuses a budget below 1
     (ValueError) before it reads the graph, and one above LEAF_BUDGET_LIMIT
-    (GuardError) before the roots are scanned.
+    (GuardError) before the roots are screened.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be positive")
     n = g.n
-    if n < 2:
-        raise ValueError("need at least two vertices")
+    if n < 1:
+        raise ValueError("graph is empty")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if budget is None:
@@ -853,24 +863,12 @@ def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) 
             verdict=False, trials_run=0, trials_max=0, failure_bound=0.0,
             detail={"reason": "no spanning out-branching from any root"},
         )
-
-    def run_root(root: int) -> DetectionReport:
-        return solve_nk_dv(
-            BranchingLeafPolynomial(g, root), k, budget, derive_seed("leaf-root", seed, root)
+    if n == 1:
+        return DetectionReport(
+            verdict=True, trials_run=0, trials_max=0, failure_bound=0.0,
+            detail={"reason": "a single vertex is an out-branching with one leaf", "roots": roots},
         )
-
-    results = _scan_roots(roots, run_root, lambda rep: rep.verdict)
-    hit = any(rep.verdict for rep in results.values())
-    return DetectionReport(
-        verdict=hit,
-        trials_run=sum(rep.trials_run for rep in results.values()),
-        trials_max=sum(rep.trials_max for rep in results.values()),
-        failure_bound=0.0 if hit else max(rep.failure_bound for rep in results.values()),
-        detail={
-            "roots": list(results),
-            "per_root": {
-                str(r): {"verdict": rep.verdict, "trials": rep.trials_run}
-                for r, rep in results.items()
-            },
-        },
+    rep = solve_nk_dv(
+        BranchingLeafPolynomial(g, roots), k, budget, derive_seed("leaf-root", seed, roots[0])
     )
+    return replace(rep, detail={"roots": roots})

@@ -41,6 +41,16 @@ def out_star(n: int) -> Digraph:
     return make_digraph(n, [(0, v) for v in range(1, n)])
 
 
+def bidirected_star(n: int) -> Digraph:
+    """Arcs 0 <-> v: every vertex is a spanning root, and every out-branching has at most 2 internal vertices."""
+    return make_digraph(n, [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)])
+
+
+def bidirected_path(n: int) -> Digraph:
+    """Arcs i <-> i+1: every vertex is a spanning root, and every out-branching has at most 2 leaves."""
+    return make_digraph(n, [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)])
+
+
 def complete_digraph(n: int) -> Digraph:
     return make_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 

@@ -388,6 +388,13 @@ def puncture(m: SquareMatrix, label) -> SquareMatrix:
                         m.col_labels[:ci] + m.col_labels[ci + 1:], rows)
 
 
+def border(m: SquareMatrix, label, w: dict) -> SquareMatrix:
+    """Replace the row carrying the given label by w, a {column label: entry} map (zero elsewhere)."""
+    ri = m.row_labels.index(label)
+    row = tuple(w.get(c, m.ring.zero) for c in m.col_labels)
+    return SquareMatrix(m.ring, m.row_labels, m.col_labels, m.entries[:ri] + (row,) + m.entries[ri + 1:])
+
+
 def det_gauss(m: SquareMatrix):
     """Determinant by Gaussian elimination; the ring must be a field."""
     ring, n = m.ring, m.order
@@ -589,13 +596,6 @@ def internal_determinants(g, root, k, field, zeta, rmul, gvec) -> list:
     return dets
 
 
-def scalar_internal_chunk(g, root, k, field, zeta, rmul, gvec) -> np.ndarray:
-    """Per draw: is the degree-k slice of det(punctured marker Laplacian) nonzero?"""
-    ga = GroupAlgebra(field, k)
-    dets = internal_determinants(g, root, k, field, zeta, rmul, gvec)
-    return np.array([not ga.is_zero(det[k]) for det in dets], dtype=bool)
-
-
 def splitmix64_words(key: int, trial: int, width: int) -> list[int]:
     """Words (trial, 0..width-1) of the counter draw under key, on Python ints.
 
@@ -628,25 +628,36 @@ def internal_draws(g, k: int, field, seed: int, root: int, start: int, count: in
             np.array(gvec, dtype=np.int64).reshape(count, g.n))
 
 
-def internal_scan(g, k: int, trials: int, seed: int, chunk: int) -> dict:
-    """detect_k_internal's sequential root scan on the scalar route: its per_root detail."""
+def internal_root_sum(g, roots, k, field, zeta, rmul, gvec) -> list:
+    """Per draw: the sum over roots of the punctured determinants, in the engine's slot layout.
+
+    Slot T holds the t^|T| * x^T coefficient, the image of the truncated
+    ring in the 2^k-slot marker ring (characteristic 2: the sum is an xor).
+    """
+    ga = GroupAlgebra(field, k)
+    total = [[0] * ga.dim for _ in range(zeta.shape[0])]
+    for root in roots:
+        for b, det in enumerate(internal_determinants(g, root, k, field, zeta, rmul, gvec)):
+            xdet = [xbasis_to_group(ga, det[a]) for a in range(k + 1)]
+            for t in range(ga.dim):
+                total[b][t] ^= xdet[t.bit_count()][t]
+    return total
+
+
+def internal_detect(g, k: int, trials: int, seed: int, chunk: int) -> dict:
+    """detect_k_internal on the scalar route: the verdict slot of the sum of every
+    spanning root's punctured determinant, on draws keyed by the first root."""
     field = make_binary_field(binary_field_degree(g.n))
-    per_root = {}
-    for root in range(g.n):
-        if count_out_branchings(g, root) == 0:
-            continue
-        done = 0
-        hit = False
-        while done < trials and not hit:
-            b = min(chunk, trials - done)
-            draws = internal_draws(g, k, field, seed, root, done, b)
-            hits = scalar_internal_chunk(g, root, k, field, *draws)
-            hit = bool(hits.any())
-            done += int(np.argmax(hits)) + 1 if hit else b
-        per_root[str(root)] = {"trials": done, "hit": hit}
-        if hit:
-            break
-    return per_root
+    roots = [r for r in range(g.n) if count_out_branchings(g, r)]
+    done = 0
+    hit = False
+    while roots and done < trials and not hit:
+        b = min(chunk, trials - done)
+        draws = internal_draws(g, k, field, seed, roots[0], done, b)
+        hits = [det[-1] != 0 for det in internal_root_sum(g, roots, k, field, *draws)]
+        hit = any(hits)
+        done += hits.index(True) + 1 if hit else b
+    return {"roots": roots, "trials": done, "hit": hit}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bidirected_path,
+    bidirected_star,
     complete_digraph,
     directed_cycle,
     directed_path,
@@ -43,7 +45,9 @@ from reference import (
     det_gauss,
     dv_trial,
     internal_determinants,
-    internal_scan,
+    border,
+    internal_detect,
+    internal_root_sum,
     leaf_polynomial_value,
     puncture,
     scalar_solve_nk_dv,
@@ -194,7 +198,7 @@ class TestDetectKInternal:
 
     @pytest.mark.parametrize("route", ["batched", "scalar"])
     def test_matches_brute_force(self, route):
-        # "scalar" runs the same root scan on the reference ring determinant
+        # "scalar" sums every root's reference ring determinant on the same draws
         rnd = random.Random(83)
         for _ in range(15):
             n = rnd.randint(2, 6)
@@ -204,21 +208,25 @@ class TestDetectKInternal:
             if route == "batched":
                 got = detect_k_internal(g, k, trials=40, seed=7).verdict
             else:
-                got = any(r["hit"] for r in internal_scan(g, k, 40, 7, chunk=34).values())
+                got = internal_detect(g, k, 40, 7, chunk=34)["hit"]
             assert got == want
 
     def test_engines_consume_identical_trials(self, monkeypatch):
-        # batched hits equal the reference's on the same draws, whatever the chunking
+        # batched hits equal the reference's sum of per-root determinants on
+        # the same draws, whatever the chunking; multi-root graphs included
         monkeypatch.setattr(branchings, "INTERNAL_CHUNK", 4)
         rnd = random.Random(84)
+        multi = 0
         for _ in range(8):
             g = random_digraph(rnd, 5, 0.5)
             k = rnd.randint(1, 3)
             a = detect_k_internal(g, k, trials=25, seed=3)
-            per_root = internal_scan(g, k, 25, 3, chunk=9)
-            assert a.detail["per_root"] == per_root
-            assert a.verdict == any(r["hit"] for r in per_root.values())
-            assert a.trials_run == sum(r["trials"] for r in per_root.values())
+            want = internal_detect(g, k, 25, 3, chunk=9)
+            assert a.detail["roots"] == want["roots"]
+            assert (a.verdict, a.trials_run) == (want["hit"], want["trials"])
+            assert a.trials_max == 25
+            multi += len(want["roots"]) > 1
+        assert multi >= 3
 
     def test_no_false_positive_many_trials(self):
         # out-star with k=2 is a NO instance; hammer it
@@ -266,7 +274,7 @@ def _internal_determinant_cases(seed: int):
         zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
         if equal_zeta:
             zeta[:] = zeta[:, :1]
-        engine = branchings._InternalSieveEngine(g, root, k, field)
+        engine = branchings._InternalSieveEngine(g, [root], k, field)
         yield engine, engine.build_matrices(zeta, rmul, gvec), internal_determinants(
             g, root, k, field, zeta, rmul, gvec
         )
@@ -346,14 +354,14 @@ def _route_pools(rnd: random.Random):
         field = make_binary_field(binary_field_degree(nn + 1))
         for k in (1, 2, 3):
             g0 = graphs[0][0]
-            engine = branchings._InternalSieveEngine(g0, branchings._spanning_roots(g0)[-1], k, field)
+            engine = branchings._InternalSieveEngine(g0, branchings._spanning_roots(g0)[-1:], k, field)
             draws = []
             for g, equal_zeta in graphs:
                 root = branchings._spanning_roots(g)[-1]
                 zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
                 if equal_zeta:
                     zeta[:] = zeta[:, :1]
-                mats = branchings._InternalSieveEngine(g, root, k, field).build_matrices(zeta, rmul, gvec)
+                mats = branchings._InternalSieveEngine(g, [root], k, field).build_matrices(zeta, rmul, gvec)
                 draws.extend(mats[:, :, b] for b in range(3))
             for zero_cols in ([], [nn - 2], range(max(0, nn - k - 1), nn), range(nn - k, nn)):
                 for _ in range(2):
@@ -364,7 +372,7 @@ def _route_pools(rnd: random.Random):
             yield engine, draws
     field = make_binary_field(2)
     for k in (1, 2, 3):
-        engine = branchings._InternalSieveEngine(complete_digraph(5), 0, k, field)
+        engine = branchings._InternalSieveEngine(complete_digraph(5), [0], k, field)
         yield engine, [nprng.integers(0, 4, size=(4, 4, engine.len), dtype=np.int32) for _ in range(12)]
 
 
@@ -410,7 +418,7 @@ class TestInternalDeterminant:
         rng = np.random.default_rng(87)
         field = make_binary_field(binary_field_degree(8))
         for k in range(1, branchings.GROUP_RANK_LIMIT + 1):
-            engine = branchings._InternalSieveEngine(complete_digraph(8), 0, k, field)
+            engine = branchings._InternalSieveEngine(complete_digraph(8), [0], k, field)
             units = rng.integers(0, field.q, size=(40, engine.len), dtype=np.int32)
             units[:20, 1:] *= rng.random((20, engine.len - 1)) < 0.2  # sparse ones too
             units[:, 0] = rng.integers(1, field.q, size=40)
@@ -432,7 +440,7 @@ class TestInternalDeterminant:
         rng = np.random.default_rng(m)
         for k in range(1, branchings.GROUP_RANK_LIMIT + 1):
             ring = MarkerRing(field, k)
-            engine = branchings._InternalSieveEngine(complete_digraph(3), 0, k, field)
+            engine = branchings._InternalSieveEngine(complete_digraph(3), [0], k, field)
             nb = 3 if k < 5 else 2
             a = rng.integers(0, field.q, size=(2, 1, nb, ring.dim), dtype=np.int32)
             b = rng.integers(0, field.q, size=(1, 3, nb, ring.dim), dtype=np.int32)
@@ -457,7 +465,7 @@ class TestInternalDeterminant:
             field = make_binary_field(binary_field_degree(g.n))
             for k in (1, 3):
                 for root in range(g.n):
-                    engine = branchings._InternalSieveEngine(g, root, k, field)
+                    engine = branchings._InternalSieveEngine(g, [root], k, field)
                     zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, 3, root, 0, 4)
                     single = 1 << np.arange(k)
                     want = np.zeros((g.n - 1, g.n - 1, 4, 1 << k), dtype=np.int32)
@@ -522,6 +530,83 @@ class TestInternalDeterminant:
                     skipped += len(set(range(nn - 1)) - searched)
         assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz", "prefix")) >= 1, routes
         assert skipped >= 1
+
+
+def _random_root_lists(seed: int, count: int, nmax: int):
+    """(graph, roots) pairs, n = 2..nmax, with 1 to n distinct roots in random order (any vertices)."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n = rnd.randint(2, nmax)
+        g = random_digraph(rnd, n, rnd.uniform(0.2, 0.9))
+        yield g, rnd.sample(range(n), rnd.randint(1, n)), rnd
+
+
+class TestRootBorder:
+    """One determinant for every root: row r = roots[0] of the in-arc Laplacian replaced by w
+    has determinant sum_v w_v * det(L_vv), and one root expands back to the punctured matrix."""
+
+    def test_identity_over_integers(self):
+        for g, roots, rnd in _random_root_lists(101, 60, 8):
+            weights = {arc: rnd.randint(-5, 9) for arc in g.arcs}
+            lap = build_laplacian(g, weights, INTEGERS)
+            w = {v: rnd.randint(-5, 9) for v in roots}
+            want = sum(w[v] * det_bareiss(puncture(lap, v)) for v in roots)
+            assert det_bareiss(border(lap, roots[0], w)) == want, (sorted(g.arcs), roots)
+
+    def test_engine_determinant_is_the_root_sum(self):
+        # every slot of det_batch on the bordered matrix equals the xor of the
+        # reference's punctured ring determinants; one root keeps n-1 rows
+        sizes = Counter()
+        for g, roots, rnd in _random_root_lists(102, 50, 8):
+            k = rnd.randint(1, min(3, g.n - 1))
+            field = make_binary_field(binary_field_degree(g.n))
+            zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), roots[0], 0, 2)
+            engine = branchings._InternalSieveEngine(g, roots, k, field)
+            mats = engine.build_matrices(zeta, rmul, gvec)
+            assert mats.shape[0] == (g.n if len(roots) > 1 else g.n - 1)
+            got = engine.det_batch(mats)
+            want = internal_root_sum(g, roots, k, field, zeta, rmul, gvec)
+            assert got.tolist() == want, (sorted(g.arcs), roots, k)
+            sizes[len(roots) > 1] += 1
+        assert min(sizes[False], sizes[True]) >= 5, sizes
+
+    def test_leaf_polynomial_is_the_root_sum(self):
+        # and on one root it is y_r * det(L_rr), the punctured value, to the residue
+        p = 2_147_482_763
+        sizes = Counter()
+        for g, roots, rnd in _random_root_lists(103, 40, 8):
+            ys = np.array([[rnd.randrange(p) for _ in range(g.n)] for _ in range(3)], dtype=np.int64)
+            got = BranchingLeafPolynomial(g, roots).evaluate_batch(ys, p).tolist()
+            for row, value in zip(ys.tolist(), got):
+                assert value == sum(leaf_polynomial_value(g, v, row, p) for v in roots) % p, (roots, row)
+            sizes[len(roots) > 1] += 1
+        assert min(sizes[False], sizes[True]) >= 5, sizes
+
+    def test_gather_guard_bounds_the_bordered_update(self, monkeypatch):
+        # the guard's formula accepts only (n, K) whose real first rank-1
+        # gather, n-row bordered matrices included, stays under the limit
+        for n in range(2, 257):
+            for k in range(1, min(branchings.GROUP_RANK_LIMIT, n - 1) + 1):
+                if branchings._internal_gather_bytes(n, k) <= branchings.INTERNAL_GATHER_LIMIT:
+                    assert (n - 1) ** 2 * branchings.INTERNAL_CHUNK * 3**k * 4 <= branchings.INTERNAL_GATHER_LIMIT
+        # and that is the largest int32 pair gather det_batch makes on a full chunk
+        gathers = []
+        mul = branchings._InternalSieveEngine._mul
+
+        def recording(engine, a, b):
+            gathers.append(np.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])) * len(engine.ia) * 4)
+            return mul(engine, a, b)
+
+        monkeypatch.setattr(branchings._InternalSieveEngine, "_mul", recording)
+        for g, k in ((bidirected_star(6), 2), (bidirected_path(5), 3), (out_star(6), 2)):
+            roots = branchings._spanning_roots(g)
+            field = make_binary_field(binary_field_degree(g.n))
+            engine = branchings._InternalSieveEngine(g, roots, k, field)
+            draws = branchings._draw_internal_chunk(g, k, field, 5, roots[0], 0, branchings.INTERNAL_CHUNK)
+            gathers.clear()
+            engine.det_batch(engine.build_matrices(*draws))
+            nn = g.n if len(roots) > 1 else g.n - 1
+            assert max(gathers) == (nn - 1) ** 2 * branchings.INTERNAL_CHUNK * 3**k * 4, (g.arcs, k)
 
 
 class TestBatchedPrimeDet:
@@ -669,7 +754,7 @@ class TestBatchedPrimeDet:
     def test_word_size_guard(self):
         # int64 products of residues need p < 2^31; past it batch values would be silently wrong
         g = random_digraph(random.Random(20), 6, 0.5)
-        P = BranchingLeafPolynomial(g, 0)
+        P = BranchingLeafPolynomial(g, [0])
         ys = np.array([[3, 5, 7, 11, 13, 17]], dtype=np.int64)
         p = 2**31 - 1
         assert P.evaluate_batch(ys, p).tolist() == [leaf_polynomial_value(g, 0, ys[0].tolist(), p)]
@@ -730,33 +815,43 @@ class TestLeafPolynomial:
         rnd = random.Random(87)
         p = 2_147_482_763
         g = random_digraph(rnd, 6, 0.5)
-        P = BranchingLeafPolynomial(g, 0)
+        P = BranchingLeafPolynomial(g, [0])
         ys = np.array([[rnd.randrange(p) for _ in range(6)] for _ in range(10)], dtype=np.int64)
         batch = P.evaluate_batch(ys, p)
         for row, got in zip(ys.tolist(), batch.tolist()):
             assert leaf_polynomial_value(g, 0, row, p) == got
 
-    def test_laplacians_are_centred_and_batch_last(self):
+    @staticmethod
+    def check_laplacians(roots):
         # in-degree 8 sums eight weights on the diagonal; every entry must still
-        # be a centred residue, as batched_modp_det's int64 bound needs
+        # be a centred residue, as batched_modp_det's int64 bound needs. One
+        # root punctures the Laplacian; more replace row roots[0] by y on the roots
         p = MERSENNE_31
         g = complete_digraph(9)
-        P = BranchingLeafPolynomial(g, 0)
+        P = BranchingLeafPolynomial(g, roots)
         ys = np.random.default_rng(26).integers(0, p, size=(12, 9))
         ys[:4] = p - 1
         ys[4] = p // 2
         ys[5] = p // 2 + 1
         lap = P._laplacians(ys, p)
-        assert lap.shape == (12, 8, 8) and lap.transpose(1, 2, 0).flags.c_contiguous
+        nn = 9 if len(roots) > 1 else 8
+        assert lap.shape == (12, nn, nn) and lap.transpose(1, 2, 0).flags.c_contiguous
         assert 2 * np.abs(lap).max() <= p
         for b, row in enumerate(ys.tolist()):
-            want = puncture(build_laplacian(g, {(u, v): row[u] for u, v in g.arcs}, PrimeField(p)), 0)
+            full = build_laplacian(g, {(u, v): row[u] for u, v in g.arcs}, PrimeField(p))
+            want = border(full, roots[0], {v: row[v] for v in roots}) if nn == 9 else puncture(full, 0)
             assert (lap[b] % p).tolist() == [list(r) for r in want.entries], b
+
+    def test_laplacians_are_centred_and_batch_last(self):
+        self.check_laplacians([0])
+
+    def test_bordered_laplacians_are_centred_and_batch_last(self):
+        self.check_laplacians([4, 0, 8])
 
     def test_homogeneous_degree_n(self):
         rnd = random.Random(88)
         p = 1_000_003
-        P = BranchingLeafPolynomial(complete_digraph(5), 1)
+        P = BranchingLeafPolynomial(complete_digraph(5), [1])
         ys = [rnd.randrange(1, p) for _ in range(5)]
         c = rnd.randrange(2, p)
         scaled = [y * c % p for y in ys]
@@ -787,12 +882,12 @@ class TestSolveNkDv:
 
         monkeypatch.setattr(branchings, "inverse_vandermonde", recording)
         # p1 hits on trial 0, in the first chunk, so p2 never interpolates
-        yes = solve_nk_dv(BranchingLeafPolynomial(out_star(6), 0), 2, seed=0)
+        yes = solve_nk_dv(BranchingLeafPolynomial(out_star(6), [0]), 2, seed=0)
         p1, p2 = yes.detail["primes"]
         assert yes.verdict and yes.detail["hit"]["trial"] == 0 and yes.detail["hit"]["prime"] == p1
         assert built == [p1]
         built.clear()
-        no = solve_nk_dv(BranchingLeafPolynomial(directed_path(5), 0), 2, budget=100, seed=3)
+        no = solve_nk_dv(BranchingLeafPolynomial(directed_path(5), [0]), 2, budget=100, seed=3)
         assert not no.verdict and built == no.detail["primes"]
 
     def test_matches_brute_min_distinct(self):
@@ -832,7 +927,7 @@ class TestSolveNkDv:
             g = random_digraph(rnd, rnd.randint(3, 6), rnd.uniform(0.3, 0.8))
             root = next((r for r in range(g.n) if count_out_branchings(g, r)), None)
             if root is not None:
-                cases.append((BranchingLeafPolynomial(g, root), rnd.randint(2, min(4, g.n))))
+                cases.append((BranchingLeafPolynomial(g, [root]), rnd.randint(2, min(4, g.n))))
         for i, (P, k) in enumerate(cases):
             for budget in (1, 5, 100):  # 100 = 1+4+16+64+15: the last chunk is cut short
                 rep = solve_nk_dv(P, k, budget=budget, seed=i)
@@ -872,7 +967,7 @@ class TestSolveNkDv:
             return modp_det(mats, p)
 
         monkeypatch.setattr(branchings, "batched_modp_det", recording)
-        P = BranchingLeafPolynomial(directed_path(120), 0)
+        P = BranchingLeafPolynomial(directed_path(120), [0])
         rep = solve_nk_dv(P, 2, budget=1, seed=4)
         assert not rep.verdict and rep.trials_run == 1  # a path has one leaf
         assert sum(shape[0] for shape in shapes) == 2 * 241
@@ -936,6 +1031,7 @@ class TestDetectKLeaf:
 
     def test_matches_brute_force(self):
         rnd = random.Random(90)
+        multi = 0
         for _ in range(12):
             n = rnd.randint(2, 7)
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
@@ -943,9 +1039,24 @@ class TestDetectKLeaf:
             want = oracle.brute_k_leaf(g, k)
             rep = detect_k_leaf(g, k, seed=13)
             assert rep.verdict == want, (g.arcs, k)
+            multi += len(rep.detail.get("roots", [])) > 1
+        assert multi >= 6  # one solver run on the sum of every root's polynomial
+
+    def test_single_vertex_is_a_one_leaf_branching(self):
+        # answered without a trial, as the oracle does; the polynomial would
+        # be y_0, one distinct variable, and read as a NO
+        g = make_digraph(1, [])
+        assert oracle.brute_k_leaf(g, 1)
+        rep = detect_k_leaf(g, 1, seed=0)
+        assert rep.verdict and rep.trials_run == rep.trials_max == 0 and rep.failure_bound == 0.0
+        assert rep.detail["roots"] == [0] and "reason" in rep.detail
+        with pytest.raises(GuardError):
+            detect_k_leaf(g, 1, budget=branchings.LEAF_BUDGET_LIMIT + 1)
+        with pytest.raises(ValueError):
+            detect_k_leaf(make_digraph(0, []), 1)
 
     def test_chunking_does_not_change_report(self, monkeypatch):
-        # a trial's coins depend only on (seed, root, trial): one-trial chunks
+        # a trial's coins depend only on (seed, first root, trial): one-trial chunks
         # give the report of the default 1, 4, 16, ... chunks, YES and NO alike
         rnd = random.Random(93)
         cases = []
@@ -967,7 +1078,7 @@ class TestDetectKLeaf:
 
     @pytest.mark.parametrize("budget", [0, -2])
     def test_budget_checked_first(self, budget, monkeypatch):
-        # before the graph is looked at: too few vertices, a k out of range,
+        # before the graph is looked at: a single vertex, a k out of range,
         # the budget guard and a graph without spanning roots all come later
         def refuse(g):
             raise AssertionError("roots screened before the budget was checked")

@@ -187,8 +187,22 @@ class TestAnswers:
         assert code == 0
         assert strip_elapsed(out) == (
             '{"command": "detect-k-leaf", "answer": "yes", "trials": 1, "failure_bound": 0.0, '
-            '"diagnostics": {"roots": [0], "per_root": {"0": {"verdict": true, "trials": 1}}}, '
+            '"diagnostics": {"roots": [0, 1, 2, 3, 4]}, '
             '"k": 1, "seed": 2, "elapsed_ms": _}\n'
+        )
+
+    def test_detect_k_leaf_single_vertex(self, tmp_path, capsys):
+        # a single vertex is a one-leaf out-branching, as the oracle says:
+        # answered without a trial, exit 0
+        path = write_graph(tmp_path, make_digraph(1, []), "one.txt")
+        code, out, _ = run_cli(["oracle", "k-leaf", path, "--k", "1"], capsys)
+        assert code == 0 and json.loads(out)["answer"] == "yes"
+        code, out, _ = run_cli(["detect-k-leaf", path, "--k", "1"], capsys)
+        assert code == 0
+        assert strip_elapsed(out) == (
+            '{"command": "detect-k-leaf", "answer": "yes", "trials": 0, "failure_bound": 0.0, '
+            '"diagnostics": {"reason": "a single vertex is an out-branching with one leaf", "roots": [0]}, '
+            '"k": 1, "seed": 0, "elapsed_ms": _}\n'
         )
 
     def test_readme_library_example(self):

@@ -10,6 +10,8 @@ import numpy as np
 
 from conftest import (
     acyclic_tournament,
+    bidirected_path,
+    bidirected_star,
     complete_digraph,
     directed_cycle,
     directed_path,
@@ -21,6 +23,7 @@ from hamkit.branchings import (
     BranchingLeafPolynomial,
     detect_k_internal,
     detect_k_leaf,
+    internal_sieve_success_floor,
     solve_nk_dv,
 )
 from hamkit.graph import find_independent_partition, make_digraph
@@ -258,7 +261,7 @@ def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
         reports = []
         for g, k, budget, seed in cases:
             tracer.reset()
-            rep = solve_nk_dv(BranchingLeafPolynomial(g, 0), k, budget, seed)
+            rep = solve_nk_dv(BranchingLeafPolynomial(g, [0]), k, budget, seed)
             reports.append((rep, tracer.counters["branchings.modp_matrices"]))
     finally:
         tracer.uninstall()
@@ -269,7 +272,7 @@ def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
 
 
 def test_internal_chunks_grow_by_four_and_a_yes_stops_at_its_hit():
-    # each root's trials run in chunks of 1, 4, 16, ... up to INTERNAL_CHUNK = 34,
+    # trials run in chunks of 1, 4, 16, ... up to INTERNAL_CHUNK = 34,
     # so a NO with 100 trials is 1+4+16+34+34+11 over six det_batch calls,
     # and a YES that hits on its first trial evaluates that one trial
     tracer = load_layertrace().Tracer()
@@ -286,6 +289,34 @@ def test_internal_chunks_grow_by_four_and_a_yes_stops_at_its_hit():
     assert yes.verdict and yes.trials_run == 1
     assert tracer.counters["branchings.internal_trials"] == 1
     assert tracer.spans["branchings.det_batch"][2] == 1
+
+
+def test_multi_root_no_pays_one_budget():
+    # every vertex of a bidirected star or path is a spanning root, and one
+    # bordered determinant per trial covers them all: a k-internal NO runs
+    # its 100 trials once, not once per root (900), and a k-leaf NO its 4^3
+    # solver trials once, each 2 primes x (2n+1) points. No out-branching of
+    # the star has 3 internal vertices, nor one of the path 3 leaves
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        internal = detect_k_internal(bidirected_star(9), 3, trials=100, seed=3)
+        internal_trials = tracer.counters["branchings.internal_trials"]
+        tracer.reset()
+        leaf = detect_k_leaf(bidirected_path(8), 3, seed=3)
+    finally:
+        tracer.uninstall()
+    assert not internal.verdict and internal.trials_run == internal.trials_max == 100
+    assert internal.failure_bound == (1.0 - internal_sieve_success_floor(9, 3)) ** 100
+    assert internal.detail == {"engine": "batched", "roots": list(range(9))}
+    assert internal_trials == 100
+    assert not leaf.verdict and leaf.trials_run == leaf.trials_max == 64
+    assert leaf.failure_bound == (1.0 - 4.0**-3) ** 64
+    assert leaf.detail == {"roots": list(range(8))}
+    assert tracer.counters["branchings.modp_matrices"] == 64 * 2 * 17
+    # one fewer internal vertex or leaf is found
+    assert detect_k_internal(bidirected_star(9), 2, trials=100, seed=3).verdict
+    assert detect_k_leaf(bidirected_path(8), 2, seed=3).verdict
 
 
 def test_benchmark_selftest_passes():
