@@ -25,19 +25,22 @@ the pool columns, and per yellow vertex one merged column din*X + dout*E
 over the blue rows. Every entry of that matrix is GF(2)-linear in the
 selector of its own side, the merged columns included (din*X is the xor over
 w in O of the entry weight on w -> y times X), so each trial tabulates the
-xor of every subset of per-vertex rows over each half of the blue vertices,
-next to a zero row for each gated-off vertex, and a pair matrix is the xor
-of four gathered rows per vertex, two per side. Which rows to gather
-depends only on |blue|, so one cached pair plan serves every trial. The
-determinants of a chunk of pairs are taken at once by table-driven batched
-Gaussian elimination, batch-last: the matrices that pass an all-zero
-column screen are laid out in one [n, n, L] stack whose innermost axis
-runs over the L matrices, so every step works on rows of L entries. Many
-pair matrices are singular and add nothing to the sum, so the elimination
-drops a matrix as soon as it is known to be singular: up front if it has
-an all-zero column, later if a pivot column has no nonzero entry left.
-A dropped matrix gets determinant 0, which is its exact determinant, so
-the sum does not change.
+xor of every subset of per-vertex rows over each block of at most
+TABLE_BLOCK = 8 blue vertices (one block per side up to |blue| = 8, two
+halves beyond), next to a zero row for each gated-off vertex, and a pair
+matrix is the xor of one gathered row per vertex and table: two tables up
+to |blue| = 8, four beyond. Which rows to gather depends only on |blue|, so
+one cached pair plan serves every trial; which weights fill the tables
+depends only on the graph and its layout, so a detection plans that once
+and a trial only gathers its weights. The determinants of a chunk of pairs
+are taken at once by table-driven batched Gaussian elimination,
+batch-last: the matrices that pass an all-zero column screen are laid out
+in one [n, n, L] stack whose innermost axis runs over the L matrices, so
+every step works on rows of L entries. Many pair matrices are singular and
+add nothing to the sum, so the elimination drops a matrix as soon as it is
+known to be singular: up front if it has an all-zero column, later if a
+pivot column has no nonzero entry left. A dropped matrix gets determinant
+0, which is its exact determinant, so the sum does not change.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ STATE_CHUNK = 1 << 14
 BLUE_LIMIT = 16
 # batched_gf_det lays its survivors out batch-last this many matrices at a time
 LAYOUT_BLOCK = 1 << 12
+# a subset table covers at most this many blue positions: one table per side
+# up to |blue| = 8, two from 9 to BLUE_LIMIT, so a table has at most
+# BLUE_LIMIT * 2 * 2^8 rows and a plan's indices fit in uint16
+TABLE_BLOCK = BLUE_LIMIT // 2
 
 # building the field's tables (~7 ms) at import keeps them out of the first
 # detection call
@@ -223,14 +230,19 @@ def subset_xor_table(rows: np.ndarray) -> np.ndarray:
     """table[mask] = xor of rows[i] over the set bits i of mask, built by doubling."""
     table = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
     for i, row in enumerate(rows):
-        table[1 << i : 2 << i] = table[: 1 << i] ^ row
+        np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
     return table
 
 
-def _table_halves(nb: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Blue positions [start, stop) of the low and the high subset table."""
-    half = nb // 2
-    return (0, half), (half, nb)
+def _table_blocks(nb: int) -> list[tuple[int, int]]:
+    """Blue positions [start, stop) of each subset table of one side.
+
+    ceil(nb / TABLE_BLOCK) near-equal blocks: the whole side up to
+    TABLE_BLOCK, its low and its high half beyond.
+    """
+    count = -(-nb // TABLE_BLOCK)
+    cuts = [nb * i // count for i in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -243,18 +255,20 @@ def _pair_plan(nb: int, chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
     times digits 1..a, 2 * 3^a pairs, with a the largest value in
     [0, nb - 1] such that 2 * 3^a <= chunk.
 
-    The four per-row tables of _BatchedSieve (in/out side, low/high half)
-    each hold, per blue row u, a zero block of S rows (gate 0) and the S
-    subset xors of its half (gate 1), so row u of a pair matrix on one table
-    is row u*2S + gate[u]*S + mask, where mask is the pair's selector bits
-    on the half (O for the in side, I for the out side) and gate[u] says u
-    is in I (in side) or in O and not the anchor (out side). That index is
-    a sum over positions, so it splits into a [2 * 3^a, nb] base over the
-    anchor and digits 1..a and a [3^(nb-1-a), nb] per-row offset over the
-    prefix digits (zero when there is a single prefix). Returns one
-    (base, offset) pair per table, in the order in_lo, in_hi, out_lo, out_hi.
-    The indices are uint16, since a table has at most 16 * 2 * 2^8 rows up
-    to BLUE_LIMIT; that keeps each cached plan a quarter of its intp size.
+    The tables of _BatchedSieve, one per side and block of blue positions
+    (_table_blocks), each hold a zero block of S * nb rows (gate 0) and
+    then, per subset mask of the block, its nb xored rows (gate 1), so row
+    u of a pair matrix on one table is row gate[u]*S*nb + mask*nb + u,
+    where mask is the pair's selector bits on the block (O for the in side,
+    I for the out side) and gate[u] says u is in I (in side) or in O and
+    not the anchor (out side). That index is a sum over positions, so it
+    splits into a [2 * 3^a, nb] base over the anchor and digits 1..a and a
+    [3^(nb-1-a), nb] per-row offset over the prefix digits (zero when there
+    is a single prefix, as for every nb <= 9 at the default STATE_CHUNK).
+    Returns one (base, offset) pair per table, the in side's blocks first,
+    then the out side's. The indices are uint16, since a table has at most
+    BLUE_LIMIT * 2 * 2^TABLE_BLOCK rows; that keeps each cached plan a
+    quarter of its intp size.
     """
     a = 0
     while a < nb - 1 and 2 * 3 ** (a + 1) <= chunk:
@@ -279,16 +293,16 @@ def _pair_plan(nb: int, chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
     exits = rows != 0  # the anchor's exiting role is suppressed
     plan = []
     for side in ("in", "out"):
-        for start, stop in _table_halves(nb):
+        for start, stop in _table_blocks(nb):
             size = 1 << (stop - start)
             place = np.zeros(nb, dtype=np.uint16)
             place[start:stop] = 1 << np.arange(stop - start)
             parts = []
             for isel, osel in ((lo_i, lo_o), (hi_i, hi_o)):
                 gate, sel = (isel, osel) if side == "in" else (osel * exits, isel)
-                parts.append(gate * size + (sel @ place)[:, None])
+                parts.append(gate * (size * nb) + (sel @ place)[:, None] * nb)
             base, offset = parts
-            base += rows * 2 * size
+            base += rows
             base.setflags(write=False)
             offset.setflags(write=False)
             plan.append((base, offset))
@@ -296,7 +310,7 @@ def _pair_plan(nb: int, chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 class _BatchedSieve:
-    """Per-trial gated row tables for chunked evaluation of the pair sum.
+    """One detection's weight plan, pair plan and gather stack for the pair sum.
 
     Each pair gets a |blue| x |blue| matrix: one row per blue vertex, the
     pool columns, then one merged column per yellow vertex y. In the port
@@ -317,95 +331,109 @@ class _BatchedSieve:
     (so A_out is A_in with w and u swapped), row u of a pair matrix is
       gate_in[u] * (xor over w in O of A_in[w, u]) + gate_out[u] * (xor over w in I of A_out[w, u]),
     where gate_in[u] says u is in I and gate_out[u] that u is in O and not the anchor.
-    Each xor over a selector is one row of a subset table of each half of
-    the blue vertices. The four tables (in/out side, low/high half) are laid
-    out per row as [|blue|, 2, 2^h, |blue|], a zero block for gate 0 and the
-    subset xors for gate 1, and flattened, so one gather per table through
-    a _pair_plan index builds a chunk's gated rows; the field products are
-    taken once per trial, when A_in is built.
+    Each xor over a selector is one row of a subset table of each block of
+    blue positions (_table_blocks): one table per side up to |blue| =
+    TABLE_BLOCK, two beyond. A table is laid out as [2, 2^h, |blue|,
+    |blue|], a zero block for gate 0 and the subset xors for gate 1, and
+    flattened to rows, so one gather per table through a _pair_plan index
+    builds a chunk's gated rows.
+
+    Which weight lands where depends only on the graph and the layout, so
+    the sieve keeps it as flat indices into a trial's weights followed by
+    one zero, which every entry off the arcs reads: weights off the arcs are
+    ignored. A trial (tables) then copies its weights in, gathers A_in's
+    pool columns with one take and the ventry and vexit blocks with
+    another, takes the field products once, and builds the tables by
+    doubling.
     """
 
-    def __init__(self, g: Digraph, layout: PortLayout, weights: PortWeights):
-        self.field = weights.field
+    def __init__(self, g: Digraph, layout: PortLayout):
         blue = np.array(layout.blue, dtype=np.intp)
         yellow = np.array(layout.yellow, dtype=np.intp)
-        nb, ny, npool = len(blue), len(yellow), layout.pool_count
-        adj = np.zeros((g.n, g.n), dtype=bool)
+        nb, ny, npool, n = len(blue), len(yellow), layout.pool_count, layout.n
+        nports = len(layout.ports)
+        adj = np.zeros((n, n), dtype=bool)
         if g.arcs:
             tails, heads = zip(*g.arcs)
             adj[tails, heads] = True
-        w = np.where(adj, weights.values, 0)
-
+        zero = nports * n * n
+        at = np.where(adj, np.arange(zero).reshape(nports, n, n), zero)
+        # the yellow columns of A_in are products, written over per trial
+        self.a_in_at = np.full((nb, nb, nb), zero, dtype=np.intp)
+        self.a_in_at[:, :, :npool] = at[:npool][:, blue[:, None], blue].transpose(1, 2, 0)
         # ventry[u_i, y_i] = entry-port weight on blue[u_i] -> y, vexit the exit-port
         # weight on y -> blue[u_i]
         yi = np.arange(ny)
-        ventry = w[npool + yi, blue[:, None], yellow]
-        vexit = w[npool + ny + yi, yellow, blue[:, None]]
-        a_in = np.empty((nb, nb, nb), dtype=np.int32)
-        a_in[:, :, :npool] = w[:npool][:, blue[:, None], blue].transpose(1, 2, 0)
-        a_in[:, :, npool:] = self.field.nmul(ventry[:, None, :], vexit[None, :, :])
-        a_out = a_in.transpose(1, 0, 2)
+        self.ends_at = np.stack([at[npool + yi, blue[:, None], yellow],
+                                 at[npool + ny + yi, yellow, blue[:, None]]])
+        self.npool = npool
+        self.flat = np.zeros(zero + 1, dtype=np.int32)
+        self.plan = _pair_plan(nb, STATE_CHUNK)
+        # the gather stack and the take scratch as one [2, B, nb, nb] block, not
+        # two arrays: glibc raises its mmap and trim thresholds to the largest
+        # block freed, so once a detection has freed this one, the next
+        # detection's block and the elimination's temporaries come from heap
+        # pages that stay mapped instead of pages faulted in afresh
+        self.out, self.scratch = np.empty((2, len(self.plan[0][0]), nb, nb), dtype=np.int32)
 
-        self.tables = []
-        for a_side in (a_in, a_out):
-            for start, stop in _table_halves(nb):
-                rows = np.zeros((nb, 2, 1 << (stop - start), nb), dtype=np.int32)
-                rows[:, 1] = subset_xor_table(a_side[start:stop]).transpose(1, 0, 2)
-                self.tables.append(rows.reshape(-1, nb))
+    def tables(self, weights: PortWeights) -> list[np.ndarray]:
+        """This trial's gated subset tables, in _pair_plan's order."""
+        nb = len(self.a_in_at)
+        flat = self.flat
+        flat[:-1] = weights.values.reshape(-1)
+        a_in = flat.take(self.a_in_at)
+        ventry, vexit = flat.take(self.ends_at)
+        a_in[:, :, self.npool:] = weights.field.nmul(ventry[:, None, :], vexit[None, :, :])
+        tables = []
+        for a_side in (a_in, a_in.transpose(1, 0, 2)):
+            for start, stop in _table_blocks(nb):
+                size = 1 << (stop - start)
+                table = np.zeros((2 * size, nb, nb), dtype=np.int32)
+                table[size:] = subset_xor_table(a_side[start:stop])
+                tables.append(table.reshape(-1, nb))
+        return tables
 
-    def matrices(self, index, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """The chunk's [B, |blue|, |blue|] pair matrices, gathered into out.
+    def matrices(self, tables: list[np.ndarray], index) -> np.ndarray:
+        """The chunk's [B, |blue|, |blue|] pair matrices, gathered into the gather stack.
 
         index holds one [B, |blue|] row index per table (see _pair_plan).
-        The first table is gathered straight into out; each other table is
-        gathered into scratch, of out's shape, and xored into out, so a
-        chunk allocates no stack of its own. The plan's indices are in
-        range by construction; mode="clip" only lets take write into out
-        and scratch without buffering.
+        The first table is gathered straight into the stack; each other
+        table is gathered into the take scratch and xored into the stack,
+        so a chunk allocates no stack of its own. The plan's indices are in
+        range by construction; mode="clip" only lets take write into the
+        stack and the scratch without buffering.
         """
-        self.tables[0].take(index[0], axis=0, out=out, mode="clip")
-        for table, idx in zip(self.tables[1:], index[1:]):
-            out ^= table.take(idx, axis=0, out=scratch, mode="clip")
+        out = tables[0].take(index[0], axis=0, out=self.out, mode="clip")
+        for table, idx in zip(tables[1:], index[1:]):
+            out ^= table.take(idx, axis=0, out=self.scratch, mode="clip")
         return out
-
-
-def _gather_buffers(nb: int) -> np.ndarray:
-    """A chunk's gather stack and take scratch at nb blue vertices, as one [2, B, nb, nb] int32 block.
-
-    One block, not two arrays: glibc raises its mmap and trim thresholds to
-    the largest block freed, so once a detection has freed this one, the
-    next detection's block and the elimination's temporaries come from heap
-    pages that stay mapped instead of pages faulted in afresh.
-    """
-    return np.empty((2, len(_pair_plan(nb, STATE_CHUNK)[0][0]), nb, nb), dtype=np.int32)
 
 
 def sieve_membership_pairs(
     g: Digraph, layout: PortLayout, weights: PortWeights,
-    buffers: np.ndarray | None = None,
+    sieve: _BatchedSieve | None = None,
 ) -> tuple[int, int]:
     """Sum det(port matrix) over all gated membership pairs.
 
     Returns (field element, number of pairs visited). The sum is the xor of
     2 * 3^(|blue| - 1) determinants, and is independent of visit order. The
     pairs are taken in chunks of at most STATE_CHUNK, one per prefix of high
-    base-3 digits (see _pair_plan), each gathered from this trial's row
-    tables into the same gather stack, with the same take scratch. buffers
-    holds that stack and scratch (see _gather_buffers); a detection passes
-    its own, so that its trials reuse them too, and without it the pass
-    allocates its own. Their contents on entry do not matter.
+    base-3 digits (see _pair_plan), each gathered from this trial's tables
+    into the sieve's gather stack. A detection passes its own sieve (built
+    for g and layout), so that its trials share the weight plan and the
+    gather stack; without it the pass builds its own. The stack's contents
+    on entry do not matter.
     """
-    nb = len(layout.blue)
-    npairs = 2 * 3 ** (nb - 1)
-    sieve = _BatchedSieve(g, layout, weights)
-    plan = _pair_plan(nb, STATE_CHUNK)
-    out, scratch = buffers if buffers is not None else _gather_buffers(nb)
+    if sieve is None:
+        sieve = _BatchedSieve(g, layout)
+    tables = sieve.tables(weights)
+    plan = sieve.plan
     total = 0
     for h in range(len(plan[0][1])):
         index = [base + offset[h] for base, offset in plan]
-        dets = batched_gf_det(sieve.field, sieve.matrices(index, out, scratch))
+        dets = batched_gf_det(weights.field, sieve.matrices(tables, index))
         total ^= int(np.bitwise_xor.reduce(dets))
-    return total, npairs
+    return total, 2 * 3 ** (len(layout.blue) - 1)
 
 
 def default_trial_count(n: int) -> int:
@@ -459,12 +487,12 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     field = make_binary_field(FIELD_BITS)
     pairs = 0
     key = derive_seed("hc-trial", seed)
-    # one gather stack and take scratch serve every trial and every chunk,
+    # one weight plan and gather stack serve every trial and every chunk,
     # so a trial allocates nothing large
-    buffers = _gather_buffers(len(layout.blue))
+    sieve = _BatchedSieve(g, layout)
     for t in range(tmax):
         w = PortWeights.draw(g, layout, field, key, t)
-        total, pairs = sieve_membership_pairs(g, layout, w, buffers)
+        total, pairs = sieve_membership_pairs(g, layout, w, sieve)
         if total != 0:
             return DetectionReport(
                 verdict=True, trials_run=t + 1, trials_max=tmax, failure_bound=0.0,

@@ -211,7 +211,7 @@ class TestBatchedBinaryField:
 
     def test_broadcast_shapes(self):
         # broadcast products as nmul's callers take them: the [|blue|, 1, |yellow|]
-        # x [1, |blue|, |yellow|] merged-column weights of hamdetect._BatchedSieve.__init__
+        # x [1, |blue|, |yellow|] merged-column weights of hamdetect._BatchedSieve.tables
         # and the k-internal engine's [..., len] x [..., 1] unit inverses
         # (branchings._InternalSieveEngine._inverse)
         f = BinaryField(10)

@@ -1,5 +1,6 @@
 """Port-matrix Hamiltonicity detection."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -186,30 +187,44 @@ class TestSieve:
             stacks.append(mats)
             return real_det(field, mats)
 
-        def record_sieve(g, layout, weights, buffers=None):
-            passes.append((weights, buffers))
-            return real_sieve(g, layout, weights, buffers)
+        def record_sieve(g, layout, weights, sieve=None):
+            passes.append((weights, sieve))
+            return real_sieve(g, layout, weights, sieve)
 
         monkeypatch.setattr(hamdetect, "batched_gf_det", record_det)
         monkeypatch.setattr(hamdetect, "sieve_membership_pairs", record_sieve)
         rep = detect_hamiltonian_cycle(g, trials=3, seed=4)
         assert not rep.verdict and rep.trials_run == 3
         assert len(passes) == 3 and len(stacks) == 3 * (27 if chunk else 1)
-        assert all(np.shares_memory(mats, stacks[0]) for mats in stacks)
-        buffers = passes[0][1]
-        assert all(b is buffers for _, b in passes)
-        # the buffers' leftover contents do not matter, on this NO or on a YES
-        # at the same |blue| (a directed 10-cycle: five blue, five yellow)
+        # every trial gets the detection's one sieve: its weight plan, pair plan and gather stack
+        sieve = passes[0][1]
+        assert isinstance(sieve, hamdetect._BatchedSieve)
+        assert all(s is sieve for _, s in passes)
+        assert sieve.plan is hamdetect._pair_plan(5, hamdetect.STATE_CHUNK)
+        assert all(np.shares_memory(mats, sieve.out) for mats in stacks)
+        # a pass without a sieve builds its own and gets the same sum: on this
+        # NO, with the stack's leftover contents, and on a YES at the same
+        # |blue| (a directed 10-cycle: five blue, five yellow) with a sieve of
+        # its own; weights off the arcs change nothing either way
         field = make_binary_field(FIELD_BITS)
         yes = directed_cycle(10)
         yes_layout = PortLayout.from_partition(yes, find_independent_partition(yes))
         assert len(yes_layout.blue) == 5
-        cases = [(g, layout, w) for w, _ in passes]
-        cases += [(yes, yes_layout, PortWeights.draw(yes, yes_layout, field, 9, t)) for t in range(3)]
-        for graph, lay, w in cases:
+        yes_sieve = hamdetect._BatchedSieve(yes, yes_layout)
+        cases = [(g, layout, sieve, w) for w, _ in passes]
+        cases += [(yes, yes_layout, yes_sieve, PortWeights.draw(yes, yes_layout, field, 9, t))
+                  for t in range(3)]
+        rng = np.random.default_rng(23)
+        for graph, lay, own, w in cases:
+            off_arcs = np.ones((graph.n, graph.n), dtype=bool)
+            off_arcs[tuple(zip(*graph.arcs))] = False
+            everywhere = PortWeights(lay, field, np.where(
+                off_arcs, rng.integers(1, field.q, size=w.values.shape, dtype=np.int32), w.values))
             alone = sieve_membership_pairs(graph, lay, w)
-            assert sieve_membership_pairs(graph, lay, w, buffers) == alone
             assert alone[1] == 162 and (alone[0] != 0) == (graph is yes)
+            assert sieve_membership_pairs(graph, lay, w, own) == alone
+            assert sieve_membership_pairs(graph, lay, everywhere, own) == alone
+            assert sieve_membership_pairs(graph, lay, everywhere) == alone
 
 
 def random_bipartite(rnd, n, density):
@@ -223,19 +238,21 @@ def random_bipartite(rnd, n, density):
 def decode_pairs(layout, index):
     """(imask, omask) over vertex ids for each row of one chunk's plan index.
 
-    A table's index for row u is u*2S + gate*S + mask: mask is the pair's O
-    bits on the table's half (in side) or its I bits (out side), and gate
-    says u is in I (in side) or in O and not the anchor (out side). Checks
-    that the four tables agree on the pair.
+    A table's index for row u is gate*S*nb + mask*nb + u: mask is the
+    pair's O bits on the table's block of blue positions (in side) or its I
+    bits (out side), and gate says u is in I (in side) or in O and not the
+    anchor (out side). Checks that the tables of each side agree on the gates.
     """
     nb = len(layout.blue)
-    halves = [(0, nb // 2), (nb // 2, nb)]
+    blocks = hamdetect._table_blocks(nb)
+    assert len(index) == 2 * len(blocks)
     bits = {"in": 0, "out": 0}
     gates = {}
-    for (side, (start, stop)), idx in zip([(s, h) for s in ("in", "out") for h in halves], index):
+    for (side, (start, stop)), idx in zip([(s, b) for s in ("in", "out") for b in blocks], index):
         size = 1 << (stop - start)
-        rest = idx.astype(np.int64) - np.arange(nb) * 2 * size
-        gate, mask = rest // size, rest % size
+        rest = idx.astype(np.int64) - np.arange(nb)
+        assert (rest % nb == 0).all()
+        gate, mask = rest // (size * nb), rest // nb % size
         assert ((gate == 0) | (gate == 1)).all() and (mask == mask[:, :1]).all()
         bits[side] = bits[side] | mask[:, 0] << start
         assert np.array_equal(gates.setdefault(side, gate), gate)
@@ -254,8 +271,8 @@ def gathered_chunks(monkeypatch, g, layout, w):
     chunks = []
     real = hamdetect._BatchedSieve.matrices
 
-    def record(self, index, *buffers):
-        mats = real(self, index, *buffers)
+    def record(self, tables, index):
+        mats = real(self, tables, index)
         chunks.append((decode_pairs(layout, index), mats.copy()))
         return mats
 
@@ -328,15 +345,16 @@ class TestSubsetTables:
 
     def test_pair_matrices_match_folded_port_matrix(self, monkeypatch):
         # every chunk's gathered matrices against the port matrix with its yellow
-        # rows folded, with |blue| = 1, 2, 5, 7 (unequal table halves) and chunks
-        # of 2, 6 and 54 pairs (many per trial, nonzero offsets) or one per trial
+        # rows folded, with |blue| = 1, 2, 5, 7 and 8 (the largest that has one
+        # 256-subset table per side) and chunks of 2, 6 and 54 pairs (many per
+        # trial, nonzero offsets) or one per trial
         rnd = random.Random(82)
         cases = [(make_digraph(1, []), PortLayout(blue=(0,), yellow=()))]
         g2 = make_digraph(2, [(0, 1), (1, 0)])
         cases.append((g2, PortLayout(blue=(1,), yellow=(0,))))
         cases.append((g2, PortLayout(blue=(0, 1), yellow=())))
         cases += [random_with_yellow(rnd, n, ny, rnd.uniform(0.3, 0.8))
-                  for n, ny in [(8, 3), (10, 5), (10, 3), (12, 5), (9, 2)]]
+                  for n, ny in [(8, 3), (10, 5), (10, 3), (12, 5), (9, 2), (11, 3)]]
         seen = set()
         for g, layout in cases:
             nb = len(layout.blue)
@@ -366,12 +384,33 @@ class TestSubsetTables:
                         assert mats.shape == (size, nb, nb) and mats.dtype == np.int32
                         for pair, mat in zip(pairs, mats):
                             assert mat.tolist() == folded[pair]
-        assert {1, 2, 5, 7} <= seen
+        assert {1, 2, 5, 7, 8} <= seen
+
+    def test_one_table_per_side_up_to_eight_blue_vertices(self):
+        # 2 * ceil(nb / 8) tables: blocks of at most 8 blue positions, the whole
+        # side up to 8 and its halves beyond; every index of every chunk is
+        # below its table's row count and below 2^16, so uint16 holds it
+        field = make_binary_field(FIELD_BITS)
+        for nb in range(1, BLUE_LIMIT + 1):
+            blocks = hamdetect._table_blocks(nb)
+            assert blocks == ([(0, nb)] if nb <= 8 else [(0, nb // 2), (nb // 2, nb)])
+            layout = PortLayout(blue=tuple(range(nb)), yellow=())
+            g = make_digraph(nb, [])
+            sieve = hamdetect._BatchedSieve(g, layout)
+            tables = sieve.tables(PortWeights(layout, field, np.zeros((nb, nb, nb), dtype=np.int32)))
+            assert len(sieve.plan) == len(tables) == 2 * -(-nb // 8)
+            assert sieve.plan is hamdetect._pair_plan(nb, hamdetect.STATE_CHUNK)
+            for (start, stop), table, (base, offset) in zip(blocks * 2, tables, sieve.plan):
+                assert base.dtype == offset.dtype == np.uint16
+                assert table.shape == (2 * 2 ** (stop - start) * nb, nb)
+                top = base.max(axis=0).astype(np.int64) + offset.max(axis=0)
+                assert top.max() < min(len(table), 1 << 16), nb
 
     def test_plan_chunks_cover_every_pair_once(self):
         # the decoded pairs of all chunks are the 2 * 3^(|blue| - 1) membership
-        # pairs, each once, for chunk limits below, at and above a power of 3
-        for nb in range(1, 9):
+        # pairs, each once, for chunk limits below, at and above a power of 3,
+        # with one table per side (|blue| <= 8) and two (|blue| = 9)
+        for nb in range(1, 10):
             layout = PortLayout(blue=tuple(range(nb)), yellow=())
             everything = sorted(iter_membership_pairs(layout))
             for chunk in (1, 2, 6, 7, 97, 4374, hamdetect.STATE_CHUNK):
@@ -628,6 +667,32 @@ class TestDetect:
         assert rep.trials_run == rep.trials_max == 7
         assert rep.detail["field_bits"] == 16
         assert 0.0 < rep.failure_bound <= 2.0**-84
+
+    def test_golden_digest(self):
+        # (answer, trials, witness_value, pairs_per_trial) of 45 seeded runs,
+        # general and bipartite graphs, |blue| = 1..9 five times each, 1 to 3
+        # trials, every fourth graph with a sink (a NO that runs every trial);
+        # the digest pins every sum bit for bit across kernel refactors
+        rnd = random.Random(2033)
+        runs, seen = [], set()
+        for i in range(45):
+            blue, bipartite = 1 + i % 9, i % 2 == 1
+            while True:
+                if bipartite:
+                    g = random_bipartite(rnd, 2 * blue, rnd.uniform(0.3, 0.9))
+                else:
+                    g = random_digraph(rnd, rnd.randint(blue + 1, 2 * blue), rnd.uniform(0.2, 0.8))
+                if i % 4 == 3:
+                    g = make_digraph(g.n, [(a, b) for a, b in g.arcs if a != 0])
+                if len(find_independent_partition(g).blue) == blue:
+                    break
+            rep = detect_hamiltonian_cycle(g, trials=1 + i // 9 % 3, seed=rnd.randrange(1 << 30))
+            runs.append((rep.verdict, rep.trials_run, rep.detail.get("witness_value"),
+                         rep.detail.get("pairs_per_trial")))
+            seen.add((blue, rep.verdict))
+        assert {(9, False), (9, True), (8, False), (8, True)} <= seen
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == "87ca7b3193303cc4c772e755fd160465f386e09e90e215e008e0391dd786dd3c"
 
     def test_default_bound_no_weaker_than_before(self):
         # before one field served every n, n vertices ran in GF(2^(2 bitlen(n-1)))

@@ -172,6 +172,9 @@ def test_detector_kernels_are_spanned(monkeypatch):
         assert tracer.spans[name][2] > 0, name
     (blue,) = tracer.lists["blue"]
     assert not rep.verdict and tracer.counters["hamdetect.trials"] == rep.trials_run == 3
+    # one weight draw and one sieve pass per trial, so neither per-layer time reads 0
+    for name in ("hamdetect.PortWeights.draw", "hamdetect.sieve_membership_pairs"):
+        assert tracer.spans[name][2] == rep.trials_run, name
     assert tracer.counters["hamdetect.gf_matrices"] == rep.trials_run * 2 * 3 ** (blue - 1)
     # one |blue| x |blue| matrix per pair: the yellow rows are folded away
     assert shapes and all(shape[1:] == (blue, blue) for shape in shapes)
@@ -210,13 +213,13 @@ def test_detector_counters_hold_over_many_chunks(monkeypatch):
     # the benchmark's gf-matrices and gf-trials checks when one trial runs many
     # chunks: at STATE_CHUNK = 7 each chunk holds 2 * 3 pairs, so the 2 * 3^4
     # pairs of |blue| = 5 take 27 chunks, one per prefix of high digits, and
-    # each of the plan's four tables gives them nonzero per-row offsets
+    # each of the plan's two tables (one per side) gives them nonzero per-row offsets
     arcs = [(0, 5), (1, 2), (1, 6), (2, 7), (3, 2), (3, 6), (3, 8), (4, 5), (4, 9), (5, 0),
             (5, 2), (5, 8), (6, 1), (6, 3), (6, 5), (7, 0), (7, 4), (8, 9), (9, 0), (9, 6)]
     g = make_digraph(10, arcs)
     monkeypatch.setattr(hamdetect, "STATE_CHUNK", 7)
     offsets = [offset for _, offset in hamdetect._pair_plan(5, 7)]
-    assert all(len(o) == 27 and o.any() for o in offsets)
+    assert len(offsets) == 2 and all(len(o) == 27 and o.any() for o in offsets)
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
