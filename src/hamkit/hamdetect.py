@@ -30,24 +30,29 @@ TABLE_BLOCK = 8 blue vertices (one block per side up to |blue| = 8, two
 halves beyond), next to a zero row for each gated-off vertex, and a pair
 matrix is the xor of one gathered row per vertex and table: two tables up
 to |blue| = 8, four beyond. Which rows to gather depends only on |blue|, so
-one cached pair plan serves every trial; which weights fill the tables
-depends only on the graph and its layout, so a detection plans that once
-and a trial only gathers its weights. The determinants of a chunk of pairs
-are taken at once by table-driven batched Gaussian elimination,
-batch-last: the matrices that pass an all-zero column screen are laid out
-in one [n, n, L] stack whose innermost axis runs over the L matrices, so
-every step works on rows of L entries. Many pair matrices are singular and
-add nothing to the sum, so the elimination drops a matrix as soon as it is
-known to be singular: up front if it has an all-zero column, later if a
-pivot column has no nonzero entry left. A dropped matrix gets determinant
-0, which is its exact determinant, so the sum does not change.
+one cached pair plan serves every trial; which arcs a trial draws weights
+for, and which weights fill the tables, depend only on the graph and its
+layout, so a detection plans both once and a trial only draws and gathers
+its weights. The determinants of a chunk of pairs are taken at
+once by table-driven batched Gaussian elimination, batch-last: the
+matrices that pass an all-zero column screen are laid out in one [n, n, L]
+stack whose innermost axis runs over the L matrices, so every step works
+on rows of L entries. Many pair matrices are singular and add nothing to
+the sum, so the elimination drops a matrix as soon as it is known to be
+singular: up front if it has an all-zero column, later if a pivot column
+has no nonzero entry left. A dropped matrix gets determinant 0, which is
+its exact determinant, so the sum does not change. Elimination stops when
+MINOR_TAIL = 4 rows are left: the determinant of that trailing block is
+the xor of its row-by-row minors (characteristic 2 has no signs), a few
+batched gathers that need no pivot and drop nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,6 +75,9 @@ LAYOUT_BLOCK = 1 << 12
 # up to |blue| = 8, two from 9 to BLUE_LIMIT, so a table has at most
 # BLUE_LIMIT * 2 * 2^8 rows and a plan's indices fit in uint16
 TABLE_BLOCK = BLUE_LIMIT // 2
+# batched_gf_det eliminates down to this many rows and takes the determinant of
+# the trailing block from its row-by-row minors
+MINOR_TAIL = 4
 
 # building the field's tables (~7 ms) at import keeps them out of the first
 # detection call
@@ -108,7 +116,7 @@ class PortLayout:
     def anchor(self) -> int:
         return self.blue[0]
 
-    @property
+    @cached_property
     def ports(self) -> tuple[tuple[str, int], ...]:
         pool = tuple(("pool", i) for i in range(self.pool_count))
         entry = tuple(("entry", y) for y in self.yellow)
@@ -134,19 +142,26 @@ class PortWeights:
         self.values = values
 
     @staticmethod
-    def draw(g: Digraph, layout: PortLayout, field: BinaryField, key: int, trial: int = 0) -> "PortWeights":
+    def arc_plan(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) of g's arcs in sorted order, the part of a draw that is the same every trial."""
+        arcs = sorted(g.arcs)
+        return np.array([a for a, _ in arcs], dtype=np.intp), np.array([b for _, b in arcs], dtype=np.intp)
+
+    @staticmethod
+    def draw(g: Digraph, layout: PortLayout, field: BinaryField, key: int, trial: int = 0,
+             plan: tuple[np.ndarray, np.ndarray] | None = None) -> "PortWeights":
         """One trial's weights: counter_draw's words (trial, port * arcs + arc) under key.
 
         Arcs are taken in sorted order. A weight is the top m bits of its
-        word for GF(2^m), so it is exactly uniform on 0..q-1.
+        word for GF(2^m), so it is exactly uniform on 0..q-1. A detection
+        passes its arc_plan(g), so that its trials share it; without it the
+        draw builds its own.
         """
+        tails, heads = PortWeights.arc_plan(g) if plan is None else plan
         nports = len(layout.ports)
         values = np.zeros((nports, g.n, g.n), dtype=np.int32)
-        arcs = sorted(g.arcs)
-        if arcs:
-            words = counter_draw(key, trial, 1, nports * len(arcs)).reshape(nports, len(arcs))
-            tails = np.array([a for a, _ in arcs])
-            heads = np.array([b for _, b in arcs])
+        if len(tails):
+            words = counter_draw(key, trial, 1, nports * len(tails)).reshape(nports, len(tails))
             values[:, tails, heads] = (words >> np.uint64(64 - field.m)).astype(np.int32)
         return PortWeights(layout, field, values)
 
@@ -158,16 +173,19 @@ class PortWeights:
 def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     """Determinants of a [B, n, n] int32 stack over GF(2^m). Leaves mats as it was.
 
-    Gaussian elimination on the matrices that can still be nonsingular; a
-    matrix leaves the batch with determinant 0 as soon as it is known to be
-    singular, which is exact whatever the field:
+    Gaussian elimination down to the last t = min(n, MINOR_TAIL) rows on the
+    matrices that can still be nonsingular, then the determinant of that
+    t x t tail from its minors. A matrix leaves the batch with determinant 0
+    as soon as elimination knows it is singular, which is exact whatever
+    the field:
       up front, a matrix with an all-zero column (the int32 sum of a column
       of entries in [0, q) may wrap, but as a sum below 2^32 of nonnegative
       terms it wraps to 0 only when every term is 0);
-      at each pivot column, a matrix whose trailing column is all zero.
+      at each pivot column before the tail, a matrix whose trailing column
+      is all zero.
     There is no row screen: a matrix with an all-zero row but no all-zero
-    column is singular, so its elimination runs out of pivots, and it leaves
-    at a pivot column or ends on a zero last pivot, with determinant 0.
+    column is singular, so it leaves at a pivot column or its tail has
+    determinant 0.
     The L survivors are laid out batch-last, in one C-contiguous [n, n, L]
     stack gathered LAYOUT_BLOCK matrices at a time, so that no second
     full-size copy is ever held. Each step then works on rows of L entries,
@@ -177,13 +195,20 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     pivot row being taken on their [s-1, L] slices and added by broadcasting
     into intp. A matrix whose top entry is 0 gets the first row with a
     nonzero entry added to its top row, which leaves the determinant
-    unchanged; one flat take gathers those rows for the whole stack. The
-    pivots multiply as an intp sum of their logs, reduced mod q - 1 once at
-    the end, where the last pivot's log (the zero sentinel when it is 0) is
-    added before the one exp lookup. Every log and exp index is in range by
-    construction, so each lookup is a take with mode="clip": it never clips,
-    and it costs less than the default mode's raise-on-error index check.
-    The call returns as soon as no matrix is left.
+    unchanged; one flat take gathers those rows for the whole stack.
+    The tail needs no pivot and drops nothing. In characteristic 2 a
+    determinant has no signs, so the minor M_r(S) of rows 0..r on a column
+    set S of r + 1 columns is the xor over c in S of m[r, c] * M_{r-1}(S - c),
+    and M_{t-1} of all t columns is the tail's determinant. Row r takes
+    every M_r at once through the cached _minor_plan(t): two gathers of
+    logs, one add, one exp-table gather and one xor reduction. A matrix of
+    at most MINOR_TAIL rows is its own tail and runs no elimination step.
+    The pivots multiply as an intp sum of their logs, reduced mod q - 1 once
+    at the end, where the tail determinant's log (the zero sentinel when it
+    is 0) is added before the one exp lookup. Every log and exp index is in
+    range by construction, so each lookup is a take with mode="clip": it
+    never clips, and it costs less than the default mode's raise-on-error
+    index check. The call returns as soon as no matrix is left.
     """
     nmats, n, _ = mats.shape
     det = np.zeros(nmats, dtype=np.int32)
@@ -197,7 +222,8 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     lsum = np.zeros(len(live), dtype=np.intp)
     log, exp = field.np_log, field.np_exp
     order = field.q - 1
-    for _ in range(n - 1):
+    t = min(n, MINOR_TAIL)
+    for _ in range(n - t):
         nz = m[:, 0] != 0
         has = nz.any(axis=0)
         if not has.all():
@@ -220,10 +246,44 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
         block = exp.take(np.add(lfac[:, None, :], lrow[None, :, :], dtype=np.intp), mode="clip")
         block ^= m[1:, 1:]
         m = block
+    # the t x t tail from its minors; lprev holds the logs of the minors of
+    # the rows above row r, and a product's two logs, each below 2 * order or
+    # the zero sentinel, add up to at most 4 * order: inside the exp table,
+    # and in int32, which take converts faster than an add into intp on
+    # these small [K, r + 1, L] sums
+    lm = log.take(m, mode="clip")
+    lprev = lm[0]
+    for r, (cols, rest) in enumerate(_minor_plan(t), 1):
+        lprods = lm[r].take(cols, axis=0, mode="clip") + lprev.take(rest, axis=0, mode="clip")
+        lprev = log.take(np.bitwise_xor.reduce(exp.take(lprods, mode="clip"), axis=1), mode="clip")
     lsum %= order
-    lsum += log.take(m[0, 0], mode="clip")
+    lsum += lprev[0]
     det[live] = exp.take(lsum, mode="clip")
     return det
+
+
+@lru_cache(maxsize=None)
+def _minor_plan(t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Gather plan of the row-by-row minors of a t x t block, rows 1..t-1.
+
+    The minors of rows 0..r are indexed by their column sets S, |S| = r + 1,
+    in itertools.combinations order. Row r's entry is (cols, rest), both
+    [C(t, r + 1), r + 1] intp: cols[k] lists the columns c of the k-th set S,
+    and rest[k] the index of each S - c among the sets of row r - 1. Row 0's
+    minors are its own entries, so they need no entry. The arrays are
+    read-only, since every call shares them.
+    """
+    index = {(c,): c for c in range(t)}
+    plan = []
+    for r in range(1, t):
+        sets = list(itertools.combinations(range(t), r + 1))
+        cols = np.array(sets, dtype=np.intp)
+        rest = np.array([[index[s[:j] + s[j + 1 :]] for j in range(r + 1)] for s in sets], dtype=np.intp)
+        cols.setflags(write=False)
+        rest.setflags(write=False)
+        plan.append((cols, rest))
+        index = {s: k for k, s in enumerate(sets)}
+    return tuple(plan)
 
 
 def subset_xor_table(rows: np.ndarray) -> np.ndarray:
@@ -487,11 +547,12 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     field = make_binary_field(FIELD_BITS)
     pairs = 0
     key = derive_seed("hc-trial", seed)
-    # one weight plan and gather stack serve every trial and every chunk,
-    # so a trial allocates nothing large
+    # one arc plan, weight plan and gather stack serve every trial and every
+    # chunk, so a trial allocates nothing large
+    arcs = PortWeights.arc_plan(g)
     sieve = _BatchedSieve(g, layout)
     for t in range(tmax):
-        w = PortWeights.draw(g, layout, field, key, t)
+        w = PortWeights.draw(g, layout, field, key, t, plan=arcs)
         total, pairs = sieve_membership_pairs(g, layout, w, sieve)
         if total != 0:
             return DetectionReport(

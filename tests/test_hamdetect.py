@@ -1,6 +1,7 @@
 """Port-matrix Hamiltonicity detection."""
 
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -440,10 +441,11 @@ class TestBatchedDet:
         dets = batched_gf_det(field, mats)
         assert dets.tolist() == [0, 1, 0]
 
-    # The kernel drops a matrix with determinant 0 by one of two routes: the
-    # up-front screen (an all-zero column) or the pivot column whose trailing
-    # entries are all zero. Every other matrix is eliminated to the end, and a
-    # singular one among them ends on a zero last pivot.
+    # A matrix with determinant 0 ends by one of three routes: the up-front
+    # screen (an all-zero column), a pivot column before the tail whose
+    # trailing entries are all zero (the column is a combination of the
+    # columns before it), or a zero from the minors of the last MINOR_TAIL
+    # rows. Every other matrix is eliminated to the tail and kept.
     @staticmethod
     def nonsingular(field, rng, count, n):
         """Random matrices whose only zero entry is the top-left one.
@@ -456,8 +458,28 @@ class TestBatchedDet:
         return mats
 
     @staticmethod
-    def routes(field, mats):
-        """Check mats matrix by matrix against det_gauss; return the drop routes taken."""
+    def dependent_column(sf, mat):
+        """The first column of mat in the span of the columns before it, or None.
+
+        Elimination keeps its first k pivots nonzero exactly while columns
+        0..k-1 are independent, so this is the column where it drops mat.
+        """
+        a = [[int(x) for x in row] for row in mat]
+        n = len(a)
+        for k in range(n):
+            piv = next((r for r in range(k, n) if a[r][k]), None)
+            if piv is None:
+                return k
+            a[k], a[piv] = a[piv], a[k]
+            inv = sf.inv(a[k][k])
+            for r in range(k + 1, n):
+                f = sf.mul(a[r][k], inv)
+                a[r] = [x ^ sf.mul(f, y) for x, y in zip(a[r], a[k])]
+        return None
+
+    @classmethod
+    def routes(cls, field, mats):
+        """Check mats matrix by matrix against det_gauss; return the routes taken."""
         before = mats.copy()
         dets = batched_gf_det(field, mats)
         assert np.array_equal(mats, before)  # the kernel leaves its input as it was
@@ -467,27 +489,33 @@ class TestBatchedDet:
         for mat, got in zip(before, dets):
             want = det_gauss(square(sf, mat.tolist()))
             assert int(got) == want
+            k = cls.dependent_column(sf, mat)
+            assert (want == 0) == (k is not None)
             if not mat.any(axis=0).all():
                 taken.add("screen")
+            elif k is None:
+                taken.add("kept")
             else:
-                taken.add("column" if want == 0 else "kept")
+                taken.add("column" if k < len(mat) - hamdetect.MINOR_TAIL else "tail")
         return taken
 
     def test_zero_row(self):
+        # n = MINOR_TAIL + 1: one elimination step; the zero row leaves the
+        # last column dependent, inside the tail
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(11)
-        mats = self.nonsingular(field, rng, 6, 5)
+        mats = self.nonsingular(field, rng, 6, hamdetect.MINOR_TAIL + 1)
         mats[2, 3] = 0
-        assert self.routes(field, mats) == {"column", "kept"}
+        assert self.routes(field, mats) == {"tail", "kept"}
 
     def test_zero_row_without_zero_column(self):
         # no row screen: a zero row at any position, in matrices with no zero
-        # column, still gives the exact determinant 0
+        # column, still gives the exact determinant 0, from the tail's minors
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(18)
         for n in range(2, 8):
             mats = rng.integers(1, field.q, size=(n, n, n), dtype=np.int32)
             mats[np.arange(n), np.arange(n)] = 0  # matrix i has row i zero
             assert mats.any(axis=1).all()
-            assert self.routes(field, mats) == {"column"}
+            assert self.routes(field, mats) == {"tail"}
 
     def test_zero_column(self):
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(12)
@@ -496,22 +524,26 @@ class TestBatchedDet:
         assert self.routes(field, mats) == {"screen", "kept"}
 
     def test_singular_only_mid_elimination(self):
+        # column 2 of matrix 3 is a multiple of column 0, so it drops at pivot
+        # column 2, before the tail; matrix 1's dependent rows end in the tail
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(13)
-        mats = self.nonsingular(field, rng, 6, 5)
+        n = hamdetect.MINOR_TAIL + 3
+        mats = self.nonsingular(field, rng, 6, n)
         mats[1, 4] = mats[1, 0] ^ field.nmul(np.int32(9), mats[1, 2])  # no zero row or column
         mats[3, :, 2] = field.nmul(mats[3, :, 0], np.int32(3))
-        assert self.routes(field, mats) == {"column", "kept"}
+        assert self.routes(field, mats) == {"column", "tail", "kept"}
 
     def test_drop_and_fix_up_at_one_column(self):
-        # at pivot column 2, the first matrix drops (its trailing column is all
-        # zero) while the second needs the row-add fix-up (top entry 0, a
-        # nonzero below it); both have every earlier pivot nonzero
+        # at pivot column 2, the last one before the tail, the first matrix
+        # drops (its trailing column is all zero) while the second needs the
+        # row-add fix-up (top entry 0, a nonzero below it); both have every
+        # earlier pivot nonzero
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(19)
-        n = 5
+        n = hamdetect.MINOR_TAIL + 3
         upper = np.triu(rng.integers(1, field.q, size=(4, n, n), dtype=np.int32))
         drops = upper[0].copy()
         drops[2, 2] = 0  # column 2 is nonzero only in rows 0 and 1
-        fixed = upper[1][[0, 1, 3, 2, 4]]  # rows 2 and 3 swapped: a zero on top at column 2
+        fixed = upper[1][[0, 1, 3, 2, *range(4, n)]]  # rows 2 and 3 swapped: a zero on top at column 2
         mats = np.stack([drops, fixed, upper[2], rng.integers(0, field.q, size=(n, n), dtype=np.int32)])
         assert self.routes(field, mats) == {"column", "kept"}
         dets = batched_gf_det(field, mats)
@@ -541,7 +573,7 @@ class TestBatchedDet:
         mats[1, :, 3] = 0
         mats[2, 3] = mats[2, 0]
         mats[3] = 0
-        assert self.routes(field, mats) == {"screen", "column"}
+        assert self.routes(field, mats) == {"screen", "tail"}
 
     def test_empty_batch(self):
         field = make_binary_field(FIELD_BITS)
@@ -560,9 +592,57 @@ class TestBatchedDet:
 
     def test_mixed_sparse_random(self):
         field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(16)
-        mats = rng.integers(0, field.q, size=(400, 5, 5), dtype=np.int32)
+        n = hamdetect.MINOR_TAIL + 3
+        mats = rng.integers(0, field.q, size=(400, n, n), dtype=np.int32)
         mats[rng.random(mats.shape) < 0.6] = 0
-        assert self.routes(field, mats) == {"screen", "column", "kept"}
+        assert self.routes(field, mats) == {"screen", "column", "tail", "kept"}
+
+    def test_orders_up_to_one_step(self):
+        # n <= MINOR_TAIL runs no elimination step, n = MINOR_TAIL + 1 one;
+        # neither can drop at a pivot column past the screen
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(22)
+        for n in range(1, hamdetect.MINOR_TAIL + 2):
+            mats = rng.integers(0, field.q, size=(300, n, n), dtype=np.int32)
+            mats[rng.random(mats.shape) < 0.4] = 0
+            assert self.routes(field, mats) == ({"screen", "kept"} if n == 1 else {"screen", "tail", "kept"}), n
+
+    def test_tail(self):
+        # Block-diagonal matrices: elimination leaves the trailing block D as
+        # it was. D is a scaled permutation with one extra entry, so nearly
+        # every minor of the tail is 0 and most products take the zero
+        # sentinel, yet det(D) is not 0; or D's last column is a combination
+        # of its others, so the matrix is singular only in the tail.
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(23)
+        t = hamdetect.MINOR_TAIL
+        n = t + 4
+        mats = np.zeros((12, n, n), dtype=np.int32)
+        mats[:, : n - t, : n - t] = self.nonsingular(field, rng, 12, n - t)
+        for i in range(12):
+            perm = rng.permutation(t)
+            mats[i, n - t + np.arange(t), n - t + perm] = rng.integers(1, field.q, size=t)
+            mats[i, n - t, n - t + perm[1]] = rng.integers(1, field.q)
+        coef = rng.integers(1, field.q, size=(6, 1, t - 1), dtype=np.int32)
+        tail = mats[6:, n - t :, n - t :]
+        tail[:, :, -1] = np.bitwise_xor.reduce(field.nmul(coef, tail[:, :, :-1]), axis=2)
+        assert self.routes(field, mats[:6]) == {"kept"}
+        assert self.routes(field, mats[6:]) == {"tail"}
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_minor_plan(self, t, monkeypatch):
+        # the kernel with t tail rows, against det_gauss on random and sparse
+        # stacks of every order up to t + 2, so that t x t blocks are finished
+        # from the minors alone; the plan it uses is shared and read-only
+        field, rng = make_binary_field(FIELD_BITS), np.random.default_rng(30 + t)
+        monkeypatch.setattr(hamdetect, "MINOR_TAIL", t)
+        for n in range(1, t + 3):
+            mats = rng.integers(0, field.q, size=(60, n, n), dtype=np.int32)
+            mats[30:][rng.random((30, n, n)) < 0.5] = 0
+            self.routes(field, mats)
+        plan = hamdetect._minor_plan(t)
+        assert plan is hamdetect._minor_plan(t) and len(plan) == t - 1
+        for r, (cols, rest) in enumerate(plan, 1):
+            assert cols.shape == rest.shape == (math.comb(t, r + 1), r + 1)
+            assert not cols.flags.writeable and not rest.flags.writeable
 
     @pytest.mark.parametrize("n", [8, 12, BLUE_LIMIT])
     def test_large_stacks(self, n):
@@ -585,15 +665,15 @@ class TestBatchedDet:
         assert (diag_logs.sum(axis=1) > (n - 1) * order).all()
 
         # Nonsingular leading (n-1) x (n-1) minor, last row a combination of
-        # the others: every pivot column has a nonzero entry until the last
-        # pivot, which is 0.
+        # the others: every pivot column before the tail has a nonzero entry,
+        # and the tail's minors give 0.
         last = rng.integers(1, field.q, size=(10, n, n), dtype=np.int32)
         coef = rng.integers(1, field.q, size=(10, n - 1), dtype=np.int32)
         last[:, -1] = np.bitwise_xor.reduce(field.nmul(coef[:, :, None], last[:, :-1]), axis=1)
 
         dense = rng.integers(0, field.q, size=(10, n, n), dtype=np.int32)
         mats = np.concatenate([rotated, last, dense])
-        assert self.routes(field, mats) == {"column", "kept"}
+        assert self.routes(field, mats) == {"tail", "kept"}
 
         sf = ScalarBinaryField(field)
         dets = batched_gf_det(field, mats)
