@@ -45,8 +45,9 @@ GROUP_RANK_LIMIT = 6
 # detect_k_internal evaluates its trials in chunks of 1, 4, 16, ...
 # up to this many (see _trial_chunks)
 INTERNAL_CHUNK = 34
-# Bytes of the largest gather in _InternalSieveEngine._mul, det_batch's first
-# rank-1 update, that detect_k_internal allows (see _internal_gather_bytes)
+# Bytes that detect_k_internal allows _internal_gather_bytes, its bound on the
+# largest gather in _InternalSieveEngine._mul: det_batch's first rank-1
+# update, which gathers at most that much
 INTERNAL_GATHER_LIMIT = 1 << 28
 # Entries of _InternalSieveEngine._mul's exp gather that one take call writes
 INTERNAL_EXP_BLOCK = 1 << 15
@@ -64,6 +65,22 @@ LEAF_STACK_LIMIT = 1 << 24
 # solve_nk_dv evaluates its trials in chunks of 1, 4, 16, ... up to this many
 # (see _trial_chunks)
 LEAF_CHUNK = 64
+
+
+def _live_span(lines: np.ndarray, start: int) -> slice | None:
+    """The slice from the first to the last line of lines (axis 0) with a nonzero entry, offset by start.
+
+    None if every line is zero. The elimination kernels pass the part of a
+    pivot column below the diagonal (or of a pivot row right of it) across
+    the whole stack, so the span covers every line that some matrix needs
+    updated. When both end lines are nonzero, as on dense stacks, two
+    count_nonzero calls on them settle it without a pass over the rest.
+    """
+    m = len(lines)
+    if np.count_nonzero(lines[0]) and np.count_nonzero(lines[m - 1]):
+        return slice(start, start + m)
+    live = lines.any(axis=tuple(range(1, lines.ndim))).nonzero()[0]
+    return slice(start + live[0], start + live[-1] + 1) if live.size else None
 
 
 def _trial_chunks(total: int, cap: int):
@@ -215,9 +232,13 @@ class _InternalSieveEngine:
         Write u = c + x with c = u[0] and x in M. In characteristic 2
         squaring is additive, and every marker monomial squares to zero, so
         x^2 = 0 and u^2 = c^2: the inverse is u * c^-2, with no ring product.
+        Its slot logs are u's shifted by -2 log c mod q-1: a nonzero slot's
+        sum stays below 2(q-1), inside the exp table's doubled period, and a
+        zero slot's sentinel lands in the table's zero tail.
         """
-        cinv = self.f.ninv(u[..., :1])
-        return self.f.nmul(u, self.f.nmul(cinv, cinv))
+        log = self.f.np_log
+        shift = -2 * log.take(u[..., :1]) % (self.f.q - 1)
+        return self.f.np_exp.take(log.take(u) + shift)
 
     def build_matrices(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         """Root-bordered Laplacians for a batch of draws, shape [nn, nn, B, len].
@@ -255,31 +276,40 @@ class _InternalSieveEngine:
 
         At column j the pivot is the first row at or below j whose slot 0 is
         nonzero, a unit of R; rows swap only in the matrices whose pivot
-        moved. When every live matrix already has a unit on the diagonal, as
-        in most columns of most draws, that search and the swap bookkeeping
-        are skipped. A matrix whose column j has no unit at or below the
+        moved. When every matrix already has a unit on the diagonal, as in
+        most columns of most draws, that search and the swap bookkeeping are
+        skipped. A matrix whose column j has no unit at or below the
         diagonal first swaps in the first later column with a unit in rows j
         and below. Characteristic 2 makes both swaps sign-free. The pivot is
         kept as a factor of the determinant, and one rank-1 update with its
-        inverse clears the column below it. The last pivot is never
-        inverted, so it may be a non-unit. The determinant is the product of
-        the nn pivots, taken once at the end by _product. A matrix whose
-        whole trailing s x s block at column j < nn - 1 holds no unit has
-        every entry of that block in M, so its determinant is 0 for s > k
-        (it lies in M^s, and M^(k+1) = 0) and otherwise the product of its j
-        pivots so far and _det_berkowitz of the block, which it takes at
-        once. Such a matrix rides along to the end of the loop, where that
-        value overwrites its row. mats is left unchanged.
+        inverse clears the column below it. That update is screened across
+        the whole stack: it covers the span (see _live_span) of columns
+        l > j where row j has a nonzero slot in some matrix and, if there
+        are any, the span of rows i > j where column j has one, and only
+        those rows take the factor a[i, j] * pivot^-1. A line outside its
+        span is zero in every matrix, and the update is an xor, so skipping
+        it needs no bookkeeping. The Laplacians of a chunk share one graph,
+        so their zero patterns nearly coincide: on a k-internal NO on hubs
+        only hub rows hold off-diagonal entries, and only a hub's pivot row
+        takes an update. The last pivot is never inverted, so it may be a
+        non-unit. The determinant is the product of the nn pivots, taken
+        once at the end by _product. A matrix whose whole trailing s x s
+        block at column j < nn - 1 holds no unit has every entry of that
+        block in M, so its determinant is 0 for s > k (it lies in M^s, and
+        M^(k+1) = 0) and otherwise the product of its j pivots so far and
+        _det_berkowitz of the block, which it takes at once. That block is
+        then set to the identity, so the matrix rides along with unit
+        pivots and no updates to the end of the loop, where its value
+        overwrites its row. mats is left unchanged.
         """
         nn, _, nb, _ = mats.shape
         a = mats.copy()
         pivots = np.empty((nn, nb, self.len), dtype=np.int32)
-        live = np.ones(nb, dtype=bool)
         settled = []  # (matrix indices, their determinants)
         for j in range(nn - 1):
-            if (live & (a[j, j, :, 0] == 0)).any():
+            if np.count_nonzero(a[j, j, :, 0]) < nb:
                 unit = a[j:, j, :, 0] != 0
-                lack = np.flatnonzero(live & ~unit.any(axis=0))
+                lack = np.flatnonzero(~unit.any(axis=0))
                 if lack.size:
                     cols = (a[j:, j:, lack, 0] != 0).any(axis=0)
                     found = cols.any(axis=0)
@@ -288,16 +318,18 @@ class _InternalSieveEngine:
                     colj = a[:, j, swap]
                     a[:, j, swap] = a[:, src, swap]
                     a[:, src, swap] = colj
-                    unit[:, swap] = a[j:, j, swap, 0] != 0
                     stuck = lack[~found]
                     if stuck.size:
-                        live[stuck] = False
                         if nn - j > self.k:
                             settled.append((stuck, 0))
                         else:
                             block = self._det_berkowitz(a[j:, j:, stuck])[None]
                             value = self._product(np.concatenate([pivots[:j, stuck], block]))
                             settled.append((stuck, value))
+                        diag = np.arange(j, nn)[:, None]
+                        a[j:, j:, stuck] = 0
+                        a[diag, diag, stuck, 0] = 1
+                    unit[:, lack] = a[j:, j, lack, 0] != 0
                 pidx = j + np.argmax(unit, axis=0)
                 moved = np.flatnonzero(pidx != j)
                 src = pidx[moved]
@@ -305,8 +337,11 @@ class _InternalSieveEngine:
                 a[j, j:, moved] = a[src, j:, moved]
                 a[src, j:, moved] = rowj
             pivots[j] = a[j, j]
-            fac = self._mul(a[j + 1 :, j], self._inverse(a[j, j])[None])
-            a[j + 1 :, j + 1 :] ^= self._mul(fac[:, None], a[j, j + 1 :][None])
+            right = _live_span(a[j, j + 1 :], j + 1)
+            below = _live_span(a[j + 1 :, j], j + 1) if right else None
+            if below:
+                fac = self._mul(a[below, j], self._inverse(a[j, j])[None])
+                a[below, right] ^= self._mul(fac[:, None], a[j, right][None])
         pivots[nn - 1] = a[nn - 1, nn - 1]
         det = self._product(pivots)
         for stuck, value in settled:
@@ -377,13 +412,14 @@ def _draw_internal_chunk(
 def _internal_gather_bytes(n: int, k: int) -> int:
     """Bound on the bytes of the largest int32 gather that _mul makes in det_batch.
 
-    That is the rank-1 update at column 0: (nn-1)^2 products for each trial
-    of a full chunk, one int32 slot per pair of the 3^k-pair plan, so
-    (nn-1)^2 * 34 * 3^k * 4 bytes, nn = n-1 with one spanning root and n
-    with more. Later columns and the Berkowitz fallback gather no more. The
-    formula still counts the (k+1)(k+2)/2 * 3^k pairs of the truncated ring,
-    kept so the guard accepts exactly the same inputs; so it bounds the
-    n-row gather too, but at n = 2 and at n = 3, k = 1 (at most 1,632 bytes).
+    The rank-1 update at column 0 gathers at most (nn-1)^2 products for
+    each trial of a full chunk (fewer where its screens skip lines), one
+    int32 slot per pair of the 3^k-pair plan, so (nn-1)^2 * 34 * 3^k * 4
+    bytes, nn = n-1 with one spanning root and n with more. Later columns
+    and the Berkowitz fallback gather no more. The formula still counts
+    the (k+1)(k+2)/2 * 3^k pairs of the truncated ring, kept so the guard
+    accepts exactly the same inputs; so it bounds the n-row gather too,
+    but at n = 2 and at n = 3, k = 1 (at most 1,632 bytes).
     """
     return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
 
@@ -576,20 +612,29 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     Each step updates its trailing rows in blocks of about MODP_BLOCK
     entries, through two scratch buffers of that size.
 
-    Elimination is division-free: each row below pivot j becomes piv*row -
-    a*row_j, which scales the determinant by piv once per row. Those
-    scalings multiply to the product over j < d-1 of the pivots 0..j, so
-    one _batch_inverse of all B such products at the end undoes them; only
-    these [B] pivot products are normalised with %. Every updated entry is
-    brought back to a centred residue by _centre_mod, one float quotient
-    instead of an int64 %. The entries then stay at most p * (1/2 + 2^-20)
-    in magnitude: each update piv*rest - col*row is at most p^2/2 * (1 +
-    2^-17) < 2^62 (below p^2 on [0, p) entries), and reducing it leaves at
-    most p/2 + 2^-51 * p^2 < p * (1/2 + 2^-20). As that is below p, an
-    entry is nonzero exactly when its residue is, so pivot search sees the
-    same matrices as over GF(p). A matrix that runs out of pivots has a
-    zero pivot product and determinant 0. The products are taken in int64,
-    so p must be below MODP_WORD_LIMIT (2^31).
+    Elimination is division-free and screened across the whole stack: step
+    j updates only the span (see _live_span) of rows below the pivot whose
+    column-j entry is nonzero in some matrix, each to piv*row - a*row_j,
+    which scales the determinant by piv once per updated row. A row outside
+    the span is zero in column j in every matrix and is left as it is,
+    unscaled. With e_j rows updated at step j (d-1-j when none is
+    skipped), the scalings multiply to the product of the piv_j^e_j. The
+    running pivot product takes piv_j in at step d-1-e_j (at once when the
+    span is full) and multiplies into the scale at every step before the
+    last, so piv_j counts exactly e_j times: at most three [B] products a
+    step whatever the spans, and no division. One _batch_inverse of the B
+    scales at the end undoes them; only these [B] products are normalised
+    with %. Every updated entry is brought back to a centred residue by
+    _centre_mod, one float quotient instead of an int64 %, and a skipped
+    row keeps the centred residues it had, so every entry stays at most
+    p * (1/2 + 2^-20) in magnitude: each update piv*rest - col*row is at
+    most p^2/2 * (1 + 2^-17) < 2^62 (below p^2 on [0, p) entries), and
+    reducing it leaves at most p/2 + 2^-51 * p^2 < p * (1/2 + 2^-20). As
+    that is below p, an entry is nonzero exactly when its residue is, so
+    the pivot search and the screen see the same matrices as over GF(p). A
+    matrix that runs out of pivots has a zero pivot product and
+    determinant 0. The products are taken in int64, so p must be below
+    MODP_WORD_LIMIT (2^31).
     """
     if p >= MODP_WORD_LIMIT:
         raise ValueError(f"prime {p} is past the 2^31 word-size limit of batched_modp_det")
@@ -597,14 +642,15 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     a = np.ascontiguousarray(mats.transpose(1, 2, 0))
     pivots = np.ones(nmats, dtype=np.int64)
     scale = np.ones(nmats, dtype=np.int64)
+    joining = {}  # step: product of the pivots that join pivots at that step
     flip = np.zeros(nmats, dtype=bool)
     width = max(1, (d - 1) * nmats)  # entries in one row of the first update
     rows = max(1, MODP_BLOCK // width)
     quot = np.empty(min(rows, max(1, d - 1)) * width, dtype=np.int64)
     fquot = np.empty(quot.shape, dtype=np.float64)
     for j in range(d):
-        zero = np.flatnonzero(a[j, j] == 0)
-        if zero.size:
+        if np.count_nonzero(a[j, j]) < nmats:
+            zero = np.flatnonzero(a[j, j] == 0)
             pidx = j + np.argmax(a[j:, j, zero] != 0, axis=0)
             moved = zero[pidx != j]  # zero pivots with a nonzero entry below
             src = pidx[pidx != j]
@@ -613,15 +659,25 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
             a[j, j:, moved] = a[src, j:, moved]
             a[src, j:, moved] = rowj
         piv = a[j, j]
-        pivots = pivots * piv % p
+        span = _live_span(a[j + 1 :, j], j + 1) if j + 1 < d else None
+        m = span.stop - span.start if span else 0
+        # piv scales the determinant once per updated row, so it joins
+        # pivots in time to multiply into scale at the last m steps
+        join = d - 1 - m
+        if join == j:
+            pivots = pivots * piv % p
+        else:
+            joining[join] = joining[join] * piv % p if join in joining else piv % p
+        if j in joining:
+            pivots = pivots * joining.pop(j) % p
         if j + 1 < d:
             scale = scale * pivots % p
-            m = d - j - 1
-            col = a[j + 1 :, j, None]
+        if m:
+            col = a[span, j, None]
             row = a[j, None, j + 1 :]
             for lo in range(0, m, rows):
                 hi = min(lo + rows, m)
-                rest = a[j + 1 + lo : j + 1 + hi, j + 1 :]
+                rest = a[span.start + lo : span.start + hi, j + 1 :]
                 size = rest.size
                 prod = quot[:size].reshape(rest.shape)
                 np.multiply(col[lo:hi], row, out=prod)
@@ -696,6 +752,22 @@ class BranchingLeafPolynomial:
         self.n = g.n
         self._verts = _bordered_vertices(g, roots)
         self._pos = {u: i for i, u in enumerate(self._verts)}
+        # _laplacians' plan: arc u->v puts -y_u at (u, v) outside row
+        # r = roots[0] and adds y_u to (v, v) outside row r. Entry i of the
+        # flat stack reads row tails[i] of a table of the negated y, or its
+        # zero row n; in_adj[i, u] is 1 for each arc from u into verts[i].
+        nn = len(self._verts)
+        r = roots[0]
+        self._tails = np.full(nn * nn, g.n, dtype=np.int64)
+        self._in_adj = np.zeros((nn, g.n), dtype=np.int64)
+        for u, v in g.arcs:
+            if v != r:
+                self._in_adj[self._pos[v], u] = 1
+            if u != r and v in self._pos:
+                self._tails[self._pos[u] * nn + self._pos[v]] = u
+        kept = roots if r in self._pos else []
+        self._border = np.array([self._pos[r] * nn + self._pos[v] for v in kept], dtype=np.int64)
+        self._border_roots = np.array(kept, dtype=np.int64)
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
         """P at each row of ys mod p, in batched_modp_det calls of at most LEAF_STACK_LIMIT bytes."""
@@ -711,28 +783,24 @@ class BranchingLeafPolynomial:
     def _laplacians(self, ys: np.ndarray, p: int) -> np.ndarray:
         """Root-bordered Laplacians mod p, a [B, nn, nn] view of a batch-last [nn, nn, B] stack.
 
-        Arc u->v weighs ys[:, u]. The stack is built from a transposed copy
-        of ys in centred residues, so each arc is one contiguous row write:
-        -y_u off the diagonal, and y_u added on it, outside row r = roots[0].
-        The diagonal rows are then centred again, and row r, if kept, takes
-        y_v at the roots v, so every entry is a centred residue of magnitude
-        at most p * (1/2 + 2^-20), as batched_modp_det requires, and its
-        transpose back to [nn, nn, B] copies nothing.
+        Arc u->v weighs ys[:, u]. From a transposed copy of ys in centred
+        residues, one gather through the plan writes -y_u off the diagonal
+        (outside row r = roots[0]) and zeros elsewhere, and one integer
+        product with the in-arc incidence gives each diagonal entry, the sum
+        of y_u over the arcs into it (none into r), centred again. Row r, if
+        kept, then takes y_v at the roots v. So every entry is a centred
+        residue of magnitude at most p * (1/2 + 2^-20), as batched_modp_det
+        requires, and the transpose back to [nn, nn, B] copies nothing.
         """
         nn = len(self._verts)
-        r = self.roots[0]
+        nb = ys.shape[0]
         yt = _centre_mod(ys.T.copy(), p)
-        mats = np.zeros((nn, nn, ys.shape[0]), dtype=np.int64)
-        for u, v in sorted(self.g.arcs):
-            if v != r:
-                iv = self._pos[v]
-                mats[iv, iv] += yt[u]
-            if u != r and v in self._pos:
-                np.negative(yt[u], out=mats[self._pos[u], self._pos[v]])
-        _centre_mod(mats.reshape(nn * nn, ys.shape[0])[:: nn + 1], p)
-        for v in self.roots if r in self._pos else []:
-            mats[self._pos[r], self._pos[v]] = yt[v]
-        return mats.transpose(2, 0, 1)
+        table = np.zeros((self.n + 1, nb), dtype=np.int64)
+        np.negative(yt, out=table[: self.n])
+        mats = table[self._tails]
+        mats[:: nn + 1] = _centre_mod(self._in_adj @ yt, p)
+        mats[self._border] = yt[self._border_roots]
+        return mats.reshape(nn, nn, nb).transpose(2, 0, 1)
 
 
 def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:

@@ -79,6 +79,35 @@ def random_out_degree_graph(rnd: random.Random, n: int, d: int) -> Digraph:
     return make_digraph(n, arcs)
 
 
+def rooted_hubs(rnd: random.Random, n: int, hubs: int, m: int) -> Digraph:
+    """Up to m arcs, all leaving one of `hubs` hub vertices (0 among them), that span from 0.
+
+    Vertex 0 has no in-arc and reaches every vertex, so it is the only
+    spanning root, and every out-branching has at most `hubs` internal
+    vertices: a k-internal NO for k > hubs. Only the hubs' Laplacian rows
+    hold off-diagonal entries.
+    """
+    hub = [0, *rnd.sample(range(1, n), hubs - 1)]
+    arcs = {(0, b) for b in hub[1:]}
+    arcs.update((rnd.choice(hub), b) for b in range(1, n) if b not in hub)
+    rest = [(a, b) for a in hub for b in range(1, n) if a != b and (a, b) not in arcs]
+    arcs.update(rnd.sample(rest, max(0, min(len(rest), m - len(arcs)))))
+    return make_digraph(n, sorted(arcs))
+
+
+def rooted_path(rnd: random.Random, n: int, extra: int) -> Digraph:
+    """A Hamiltonian path from 0 on a random vertex order plus `extra` arcs, none entering 0.
+
+    Vertex 0 is the only spanning root; each Laplacian column holds one
+    path arc plus the extra arcs into it.
+    """
+    order = [0, *rnd.sample(range(1, n), n - 1)]
+    arcs = {(order[i], order[i + 1]) for i in range(n - 1)}
+    rest = [(a, b) for a in range(n) for b in range(1, n) if a != b and (a, b) not in arcs]
+    arcs.update(rnd.sample(rest, extra))
+    return make_digraph(n, sorted(arcs))
+
+
 def cycle_plus(rnd: random.Random, n: int, extra: int) -> Digraph:
     """A Hamiltonian cycle on a random vertex order plus `extra` random other arcs."""
     order = list(range(n))
