@@ -1313,19 +1313,7 @@ class TestGoldenDigest:
 
     def test_detector_digest(self):
         # detect_k_internal and detect_k_leaf reports, YES and NO, one root and several
-        rnd = random.Random(3502)
-        internal = [
-            (rooted_hubs(rnd, 9, 2, 18), 3), (rooted_hubs(rnd, 8, 2, 16), 3), (rooted_hubs(rnd, 7, 3, 14), 4),
-            (bidirected_star(7), 3), (bidirected_star(5), 2), (complete_digraph(5), 3),
-            (directed_path(6), 4), (out_star(6), 2),
-            *((random_digraph(rnd, rnd.randint(4, 8), rnd.uniform(0.2, 0.7)), rnd.randint(1, 3)) for _ in range(6)),
-        ]
-        leaf = [
-            (rooted_path(rnd, 7, 3), 3), (rooted_path(rnd, 8, 3), 3), (rooted_path(rnd, 8, 4), 4),
-            (bidirected_path(6), 3), (bidirected_path(5), 2), (bidirected_star(6), 3),
-            (directed_path(5), 2), (complete_digraph(5), 3),
-            *((random_digraph(rnd, rnd.randint(4, 8), rnd.uniform(0.2, 0.7)), rnd.randint(1, 3)) for _ in range(6)),
-        ]
+        rnd, internal, leaf = _detector_digest_cases()
         runs = []
         seen = set()
         for detect, cases in ((detect_k_internal, internal), (detect_k_leaf, leaf)):
@@ -1339,3 +1327,41 @@ class TestGoldenDigest:
         assert len(seen) == 8, seen
         digest = hashlib.sha256(repr(runs).encode()).hexdigest()
         assert digest == "788f64259ac4413ee1fd89ef6a9e25d472f4e6a23821c9ae1fc053953cac6b59"
+
+    def test_solver_digest(self):
+        # solve_nk_dv's whole report, which detect_k_leaf drops: primes,
+        # evaluations and the hit's trial, prime and coefficient indices, on
+        # the leaf cases above and a NO path with backward arcs at n=20, k=3
+        _, _, leaf = _detector_digest_cases()
+        rnd = random.Random(3503)
+        n = 20
+        backward = rnd.sample([(b, a) for a in range(1, n) for b in range(a + 1, n)], n // 2)
+        leaf.append((make_digraph(n, [(i, i + 1) for i in range(n - 1)] + backward), 3))
+        runs = []
+        for i, (g, k) in enumerate(leaf):
+            roots = branchings._spanning_roots(g)
+            if not roots:
+                continue
+            rep = solve_nk_dv(BranchingLeafPolynomial(g, roots), k, seed=i)
+            runs.append((rep.verdict, rep.trials_run, rep.trials_max, rep.failure_bound, repr(rep.detail)))
+        assert Counter(verdict for verdict, *_ in runs) == {True: 9, False: 4}, runs
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == "66c7acae2c659c790835047dc94f058e40bf9ae5b20ecb222cfa6a7690a7e012"
+
+
+def _detector_digest_cases():
+    """The digest tests' seeded (graph, k) cases: k-internal, then k-leaf, and the generator after them."""
+    rnd = random.Random(3502)
+    internal = [
+        (rooted_hubs(rnd, 9, 2, 18), 3), (rooted_hubs(rnd, 8, 2, 16), 3), (rooted_hubs(rnd, 7, 3, 14), 4),
+        (bidirected_star(7), 3), (bidirected_star(5), 2), (complete_digraph(5), 3),
+        (directed_path(6), 4), (out_star(6), 2),
+        *((random_digraph(rnd, rnd.randint(4, 8), rnd.uniform(0.2, 0.7)), rnd.randint(1, 3)) for _ in range(6)),
+    ]
+    leaf = [
+        (rooted_path(rnd, 7, 3), 3), (rooted_path(rnd, 8, 3), 3), (rooted_path(rnd, 8, 4), 4),
+        (bidirected_path(6), 3), (bidirected_path(5), 2), (bidirected_star(6), 3),
+        (directed_path(5), 2), (complete_digraph(5), 3),
+        *((random_digraph(rnd, rnd.randint(4, 8), rnd.uniform(0.2, 0.7)), rnd.randint(1, 3)) for _ in range(6)),
+    ]
+    return rnd, internal, leaf
