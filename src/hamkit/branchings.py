@@ -634,7 +634,9 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     the pivot search and the screen see the same matrices as over GF(p). A
     matrix that runs out of pivots has a zero pivot product and
     determinant 0. The products are taken in int64, so p must be below
-    MODP_WORD_LIMIT (2^31).
+    MODP_WORD_LIMIT (2^31). On the Laplacian stacks solve_nk_dv builds,
+    every initial diagonal entry is nonzero, so the swap path is the
+    exception there, not the rule.
     """
     if p >= MODP_WORD_LIMIT:
         raise ValueError(f"prime {p} is past the 2^31 word-size limit of batched_modp_det")
@@ -831,8 +833,8 @@ def solve_nk_dv(
 
     Trials run in chunks of 1, 4, 16, ... up to LEAF_CHUNK (fewer when a
     chunk's assignments would pass LEAF_STACK_LIMIT bytes; see
-    _trial_chunks). Per chunk and prime, P is evaluated at tau = 0..2n for
-    every trial in one batch, and one interpolate_univariate call turns
+    _trial_chunks). Per chunk and prime, P is evaluated at tau = 1..2n+1
+    for every trial in one batch, and one interpolate_univariate call turns
     those values into coefficients through an inverse Vandermonde built
     once per prime, when that prime first interpolates (a YES that p1 finds
     in the first chunk never builds p2's). The scan order is trial, then
@@ -840,6 +842,14 @@ def solve_nk_dv(
     chunk), so trials_run and the hit are those of a one-trial,
     one-prime-at-a-time scan. The detail's evaluations counts the points P
     was evaluated at: every row passed to evaluate_batch.
+
+    Any 2n+1 points distinct mod p give the same coefficients. The points
+    start at 1, not 0, so that no assignment holds a zero: both primes lie
+    above 2^30, so for n below 2^29 the points are distinct and nonzero
+    mod p. At tau = 0 every probe-side variable would be 0, and so would
+    the Laplacian diagonal of each vertex whose in-arcs all come from the
+    probe side; batched_modp_det would then search for pivots and swap
+    rows in nearly every stack.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be positive")
@@ -855,7 +865,8 @@ def solve_nk_dv(
         p2 = random_prime_31(prime_rng)
 
     npts = 2 * n + 1
-    taus = np.arange(npts, dtype=np.int64)
+    taus = np.arange(npts, dtype=np.int64)  # coefficient degrees
+    points = taus + 1  # evaluation points
     vinvs = {}  # a prime's inverse Vandermonde, built when it first interpolates
     chunk_cap = max(1, LEAF_STACK_LIMIT // (8 * npts * n))  # trials whose assignments fit
     hit_detail = None
@@ -863,7 +874,7 @@ def solve_nk_dv(
     evaluations = 0
     for count in _trial_chunks(budget, min(LEAF_CHUNK, chunk_cap)):
         bits = _draw_dv_chunk(seed, trials_run, count, n)
-        ys = np.where(bits[:, None, :], taus[None, :, None], 1).reshape(count * npts, n)
+        ys = np.where(bits[:, None, :], points[None, :, None], 1).reshape(count * npts, n)
         # coefficient j of P(routed) sits at index j + (count of False) of the image
         index = taus[None, :] + (n - bits.sum(axis=1))[:, None]
         outside = (index <= n - k) | (index >= n + k)
@@ -874,7 +885,7 @@ def solve_nk_dv(
             values = P.evaluate_batch(ys[: first * npts], p).reshape(first, npts)
             evaluations += first * npts
             if p not in vinvs:
-                vinvs[p] = inverse_vandermonde(taus, p)
+                vinvs[p] = inverse_vandermonde(points, p)
             found = (interpolate_univariate(values, vinvs[p], p) != 0) & outside[:first]
             rows = np.flatnonzero(found.any(axis=1))
             if rows.size:

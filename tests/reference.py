@@ -767,6 +767,8 @@ def dv_trial(P, assignment, p: int) -> tuple[int, ...]:
     if len(bits) != n:
         raise ValueError("assignment length mismatch")
     low_count = bits.count(False)
+    # tau = 0..2n on purpose: solve_nk_dv evaluates at 1..2n+1, so the
+    # scalar_solve_nk_dv cross-checks compare two different point sets
     taus = list(range(2 * n + 1))
     mask = np.array(bits, dtype=bool)
     ys = np.where(mask[None, :], np.array(taus, dtype=np.int64)[:, None], 1)

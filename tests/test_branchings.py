@@ -964,6 +964,21 @@ class TestBatchedInterpolation:
                 points = list(enumerate(values[row].tolist()))
                 assert tuple(got[row].tolist()) == scalar_interpolate(points, npts - 1, p)
 
+    def test_shifted_abscissae(self):
+        # the points 1..N that solve_nk_dv evaluates at, up to N = 1,025 (n = 512)
+        rnd = random.Random(25)
+        for npts in (1, 2, 9, 17, 1025):
+            p = rnd.choice([1_000_003, 2_147_483_029, MERSENNE_31])
+            xs = np.arange(1, npts + 1)
+            vinv = inverse_vandermonde(xs, p)
+            values = np.array([[rnd.randrange(p) for _ in range(npts)] for _ in range(3)], dtype=np.int64)
+            values[0] = p - 1
+            got = interpolate_univariate(values, vinv, p)
+            assert got[0].tolist() == [p - 1] + [0] * (npts - 1)  # the constant -1
+            for row in range(3):
+                points = list(zip(xs.tolist(), values[row].tolist()))
+                assert tuple(got[row].tolist()) == scalar_interpolate(points, npts - 1, p), (npts, row)
+
 
 class TestLeafPolynomial:
     def test_all_ones_counts_branchings(self):
@@ -1053,6 +1068,34 @@ class TestSolveNkDv:
         built.clear()
         no = solve_nk_dv(BranchingLeafPolynomial(directed_path(5), [0]), 2, budget=100, seed=3)
         assert not no.verdict and built == no.detail["primes"]
+
+    def test_assignments_hold_no_zero(self):
+        # P is evaluated at 2n+1 distinct points, none of them 0, while the
+        # hit's coefficient indices still count from tau^0
+        class Recording:
+            def __init__(self, P):
+                self.P, self.n, self.rows = P, P.n, []
+
+            def evaluate_batch(self, ys, p):
+                self.rows.append(ys.copy())
+                return self.P.evaluate_batch(ys, p)
+
+        n, seed = 5, 2
+        npts = 2 * n + 1
+        P = Recording(MonomialListPolynomial(n, [(3, (n, 0, 0, 0, 0)), (1, (1,) * n)]))
+        rep = solve_nk_dv(P, n - 1, budget=200, seed=seed)
+        ys = np.concatenate(P.rows)
+        assert ys.shape == (rep.detail["evaluations"], n) and ys.min() >= 1
+        probes = 0
+        for trial in ys.reshape(-1, npts, n):  # one trial at one prime
+            for col in trial.T.tolist():
+                assert col == [1] * npts or len(set(col)) == npts, col
+                probes += col != [1] * npts
+        assert probes > 0
+        # y_0^n reads tau^n on the probe side and tau^0 off it, shifted by the count of False
+        hit = rep.detail["hit"]
+        bits = branchings._draw_dv_chunk(seed, hit["trial"], 1, n)[0]
+        assert hit["coefficient_indices"] == [n * bits[0] + n - int(bits.sum())]
 
     def test_matches_brute_min_distinct(self):
         # NO instances cannot false-positive at any budget (one-sided error),
@@ -1234,6 +1277,31 @@ class TestDetectKLeaf:
         for (g, k, s), rep in zip(cases, want):
             assert detect_k_leaf(g, k, budget=60, seed=s) == rep, (g.arcs, k, s)
 
+    def test_no_zero_diagonal_reaches_the_elimination(self, monkeypatch):
+        # every y lies in 1..2n+1, so each diagonal entry of a Laplacian, a
+        # sum of such values below p, is nonzero, and batched_modp_det skips
+        # its pivot search; tau = 0 would zero the diagonal of every vertex
+        # whose in-arcs all come from the probe side
+        diagonals = []
+        modp_det = branchings.batched_modp_det
+
+        def recording(mats, p):
+            diagonals.append(np.diagonal(mats, axis1=1, axis2=2) % p)
+            return modp_det(mats, p)
+
+        monkeypatch.setattr(branchings, "batched_modp_det", recording)
+        rnd = random.Random(95)
+        cases = [(rooted_path(rnd, 8, 4), 4), (rooted_path(rnd, 7, 3), 3), (rooted_path(rnd, 12, 2), 3),
+                 (directed_path(6), 2), (directed_path(9), 3), (bidirected_path(6), 3), (bidirected_path(5), 3)]
+        for i, (g, k) in enumerate(cases):
+            diagonals.clear()
+            rep = detect_k_leaf(g, k, seed=i)
+            nn = g.n if len(rep.detail["roots"]) > 1 else g.n - 1
+            assert diagonals and all(d.shape[1] == nn for d in diagonals)
+            if not rep.verdict:
+                assert sum(d.shape[0] for d in diagonals) == 2 * (2 * g.n + 1) * rep.trials_run
+            assert all(d.all() for d in diagonals), (g.arcs, k)
+
     def test_k_range(self):
         with pytest.raises(ValueError):
             detect_k_leaf(directed_path(4), 0)
@@ -1261,8 +1329,9 @@ def _kernel_digest_stacks(seed: int):
     stack). The ring stacks are chunks of draws on bench-shaped NO graphs
     (hubs, a rooted path), stars, a bidirected path, a complete digraph and
     random graphs; the mod-p stacks are k-leaf Laplacians at routed points
-    (tau = 0 zeroes whole rows and columns) and random stacks whose entries
-    are zero with probability 0.2 to 0.95.
+    tau = 0..2n, not solve_nk_dv's 1..2n+1, since tau = 0 zeroes whole rows
+    and columns and so drives the pivot search, and random stacks whose
+    entries are zero with probability 0.2 to 0.95.
     """
     rnd = random.Random(seed)
     ring_cases = [
