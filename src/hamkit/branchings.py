@@ -624,10 +624,12 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     last, so piv_j counts exactly e_j times: at most three [B] products a
     step whatever the spans, and no division. One _batch_inverse of the B
     scales at the end undoes them; only these [B] products are normalised
-    with %. Every updated entry is brought back to a centred residue by
-    _centre_mod, one float quotient instead of an int64 %, and a skipped
-    row keeps the centred residues it had, so every entry stays at most
-    p * (1/2 + 2^-20) in magnitude: each update piv*rest - col*row is at
+    with %. Where no step updated a row (order 0 or 1, or every span
+    empty) every scale is 1, and the inverse is skipped. Every updated
+    entry is brought back to a centred residue by _centre_mod, one float
+    quotient instead of an int64 %, and a skipped row keeps the centred
+    residues it had, so every entry stays at most p * (1/2 + 2^-20) in
+    magnitude: each update piv*rest - col*row is at
     most p^2/2 * (1 + 2^-17) < 2^62 (below p^2 on [0, p) entries), and
     reducing it leaves at most p/2 + 2^-51 * p^2 < p * (1/2 + 2^-20). As
     that is below p, an entry is nonzero exactly when its residue is, so
@@ -645,6 +647,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     pivots = np.ones(nmats, dtype=np.int64)
     scale = np.ones(nmats, dtype=np.int64)
     joining = {}  # step: product of the pivots that join pivots at that step
+    updated = False  # whether any step updated a row, so that scale may differ from 1
     flip = np.zeros(nmats, dtype=bool)
     width = max(1, (d - 1) * nmats)  # entries in one row of the first update
     rows = max(1, MODP_BLOCK // width)
@@ -675,6 +678,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
         if j + 1 < d:
             scale = scale * pivots % p
         if m:
+            updated = True
             col = a[span, j, None]
             row = a[j, None, j + 1 :]
             for lo in range(0, m, rows):
@@ -686,7 +690,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
                 rest *= piv
                 rest -= prod
                 _centre_mod(rest, p, prod, fquot[:size].reshape(rest.shape))
-    det = pivots * _batch_inverse(scale, p) % p
+    det = pivots * _batch_inverse(scale, p) % p if updated else pivots
     return np.where(flip, (p - det) % p, det)
 
 
@@ -744,65 +748,198 @@ class BranchingLeafPolynomial:
     hence nonnegative. The number of distinct variables in a monomial is the
     branching's internal vertex count. It is the determinant of the in-arc
     Laplacian L(y) (arc u->v weighs y_u) bordered with w_v = y_v on the
-    roots (see _bordered_vertices): sum_v y_v * det(L_vv(y))."""
+    roots (see _bordered_vertices): sum_v y_v * det(L_vv(y)).
+
+    Forced parents are factored out once, when the polynomial is built, so
+    each evaluation eliminates only the vertices that have a choice (the
+    all-minors matrix-tree theorem makes P a product; Chaiken 1982). While
+    some column j holds its diagonal form D_j and at most one other nonzero,
+    at a row i with L[i][j] = -D_j, row j is added to row i, which clears
+    column j and keeps det, and the Laplace expansion along column j takes
+    D_j out as a linear factor and drops row and column j. So P(y) = prod
+    D_j(y) * det L'(y) exactly, over any commutative ring; with one root,
+    y_r is one of the factors. Each row of L' sums a group of L's rows:
+    entry (i, l) is minus the weights of the arcs from i's group into l, and
+    l's diagonal sums the arcs into l from outside its group. A merge is
+    taken only if that diagonal stays a nonzero sum, so every diagonal of L'
+    is a sum of variables with coefficient 1, nonzero at the solver's
+    positive points. With several roots, a root's column holds w_v = y_v
+    and is never taken out. A directed path contracts to order 0, a
+    complete digraph keeps its n-1 or n rows; order is the order of L'.
+
+    The groups live in a union-find, and a worklist rechecks only the
+    columns that a contraction can have freed: after a merge, the columns
+    fed by the smaller group and the head's own; after a removal, those fed
+    by the removed group. A graph where no vertex has a single in-neighbour
+    pays one pass over the in-degrees for this, and where no rows were
+    merged the plan reads each in-arc once, with no group lookup.
+    """
 
     def __init__(self, g: Digraph, roots: list[int]):
-        if not roots or not all(0 <= r < g.n for r in roots):
+        if not roots or min(roots) < 0 or max(roots) >= g.n:
             raise ValueError("root out of range")
         self.g = g
         self.roots = roots
-        self.n = g.n
-        self._verts = _bordered_vertices(g, roots)
-        self._pos = {u: i for i, u in enumerate(self._verts)}
-        # _laplacians' plan: arc u->v puts -y_u at (u, v) outside row
-        # r = roots[0] and adds y_u to (v, v) outside row r. Entry i of the
-        # flat stack reads row tails[i] of a table of the negated y, or its
-        # zero row n; in_adj[i, u] is 1 for each arc from u into verts[i].
-        nn = len(self._verts)
+        self.n = n = g.n
         r = roots[0]
-        self._tails = np.full(nn * nn, g.n, dtype=np.int64)
-        self._in_adj = np.zeros((nn, g.n), dtype=np.int64)
-        for u, v in g.arcs:
-            if v != r:
-                self._in_adj[self._pos[v], u] = 1
-            if u != r and v in self._pos:
-                self._tails[self._pos[u] * nn + self._pos[v]] = u
-        kept = roots if r in self._pos else []
-        self._border = np.array([self._pos[r] * nn + self._pos[v] for v in kept], dtype=np.int64)
-        self._border_roots = np.array(kept, dtype=np.int64)
+        bordered = len(roots) > 1
+        ins = g.in_adj
+        up = list(range(n))  # union-find over row groups: a group's rows find its head
+        dead = [False] * n  # groups with no entries off the diagonal: r's and those taken out
+        dead[r] = True
+        live = [True] * n  # columns still in the matrix, at first _bordered_vertices'
+        live[r] = bordered
+        fixed = set(roots) if bordered else ()  # the columns that hold w
+        members = {}  # a head's group, where it holds more than the head
+        factors = [] if bordered else [[r]]
+
+        def find(u: int) -> int:
+            while up[u] != u:
+                up[u] = up[up[u]]
+                u = up[u]
+            return u
+
+        queue = [v for v in range(n) if len(ins[v]) <= 1]
+        while queue:
+            j = queue.pop()
+            if not live[j] or j in fixed:
+                continue
+            terms = [u for u in ins[j] if find(u) != j]  # D_j
+            groups = {-1 if dead[h] else h for h in map(find, terms)}
+            if len(groups) != 1:  # a choice of parent group, or D_j = 0
+                continue
+            h = groups.pop()
+            if h >= 0 and all(find(u) in (h, j) for u in ins[h]):
+                continue  # h's diagonal would be 0
+            group = members.get(j, [j])
+            if h >= 0:
+                # row j joins row h: the columns fed by both groups, and h,
+                # may be left with one parent group
+                up[j] = h
+                stay = members.get(h, [h])
+                if len(group) > len(stay):
+                    group, stay = stay, group
+                members[h] = stay + group
+                queue.append(h)
+            else:
+                # column j is D_j alone, and row j goes with it
+                dead[j] = True
+            queue.extend(w for s in group for w in g.out_adj[s])
+            live[j] = False
+            factors.append(terms)
+
+        heads = [v for v in range(n) if live[v]]
+        d = self.order = len(heads)
+        # _table's plan. Slot e < d*d is entry e of L', slot d*d + i factor
+        # i; each reads one table row: y_u at row u, -y_u at n + u, 0 at 2n,
+        # or from row 2n + 1 on the sum of one of cells' lists of those rows
+        zero = 2 * n
+        first = zero + 1
+        cells = []
+
+        def read(terms: list[int]) -> int:
+            if len(terms) == 1:
+                return terms[0]
+            cells.append(terms)
+            return first + len(cells) - 1
+
+        slots = [zero] * (d * d) + [read(f) for f in factors]
+        # each vertex's row of L', or -1 where its group's row is gone (or is w)
+        row = [-1] * n
+        for i, v in enumerate(heads):
+            row[v] = i
+        if bordered:  # row r holds w; each root is its own group
+            for v in roots:
+                slots[row[r] * d + row[v]] = v
+        row[r] = -1
+        if members:
+            row = [row[find(u)] for u in range(n)]
+        for col, v in enumerate(heads):
+            # D_v: the arcs into v from outside its group (all of them when
+            # no group holds more than its head, as g has no self-loops)
+            diag = [u for u in ins[v] if row[u] != col] if members else ins[v]
+            if v != r and diag:
+                slots[col * (d + 1)] = read(diag)
+            for u in diag:
+                e = row[u] * d + col  # negative where u's row is gone
+                if e < 0:
+                    continue
+                if slots[e] == zero:
+                    slots[e] = n + u
+                elif slots[e] < first:  # a second arc from u's group
+                    slots[e] = read([slots[e], n + u])
+                else:
+                    cells[slots[e] - first].append(n + u)
+        # the cells after the slots, each padded with the zero row to the longest
+        nslots = len(slots)
+        depth = max(map(len, cells), default=1)
+        pad = [zero] * depth
+        for c in cells:
+            slots += c
+            slots += pad[len(c) :]
+        plan = np.fromiter(slots, np.int64, len(slots))
+        self._entries = plan[: d * d]
+        self._factors = plan[d * d : nslots]
+        self._cells = plan[nslots:].reshape(len(cells), depth)
+        self._rows = first + len(cells)
+        self._width = max(self._rows, d * d, len(factors), self._cells.size)
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
-        """P at each row of ys mod p, in batched_modp_det calls of at most LEAF_STACK_LIMIT bytes."""
-        ys = ys % p
-        nn = len(self._verts)
-        step = max(1, LEAF_STACK_LIMIT // max(1, 8 * nn * nn))
-        dets = np.empty(ys.shape[0], dtype=np.int64)
-        for lo in range(0, ys.shape[0], step):
-            dets[lo : lo + step] = batched_modp_det(self._laplacians(ys[lo : lo + step], p), p)
-        r = self.roots[0]
-        return dets if r in self._pos else dets * ys[:, r] % p
+        """P at each row of ys mod p: det L' times the product of the factors.
 
-    def _laplacians(self, ys: np.ndarray, p: int) -> np.ndarray:
-        """Root-bordered Laplacians mod p, a [B, nn, nn] view of a batch-last [nn, nn, B] stack.
-
-        Arc u->v weighs ys[:, u]. From a transposed copy of ys in centred
-        residues, one gather through the plan writes -y_u off the diagonal
-        (outside row r = roots[0]) and zeros elsewhere, and one integer
-        product with the in-arc incidence gives each diagonal entry, the sum
-        of y_u over the arcs into it (none into r), centred again. Row r, if
-        kept, then takes y_v at the roots v. So every entry is a centred
-        residue of magnitude at most p * (1/2 + 2^-20), as batched_modp_det
-        requires, and the transpose back to [nn, nn, B] copies nothing.
+        Rows go through in parts whose largest int64 array (the table, the
+        cells' gather, one batched_modp_det stack) holds at most
+        LEAF_STACK_LIMIT bytes. Each part, order 0 included, is one
+        batched_modp_det call.
         """
-        nn = len(self._verts)
-        nb = ys.shape[0]
-        yt = _centre_mod(ys.T.copy(), p)
-        table = np.zeros((self.n + 1, nb), dtype=np.int64)
-        np.negative(yt, out=table[: self.n])
-        mats = table[self._tails]
-        mats[:: nn + 1] = _centre_mod(self._in_adj @ yt, p)
-        mats[self._border] = yt[self._border_roots]
-        return mats.reshape(nn, nn, nb).transpose(2, 0, 1)
+        ys = ys % p
+        step = max(1, LEAF_STACK_LIMIT // (8 * self._width))
+        out = np.empty(ys.shape[0], dtype=np.int64)
+        for lo in range(0, ys.shape[0], step):
+            table = self._table(ys[lo : lo + step], p)
+            dets = batched_modp_det(self._laplacians(table), p)
+            if self._factors.size:
+                dets = _product_mod(np.concatenate([dets[None], table[self._factors] % p]), p)
+            out[lo : lo + step] = dets
+        return out
+
+    def _table(self, ys: np.ndarray, p: int) -> np.ndarray:
+        """The rows that L' and the factors read, [rows, B] for the B rows of ys.
+
+        Row u holds y_u, row n + u its negation, row 2n zeros, and the rows
+        after it the sums of the plan's cells: one gather of the cells,
+        padded with the zero row to the longest, and one sum over its second
+        axis. ys must hold residues in [0, p), so a sum stays below n * p in
+        magnitude, and one _centre_mod of the whole table leaves every row a
+        centred residue of magnitude at most p * (1/2 + 2^-20).
+        """
+        n = self.n
+        table = np.empty((self._rows, ys.shape[0]), dtype=np.int64)
+        table[:n] = ys.T
+        np.negative(table[:n], out=table[n : 2 * n])
+        table[2 * n] = 0
+        if self._cells.size:
+            table[self._cells].sum(axis=1, out=table[2 * n + 1 :])
+        return _centre_mod(table, p)
+
+    def _laplacians(self, table: np.ndarray) -> np.ndarray:
+        """The contracted Laplacians L' mod p from a _table, a [B, d, d] view of a batch-last [d, d, B] stack.
+
+        One gather of a table row per entry, so every entry is a centred
+        residue, as batched_modp_det requires, and the transpose back to
+        [d, d, B] copies nothing.
+        """
+        d = self.order
+        return table[self._entries].reshape(d, d, table.shape[1]).transpose(2, 0, 1)
+
+
+def _product_mod(values: np.ndarray, p: int) -> np.ndarray:
+    """Product mod p over axis 0 of an int64 [s, B] stack of residues in [0, p), s >= 1, up a pairwise tree."""
+    while values.shape[0] > 1:
+        half = values.shape[0] // 2
+        prod = values[:half] * values[half : 2 * half] % p
+        values = np.concatenate([prod, values[2 * half :]]) if values.shape[0] % 2 else prod
+    return values[0]
 
 
 def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:

@@ -695,6 +695,25 @@ class MonomialListPolynomial:
         return out
 
 
+def root_bordered_laplacian(g, roots, assignment, p: int) -> SquareMatrix:
+    """The uncontracted root-bordered in-arc Laplacian of (g, roots) mod p at one point (arc u->v weighs y_u).
+
+    With several roots, row roots[0] is replaced by y on the roots; with one,
+    row and column roots[0] are dropped (the punctured matrix).
+    """
+    full = build_laplacian(g, {(u, v): assignment[u] % p for u, v in g.arcs}, PrimeField(p))
+    if len(roots) == 1:
+        return puncture(full, roots[0])
+    return border(full, roots[0], {v: assignment[v] % p for v in roots})
+
+
+def bordered_leaf_value(g, roots, assignment, p: int) -> int:
+    """The branching polynomial of (g, roots) at one point, from one uncontracted determinant: y_r
+    times the punctured one with one root, the bordered one with more."""
+    det = det_gauss(root_bordered_laplacian(g, roots, assignment, p))
+    return det * (assignment[roots[0]] % p) % p if len(roots) == 1 else det
+
+
 def leaf_polynomial_value(g, root: int, assignment, p: int) -> int:
     """The branching polynomial of (g, root) at one point: y_root times det of the punctured Laplacian."""
     field = PrimeField(p)

@@ -42,6 +42,7 @@ from reference import (
     PrimeField,
     ScalarBinaryField,
     brute_min_distinct_vars,
+    bordered_leaf_value,
     build_laplacian,
     det_bareiss,
     det_division_free,
@@ -53,6 +54,7 @@ from reference import (
     internal_root_sum,
     leaf_polynomial_value,
     puncture,
+    root_bordered_laplacian,
     scalar_solve_nk_dv,
     square,
     window_hits,
@@ -792,6 +794,30 @@ class TestBatchedPrimeDet:
         mats = np.array(entries, dtype=np.int64).reshape(4, 1, 1)
         assert batched_modp_det(mats, p).tolist() == entries
 
+    def test_inverse_only_after_an_update(self, monkeypatch):
+        # every scale stays 1 where no step updates a row: order 0 and 1,
+        # and stacks whose columns are zero below the diagonal in every
+        # matrix; the batch inverse runs only where some row was updated
+        calls = []
+        batch_inverse = branchings._batch_inverse
+
+        def recording(x, p):
+            calls.append(x.shape)
+            return batch_inverse(x, p)
+
+        monkeypatch.setattr(branchings, "_batch_inverse", recording)
+        p = 2_147_483_029
+        rnd = np.random.default_rng(23)
+        upper = np.triu(rnd.integers(0, p, size=(6, 4, 4)))
+        full = rnd.integers(0, p, size=(6, 4, 4))
+        cases = [(np.zeros((3, 0, 0), dtype=np.int64), 0), (rnd.integers(0, p, size=(5, 1, 1)), 0),
+                 (upper, 0), (full, 1)]
+        for mats, inverses in cases:
+            calls.clear()
+            want = [det_gauss(square(PrimeField(p), m.tolist())) for m in mats]
+            assert batched_modp_det(mats.copy(), p).tolist() == want
+            assert len(calls) == inverses, mats.shape
+
     def test_entries_p_minus_one(self):
         # the largest residues: every product piv * a is just below 2^62
         p = MERSENNE_31
@@ -1012,7 +1038,7 @@ class TestLeafPolynomial:
         ys[:4] = p - 1
         ys[4] = p // 2
         ys[5] = p // 2 + 1
-        lap = P._laplacians(ys, p)
+        lap = P._laplacians(P._table(ys, p))
         nn = 9 if len(roots) > 1 else 8
         assert lap.shape == (12, nn, nn) and lap.transpose(1, 2, 0).flags.c_contiguous
         assert 2 * np.abs(lap).max() <= p
@@ -1036,6 +1062,98 @@ class TestLeafPolynomial:
         scaled = [y * c % p for y in ys]
         base, got = P.evaluate_batch(np.array([ys, scaled], dtype=np.int64), p).tolist()
         assert got == base * pow(c, 5, p) % p
+
+
+def _forced_parent_cases():
+    """(graph, roots) on the shapes where columns have one parent group, each with its spanning
+    roots and with each of those alone."""
+    rnd = random.Random(3702)
+    graphs = [
+        directed_path(7), bidirected_path(6), out_star(6), directed_cycle(5),
+        rooted_path(rnd, 9, 3), rooted_path(rnd, 12, 8), rooted_path(rnd, 10, 12),
+        rooted_hubs(rnd, 9, 3, 16), rooted_hubs(rnd, 10, 2, 14),
+        make_digraph(2, [(0, 1), (1, 0)]),  # a 2-cycle
+        # 1 and 2 have the root as their only parent, 4 has both; 3 and 5 form a 2-cycle off the root
+        make_digraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (5, 3)]),
+        # roots 0, 1, 2: root 1's only parent is 0, root 2's is 1; 3 hangs off the cycle
+        make_digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)]),
+        # roots 0..3 on a cycle, where root 0's only parent is 3; 4 and 5 form a 2-cycle off 1
+        make_digraph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 4), (4, 5), (5, 4)]),
+    ]
+    for g in graphs:
+        roots = branchings._spanning_roots(g)
+        yield g, roots
+        if len(roots) > 1:
+            for r in roots:
+                yield g, [r]
+
+
+class TestForcedParents:
+    """BranchingLeafPolynomial takes forced parents out as linear factors: P = prod D_j * det L'."""
+
+    @staticmethod
+    def check(g, roots, rnd, p=2_147_482_763):
+        # the contracted evaluation equals the reference's uncontracted
+        # root-bordered polynomial and the sum of its one-root polynomials
+        P = BranchingLeafPolynomial(g, roots)
+        ys = np.array([[rnd.randrange(p) for _ in range(g.n)] for _ in range(4)], dtype=np.int64)
+        ys[0] = rnd.randrange(1, 2 * g.n + 2)  # one point on the solver's scale
+        got = P.evaluate_batch(ys, p).tolist()
+        for row, value in zip(ys.tolist(), got):
+            assert value == bordered_leaf_value(g, roots, row, p), (sorted(g.arcs), roots, row)
+            assert value == sum(leaf_polynomial_value(g, v, row, p) for v in roots) % p, (sorted(g.arcs), roots)
+        return P
+
+    def test_random_sparse_digraphs_match_the_uncontracted_polynomial(self):
+        rnd = random.Random(3701)
+        kinds = Counter()
+        for _ in range(150):
+            n = rnd.randint(2, 9)
+            g = random_digraph(rnd, n, rnd.uniform(0.1, 0.5))
+            roots = branchings._spanning_roots(g) or [rnd.randrange(n)]
+            P = self.check(g, roots, rnd)
+            nn = n if len(roots) > 1 else n - 1
+            kinds[len(roots) > 1, "none" if P.order == nn else "all" if P.order == 0 else "some"] += 1
+        assert min(kinds[False, "all"], kinds[False, "some"], kinds[False, "none"], kinds[True, "some"]) >= 5, kinds
+
+    def test_shapes_match_the_uncontracted_polynomial(self):
+        rnd = random.Random(3703)
+        contracted = 0
+        for g, roots in _forced_parent_cases():
+            P = self.check(g, roots, rnd)
+            contracted += P.order < (g.n if len(roots) > 1 else g.n - 1)
+        assert contracted >= 15, contracted
+
+    def test_orders(self):
+        assert BranchingLeafPolynomial(directed_path(9), [0]).order == 0
+        assert BranchingLeafPolynomial(out_star(7), [0]).order == 0
+        assert BranchingLeafPolynomial(bidirected_path(7), list(range(7))).order == 7
+        for n in (3, 6):
+            assert BranchingLeafPolynomial(complete_digraph(n), list(range(n))).order == n
+            assert BranchingLeafPolynomial(complete_digraph(n), [1]).order == n - 1
+        # a directed cycle rooted at 0 is a path: every parent is forced
+        assert BranchingLeafPolynomial(directed_cycle(6), [0]).order == 0
+
+    def test_diagonal_forms_are_nonzero_sums(self):
+        # at y = e_u each diagonal entry of L' reads its coefficient of y_u:
+        # every one is 0 or 1, and every diagonal has at least one 1, so the
+        # diagonals are nonzero at the solver's positive points
+        p = MERSENNE_31
+        rnd = random.Random(3704)
+        cases = list(_forced_parent_cases())
+        for _ in range(60):
+            g = random_digraph(rnd, rnd.randint(3, 9), rnd.uniform(0.15, 0.5))
+            if branchings._spanning_roots(g):
+                cases.append((g, branchings._spanning_roots(g)))
+        checked = 0
+        for g, roots in cases:
+            P = BranchingLeafPolynomial(g, roots)
+            units = np.eye(g.n, dtype=np.int64)
+            coeffs = np.diagonal(P._laplacians(P._table(units, p)), axis1=1, axis2=2)
+            assert np.isin(coeffs, (0, 1)).all(), (sorted(g.arcs), roots)
+            assert coeffs.any(axis=0).all(), (sorted(g.arcs), roots)
+            checked += P.order >= 2
+        assert checked >= 30, checked
 
 
 class TestSolveNkDv:
@@ -1165,7 +1283,9 @@ class TestSolveNkDv:
         assert rep.detail["hit"] == want["hit"]
 
     def test_stack_bytes_capped_on_120_path(self, monkeypatch):
-        # one trial is 241 matrices of 119 x 119, 27 MB: split across calls under the cap
+        # one trial is 241 matrices of 120 x 120, 28 MB: split across calls
+        # under the cap. Every vertex of a bidirected path is a root, so no
+        # column is taken out (a directed path contracts to order 0)
         shapes = []
         modp_det = branchings.batched_modp_det
 
@@ -1174,9 +1294,11 @@ class TestSolveNkDv:
             return modp_det(mats, p)
 
         monkeypatch.setattr(branchings, "batched_modp_det", recording)
-        P = BranchingLeafPolynomial(directed_path(120), [0])
-        rep = solve_nk_dv(P, 2, budget=1, seed=4)
-        assert not rep.verdict and rep.trials_run == 1  # a path has one leaf
+        g = bidirected_path(120)
+        P = BranchingLeafPolynomial(g, branchings._spanning_roots(g))
+        assert P.order == 120
+        rep = solve_nk_dv(P, 3, budget=1, seed=4)
+        assert not rep.verdict and rep.trials_run == 1  # at most two leaves
         assert sum(shape[0] for shape in shapes) == 2 * 241
         assert len(shapes) > 2
         assert all(shape[0] * shape[1] * shape[2] * 8 <= branchings.LEAF_STACK_LIMIT for shape in shapes)
@@ -1292,15 +1414,21 @@ class TestDetectKLeaf:
         monkeypatch.setattr(branchings, "batched_modp_det", recording)
         rnd = random.Random(95)
         cases = [(rooted_path(rnd, 8, 4), 4), (rooted_path(rnd, 7, 3), 3), (rooted_path(rnd, 12, 2), 3),
-                 (directed_path(6), 2), (directed_path(9), 3), (bidirected_path(6), 3), (bidirected_path(5), 3)]
+                 (directed_path(6), 2), (directed_path(9), 3), (bidirected_path(6), 3), (bidirected_path(5), 3),
+                 (rooted_path(rnd, 12, 8), 5)]
+        orders = []
         for i, (g, k) in enumerate(cases):
             diagonals.clear()
             rep = detect_k_leaf(g, k, seed=i)
-            nn = g.n if len(rep.detail["roots"]) > 1 else g.n - 1
-            assert diagonals and all(d.shape[1] == nn for d in diagonals)
+            order = BranchingLeafPolynomial(g, rep.detail["roots"]).order
+            orders.append(order)
+            assert diagonals and all(d.shape[1] == order for d in diagonals)
             if not rep.verdict:
                 assert sum(d.shape[0] for d in diagonals) == 2 * (2 * g.n + 1) * rep.trials_run
             assert all(d.all() for d in diagonals), (g.arcs, k)
+        # the directed and rooted paths contract to order 0, the last rooted
+        # path to 7 of 11 rows, and the bidirected paths keep their n rows
+        assert orders == [0, 0, 0, 0, 0, 6, 5, 7]
 
     def test_k_range(self):
         with pytest.raises(ValueError):
@@ -1331,7 +1459,10 @@ def _kernel_digest_stacks(seed: int):
     random graphs; the mod-p stacks are k-leaf Laplacians at routed points
     tau = 0..2n, not solve_nk_dv's 1..2n+1, since tau = 0 zeroes whole rows
     and columns and so drives the pivot search, and random stacks whose
-    entries are zero with probability 0.2 to 0.95.
+    entries are zero with probability 0.2 to 0.95. The k-leaf Laplacians
+    come from the reference's uncontracted root-bordered matrix (entries in
+    [0, p)), so they keep all n-1 or n rows where BranchingLeafPolynomial
+    would factor forced parents out.
     """
     rnd = random.Random(seed)
     ring_cases = [
@@ -1350,11 +1481,12 @@ def _kernel_digest_stacks(seed: int):
     p = 2_147_483_029
     for g in (rooted_path(rnd, 8, 3), rooted_path(rnd, 12, 2), bidirected_path(6), bidirected_star(5),
               rooted_hubs(rnd, 9, 3, 18), random_digraph(rnd, 7, 0.7)):
-        P = BranchingLeafPolynomial(g, branchings._spanning_roots(g))
+        roots = branchings._spanning_roots(g)
         taus = np.arange(2 * g.n + 1, dtype=np.int64)
         bits = np.array([[rnd.random() < 0.5 for _ in range(g.n)] for _ in range(3)])
         ys = np.where(bits[:, None, :], taus[None, :, None], 1).reshape(-1, g.n)
-        yield "modp", p, P._laplacians(ys, p)
+        mats = [root_bordered_laplacian(g, roots, row, p).entries for row in ys.tolist()]
+        yield "modp", p, np.array(mats, dtype=np.int64)
     nprng = np.random.default_rng(seed)
     for q in (7, p):
         for d in (1, 3, 6, 9):
