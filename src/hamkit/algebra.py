@@ -2,14 +2,18 @@
 
 The binary fields GF(2^m) work on numpy int32 arrays: batched
 multiplication through log/exp tables and inversion through an inverse
-table. Mod-p arithmetic is plain int64 numpy, beside its kernels in
-branchings. numpy is imported when the first field builds its tables, so
-the primes, residues and CRT that the counting modules use load without it.
+table. Both characteristic-2 determinant kernels share one gather plan of
+sign-free row-by-row minors (minor_plan). Mod-p arithmetic is plain int64
+numpy, beside its kernels in branchings. numpy is imported when the first
+field builds its tables or the first minor plan is built, so the primes,
+residues and CRT that the counting modules use load without it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GuardError
 
@@ -251,6 +255,35 @@ def make_binary_field(m: int) -> BinaryField:
     if field is None:
         field = _FIELDS[m] = BinaryField(m)  # a GuardError leaves nothing cached
     return field
+
+
+@lru_cache(maxsize=None)
+def minor_plan(t: int) -> tuple:
+    """Gather plan of the row-by-row minors of a t x t block, rows 1..t-1.
+
+    In characteristic 2 a determinant has no signs, so the minor M_r(S) of
+    rows 0..r on a column set S of r + 1 columns is the sum over c in S of
+    m[r, c] * M_{r-1}(S - c), and M_{t-1} of all t columns is the block's
+    determinant. The minors of rows 0..r are indexed by their column sets
+    S, |S| = r + 1, in itertools.combinations order. Row r's entry is
+    (cols, rest), both [C(t, r + 1), r + 1] intp: cols[k] lists the columns
+    c of the k-th set S, and rest[k] the index of each S - c among the sets
+    of row r - 1. Row 0's minors are its own entries, so they need no
+    entry. The arrays are read-only, since every call shares them.
+    """
+    import numpy as np
+
+    index = {(c,): c for c in range(t)}
+    plan = []
+    for r in range(1, t):
+        sets = list(itertools.combinations(range(t), r + 1))
+        cols = np.array(sets, dtype=np.intp)
+        rest = np.array([[index[s[:j] + s[j + 1 :]] for j in range(r + 1)] for s in sets], dtype=np.intp)
+        cols.setflags(write=False)
+        rest.setflags(write=False)
+        plan.append((cols, rest))
+        index = {s: k for k, s in enumerate(sets)}
+    return tuple(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .algebra import BinaryField, binary_field_degree, make_binary_field, random_prime_31
+from .algebra import BinaryField, binary_field_degree, make_binary_field, minor_plan, random_prime_31
 from .errors import GuardError
 from .graph import Digraph
 # count_out_branchings is not called here; it stays bound because the layer
@@ -153,8 +153,8 @@ class _InternalSieveEngine:
     elimination, so a draw whose slot-0 matrix is nonsingular never lacks a
     unit pivot. The rare draws that do (det_batch) swap in a later column
     with a unit, and a trailing block with no unit at all has determinant 0
-    past k rows (M^(k+1) = 0) and goes to the division-free Berkowitz
-    recurrence up to k rows. Each batch of ring products is one pass (see
+    past k rows (M^(k+1) = 0) and is expanded in its sign-free minors
+    (_det_minors) up to k rows. Each batch of ring products is one pass (see
     _mul): log-table lookups of the operands' 2^k slots, a take of the 3^k
     pairs' logs, an exp-table take of their sums and one reduceat per
     output slot.
@@ -297,7 +297,7 @@ class _InternalSieveEngine:
         block at column j < nn - 1 holds no unit has every entry of that
         block in M, so its determinant is 0 for s > k (it lies in M^s, and
         M^(k+1) = 0) and otherwise the product of its j pivots so far and
-        _det_berkowitz of the block, which it takes at once. That block is
+        _det_minors of the block, which it takes at once. That block is
         then set to the identity, so the matrix rides along with unit
         pivots and no updates to the end of the loop, where its value
         overwrites its row. mats is left unchanged.
@@ -323,7 +323,7 @@ class _InternalSieveEngine:
                         if nn - j > self.k:
                             settled.append((stuck, 0))
                         else:
-                            block = self._det_berkowitz(a[j:, j:, stuck])[None]
+                            block = self._det_minors(a[j:, j:, stuck])[None]
                             value = self._product(np.concatenate([pivots[:j, stuck], block]))
                             settled.append((stuck, value))
                         diag = np.arange(j, nn)[:, None]
@@ -348,35 +348,19 @@ class _InternalSieveEngine:
             det[stuck] = value
         return det
 
-    def _det_berkowitz(self, mats: np.ndarray) -> np.ndarray:
-        """Characteristic-polynomial determinants of a [nn, nn, B, len] stack.
+    def _det_minors(self, mats: np.ndarray) -> np.ndarray:
+        """Determinants [B, len] of a [s, s, B, len] stack, s >= 1, from its sign-free minors.
 
-        Uses only ring additions and multiplications, so it needs no unit
-        pivot; negation-free in characteristic 2.
+        R has characteristic 2, so algebra.minor_plan applies: row r's
+        minors are one ring product per column of each column set, from
+        one gather of row r and one of the minors above it, and one xor
+        reduction. It needs no unit pivot.
         """
-        nn = mats.shape[0]
-        nb = mats.shape[2]
-        one = np.zeros((nb, self.len), dtype=np.int32)
-        one[:, 0] = 1
-        p = one[None]
-        for r in range(1, nn + 1):
-            t = [one, mats[r - 1, r - 1]]
-            if r >= 2:
-                sub = mats[: r - 1, : r - 1]
-                rrow = mats[r - 1, : r - 1]
-                u = mats[: r - 1, r - 1]
-                for j in range(r - 1):
-                    t.append(np.bitwise_xor.reduce(self._mul(rrow, u), axis=0))
-                    if j < r - 2:
-                        u = np.bitwise_xor.reduce(self._mul(sub, u[None]), axis=1)
-            pn = np.zeros((r + 1, nb, self.len), dtype=np.int32)
-            pn[: p.shape[0]] = p
-            for j in range(1, r + 1):
-                # Toeplitz matrix is (r+1) x r: conv outputs past index r drop.
-                lim = min(p.shape[0], r + 1 - j)
-                pn[j : j + lim] ^= self._mul(t[j][None], p[:lim])
-            p = pn
-        return p[nn]
+        minors = mats[0]
+        for r, (cols, rest) in enumerate(minor_plan(len(mats)), 1):
+            prods = self._mul(mats[r].take(cols, axis=0), minors.take(rest, axis=0))
+            minors = np.bitwise_xor.reduce(prods, axis=1)
+        return minors[0]
 
     def run_chunk(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         """Per draw: is the verdict slot x^[k] (the image of t^k * x^[k]) nonzero?"""
@@ -416,10 +400,12 @@ def _internal_gather_bytes(n: int, k: int) -> int:
     each trial of a full chunk (fewer where its screens skip lines), one
     int32 slot per pair of the 3^k-pair plan, so (nn-1)^2 * 34 * 3^k * 4
     bytes, nn = n-1 with one spanning root and n with more. Later columns
-    and the Berkowitz fallback gather no more. The formula still counts
-    the (k+1)(k+2)/2 * 3^k pairs of the truncated ring, kept so the guard
-    accepts exactly the same inputs; so it bounds the n-row gather too,
-    but at n = 2 and at n = 3, k = 1 (at most 1,632 bytes).
+    gather no more. The minors of a stuck block of s <= k rows
+    (_det_minors) gather C(s, r+1) * (r+1) <= 60 products per trial at row
+    r, so at most 60 * 34 * 3^k * 4 bytes (under 6 MB). The formula still
+    counts the (k+1)(k+2)/2 * 3^k pairs of the truncated ring, kept so the
+    guard accepts exactly the same inputs; so it bounds the n-row gather
+    too, but at n = 2 and at n = 3, k = 1 (at most 1,632 bytes).
     """
     return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
 

@@ -196,20 +196,6 @@ def naive_sieve_count(split: VertexSplit, p: int, k: int) -> ResidueElem:
 # meet-in-the-middle sieve
 
 
-def block_partition(positions: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Contiguous near-equal blocks; block count floor(3 log2 p), at least 1."""
-    b = max(1, math.floor(3 * math.log2(p)))
-    base = positions // b
-    extra = positions % b
-    blocks = []
-    pos = 0
-    for i in range(b):
-        size = base + (1 if i < extra else 0)
-        blocks.append(tuple(range(pos, pos + size)))
-        pos += size
-    return tuple(blocks)
-
-
 def build_lookup_tables(
     core: _SieveCore, first: tuple[int, ...], p: int
 ) -> tuple[list[int], list[dict[int, int]]]:
@@ -245,16 +231,19 @@ def _mitm_fallback(n0: int, p: int) -> MitmDiagnostics | None:
     over n0 tail vertices would pass MITM_TABLE_GUARD entries, else None.
 
     This keeps the cutoff of the per-block tables the listing used before
-    its bitmasks: (p+1)^|block| keys per block of the n0 - 1 positions of
-    V_st, for each of the 2^ceil((n0+1)/3) first-half subsets. So the
-    `fallback` flag and the exit codes stay as they were until a work
-    estimate replaces the rule (see ROADMAP.md). The decision needs only
-    n0 and p, not the split graph. It leaves a first half of at most 10
-    vertices (checked for every prime below 3,000), so a listing bitmask
-    has at most 2^10 bits.
+    its bitmasks: the n0 - 1 positions of V_st in floor(3 log2 p) (at
+    least 1) contiguous near-equal blocks, extra of them one longer than
+    the rest, (p+1)^|block| keys per block, for each of the
+    2^ceil((n0+1)/3) first-half subsets. So the `fallback` flag and the
+    exit codes stay as they were until a work estimate replaces the rule
+    (see ROADMAP.md). The decision needs only n0 and p, not the split
+    graph. It leaves a first half of at most 10 vertices (checked for
+    every prime below 3,000), so a listing bitmask has at most 2^10 bits.
     """
-    blocks = block_partition(n0 - 1, p)
-    if sum((p + 1) ** len(b) for b in blocks) << math.ceil((n0 + 1) / 3) <= MITM_TABLE_GUARD:
+    count = max(1, math.floor(3 * math.log2(p)))
+    size, extra = divmod(n0 - 1, count)
+    keys = extra * (p + 1) ** (size + 1) + (count - extra) * (p + 1) ** size
+    if keys << math.ceil((n0 + 1) / 3) <= MITM_TABLE_GUARD:
         return None
     warnings.warn("meet-in-the-middle tables too large, falling back to naive sieve")
     return MitmDiagnostics(
@@ -283,13 +272,10 @@ def mitm_count_mod(split: VertexSplit, p: int, k: int) -> tuple[ResidueElem, Mit
     k small-int operations plus one subset term per listed pair; a mask
     has one bit per tabulated first-half subset, at most 2^(|first| - 1)
     with s there.
-    Falls back to the naive sieve when block tables would exceed
-    MITM_TABLE_GUARD entries (`_mitm_fallback`).
+    It has no fallback of its own: count_hc_mod decides the naive fallback
+    (`_mitm_fallback`) before it builds the split graph.
     """
     n0 = split.graph.n - 1
-    diag = _mitm_fallback(n0, p)
-    if diag is not None:
-        return naive_sieve_count(split, p, k), diag
     core = _SieveCore(split, p**k)
     cut = math.ceil(split.graph.n / 3)
     first, second = tuple(range(n0)[:cut]), tuple(range(n0)[cut:])

@@ -30,10 +30,10 @@ TABLE_BLOCK = 8 blue vertices (one block per side up to |blue| = 8, two
 halves beyond), next to a zero row for each gated-off vertex, and a pair
 matrix is the xor of one gathered row per vertex and table: two tables up
 to |blue| = 8, four beyond. Which rows to gather depends only on |blue|, so
-one cached pair plan serves every trial; which arcs a trial draws weights
-for, and which weights fill the tables, depend only on the graph and its
-layout, so a detection plans both once and a trial only draws and gathers
-its weights. The determinants of a chunk of pairs are taken at
+one cached pair plan serves every trial; a trial draws one weight per
+port and arc, and which weights fill the tables depends only on the graph
+and its layout, so a detection plans it once and a trial only draws and
+gathers its weights. The determinants of a chunk of pairs are taken at
 once by table-driven batched Gaussian elimination, batch-last: the
 matrices that pass an all-zero column screen are laid out in one [n, n, L]
 stack whose innermost axis runs over the L matrices, so every step works
@@ -49,14 +49,13 @@ batched gathers that need no pivot and drop nothing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import BinaryField, make_binary_field
+from .algebra import BinaryField, make_binary_field, minor_plan
 from .errors import GuardError
 from .graph import Digraph, IndependentPartition, find_independent_partition
 from .rand import counter_draw, derive_seed
@@ -131,39 +130,28 @@ class PortLayout:
 
 
 class PortWeights:
-    """One random arc-weight table per port, as a [ports, n, n] int array."""
+    """One trial's random weights as an [n, arcs] int array: one per port and arc.
+
+    Ports are in layout.ports order, n of them, and arcs in sorted order.
+    A port carries weights on the arcs only, so nothing off them is stored.
+    """
 
     def __init__(self, layout: PortLayout, field: BinaryField, values: np.ndarray):
-        nports = len(layout.ports)
-        if values.shape != (nports, layout.n, layout.n):
+        if values.ndim != 2 or len(values) != layout.n:
             raise ValueError("weight array shape mismatch")
         self.layout = layout
         self.field = field
         self.values = values
 
     @staticmethod
-    def arc_plan(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
-        """(tails, heads) of g's arcs in sorted order, the part of a draw that is the same every trial."""
-        arcs = sorted(g.arcs)
-        return np.array([a for a, _ in arcs], dtype=np.intp), np.array([b for _, b in arcs], dtype=np.intp)
-
-    @staticmethod
-    def draw(g: Digraph, layout: PortLayout, field: BinaryField, key: int, trial: int = 0,
-             plan: tuple[np.ndarray, np.ndarray] | None = None) -> "PortWeights":
+    def draw(g: Digraph, layout: PortLayout, field: BinaryField, key: int, trial: int = 0) -> "PortWeights":
         """One trial's weights: counter_draw's words (trial, port * arcs + arc) under key.
 
         Arcs are taken in sorted order. A weight is the top m bits of its
-        word for GF(2^m), so it is exactly uniform on 0..q-1. A detection
-        passes its arc_plan(g), so that its trials share it; without it the
-        draw builds its own.
+        word for GF(2^m), so it is exactly uniform on 0..q-1.
         """
-        tails, heads = PortWeights.arc_plan(g) if plan is None else plan
-        nports = len(layout.ports)
-        values = np.zeros((nports, g.n, g.n), dtype=np.int32)
-        if len(tails):
-            words = counter_draw(key, trial, 1, nports * len(tails)).reshape(nports, len(tails))
-            values[:, tails, heads] = (words >> np.uint64(64 - field.m)).astype(np.int32)
-        return PortWeights(layout, field, values)
+        words = counter_draw(key, trial, 1, layout.n * g.m).reshape(layout.n, g.m)
+        return PortWeights(layout, field, (words >> np.uint64(64 - field.m)).astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +184,12 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     into intp. A matrix whose top entry is 0 gets the first row with a
     nonzero entry added to its top row, which leaves the determinant
     unchanged; one flat take gathers those rows for the whole stack.
-    The tail needs no pivot and drops nothing. In characteristic 2 a
-    determinant has no signs, so the minor M_r(S) of rows 0..r on a column
-    set S of r + 1 columns is the xor over c in S of m[r, c] * M_{r-1}(S - c),
-    and M_{t-1} of all t columns is the tail's determinant. Row r takes
-    every M_r at once through the cached _minor_plan(t): two gathers of
-    logs, one add, one exp-table gather and one xor reduction. A matrix of
-    at most MINOR_TAIL rows is its own tail and runs no elimination step.
+    The tail needs no pivot and drops nothing: its determinant is the xor
+    of its sign-free row-by-row minors (algebra.minor_plan). Row r takes
+    every minor of rows 0..r at once through the cached plan of t: two
+    gathers of logs, one add, one exp-table gather and one xor reduction.
+    A matrix of at most MINOR_TAIL rows is its own tail and runs no
+    elimination step.
     The pivots multiply as an intp sum of their logs, reduced mod q - 1 once
     at the end, where the tail determinant's log (the zero sentinel when it
     is 0) is added before the one exp lookup. Every log and exp index is in
@@ -253,37 +240,13 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     # these small [K, r + 1, L] sums
     lm = log.take(m, mode="clip")
     lprev = lm[0]
-    for r, (cols, rest) in enumerate(_minor_plan(t), 1):
+    for r, (cols, rest) in enumerate(minor_plan(t), 1):
         lprods = lm[r].take(cols, axis=0, mode="clip") + lprev.take(rest, axis=0, mode="clip")
         lprev = log.take(np.bitwise_xor.reduce(exp.take(lprods, mode="clip"), axis=1), mode="clip")
     lsum %= order
     lsum += lprev[0]
     det[live] = exp.take(lsum, mode="clip")
     return det
-
-
-@lru_cache(maxsize=None)
-def _minor_plan(t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Gather plan of the row-by-row minors of a t x t block, rows 1..t-1.
-
-    The minors of rows 0..r are indexed by their column sets S, |S| = r + 1,
-    in itertools.combinations order. Row r's entry is (cols, rest), both
-    [C(t, r + 1), r + 1] intp: cols[k] lists the columns c of the k-th set S,
-    and rest[k] the index of each S - c among the sets of row r - 1. Row 0's
-    minors are its own entries, so they need no entry. The arrays are
-    read-only, since every call shares them.
-    """
-    index = {(c,): c for c in range(t)}
-    plan = []
-    for r in range(1, t):
-        sets = list(itertools.combinations(range(t), r + 1))
-        cols = np.array(sets, dtype=np.intp)
-        rest = np.array([[index[s[:j] + s[j + 1 :]] for j in range(r + 1)] for s in sets], dtype=np.intp)
-        cols.setflags(write=False)
-        rest.setflags(write=False)
-        plan.append((cols, rest))
-        index = {s: k for k, s in enumerate(sets)}
-    return tuple(plan)
 
 
 def subset_xor_table(rows: np.ndarray) -> np.ndarray:
@@ -399,9 +362,9 @@ class _BatchedSieve:
     builds a chunk's gated rows.
 
     Which weight lands where depends only on the graph and the layout, so
-    the sieve keeps it as flat indices into a trial's weights followed by
-    one zero, which every entry off the arcs reads: weights off the arcs are
-    ignored. A trial (tables) then copies its weights in, gathers A_in's
+    the sieve keeps it as flat indices port * arcs + arc into a trial's
+    weights followed by one zero, at n * arcs, which every entry off the
+    arcs reads. A trial (tables) then appends that zero, gathers A_in's
     pool columns with one take and the ventry and vexit blocks with
     another, takes the field products once, and builds the tables by
     doubling.
@@ -411,13 +374,12 @@ class _BatchedSieve:
         blue = np.array(layout.blue, dtype=np.intp)
         yellow = np.array(layout.yellow, dtype=np.intp)
         nb, ny, npool, n = len(blue), len(yellow), layout.pool_count, layout.n
-        nports = len(layout.ports)
-        adj = np.zeros((n, n), dtype=bool)
+        # at[port, u, v] is the flat index of the port's weight on arc u -> v, else zero
+        zero = n * g.m
+        at = np.full((n, n, n), zero, dtype=np.intp)
         if g.arcs:
-            tails, heads = zip(*g.arcs)
-            adj[tails, heads] = True
-        zero = nports * n * n
-        at = np.where(adj, np.arange(zero).reshape(nports, n, n), zero)
+            tails, heads = zip(*sorted(g.arcs))
+            at[:, tails, heads] = np.arange(zero).reshape(n, g.m)
         # the yellow columns of A_in are products, written over per trial
         self.a_in_at = np.full((nb, nb, nb), zero, dtype=np.intp)
         self.a_in_at[:, :, :npool] = at[:npool][:, blue[:, None], blue].transpose(1, 2, 0)
@@ -427,7 +389,6 @@ class _BatchedSieve:
         self.ends_at = np.stack([at[npool + yi, blue[:, None], yellow],
                                  at[npool + ny + yi, yellow, blue[:, None]]])
         self.npool = npool
-        self.flat = np.zeros(zero + 1, dtype=np.int32)
         self.plan = _pair_plan(nb, STATE_CHUNK)
         # the gather stack and the take scratch as one [2, B, nb, nb] block, not
         # two arrays: glibc raises its mmap and trim thresholds to the largest
@@ -439,8 +400,7 @@ class _BatchedSieve:
     def tables(self, weights: PortWeights) -> list[np.ndarray]:
         """This trial's gated subset tables, in _pair_plan's order."""
         nb = len(self.a_in_at)
-        flat = self.flat
-        flat[:-1] = weights.values.reshape(-1)
+        flat = np.append(weights.values, np.int32(0))
         a_in = flat.take(self.a_in_at)
         ventry, vexit = flat.take(self.ends_at)
         a_in[:, :, self.npool:] = weights.field.nmul(ventry[:, None, :], vexit[None, :, :])
@@ -547,12 +507,11 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     field = make_binary_field(FIELD_BITS)
     pairs = 0
     key = derive_seed("hc-trial", seed)
-    # one arc plan, weight plan and gather stack serve every trial and every
-    # chunk, so a trial allocates nothing large
-    arcs = PortWeights.arc_plan(g)
+    # one weight plan and gather stack serve every trial and every chunk, so
+    # a trial allocates nothing large
     sieve = _BatchedSieve(g, layout)
     for t in range(tmax):
-        w = PortWeights.draw(g, layout, field, key, t, plan=arcs)
+        w = PortWeights.draw(g, layout, field, key, t)
         total, pairs = sieve_membership_pairs(g, layout, w, sieve)
         if total != 0:
             return DetectionReport(

@@ -9,16 +9,18 @@ one membership pair; the k-internal marker determinant of one draw; the
 branching polynomial at one point; one k-leaf trial at one prime,
 interpolated point by point; the detectors' counter draw (splitmix64) one
 word at a time, with the k-internal draws and k-leaf coins it gives; random
-virtual-arc weights and the restricted Laplacian of one tail subset. It
-also holds the brute-force oracles that no command reaches: a permutation
-count of Hamiltonian paths, the largest internal-vertex and leaf counts,
-and the fewest distinct variables of a monomial. Tests import this module
-the way they import conftest.
+virtual-arc weights, the restricted Laplacian of one tail subset and the
+meet-in-the-middle fallback rule on explicit blocks. It also holds the
+brute-force oracles that no command reaches: a permutation count of
+Hamiltonian paths, the largest internal-vertex and leaf counts, and the
+fewest distinct variables of a monomial. Tests import this module the way
+they import conftest.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -500,8 +502,10 @@ def build_port_matrix(g, layout, weights, imask: int, omask: int, skewed: bool =
     on y->u when u is in I. Yellow row y: its entry port holds the xor over
     blue w in O of the weights on w->y, its exit port the xor over blue w in
     I of the weights on y->w. With skewed=False both "not the anchor"
-    conditions are dropped.
+    conditions are dropped. The weight of port ci on arc a -> b is
+    weights.values[ci, the index of (a, b) among g's sorted arcs].
     """
+    arc = {a: i for i, a in enumerate(sorted(g.arcs))}
     w = weights.values
     blue = set(layout.blue)
     rows = []
@@ -514,22 +518,22 @@ def build_port_matrix(g, layout, weights, imask: int, omask: int, skewed: bool =
             if u in blue and kind == "pool":
                 for x in g.in_adj[u]:
                     if u_in and x in blue and omask >> x & 1:
-                        val ^= int(w[ci, x, u])
+                        val ^= int(w[ci, arc[x, u]])
                 for x in g.out_adj[u]:
                     if u_out and x in blue and imask >> x & 1:
-                        val ^= int(w[ci, u, x])
+                        val ^= int(w[ci, arc[u, x]])
             elif u in blue and kind == "entry":
-                val = int(w[ci, u, y]) if u_out and g.has_arc(u, y) else 0
+                val = int(w[ci, arc[u, y]]) if u_out and g.has_arc(u, y) else 0
             elif u in blue:
-                val = int(w[ci, y, u]) if u_in and g.has_arc(y, u) else 0
+                val = int(w[ci, arc[y, u]]) if u_in and g.has_arc(y, u) else 0
             elif y == u and kind == "entry":
                 for x in g.in_adj[u]:
                     if omask >> x & 1:
-                        val ^= int(w[ci, x, u])
+                        val ^= int(w[ci, arc[x, u]])
             elif y == u and kind == "exit":
                 for x in g.out_adj[u]:
                     if imask >> x & 1:
-                        val ^= int(w[ci, u, x])
+                        val ^= int(w[ci, arc[u, x]])
             row.append(val)
         rows.append(tuple(row))
     return SquareMatrix(ScalarBinaryField(weights.field), layout.blue + layout.yellow, layout.ports,
@@ -858,6 +862,25 @@ def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
                 if v != s:
                     rows[idx[u]][idx[v]] = ring.neg(ring.one)
     return SquareMatrix(ring, labels, labels, tuple(map(tuple, rows)))
+
+
+def mitm_block_rule_falls_back(n0: int, p: int, guard: int) -> bool:
+    """The MITM fallback rule on explicit blocks: would per-block tables pass guard entries?
+
+    The n0 - 1 positions of V_st are cut into floor(3 log2 p) (at least 1)
+    contiguous blocks whose sizes differ by at most one, the longer ones
+    first; each block tabulates (p+1)^|block| keys for every one of the
+    2^ceil((n0+1)/3) first-half subsets.
+    """
+    positions = n0 - 1
+    count = max(1, math.floor(3 * math.log2(p)))
+    blocks = []
+    for i in range(count):
+        size = positions // count + (1 if i < positions % count else 0)
+        start = sum(map(len, blocks))
+        blocks.append(range(start, start + size))
+    assert [u for b in blocks for u in b] == list(range(positions))
+    return sum((p + 1) ** len(b) for b in blocks) << math.ceil((n0 + 1) / 3) > guard
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Detectors for out-branchings with many internal vertices or many leaves."""
 
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -267,7 +268,7 @@ def _internal_determinant_cases(seed: int):
         # equal in-arcs sum to that zeta in characteristic 2, so every slot-0
         # entry is the same, the slot-0 Laplacian has rank one and the block
         # left after column 0 holds no unit: 0 at k = 1 (nn - 1 = 2 rows),
-        # Berkowitz at k >= 2
+        # the minors at k >= 2
         cases.append((complete_digraph(4 if k < 4 else 6), k, True))
     cases.extend((SWAP_GRAPH, k, True) for k in (1, 2, 3, 4))
     for g, k, equal_zeta in cases:
@@ -286,22 +287,22 @@ def _internal_determinant_cases(seed: int):
 
 
 @pytest.fixture
-def berkowitz_draws(monkeypatch):
-    """The number of draws each _det_berkowitz call receives, in call order."""
+def minors_draws(monkeypatch):
+    """The number of draws each _det_minors call receives, in call order."""
     routed = []
-    berkowitz = branchings._InternalSieveEngine._det_berkowitz
+    minors = branchings._InternalSieveEngine._det_minors
 
     def recording(engine, mats):
         routed.append(mats.shape[2])
-        return berkowitz(engine, mats)
+        return minors(engine, mats)
 
-    monkeypatch.setattr(branchings._InternalSieveEngine, "_det_berkowitz", recording)
+    monkeypatch.setattr(branchings._InternalSieveEngine, "_det_minors", recording)
     return routed
 
 
 def _det_routes(engine, mats) -> list[tuple[set, set]]:
     """Per matrix of a det_batch stack, the routes its elimination takes, a subset of
-    {"swap", "zero", "berkowitz"}, and the columns whose pivot search it needs
+    {"swap", "zero", "minors"}, and the columns whose pivot search it needs
     (a non-unit on the diagonal while it is live), replayed on slot 0 alone
     over the scalar field.
 
@@ -322,7 +323,7 @@ def _det_routes(engine, mats) -> list[tuple[set, set]]:
                 searched.add(j)
             cols = [c for c in range(j, nn) if any(a[i][c] for i in range(j, nn))]
             if not cols:
-                seen.add("zero" if nn - j > engine.k else "berkowitz")
+                seen.add("zero" if nn - j > engine.k else "minors")
                 break
             if cols[0] != j:
                 seen.add("swap")
@@ -346,7 +347,7 @@ def _route_pools(rnd: random.Random):
     random ring matrices whose slot 0 is a unit everywhere except in some
     columns: none (plain), column nn-2 (a column swap), the last k+1 (a
     trailing block with no unit past k rows, determinant 0) or the last k
-    (Berkowitz, or a non-unit last pivot at k = 1). GF(2^2) draws are
+    (the minors, or a non-unit last pivot at k = 1). GF(2^2) draws are
     random throughout, slot 0 included.
     """
     nprng = np.random.default_rng(rnd.randrange(1 << 30))
@@ -384,11 +385,11 @@ def _route_pools(rnd: random.Random):
 class TestInternalDeterminant:
     """_InternalSieveEngine.det_batch against the reference ring determinant."""
 
-    def test_matches_reference_every_slot(self, berkowitz_draws):
+    def test_matches_reference_every_slot(self, minors_draws):
         # engine slot T is the reference's t^|T| * x^T coefficient (the image
         # of the truncated ring in the 2^k-slot marker ring), on every route:
         # a column swap, a unit-free trailing block past k rows (determinant
-        # 0), and one of at most k rows (Berkowitz); each must occur
+        # 0), and one of at most k rows (its minors); each must occur
         routes = Counter()
         for engine, mats, want in _internal_determinant_cases(86):
             got = engine.det_batch(mats)
@@ -399,16 +400,16 @@ class TestInternalDeterminant:
                     assert got[b, t] == xdet[t.bit_count()][t], (engine.g.arcs, engine.k, b, t)
             for seen, _ in _det_routes(engine, mats):
                 routes.update(seen or {"plain"})
-        assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz")) >= 1, routes
-        assert sum(berkowitz_draws) == routes["berkowitz"], (berkowitz_draws, routes)
+        assert min(routes[r] for r in ("plain", "swap", "zero", "minors")) >= 1, routes
+        assert sum(minors_draws) == routes["minors"], (minors_draws, routes)
 
-    def test_reference_dets_live_in_graded_subring(self, berkowitz_draws):
+    def test_reference_dets_live_in_graded_subring(self, minors_draws):
         # the reference determinant has no t^a * x^T term with |T| < a, on
         # every det_batch route: the kernel of the map to the marker ring is
         # an ideal of the subring these terms span
         routes = Counter()
         for engine, mats, want in _internal_determinant_cases(88):
-            engine.det_batch(mats)  # counts the Berkowitz draws
+            engine.det_batch(mats)  # counts the minors draws
             for seen, _ in _det_routes(engine, mats):
                 routes.update(seen or {"plain"})
             ga = GroupAlgebra(engine.f, engine.k)
@@ -416,8 +417,8 @@ class TestInternalDeterminant:
                 for a in range(engine.k + 1):
                     xdet = xbasis_to_group(ga, det[a])
                     assert all(xdet[t] == 0 for t in range(engine.len) if t.bit_count() < a), (engine.k, a)
-        assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz")) >= 1, routes
-        assert sum(berkowitz_draws) == routes["berkowitz"], (berkowitz_draws, routes)
+        assert min(routes[r] for r in ("plain", "swap", "zero", "minors")) >= 1, routes
+        assert sum(minors_draws) == routes["minors"], (minors_draws, routes)
 
     def test_unit_inverse(self):
         rng = np.random.default_rng(87)
@@ -487,8 +488,34 @@ class TestInternalDeterminant:
                     got = engine.build_matrices(zeta, rmul, gvec)
                     assert got.dtype == np.int32 and np.array_equal(got, want), (sorted(g.arcs), root, k)
 
-    def test_mixed_route_stacks(self, berkowitz_draws, monkeypatch):
-        # plain, swap, zero and Berkowitz draws interleaved in one stack:
+    @pytest.mark.parametrize("stuck", [True, False], ids=["in-ideal", "general"])
+    def test_det_minors_matches_reference(self, stuck):
+        # the sign-free minor expansion against the division-free reference
+        # determinant on random ring stacks of s = 1..6 rows at ranks k =
+        # s..6, one draw and several at once; stuck puts every entry in M
+        # (slot 0 zero), as in det_batch's unit-free blocks, where only the
+        # slots T with |T| >= s can be nonzero
+        rng = np.random.default_rng(92 if stuck else 93)
+        field = make_binary_field(6)
+        nonzero = 0
+        for k in range(1, branchings.GROUP_RANK_LIMIT + 1):
+            engine = branchings._InternalSieveEngine(complete_digraph(3), [0], k, field)
+            ring = MarkerRing(field, k)
+            for s in range(1, k + 1):
+                for nb in (1, 3):
+                    mats = rng.integers(0, field.q, size=(s, s, nb, engine.len), dtype=np.int32)
+                    if stuck:
+                        mats[..., 0] = 0
+                    got = engine._det_minors(mats)
+                    assert got.shape == (nb, engine.len) and got.dtype == np.int32
+                    for b in range(nb):
+                        rows = [[tuple(mats[i, j, b].tolist()) for j in range(s)] for i in range(s)]
+                        assert tuple(got[b].tolist()) == det_division_free(square(ring, rows)), (k, s, nb, b)
+                    nonzero += int(got.any(axis=1).sum())
+        assert nonzero >= 40, nonzero
+
+    def test_mixed_route_stacks(self, minors_draws, monkeypatch):
+        # plain, swap, zero and minors draws interleaved in one stack:
         # every row equals that draw's det_batch alone and the reference
         # determinant, and the stacks reach a column whose pivot search is
         # skipped, the deferred pivot product and a settled matrix's own
@@ -517,7 +544,7 @@ class TestInternalDeterminant:
                 order = [rnd.randrange(len(draws)) for _ in range(nb)]
                 mats = np.stack([draws[i] for i in order], axis=2)
                 products.clear()
-                calls = len(berkowitz_draws)
+                calls = len(minors_draws)
                 dets = engine.det_batch(mats)
                 for b, i in enumerate(order):
                     assert np.array_equal(dets[b], alone[i]), (engine.k, nb, b)
@@ -525,15 +552,15 @@ class TestInternalDeterminant:
                 for seen, _ in replay:
                     routes.update(seen or {"plain"})
                 assert products[-1] == (nn, nb)  # every draw's pivots, once
-                # one prefix product per settled Berkowitz group, each taking
+                # one prefix product per settled minors group, each taking
                 # the j pivots before its stuck column and the block's value
-                assert sorted(p[1] for p in products[:-1]) == sorted(berkowitz_draws[calls:])
+                assert sorted(p[1] for p in products[:-1]) == sorted(minors_draws[calls:])
                 assert all(p[0] < nn for p in products[:-1])
                 routes["prefix"] += sum(p[0] > 1 for p in products[:-1])
                 if any(seen for seen, _ in replay):
                     searched = set().union(*(cols for _, cols in replay))
                     skipped += len(set(range(nn - 1)) - searched)
-        assert min(routes[r] for r in ("plain", "swap", "zero", "berkowitz", "prefix")) >= 1, routes
+        assert min(routes[r] for r in ("plain", "swap", "zero", "minors", "prefix")) >= 1, routes
         assert skipped >= 1
 
 
@@ -749,6 +776,11 @@ class TestRootBorder:
             for k in range(1, min(branchings.GROUP_RANK_LIMIT, n - 1) + 1):
                 if branchings._internal_gather_bytes(n, k) <= branchings.INTERNAL_GATHER_LIMIT:
                     assert (n - 1) ** 2 * branchings.INTERNAL_CHUNK * 3**k * 4 <= branchings.INTERNAL_GATHER_LIMIT
+                    # and so does the largest gather of _det_minors on a stuck block of s rows
+                    widest = max(math.comb(s, r + 1) * (r + 1) for s in range(1, min(k, n - 1) + 1) for r in range(s))
+                    minors = widest * branchings.INTERNAL_CHUNK * 3**k * 4
+                    assert minors <= 60 * branchings.INTERNAL_CHUNK * 3**k * 4
+                    assert minors <= branchings.INTERNAL_GATHER_LIMIT
         # and that is the largest int32 pair gather det_batch makes on a full
         # chunk: the first update is that large where column 0 and row 0 are
         # full (a bidirected star, a complete digraph), and the screens keep

@@ -395,7 +395,7 @@ class TestExitCodes:
         (["detect-k-leaf", "--k", "15"], 30),  # default budget 4^15
         (["detect-k-leaf", "--k", "7"], 8),
         (["detect-k-leaf", "--k", "2", "--budget", "4097"], 8),
-        (["detect-k-internal", "--k", "6"], 12),  # 277 MB Berkowitz gather
+        (["detect-k-internal", "--k", "6"], 12),  # first update's gather bound, 277 MB > 2^28 B
         (["detect-k-internal", "--k", "1"], 257),  # GF(2^18), past the field tables
     ], ids=["leaf-k15", "leaf-k7", "leaf-budget", "internal-n12-k6", "internal-n257-field"])
     def test_branching_detector_guards(self, argv, n, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import warnings
+from collections import Counter
 
 import pytest
 
@@ -13,10 +15,10 @@ from conftest import (
     random_digraph,
     random_out_degree_graph,
 )
+from hamkit.algebra import is_prime
 from hamkit.errors import GuardError
 from hamkit.graph import make_digraph, split_vertex
 from hamkit.hamcount import (
-    block_partition,
     count_exact,
     count_hc_mod,
     crt_count,
@@ -25,7 +27,7 @@ from hamkit.hamcount import (
 )
 from hamkit.matrixtree import det_bareiss_int
 from hamkit import oracle
-from reference import ResidueRing, det_division_free, restricted_laplacian, tail_weights
+from reference import ResidueRing, det_division_free, mitm_block_rule_falls_back, restricted_laplacian, tail_weights
 
 import hamkit.hamcount as hamcount_mod
 
@@ -384,18 +386,6 @@ class TestFingerprints:
                     row = m.entries[idx[u]]
                     assert all(x % p == 0 for x in row)
 
-    def test_block_partition_shape(self):
-        for p in (2, 3, 5, 7, 11):
-            for positions in range(0, 15):
-                blocks = block_partition(positions, p)
-                import math
-
-                assert len(blocks) == max(1, math.floor(3 * math.log2(p)))
-                flat = [i for b in blocks for i in b]
-                assert flat == list(range(positions))
-                sizes = [len(b) for b in blocks]
-                assert max(sizes) - min(sizes) <= 1
-
 
 class TestMitm:
     def test_cycle_p2k2(self):
@@ -514,13 +504,21 @@ class TestMitm:
                     residues.append(residue.value)
         assert any(residues), "every residue is 0, so a wrong side filter could pass"
 
-    def test_fallback_when_tables_too_large(self, monkeypatch):
-        monkeypatch.setattr(hamcount_mod, "MITM_TABLE_GUARD", 1)
-        split = split_vertex(directed_cycle(6), 0)
-        with pytest.warns(UserWarning, match="falling back"):
-            residue, diag = mitm_count_mod(split, 3, 1)
-        assert diag.fallback
-        assert residue == naive_sieve_count(split, 3, 1)
+    def test_fallback_matches_block_rule(self):
+        # the closed form decides as the old per-block tables did, on both
+        # sides of MITM_TABLE_GUARD, for a grid of primes and tail sizes
+        primes = [p for p in range(2, 1000) if is_prime(p)] + [2_549, 2**31 - 1]
+        decisions = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p in primes:
+                for n0 in range(1, 65):
+                    want = mitm_block_rule_falls_back(n0, p, hamcount_mod.MITM_TABLE_GUARD)
+                    diag = hamcount_mod._mitm_fallback(n0, p)
+                    assert (diag is not None) == want, (n0, p)
+                    assert diag is None or (diag.fallback and diag.pairs_naive == 1 << n0)
+                    decisions[want] += 1
+        assert decisions[True] >= 100 and decisions[False] >= 100, decisions
 
 
 class TestGraphLevel:

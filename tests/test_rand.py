@@ -115,16 +115,18 @@ class TestMappings:
         g = complete_digraph(7)
         field = make_binary_field(FIELD_BITS)
         layout = PortLayout.from_partition(g, find_independent_partition(g))
-        arcs = np.zeros((g.n, g.n), dtype=bool)
-        arcs[tuple(zip(*g.arcs))] = True
-        draws = [PortWeights.draw(g, layout, field, derive_seed("hc-trial", 5), t).values for t in range(40)]
+        key = derive_seed("hc-trial", 5)
+        draws = [PortWeights.draw(g, layout, field, key, t).values for t in range(40)]
         values = np.stack(draws)
+        assert values.shape == (40, g.n, g.m) and values.dtype == np.int32
         assert values.min() >= 0 and values.max() < field.q
-        assert not values[:, :, ~arcs].any()
-        on_arcs = values[:, :, arcs]
-        assert_uniform(on_arcs >> (FIELD_BITS - 6), 64)  # top bits
-        assert_uniform(on_arcs & 63, 64)  # low bits
+        # entry (port, arc) of trial t is the top bits of word (t, port * arcs + arc)
+        for t in (0, 17, 39):
+            words = splitmix64_words(key, t, g.n * g.m)
+            assert values[t].ravel().tolist() == [w >> (64 - FIELD_BITS) for w in words], t
+        assert_uniform(values >> (FIELD_BITS - 6), 64)  # top bits
+        assert_uniform(values & 63, 64)  # low bits
         # a trial's weights are those of its own counter, whatever came before
-        again = PortWeights.draw(g, layout, field, derive_seed("hc-trial", 5), 17).values
+        again = PortWeights.draw(g, layout, field, key, 17).values
         assert np.array_equal(again, draws[17])
         assert not np.array_equal(draws[0], draws[1])
