@@ -37,6 +37,10 @@ in algebra, which import numpy when the first field is built. So `import
 hamkit`, the counting commands and the oracles never load numpy; the four
 numpy-backed exports (detect_hamiltonian_cycle, detect_k_internal,
 detect_k_leaf, solve_nk_dv) load hamdetect or branchings on first access.
+Nor do `import hamkit` and the counting commands load the data-class module
+with its inspect and ast imports (the records are namedtuples or __slots__
+classes), fractions (only count-exact's --d parses one) or the oracle module
+(only the oracle commands use it).
 The scalar routes the batches are tested against live with the tests, in
 tests/reference.py.
 """

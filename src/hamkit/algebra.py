@@ -12,7 +12,7 @@ residues and CRT that the counting modules use load without it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import GuardError
@@ -111,21 +111,19 @@ def gf2_is_irreducible(poly: int) -> bool:
 # fields and residues
 
 
-@dataclass(frozen=True)
-class ResidueElem:
+class ResidueElem(namedtuple("ResidueElem", "value p k")):
     """A value together with its prime-power modulus."""
 
-    value: int
-    p: int
-    k: int
+    __slots__ = ()
+
+    def __new__(cls, value: int, p: int, k: int):
+        if not (0 <= value < p**k):
+            raise ValueError("residue out of range")
+        return super().__new__(cls, value, p, k)
 
     @property
     def modulus(self) -> int:
         return self.p**self.k
-
-    def __post_init__(self):
-        if not (0 <= self.value < self.modulus):
-            raise ValueError("residue out of range")
 
 
 class BinaryField:

@@ -26,7 +26,6 @@ explicit failure-probability bound in the report.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from typing import Protocol
 
@@ -1073,4 +1072,4 @@ def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) 
     rep = solve_nk_dv(
         BranchingLeafPolynomial(g, roots), k, budget, derive_seed("leaf-root", seed, roots[0])
     )
-    return replace(rep, detail={"roots": roots})
+    return rep._replace(detail={"roots": roots})

@@ -10,7 +10,8 @@ runs on the calling thread. Exit codes: 0 for completed runs including NO
 answers, 2 for usage or input errors, 3 for guard violations (instances
 beyond the desk-scale limits). Only the
 detect-* commands import hamdetect or branchings, and numpy with them; the
-counting and oracle commands run without numpy.
+counting and oracle commands run without numpy. Only the oracle commands
+import hamkit.oracle, and only count-exact's --d imports fractions.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
-from fractions import Fraction
 
-from . import hamcount, oracle
+from . import hamcount
 from .errors import GuardError, ParseError
 from .graph import Digraph, parse_digraph
 from .matrixtree import count_out_branchings
@@ -64,7 +63,7 @@ def _cmd_count_mod(args, g: Digraph, seed: int) -> tuple[dict, str]:
         "mode": args.mode,
     }
     if diag is not None:
-        diag_dict = asdict(diag)
+        diag_dict = diag._asdict()
         diag_dict["pruning_ratio"] = diag.pruning_ratio
         payload["diagnostics"] = diag_dict
     human = f"hamiltonian cycles = {residue.value} (mod {residue.p}^{residue.k})"
@@ -108,6 +107,8 @@ def _cmd_detect_k_leaf(args, g: Digraph, seed: int) -> tuple[dict, str]:
 
 
 def _cmd_oracle(args, g: Digraph, seed: int) -> tuple[dict, str]:
+    from . import oracle
+
     sub = args.oracle_command
     if sub == "hc-count":
         count = oracle.held_karp_count_hc(g)
@@ -158,6 +159,8 @@ def _seed(text: str) -> int:
 
 
 def _cap_base(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -258,12 +261,14 @@ _HANDLERS = {
     "oracle": _cmd_oracle,
 }
 
-# The numpy-backed module each detect-* handler imports. main loads it before
-# starting the clock, so elapsed_ms never includes numpy's import.
-_DETECTOR_MODULES = {
+# The module each detect-* handler (numpy-backed) or the oracle handler
+# imports, which no other command loads. main loads it before starting the
+# clock, so elapsed_ms never includes a module import.
+_HANDLER_MODULES = {
     "detect-hc": "hamdetect",
     "detect-k-internal": "branchings",
     "detect-k-leaf": "branchings",
+    "oracle": "oracle",
 }
 
 
@@ -275,8 +280,8 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"hamkit: {exc}", file=sys.stderr)
             return 2
-    if args.command in _DETECTOR_MODULES:
-        importlib.import_module(f".{_DETECTOR_MODULES[args.command]}", __package__)
+    if args.command in _HANDLER_MODULES:
+        importlib.import_module(f".{_HANDLER_MODULES[args.command]}", __package__)
     started = time.perf_counter()
     try:
         g = _load_graph(args.graph)

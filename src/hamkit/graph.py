@@ -8,7 +8,7 @@ lines "tail head"; lines that are blank or start with '#' are skipped.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import GuardError, ParseError
 
@@ -20,37 +20,57 @@ from .errors import GuardError, ParseError
 VERTEX_LIMIT = 512
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """Immutable digraph with adjacency indexes derived at construction."""
+    """Immutable digraph with adjacency indexes derived at construction.
 
-    n: int
-    arcs: frozenset[tuple[int, int]]
-    out_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    in_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    out_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    in_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    Equality and hash go by (n, arcs); the indexes follow from those two.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    __slots__ = ("n", "arcs", "out_adj", "in_adj", "out_mask", "in_mask")
+
+    def __init__(self, n: int, arcs: frozenset[tuple[int, int]]) -> None:
+        if n < 1:
             raise ValueError("digraph needs at least one vertex")
-        outs: list[list[int]] = [[] for _ in range(self.n)]
-        ins: list[list[int]] = [[] for _ in range(self.n)]
-        omask = [0] * self.n
-        imask = [0] * self.n
-        for tail, head in self.arcs:
+        outs: list[list[int]] = [[] for _ in range(n)]
+        ins: list[list[int]] = [[] for _ in range(n)]
+        omask = [0] * n
+        imask = [0] * n
+        for tail, head in arcs:
             if tail == head:
                 raise ValueError(f"self-loop {tail}->{head} not allowed")
-            if not (0 <= tail < self.n and 0 <= head < self.n):
-                raise ValueError(f"arc {tail}->{head} out of range for n={self.n}")
+            if not (0 <= tail < n and 0 <= head < n):
+                raise ValueError(f"arc {tail}->{head} out of range for n={n}")
             outs[tail].append(head)
             ins[head].append(tail)
             omask[tail] |= 1 << head
             imask[head] |= 1 << tail
-        object.__setattr__(self, "out_adj", tuple(tuple(sorted(a)) for a in outs))
-        object.__setattr__(self, "in_adj", tuple(tuple(sorted(a)) for a in ins))
-        object.__setattr__(self, "out_mask", tuple(omask))
-        object.__setattr__(self, "in_mask", tuple(imask))
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "arcs", arcs)
+        init(self, "out_adj", tuple(tuple(sorted(a)) for a in outs))
+        init(self, "in_adj", tuple(tuple(sorted(a)) for a in ins))
+        init(self, "out_mask", tuple(omask))
+        init(self, "in_mask", tuple(imask))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Digraph, (self.n, self.arcs)
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n!r}, arcs={self.arcs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.arcs == other.arcs
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.arcs))
 
     @property
     def m(self) -> int:
@@ -127,8 +147,7 @@ def parse_digraph(text: str) -> Digraph:
     return Digraph(n, frozenset(arcs))
 
 
-@dataclass(frozen=True)
-class VertexSplit:
+class VertexSplit(namedtuple("VertexSplit", "graph s t")):
     """A digraph with one vertex pulled apart into a source and a sink.
 
     The source s is the split vertex itself and keeps its out-arcs, the new
@@ -136,9 +155,7 @@ class VertexSplit:
     are in bijection with Hamiltonian cycles of the original through s.
     """
 
-    graph: Digraph
-    s: int
-    t: int
+    __slots__ = ()
 
 
 def split_vertex(g: Digraph, u: int) -> VertexSplit:
@@ -152,12 +169,10 @@ def split_vertex(g: Digraph, u: int) -> VertexSplit:
     return VertexSplit(graph=split, s=u, t=t)
 
 
-@dataclass(frozen=True)
-class IndependentPartition:
+class IndependentPartition(namedtuple("IndependentPartition", "blue yellow")):
     """Vertex bipartition: yellow is independent in the underlying graph."""
 
-    blue: frozenset[int]
-    yellow: frozenset[int]
+    __slots__ = ()
 
 
 def _popcount(x: int) -> int:

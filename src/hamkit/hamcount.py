@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .algebra import ResidueElem, crt_combine, is_prime, primes_up_to
@@ -64,13 +64,14 @@ def default_k(n: int, p: int, lam: float) -> int:
     return max(1, math.floor((1.0 - lam) * n / (3 * p)))
 
 
-@dataclass(frozen=True)
-class MitmDiagnostics:
-    pairs_listed: int
-    pairs_naive: int
-    candidates_examined: int
-    table_keys: int
-    fallback: bool = False
+class MitmDiagnostics(
+    namedtuple(
+        "MitmDiagnostics",
+        "pairs_listed pairs_naive candidates_examined table_keys fallback",
+        defaults=(False,),
+    )
+):
+    __slots__ = ()
 
     @property
     def pruning_ratio(self) -> float:

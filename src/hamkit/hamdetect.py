@@ -50,8 +50,8 @@ batched gathers that need no pivot and drop nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,8 +83,7 @@ MINOR_TAIL = 4
 make_binary_field(FIELD_BITS)
 
 
-@dataclass(frozen=True)
-class PortLayout:
+class PortLayout(namedtuple("PortLayout", "blue yellow")):
     """Row and column bookkeeping for the port matrix of one graph.
 
     Rows are the blue vertices in id order followed by the yellow ones.
@@ -94,14 +93,14 @@ class PortLayout:
     The sieve folds the yellow rows away and keeps only the blue ones.
     """
 
-    blue: tuple[int, ...]
-    yellow: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blue:
+    def __new__(cls, blue: tuple[int, ...], yellow: tuple[int, ...]):
+        if not blue:
             raise ValueError("need at least one blue vertex")
-        if len(self.yellow) * 2 > self.n:
+        if len(yellow) > len(blue):
             raise ValueError("yellow set may hold at most half the vertices")
+        return super().__new__(cls, blue, yellow)
 
     @property
     def n(self) -> int:
@@ -115,13 +114,6 @@ class PortLayout:
     def anchor(self) -> int:
         return self.blue[0]
 
-    @cached_property
-    def ports(self) -> tuple[tuple[str, int], ...]:
-        pool = tuple(("pool", i) for i in range(self.pool_count))
-        entry = tuple(("entry", y) for y in self.yellow)
-        exit_ = tuple(("exit", y) for y in self.yellow)
-        return pool + entry + exit_
-
     @staticmethod
     def from_partition(g: Digraph, part: IndependentPartition) -> "PortLayout":
         if len(part.blue) + len(part.yellow) != g.n:
@@ -132,7 +124,7 @@ class PortLayout:
 class PortWeights:
     """One trial's random weights as an [n, arcs] int array: one per port and arc.
 
-    Ports are in layout.ports order, n of them, and arcs in sorted order.
+    Ports are pool, entry then exit, n of them, and arcs in sorted order.
     A port carries weights on the arcs only, so nothing off them is stored.
     """
 

@@ -7,7 +7,7 @@ than silently taking hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GuardError
 from .graph import Digraph
@@ -60,12 +60,13 @@ def held_karp_count_hc(g: Digraph) -> int:
     return sum(cnt for v, cnt in ends.items() if g.has_arc(v, 0))
 
 
-@dataclass(frozen=True)
-class Branching:
-    """A spanning out-branching given by the parent of every non-root vertex."""
+class Branching(namedtuple("Branching", "root parents")):
+    """A spanning out-branching given by the parent of every non-root vertex.
 
-    root: int
-    parents: tuple[int, ...]  # parents[v] = in-neighbor feeding v; -1 at the root
+    parents[v] is the in-neighbor feeding v, -1 at the root.
+    """
+
+    __slots__ = ()
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:

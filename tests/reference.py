@@ -492,8 +492,16 @@ def iter_membership_pairs(layout):
             yield imask, omask
 
 
+def port_labels(layout) -> tuple[tuple[str, int], ...]:
+    """The port matrix's column labels: ("pool", i), then ("entry", y) and ("exit", y) per yellow y."""
+    pool = tuple(("pool", i) for i in range(layout.pool_count))
+    entry = tuple(("entry", y) for y in layout.yellow)
+    exit_ = tuple(("exit", y) for y in layout.yellow)
+    return pool + entry + exit_
+
+
 def build_port_matrix(g, layout, weights, imask: int, omask: int, skewed: bool = True) -> SquareMatrix:
-    """Port matrix of one membership pair; rows blue then yellow, columns layout.ports.
+    """Port matrix of one membership pair; rows blue then yellow, columns port_labels(layout).
 
     Blue row u: in a pool port, the xor of that port's weights on arcs w->u
     from blue w in O (when u is in I) and on arcs u->w to blue w in I (when u
@@ -507,13 +515,14 @@ def build_port_matrix(g, layout, weights, imask: int, omask: int, skewed: bool =
     """
     arc = {a: i for i, a in enumerate(sorted(g.arcs))}
     w = weights.values
+    ports = port_labels(layout)
     blue = set(layout.blue)
     rows = []
     for u in layout.blue + layout.yellow:
         u_in = bool(imask >> u & 1)
         u_out = bool(omask >> u & 1) and (not skewed or u != layout.anchor)
         row = []
-        for ci, (kind, y) in enumerate(layout.ports):
+        for ci, (kind, y) in enumerate(ports):
             val = 0
             if u in blue and kind == "pool":
                 for x in g.in_adj[u]:
@@ -536,7 +545,7 @@ def build_port_matrix(g, layout, weights, imask: int, omask: int, skewed: bool =
                         val ^= int(w[ci, arc[u, x]])
             row.append(val)
         rows.append(tuple(row))
-    return SquareMatrix(ScalarBinaryField(weights.field), layout.blue + layout.yellow, layout.ports,
+    return SquareMatrix(ScalarBinaryField(weights.field), layout.blue + layout.yellow, ports,
                         tuple(rows))
 
 

@@ -570,6 +570,24 @@ print(json.dumps({
 }))
 """
 
+# Runs the argv lists of each stage in the JSON list in argv[1] and prints,
+# per stage, the watched modules that the process holds after it and did not
+# before `from hamkit.cli import main`, which opens the first stage. A set
+# difference, not absence: site may have loaded some of them already.
+FRESH_IMPORTS = """
+import contextlib, io, json, sys
+WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "typing", "hamkit.oracle", "numpy"}
+before = set(sys.modules)
+from hamkit.cli import main
+added = []
+for stage in json.loads(sys.argv[1]):
+    for argv in stage:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0, argv
+    added.append(sorted(WATCHED & (set(sys.modules) - before)))
+print(json.dumps(added))
+"""
+
 NUMPY_FREE_COMMANDS = [
     ["count-mod", "{g}", "--p", "3", "--k", "2", "--mode", "mitm"],
     ["count-mod", "{g}", "--p", "3", "--k", "2", "--mode", "naive"],
@@ -600,6 +618,25 @@ class TestLazyLoading:
         assert seen[:-1] == [[0, False]] * len(NUMPY_FREE_COMMANDS)
         # the probe does see numpy once a command loads it
         assert seen[-1] == [0, True]
+
+    def test_counting_commands_import_only_what_they_use(self, tmp_path):
+        # dataclasses (with inspect), fractions (with decimal), typing and the
+        # oracle module each cost milliseconds of every process's start-up
+        path = write_graph(tmp_path, directed_cycle(5))
+        counting = [[a.replace("{g}", path) for a in t] + ["--seed", "1"]
+                    for t in NUMPY_FREE_COMMANDS if t[0] not in ("count-exact", "oracle")]
+        stages = [
+            counting,
+            [["count-exact", path, "--d", "2"]],
+            [["oracle", "hc-count", path]],
+        ]
+        assert len(counting) == 4
+        added = json.loads(run_fresh(FRESH_IMPORTS, json.dumps(stages)))
+        assert added == [
+            [],
+            ["decimal", "fractions"],
+            ["decimal", "fractions", "hamkit.oracle"],
+        ]
 
     @pytest.mark.parametrize("template", DETECT_COMMANDS, ids=lambda t: t[0])
     def test_first_elapsed_excludes_module_loading(self, template, tmp_path):

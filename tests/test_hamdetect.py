@@ -37,6 +37,7 @@ from reference import (
     det_gauss,
     fold_port_matrix,
     iter_membership_pairs,
+    port_labels,
     scalar_pair_sum,
     square,
 )
@@ -62,7 +63,11 @@ class TestLayout:
         layout = make_layout(g)
         assert layout.n == 6
         assert layout.pool_count == 6 - 2 * len(layout.yellow)
-        assert len(layout.ports) == 6
+        ports = port_labels(layout)
+        assert len(ports) == 6
+        assert ports[layout.pool_count:] == tuple(
+            (kind, y) for kind in ("entry", "exit") for y in layout.yellow
+        )
         assert layout.anchor == min(layout.blue)
 
     def test_pair_enumeration_count(self):
