@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, JSON shape, seeding, reproducibility."""
 
 import ast
+import hashlib
 import json
 import random
 import re
@@ -14,12 +15,16 @@ import pytest
 import hamkit
 from conftest import (
     acyclic_tournament,
+    bidirected_path,
+    bidirected_star,
     complete_digraph,
     cycle_plus,
     directed_cycle,
     directed_path,
     out_star,
     random_digraph,
+    rooted_hubs,
+    rooted_path,
     run_fresh,
 )
 from hamkit import count_out_branchings, detect_k_internal, detect_k_leaf
@@ -528,6 +533,93 @@ class TestReproducibility:
         _, raw1 = run_json(argv + ["--threads", "1"], capsys)
         _, raw4 = run_json(argv + ["--threads", "4"], capsys)
         assert strip_elapsed(raw1) == strip_elapsed(raw4)
+
+
+
+def detector_corpus(rnd):
+    """Seeded (graph, argv tail) runs of every detect-* command.
+
+    YES and NO on each command, one spanning root and several, default and
+    explicit --trials and --budget, the structural answers, and the usage
+    and guard exits.
+    """
+    runs = []
+    for _ in range(20):
+        n = rnd.randint(3, 9)
+        g = cycle_plus(rnd, n, rnd.randint(0, n))
+        if rnd.random() < 0.5:  # vertex 0 a sink: no cycle
+            g = make_digraph(n, [(a, b) for a, b in g.arcs if a != 0])
+        runs.append((g, ["detect-hc"]))
+        runs.append((g, ["detect-hc", "--trials", str(rnd.randint(1, 3))]))
+    for n in (4, 6, 8):
+        runs.append((acyclic_tournament(n), ["detect-hc"]))
+    g = cycle_plus(rnd, 12, 6)
+    runs += [(g, ["detect-hc"]), (make_digraph(12, [(a, b) for a, b in g.arcs if a != 0]), ["detect-hc"])]
+    runs += [(make_digraph(1, []), ["detect-hc"]), (out_star(6), ["detect-hc"]),
+             (directed_cycle(4), ["detect-hc", "--trials", "0"]),
+             (directed_cycle(33), ["detect-hc"])]
+    for _ in range(10):
+        n = rnd.randint(5, 9)
+        hubs = rnd.randint(2, 3)
+        g = rooted_hubs(rnd, n, hubs, 2 * n)
+        runs.append((g, ["detect-k-internal", "--k", str(hubs)]))
+        runs.append((g, ["detect-k-internal", "--k", str(hubs + 1)]))
+        runs.append((g, ["detect-k-internal", "--k", str(hubs + 1), "--trials", str(rnd.randint(1, 40))]))
+    for n in (5, 7, 8):
+        runs.append((bidirected_star(n), ["detect-k-internal", "--k", "2"]))
+        runs.append((bidirected_star(n), ["detect-k-internal", "--k", "3"]))
+        runs.append((bidirected_star(n), ["detect-k-internal", "--k", "3", "--trials", "9"]))
+    for _ in range(10):
+        n = rnd.randint(4, 8)
+        g = random_digraph(rnd, n, rnd.uniform(0.2, 0.6))
+        runs.append((g, ["detect-k-internal", "--k", str(rnd.randint(1, 3))]))
+    runs += [(directed_path(5), ["detect-k-internal", "--k", "0"]),
+             (make_digraph(4, [(0, 1), (2, 3)]), ["detect-k-internal", "--k", "1"]),
+             (directed_path(4), ["detect-k-internal", "--k", "4"]),
+             (directed_path(4), ["detect-k-internal", "--k", "1", "--trials", "0"])]
+    for _ in range(10):
+        n = rnd.randint(5, 8)
+        k = rnd.randint(2, 4)
+        g = rooted_path(rnd, n, rnd.randint(0, 4))
+        runs.append((g, ["detect-k-leaf", "--k", str(k)]))
+        runs.append((g, ["detect-k-leaf", "--k", str(k), "--budget", str(rnd.randint(1, 30))]))
+    for n in (5, 6):
+        runs.append((bidirected_path(n), ["detect-k-leaf", "--k", "2"]))
+        runs.append((bidirected_path(n), ["detect-k-leaf", "--k", "3"]))
+        runs.append((bidirected_path(n), ["detect-k-leaf", "--k", "3", "--budget", "7"]))
+        runs.append((bidirected_star(n), ["detect-k-leaf", "--k", str(n - 1)]))
+    for _ in range(14):
+        n = rnd.randint(4, 8)
+        g = random_digraph(rnd, n, rnd.uniform(0.2, 0.6))
+        runs.append((g, ["detect-k-leaf", "--k", str(rnd.randint(1, 3))]))
+    runs += [(make_digraph(1, []), ["detect-k-leaf", "--k", "1"]),
+             (make_digraph(4, [(0, 1), (2, 3)]), ["detect-k-leaf", "--k", "1"]),
+             (directed_path(4), ["detect-k-leaf", "--k", "5"]),
+             (directed_path(4), ["detect-k-leaf", "--k", "1", "--budget", "0"]),
+             (directed_path(8), ["detect-k-leaf", "--k", "7"]),
+             (rooted_path(rnd, 9, 3), ["detect-k-leaf", "--k", "5"])]
+    return runs
+
+
+class TestDetectorDigest:
+    def test_stdout_digest(self, tmp_path, capsys):
+        # stdout without elapsed_ms, and the exit code, of every run of the
+        # seeded detector corpus, at an explicit seed and at the default one
+        rnd = random.Random(4101)
+        runs = []
+        answers = set()
+        for i, (g, argv) in enumerate(detector_corpus(rnd)):
+            path = write_graph(tmp_path, g, f"g{i}.txt")
+            seed = [] if i % 5 == 0 else ["--seed", str(rnd.randrange(1 << 30))]
+            code, out, _ = run_cli([argv[0], path, *argv[1:], *seed], capsys)
+            runs.append((code, strip_elapsed(out)))
+            answers.add((argv[0], code, json.loads(out)["answer"] if code == 0 else None))
+        assert len(runs) == 150
+        for command in ("detect-hc", "detect-k-internal", "detect-k-leaf"):
+            assert {(command, 0, "yes"), (command, 0, "no"), (command, 2, None)} <= answers, command
+        assert ("detect-hc", 3, None) in answers and ("detect-k-leaf", 3, None) in answers
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == "e464fa0f5841b494a3e5f2d4cb7fc56bbc9fa26c4ee961a38d2114c81299777b"
 
 
 # Runs each argv of the JSON list in argv[1] and prints, per run, the exit

@@ -226,6 +226,42 @@ class TestSieve:
             assert sieve_membership_pairs(graph, lay, w, own) == alone
 
 
+def golden_reports():
+    """(|blue|, report) of 45 seeded detections: general and bipartite graphs,
+    |blue| = 1..9 five times each, 1 to 3 trials, and every fourth graph with
+    a sink (a NO that runs every trial)."""
+    rnd = random.Random(2033)
+    for i in range(45):
+        blue, bipartite = 1 + i % 9, i % 2 == 1
+        while True:
+            if bipartite:
+                g = random_bipartite(rnd, 2 * blue, rnd.uniform(0.3, 0.9))
+            else:
+                g = random_digraph(rnd, rnd.randint(blue + 1, 2 * blue), rnd.uniform(0.2, 0.8))
+            if i % 4 == 3:
+                g = make_digraph(g.n, [(a, b) for a, b in g.arcs if a != 0])
+            if len(find_independent_partition(g).blue) == blue:
+                break
+        yield blue, detect_hamiltonian_cycle(g, trials=1 + i // 9 % 3, seed=rnd.randrange(1 << 30))
+
+
+def report_fields(rep):
+    return rep.verdict, rep.trials_run, rep.trials_max, rep.failure_bound, repr(rep.detail)
+
+
+def sink_graph(rnd, n):
+    """A graph on n vertices where vertex 0 has no out-arc, so no Hamiltonian
+    cycle, but no structural NO either: arcs both ways between the even and
+    the odd vertices, some arcs among the even ones, and at most 9 blue."""
+    while True:
+        arcs = [(a, b) for a in range(1, n) for b in range(n) if a != b and not (a % 2 and b % 2)
+                and rnd.random() < (0.6 if (a - b) % 2 else 0.4)]
+        g = make_digraph(n, arcs)
+        part = find_independent_partition(g)
+        if len(part.yellow) <= n // 2 and len(part.blue) <= 9:
+            return g
+
+
 def random_bipartite(rnd, n, density):
     """Arcs both ways between two halves, so a yellow half leaves no pool ports."""
     left, right = range(n // 2), range(n // 2, n)
@@ -748,30 +784,36 @@ class TestDetect:
         assert 0.0 < rep.failure_bound <= 2.0**-84
 
     def test_golden_digest(self):
-        # (answer, trials, witness_value, pairs_per_trial) of 45 seeded runs,
-        # general and bipartite graphs, |blue| = 1..9 five times each, 1 to 3
-        # trials, every fourth graph with a sink (a NO that runs every trial);
-        # the digest pins every sum bit for bit across kernel refactors
-        rnd = random.Random(2033)
+        # (answer, trials, witness_value, pairs_per_trial) of the 45 seeded
+        # golden runs; the digest pins every sum bit for bit across kernel
+        # refactors
         runs, seen = [], set()
-        for i in range(45):
-            blue, bipartite = 1 + i % 9, i % 2 == 1
-            while True:
-                if bipartite:
-                    g = random_bipartite(rnd, 2 * blue, rnd.uniform(0.3, 0.9))
-                else:
-                    g = random_digraph(rnd, rnd.randint(blue + 1, 2 * blue), rnd.uniform(0.2, 0.8))
-                if i % 4 == 3:
-                    g = make_digraph(g.n, [(a, b) for a, b in g.arcs if a != 0])
-                if len(find_independent_partition(g).blue) == blue:
-                    break
-            rep = detect_hamiltonian_cycle(g, trials=1 + i // 9 % 3, seed=rnd.randrange(1 << 30))
+        for blue, rep in golden_reports():
             runs.append((rep.verdict, rep.trials_run, rep.detail.get("witness_value"),
                          rep.detail.get("pairs_per_trial")))
             seen.add((blue, rep.verdict))
         assert {(9, False), (9, True), (8, False), (8, True)} <= seen
         digest = hashlib.sha256(repr(runs).encode()).hexdigest()
         assert digest == "87ca7b3193303cc4c772e755fd160465f386e09e90e215e008e0391dd786dd3c"
+
+    def test_full_report_digest(self):
+        # the whole report (answer, trials_run, trials_max, failure_bound and
+        # the detail with its key order) of the 45 golden runs, then of
+        # default-trial NOs at n = 2..17, where the default count is 6, 7 and
+        # 8, and of both structural NOs: every printed float bit is pinned
+        runs = [report_fields(rep) for _, rep in golden_reports()]
+        rnd = random.Random(2034)
+        for n in (2, 3, 4, 5, 9, 16, 17):
+            g = sink_graph(rnd, n)
+            rep = detect_hamiltonian_cycle(g, seed=rnd.randrange(1 << 30))
+            assert not rep.verdict and rep.trials_run == rep.trials_max == default_trial_count(n)
+            runs.append(report_fields(rep))
+        for g in (make_digraph(1, []), out_star(6)):
+            rep = detect_hamiltonian_cycle(g, seed=5)
+            assert not rep.verdict and rep.failure_bound == 0.0 and "reason" in rep.detail
+            runs.append(report_fields(rep))
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == "18ae0416aef3b2831a9f786c195cfa900fe2421fa4b61d994381fc42c864b176"
 
     def test_default_bound_no_weaker_than_before(self):
         # before one field served every n, n vertices ran in GF(2^(2 bitlen(n-1)))
