@@ -38,11 +38,11 @@ from .graph import Digraph
 # tracer in perfbench/layertrace.py rebinds it under this module's name
 from .matrixtree import BRANCHING_COUNT_GUARD, count_out_branchings  # noqa: F401
 from .rand import counter_draw, derive_seed, make_rng
-from .report import DetectionReport
+from .report import DetectionReport, run_trials
 
 GROUP_RANK_LIMIT = 6
 # detect_k_internal evaluates its trials in chunks of 1, 4, 16, ...
-# up to this many (see _trial_chunks)
+# up to this many (see report.trial_chunks)
 INTERNAL_CHUNK = 34
 # Bytes that detect_k_internal allows _internal_gather_bytes, its bound on the
 # largest gather in _InternalSieveEngine._mul: det_batch's first rank-1
@@ -62,7 +62,7 @@ LEAF_BUDGET_LIMIT = 4**6
 # batched_modp_det call of BranchingLeafPolynomial, or one chunk's assignments
 LEAF_STACK_LIMIT = 1 << 24
 # solve_nk_dv evaluates its trials in chunks of 1, 4, 16, ... up to this many
-# (see _trial_chunks)
+# (see report.trial_chunks)
 LEAF_CHUNK = 64
 
 
@@ -80,22 +80,6 @@ def _live_span(lines: np.ndarray, start: int) -> slice | None:
         return slice(start, start + m)
     live = lines.any(axis=tuple(range(1, lines.ndim))).nonzero()[0]
     return slice(start + live[0], start + live[-1] + 1) if live.size else None
-
-
-def _trial_chunks(total: int, cap: int):
-    """Chunk sizes 1, 4, 16, ..., each at most cap, that add up to total.
-
-    A one-sided detector stops after the chunk with its first hit, so the
-    first chunks stay small for YES answers, and growth by 4 keeps the
-    number of fixed-cost kernel calls a NO pays for low.
-    """
-    done = 0
-    size = 1
-    while done < total:
-        count = min(size, cap, total - done)
-        yield count
-        done += count
-        size *= 4
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +414,8 @@ def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> D
     The spanning roots reach every vertex (see _spanning_roots); k = 0 is
     answered exactly. Otherwise `trials` randomized evaluations of one
     determinant over every spanning root (see _InternalSieveEngine) run in
-    chunks of 1, 4, 16, ... up to INTERNAL_CHUNK trials, stopping after the
-    chunk with the first hit; a nonzero verdict slot (the degree-k slice)
+    report.run_trials' chunks of up to INTERNAL_CHUNK trials, stopping after
+    the chunk with the first hit; a nonzero verdict slot (the degree-k slice)
     certifies YES. Reports are identical for any chunking: trial t's draws
     depend only on (seed, the first spanning root, t). Refuses trials < 1
     (ValueError) before it reads the graph, then k > GROUP_RANK_LIMIT and a
@@ -465,23 +449,13 @@ def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> D
         )
     field = make_binary_field(binary_field_degree(n))
     engine = _InternalSieveEngine(g, roots, k, field)
-    done = 0
-    hit = False
-    for b in _trial_chunks(trials, INTERNAL_CHUNK):
-        hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, seed, roots[0], done, b))
-        if hits.any():
-            done += int(np.argmax(hits)) + 1
-            hit = True
-            break
-        done += b
-    floor = internal_sieve_success_floor(n, k)
-    return DetectionReport(
-        verdict=hit,
-        trials_run=done,
-        trials_max=trials,
-        failure_bound=0.0 if hit else (1.0 - floor) ** trials,
-        detail={"engine": "batched", "roots": roots},
-    )
+
+    def chunk(start: int, count: int):
+        hits = engine.run_chunk(*_draw_internal_chunk(g, k, field, seed, roots[0], start, count))
+        return (int(np.argmax(hits)), True) if hits.any() else None
+
+    hit, trials_run, bound = run_trials(trials, INTERNAL_CHUNK, internal_sieve_success_floor(n, k), chunk)
+    return DetectionReport(hit is not None, trials_run, trials, bound, {"engine": "batched", "roots": roots})
 
 
 def _bordered_vertices(g: Digraph, roots: list[int]) -> list[int]:
@@ -953,17 +927,18 @@ def solve_nk_dv(
     >= 2^-k * 2^-k = 4^-k per trial, so NO answers carry the bound
     (1 - 4^-k)^budget; budget defaults to 4^k trials.
 
-    Trials run in chunks of 1, 4, 16, ... up to LEAF_CHUNK (fewer when a
-    chunk's assignments would pass LEAF_STACK_LIMIT bytes; see
-    _trial_chunks). Per chunk and prime, P is evaluated at tau = 1..2n+1
-    for every trial in one batch, and one interpolate_univariate call turns
-    those values into coefficients through an inverse Vandermonde built
-    once per prime, when that prime first interpolates (a YES that p1 finds
-    in the first chunk never builds p2's). The scan order is trial, then
-    p1, then p2 (p2 runs only on the trials before p1's first hit in the
-    chunk), so trials_run and the hit are those of a one-trial,
-    one-prime-at-a-time scan. The detail's evaluations counts the points P
-    was evaluated at: every row passed to evaluate_batch.
+    report.run_trials runs the trials in chunks of 1, 4, 16, ... up to
+    LEAF_CHUNK (fewer when a chunk's assignments would pass LEAF_STACK_LIMIT
+    bytes) and stops after the chunk with the first hit. Per chunk and
+    prime, P is evaluated at tau = 1..2n+1 for every trial in one batch, and
+    one interpolate_univariate call turns those values into coefficients
+    through an inverse Vandermonde built once per prime, when that prime
+    first interpolates (a YES that p1 finds in the first chunk never builds
+    p2's). The scan order is trial, then p1, then p2 (p2 runs only on the
+    trials before p1's first hit in the chunk), so trials_run and the hit
+    are those of a one-trial, one-prime-at-a-time scan. The detail's
+    evaluations counts the points P was evaluated at: every row passed to
+    evaluate_batch.
 
     Any 2n+1 points distinct mod p give the same coefficients. The points
     start at 1, not 0, so that no assignment holds a zero: both primes lie
@@ -991,16 +966,17 @@ def solve_nk_dv(
     points = taus + 1  # evaluation points
     vinvs = {}  # a prime's inverse Vandermonde, built when it first interpolates
     chunk_cap = max(1, LEAF_STACK_LIMIT // (8 * npts * n))  # trials whose assignments fit
-    hit_detail = None
-    trials_run = 0
     evaluations = 0
-    for count in _trial_chunks(budget, min(LEAF_CHUNK, chunk_cap)):
-        bits = _draw_dv_chunk(seed, trials_run, count, n)
+
+    def chunk(start: int, count: int):
+        nonlocal evaluations
+        bits = _draw_dv_chunk(seed, start, count, n)
         ys = np.where(bits[:, None, :], points[None, :, None], 1).reshape(count * npts, n)
         # coefficient j of P(routed) sits at index j + (count of False) of the image
         index = taus[None, :] + (n - bits.sum(axis=1))[:, None]
         outside = (index <= n - k) | (index >= n + k)
         first = count
+        hit = None
         for p in (p1, p2):
             if first == 0:
                 break
@@ -1012,27 +988,13 @@ def solve_nk_dv(
             rows = np.flatnonzero(found.any(axis=1))
             if rows.size:
                 first = int(rows[0])
-                hit_detail = {
-                    "trial": trials_run + first,
-                    "prime": p,
-                    "coefficient_indices": index[first][found[first]].tolist(),
-                }
-        if hit_detail is not None:
-            trials_run += first + 1
-            break
-        trials_run += count
+                hit = {"trial": start + first, "prime": p,
+                       "coefficient_indices": index[first][found[first]].tolist()}
+        return None if hit is None else (first, hit)
 
-    return DetectionReport(
-        verdict=hit_detail is not None,
-        trials_run=trials_run,
-        trials_max=budget,
-        failure_bound=0.0 if hit_detail else (1.0 - 4.0**-k) ** budget,
-        detail={
-            "primes": [p1, p2],
-            "evaluations": evaluations,
-            **({"hit": hit_detail} if hit_detail else {}),
-        },
-    )
+    hit, trials_run, bound = run_trials(budget, min(LEAF_CHUNK, chunk_cap), 4.0**-k, chunk)
+    detail = {"primes": [p1, p2], "evaluations": evaluations, **({} if hit is None else {"hit": hit})}
+    return DetectionReport(hit is not None, trials_run, budget, bound, detail)
 
 
 def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) -> DetectionReport:

@@ -49,7 +49,6 @@ batched gathers that need no pivot and drop nothing.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -59,7 +58,7 @@ from .algebra import BinaryField, make_binary_field, minor_plan
 from .errors import GuardError
 from .graph import Digraph, IndependentPartition, find_independent_partition
 from .rand import counter_draw, derive_seed
-from .report import DetectionReport
+from .report import DetectionReport, run_trials
 
 # every detection draws its weights from GF(2^FIELD_BITS)
 FIELD_BITS = 16
@@ -497,33 +496,17 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
         )
     layout = PortLayout.from_partition(g, part)
     field = make_binary_field(FIELD_BITS)
-    pairs = 0
     key = derive_seed("hc-trial", seed)
     # one weight plan and gather stack serve every trial and every chunk, so
     # a trial allocates nothing large
     sieve = _BatchedSieve(g, layout)
-    for t in range(tmax):
-        w = PortWeights.draw(g, layout, field, key, t)
-        total, pairs = sieve_membership_pairs(g, layout, w, sieve)
-        if total != 0:
-            return DetectionReport(
-                verdict=True, trials_run=t + 1, trials_max=tmax, failure_bound=0.0,
-                detail={"pairs_per_trial": pairs, "field_bits": field.m,
-                        "witness_value": total, "engine": "batched"},
-            )
-    return DetectionReport(
-        verdict=False, trials_run=tmax, trials_max=tmax,
-        failure_bound=failure_bound(n, tmax),
-        detail={"pairs_per_trial": pairs, "field_bits": field.m, "engine": "batched"},
-    )
 
+    def trial(t: int, _count: int):
+        total, _ = sieve_membership_pairs(g, layout, PortWeights.draw(g, layout, field, key, t), sieve)
+        return (0, total) if total else None
 
-def failure_bound(n: int, trials: int) -> float:
-    """Upper bound on the false-negative probability of the cycle test.
-
-    Every detection draws from GF(2^FIELD_BITS), of order q, and each zero
-    trial misses a cycle with probability at most n/q.
-    """
-    if n < 2:
-        return 0.0
-    return math.pow(n / (1 << FIELD_BITS), trials)
+    # each zero trial misses a cycle with probability at most n/q
+    witness, trials_run, bound = run_trials(tmax, 1, 1.0 - n / field.q, trial)
+    detail = {"pairs_per_trial": 2 * 3 ** (len(layout.blue) - 1), "field_bits": field.m,
+              **({} if witness is None else {"witness_value": witness}), "engine": "batched"}
+    return DetectionReport(witness is not None, trials_run, tmax, bound, detail)

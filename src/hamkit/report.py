@@ -1,4 +1,4 @@
-"""Result record shared by the randomized detectors."""
+"""Result record and trial driver shared by the randomized detectors."""
 
 from __future__ import annotations
 
@@ -20,3 +20,39 @@ class DetectionReport(namedtuple("DetectionReport", "verdict trials_run trials_m
                 detail: dict | None = None):
         return super().__new__(cls, verdict, trials_run, trials_max, failure_bound,
                                {} if detail is None else detail)
+
+
+def trial_chunks(total: int, cap: int):
+    """Chunk sizes 1, 4, 16, ..., each at most cap, that add up to total.
+
+    A one-sided detector stops after the chunk with its first hit, so the
+    first chunks stay small for YES answers, and growth by 4 keeps the
+    number of fixed-cost kernel calls a NO pays for low.
+    """
+    done = 0
+    size = 1
+    while done < total:
+        count = min(size, cap, total - done)
+        yield count
+        done += count
+        size *= 4
+
+
+def run_trials(trials: int, cap: int, floor: float, run_chunk):
+    """Run trials 0..trials-1 in trial_chunks(trials, cap) up to the first hit.
+
+    run_chunk(start, count) runs trials start..start+count-1 and returns
+    None, or (offset, hit) for the first of them that hits, trial start +
+    offset. Returns (hit, trials_run, failure_bound): the hit, the trials up
+    to and including it, and 0.0 on a YES; None, trials and (1 - floor) **
+    trials on a NO, where floor is a lower bound on a trial's chance to hit
+    on a YES instance.
+    """
+    start = 0
+    for count in trial_chunks(trials, cap):
+        found = run_chunk(start, count)
+        if found is not None:
+            offset, hit = found
+            return hit, start + offset + 1, 0.0
+        start += count
+    return None, trials, (1.0 - floor) ** trials

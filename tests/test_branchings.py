@@ -34,6 +34,7 @@ from hamkit.branchings import (
 from hamkit.errors import GuardError
 from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings
+from hamkit.report import trial_chunks
 from hamkit import oracle
 from reference import (
     INTEGERS,
@@ -133,15 +134,15 @@ class TestSpanningRoots:
 
 class TestTrialChunks:
     def test_literal_schedules(self):
-        assert list(branchings._trial_chunks(0, 34)) == []
-        assert list(branchings._trial_chunks(100, 34)) == [1, 4, 16, 34, 34, 11]
-        assert list(branchings._trial_chunks(100, 64)) == [1, 4, 16, 64, 15]
-        assert list(branchings._trial_chunks(256, 64)) == [1, 4, 16, 64, 64, 64, 43]
+        assert list(trial_chunks(0, 34)) == []
+        assert list(trial_chunks(100, 34)) == [1, 4, 16, 34, 34, 11]
+        assert list(trial_chunks(100, 64)) == [1, 4, 16, 64, 15]
+        assert list(trial_chunks(256, 64)) == [1, 4, 16, 64, 64, 64, 43]
 
     def test_sizes_grow_by_four_up_to_cap(self):
         for total in (0, 1, 2, 5, 6, 21, 22, 100, 341, 4096):
             for cap in (1, 3, 4, 16, 34, 64, 10**6):
-                sizes = list(branchings._trial_chunks(total, cap))
+                sizes = list(trial_chunks(total, cap))
                 assert sum(sizes) == total, (total, cap)
                 assert all(0 < size <= cap for size in sizes), (total, cap)
                 # every chunk but the last is full; the last is cut short by total

@@ -26,7 +26,6 @@ from hamkit.hamdetect import (
     batched_gf_det,
     default_trial_count,
     detect_hamiltonian_cycle,
-    failure_bound,
     sieve_membership_pairs,
     subset_xor_table,
 )
@@ -770,18 +769,23 @@ class TestDetect:
         # one field at every n, and the fewest trials with (n/q)^T <= 2^-84
         assert (FIELD_BITS, FAILURE_TARGET_BITS) == (16, 84)
         assert [default_trial_count(n) for n in (2, 4, 5, 10, 16, 17, 32)] == [6, 6, 7, 7, 7, 8, 8]
-        assert failure_bound(10, 10) == (10 / 65536) ** 10
         for n in range(2, 33):
-            assert failure_bound(n, 1) == n / make_binary_field(FIELD_BITS).q, n
             t = default_trial_count(n)
             assert n**t << 84 <= 1 << (16 * t) < n ** (t - 1) << (84 + 16), n
-            assert failure_bound(n, t) <= 2.0**-84, n
+            assert (n / 2**16) ** t <= 2.0**-84, n
+        # a NO prints (n/q)^T: n/q after one trial, at every n up to 17
+        rnd = random.Random(2035)
+        q = make_binary_field(FIELD_BITS).q
+        for n in range(2, 18):
+            rep = detect_hamiltonian_cycle(sink_graph(rnd, n), trials=1, seed=n)
+            assert not rep.verdict and rep.failure_bound == n / q, n
         rep = detect_hamiltonian_cycle(acyclic_tournament(6), trials=5, seed=0)
         assert rep.trials_run == rep.trials_max == 5
+        assert rep.failure_bound == (6 / 65536) ** 5
         rep = detect_hamiltonian_cycle(acyclic_tournament(6), seed=0)
         assert rep.trials_run == rep.trials_max == 7
         assert rep.detail["field_bits"] == 16
-        assert 0.0 < rep.failure_bound <= 2.0**-84
+        assert rep.failure_bound == (6 / 65536) ** 7 <= 2.0**-84
 
     def test_golden_digest(self):
         # (answer, trials, witness_value, pairs_per_trial) of the 45 seeded
@@ -817,8 +821,12 @@ class TestDetect:
 
     def test_default_bound_no_weaker_than_before(self):
         # before one field served every n, n vertices ran in GF(2^(2 bitlen(n-1)))
-        # for 2 bitlen(n-1) + 4 trials
+        # for 2 bitlen(n-1) + 4 trials; a default-trial NO prints (n/2^16)^T
         for n in range(2, 33):
             bits = 2 * (n - 1).bit_length()
             before = (n / 2**bits) ** (bits + 4)
-            assert failure_bound(n, default_trial_count(n)) <= before, n
+            assert (n / 2**16) ** default_trial_count(n) <= before, n
+        rnd = random.Random(2036)
+        for n in (2, 5, 12, 17):
+            rep = detect_hamiltonian_cycle(sink_graph(rnd, n), seed=n)
+            assert not rep.verdict and rep.failure_bound == (n / 2**16) ** default_trial_count(n), n
