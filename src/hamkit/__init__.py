@@ -4,8 +4,9 @@ The package is organised around a weighted-Laplacian toolbox:
 
 - graph: digraph parsing, the cycle-to-path vertex split, independent-set
   partitions of the vertex set.
-- algebra: binary fields GF(2^m) with numpy batched kernels, primes,
-  prime-power residues, CRT.
+- algebra: primes, prime-power residues, CRT.
+- gf2m: the detectors' binary fields GF(2^m) on numpy arrays, and the
+  gather plan of sign-free minors that their determinant kernels share.
 - matrixtree: out-branching counts and the exact integer determinant
   (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
@@ -31,12 +32,12 @@ integer arithmetic, with one determinant kernel (±1-pivot elimination,
 then Bareiss): hamcount takes one determinant per subset (or listed MITM
 pair) whose dead-row product is nonzero mod the pass modulus p^k (the other
 terms vanish mod p^k), and count_out_branchings one bigint determinant of
-the punctured Laplacian. Only the detectors
-batch over numpy arrays: hamdetect, branchings, and the binary-field tables
-in algebra, which import numpy when the first field is built. So `import
-hamkit`, the counting commands and the oracles never load numpy; the four
-numpy-backed exports (detect_hamiltonian_cycle, detect_k_internal,
-detect_k_leaf, solve_nk_dv) load hamdetect or branchings on first access.
+the punctured Laplacian. Only the detectors batch over numpy arrays:
+hamdetect, branchings, and the binary fields in gf2m, which only they
+import. So `import hamkit`, the counting commands and the oracles never
+load numpy; the four numpy-backed exports (detect_hamiltonian_cycle,
+detect_k_internal, detect_k_leaf, solve_nk_dv) load hamdetect or
+branchings on first access.
 Nor do `import hamkit` and the counting commands load the data-class module
 with its inspect and ast imports (the records are namedtuples or __slots__
 classes), fractions (only count-exact's --d parses one) or the oracle module

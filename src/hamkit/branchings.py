@@ -31,8 +31,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .algebra import BinaryField, binary_field_degree, make_binary_field, minor_plan, random_prime_31
+from .algebra import random_prime_31
 from .errors import GuardError
+from .gf2m import BinaryField, make_binary_field, minor_plan
 from .graph import Digraph
 # count_out_branchings is not called here; it stays bound because the layer
 # tracer in perfbench/layertrace.py rebinds it under this module's name
@@ -334,7 +335,7 @@ class _InternalSieveEngine:
     def _det_minors(self, mats: np.ndarray) -> np.ndarray:
         """Determinants [B, len] of a [s, s, B, len] stack, s >= 1, from its sign-free minors.
 
-        R has characteristic 2, so algebra.minor_plan applies: row r's
+        R has characteristic 2, so gf2m.minor_plan applies: row r's
         minors are one ring product per column of each column set, from
         one gather of row r and one of the minors above it, and one xor
         reduction. It needs no unit pivot.
@@ -391,6 +392,11 @@ def _internal_gather_bytes(n: int, k: int) -> int:
     too, but at n = 2 and at n = 3, k = 1 (at most 1,632 bytes).
     """
     return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
+
+
+def binary_field_degree(n: int) -> int:
+    """Degree m = 2 bitlen(n-1) of k-internal's field for n vertices, so 2^m >= n^2."""
+    return 2 * (n - 1).bit_length()
 
 
 def internal_sieve_success_floor(n: int, k: int) -> float:

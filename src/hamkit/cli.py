@@ -2,16 +2,18 @@
 
 Every subcommand reads the text graph format (header "n m", one "tail head"
 line per arc), takes --seed and --threads, and prints a single JSON object
-to stdout plus a short human summary to stderr. Without --seed, the
-HAMKIT_SEED environment variable (then 0) gives the seed; main reads it after
+to stdout plus a short human summary to stderr, where a library warning
+(a collapsed duplicate arc, the naive fallback of --mode mitm) prints as
+one "hamkit: warning: <message>" line. Without --seed, the HAMKIT_SEED
+environment variable (then 0) gives the seed; main reads it after
 parsing, on every call, since the parser is built once per process.
 --threads is accepted for compatibility and has no effect: every command
 runs on the calling thread. Exit codes: 0 for completed runs including NO
 answers, 2 for usage or input errors, 3 for guard violations (instances
-beyond the desk-scale limits). Only the
-detect-* commands import hamdetect or branchings, and numpy with them; the
-counting and oracle commands run without numpy. Only the oracle commands
-import hamkit.oracle, and only count-exact's --d imports fractions.
+beyond the desk-scale limits). Only the detect-* commands import hamdetect
+or branchings, and gf2m and numpy with them; the counting and oracle
+commands run without numpy. Only the oracle commands import hamkit.oracle,
+and only count-exact's --d imports fractions.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import hamcount
 from .errors import GuardError, ParseError
@@ -284,8 +287,11 @@ def main(argv=None) -> int:
         importlib.import_module(f".{_HANDLER_MODULES[args.command]}", __package__)
     started = time.perf_counter()
     try:
-        g = _load_graph(args.graph)
-        payload, human = _HANDLERS[args.command](args, g, args.seed)
+        with warnings.catch_warnings():
+            # a library warning prints as one line, not as a source location
+            warnings.showwarning = lambda message, *_: print(f"hamkit: warning: {message}", file=sys.stderr)
+            g = _load_graph(args.graph)
+            payload, human = _HANDLERS[args.command](args, g, args.seed)
     except (ParseError, OSError) as exc:
         print(f"hamkit: {exc}", file=sys.stderr)
         return 2

@@ -175,10 +175,6 @@ class IndependentPartition(namedtuple("IndependentPartition", "blue yellow")):
     __slots__ = ()
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def mis_branch_and_bound(g: Digraph) -> int:
     """Maximum independent set of the underlying graph, as a bitmask."""
     nbr = g.undirected_neighbor_masks()
@@ -187,7 +183,7 @@ def mis_branch_and_bound(g: Digraph) -> int:
 
     def rec(remaining: int, chosen: int, size: int) -> None:
         nonlocal best, best_size
-        if size + _popcount(remaining) <= best_size:
+        if size + remaining.bit_count() <= best_size:
             return
         if not remaining:
             if size > best_size:
@@ -200,14 +196,14 @@ def mis_branch_and_bound(g: Digraph) -> int:
         while r:
             v = (r & -r).bit_length() - 1
             r &= r - 1
-            deg = _popcount(nbr[v] & remaining)
+            deg = (nbr[v] & remaining).bit_count()
             if deg > pick_deg:
                 pick, pick_deg = v, deg
         if pick_deg == 0:
             # everything left is pairwise non-adjacent, take it all
-            if size + _popcount(remaining) > best_size:
+            if size + remaining.bit_count() > best_size:
                 best = chosen | remaining
-                best_size = size + _popcount(remaining)
+                best_size = size + remaining.bit_count()
             return
         bit = 1 << pick
         rec(remaining & ~bit & ~nbr[pick], chosen | bit, size + 1)

@@ -54,8 +54,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import BinaryField, make_binary_field, minor_plan
 from .errors import GuardError
+from .gf2m import BinaryField, make_binary_field, minor_plan
 from .graph import Digraph, IndependentPartition, find_independent_partition
 from .rand import counter_draw, derive_seed
 from .report import DetectionReport, run_trials
@@ -176,7 +176,7 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     nonzero entry added to its top row, which leaves the determinant
     unchanged; one flat take gathers those rows for the whole stack.
     The tail needs no pivot and drops nothing: its determinant is the xor
-    of its sign-free row-by-row minors (algebra.minor_plan). Row r takes
+    of its sign-free row-by-row minors (gf2m.minor_plan). Row r takes
     every minor of rows 0..r at once through the cached plan of t: two
     gathers of logs, one add, one exp-table gather and one xor reduction.
     A matrix of at most MINOR_TAIL rows is its own tail and runs no
@@ -420,23 +420,17 @@ class _BatchedSieve:
         return out
 
 
-def sieve_membership_pairs(
-    g: Digraph, layout: PortLayout, weights: PortWeights,
-    sieve: _BatchedSieve | None = None,
-) -> tuple[int, int]:
-    """Sum det(port matrix) over all gated membership pairs.
+def sieve_membership_pairs(sieve: _BatchedSieve, weights: PortWeights) -> int:
+    """Sum det(port matrix) over all gated membership pairs: one field element.
 
-    Returns (field element, number of pairs visited). The sum is the xor of
-    2 * 3^(|blue| - 1) determinants, and is independent of visit order. The
-    pairs are taken in chunks of at most STATE_CHUNK, one per prefix of high
-    base-3 digits (see _pair_plan), each gathered from this trial's tables
-    into the sieve's gather stack. A detection passes its own sieve (built
-    for g and layout), so that its trials share the weight plan and the
-    gather stack; without it the pass builds its own. The stack's contents
-    on entry do not matter.
+    The sum is the xor of 2 * 3^(|blue| - 1) determinants, and is
+    independent of visit order. The pairs are taken in chunks of at most
+    STATE_CHUNK, one per prefix of high base-3 digits (see _pair_plan),
+    each gathered from this trial's tables into the sieve's gather stack.
+    The sieve is the detection's own, built for the graph and layout the
+    weights were drawn on, so that its trials share the weight plan and the
+    gather stack. The stack's contents on entry do not matter.
     """
-    if sieve is None:
-        sieve = _BatchedSieve(g, layout)
     tables = sieve.tables(weights)
     plan = sieve.plan
     total = 0
@@ -444,7 +438,7 @@ def sieve_membership_pairs(
         index = [base + offset[h] for base, offset in plan]
         dets = batched_gf_det(weights.field, sieve.matrices(tables, index))
         total ^= int(np.bitwise_xor.reduce(dets))
-    return total, 2 * 3 ** (len(layout.blue) - 1)
+    return total
 
 
 def default_trial_count(n: int) -> int:
@@ -502,7 +496,7 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     sieve = _BatchedSieve(g, layout)
 
     def trial(t: int, _count: int):
-        total, _ = sieve_membership_pairs(g, layout, PortWeights.draw(g, layout, field, key, t), sieve)
+        total = sieve_membership_pairs(sieve, PortWeights.draw(g, layout, field, key, t))
         return (0, total) if total else None
 
     # each zero trial misses a cycle with probability at most n/q

@@ -26,15 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from hamkit.algebra import (
-    binary_field_degree,
-    gf2_mod,
-    gf2_mul,
-    is_prime,
-    make_binary_field,
-    random_prime_31,
-)
+from hamkit.algebra import is_prime, random_prime_31
+from hamkit.branchings import binary_field_degree
 from hamkit.errors import GuardError
+from hamkit.gf2m import gf2_mod, gf2_mul, make_binary_field
 from hamkit.graph import Digraph
 from hamkit.hamcount import RESIDUE_MODULUS_LIMIT
 from hamkit.matrixtree import count_out_branchings
@@ -104,7 +99,7 @@ def scalar_field_tables(m: int, poly: int) -> tuple[int, tuple[int, ...], tuple[
 class ScalarBinaryField:
     """One element at a time over GF(2^m), on log/exp tables of its own.
 
-    The package's GF(2^m) multiplies only numpy arrays (nmul, ninv); this is
+    The package's GF(2^m) multiplies only numpy arrays (nmul); this is
     the scalar ring the reference routes and the tests check those against.
     It shares only the degree and the modulus with the hamkit BinaryField it
     wraps: its tables come from scalar_field_tables, not from the field.
@@ -569,13 +564,12 @@ def fold_port_matrix(layout, port: SquareMatrix) -> list[list[int]]:
     return rows
 
 
-def scalar_pair_sum(g, layout, weights) -> tuple[int, int]:
-    """(xor of the port-matrix determinants over all membership pairs, pair count)."""
-    total = pairs = 0
+def scalar_pair_sum(g, layout, weights) -> int:
+    """The xor of the port-matrix determinants over all membership pairs."""
+    total = 0
     for imask, omask in iter_membership_pairs(layout):
         total ^= det_gauss(build_port_matrix(g, layout, weights, imask, omask))
-        pairs += 1
-    return total, pairs
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamkit.algebra import (
-    BinaryField,
-    binary_field_degree,
-    crt_combine,
-    find_irreducible,
-    gf2_is_irreducible,
-    is_prime,
-    make_binary_field,
-    primes_up_to,
-    random_prime_31,
-)
+from hamkit.algebra import crt_combine, is_prime, primes_up_to, random_prime_31
+from hamkit.branchings import binary_field_degree
 from hamkit.errors import GuardError
+from hamkit.gf2m import BinaryField, find_irreducible, gf2_is_irreducible, make_binary_field
 from reference import (
     GroupAlgebra,
     PrimeField,
@@ -114,10 +106,11 @@ class TestBinaryField:
             assert f.add(a, a) == 0
 
     def test_inverses(self):
+        # the scalar inverse, and the kernels' exp[(q - 1) - log a] against it
         f = ScalarBinaryField(BinaryField(6))
         for a in range(1, f.q):
             assert f.mul(a, f.inv(a)) == 1
-            assert f.inv(a) == int(f.field.ninv(np.int32(a)))
+            assert f.inv(a) == int(f.field.np_exp[f.q - 1 - f.field.np_log[a]])
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
 
@@ -138,7 +131,7 @@ class TestBinaryField:
         for x, y, z in zip(a.tolist(), b.tolist(), prod.tolist()):
             assert sf.mul(x, y) == z
         nz = a[a != 0]
-        inv = f.ninv(nz)
+        inv = f.np_exp[f.q - 1 - f.np_log[nz]]
         for x, y in zip(nz.tolist(), inv.tolist()):
             assert sf.mul(x, y) == 1
 
@@ -151,7 +144,7 @@ class TestBinaryField:
         shared = make_binary_field(8)
         assert shared is make_binary_field(binary_field_degree(16))
         assert shared.m == 8
-        for table in (shared.np_log, shared.np_exp, shared.np_inv):
+        for table in (shared.np_log, shared.np_exp):
             with pytest.raises(ValueError):
                 table[1] = 0
             with pytest.raises(ValueError):
@@ -171,11 +164,10 @@ class TestBinaryField:
         assert f.generator == gen
         assert f.np_exp.tolist() == list(exp) + [0] * (2 * order + 1)
         assert f.np_log.tolist() == [2 * order] + list(log[1:])
-        assert f.np_inv.tolist() == [0] + [exp[order - log[a]] for a in range(1, f.q)]
 
 
 class TestBatchedBinaryField:
-    """nmul and ninv read the zero sentinel in np_log instead of masking zeros."""
+    """nmul reads the zero sentinel in np_log instead of masking zeros."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_nmul_every_pair(self, m):
@@ -200,14 +192,6 @@ class TestBatchedBinaryField:
         assert prod.dtype == np.int32
         for x, y, z in zip(a.tolist(), b.tolist(), prod.tolist()):
             assert sf.mul(x, y) == z, (x, y)
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 10, 13])
-    def test_ninv(self, m):
-        f = BinaryField(m)
-        assert f.ninv(0) == 0
-        nz = np.arange(1, f.q, dtype=np.int32)
-        assert np.all(f.nmul(nz, f.ninv(nz)) == 1)
-        assert np.all(f.ninv(np.zeros(3, dtype=np.int32)) == 0)
 
     def test_broadcast_shapes(self):
         # broadcast products as nmul's callers take them: the [|blue|, 1, |yellow|]

@@ -20,10 +20,10 @@ from conftest import (
     rooted_path,
 )
 from hamkit import branchings
-from hamkit.algebra import BinaryField, binary_field_degree, make_binary_field
 from hamkit.branchings import (
     BranchingLeafPolynomial,
     batched_modp_det,
+    binary_field_degree,
     detect_k_internal,
     detect_k_leaf,
     internal_sieve_success_floor,
@@ -32,6 +32,7 @@ from hamkit.branchings import (
     solve_nk_dv,
 )
 from hamkit.errors import GuardError
+from hamkit.gf2m import BinaryField, make_binary_field
 from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings
 from hamkit.report import trial_chunks

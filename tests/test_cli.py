@@ -83,6 +83,28 @@ class TestReportShape:
         assert code == 0
         assert err.startswith("hamkit:")
 
+    def test_library_warnings_print_as_hamkit_lines(self, tmp_path):
+        # in a process of its own, so Python's own warning display is what the
+        # CLI replaces: a repeated arc and the mitm fallback each print one
+        # line, with no source location, and stdout is as without the warning
+        g = directed_cycle(5)
+        dup = tmp_path / "dup.txt"
+        lines = ["5 6"] + [f"{u} {v}" for u, v in sorted(g.arcs)] + ["0 1"]
+        dup.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argvs = [["count-branchings", path, "--root", "0"] for path in (write_graph(tmp_path, g), str(dup))]
+        argvs.append(["count-mod", str(dup), "--p", str(2**31 - 1), "--k", "1"])
+        runs = json.loads(run_fresh(FRESH_STREAMS, json.dumps(argvs)))
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        (_, out, err), (_, dup_out, dup_err), (_, _, fallback_err) = runs
+        assert strip_elapsed(dup_out) == strip_elapsed(out)
+        assert dup_err.splitlines()[:1] == ["hamkit: warning: 1 duplicate arc(s) collapsed"]
+        assert fallback_err.splitlines()[1:2] == [
+            "hamkit: warning: meet-in-the-middle tables too large, falling back to naive sieve"
+        ]
+        # the warning lines, then the one summary line
+        assert [len(e.splitlines()) for e in (err, dup_err, fallback_err)] == [1, 2, 3]
+        assert ".py:" not in dup_err + fallback_err
+
 
 class TestAnswers:
     def test_detect_hc_yes_and_no(self, tmp_path, capsys):
@@ -639,6 +661,20 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(runs))
 """
 
+# Runs each argv list in the JSON list in argv[1] and prints, per run, the
+# exit code, stdout and stderr.
+FRESH_STREAMS = """
+import contextlib, io, json, sys
+from hamkit.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
 # Checks the package exports before and after resolving them through
 # getattr or a star import (argv[1]).
 FRESH_EXPORTS = """
@@ -668,7 +704,8 @@ print(json.dumps({
 # difference, not absence: site may have loaded some of them already.
 FRESH_IMPORTS = """
 import contextlib, io, json, sys
-WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "typing", "hamkit.oracle", "numpy"}
+WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "typing", "hamkit.oracle", "hamkit.gf2m",
+           "numpy"}
 before = set(sys.modules)
 from hamkit.cli import main
 added = []

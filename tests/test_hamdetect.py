@@ -14,8 +14,8 @@ from conftest import (
     out_star,
     random_digraph,
 )
-from hamkit import algebra, hamdetect
-from hamkit.algebra import make_binary_field
+from hamkit import gf2m, hamdetect
+from hamkit.gf2m import make_binary_field
 from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamdetect import (
     BLUE_LIMIT,
@@ -139,16 +139,17 @@ class TestSieve:
             layout = make_layout(g)
             field = make_binary_field(FIELD_BITS)
             w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
-            assert sieve_membership_pairs(g, layout, w) == scalar_pair_sum(g, layout, w)
+            sieve = hamdetect._BatchedSieve(g, layout)
+            assert sieve_membership_pairs(sieve, w) == scalar_pair_sum(g, layout, w)
 
     def test_chunking_does_not_change_sum(self, monkeypatch):
         g = random_digraph(random.Random(74), 9, 0.5)
         layout = make_layout(g)
         field = make_binary_field(FIELD_BITS)
         w = PortWeights.draw(g, layout, field, 5)
-        whole = sieve_membership_pairs(g, layout, w)
+        whole = sieve_membership_pairs(hamdetect._BatchedSieve(g, layout), w)
         monkeypatch.setattr(hamdetect, "STATE_CHUNK", 7)
-        assert sieve_membership_pairs(g, layout, w) == whole
+        assert sieve_membership_pairs(hamdetect._BatchedSieve(g, layout), w) == whole
 
     def test_homogeneity_scaling(self):
         # every monomial of the pair-sum has total degree n, so scaling all
@@ -163,8 +164,9 @@ class TestSieve:
             w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
             c = rnd.randrange(2, field.q)
             scaled = PortWeights(layout, field, field.nmul(np.int32(c), w.values))
-            base, _ = sieve_membership_pairs(g, layout, w)
-            got, _ = sieve_membership_pairs(g, layout, scaled)
+            sieve = hamdetect._BatchedSieve(g, layout)
+            base = sieve_membership_pairs(sieve, w)
+            got = sieve_membership_pairs(sieve, scaled)
             sf = ScalarBinaryField(field)
             assert got == sf.mul(sf.pow(c, g.n), base)
 
@@ -173,8 +175,7 @@ class TestSieve:
         layout = make_layout(g)
         field = make_binary_field(FIELD_BITS)
         w = PortWeights(layout, field, np.zeros((5, g.m), dtype=np.int32))
-        total, _ = sieve_membership_pairs(g, layout, w)
-        assert total == 0
+        assert sieve_membership_pairs(hamdetect._BatchedSieve(g, layout), w) == 0
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_detection_reuses_one_gather_stack(self, monkeypatch, chunk):
@@ -192,9 +193,9 @@ class TestSieve:
             stacks.append(mats)
             return real_det(field, mats)
 
-        def record_sieve(g, layout, weights, sieve=None):
+        def record_sieve(sieve, weights):
             passes.append((weights, sieve))
-            return real_sieve(g, layout, weights, sieve)
+            return real_sieve(sieve, weights)
 
         monkeypatch.setattr(hamdetect, "batched_gf_det", record_det)
         monkeypatch.setattr(hamdetect, "sieve_membership_pairs", record_sieve)
@@ -207,10 +208,9 @@ class TestSieve:
         assert all(s is sieve for _, s in passes)
         assert sieve.plan is hamdetect._pair_plan(5, hamdetect.STATE_CHUNK)
         assert all(np.shares_memory(mats, sieve.out) for mats in stacks)
-        # a pass without a sieve builds its own and gets the same sum: on this
-        # NO, with the stack's leftover contents, and on a YES at the same
-        # |blue| (a directed 10-cycle: five blue, five yellow) with a sieve of
-        # its own
+        # a pass on a fresh sieve gets the same sum as one on a used sieve,
+        # with the stack's leftover contents: on this NO, and on a YES at the
+        # same |blue| (a directed 10-cycle: five blue, five yellow)
         field = make_binary_field(FIELD_BITS)
         yes = directed_cycle(10)
         yes_layout = PortLayout.from_partition(yes, find_independent_partition(yes))
@@ -220,9 +220,9 @@ class TestSieve:
         cases += [(yes, yes_layout, yes_sieve, PortWeights.draw(yes, yes_layout, field, 9, t))
                   for t in range(3)]
         for graph, lay, own, w in cases:
-            alone = sieve_membership_pairs(graph, lay, w)
-            assert alone[1] == 162 and (alone[0] != 0) == (graph is yes)
-            assert sieve_membership_pairs(graph, lay, w, own) == alone
+            alone = sieve_membership_pairs(hamdetect._BatchedSieve(graph, lay), w)
+            assert (alone != 0) == (graph is yes)
+            assert sieve_membership_pairs(own, w) == alone
 
 
 def golden_reports():
@@ -301,7 +301,7 @@ def decode_pairs(layout, index):
 
 
 def gathered_chunks(monkeypatch, g, layout, w):
-    """One sieve pass: its (total, pairs) and, per chunk, (pairs, gathered matrices)."""
+    """One sieve pass: its total and, per chunk, (pairs, gathered matrices)."""
     chunks = []
     real = hamdetect._BatchedSieve.matrices
 
@@ -311,7 +311,7 @@ def gathered_chunks(monkeypatch, g, layout, w):
         return mats
 
     monkeypatch.setattr(hamdetect._BatchedSieve, "matrices", record)
-    result = sieve_membership_pairs(g, layout, w)
+    result = sieve_membership_pairs(hamdetect._BatchedSieve(g, layout), w)
     monkeypatch.setattr(hamdetect._BatchedSieve, "matrices", real)
     return result, chunks
 
@@ -409,7 +409,7 @@ class TestSubsetTables:
                 for chunk in (2, 7, 97, hamdetect.STATE_CHUNK):
                     monkeypatch.setattr(hamdetect, "STATE_CHUNK", chunk)
                     result, chunks = gathered_chunks(monkeypatch, g, layout, w)
-                    assert result == (total, len(folded))
+                    assert result == total
                     size = 2 * 3 ** max([0] + [a for a in range(nb) if 2 * 3**a <= chunk])
                     assert [len(pairs) for pairs, _ in chunks] == [size] * (len(folded) // size)
                     visited = [pair for pairs, _ in chunks for pair in pairs]
@@ -671,9 +671,9 @@ class TestBatchedDet:
             mats = rng.integers(0, field.q, size=(60, n, n), dtype=np.int32)
             mats[30:][rng.random((30, n, n)) < 0.5] = 0
             self.routes(field, mats)
-        plan = algebra.minor_plan(t)
-        assert hamdetect.minor_plan is algebra.minor_plan
-        assert plan is algebra.minor_plan(t) and len(plan) == t - 1
+        plan = gf2m.minor_plan(t)
+        assert hamdetect.minor_plan is gf2m.minor_plan
+        assert plan is gf2m.minor_plan(t) and len(plan) == t - 1
         for r, (cols, rest) in enumerate(plan, 1):
             assert cols.shape == rest.shape == (math.comb(t, r + 1), r + 1)
             assert not cols.flags.writeable and not rest.flags.writeable

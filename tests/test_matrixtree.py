@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_digraph, cycle_plus, directed_cycle, directed_path, random_digraph
-from hamkit.algebra import BinaryField
+from hamkit.gf2m import BinaryField
 from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings, det_bareiss_int
 from hamkit import matrixtree, oracle

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import complete_digraph
 from hamkit import branchings
-from hamkit.algebra import binary_field_degree, make_binary_field
+from hamkit.branchings import binary_field_degree
+from hamkit.gf2m import make_binary_field
 from hamkit.graph import find_independent_partition
 from hamkit.hamdetect import FIELD_BITS, PortLayout, PortWeights
 from hamkit.rand import counter_draw, derive_seed
