@@ -644,6 +644,123 @@ class TestDetectorDigest:
         assert digest == "e464fa0f5841b494a3e5f2d4cb7fc56bbc9fa26c4ee961a38d2114c81299777b"
 
 
+def counting_corpus(rnd):
+    """Seeded (graph, argv) runs of the counting and oracle commands.
+
+    The graph is a Digraph, the raw text of a graph file, or None for a
+    missing file; "{g}" in argv marks where its path goes. count-mod in
+    both modes at p in {2, 3, 5} with the default and an explicit --k, the
+    mitm fallback at p = 2^31 - 1 and its warning, the exact counters and
+    count-branchings with zero counts among them, every oracle subcommand,
+    repeated arcs, and the usage, input and guard exits.
+    """
+    runs = []
+    for _ in range(6):
+        n = rnd.randint(3, 8)
+        g = cycle_plus(rnd, n, rnd.randint(0, n))
+        for p in ("2", "3", "5"):
+            for mode in ("naive", "mitm"):
+                runs.append((g, ["count-mod", "{g}", "--p", p, "--mode", mode]))
+    for _ in range(12):
+        g = random_digraph(rnd, rnd.randint(2, 8), rnd.uniform(0.3, 0.8))
+        argv = ["count-mod", "{g}", "--p", rnd.choice("235"), "--k", str(rnd.randint(1, 4))]
+        runs.append((g, argv + ([] if rnd.random() < 0.3 else ["--mode", rnd.choice(("naive", "mitm"))])))
+    for n in (5, 8):
+        runs.append((complete_digraph(n), ["count-mod", "{g}", "--p", "2147483647"]))
+        runs.append((complete_digraph(n), ["count-mod", "{g}", "--p", "2147483647", "--mode", "naive"]))
+    runs.append((directed_cycle(6), ["count-mod", "{g}", "--p", "2147483647", "--k", "2", "--mode", "mitm"]))
+    for _ in range(10):
+        g = random_digraph(rnd, rnd.randint(1, 8), rnd.uniform(0.2, 0.9))
+        runs.append((g, ["count-exact", "{g}", "--d", "9/8"]))
+        runs.append((g, ["count-avg-degree", "{g}"]))
+    runs += [(acyclic_tournament(5), ["count-exact", "{g}", "--d", "9/8"]),
+             (acyclic_tournament(5), ["count-avg-degree", "{g}"]),
+             (complete_digraph(6), ["count-exact", "{g}", "--d", "2"]),
+             (complete_digraph(6), ["count-exact", "{g}", "--d", "13/10"])]
+    for _ in range(12):
+        n = rnd.randint(1, 9)
+        g = random_digraph(rnd, n, rnd.uniform(0.1, 0.7))
+        runs.append((g, ["count-branchings", "{g}", "--root", str(rnd.randrange(n))]))
+    runs += [(out_star(6), ["count-branchings", "{g}", "--root", "1"]),
+             (complete_digraph(7), ["count-branchings", "{g}", "--root", "3"])]
+    for _ in range(6):
+        n = rnd.randint(2, 7)
+        g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
+        s, t = rnd.sample(range(n), 2)
+        runs += [(g, ["oracle", "hc-count", "{g}"]),
+                 (g, ["oracle", "hp-count", "{g}", "--s", str(s), "--t", str(t)]),
+                 (g, ["oracle", "branchings", "{g}", "--root", str(rnd.randrange(n))]),
+                 (g, ["oracle", "mis", "{g}"]),
+                 (g, ["oracle", "k-internal", "{g}", "--k", str(rnd.randint(0, n))]),
+                 (g, ["oracle", "k-leaf", "{g}", "--k", str(rnd.randint(0, n))])]
+    single = make_digraph(1, [])
+    runs += [(single, ["count-mod", "{g}", "--p", "3"]),
+             (single, ["count-exact", "{g}", "--d", "9/8"]),
+             (single, ["count-branchings", "{g}", "--root", "0"]),
+             (single, ["oracle", "hc-count", "{g}"]),
+             (directed_cycle(7), ["count-mod", "{g}", "--p", "3", "--lambda", "0.5"]),
+             (directed_cycle(7), ["count-mod", "{g}", "--p", "2", "--k", "70"])]
+    repeated = "4 6\n0 1\n1 2\n2 3\n3 0\n0 1\n2 3\n"
+    runs += [(repeated, ["count-mod", "{g}", "--p", "3"]),
+             (repeated, ["count-exact", "{g}", "--d", "9/8"]),
+             (repeated, ["oracle", "hc-count", "{g}"])]
+    five = directed_cycle(5)
+    runs += [(None, ["count-mod", "{g}", "--p", "3"]),
+             (None, ["oracle", "mis", "{g}"]),
+             ("3 1\n0 7\n", ["count-avg-degree", "{g}"]),
+             (five, ["count-mod", "{g}", "--p", "4"]),
+             (five, ["count-mod", "{g}", "--p", "3", "--k", "0"]),
+             (five, ["count-exact", "{g}", "--d", "1"]),
+             (five, ["count-branchings", "{g}", "--root", "5"]),
+             (five, ["oracle", "branchings", "{g}", "--root", "-1"]),
+             (five, ["count-avg-degree", "{g}", "--threads", "0"]),
+             (five, ["oracle", "hc-count", "{g}", "--threads", "0"]),
+             (five, ["count-cycles", "{g}"]),
+             (five, ["oracle", "hc-list", "{g}"]),
+             (five, ["oracle", "hp-count", "{g}", "--s", "0", "--t", "0"]),
+             (directed_cycle(26), ["count-mod", "{g}", "--p", "3", "--mode", "naive"])]
+    return runs
+
+
+ORACLE_SUBCOMMANDS = ("hc-count", "hp-count", "branchings", "mis", "k-internal", "k-leaf")
+
+
+class TestCountingDigest:
+    def test_stdout_digest(self, tmp_path, capsys, monkeypatch):
+        # exit code, stdout without elapsed_ms and stderr without the run time
+        # of every run of the seeded counting corpus, at an explicit seed and
+        # at the default one, then the --help text of every (sub)command
+        monkeypatch.delenv("HAMKIT_SEED", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        rnd = random.Random(4301)
+        runs = []
+        outcomes = set()
+        for i, (g, argv) in enumerate(counting_corpus(rnd)):
+            if g is None:
+                path = "/nonexistent/graph.txt"
+            elif isinstance(g, str):
+                path = str(tmp_path / f"g{i}.txt")
+                Path(path).write_text(g, encoding="utf-8")
+            else:
+                path = write_graph(tmp_path, g, f"g{i}.txt")
+            seed = [] if i % 4 == 0 else ["--seed", str(rnd.randrange(1 << 30))]
+            code, out, err = run_cli([a.replace("{g}", path) for a in argv] + seed, capsys)
+            runs.append((code, strip_elapsed(out), re.sub(r"\[[0-9.]+ ms\]", "[_ ms]", err)))
+            outcomes.add((argv[0], code))
+        assert len(runs) == 150
+        assert {code for _, code in outcomes} == {0, 2, 3}
+        assert any("warning" in err for code, _, err in runs if code == 0)
+        helps = [["--help"], *([c, "--help"] for c in (
+            "count-branchings", "count-mod", "count-exact", "count-avg-degree",
+            "detect-hc", "detect-k-internal", "detect-k-leaf", "oracle"))]
+        helps += [["oracle", sub, "--help"] for sub in ORACLE_SUBCOMMANDS]
+        for argv in helps:
+            runs.append(run_cli(argv, capsys))
+            assert runs[-1][0] == 0 and runs[-1][1].startswith("usage: hamkit"), argv
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == "49411d5e97fb60dc2bf5f9f31893922958bd0f6b2edff74fe21369fc3f9125ad"
+
+
 # Runs each argv of the JSON list in argv[1] and prints, per run, the exit
 # code, whether numpy is loaded after it, the reported elapsed_ms, the rest
 # of the report and whether numpy.random is loaded after it.
