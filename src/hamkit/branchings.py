@@ -83,6 +83,20 @@ def _live_span(lines: np.ndarray, start: int) -> slice | None:
     return slice(start + live[0], start + live[-1] + 1) if live.size else None
 
 
+def _tree_product(values: np.ndarray, mul) -> np.ndarray:
+    """Product over axis 0 of a stack of s >= 1 factors under mul, multiplied pairwise up a tree.
+
+    mul is commutative and exact (the marker ring's, or the product mod p),
+    so the tree gives the same product as a left-to-right scan, in about
+    log2(s) mul calls on ever smaller stacks.
+    """
+    while values.shape[0] > 1:
+        half = values.shape[0] // 2
+        prod = mul(values[:half], values[half : 2 * half])
+        values = np.concatenate([prod, values[2 * half :]]) if values.shape[0] % 2 else prod
+    return values[0]
+
+
 # ---------------------------------------------------------------------------
 # k-internal out-branchings
 
@@ -198,18 +212,6 @@ class _InternalSieveEngine:
             self.f.np_exp.take(block, out=block, mode="clip")
         return np.bitwise_xor.reduceat(sums, self.offsets, axis=-1)
 
-    def _product(self, factors: np.ndarray) -> np.ndarray:
-        """Ring product over axis 0 of a [s, ..., len] stack, s >= 1, multiplied pairwise up a tree.
-
-        R is commutative and its arithmetic exact, so the tree gives the
-        same product as a left-to-right scan, in about log2(s) _mul calls.
-        """
-        while factors.shape[0] > 1:
-            half = factors.shape[0] // 2
-            prod = self._mul(factors[:half], factors[half : 2 * half])
-            factors = np.concatenate([prod, factors[2 * half :]]) if factors.shape[0] % 2 else prod
-        return factors[0]
-
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """u^-1 for units u (slot 0 nonzero), [..., len].
 
@@ -277,7 +279,7 @@ class _InternalSieveEngine:
         only hub rows hold off-diagonal entries, and only a hub's pivot row
         takes an update. The last pivot is never inverted, so it may be a
         non-unit. The determinant is the product of the nn pivots, taken
-        once at the end by _product. A matrix whose whole trailing s x s
+        once at the end by _tree_product. A matrix whose whole trailing s x s
         block at column j < nn - 1 holds no unit has every entry of that
         block in M, so its determinant is 0 for s > k (it lies in M^s, and
         M^(k+1) = 0) and otherwise the product of its j pivots so far and
@@ -308,7 +310,7 @@ class _InternalSieveEngine:
                             settled.append((stuck, 0))
                         else:
                             block = self._det_minors(a[j:, j:, stuck])[None]
-                            value = self._product(np.concatenate([pivots[:j, stuck], block]))
+                            value = _tree_product(np.concatenate([pivots[:j, stuck], block]), self._mul)
                             settled.append((stuck, value))
                         diag = np.arange(j, nn)[:, None]
                         a[j:, j:, stuck] = 0
@@ -327,7 +329,7 @@ class _InternalSieveEngine:
                 fac = self._mul(a[below, j], self._inverse(a[j, j])[None])
                 a[below, right] ^= self._mul(fac[:, None], a[j, right][None])
         pivots[nn - 1] = a[nn - 1, nn - 1]
-        det = self._product(pivots)
+        det = _tree_product(pivots, self._mul)
         for stuck, value in settled:
             det[stuck] = value
         return det
@@ -431,8 +433,6 @@ def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> D
     if trials < 1:
         raise ValueError("need at least one trial")
     n = g.n
-    if n < 1:
-        raise ValueError("graph is empty")
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must be in 0..{n - 1}, got {k}")
     if k > GROUP_RANK_LIMIT:
@@ -577,6 +577,11 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     Each step updates its trailing rows in blocks of about MODP_BLOCK
     entries, through two scratch buffers of that size.
 
+    A zero pivot takes the first row below it with a nonzero entry in its
+    column added to row j, which keeps the determinant, so no sign is
+    tracked; the sum of two entries is below 2p in magnitude, and
+    _centre_mod brings it back to a centred residue.
+
     Elimination is division-free and screened across the whole stack: step
     j updates only the span (see _live_span) of rows below the pivot whose
     column-j entry is nonzero in some matrix, each to piv*row - a*row_j,
@@ -602,7 +607,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     matrix that runs out of pivots has a zero pivot product and
     determinant 0. The products are taken in int64, so p must be below
     MODP_WORD_LIMIT (2^31). On the Laplacian stacks solve_nk_dv builds,
-    every initial diagonal entry is nonzero, so the swap path is the
+    every initial diagonal entry is nonzero, so the row addition is the
     exception there, not the rule.
     """
     if p >= MODP_WORD_LIMIT:
@@ -613,21 +618,18 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     scale = np.ones(nmats, dtype=np.int64)
     joining = {}  # step: product of the pivots that join pivots at that step
     updated = False  # whether any step updated a row, so that scale may differ from 1
-    flip = np.zeros(nmats, dtype=bool)
     width = max(1, (d - 1) * nmats)  # entries in one row of the first update
     rows = max(1, MODP_BLOCK // width)
     quot = np.empty(min(rows, max(1, d - 1)) * width, dtype=np.int64)
     fquot = np.empty(quot.shape, dtype=np.float64)
     for j in range(d):
         if np.count_nonzero(a[j, j]) < nmats:
+            # row j takes the first row below with a nonzero column-j entry
+            # added; where there is none, column j is zero from row j down,
+            # the determinant is 0, and row j is added to itself
             zero = np.flatnonzero(a[j, j] == 0)
-            pidx = j + np.argmax(a[j:, j, zero] != 0, axis=0)
-            moved = zero[pidx != j]  # zero pivots with a nonzero entry below
-            src = pidx[pidx != j]
-            flip[moved] = ~flip[moved]
-            rowj = a[j, j:, moved]
-            a[j, j:, moved] = a[src, j:, moved]
-            a[src, j:, moved] = rowj
+            src = j + np.argmax(a[j:, j, zero] != 0, axis=0)
+            a[j, j:, zero] = _centre_mod(a[j, j:, zero] + a[src, j:, zero], p)
         piv = a[j, j]
         span = _live_span(a[j + 1 :, j], j + 1) if j + 1 < d else None
         m = span.stop - span.start if span else 0
@@ -655,8 +657,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
                 rest *= piv
                 rest -= prod
                 _centre_mod(rest, p, prod, fquot[:size].reshape(rest.shape))
-    det = pivots * _batch_inverse(scale, p) % p if updated else pivots
-    return np.where(flip, (p - det) % p, det)
+    return pivots * _batch_inverse(scale, p) % p if updated else pivots
 
 
 def inverse_vandermonde(xs: np.ndarray, p: int) -> np.ndarray:
@@ -817,12 +818,10 @@ class BranchingLeafPolynomial:
             for v in roots:
                 slots[row[r] * d + row[v]] = v
         row[r] = -1
-        if members:
-            row = [row[find(u)] for u in range(n)]
+        row = [row[find(u)] for u in range(n)]
         for col, v in enumerate(heads):
-            # D_v: the arcs into v from outside its group (all of them when
-            # no group holds more than its head, as g has no self-loops)
-            diag = [u for u in ins[v] if row[u] != col] if members else ins[v]
+            # D_v: the arcs into v from outside its group
+            diag = [u for u in ins[v] if row[u] != col]
             if v != r and diag:
                 slots[col * (d + 1)] = read(diag)
             for u in diag:
@@ -863,9 +862,8 @@ class BranchingLeafPolynomial:
         for lo in range(0, ys.shape[0], step):
             table = self._table(ys[lo : lo + step], p)
             dets = batched_modp_det(self._laplacians(table), p)
-            if self._factors.size:
-                dets = _product_mod(np.concatenate([dets[None], table[self._factors] % p]), p)
-            out[lo : lo + step] = dets
+            factors = np.concatenate([dets[None], table[self._factors] % p])
+            out[lo : lo + step] = _tree_product(factors, lambda a, b: a * b % p)
         return out
 
     def _table(self, ys: np.ndarray, p: int) -> np.ndarray:
@@ -896,15 +894,6 @@ class BranchingLeafPolynomial:
         """
         d = self.order
         return table[self._entries].reshape(d, d, table.shape[1]).transpose(2, 0, 1)
-
-
-def _product_mod(values: np.ndarray, p: int) -> np.ndarray:
-    """Product mod p over axis 0 of an int64 [s, B] stack of residues in [0, p), s >= 1, up a pairwise tree."""
-    while values.shape[0] > 1:
-        half = values.shape[0] // 2
-        prod = values[:half] * values[half : 2 * half] % p
-        values = np.concatenate([prod, values[2 * half :]]) if values.shape[0] % 2 else prod
-    return values[0]
 
 
 def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:
@@ -951,7 +940,7 @@ def solve_nk_dv(
     above 2^30, so for n below 2^29 the points are distinct and nonzero
     mod p. At tau = 0 every probe-side variable would be 0, and so would
     the Laplacian diagonal of each vertex whose in-arcs all come from the
-    probe side; batched_modp_det would then search for pivots and swap
+    probe side; batched_modp_det would then search for pivots and add
     rows in nearly every stack.
     """
     if budget is not None and budget < 1:
@@ -1018,8 +1007,6 @@ def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) 
     if budget is not None and budget < 1:
         raise ValueError("budget must be positive")
     n = g.n
-    if n < 1:
-        raise ValueError("graph is empty")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if budget is None:

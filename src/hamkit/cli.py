@@ -10,8 +10,10 @@ parsing, on every call, since the parser is built once per process.
 --threads is accepted for compatibility and has no effect: every command
 runs on the calling thread. Exit codes: 0 for completed runs including NO
 answers, 2 for usage or input errors, 3 for guard violations (instances
-beyond the desk-scale limits). Only the detect-* commands import hamdetect
-or branchings, and gf2m and numpy with them; the counting and oracle
+beyond the desk-scale limits). Each subcommand is declared once, in
+build_parser, which sets its handler and the module main loads for it
+before starting the clock. Only the detect-* commands import hamdetect or
+branchings, and gf2m and numpy with them; the counting and oracle
 commands run without numpy. Only the oracle commands import hamkit.oracle,
 and only count-exact's --d imports fractions.
 """
@@ -28,7 +30,7 @@ import time
 import warnings
 
 from . import hamcount
-from .errors import GuardError, ParseError
+from .errors import GuardError
 from .graph import Digraph, parse_digraph
 from .matrixtree import count_out_branchings
 from .report import DetectionReport
@@ -143,13 +145,11 @@ def _cmd_oracle(args, g: Digraph, seed: int) -> tuple[dict, str]:
             {"answer": "yes" if verdict else "no", "k": args.k},
             f">= {args.k} internal vertices (exhaustive): {'yes' if verdict else 'no'}",
         )
-    if sub == "k-leaf":
-        verdict = oracle.brute_k_leaf(g, args.k)
-        return (
-            {"answer": "yes" if verdict else "no", "k": args.k},
-            f">= {args.k} leaves (exhaustive): {'yes' if verdict else 'no'}",
-        )
-    raise ValueError(f"unknown oracle subcommand {sub!r}")
+    verdict = oracle.brute_k_leaf(g, args.k)  # k-leaf
+    return (
+        {"answer": "yes" if verdict else "no", "k": args.k},
+        f">= {args.k} leaves (exhaustive): {'yes' if verdict else 'no'}",
+    )
 
 
 def _seed(text: str) -> int:
@@ -191,88 +191,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(group, name, run, module, **kwargs):
+        """Add subcommand `name` with the arguments every command takes, the
+        handler main calls and the module main imports before its clock
+        (None: none). kwargs go to add_parser: a help= line lists the
+        command in its parent's --help, and the oracle subcommands pass none."""
+        sp = group.add_parser(name, **kwargs)
         sp.add_argument("graph", help="path to a graph file (header 'n m', arc lines 'tail head')")
         # None: main reads $HAMKIT_SEED per call, which a cached parser cannot
         sp.add_argument("--seed", type=_seed, default=None,
                         help="RNG seed (default: $HAMKIT_SEED or 0)")
         sp.add_argument("--threads", type=_thread_count, default=1,
                         help="accepted for compatibility, at least 1; has no effect")
+        sp.set_defaults(run=run, module=module)
+        return sp
 
-    sp = subs.add_parser("count-branchings", help="exact spanning out-branching count for one root")
-    common(sp)
+    sp = command(subs, "count-branchings", _cmd_count_branchings, None,
+                 help="exact spanning out-branching count for one root")
     sp.add_argument("--root", type=int, required=True)
 
-    sp = subs.add_parser("count-mod", help="hamiltonian cycle count modulo a prime power")
-    common(sp)
+    sp = command(subs, "count-mod", _cmd_count_mod, None, help="hamiltonian cycle count modulo a prime power")
     sp.add_argument("--p", type=int, required=True, help="prime modulus base")
     sp.add_argument("--k", type=int, default=None, help="exponent (default: the built-in schedule)")
     sp.add_argument("--lambda", dest="lam", type=float, default=hamcount.DEFAULT_LAMBDA)
     sp.add_argument("--mode", choices=("naive", "mitm"), default="mitm")
 
-    sp = subs.add_parser("count-exact", help="exact hamiltonian cycle count")
-    common(sp)
+    sp = command(subs, "count-exact", _cmd_count_exact, None, help="exact hamiltonian cycle count")
     sp.add_argument("--d", type=_cap_base, required=True,
                     help="cap base above 1, an integer or fraction like 9/8; echoed as cap_base, "
                          "it does not change the count")
 
-    sp = subs.add_parser("count-avg-degree", help="exact hamiltonian cycle count")
-    common(sp)
+    command(subs, "count-avg-degree", _cmd_count_avg_degree, None, help="exact hamiltonian cycle count")
 
-    sp = subs.add_parser("detect-hc", help="randomized hamiltonian cycle detection")
-    common(sp)
+    sp = command(subs, "detect-hc", _cmd_detect_hc, "hamdetect", help="randomized hamiltonian cycle detection")
     sp.add_argument("--trials", type=int, default=None,
                     help="trials before a NO, at least 1 (default: the fewest that bound a miss "
                          "by 2^-84 in GF(2^16), 6 to 8 for n <= 32)")
 
-    sp = subs.add_parser("detect-k-internal", help="spanning out-branching with >= k internal vertices")
-    common(sp)
+    sp = command(subs, "detect-k-internal", _cmd_detect_k_internal, "branchings",
+                 help="spanning out-branching with >= k internal vertices")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--trials", type=int, default=100)
 
-    sp = subs.add_parser("detect-k-leaf", help="spanning out-branching with >= k leaves")
-    common(sp)
+    sp = command(subs, "detect-k-leaf", _cmd_detect_k_leaf, "branchings",
+                 help="spanning out-branching with >= k leaves")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--budget", type=int, default=None, help="trial budget (default 4^k)")
 
     sp = subs.add_parser("oracle", help="exhaustive reference answers (small inputs only)")
     osubs = sp.add_subparsers(dest="oracle_command", required=True)
-    for name, extra in (
+    for name, flags in (
         ("hc-count", ()),
-        ("hp-count", (("--s", True), ("--t", True))),
-        ("branchings", (("--root", True),)),
+        ("hp-count", ("--s", "--t")),
+        ("branchings", ("--root",)),
         ("mis", ()),
-        ("k-internal", (("--k", True),)),
-        ("k-leaf", (("--k", True),)),
+        ("k-internal", ("--k",)),
+        ("k-leaf", ("--k",)),
     ):
-        osp = osubs.add_parser(name)
-        common(osp)
-        for flag, required in extra:
-            osp.add_argument(flag, type=int, required=required)
+        osp = command(osubs, name, _cmd_oracle, "oracle")
+        for flag in flags:
+            osp.add_argument(flag, type=int, required=True)
 
     return parser
-
-
-_HANDLERS = {
-    "count-branchings": _cmd_count_branchings,
-    "count-mod": _cmd_count_mod,
-    "count-exact": _cmd_count_exact,
-    "count-avg-degree": _cmd_count_avg_degree,
-    "detect-hc": _cmd_detect_hc,
-    "detect-k-internal": _cmd_detect_k_internal,
-    "detect-k-leaf": _cmd_detect_k_leaf,
-    "oracle": _cmd_oracle,
-}
-
-# The module each detect-* handler (numpy-backed) or the oracle handler
-# imports, which no other command loads. main loads it before starting the
-# clock, so elapsed_ms never includes a module import.
-_HANDLER_MODULES = {
-    "detect-hc": "hamdetect",
-    "detect-k-internal": "branchings",
-    "detect-k-leaf": "branchings",
-    "oracle": "oracle",
-}
 
 
 def main(argv=None) -> int:
@@ -283,19 +263,16 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"hamkit: {exc}", file=sys.stderr)
             return 2
-    if args.command in _HANDLER_MODULES:
-        importlib.import_module(f".{_HANDLER_MODULES[args.command]}", __package__)
+    if args.module is not None:  # so that elapsed_ms never includes a module import
+        importlib.import_module(f".{args.module}", __package__)
     started = time.perf_counter()
     try:
         with warnings.catch_warnings():
             # a library warning prints as one line, not as a source location
             warnings.showwarning = lambda message, *_: print(f"hamkit: warning: {message}", file=sys.stderr)
             g = _load_graph(args.graph)
-            payload, human = _HANDLERS[args.command](args, g, args.seed)
-    except (ParseError, OSError) as exc:
-        print(f"hamkit: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+            payload, human = args.run(args, g, args.seed)
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"hamkit: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:

@@ -8,7 +8,6 @@ prints carry corpus statistics for the log.
 
 import itertools
 import json
-import math
 import random
 import re
 import statistics

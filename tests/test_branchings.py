@@ -523,13 +523,13 @@ class TestInternalDeterminant:
         # skipped, the deferred pivot product and a settled matrix's own
         # (nonempty) prefix product
         products = []
-        product = branchings._InternalSieveEngine._product
+        product = branchings._tree_product
 
-        def recording(engine, factors):
+        def recording(factors, mul):
             products.append(factors.shape[:2])
-            return product(engine, factors)
+            return product(factors, mul)
 
-        monkeypatch.setattr(branchings._InternalSieveEngine, "_product", recording)
+        monkeypatch.setattr(branchings, "_tree_product", recording)
         rnd = random.Random(90)
         routes = Counter()
         skipped = 0
@@ -621,23 +621,22 @@ class TestScreenedElimination:
         # screen. The stacks keep the draws that need no pivot search, so no
         # row swap moves a hub's row to a non-hub's pivot.
         events = []
-        mul, product, live_span = (branchings._InternalSieveEngine._mul, branchings._InternalSieveEngine._product,
-                                   branchings._live_span)
+        mul, product, live_span = branchings._InternalSieveEngine._mul, branchings._tree_product, branchings._live_span
 
         def recording_mul(engine, a, b):
             events.append("mul")
             return mul(engine, a, b)
 
-        def recording_product(engine, factors):
+        def recording_product(factors, mul):
             events.append("product")
-            return product(engine, factors)
+            return product(factors, mul)
 
         def recording_span(lines, start):
             events.append(start - 1)  # the pivot's row
             return live_span(lines, start)
 
         monkeypatch.setattr(branchings._InternalSieveEngine, "_mul", recording_mul)
-        monkeypatch.setattr(branchings._InternalSieveEngine, "_product", recording_product)
+        monkeypatch.setattr(branchings, "_tree_product", recording_product)
         monkeypatch.setattr(branchings, "_live_span", recording_span)
         rnd = random.Random(37)
         total = 0
@@ -678,18 +677,18 @@ class TestScreenedElimination:
         blocks = rand(16, 6, 6)
         blocks[:, 2:, :2] = 0
         blocks[:, 4:, :4] = 0
-        blocks[:4, 0, 0] = 0  # a zero pivot: row 1 swaps in at step 0
+        blocks[:4, 0, 0] = 0  # a zero pivot: row 1 is added to row 0 at step 0
         yield "blocks", blocks
         # column 0 nonzero only in rows 0 and 1, so step 0 skips rows 2-4;
         # in half the matrices row 1 is t * row 0 in columns 0 and 1, so the
-        # pivot at (1, 1) is 0 after step 0 and a row swap brings the
-        # unscaled row 2 to the pivot
-        swap = rand(16, 5, 5)
-        swap[:, 2:, 0] = 0
+        # pivot at (1, 1) is 0 after step 0 and the unscaled row 2 is
+        # added to row 1
+        added = rand(16, 5, 5)
+        added[:, 2:, 0] = 0
         t = rand(8)
-        swap[:8, 1, :2] = swap[:8, 0, :2] * t[:, None] % p
-        swap[:4, 3] = swap[:4, 2]  # and a repeated row: singular
-        yield "swap", swap
+        added[:8, 1, :2] = added[:8, 0, :2] * t[:, None] % p
+        added[:4, 3] = added[:4, 2]  # and a repeated row: singular
+        yield "added", added
         # rows zero in some matrices only, zero entries scattered, a zero
         # column in some matrices; singular ones among them
         mixed = rand(24, 7, 7) * (rng.random((24, 7, 7)) < 0.6)
@@ -710,7 +709,7 @@ class TestScreenedElimination:
         singular = 0
         for name, mats in self.modp_stacks(p, rng):
             want = [det_gauss(square(field, m.tolist())) for m in mats]
-            if name == "swap":  # the swap happens: (1, 1) cancels, (2, 1) does not
+            if name == "added":  # the addition happens: (1, 1) cancels, (2, 1) does not
                 head = mats[:8]
                 assert not ((head[:, 0, 0] * head[:, 1, 1] - head[:, 1, 0] * head[:, 0, 1]) % p).any()
                 assert head[:, 2, 1].all()
@@ -872,7 +871,7 @@ class TestBatchedPrimeDet:
         mats = rng.integers(0, p, size=(40, 6, 6), dtype=np.int64)
         mats[:10, :, 0] = 0  # zero first column: singular
         mats[10:20, 3] = mats[10:20, 1]  # repeated row: singular
-        mats[20:30, 0, 0] = 0  # zero leading pivot: a row swap
+        mats[20:30, 0, 0] = 0  # zero leading pivot: a row addition
         mats[20:30, 2, 2] = mats[20:30, 1, 2] = 0
         for i in range(30, 40):  # permutation matrices, odd and even
             mats[i] = np.eye(6, dtype=np.int64)[rng.permutation(6)] * rng.integers(1, p)
@@ -897,17 +896,17 @@ class TestBatchedPrimeDet:
         # strictly upper triangular, a nonzero superdiagonal and a nonzero
         # corner (d-1, 0): a cyclic chain, so column j's pivot is in row d-1
         chain = edge[edge != 0]
-        swaps = np.triu(edge[rng.integers(0, 3, size=(30, d, d))], 1)
-        swaps[:, np.arange(d - 1), np.arange(1, d)] = chain[rng.integers(0, chain.size, (30, d - 1))]
-        swaps[:, d - 1, 0] = chain[rng.integers(0, chain.size, 30)]
-        mats = np.concatenate([full, swaps])
+        chains = np.triu(edge[rng.integers(0, 3, size=(30, d, d))], 1)
+        chains[:, np.arange(d - 1), np.arange(1, d)] = chain[rng.integers(0, chain.size, (30, d - 1))]
+        chains[:, d - 1, 0] = chain[rng.integers(0, chain.size, 30)]
+        mats = np.concatenate([full, chains])
         want = [det_gauss(square(field, m.tolist())) for m in mats]
         batch_last = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
         assert not batch_last.flags.c_contiguous
         assert batch_last.shape == mats.shape
         assert batched_modp_det(batch_last, p).tolist() == want
         assert batched_modp_det(mats.copy(), p).tolist() == want
-        assert all(want[30:])  # a cyclic chain: every swap stack is nonsingular
+        assert all(want[30:])  # a cyclic chain: every chain stack is nonsingular
 
     def test_one_row_blocks(self, monkeypatch):
         # MODP_BLOCK = 1: every step updates its trailing rows one at a time
@@ -917,7 +916,7 @@ class TestBatchedPrimeDet:
         rng = np.random.default_rng(25)
         mats = rng.integers(0, p, size=(20, 7, 7), dtype=np.int64)
         mats[:5, 0] = 0  # zero first row: singular
-        mats[5:10, 0, 0] = 0  # zero leading pivot: a row swap
+        mats[5:10, 0, 0] = 0  # zero leading pivot: a row addition
         dets = batched_modp_det(mats.copy(), p)
         assert dets.tolist() == [det_gauss(square(field, m.tolist())) for m in mats]
         assert not dets[:5].any() and dets[5:].all()

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import (
     acyclic_tournament,
-    complete_digraph,
     directed_cycle,
     out_star,
     random_digraph,
