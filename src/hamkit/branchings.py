@@ -266,31 +266,32 @@ class _InternalSieveEngine:
         most columns of most draws, that search and the swap bookkeeping are
         skipped. A matrix whose column j has no unit at or below the
         diagonal first swaps in the first later column with a unit in rows j
-        and below. Characteristic 2 makes both swaps sign-free. The pivot is
-        kept as a factor of the determinant, and one rank-1 update with its
-        inverse clears the column below it. That update is screened across
-        the whole stack: it covers the span (see _live_span) of columns
-        l > j where row j has a nonzero slot in some matrix and, if there
-        are any, the span of rows i > j where column j has one, and only
-        those rows take the factor a[i, j] * pivot^-1. A line outside its
-        span is zero in every matrix, and the update is an xor, so skipping
-        it needs no bookkeeping. The Laplacians of a chunk share one graph,
-        so their zero patterns nearly coincide: on a k-internal NO on hubs
-        only hub rows hold off-diagonal entries, and only a hub's pivot row
-        takes an update. The last pivot is never inverted, so it may be a
-        non-unit. The determinant is the product of the nn pivots, taken
-        once at the end by _tree_product. A matrix whose whole trailing s x s
-        block at column j < nn - 1 holds no unit has every entry of that
-        block in M, so its determinant is 0 for s > k (it lies in M^s, and
-        M^(k+1) = 0) and otherwise the product of its j pivots so far and
-        _det_minors of the block, which it takes at once. That block is
-        then set to the identity, so the matrix rides along with unit
-        pivots and no updates to the end of the loop, where its value
+        and below. Characteristic 2 makes both swaps sign-free. One rank-1
+        update with the pivot's inverse clears the column below it. That
+        update is screened across the whole stack: it covers the span (see
+        _live_span) of columns l > j where row j has a nonzero slot in some
+        matrix and, if there are any, the span of rows i > j where column j
+        has one, and only those rows take the factor a[i, j] * pivot^-1. A
+        line outside its span is zero in every matrix, and the update is an
+        xor, so skipping it needs no bookkeeping. The Laplacians of a chunk
+        share one graph, so their zero patterns nearly coincide: on a
+        k-internal NO on hubs only hub rows hold off-diagonal entries, and
+        only a hub's pivot row takes an update. The last pivot is never
+        inverted, so it may be a non-unit. Later column swaps touch only
+        later columns, and later row swaps and updates only later rows, so
+        a[j, j] keeps step j's pivot: the determinant is the product of the
+        eliminated diagonal, taken once at the end by _tree_product. A
+        matrix whose whole trailing s x s block at column j < nn - 1 holds
+        no unit has every entry of that block in M, so its determinant is 0
+        for s > k (it lies in M^s, and M^(k+1) = 0) and otherwise the
+        product of its first j diagonal entries and _det_minors of the block, which it takes at once. That
+        block is then set to the identity, so the matrix rides along with
+        unit pivots and no updates to the end of the loop, where its value
         overwrites its row. mats is left unchanged.
         """
         nn, _, nb, _ = mats.shape
         a = mats.copy()
-        pivots = np.empty((nn, nb, self.len), dtype=np.int32)
+        ar = np.arange(nn)
         settled = []  # (matrix indices, their determinants)
         for j in range(nn - 1):
             if np.count_nonzero(a[j, j, :, 0]) < nb:
@@ -310,11 +311,10 @@ class _InternalSieveEngine:
                             settled.append((stuck, 0))
                         else:
                             block = self._det_minors(a[j:, j:, stuck])[None]
-                            value = _tree_product(np.concatenate([pivots[:j, stuck], block]), self._mul)
-                            settled.append((stuck, value))
-                        diag = np.arange(j, nn)[:, None]
+                            prefix = a[ar[:j, None], ar[:j, None], stuck]
+                            settled.append((stuck, _tree_product(np.concatenate([prefix, block]), self._mul)))
                         a[j:, j:, stuck] = 0
-                        a[diag, diag, stuck, 0] = 1
+                        a[ar[j:, None], ar[j:, None], stuck, 0] = 1
                     unit[:, lack] = a[j:, j, lack, 0] != 0
                 pidx = j + np.argmax(unit, axis=0)
                 moved = np.flatnonzero(pidx != j)
@@ -322,14 +322,12 @@ class _InternalSieveEngine:
                 rowj = a[j, j:, moved]
                 a[j, j:, moved] = a[src, j:, moved]
                 a[src, j:, moved] = rowj
-            pivots[j] = a[j, j]
             right = _live_span(a[j, j + 1 :], j + 1)
             below = _live_span(a[j + 1 :, j], j + 1) if right else None
             if below:
                 fac = self._mul(a[below, j], self._inverse(a[j, j])[None])
                 a[below, right] ^= self._mul(fac[:, None], a[j, right][None])
-        pivots[nn - 1] = a[nn - 1, nn - 1]
-        det = _tree_product(pivots, self._mul)
+        det = _tree_product(a[ar, ar], self._mul)
         for stuck, value in settled:
             det[stuck] = value
         return det
@@ -582,42 +580,41 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     tracked; the sum of two entries is below 2p in magnitude, and
     _centre_mod brings it back to a centred residue.
 
-    Elimination is division-free and screened across the whole stack: step
-    j updates only the span (see _live_span) of rows below the pivot whose
-    column-j entry is nonzero in some matrix, each to piv*row - a*row_j,
-    which scales the determinant by piv once per updated row. A row outside
-    the span is zero in column j in every matrix and is left as it is,
-    unscaled. With e_j rows updated at step j (d-1-j when none is
-    skipped), the scalings multiply to the product of the piv_j^e_j. The
-    running pivot product takes piv_j in at step d-1-e_j (at once when the
-    span is full) and multiplies into the scale at every step before the
-    last, so piv_j counts exactly e_j times: at most three [B] products a
-    step whatever the spans, and no division. One _batch_inverse of the B
-    scales at the end undoes them; only these [B] products are normalised
-    with %. Where no step updated a row (order 0 or 1, or every span
-    empty) every scale is 1, and the inverse is skipped. Every updated
-    entry is brought back to a centred residue by _centre_mod, one float
-    quotient instead of an int64 %, and a skipped row keeps the centred
-    residues it had, so every entry stays at most p * (1/2 + 2^-20) in
-    magnitude: each update piv*rest - col*row is at
-    most p^2/2 * (1 + 2^-17) < 2^62 (below p^2 on [0, p) entries), and
+    Elimination is division-free and screened across the whole stack: step j
+    updates only the span (see _live_span) of rows below the pivot whose
+    column-j entry is nonzero in some matrix, each to piv*row - a*row_j
+    right of column j, which scales the determinant by piv once per updated
+    row. A row outside the span is zero in column j in every matrix and is
+    left as it is, unscaled. Column j below the pivot is never read again,
+    so it stays as it is and stands for the zeros of the eliminated, upper
+    triangular matrix. Row j is never written after step j, so a[j, j] ends
+    up holding step j's pivot, and the determinant is the product of that
+    eliminated diagonal divided by each step's pivot once per row the step
+    updated (scaled lists those steps): one _batch_inverse of the product of
+    the [B] divisors, and no division in the loop. Only the diagonal and
+    these products are normalised with %. Where no step updated a row (order
+    0 or 1, or every span empty) there is nothing to divide by, and the
+    inverse is skipped. Every updated entry is brought back to a centred
+    residue by _centre_mod, one float quotient instead of an int64 %, and a
+    skipped row keeps the centred residues it had, so every entry stays at
+    most p * (1/2 + 2^-20) in magnitude: each update piv*rest - col*row is
+    at most p^2/2 * (1 + 2^-17) < 2^62 (below p^2 on [0, p) entries), and
     reducing it leaves at most p/2 + 2^-51 * p^2 < p * (1/2 + 2^-20). As
-    that is below p, an entry is nonzero exactly when its residue is, so
-    the pivot search and the screen see the same matrices as over GF(p). A
-    matrix that runs out of pivots has a zero pivot product and
+    that is below p, an entry is nonzero exactly when its residue is, so the
+    pivot search and the screen see the same matrices as over GF(p). A
+    matrix that runs out of pivots has a zero on its diagonal and
     determinant 0. The products are taken in int64, so p must be below
     MODP_WORD_LIMIT (2^31). On the Laplacian stacks solve_nk_dv builds,
     every initial diagonal entry is nonzero, so the row addition is the
-    exception there, not the rule.
+    exception there, not the rule. An order-0 stack has determinant 1.
     """
     if p >= MODP_WORD_LIMIT:
         raise ValueError(f"prime {p} is past the 2^31 word-size limit of batched_modp_det")
     nmats, d, _ = mats.shape
+    if not d:
+        return np.ones(nmats, dtype=np.int64)
     a = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    pivots = np.ones(nmats, dtype=np.int64)
-    scale = np.ones(nmats, dtype=np.int64)
-    joining = {}  # step: product of the pivots that join pivots at that step
-    updated = False  # whether any step updated a row, so that scale may differ from 1
+    scaled = []  # per updated row, the step whose pivot scaled it
     width = max(1, (d - 1) * nmats)  # entries in one row of the first update
     rows = max(1, MODP_BLOCK // width)
     quot = np.empty(min(rows, max(1, d - 1)) * width, dtype=np.int64)
@@ -630,22 +627,11 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
             zero = np.flatnonzero(a[j, j] == 0)
             src = j + np.argmax(a[j:, j, zero] != 0, axis=0)
             a[j, j:, zero] = _centre_mod(a[j, j:, zero] + a[src, j:, zero], p)
-        piv = a[j, j]
         span = _live_span(a[j + 1 :, j], j + 1) if j + 1 < d else None
-        m = span.stop - span.start if span else 0
-        # piv scales the determinant once per updated row, so it joins
-        # pivots in time to multiply into scale at the last m steps
-        join = d - 1 - m
-        if join == j:
-            pivots = pivots * piv % p
-        else:
-            joining[join] = joining[join] * piv % p if join in joining else piv % p
-        if j in joining:
-            pivots = pivots * joining.pop(j) % p
-        if j + 1 < d:
-            scale = scale * pivots % p
-        if m:
-            updated = True
+        if span:
+            m = span.stop - span.start
+            scaled += [j] * m
+            piv = a[j, j]
             col = a[span, j, None]
             row = a[j, None, j + 1 :]
             for lo in range(0, m, rows):
@@ -657,7 +643,11 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
                 rest *= piv
                 rest -= prod
                 _centre_mod(rest, p, prod, fquot[:size].reshape(rest.shape))
-    return pivots * _batch_inverse(scale, p) % p if updated else pivots
+    diag = a.diagonal().T % p  # [d, B], step j's pivot in row j
+    det = _tree_product(diag, lambda x, y: x * y % p)
+    if scaled:
+        det = det * _batch_inverse(_tree_product(diag[scaled], lambda x, y: x * y % p), p) % p
+    return det
 
 
 def inverse_vandermonde(xs: np.ndarray, p: int) -> np.ndarray:
@@ -796,44 +786,38 @@ class BranchingLeafPolynomial:
 
         heads = [v for v in range(n) if live[v]]
         d = self.order = len(heads)
-        # _table's plan. Slot e < d*d is entry e of L', slot d*d + i factor
-        # i; each reads one table row: y_u at row u, -y_u at n + u, 0 at 2n,
-        # or from row 2n + 1 on the sum of one of cells' lists of those rows
-        zero = 2 * n
-        first = zero + 1
-        cells = []
-
-        def read(terms: list[int]) -> int:
-            if len(terms) == 1:
-                return terms[0]
-            cells.append(terms)
-            return first + len(cells) - 1
-
-        slots = [zero] * (d * d) + [read(f) for f in factors]
         # each vertex's row of L', or -1 where its group's row is gone (or is w)
         row = [-1] * n
         for i, v in enumerate(heads):
             row[v] = i
+        entries = {}  # entry e of L': the table rows (see read) it sums
         if bordered:  # row r holds w; each root is its own group
             for v in roots:
-                slots[row[r] * d + row[v]] = v
+                entries[row[r] * d + row[v]] = [v]
         row[r] = -1
         row = [row[find(u)] for u in range(n)]
         for col, v in enumerate(heads):
             # D_v: the arcs into v from outside its group
             diag = [u for u in ins[v] if row[u] != col]
-            if v != r and diag:
-                slots[col * (d + 1)] = read(diag)
+            if v != r:
+                entries[col * (d + 1)] = diag
             for u in diag:
-                e = row[u] * d + col  # negative where u's row is gone
-                if e < 0:
-                    continue
-                if slots[e] == zero:
-                    slots[e] = n + u
-                elif slots[e] < first:  # a second arc from u's group
-                    slots[e] = read([slots[e], n + u])
-                else:
-                    cells[slots[e] - first].append(n + u)
+                if row[u] >= 0:  # u's row is not gone
+                    entries.setdefault(row[u] * d + col, []).append(n + u)
+        # _table's plan. Slot e < d*d is entry e of L', slot d*d + i factor
+        # i; each reads one table row: y_u at row u, -y_u at n + u, 0 at 2n
+        # (no terms), or from row 2n + 1 on the sum of one of cells' lists
+        zero = 2 * n
+        first = zero + 1
+        cells = []
+
+        def read(terms: list[int]) -> int:
+            if len(terms) <= 1:
+                return terms[0] if terms else zero
+            cells.append(terms)
+            return first + len(cells) - 1
+
+        slots = [read(entries.get(e, [])) for e in range(d * d)] + [read(f) for f in factors]
         # the cells after the slots, each padded with the zero row to the longest
         nslots = len(slots)
         depth = max(map(len, cells), default=1)

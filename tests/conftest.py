@@ -6,9 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hamkit.graph import Digraph, make_digraph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_env(monkeypatch):
+    """Every test starts without HAMKIT_SEED, so a CLI run without --seed takes seed 0.
+
+    monkeypatch edits os.environ, so run_fresh's interpreters start without it too.
+    """
+    monkeypatch.delenv("HAMKIT_SEED", raising=False)
 
 
 def run_fresh(code: str, *args: str) -> str:

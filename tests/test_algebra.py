@@ -311,6 +311,10 @@ class TestCrt:
     def test_duplicate_prime_rejected(self):
         with pytest.raises(ValueError):
             crt_combine([(1, 3, 1), (2, 3, 2)])
+        # and a residue outside [0, p^k)
+        for value in (-1, 9):
+            with pytest.raises(ValueError, match="residue out of range"):
+                crt_combine([(1, 2, 1), (value, 3, 2)])
 
     @given(st.integers(min_value=0, max_value=10**18))
     @settings(max_examples=200, deadline=None)

@@ -520,7 +520,7 @@ class TestInternalDeterminant:
         # plain, swap, zero and minors draws interleaved in one stack:
         # every row equals that draw's det_batch alone and the reference
         # determinant, and the stacks reach a column whose pivot search is
-        # skipped, the deferred pivot product and a settled matrix's own
+        # skipped, the eliminated diagonal's product and a settled matrix's own
         # (nonempty) prefix product
         products = []
         product = branchings._tree_product
@@ -828,9 +828,9 @@ class TestBatchedPrimeDet:
         assert batched_modp_det(mats, p).tolist() == entries
 
     def test_inverse_only_after_an_update(self, monkeypatch):
-        # every scale stays 1 where no step updates a row: order 0 and 1,
-        # and stacks whose columns are zero below the diagonal in every
-        # matrix; the batch inverse runs only where some row was updated
+        # no row is scaled where no step updates one: order 0 and 1, and
+        # stacks whose columns are zero below the diagonal in every matrix;
+        # the batch inverse runs only where some row was updated
         calls = []
         batch_inverse = branchings._batch_inverse
 
@@ -939,7 +939,7 @@ class TestBatchedPrimeDet:
 
     @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029])
     def test_singular_between_nonsingular(self, p):
-        # a singular matrix's pivot product is 0, which the batch inverse must
+        # a singular matrix's diagonal product is 0, which the batch inverse must
         # leave 0 without spoiling its neighbours' inverses in the tree
         field = PrimeField(p)
         rng = np.random.default_rng(p % 1013)
@@ -1166,6 +1166,9 @@ class TestForcedParents:
             assert BranchingLeafPolynomial(complete_digraph(n), [1]).order == n - 1
         # a directed cycle rooted at 0 is a path: every parent is forced
         assert BranchingLeafPolynomial(directed_cycle(6), [0]).order == 0
+        for roots in ([], [-1], [0, 6]):
+            with pytest.raises(ValueError, match="root out of range"):
+                BranchingLeafPolynomial(directed_cycle(6), roots)
 
     def test_diagonal_forms_are_nonzero_sums(self):
         # at y = e_u each diagonal entry of L' reads its coefficient of y_u:

@@ -501,9 +501,8 @@ class TestSeeding:
         rep, _ = run_json(["detect-hc", path, "--seed", "7"], capsys)
         assert rep["seed"] == 7  # explicit flag wins
 
-    def test_default_zero(self, tmp_path, capsys, monkeypatch):
+    def test_default_zero(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(5))
-        monkeypatch.delenv("HAMKIT_SEED", raising=False)
         rep, _ = run_json(["detect-hc", path], capsys)
         assert rep["seed"] == 0
 
@@ -730,7 +729,6 @@ class TestCountingDigest:
         # exit code, stdout without elapsed_ms and stderr without the run time
         # of every run of the seeded counting corpus, at an explicit seed and
         # at the default one, then the --help text of every (sub)command
-        monkeypatch.delenv("HAMKIT_SEED", raising=False)
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
         rnd = random.Random(4301)
         runs = []

@@ -551,6 +551,8 @@ class TestGraphLevel:
         for lam in (0.0, 1.5):
             with pytest.raises(ValueError, match="lambda"):
                 crt_count(directed_cycle(5), 5, lam)
+        with pytest.raises(ValueError, match="q must be at least 2"):
+            crt_count(directed_cycle(5), 1)
 
     def test_count_hc_mod_cycle(self):
         res, diag = count_hc_mod(directed_cycle(7), 3, 2, mode="mitm")

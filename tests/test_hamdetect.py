@@ -175,6 +175,10 @@ class TestSieve:
         field = make_binary_field(FIELD_BITS)
         w = PortWeights(layout, field, np.zeros((5, g.m), dtype=np.int32))
         assert sieve_membership_pairs(hamdetect._BatchedSieve(g, layout), w) == 0
+        # one row per port, and two axes
+        for shape in ((4, g.m), (5,), (5, g.m, 1)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                PortWeights(layout, field, np.zeros(shape, dtype=np.int32))
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_detection_reuses_one_gather_stack(self, monkeypatch, chunk):

@@ -105,12 +105,15 @@ class TestSmallRecords:
         assert list(diag._asdict()) == ["pairs_listed", "pairs_naive", "candidates_examined",
                                         "table_keys", "fallback"]
         assert diag.pruning_ratio == 1.0 - 10 / 32
+        assert MitmDiagnostics(0, 0, 0, 0).pruning_ratio == 0.0  # nothing to prune
 
     def test_port_layout_checks_and_repr(self):
         with pytest.raises(ValueError, match="blue"):
             PortLayout(blue=(), yellow=())
         with pytest.raises(ValueError, match="half"):
             PortLayout(blue=(0,), yellow=(1, 2))
+        with pytest.raises(ValueError, match="cover"):  # vertex 4 is in neither side
+            PortLayout.from_partition(make_digraph(5, []), IndependentPartition(blue=(0, 2), yellow=(1, 3)))
         layout = PortLayout(blue=(0, 2), yellow=(1, 3))
         assert (layout.n, layout.pool_count, layout.anchor) == (4, 0, 0)
         assert repr(layout) == "PortLayout(blue=(0, 2), yellow=(1, 3))"
