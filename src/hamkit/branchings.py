@@ -590,11 +590,13 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     triangular matrix. Row j is never written after step j, so a[j, j] ends
     up holding step j's pivot, and the determinant is the product of that
     eliminated diagonal divided by each step's pivot once per row the step
-    updated (scaled lists those steps): one _batch_inverse of the product of
-    the [B] divisors, and no division in the loop. Only the diagonal and
-    these products are normalised with %. Where no step updated a row (order
-    0 or 1, or every span empty) there is nothing to divide by, and the
-    inverse is skipped. Every updated entry is brought back to a centred
+    updated: the product of each pivot raised to its update count (counts),
+    by square-and-multiply over the counts' bits with one tree product of
+    the pivot rows per bit, and one _batch_inverse of it divides, with no
+    division in the loop and no array larger than [d, B] at the end. Only the diagonal and these
+    products are normalised with %. Where no step updated a row (order 0 or
+    1, or every span empty) there is nothing to divide by, and the inverse
+    is skipped. Every updated entry is brought back to a centred
     residue by _centre_mod, one float quotient instead of an int64 %, and a
     skipped row keeps the centred residues it had, so every entry stays at
     most p * (1/2 + 2^-20) in magnitude: each update piv*rest - col*row is
@@ -614,7 +616,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     if not d:
         return np.ones(nmats, dtype=np.int64)
     a = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    scaled = []  # per updated row, the step whose pivot scaled it
+    counts = [0] * d  # per step, the rows its pivot scaled
     width = max(1, (d - 1) * nmats)  # entries in one row of the first update
     rows = max(1, MODP_BLOCK // width)
     quot = np.empty(min(rows, max(1, d - 1)) * width, dtype=np.int64)
@@ -630,7 +632,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
         span = _live_span(a[j + 1 :, j], j + 1) if j + 1 < d else None
         if span:
             m = span.stop - span.start
-            scaled += [j] * m
+            counts[j] = int(m)
             piv = a[j, j]
             col = a[span, j, None]
             row = a[j, None, j + 1 :]
@@ -643,10 +645,20 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
                 rest *= piv
                 rest -= prod
                 _centre_mod(rest, p, prod, fquot[:size].reshape(rest.shape))
+    quot = fquot = prod = None  # free the scratch (prod is a view of quot) before the [d, B] products
     diag = a.diagonal().T % p  # [d, B], step j's pivot in row j
-    det = _tree_product(diag, lambda x, y: x * y % p)
-    if scaled:
-        det = det * _batch_inverse(_tree_product(diag[scaled], lambda x, y: x * y % p), p) % p
+    mul = lambda x, y: x * y % p  # noqa: E731
+    det = _tree_product(diag, mul)
+    if any(counts):
+        # the product of diag[j]^counts[j], square-and-multiply from the counts' top bit down
+        top = max(counts).bit_length() - 1
+        divisor = _tree_product(diag[[j for j, c in enumerate(counts) if c >> top & 1]], mul)
+        for b in range(top - 1, -1, -1):
+            divisor = divisor * divisor % p
+            rows = [j for j, c in enumerate(counts) if c >> b & 1]
+            if rows:
+                divisor = divisor * _tree_product(diag[rows], mul) % p
+        det = det * _batch_inverse(divisor, p) % p
     return det
 
 

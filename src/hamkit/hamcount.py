@@ -17,7 +17,11 @@ half of them reach a determinant. With zero weights t's row is diagonal as
 well and joins the factored-out diagonals. Each term only has to be right
 mod p^k, so a subset whose dead-row product (the product of those
 diagonals) is 0 mod p^k is skipped before its minor is built; every residue
-stays the same.
+stays the same. The naive pass decides these skips for all 2^|V_t| masks
+at once before it visits any (`pass_screen`: bit-sliced in-arc counts and
+p-valuations on Python ints of one bit per mask), so a visit to a mask whose
+term vanishes is one call and one bitmap lookup, and only the others run
+the per-position scan of `_SieveCore.subset_det`.
 
 The meet-in-the-middle evaluator runs on the same zero weights. It cuts
 the tail vertices by id into a first third and the rest, and only evaluates
@@ -45,7 +49,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from .algebra import ResidueElem, crt_combine, is_prime, primes_up_to
 from .errors import GuardError
@@ -90,6 +95,9 @@ class _SieveCore:
     `row_of[u]` is vertex u's off-diagonal Laplacian row over all split-graph
     vertices (-1 at each out-neighbour, 0 elsewhere), so a subset's minor row
     is one `itemgetter` gather over its alive columns plus its diagonal.
+    `screen`, when the naive pass sets it, is the pass_screen bitmap:
+    signed_contribution answers 0 for a mask outside it from one lookup, and
+    sends every other mask through subset_det, which keeps all its own tests.
     """
 
     def __init__(self, split: VertexSplit, modulus: int):
@@ -102,6 +110,7 @@ class _SieveCore:
         self.positions = (split.t,) + tuple(u for u in range(self.n0) if u != split.s)
         self.in_mask = g.in_mask
         self.row_of = tuple(tuple(-(om >> v & 1) for v in range(g.n)) for om in g.out_mask)
+        self.screen = None
 
     def subset_det(self, omask: int) -> int:
         """An integer ≡ the determinant of the tail-restricted punctured Laplacian mod q.
@@ -148,6 +157,9 @@ class _SieveCore:
 
     def signed_contribution(self, omask: int) -> int:
         """The subset's inclusion-exclusion term: its determinant, negated when |V_t| - |O| is odd."""
+        screen = self.screen
+        if screen is not None and not screen[omask >> 3] >> (omask & 7) & 1:
+            return 0
         det = self.subset_det(omask)
         return -det if (self.n0 - omask.bit_count()) & 1 else det
 
@@ -177,18 +189,133 @@ def _check_subset_guard(n0: int) -> None:
         raise GuardError(f"naive sieve guard: 2^{n0} subsets is past 2^{NAIVE_SUBSET_GUARD}")
 
 
+def _repeat(block: int, width: int, size: int) -> int:
+    """The width-bit pattern block repeated up to size bits; width and size are powers of two."""
+    while width < size:
+        block |= block << width
+        width <<= 1
+    return block
+
+
+def _in_count_planes(nbrs: int, n0: int) -> list[int]:
+    """popcount(nbrs & O) for every mask O of n0 bits, bit-sliced: bit O of plane b is bit b of that count.
+
+    Built by doubling over the tail vertices: the masks that hold vertex v
+    are the ones below 2^v shifted up by 2^v, with their counts one higher
+    where v is in nbrs. There are bitlen(|nbrs|) planes.
+    """
+    planes = []
+    width = 1  # masks over the vertices below v
+    for v in range(n0):
+        high = planes
+        if nbrs >> v & 1:
+            carry = (1 << width) - 1
+            high = []
+            for plane in planes:
+                high.append(plane ^ carry)
+                carry &= plane
+            if carry:
+                planes.append(0)
+                high.append(carry)
+        for b, plane in enumerate(high):
+            planes[b] |= plane << width
+        width <<= 1
+    return planes
+
+
+def _valuation(c: int, p: int) -> int:
+    """The exponent of p in the positive integer c."""
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def pass_screen(core: _SieveCore, p: int, k: int) -> bytes:
+    """Bitmap of the masks O of one naive pass whose subset_det reaches a determinant mod p^k.
+
+    Bit O (byte O >> 3, bit O & 7) is set exactly when O holds s, every
+    position (t and V_st) has an in-arc from O, and the p-valuations of
+    the dead positions' diagonals (t's, and those of the vertices outside
+    O) sum to less than k, which is subset_det's dead_prod % p^k test. All
+    2^n0 masks are screened at once on Python ints of 2^n0 bits, one
+    position at a time: the position's in-arc counts from O as bit planes
+    (_in_count_planes), their OR as its nonzero test, and for each count c
+    up to its in-degree with p | c the masks at exactly c, weighted by
+    v_p(c). The dead positions' valuations are summed in a bit-sliced
+    binary counter of bitlen(k) planes that starts at 2^bitlen(k) - k, so
+    a mask whose sum reaches k carries out of the top plane and leaves the
+    screen; when the positions' largest valuations sum to less than k
+    nothing can reach it, and only the zero test runs. Besides the screen
+    and the counter, one position's planes and a few more ints of 2^n0 bits
+    are live at a time.
+    """
+    n0, s, t = core.n0, core.s, core.positions[0]
+    size = 1 << n0
+    full = (1 << size) - 1
+    nbrs = [core.in_mask[u] for u in core.positions]  # tail vertices only: t has no out-arcs
+    tops = []  # per position, the largest valuation of an in-arc count
+    for mask in nbrs:
+        top, power = 0, p
+        while power <= mask.bit_count():
+            top, power = top + 1, power * p
+        tops.append(top)
+    if sum(tops) < k:
+        tops = [0] * len(tops)
+    width = k.bit_length()
+    counter = [full if ((1 << width) - k) >> j & 1 else 0 for j in range(width)]
+
+    def position(screen: int, u: int, mask: int, top: int) -> int:
+        planes = _in_count_planes(mask, n0)
+        screen &= reduce(or_, planes, 0)
+        if not (screen and top):
+            return screen
+        weights = [0] * top.bit_length()  # bit i of the masks' valuation
+        for c in range(p, mask.bit_count() + 1, p):
+            at_c = full
+            for b, plane in enumerate(planes):
+                at_c &= plane if c >> b & 1 else ~plane
+            v = _valuation(c, p)
+            for i in range(v.bit_length()):
+                if v >> i & 1:
+                    weights[i] |= at_c
+        del planes, at_c  # the largest ints here, not needed for the sum
+        # t is never in O; a vertex of V_st is dead in the masks without it
+        dead = full if u == t else _repeat((1 << (1 << u)) - 1, 2 << u, size)
+        for i, weight in enumerate(weights):
+            carry = weight & dead
+            for j in range(i, width):
+                counter[j], carry = counter[j] ^ carry, counter[j] & carry
+                if not carry:
+                    break
+            screen &= ~carry
+        return screen
+
+    screen = _repeat((1 << (1 << s)) - 1 << (1 << s), 2 << s, size)  # the masks that hold s
+    for u, mask, top in zip(core.positions, nbrs, tops):
+        screen = position(screen, u, mask, top)
+        if not screen:
+            break
+    return screen.to_bytes((size + 7) >> 3, "little")
+
+
 def naive_sieve_count(split: VertexSplit, p: int, k: int) -> ResidueElem:
     """Inclusion-exclusion over all tail subsets, summed over the integers, reduced mod p^k once.
 
     The virtual-arc weights are zero (the identity holds for any weights, and
     zero ones make t's row diagonal and let more subsets drop out early).
     Each term is ≡ its subset's determinant mod p^k, and is 0 when the
-    dead-row product is; the sum is the count mod p^k.
+    dead-row product is; the sum is the count mod p^k. The pass first
+    screens all 2^n0 masks at once (pass_screen), so a mask whose term
+    vanishes costs one signed_contribution call and one bitmap lookup; the
+    others go through subset_det, which takes exactly their determinants.
     """
     n0 = split.graph.n - 1
     _check_subset_guard(n0)
     modulus = p**k
     core = _SieveCore(split, modulus)
+    core.screen = pass_screen(core, p, k)
     total = sum(map(core.signed_contribution, range(1 << n0)))
     return ResidueElem(value=total % modulus, p=p, k=k)
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -850,6 +851,25 @@ class TestBatchedPrimeDet:
             want = [det_gauss(square(PrimeField(p), m.tolist())) for m in mats]
             assert batched_modp_det(mats.copy(), p).tolist() == want
             assert len(calls) == inverses, mats.shape
+
+    def test_peak_memory_at_the_stack_cap(self):
+        # a dense LEAF_STACK_LIMIT stack at d = 8, laid out batch-last as
+        # _laplacians builds it, is eliminated in place; what the call itself
+        # allocates (scratch blocks, the [d, B] diagonal and the products of
+        # its powers) peaks well under one stack
+        p = 2_147_483_029
+        d = 8
+        nmats = branchings.LEAF_STACK_LIMIT // (8 * d * d)
+        buf = np.random.default_rng(29).integers(1, p, size=(d, d, nmats), dtype=np.int64)
+        want = [det_gauss(square(PrimeField(p), buf[:, :, i].tolist())) for i in (0, 1, nmats - 1)]
+        tracemalloc.start()
+        try:
+            dets = batched_modp_det(buf.transpose(2, 0, 1), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= branchings.LEAF_STACK_LIMIT // 2, f"{peak / 2**20:.1f} MiB"
+        assert [int(dets[i]) for i in (0, 1, nmats - 1)] == want
 
     def test_entries_p_minus_one(self):
         # the largest residues: every product piv * a is just below 2^62

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -317,6 +318,90 @@ class TestNaiveSieve:
                 total += -det if (n - omask.bit_count()) & 1 else det
             # at most 7! < 2^61 paths on n <= 8 vertices, so the sum mod 2^61 is the count
             assert total % ring.modulus == want
+
+
+class TestPassScreen:
+    @staticmethod
+    def _cases(n):
+        return [(2, 1), (3, 2), (5, 1), (2, math.factorial(n - 1).bit_length()), (2, 61), (3, 38), (2, 70)]
+
+    def test_keeps_exactly_the_masks_reaching_a_determinant(self, monkeypatch):
+        # the screen is the set of masks on which an unscreened subset_det
+        # calls det_bareiss_int: the zero-diagonal test, and the dead
+        # positions' p-valuations summed against k, both with and without
+        # the counter (k past every position's largest valuation)
+        current = []
+        reached = set()
+        det = hamcount_mod.det_bareiss_int
+
+        def note_det(rows):
+            reached.add(current[0])
+            return det(rows)
+
+        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", note_det)
+        rnd = random.Random(63)
+        kept = 0
+        for _ in range(24):
+            n = rnd.randint(1, 10)
+            g = random_digraph(rnd, n, rnd.uniform(0.2, 0.9))
+            split = split_vertex(g, rnd.randrange(n))
+            n0 = split.graph.n - 1
+            for p, k in self._cases(n):
+                core = hamcount_mod._SieveCore(split, p**k)
+                reached.clear()
+                for omask in range(1 << n0):
+                    current[:] = [omask]
+                    core.subset_det(omask)
+                screen = hamcount_mod.pass_screen(core, p, k)
+                assert len(screen) == ((1 << n0) + 7) // 8
+                assert {o for o in range(1 << n0) if screen[o >> 3] >> (o & 7) & 1} == reached, (n, p, k)
+                kept += len(reached)
+        assert kept > 0
+
+    def test_visits_every_mask_and_keeps_the_residue(self, monkeypatch):
+        # the screened pass still calls signed_contribution once per mask,
+        # and sums to the residue of the pass that visits every mask in full
+        visits = []
+        contribution = hamcount_mod._SieveCore.signed_contribution
+
+        def record(core, omask):
+            visits.append(omask)
+            return contribution(core, omask)
+
+        monkeypatch.setattr(hamcount_mod._SieveCore, "signed_contribution", record)
+        rnd = random.Random(64)
+        for _ in range(10):
+            n = rnd.randint(1, 10)
+            g = random_digraph(rnd, n, rnd.uniform(0.3, 0.9))
+            split = split_vertex(g, rnd.randrange(n))
+            n0 = split.graph.n - 1
+            for p, k in self._cases(n):
+                visits.clear()
+                residue = naive_sieve_count(split, p, k)
+                assert visits == list(range(1 << n0))
+                core = hamcount_mod._SieveCore(split, p**k)
+                assert core.screen is None
+                total = sum(contribution(core, omask) for omask in range(1 << n0))
+                assert residue.value == total % p**k, (n, p, k)
+
+    def test_memory_at_n0_20(self):
+        # 2^20 masks, 1/16 of the n0 = 24 guard: 4 MiB is the 64 MiB bound at
+        # n0 = 24 scaled down, and the build allocates at most that, for the
+        # bench's count-mod on a density-0.5 graph and for count-exact's
+        # p = 2, k = 57 on the complete graph, where every position weighs in
+        n = 20
+        for g, p, k in ((random_digraph(random.Random(65), n, 0.5), 3, 2),
+                        (complete_digraph(n), 2, math.factorial(n - 1).bit_length())):
+            core = hamcount_mod._SieveCore(split_vertex(g, 0), p**k)
+            tracemalloc.start()
+            try:
+                screen = hamcount_mod.pass_screen(core, p, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 << 20, f"{peak / 2**20:.1f} MiB"
+            assert len(screen) == 1 << 17
+            assert 0 < int.from_bytes(screen, "little").bit_count() < 1 << 19
 
 
 def first_half_mask(split) -> int:
