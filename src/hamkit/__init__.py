@@ -7,6 +7,8 @@ The package is organised around a weighted-Laplacian toolbox:
 - algebra: primes, prime-power residues, CRT.
 - gf2m: the detectors' binary fields GF(2^m) on numpy arrays, and the
   gather plan of sign-free minors that their determinant kernels share.
+- modp: the prime fields GF(p), p < 2^31, on numpy arrays: batched
+  determinants, batch inverses and interpolation.
 - matrixtree: out-branching counts and the exact integer determinant
   (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
@@ -33,8 +35,9 @@ then Bareiss): hamcount takes one determinant per subset (or listed MITM
 pair) whose dead-row product is nonzero mod the pass modulus p^k (the other
 terms vanish mod p^k), and count_out_branchings one bigint determinant of
 the punctured Laplacian. Only the detectors batch over numpy arrays:
-hamdetect, branchings, and the binary fields in gf2m, which only they
-import. So `import hamkit`, the counting commands and the oracles never
+hamdetect, branchings, the binary fields in gf2m, which only they
+import, and the prime-field kernels in modp, which only branchings
+imports. So `import hamkit`, the counting commands and the oracles never
 load numpy; the four numpy-backed exports (detect_hamiltonian_cycle,
 detect_k_internal, detect_k_leaf, solve_nk_dv) load hamdetect or
 branchings on first access.

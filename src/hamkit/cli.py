@@ -13,7 +13,7 @@ answers, 2 for usage or input errors, 3 for guard violations (instances
 beyond the desk-scale limits). Each subcommand is declared once, in
 build_parser, which sets its handler and the module main loads for it
 before starting the clock. Only the detect-* commands import hamdetect or
-branchings, and gf2m and numpy with them; the counting and oracle
+branchings, and gf2m, modp and numpy with them; the counting and oracle
 commands run without numpy. Only the oracle commands import hamkit.oracle,
 and only count-exact's --d imports fractions.
 """

@@ -20,13 +20,7 @@ import pytest
 from conftest import out_star, random_digraph
 from hamkit import oracle
 from hamkit.algebra import crt_combine, primes_up_to
-from hamkit.branchings import (
-    detect_k_internal,
-    detect_k_leaf,
-    interpolate_univariate,
-    inverse_vandermonde,
-    solve_nk_dv,
-)
+from hamkit.branchings import detect_k_internal, detect_k_leaf, solve_nk_dv
 from hamkit.cli import main as cli_main
 from hamkit.gf2m import make_binary_field
 from hamkit.graph import find_independent_partition, make_digraph, split_vertex
@@ -40,6 +34,7 @@ from hamkit.hamdetect import (
     sieve_membership_pairs,
 )
 from hamkit.matrixtree import count_out_branchings
+from hamkit.modp import interpolate_univariate, inverse_vandermonde
 from reference import (
     GroupAlgebra,
     MonomialListPolynomial,

@@ -20,22 +20,20 @@ from conftest import (
     rooted_hubs,
     rooted_path,
 )
-from hamkit import branchings
+from hamkit import branchings, modp
 from hamkit.branchings import (
     BranchingLeafPolynomial,
-    batched_modp_det,
     binary_field_degree,
     detect_k_internal,
     detect_k_leaf,
     internal_sieve_success_floor,
-    interpolate_univariate,
-    inverse_vandermonde,
     solve_nk_dv,
 )
 from hamkit.errors import GuardError
 from hamkit.gf2m import BinaryField, make_binary_field
 from hamkit.graph import make_digraph
 from hamkit.matrixtree import count_out_branchings
+from hamkit.modp import batched_modp_det, interpolate_univariate, inverse_vandermonde
 from hamkit.report import trial_chunks
 from hamkit import oracle
 from reference import (
@@ -584,9 +582,13 @@ def _sparse_ring_cases(seed: int):
 
 @pytest.fixture
 def spans(monkeypatch):
-    """Per _live_span call, in call order: None if it skipped every line, else whether it skipped some."""
+    """Per _live_span call, in call order: None if it skipped every line, else whether it skipped some.
+
+    Recorded under both modules that call it: det_batch reads branchings'
+    binding, batched_modp_det modp's.
+    """
     seen = []
-    live_span = branchings._live_span
+    live_span = modp._live_span
 
     def recording(lines, start):
         got = live_span(lines, start)
@@ -594,6 +596,22 @@ def spans(monkeypatch):
         return got
 
     monkeypatch.setattr(branchings, "_live_span", recording)
+    monkeypatch.setattr(modp, "_live_span", recording)
+    return seen
+
+
+@pytest.fixture
+def update_rows(monkeypatch):
+    """Rows of each block that a batched_modp_det step updates and re-centres at once, in call order."""
+    seen = []
+    centre_mod = modp._centre_mod
+
+    def recording(x, p, *scratch):
+        if x.ndim == 3:  # an update block; a zero pivot's row addition is [zeros, d - j]
+            seen.append(x.shape[0])
+        return centre_mod(x, p, *scratch)
+
+    monkeypatch.setattr(modp, "_centre_mod", recording)
     return seen
 
 
@@ -702,9 +720,9 @@ class TestScreenedElimination:
 
     @pytest.mark.parametrize("block", [None, 1])
     @pytest.mark.parametrize("p", [7, 1_000_003, MERSENNE_31])
-    def test_modp_sparse_stacks_match_gauss(self, p, block, spans, monkeypatch):
+    def test_modp_sparse_stacks_match_gauss(self, p, block, spans, update_rows, monkeypatch):
         if block:
-            monkeypatch.setattr(branchings, "MODP_BLOCK", block)
+            monkeypatch.setattr(modp, "MODP_BLOCK", block)
         field = PrimeField(p)
         rng = np.random.default_rng(p % 1021)
         singular = 0
@@ -719,6 +737,7 @@ class TestScreenedElimination:
             singular += want.count(0)
         assert singular >= 10
         assert {None, True, False} <= set(spans)
+        assert max(update_rows) == 1 if block else max(update_rows) > 1
 
 
 def _random_root_lists(seed: int, count: int, nmax: int):
@@ -833,13 +852,13 @@ class TestBatchedPrimeDet:
         # stacks whose columns are zero below the diagonal in every matrix;
         # the batch inverse runs only where some row was updated
         calls = []
-        batch_inverse = branchings._batch_inverse
+        batch_inverse = modp._batch_inverse
 
         def recording(x, p):
             calls.append(x.shape)
             return batch_inverse(x, p)
 
-        monkeypatch.setattr(branchings, "_batch_inverse", recording)
+        monkeypatch.setattr(modp, "_batch_inverse", recording)
         p = 2_147_483_029
         rnd = np.random.default_rng(23)
         upper = np.triu(rnd.integers(0, p, size=(6, 4, 4)))
@@ -928,9 +947,9 @@ class TestBatchedPrimeDet:
         assert batched_modp_det(mats.copy(), p).tolist() == want
         assert all(want[30:])  # a cyclic chain: every chain stack is nonsingular
 
-    def test_one_row_blocks(self, monkeypatch):
+    def test_one_row_blocks(self, update_rows, monkeypatch):
         # MODP_BLOCK = 1: every step updates its trailing rows one at a time
-        monkeypatch.setattr(branchings, "MODP_BLOCK", 1)
+        monkeypatch.setattr(modp, "MODP_BLOCK", 1)
         p = MERSENNE_31
         field = PrimeField(p)
         rng = np.random.default_rng(25)
@@ -940,6 +959,7 @@ class TestBatchedPrimeDet:
         dets = batched_modp_det(mats.copy(), p)
         assert dets.tolist() == [det_gauss(square(field, m.tolist())) for m in mats]
         assert not dets[:5].any() and dets[5:].all()
+        assert len(update_rows) == 6 + 5 + 4 + 3 + 2 + 1 and max(update_rows) == 1
 
     @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029])
     def test_batch_inverse_matches_fermat(self, p):
@@ -953,9 +973,9 @@ class TestBatchedPrimeDet:
             for x in (dense, holes):
                 before = x.copy()
                 want = [pow(v, p - 2, p) if v else 0 for v in x.tolist()]
-                assert branchings._batch_inverse(x, p).tolist() == want, (size, x.tolist())
+                assert modp._batch_inverse(x, p).tolist() == want, (size, x.tolist())
                 assert (x == before).all()
-        assert branchings._batch_inverse(np.zeros(0, dtype=np.int64), p).tolist() == []
+        assert modp._batch_inverse(np.zeros(0, dtype=np.int64), p).tolist() == []
 
     @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029])
     def test_singular_between_nonsingular(self, p):
@@ -987,7 +1007,7 @@ class TestBatchedPrimeDet:
             values += [k * p, k * p + 1, k * p - 1]
             values += [k * p + s * h for s in (1, -1) for h in half]
         x = np.array(values, dtype=np.int64)
-        r = branchings._centre_mod(x.copy(), p)
+        r = modp._centre_mod(x.copy(), p)
         for xi, ri in zip(values, r.tolist()):
             assert (xi - ri) % p == 0, (xi, ri)
             assert 2**51 * abs(ri) <= 2**50 * p + abs(xi), (xi, ri)

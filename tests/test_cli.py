@@ -832,6 +832,20 @@ for stage in json.loads(sys.argv[1]):
 print(json.dumps(added))
 """
 
+# Imports the module named in argv[1] under a bare hamkit package, whose
+# __init__ does not run and so loads nothing first, and prints the hamkit
+# modules the import added and whether it added numpy.
+FRESH_MODULE = """
+import importlib, importlib.machinery, json, sys, types
+package = types.ModuleType("hamkit")
+package.__path__ = list(importlib.machinery.PathFinder.find_spec("hamkit").submodule_search_locations)
+sys.modules["hamkit"] = package
+before = set(sys.modules)
+importlib.import_module(sys.argv[1])
+added = set(sys.modules) - before
+print(json.dumps([sorted(m for m in added if m.startswith("hamkit.")), "numpy" in added]))
+"""
+
 NUMPY_FREE_COMMANDS = [
     ["count-mod", "{g}", "--p", "3", "--k", "2", "--mode", "mitm"],
     ["count-mod", "{g}", "--p", "3", "--k", "2", "--mode", "naive"],
@@ -880,6 +894,17 @@ class TestLazyLoading:
             [],
             ["decimal", "fractions"],
             ["decimal", "fractions", "hamkit.oracle"],
+        ]
+
+    def test_modp_loads_numpy_and_no_other_hamkit_module(self):
+        # the counting path can take the prime-field kernels without the
+        # detectors, the binary fields or any other module of the package
+        assert json.loads(run_fresh(FRESH_MODULE, "hamkit.modp")) == [["hamkit.modp"], True]
+        # the probe does see the modules a detector loads, modp among them
+        assert json.loads(run_fresh(FRESH_MODULE, "hamkit.branchings")) == [
+            ["hamkit." + m for m in ("algebra", "branchings", "errors", "gf2m", "graph", "matrixtree", "modp",
+                                     "rand", "report")],
+            True,
         ]
 
     @pytest.mark.parametrize("template", DETECT_COMMANDS, ids=lambda t: t[0])
