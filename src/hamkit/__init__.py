@@ -5,10 +5,10 @@ The package is organised around a weighted-Laplacian toolbox:
 - graph: digraph parsing, the cycle-to-path vertex split, independent-set
   partitions of the vertex set.
 - algebra: primes, prime-power residues, CRT.
-- gf2m: the detectors' binary fields GF(2^m) on numpy arrays, and the
-  gather plan of sign-free minors that their determinant kernels share.
+- gf2m: the detectors' binary fields GF(2^m) on numpy arrays.
 - modp: the prime fields GF(p), p < 2^31, on numpy arrays: batched
-  determinants, batch inverses and interpolation.
+  determinants, batch inverses and interpolation, and the gather plan of
+  row-by-row minors that every batched determinant kernel shares.
 - matrixtree: out-branching counts and the exact integer determinant
   (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
@@ -35,9 +35,8 @@ then Bareiss): hamcount takes one determinant per subset (or listed MITM
 pair) whose dead-row product is nonzero mod the pass modulus p^k (the other
 terms vanish mod p^k), and count_out_branchings one bigint determinant of
 the punctured Laplacian. Only the detectors batch over numpy arrays:
-hamdetect, branchings, the binary fields in gf2m, which only they
-import, and the prime-field kernels in modp, which only branchings
-imports. So `import hamkit`, the counting commands and the oracles never
+hamdetect, branchings, and the binary fields in gf2m and the prime-field
+kernels in modp, which only they import. So `import hamkit`, the counting commands and the oracles never
 load numpy; the four numpy-backed exports (detect_hamiltonian_cycle,
 detect_k_internal, detect_k_leaf, solve_nk_dv) load hamdetect or
 branchings on first access.

@@ -21,6 +21,10 @@ module:
   solve_nk_dv, which needs only black-box evaluations over prime fields.
   The mod-p determinants, inverses and interpolation come from modp.
 
+Both take their determinants after factoring forced parents out (see
+_forced_parent_plan), so only the vertices with a choice of parent group
+are eliminated.
+
 Both detectors are one-sided: YES answers are certain, NO answers carry an
 explicit failure-probability bound in the report.
 """
@@ -34,12 +38,13 @@ import numpy as np
 
 from .algebra import random_prime_31
 from .errors import GuardError
-from .gf2m import BinaryField, make_binary_field, minor_plan
+from .gf2m import BinaryField, make_binary_field
 from .graph import Digraph
 # count_out_branchings is not called here; it stays bound because the layer
 # tracer in perfbench/layertrace.py rebinds it under this module's name
 from .matrixtree import BRANCHING_COUNT_GUARD, count_out_branchings  # noqa: F401
-from .modp import _centre_mod, _live_span, _tree_product, batched_modp_det, interpolate_univariate, inverse_vandermonde
+from .modp import _centre_mod, _live_span, _tree_product, batched_modp_det, minor_plan
+from .modp import interpolate_univariate, inverse_vandermonde
 from .rand import counter_draw, derive_seed, make_rng
 from .report import DetectionReport, run_trials
 
@@ -99,7 +104,7 @@ def _pair_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _InternalSieveEngine:
     """Determinant of the root-bordered marker-weighted Laplacian, trial-batched.
 
-    With w = 1 on the roots (see _bordered_vertices) it sums every root's
+    With w = 1 on the roots (see _forced_parent_plan) it sums every root's
     punctured determinant, whose branchings have different arc sets.
 
     The sieve's entries lie in GF(2^m)[t]/(t^(k+1)) (x) GF(2^m)[x_1..x_k]/(x_i^2),
@@ -122,6 +127,11 @@ class _InternalSieveEngine:
     _mul): log-table lookups of the operands' 2^k slots, a take of the 3^k
     pairs' logs, an exp-table take of their sums and one reduceat per
     output slot.
+
+    Forced parents are factored out first (see _forced_parent_plan): each
+    trial's determinant is prod D_j * det L', the ring factors D_j
+    multiplied into det_batch's det L' up a pairwise tree. verts are the
+    rows (and columns) of L', the heads of the plan.
     """
 
     def __init__(self, g: Digraph, roots: list[int], k: int, field: BinaryField):
@@ -129,34 +139,17 @@ class _InternalSieveEngine:
         self.k = k
         self.f = field
         self.len = 1 << k
-        r = roots[0]
-        self.verts = _bordered_vertices(g, roots)
-        self.pos = {u: i for i, u in enumerate(self.verts)}
-        self.arcs = sorted(g.arcs)
+        # in characteristic 2 an arc's weight adds where it subtracts
+        self.verts, entries, factors, border = _forced_parent_plan(g, roots, [*range(g.m)] * 2)
         self.ia, self.ib, self.offsets = _pair_plan(k)
-        # build_matrices' plan: arc u->v adds its weight at (v, v) and (u, v)
-        # outside row r and a dropped column r. Row i of in_table lists the
-        # arcs into verts[i], padded with m, a zero weight row; an entry off
-        # the diagonal takes one arc's weight (the graph has no parallel arcs).
-        nn = len(self.verts)
-        into = [[] for _ in range(nn)]
-        off_entries = []
-        off_arcs = []
-        for ai, (u, v) in enumerate(self.arcs):
-            if v != r:
-                into[self.pos[v]].append(ai)
-            if u != r and v in self.pos:
-                off_entries.append(self.pos[u] * nn + self.pos[v])
-                off_arcs.append(ai)
-        depth = max(map(len, into), default=0)
-        self.in_table = np.array(
-            [arcs + [g.m] * (depth - len(arcs)) for arcs in into], dtype=np.int64
-        ).reshape(nn, depth)
-        self.off_entries = np.array(off_entries, dtype=np.int64)
-        self.off_arcs = np.array(off_arcs, dtype=np.int64)
-        row_r = [self.pos[r] * nn + self.pos[v] for v in roots if r in self.pos]
-        self.border = np.array(row_r, dtype=np.int64)
-        self.tails = np.array([u for u, _ in self.arcs], dtype=np.int64)
+        # build_matrices' plan over its weight table: arc i's weight at row i,
+        # zeros at row m, then the xor sums of the cells
+        size = len(self.verts) ** 2
+        entries.update(enumerate(factors, size))
+        slots, self.cells = _slot_plan(entries, size + len(factors), g.m)
+        self.entries, self.factors = slots[:size], slots[size:]
+        self.border = np.array([e for e, _ in border], dtype=np.int64)
+        self.tails = np.array([u for u, _ in sorted(g.arcs)], dtype=np.int64)
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Ring products of broadcast [..., len] stacks, gathered in the log domain.
@@ -192,8 +185,8 @@ class _InternalSieveEngine:
         shift = -2 * log.take(u[..., :1]) % (self.f.q - 1)
         return self.f.np_exp.take(log.take(u) + shift)
 
-    def build_matrices(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
-        """Root-bordered Laplacians for a batch of draws, shape [nn, nn, B, len].
+    def build_matrices(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Contracted root-bordered Laplacians L' for a batch of draws, [nn, nn, B, len], and the factors D_j, [F, B, len].
 
         The sieve's arc weight is zeta + t * zeta*rmul * (the tail's marker
         pattern, the sum of x^T over the nonempty subsets T of the tail's
@@ -204,24 +197,25 @@ class _InternalSieveEngine:
         with c children contributes 1 + (sum of c independent scalars)*marker,
         nonzero for any c >= 1, where a bare (1 + marker)^c would vanish for
         even c. The weights are stacked arc-major with one zero row after
-        them. One gather through the engine's in_table and one xor
-        reduction give the diagonal, one gather and one scatter the other
-        entries, and row r, if kept, takes 1 on the roots. The diagonal's
-        gather holds nn times the largest in-degree weights, no more than
-        the stack's nn^2 entries plus one row per vertex.
+        them, and each cell of _forced_parent_plan's sums (in characteristic
+        2 a minus sign changes nothing) is one gather, padded with the zero
+        row, and one xor reduction into the rows after it. One gather of a
+        table row per entry and per factor follows, and row r, if kept,
+        takes 1 on the roots. The cells hold no more weights than the
+        entries nn^2 plus one row per vertex and arc, times the largest
+        in-degree.
         """
         nb, m = zeta.shape
         single = 1 << np.arange(self.k, dtype=np.int64)
         marked = (gvec.T[self.tails, :, None] & single) != 0
-        weights = np.zeros((m + 1, nb, self.len), dtype=np.int32)
-        weights[:m, :, 0] = zeta.T
-        weights[:m, :, single] = np.where(marked, self.f.nmul(zeta, rmul).T[:, :, None], 0)
+        table = np.zeros((m + 1 + len(self.cells), nb, self.len), dtype=np.int32)
+        table[:m, :, 0] = zeta.T
+        table[:m, :, single] = np.where(marked, self.f.nmul(zeta, rmul).T[:, :, None], 0)
+        np.bitwise_xor.reduce(table[self.cells], axis=1, out=table[m + 1 :])
         nn = len(self.verts)
-        mats = np.zeros((nn * nn, nb, self.len), dtype=np.int32)
-        mats[:: nn + 1] = np.bitwise_xor.reduce(weights[self.in_table], axis=1)
-        mats[self.off_entries] = weights[self.off_arcs]
+        mats = table[self.entries]
         mats[self.border, :, 0] = 1
-        return mats.reshape(nn, nn, nb, self.len)
+        return mats.reshape(nn, nn, nb, self.len), table[self.factors]
 
     def det_batch(self, mats: np.ndarray) -> np.ndarray:
         """Determinants [B, len] of a [nn, nn, B, len] stack, by unit-pivot elimination.
@@ -253,9 +247,14 @@ class _InternalSieveEngine:
         product of its first j diagonal entries and _det_minors of the block, which it takes at once. That
         block is then set to the identity, so the matrix rides along with
         unit pivots and no updates to the end of the loop, where its value
-        overwrites its row. mats is left unchanged.
+        overwrites its row. mats is left unchanged. An order-0 stack has
+        determinant 1, the ring's one.
         """
         nn, _, nb, _ = mats.shape
+        if not nn:
+            one = np.zeros((nb, self.len), dtype=np.int32)
+            one[:, 0] = 1
+            return one
         a = mats.copy()
         ar = np.arange(nn)
         settled = []  # (matrix indices, their determinants)
@@ -301,10 +300,10 @@ class _InternalSieveEngine:
     def _det_minors(self, mats: np.ndarray) -> np.ndarray:
         """Determinants [B, len] of a [s, s, B, len] stack, s >= 1, from its sign-free minors.
 
-        R has characteristic 2, so gf2m.minor_plan applies: row r's
-        minors are one ring product per column of each column set, from
-        one gather of row r and one of the minors above it, and one xor
-        reduction. It needs no unit pivot.
+        R has characteristic 2, so modp.minor_plan applies with every sign
+        +1: row r's minors are one ring product per column of each column
+        set, from one gather of row r and one of the minors above it, and
+        one xor reduction. It needs no unit pivot.
         """
         minors = mats[0]
         for r, (cols, rest) in enumerate(minor_plan(len(mats)), 1):
@@ -313,8 +312,9 @@ class _InternalSieveEngine:
         return minors[0]
 
     def run_chunk(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
-        """Per draw: is the verdict slot x^[k] (the image of t^k * x^[k]) nonzero?"""
-        dets = self.det_batch(self.build_matrices(zeta, rmul, gvec))
+        """Per draw: is the verdict slot x^[k] (the image of t^k * x^[k]) of prod D_j * det L' nonzero?"""
+        mats, factors = self.build_matrices(zeta, rmul, gvec)
+        dets = _tree_product(np.concatenate([self.det_batch(mats)[None], factors]), self._mul)
         return dets[:, self.len - 1] != 0
 
 
@@ -349,13 +349,16 @@ def _internal_gather_bytes(n: int, k: int) -> int:
     The rank-1 update at column 0 gathers at most (nn-1)^2 products for
     each trial of a full chunk (fewer where its screens skip lines), one
     int32 slot per pair of the 3^k-pair plan, so (nn-1)^2 * 34 * 3^k * 4
-    bytes, nn = n-1 with one spanning root and n with more. Later columns
-    gather no more. The minors of a stuck block of s <= k rows
-    (_det_minors) gather C(s, r+1) * (r+1) <= 60 products per trial at row
-    r, so at most 60 * 34 * 3^k * 4 bytes (under 6 MB). The formula still
-    counts the (k+1)(k+2)/2 * 3^k pairs of the truncated ring, kept so the
-    guard accepts exactly the same inputs; so it bounds the n-row gather
-    too, but at n = 2 and at n = 3, k = 1 (at most 1,632 bytes).
+    bytes, nn = n-1 with one spanning root and n with more, less the
+    columns that forced parents take out. Later columns gather no more. The
+    minors of a stuck block of s <= k rows (_det_minors) gather C(s, r+1) *
+    (r+1) <= 60 products per trial at row r, so at most 60 * 34 * 3^k * 4
+    bytes (under 6 MB), and run_chunk's tree product of det_batch's value
+    and the at most nn factors D_j gathers at most (nn+1)/2 products per
+    trial. The formula still counts the (k+1)(k+2)/2 * 3^k pairs of the
+    truncated ring, kept so the guard accepts exactly the same inputs; so
+    it bounds the n-row gather too, but at n = 2 and at n = 3, k = 1 (at
+    most 1,632 bytes).
     """
     return (n - 2) ** 2 * INTERNAL_CHUNK * (k + 1) * (k + 2) // 2 * 3**k * 4
 
@@ -428,16 +431,143 @@ def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> D
     return DetectionReport(hit is not None, trials_run, trials, bound, {"engine": "batched", "roots": roots})
 
 
-def _bordered_vertices(g: Digraph, roots: list[int]) -> list[int]:
-    """The rows (and columns) of the root-bordered in-arc Laplacian of (g, roots).
+def _forced_parent_plan(
+    g: Digraph, roots: list[int], ids: list[int]
+) -> tuple[list[int], dict[int, list[int]], list[list[int]], list[tuple[int, int]]]:
+    """The root-bordered in-arc Laplacian L of (g, roots) with its forced parents factored out.
 
-    Row r = roots[0] of the in-arc Laplacian L is replaced by a vector w,
-    zero off the roots. L's rows add up to the zero row, so over any
-    commutative ring det = sum_v w_v * det(L_vv), L_vv being L punctured at
-    v (the all-minors matrix-tree theorem). With one root, w = w_r * e_r,
-    and the Laplace expansion along row r leaves w_r * det(L_rr).
+    Row r = roots[0] of the in-arc Laplacian is replaced by a vector w,
+    zero off the roots. Its rows add up to the zero row, so over any
+    commutative ring det L = sum_v w_v * det(L_vv), L_vv being it punctured
+    at v (the all-minors matrix-tree theorem). With one root, w = w_r * e_r,
+    and the Laplace expansion along row r leaves w_r * det(L_rr): L is then
+    the punctured matrix, and w_r is left to the caller.
+
+    Both detectors take determinants of L with arc weights in a commutative
+    ring, and the same theorem makes them a product (Chaiken 1982). While
+    some column j holds its diagonal form D_j and at most one other nonzero,
+    at a row i with L[i][j] = -D_j, row j is added to row i, which clears
+    column j and keeps det, and the Laplace expansion along column j takes
+    D_j out as a linear factor and drops row and column j. So det L = prod
+    D_j * det L' exactly. Each row of L' sums a group of L's rows:
+    entry (i, l) is minus the weights of the arcs from i's group into l, and
+    l's diagonal sums the arcs into l from outside its group. A merge is
+    taken only if that diagonal stays a nonempty sum. With several roots, a
+    root's column holds w_v and is never taken out. A directed path
+    contracts to order 0, a complete digraph keeps its n-1 or n rows.
+
+    The groups live in a union-find, and a worklist rechecks only the
+    columns that a contraction can have freed: after a merge, the columns
+    fed by the smaller group and the head's own; after a removal, those fed
+    by the removed group. A graph where no vertex has a single in-neighbour
+    pays one pass over the in-degrees for this.
+
+    Returns (heads, entries, factors, border): heads, the vertices whose
+    rows and columns L' keeps, in id order; entries, the arcs that each
+    nonzero entry e = i * d + l of the d x d matrix L' sums (the border's
+    entries are absent); factors, the arcs of each D_j; and border, the
+    entry e of each root v's column in row r = roots[0], which holds w_v,
+    empty with one root. The lists name arc i of sorted(g.arcs) by ids[i]
+    where its weight adds, on the diagonal and in the factors, and by
+    ids[m + i] where it subtracts, off the diagonal. Refuses an empty or
+    out-of-range root list (ValueError).
     """
-    return [u for u in range(g.n) if len(roots) > 1 or u != roots[0]]
+    if not roots or min(roots) < 0 or max(roots) >= g.n:
+        raise ValueError("root out of range")
+    n = g.n
+    r = roots[0]
+    bordered = len(roots) > 1
+    ins = g.in_adj
+    up = list(range(n))  # union-find over row groups: a group's rows find its head
+    dead = [False] * n  # groups with no entries off the diagonal: r's and those taken out
+    dead[r] = True
+    live = [True] * n  # columns still in the matrix, at first all but r's with one root
+    live[r] = bordered
+    fixed = set(roots) if bordered else ()  # the columns that hold w
+    members = {}  # a head's group, where it holds more than the head
+    factors = []
+
+    def find(u: int) -> int:
+        while up[u] != u:
+            up[u] = up[up[u]]
+            u = up[u]
+        return u
+
+    queue = [v for v in range(n) if len(ins[v]) <= 1]
+    while queue:
+        j = queue.pop()
+        if not live[j] or j in fixed:
+            continue
+        terms = [u for u in ins[j] if find(u) != j]  # D_j
+        groups = {-1 if dead[h] else h for h in map(find, terms)}
+        if len(groups) != 1:  # a choice of parent group, or D_j = 0
+            continue
+        h = groups.pop()
+        if h >= 0 and all(find(u) in (h, j) for u in ins[h]):
+            continue  # h's diagonal would be 0
+        group = members.get(j, [j])
+        if h >= 0:
+            # row j joins row h: the columns fed by both groups, and h,
+            # may be left with one parent group
+            up[j] = h
+            stay = members.get(h, [h])
+            if len(group) > len(stay):
+                group, stay = stay, group
+            members[h] = stay + group
+            queue.append(h)
+        else:
+            # column j is D_j alone, and row j goes with it
+            dead[j] = True
+        queue.extend(w for s in group for w in g.out_adj[s])
+        live[j] = False
+        factors.append((terms, j))
+
+    heads = [v for v in range(n) if live[v]]
+    d = len(heads)
+    col = [-1] * n  # each vertex's column of L', or -1 where it is gone
+    for i, v in enumerate(heads):
+        col[v] = i
+    border = [(col[r] * d + col[v], v) for v in roots] if bordered else []
+    # each vertex's row of L', or -1 where its group's row is gone (or is w)
+    row = [col[find(u)] if u != r else -1 for u in range(n)]
+    m = g.m
+    arcs = sorted(g.arcs)
+    if factors:
+        index = {a: i for i, a in enumerate(arcs)}
+        factors = [[ids[index[u, j]] for u in terms] for terms, j in factors]
+    entries = {}
+    for i, (u, v) in enumerate(arcs):
+        c = col[v]
+        if c < 0 or row[u] == c:  # a column taken out, or an arc inside v's group
+            continue
+        if v != r:  # D_v: the arcs into v from outside its group
+            entries.setdefault(c * (d + 1), []).append(ids[i])
+        if row[u] >= 0:
+            entries.setdefault(row[u] * d + c, []).append(ids[m + i])
+    return heads, entries, factors, border
+
+
+def _slot_plan(terms: dict[int, list[int]], size: int, zero: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot s < size, the table row that holds the sum of the rows terms.get(s), and the cells that fill the rows past zero.
+
+    A slot with one row reads that row, one with none the zero row, and one
+    with more a cell: cell c is summed into row zero + 1 + c. The cells come
+    back as [cells, depth] rows, each padded with the zero row to the
+    longest.
+    """
+    slots = [zero] * size
+    cells = []
+    for s, rows in terms.items():
+        if len(rows) == 1:
+            slots[s] = rows[0]
+        elif rows:
+            cells.append(rows)
+            slots[s] = zero + len(cells)
+    depth = max(map(len, cells), default=1)
+    flat = [zero] * (len(cells) * depth)
+    for c, rows in enumerate(cells):
+        flat[c * depth : c * depth + len(rows)] = rows
+    return np.array(slots, dtype=np.int64), np.array(flat, dtype=np.int64).reshape(len(cells), depth)
 
 
 def _spanning_roots(g: Digraph) -> list[int]:
@@ -492,133 +622,35 @@ class BranchingLeafPolynomial:
     hence nonnegative. The number of distinct variables in a monomial is the
     branching's internal vertex count. It is the determinant of the in-arc
     Laplacian L(y) (arc u->v weighs y_u) bordered with w_v = y_v on the
-    roots (see _bordered_vertices): sum_v y_v * det(L_vv(y)).
+    roots (see _forced_parent_plan): sum_v y_v * det(L_vv(y)).
 
-    Forced parents are factored out once, when the polynomial is built, so
-    each evaluation eliminates only the vertices that have a choice (the
-    all-minors matrix-tree theorem makes P a product; Chaiken 1982). While
-    some column j holds its diagonal form D_j and at most one other nonzero,
-    at a row i with L[i][j] = -D_j, row j is added to row i, which clears
-    column j and keeps det, and the Laplace expansion along column j takes
-    D_j out as a linear factor and drops row and column j. So P(y) = prod
-    D_j(y) * det L'(y) exactly, over any commutative ring; with one root,
-    y_r is one of the factors. Each row of L' sums a group of L's rows:
-    entry (i, l) is minus the weights of the arcs from i's group into l, and
-    l's diagonal sums the arcs into l from outside its group. A merge is
-    taken only if that diagonal stays a nonzero sum, so every diagonal of L'
-    is a sum of variables with coefficient 1, nonzero at the solver's
-    positive points. With several roots, a root's column holds w_v = y_v
-    and is never taken out. A directed path contracts to order 0, a
-    complete digraph keeps its n-1 or n rows; order is the order of L'.
-
-    The groups live in a union-find, and a worklist rechecks only the
-    columns that a contraction can have freed: after a merge, the columns
-    fed by the smaller group and the head's own; after a removal, those fed
-    by the removed group. A graph where no vertex has a single in-neighbour
-    pays one pass over the in-degrees for this, and where no rows were
-    merged the plan reads each in-arc once, with no group lookup.
+    Forced parents are factored out once, when the polynomial is built (see
+    _forced_parent_plan), so P(y) = prod D_j(y) * det L'(y), with one root
+    y_r among the factors, and each evaluation eliminates only the vertices
+    that have a choice. Every diagonal of L' is a sum of variables with
+    coefficient 1, nonzero at the solver's positive points. order is the
+    order of L'.
     """
 
     def __init__(self, g: Digraph, roots: list[int]):
-        if not roots or min(roots) < 0 or max(roots) >= g.n:
-            raise ValueError("root out of range")
         self.g = g
         self.roots = roots
         self.n = n = g.n
-        r = roots[0]
-        bordered = len(roots) > 1
-        ins = g.in_adj
-        up = list(range(n))  # union-find over row groups: a group's rows find its head
-        dead = [False] * n  # groups with no entries off the diagonal: r's and those taken out
-        dead[r] = True
-        live = [True] * n  # columns still in the matrix, at first _bordered_vertices'
-        live[r] = bordered
-        fixed = set(roots) if bordered else ()  # the columns that hold w
-        members = {}  # a head's group, where it holds more than the head
-        factors = [] if bordered else [[r]]
-
-        def find(u: int) -> int:
-            while up[u] != u:
-                up[u] = up[up[u]]
-                u = up[u]
-            return u
-
-        queue = [v for v in range(n) if len(ins[v]) <= 1]
-        while queue:
-            j = queue.pop()
-            if not live[j] or j in fixed:
-                continue
-            terms = [u for u in ins[j] if find(u) != j]  # D_j
-            groups = {-1 if dead[h] else h for h in map(find, terms)}
-            if len(groups) != 1:  # a choice of parent group, or D_j = 0
-                continue
-            h = groups.pop()
-            if h >= 0 and all(find(u) in (h, j) for u in ins[h]):
-                continue  # h's diagonal would be 0
-            group = members.get(j, [j])
-            if h >= 0:
-                # row j joins row h: the columns fed by both groups, and h,
-                # may be left with one parent group
-                up[j] = h
-                stay = members.get(h, [h])
-                if len(group) > len(stay):
-                    group, stay = stay, group
-                members[h] = stay + group
-                queue.append(h)
-            else:
-                # column j is D_j alone, and row j goes with it
-                dead[j] = True
-            queue.extend(w for s in group for w in g.out_adj[s])
-            live[j] = False
-            factors.append(terms)
-
-        heads = [v for v in range(n) if live[v]]
-        d = self.order = len(heads)
-        # each vertex's row of L', or -1 where its group's row is gone (or is w)
-        row = [-1] * n
-        for i, v in enumerate(heads):
-            row[v] = i
-        entries = {}  # entry e of L': the table rows (see read) it sums
-        if bordered:  # row r holds w; each root is its own group
-            for v in roots:
-                entries[row[r] * d + row[v]] = [v]
-        row[r] = -1
-        row = [row[find(u)] for u in range(n)]
-        for col, v in enumerate(heads):
-            # D_v: the arcs into v from outside its group
-            diag = [u for u in ins[v] if row[u] != col]
-            if v != r:
-                entries[col * (d + 1)] = diag
-            for u in diag:
-                if row[u] >= 0:  # u's row is not gone
-                    entries.setdefault(row[u] * d + col, []).append(n + u)
         # _table's plan. Slot e < d*d is entry e of L', slot d*d + i factor
         # i; each reads one table row: y_u at row u, -y_u at n + u, 0 at 2n
-        # (no terms), or from row 2n + 1 on the sum of one of cells' lists
-        zero = 2 * n
-        first = zero + 1
-        cells = []
-
-        def read(terms: list[int]) -> int:
-            if len(terms) <= 1:
-                return terms[0] if terms else zero
-            cells.append(terms)
-            return first + len(cells) - 1
-
-        slots = [read(entries.get(e, [])) for e in range(d * d)] + [read(f) for f in factors]
-        # the cells after the slots, each padded with the zero row to the longest
-        nslots = len(slots)
-        depth = max(map(len, cells), default=1)
-        pad = [zero] * depth
-        for c in cells:
-            slots += c
-            slots += pad[len(c) :]
-        plan = np.fromiter(slots, np.int64, len(slots))
-        self._entries = plan[: d * d]
-        self._factors = plan[d * d : nslots]
-        self._cells = plan[nslots:].reshape(len(cells), depth)
-        self._rows = first + len(cells)
-        self._width = max(self._rows, d * d, len(factors), self._cells.size)
+        # (no terms), or from row 2n + 1 on a cell's sum. Arc u->v weighs y_u
+        tails = [u for u, _ in sorted(g.arcs)]
+        heads, terms, factors, border = _forced_parent_plan(g, roots, tails + [n + u for u in tails])
+        d = self.order = len(heads)
+        size = d * d
+        terms.update((e, [v]) for e, v in border)
+        factors += [[roots[0]]] * (len(roots) == 1)
+        terms.update(enumerate(factors, size))
+        slots, self._cells = _slot_plan(terms, size + len(factors), 2 * n)
+        self._entries = slots[:size]
+        self._factors = slots[size:]
+        self._rows = 2 * n + 1 + len(self._cells)
+        self._width = max(self._rows, size, len(factors), self._cells.size)
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
         """P at each row of ys mod p: det L' times the product of the factors.

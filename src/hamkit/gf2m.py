@@ -2,15 +2,14 @@
 
 A field multiplies whole arrays through log/exp tables (nmul); the
 kernels invert through the same tables, as exp[(q - 1) - log a]. Both
-characteristic-2 determinant kernels share one gather plan of sign-free
-row-by-row minors (minor_plan). Only hamdetect and branchings import this
-module.
+characteristic-2 determinant kernels take their sign-free row-by-row
+minors through modp.minor_plan, whose signs are all +1 in characteristic
+2. Only hamdetect and branchings import this module.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -165,30 +164,3 @@ def make_binary_field(m: int) -> BinaryField:
     a new one.
     """
     return BinaryField(m)
-
-
-@functools.cache
-def minor_plan(t: int) -> tuple:
-    """Gather plan of the row-by-row minors of a t x t block, rows 1..t-1.
-
-    In characteristic 2 a determinant has no signs, so the minor M_r(S) of
-    rows 0..r on a column set S of r + 1 columns is the sum over c in S of
-    m[r, c] * M_{r-1}(S - c), and M_{t-1} of all t columns is the block's
-    determinant. The minors of rows 0..r are indexed by their column sets
-    S, |S| = r + 1, in itertools.combinations order. Row r's entry is
-    (cols, rest), both [C(t, r + 1), r + 1] intp: cols[k] lists the columns
-    c of the k-th set S, and rest[k] the index of each S - c among the sets
-    of row r - 1. Row 0's minors are its own entries, so they need no
-    entry. The arrays are read-only, since every call shares them.
-    """
-    index = {(c,): c for c in range(t)}
-    plan = []
-    for r in range(1, t):
-        sets = list(itertools.combinations(range(t), r + 1))
-        cols = np.array(sets, dtype=np.intp)
-        rest = np.array([[index[s[:j] + s[j + 1 :]] for j in range(r + 1)] for s in sets], dtype=np.intp)
-        cols.setflags(write=False)
-        rest.setflags(write=False)
-        plan.append((cols, rest))
-        index = {s: k for k, s in enumerate(sets)}
-    return tuple(plan)

@@ -55,8 +55,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardError
-from .gf2m import BinaryField, make_binary_field, minor_plan
+from .gf2m import BinaryField, make_binary_field
 from .graph import Digraph, IndependentPartition, find_independent_partition
+from .modp import MINOR_TAIL, minor_plan
 from .rand import counter_draw, derive_seed
 from .report import DetectionReport, run_trials
 
@@ -73,10 +74,6 @@ LAYOUT_BLOCK = 1 << 12
 # up to |blue| = 8, two from 9 to BLUE_LIMIT, so a table has at most
 # BLUE_LIMIT * 2 * 2^8 rows and a plan's indices fit in uint16
 TABLE_BLOCK = BLUE_LIMIT // 2
-# batched_gf_det eliminates down to this many rows and takes the determinant of
-# the trailing block from its row-by-row minors
-MINOR_TAIL = 4
-
 # building the field's tables (~7 ms) at import keeps them out of the first
 # detection call
 make_binary_field(FIELD_BITS)
@@ -176,7 +173,7 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     nonzero entry added to its top row, which leaves the determinant
     unchanged; one flat take gathers those rows for the whole stack.
     The tail needs no pivot and drops nothing: its determinant is the xor
-    of its sign-free row-by-row minors (gf2m.minor_plan). Row r takes
+    of its sign-free row-by-row minors (modp.minor_plan). Row r takes
     every minor of rows 0..r at once through the cached plan of t: two
     gathers of logs, one add, one exp-table gather and one xor reduction.
     A matrix of at most MINOR_TAIL rows is its own tail and runs no

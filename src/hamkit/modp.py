@@ -1,17 +1,22 @@
 """Prime-field kernels: GF(p), p < 2^31, on numpy int64 arrays.
 
 batched_modp_det takes the determinants of a whole stack of matrices mod
-p, division-free and screened across the stack; inverse_vandermonde and
-interpolate_univariate turn a batch of values at fixed abscissae into
+p, division-free and screened across the stack, and finishes the last
+MINOR_TAIL rows from their signed row-by-row minors; inverse_vandermonde
+and interpolate_univariate turn a batch of values at fixed abscissae into
 coefficients. They share _batch_inverse (one Fermat power per batch) and
 _centre_mod (a float64 quotient in place of an int64 %). The stack helpers
 _live_span and _tree_product serve the marker-ring kernel of branchings as
-well. The module imports numpy and nothing from hamkit, so a caller loads
-neither the detectors nor the binary fields with it; only branchings
-imports it.
+well, and minor_plan, the gather plan of the minors, serves the
+characteristic-2 kernels of hamdetect and branchings. The module imports
+numpy and nothing from hamkit, so a caller loads neither the detectors nor
+the binary fields with it.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -19,8 +24,40 @@ import numpy as np
 # (centred ones, |r| <= p * (1/2 + 2^-20)), so p must stay below 2^31
 MODP_WORD_LIMIT = 1 << 31
 # Entries of the int64 and float64 scratch blocks that batched_modp_det reduces
-# at once: each elimination step updates its trailing rows a block at a time
+# at once: each elimination step updates its trailing rows a block at a time,
+# and the tail's minors take about this many products at a time
 MODP_BLOCK = 1 << 16
+# batched_modp_det and hamdetect.batched_gf_det eliminate down to this many
+# rows and take the determinant of the trailing block from its row-by-row minors
+MINOR_TAIL = 4
+
+
+@functools.cache
+def minor_plan(t: int) -> tuple:
+    """Gather plan of the row-by-row minors of a t x t block, rows 1..t-1.
+
+    The minor M_r(S) of rows 0..r on a column set S = (S_0 < ... < S_r) is,
+    expanded along row r, the sum over positions j of (-1)^(r+j) *
+    m[r, S_j] * M_{r-1}(S - S_j), and M_{t-1} of all t columns is the
+    block's determinant; in characteristic 2 every sign is +1. The minors of
+    rows 0..r are indexed by their column sets S, |S| = r + 1, in
+    itertools.combinations order. Row r's entry is (cols, rest), both
+    [C(t, r + 1), r + 1] intp: cols[k] lists the columns of the k-th set S,
+    and rest[k] the index of each S - S_j among the sets of row r - 1. Row
+    0's minors are its own entries, so they need no entry. The arrays are
+    read-only, since every call shares them.
+    """
+    index = {(c,): c for c in range(t)}
+    plan = []
+    for r in range(1, t):
+        sets = list(itertools.combinations(range(t), r + 1))
+        cols = np.array(sets, dtype=np.intp)
+        rest = np.array([[index[s[:j] + s[j + 1 :]] for j in range(r + 1)] for s in sets], dtype=np.intp)
+        cols.setflags(write=False)
+        rest.setflags(write=False)
+        plan.append((cols, rest))
+        index = {s: k for k, s in enumerate(sets)}
+    return tuple(plan)
 
 
 def _live_span(lines: np.ndarray, start: int) -> slice | None:
@@ -110,6 +147,17 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     Each step updates its trailing rows in blocks of about MODP_BLOCK
     entries, through two scratch buffers of that size.
 
+    Elimination stops when t = min(d, MINOR_TAIL) rows are left; a matrix of
+    at most MINOR_TAIL rows is its own tail and runs no elimination step.
+    The tail's determinant is the last of its signed row-by-row minors
+    (minor_plan): row r takes every minor of rows 0..r at once, one gather
+    of row r and one of the minors above, their products signed (-1)^(r+j)
+    and summed over the positions j. A product of two centred residues is
+    below 2^60 in magnitude and a sum of at most MINOR_TAIL of them below
+    2^62, and _centre_mod brings each row's minors back to centred
+    residues. The tail needs no pivot; it runs over the stack in blocks of
+    about MODP_BLOCK products.
+
     A zero pivot takes the first row below it with a nonzero entry in its
     column added to row j, which keeps the determinant, so no sign is
     tracked; the sum of two entries is below 2p in magnitude, and
@@ -121,29 +169,31 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     right of column j, which scales the determinant by piv once per updated
     row. A row outside the span is zero in column j in every matrix and is
     left as it is, unscaled. Column j below the pivot is never read again,
-    so it stays as it is and stands for the zeros of the eliminated, upper
-    triangular matrix. Row j is never written after step j, so a[j, j] ends
-    up holding step j's pivot, and the determinant is the product of that
-    eliminated diagonal divided by each step's pivot once per row the step
-    updated: the product of each pivot raised to its update count (counts),
-    by square-and-multiply over the counts' bits with one tree product of
-    the pivot rows per bit, and one _batch_inverse of it divides, with no
-    division in the loop and no array larger than [d, B] at the end. Only the diagonal and these
-    products are normalised with %. Where no step updated a row (order 0 or
-    1, or every span empty) there is nothing to divide by, and the inverse
-    is skipped. Every updated entry is brought back to a centred
-    residue by _centre_mod, one float quotient instead of an int64 %, and a
-    skipped row keeps the centred residues it had, so every entry stays at
-    most p * (1/2 + 2^-20) in magnitude: each update piv*rest - col*row is
-    at most p^2/2 * (1 + 2^-17) < 2^62 (below p^2 on [0, p) entries), and
-    reducing it leaves at most p/2 + 2^-51 * p^2 < p * (1/2 + 2^-20). As
-    that is below p, an entry is nonzero exactly when its residue is, so the
-    pivot search and the screen see the same matrices as over GF(p). A
-    matrix that runs out of pivots has a zero on its diagonal and
-    determinant 0. The products are taken in int64, so p must be below
-    MODP_WORD_LIMIT (2^31). On the Laplacian stacks branchings.solve_nk_dv builds,
-    every initial diagonal entry is nonzero, so the row addition is the
-    exception there, not the rule. An order-0 stack has determinant 1.
+    so it stays as it is and stands for the zeros of the eliminated, block
+    upper triangular matrix. Row j is never written after step j, so a[j, j]
+    ends up holding step j's pivot, and the determinant is the product of
+    that eliminated diagonal and the tail's determinant divided by each
+    step's pivot once per row the step updated: the product of each pivot
+    raised to its update count (counts), by square-and-multiply over the
+    counts' bits with one tree product of the pivot rows per bit, and one
+    _batch_inverse of it divides, with no division in the loop and no array
+    larger than [d, B] at the end. Only the diagonal, the tail's
+    determinant and these products are normalised with %. Where no step
+    updated a row (order d <= MINOR_TAIL, or every span empty) there is
+    nothing to divide by, and the inverse is skipped. Every updated entry is
+    brought back to a centred residue by _centre_mod, one float quotient
+    instead of an int64 %, and a skipped row keeps the centred residues it
+    had, so every entry stays at most p * (1/2 + 2^-20) in magnitude: each
+    update piv*rest - col*row is at most p^2/2 * (1 + 2^-17) < 2^62 (below
+    p^2 on [0, p) entries), and reducing it leaves at most p/2 + 2^-51 * p^2
+    < p * (1/2 + 2^-20). As that is below p, an entry is nonzero exactly
+    when its residue is, so the pivot search and the screen see the same
+    matrices as over GF(p). A matrix that runs out of pivots has a zero on
+    its diagonal and determinant 0. The products are taken in int64, so p
+    must be below MODP_WORD_LIMIT (2^31). On the Laplacian stacks
+    branchings.solve_nk_dv builds, every initial diagonal entry is nonzero,
+    so the row addition is the exception there, not the rule. An order-0
+    stack has determinant 1.
     """
     if p >= MODP_WORD_LIMIT:
         raise ValueError(f"prime {p} is past the 2^31 word-size limit of batched_modp_det")
@@ -151,12 +201,13 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     if not d:
         return np.ones(nmats, dtype=np.int64)
     a = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    counts = [0] * d  # per step, the rows its pivot scaled
+    steps = d - min(d, MINOR_TAIL)
+    counts = [0] * steps  # per step, the rows its pivot scaled
     width = max(1, (d - 1) * nmats)  # entries in one row of the first update
     rows = max(1, MODP_BLOCK // width)
-    quot = np.empty(min(rows, max(1, d - 1)) * width, dtype=np.int64)
+    quot = np.empty(min(rows, d - 1) * width if steps else 0, dtype=np.int64)
     fquot = np.empty(quot.shape, dtype=np.float64)
-    for j in range(d):
+    for j in range(steps):
         if np.count_nonzero(a[j, j]) < nmats:
             # row j takes the first row below with a nonzero column-j entry
             # added; where there is none, column j is zero from row j down,
@@ -164,7 +215,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
             zero = np.flatnonzero(a[j, j] == 0)
             src = j + np.argmax(a[j:, j, zero] != 0, axis=0)
             a[j, j:, zero] = _centre_mod(a[j, j:, zero] + a[src, j:, zero], p)
-        span = _live_span(a[j + 1 :, j], j + 1) if j + 1 < d else None
+        span = _live_span(a[j + 1 :, j], j + 1)
         if span:
             m = span.stop - span.start
             counts[j] = int(m)
@@ -180,8 +231,21 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
                 rest *= piv
                 rest -= prod
                 _centre_mod(rest, p, prod, fquot[:size].reshape(rest.shape))
-    quot = fquot = prod = None  # free the scratch (prod is a view of quot) before the [d, B] products
-    diag = a.diagonal().T % p  # [d, B], step j's pivot in row j
+    quot = fquot = prod = None  # free the scratch (prod is a view of quot) before the tail and the products
+    tail = a[steps:, steps:]
+    plan = minor_plan(len(tail))
+    chunk = max(1, MODP_BLOCK // max((cols.size for cols, _ in plan), default=1))
+    diag = np.empty((steps + 1, nmats), dtype=np.int64)  # step j's pivot in row j, the tail's determinant last
+    diag[:steps] = a.diagonal().T[:steps]
+    for lo in range(0, nmats, chunk):
+        block = tail[..., lo : lo + chunk]
+        minors = block[0]
+        for r, (cols, rest) in enumerate(plan, 1):
+            prods = block[r].take(cols, axis=0) * minors.take(rest, axis=0)
+            prods[:, (r + 1) % 2 :: 2] *= -1  # the positions j with r + j odd
+            minors = _centre_mod(prods.sum(axis=1), p)
+        diag[steps, lo : lo + chunk] = minors[0]
+    diag %= p
     mul = lambda x, y: x * y % p  # noqa: E731
     det = _tree_product(diag, mul)
     if any(counts):

@@ -257,8 +257,13 @@ class TestDetectKInternal:
 SWAP_GRAPH = make_digraph(5, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
 
 
+def _full_dets(engine, mats, factors):
+    """prod D_j * det L' for a build_matrices pair: the determinant of the uncontracted bordered Laplacian."""
+    return modp._tree_product(np.concatenate([engine.det_batch(mats)[None], factors]), engine._mul)
+
+
 def _internal_determinant_cases(seed: int):
-    """(engine, its matrices, reference determinants) for three draws per graph, every det_batch route included."""
+    """(engine, its matrices, its factors, reference determinants) for three draws per graph, every det_batch route included."""
     rnd = random.Random(seed)
     cases = []
     for k in (1, 2, 3, 4):
@@ -282,7 +287,7 @@ def _internal_determinant_cases(seed: int):
         if equal_zeta:
             zeta[:] = zeta[:, :1]
         engine = branchings._InternalSieveEngine(g, [root], k, field)
-        yield engine, engine.build_matrices(zeta, rmul, gvec), internal_determinants(
+        yield engine, *engine.build_matrices(zeta, rmul, gvec), internal_determinants(
             g, root, k, field, zeta, rmul, gvec
         )
 
@@ -368,7 +373,7 @@ def _route_pools(rnd: random.Random):
                 zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), root, 0, 3)
                 if equal_zeta:
                     zeta[:] = zeta[:, :1]
-                mats = branchings._InternalSieveEngine(g, [root], k, field).build_matrices(zeta, rmul, gvec)
+                mats, _ = branchings._InternalSieveEngine(g, [root], k, field).build_matrices(zeta, rmul, gvec)
                 draws.extend(mats[:, :, b] for b in range(3))
             for zero_cols in ([], [nn - 2], range(max(0, nn - k - 1), nn), range(nn - k, nn)):
                 for _ in range(2):
@@ -392,8 +397,8 @@ class TestInternalDeterminant:
         # a column swap, a unit-free trailing block past k rows (determinant
         # 0), and one of at most k rows (its minors); each must occur
         routes = Counter()
-        for engine, mats, want in _internal_determinant_cases(86):
-            got = engine.det_batch(mats)
+        for engine, mats, factors, want in _internal_determinant_cases(86):
+            got = _full_dets(engine, mats, factors)
             ga = GroupAlgebra(engine.f, engine.k)
             for b, det in enumerate(want):
                 xdet = [xbasis_to_group(ga, det[a]) for a in range(engine.k + 1)]
@@ -409,7 +414,7 @@ class TestInternalDeterminant:
         # every det_batch route: the kernel of the map to the marker ring is
         # an ideal of the subring these terms span
         routes = Counter()
-        for engine, mats, want in _internal_determinant_cases(88):
+        for engine, mats, _, want in _internal_determinant_cases(88):
             engine.det_batch(mats)  # counts the minors draws
             for seen, _ in _det_routes(engine, mats):
                 routes.update(seen or {"plain"})
@@ -463,9 +468,12 @@ class TestInternalDeterminant:
                         assert tuple(got[i, j, t].tolist()) == want, (m, k, i, j, t)
 
     def test_build_matrices_matches_per_arc_loop(self):
-        # the planned scatter against the loop it replaced: each arc u->v
-        # xors its weight into (v, v), and into (u, v) unless u is the root
+        # the planned gathers against the loop they replaced: each arc u->v
+        # xors its weight into (v, v), and into (u, v) unless u is the root,
+        # on the (graph, root) pairs with no forced parent, which keep all
+        # n-1 rows and no factor (TestInternalForcedParents covers the rest)
         rnd = random.Random(89)
+        kept = 0
         graphs = [complete_digraph(5), SWAP_GRAPH, directed_cycle(4), out_star(5)]
         graphs += [random_digraph(rnd, rnd.randint(2, 8), rnd.uniform(0.2, 0.9)) for _ in range(12)]
         for g in graphs:
@@ -473,6 +481,10 @@ class TestInternalDeterminant:
             for k in (1, 3):
                 for root in range(g.n):
                     engine = branchings._InternalSieveEngine(g, [root], k, field)
+                    if len(engine.verts) < g.n - 1:
+                        continue
+                    kept += 1
+                    pos = {u: i for i, u in enumerate(engine.verts)}
                     zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, 3, root, 0, 4)
                     single = 1 << np.arange(k)
                     want = np.zeros((g.n - 1, g.n - 1, 4, 1 << k), dtype=np.int32)
@@ -483,11 +495,13 @@ class TestInternalDeterminant:
                         weight[:, 0] = zeta[:, ai]
                         marked = (gvec[:, u, None] & single) != 0
                         weight[:, single] = np.where(marked, field.nmul(zeta[:, ai], rmul[:, ai])[:, None], 0)
-                        want[engine.pos[v], engine.pos[v]] ^= weight
+                        want[pos[v], pos[v]] ^= weight
                         if u != root:
-                            want[engine.pos[u], engine.pos[v]] ^= weight
-                    got = engine.build_matrices(zeta, rmul, gvec)
+                            want[pos[u], pos[v]] ^= weight
+                    got, factors = engine.build_matrices(zeta, rmul, gvec)
                     assert got.dtype == np.int32 and np.array_equal(got, want), (sorted(g.arcs), root, k)
+                    assert factors.shape == (0, 4, 1 << k)
+        assert kept >= 50, kept
 
     @pytest.mark.parametrize("stuck", [True, False], ids=["in-ideal", "general"])
     def test_det_minors_matches_reference(self, stuck):
@@ -626,7 +640,7 @@ class TestScreenedElimination:
             field = make_binary_field(binary_field_degree(g.n))
             zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, 7, roots[0], 0, 3)
             engine = branchings._InternalSieveEngine(g, roots, k, field)
-            got = engine.det_batch(engine.build_matrices(zeta, rmul, gvec))
+            got = _full_dets(engine, *engine.build_matrices(zeta, rmul, gvec))
             assert got.tolist() == internal_root_sum(g, roots, k, field, zeta, rmul, gvec), (sorted(g.arcs), roots)
             sizes[len(roots) > 1] += 1
         assert min(sizes[False], sizes[True]) >= 2, sizes
@@ -667,12 +681,15 @@ class TestScreenedElimination:
             field = make_binary_field(binary_field_degree(n))
             engine = branchings._InternalSieveEngine(g, roots, k, field)
             draws = branchings._draw_internal_chunk(g, k, field, 3, 0, 0, branchings.INTERNAL_CHUNK)
-            mats = engine.build_matrices(*draws)
+            mats, _ = engine.build_matrices(*draws)
             mats = mats[:, :, [b for b, (_, searched) in enumerate(_det_routes(engine, mats)) if not searched]]
             assert mats.shape[2] >= 25
             events.clear()
             dets = engine.det_batch(mats)
             assert not dets[:, -1].any()  # a NO: no draw has the verdict slot
+            if not engine.verts:  # two hubs leave no row once forced parents are out
+                assert hubs == 2 and not events
+                continue
             updates = []
             step = None
             for event in events[: events.index("product")]:
@@ -698,11 +715,11 @@ class TestScreenedElimination:
         blocks[:, 4:, :4] = 0
         blocks[:4, 0, 0] = 0  # a zero pivot: row 1 is added to row 0 at step 0
         yield "blocks", blocks
-        # column 0 nonzero only in rows 0 and 1, so step 0 skips rows 2-4;
+        # column 0 nonzero only in rows 0 and 1, so step 0 skips rows 2-6;
         # in half the matrices row 1 is t * row 0 in columns 0 and 1, so the
         # pivot at (1, 1) is 0 after step 0 and the unscaled row 2 is
-        # added to row 1
-        added = rand(16, 5, 5)
+        # added to row 1 at step 1, before the 4-row tail
+        added = rand(16, 7, 7)
         added[:, 2:, 0] = 0
         t = rand(8)
         added[:8, 1, :2] = added[:8, 0, :2] * t[:, None] % p
@@ -770,9 +787,9 @@ class TestRootBorder:
             field = make_binary_field(binary_field_degree(g.n))
             zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), roots[0], 0, 2)
             engine = branchings._InternalSieveEngine(g, roots, k, field)
-            mats = engine.build_matrices(zeta, rmul, gvec)
-            assert mats.shape[0] == (g.n if len(roots) > 1 else g.n - 1)
-            got = engine.det_batch(mats)
+            mats, factors = engine.build_matrices(zeta, rmul, gvec)
+            assert mats.shape[0] == len(engine.verts) <= (g.n if len(roots) > 1 else g.n - 1)
+            got = _full_dets(engine, mats, factors)
             want = internal_root_sum(g, roots, k, field, zeta, rmul, gvec)
             assert got.tolist() == want, (sorted(g.arcs), roots, k)
             sizes[len(roots) > 1] += 1
@@ -822,7 +839,7 @@ class TestRootBorder:
             engine = branchings._InternalSieveEngine(g, roots, k, field)
             draws = branchings._draw_internal_chunk(g, k, field, 5, roots[0], 0, branchings.INTERNAL_CHUNK)
             gathers.clear()
-            engine.det_batch(engine.build_matrices(*draws))
+            engine.det_batch(engine.build_matrices(*draws)[0])
             nn = g.n if len(roots) > 1 else g.n - 1
             first = (nn - 1) ** 2 * branchings.INTERNAL_CHUNK * 3**k * 4
             assert (max(gathers) == first) if dense else (max(gathers, default=0) < first), (g.arcs, k)
@@ -848,9 +865,10 @@ class TestBatchedPrimeDet:
         assert batched_modp_det(mats, p).tolist() == entries
 
     def test_inverse_only_after_an_update(self, monkeypatch):
-        # no row is scaled where no step updates one: order 0 and 1, and
-        # stacks whose columns are zero below the diagonal in every matrix;
-        # the batch inverse runs only where some row was updated
+        # no row is scaled where no step updates one: order 0 and 1, stacks
+        # whose columns are zero below the diagonal in every matrix, and
+        # MINOR_TAIL x MINOR_TAIL stacks, which are their own tail; the batch
+        # inverse runs only where some row was updated
         calls = []
         batch_inverse = modp._batch_inverse
 
@@ -861,10 +879,11 @@ class TestBatchedPrimeDet:
         monkeypatch.setattr(modp, "_batch_inverse", recording)
         p = 2_147_483_029
         rnd = np.random.default_rng(23)
-        upper = np.triu(rnd.integers(0, p, size=(6, 4, 4)))
-        full = rnd.integers(0, p, size=(6, 4, 4))
+        upper = np.triu(rnd.integers(0, p, size=(6, 7, 7)))
+        full = rnd.integers(0, p, size=(6, 5, 5))
+        tail = rnd.integers(0, p, size=(6, 4, 4))
         cases = [(np.zeros((3, 0, 0), dtype=np.int64), 0), (rnd.integers(0, p, size=(5, 1, 1)), 0),
-                 (upper, 0), (full, 1)]
+                 (upper, 0), (tail, 0), (full, 1)]
         for mats, inverses in cases:
             calls.clear()
             want = [det_gauss(square(PrimeField(p), m.tolist())) for m in mats]
@@ -948,7 +967,8 @@ class TestBatchedPrimeDet:
         assert all(want[30:])  # a cyclic chain: every chain stack is nonsingular
 
     def test_one_row_blocks(self, update_rows, monkeypatch):
-        # MODP_BLOCK = 1: every step updates its trailing rows one at a time
+        # MODP_BLOCK = 1: every step updates its trailing rows one at a time,
+        # steps 0..2 of a 7 x 7 stack, before its 4 x 4 tail
         monkeypatch.setattr(modp, "MODP_BLOCK", 1)
         p = MERSENNE_31
         field = PrimeField(p)
@@ -959,7 +979,45 @@ class TestBatchedPrimeDet:
         dets = batched_modp_det(mats.copy(), p)
         assert dets.tolist() == [det_gauss(square(field, m.tolist())) for m in mats]
         assert not dets[:5].any() and dets[5:].all()
-        assert len(update_rows) == 6 + 5 + 4 + 3 + 2 + 1 and max(update_rows) == 1
+        assert len(update_rows) == 6 + 5 + 4 and max(update_rows) == 1
+
+    @pytest.mark.parametrize("block", [None, 30])
+    @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, MERSENNE_31])
+    def test_signed_minor_tail_matches_gauss(self, p, block, monkeypatch):
+        # orders 0-9: up to MINOR_TAIL rows are all tail, more run d -
+        # MINOR_TAIL elimination steps first. Per order: zero pivots before
+        # the tail, tails that elimination leaves untouched with a zero in
+        # their leading entry, a repeated or a zero row (singular), a
+        # dependent row across the split, and dense draws; contiguous and
+        # batch-last. MODP_BLOCK = 30 runs the tail's minors (up to 12
+        # products per matrix) two matrices at a time
+        if block:
+            monkeypatch.setattr(modp, "MODP_BLOCK", block)
+        field = PrimeField(p)
+        rng = np.random.default_rng(p % 1019)
+        t = modp.MINOR_TAIL
+        singular = nonsingular = 0
+        for d in range(10):
+            s = max(0, d - t)  # the elimination steps
+            mats = rng.integers(0, p, size=(25, d, d), dtype=np.int64)
+            if d >= 2:
+                mats[:4, 0, 0] = 0  # a zero pivot at step 0, or the tail's own leading zero
+                mats[4:12, s:, :s] = 0  # the tail rows take no update
+                mats[4:8, s, s] = 0
+                mats[8:10, d - 1, s:] = mats[8:10, s, s:]
+                mats[10:12, d - 1] = 0
+                mats[16:20] *= rng.random((4, d, d)) < 0.4
+            if d >= 3:
+                mats[12:16, d - 1] = (mats[12:16, 0] + 2 * mats[12:16, 1]) % p
+            want = [det_gauss(square(field, m.tolist())) for m in mats]
+            batch_last = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+            assert batched_modp_det(mats.copy(), p).tolist() == want, d
+            assert batched_modp_det(batch_last, p).tolist() == want, d
+            if d >= 2:
+                assert not any(want[8 : 16 if d >= 3 else 12]), d
+            singular += want.count(0)
+            nonsingular += len(want) - want.count(0)
+        assert singular >= 60 and nonsingular >= 40, (singular, nonsingular)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, 2_147_483_029])
     def test_batch_inverse_matches_fermat(self, p):
@@ -1230,6 +1288,64 @@ class TestForcedParents:
             assert coeffs.any(axis=0).all(), (sorted(g.arcs), roots)
             checked += P.order >= 2
         assert checked >= 30, checked
+
+
+class TestInternalForcedParents:
+    """_InternalSieveEngine takes forced parents out as ring factors: det L = prod D_j * det L', every slot."""
+
+    @staticmethod
+    def check(g, roots, k, rnd):
+        field = make_binary_field(binary_field_degree(g.n))
+        zeta, rmul, gvec = branchings._draw_internal_chunk(g, k, field, rnd.randrange(99), roots[0], 0, 3)
+        engine = branchings._InternalSieveEngine(g, roots, k, field)
+        mats, factors = engine.build_matrices(zeta, rmul, gvec)
+        nn = g.n if len(roots) > 1 else g.n - 1
+        # each column taken out leaves one factor D_j
+        assert mats.shape == (len(engine.verts),) * 2 + (3, engine.len) and len(engine.verts) + len(factors) == nn
+        got = _full_dets(engine, mats, factors)
+        assert got.tolist() == internal_root_sum(g, roots, k, field, zeta, rmul, gvec), (sorted(g.arcs), roots, k)
+        return "none" if len(engine.verts) == nn else "all" if not engine.verts else "some"
+
+    def test_shapes_match_the_uncontracted_reference(self):
+        rnd = random.Random(3705)
+        kinds = Counter()
+        for g, roots in _forced_parent_cases():
+            if g.n <= 10:
+                kinds[len(roots) > 1, self.check(g, roots, rnd.randint(1, min(3, g.n - 1)), rnd)] += 1
+        assert min(kinds[False, "all"], kinds[False, "some"], kinds[True, "some"]) >= 2, kinds
+
+    def test_random_root_lists_match_the_uncontracted_reference(self):
+        # sparse graphs, so that forced parents are common; one root and
+        # several, spanning or not
+        rnd = random.Random(3706)
+        kinds = Counter()
+        for _ in range(60):
+            n = rnd.randint(2, 8)
+            g = random_digraph(rnd, n, rnd.uniform(0.1, 0.5))
+            roots = rnd.sample(range(n), 1 if rnd.random() < 0.5 else rnd.randint(2, n))
+            kinds[len(roots) > 1, self.check(g, roots, rnd.randint(1, min(3, n - 1)), rnd)] += 1
+        assert min(kinds[False, "all"], kinds[False, "some"], kinds[False, "none"],
+                   kinds[True, "some"], kinds[True, "none"]) >= 3, kinds
+
+    def test_bench_hubs_contract_to_order_zero(self):
+        # every rooted_hubs(n, 2, 2n) graph, one per choice of the second
+        # hub: each non-root vertex's parents are the root and that hub,
+        # whose own parent is the root, so L' has order 0 and a trial is a
+        # product of n - 1 ring factors; det_batch still sees the whole chunk
+        for n in (8, 9):
+            graphs = {rooted_hubs(random.Random(seed), n, 2, 2 * n) for seed in range(100)}
+            assert len(graphs) == n - 1
+            field = make_binary_field(binary_field_degree(n))
+            for g in graphs:
+                engine = branchings._InternalSieveEngine(g, [0], 3, field)
+                draws = branchings._draw_internal_chunk(g, 3, field, 5, 0, 0, branchings.INTERNAL_CHUNK)
+                mats, factors = engine.build_matrices(*draws)
+                assert mats.shape == (0, 0, branchings.INTERNAL_CHUNK, 8) and len(factors) == n - 1
+                one = engine.det_batch(mats)
+                assert not one[:, 1:].any() and (one[:, 0] == 1).all()
+                assert not engine.run_chunk(*draws).any()  # a NO: at most 2 internal vertices
+                assert BranchingLeafPolynomial(g, [0]).order == 0
+                assert self.check(g, [0], 3, random.Random(n)) == "all"
 
 
 class TestSolveNkDv:
@@ -1529,8 +1645,10 @@ class TestDetectKLeaf:
 def _kernel_digest_stacks(seed: int):
     """Seeded det_batch and batched_modp_det inputs, sparse and dense, one root and several.
 
-    Yields ("ring", engine, [nn, nn, B, len] stack) and ("modp", p, [B, d, d]
-    stack). The ring stacks are chunks of draws on bench-shaped NO graphs
+    Yields ("ring", engine, build_matrices' pair of the [nn, nn, B, len] stack
+    and its factors) and ("modp", p, [B, d, d] stack); a ring stack's digest
+    takes the uncontracted determinant, the factors multiplied in. The ring
+    stacks are chunks of draws on bench-shaped NO graphs
     (hubs, a rooted path), stars, a bidirected path, a complete digraph and
     random graphs; the mod-p stacks are k-leaf Laplacians at routed points
     tau = 0..2n, not solve_nk_dv's 1..2n+1, since tau = 0 zeroes whole rows
@@ -1580,7 +1698,7 @@ class TestGoldenDigest:
         kinds = Counter()
         for kind, arg, mats in _kernel_digest_stacks(3501):
             if kind == "ring":
-                dets = arg.det_batch(mats)
+                dets = _full_dets(arg, *mats)
             else:
                 dets = batched_modp_det(mats, arg)
             h.update(np.ascontiguousarray(dets, dtype=np.int64).tobytes())

@@ -13,7 +13,7 @@ from conftest import (
     out_star,
     random_digraph,
 )
-from hamkit import gf2m, hamdetect
+from hamkit import hamdetect, modp
 from hamkit.gf2m import make_binary_field
 from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamdetect import (
@@ -674,9 +674,9 @@ class TestBatchedDet:
             mats = rng.integers(0, field.q, size=(60, n, n), dtype=np.int32)
             mats[30:][rng.random((30, n, n)) < 0.5] = 0
             self.routes(field, mats)
-        plan = gf2m.minor_plan(t)
-        assert hamdetect.minor_plan is gf2m.minor_plan
-        assert plan is gf2m.minor_plan(t) and len(plan) == t - 1
+        plan = modp.minor_plan(t)
+        assert hamdetect.minor_plan is modp.minor_plan
+        assert plan is modp.minor_plan(t) and len(plan) == t - 1
         for r, (cols, rest) in enumerate(plan, 1):
             assert cols.shape == rest.shape == (math.comb(t, r + 1), r + 1)
             assert not cols.flags.writeable and not rest.flags.writeable

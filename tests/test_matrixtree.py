@@ -327,6 +327,28 @@ class TestCountOutBranchings:
             scaled = det_gauss(puncture(build_laplacian(g, scaled_w, f), 0))
             assert scaled == base * c % p
 
+    def test_in_degree_order_matches_id_order(self):
+        # the count eliminates rows and columns in (in-degree, id) order; a
+        # simultaneous permutation keeps the determinant of the id-order
+        # punctured Laplacian, at every density and on the ±1 and Bareiss
+        # paths alike
+        rnd = random.Random(48)
+        sizes = set()
+        counted = 0
+        for _ in range(40):
+            n = rnd.randint(2, 60)
+            g = random_digraph(rnd, n, rnd.uniform(0.1, 0.9))
+            root = rnd.randrange(n)
+            if not all(ins or u == root for u, ins in enumerate(g.in_adj)):
+                continue
+            rows = [[(len(g.in_adj[u]) if v == u else -((u, v) in g.arcs)) for v in range(n) if v != root]
+                    for u in range(n) if u != root]
+            want = det_bareiss_int(rows)
+            assert count_out_branchings(g, root) == want, (n, sorted(g.arcs), root)
+            sizes.add(n // 20)
+            counted += want > 0
+        assert {0, 1, 2} <= sizes and counted >= 20, (sizes, counted)
+
     def test_large_counts_match_prime_field_determinants(self):
         # hundreds of digits, checked mod two 31-bit primes by plain Gaussian elimination
         rnd = random.Random(44)
