@@ -12,8 +12,9 @@ The package is organised around a weighted-Laplacian toolbox:
 - matrixtree: out-branching counts and the exact integer determinant
   (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
-  inclusion-exclusion determinant sieve, with meet-in-the-middle pruning
-  and CRT over prime powers; exact counts from one integer sieve pass.
+  inclusion-exclusion determinant sieve, whose one blocked screen lists
+  the subsets both modes evaluate, and CRT over prime powers; exact counts
+  from one integer sieve pass.
 - hamdetect: one-sided randomized Hamiltonicity detection driven by a
   port matrix indexed by an independent-set partition of the vertices.
 - branchings: detectors for out-branchings with many internal vertices or
@@ -31,9 +32,9 @@ source of randomness; the counters draw nothing.
 
 Each question has one determinant route. The counts are exact Python
 integer arithmetic, with one determinant kernel (±1-pivot elimination,
-then Bareiss): hamcount takes one determinant per subset (or listed MITM
-pair) whose dead-row product is nonzero mod the pass modulus p^k (the other
-terms vanish mod p^k), and count_out_branchings one bigint determinant of
+then Bareiss): hamcount takes one determinant per subset the screen keeps,
+those whose dead-row product is nonzero mod the pass modulus p^k (the
+other terms vanish mod p^k), and count_out_branchings one bigint determinant of
 the punctured Laplacian. Only the detectors batch over numpy arrays:
 hamdetect, branchings, and the binary fields in gf2m and the prime-field
 kernels in modp, which only they import. So `import hamkit`, the counting commands and the oracles never

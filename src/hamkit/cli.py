@@ -3,10 +3,10 @@
 Every subcommand reads the text graph format (header "n m", one "tail head"
 line per arc), takes --seed and --threads, and prints a single JSON object
 to stdout plus a short human summary to stderr, where a library warning
-(a collapsed duplicate arc, the naive fallback of --mode mitm) prints as
-one "hamkit: warning: <message>" line. Without --seed, the HAMKIT_SEED
-environment variable (then 0) gives the seed; main reads it after
-parsing, on every call, since the parser is built once per process.
+(a collapsed duplicate arc) prints as one "hamkit: warning: <message>"
+line. Without --seed, the HAMKIT_SEED environment variable (then 0) gives
+the seed; main reads it after parsing, on every call, since the parser is
+built once per process.
 --threads is accepted for compatibility and has no effect: every command
 runs on the calling thread. Exit codes: 0 for completed runs including NO
 answers, 2 for usage or input errors, 3 for guard violations (instances

@@ -9,18 +9,17 @@ one membership pair; the k-internal marker determinant of one draw; the
 branching polynomial at one point; one k-leaf trial at one prime,
 interpolated point by point; the detectors' counter draw (splitmix64) one
 word at a time, with the k-internal draws and k-leaf coins it gives; random
-virtual-arc weights, the restricted Laplacian of one tail subset and the
-meet-in-the-middle fallback rule on explicit blocks. It also holds the
-brute-force oracles that no command reaches: a permutation count of
-Hamiltonian paths, the largest internal-vertex and leaf counts, and the
-fewest distinct variables of a monomial. Tests import this module the way
+virtual-arc weights and the restricted Laplacian of one tail subset. It
+also holds the brute-force oracles that no command reaches: a permutation
+count of Hamiltonian paths, a depth-first count of Hamiltonian cycles, the
+largest internal-vertex and leaf counts, and the fewest distinct variables
+of a monomial. Tests import this module the way
 they import conftest.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -867,25 +866,6 @@ def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
     return SquareMatrix(ring, labels, labels, tuple(map(tuple, rows)))
 
 
-def mitm_block_rule_falls_back(n0: int, p: int, guard: int) -> bool:
-    """The MITM fallback rule on explicit blocks: would per-block tables pass guard entries?
-
-    The n0 - 1 positions of V_st are cut into floor(3 log2 p) (at least 1)
-    contiguous blocks whose sizes differ by at most one, the longer ones
-    first; each block tabulates (p+1)^|block| keys for every one of the
-    2^ceil((n0+1)/3) first-half subsets.
-    """
-    positions = n0 - 1
-    count = max(1, math.floor(3 * math.log2(p)))
-    blocks = []
-    for i in range(count):
-        size = positions // count + (1 if i < positions % count else 0)
-        start = sum(map(len, blocks))
-        blocks.append(range(start, start + size))
-    assert [u for b in blocks for u in b] == list(range(positions))
-    return sum((p + 1) ** len(b) for b in blocks) << math.ceil((n0 + 1) / 3) > guard
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracles that only tests use
 
@@ -906,6 +886,18 @@ def perm_count_hp(g: Digraph, s: int, t: int) -> int:
         if all(g.has_arc(a, b) for a, b in zip(seq, seq[1:])):
             count += 1
     return count
+
+
+def dfs_count_hc(g: Digraph) -> int:
+    """Hamiltonian cycle count by extending every simple path from vertex 0, one arc at a time."""
+    full = (1 << g.n) - 1
+
+    def extend(u: int, seen: int) -> int:
+        if seen == full:
+            return int(g.has_arc(u, 0))
+        return sum(extend(v, seen | 1 << v) for v in g.out_adj[u] if not seen >> v & 1)
+
+    return extend(0, 1) if g.n > 1 else 0
 
 
 def brute_max_internal(g: Digraph) -> int:

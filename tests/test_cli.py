@@ -85,8 +85,9 @@ class TestReportShape:
 
     def test_library_warnings_print_as_hamkit_lines(self, tmp_path):
         # in a process of its own, so Python's own warning display is what the
-        # CLI replaces: a repeated arc and the mitm fallback each print one
-        # line, with no source location, and stdout is as without the warning
+        # CLI replaces: a repeated arc prints one line, with no source
+        # location, and stdout is as without the warning; mitm at p = 2^31 - 1,
+        # which once fell back to the naive pass with a warning, adds none
         g = directed_cycle(5)
         dup = tmp_path / "dup.txt"
         lines = ["5 6"] + [f"{u} {v}" for u, v in sorted(g.arcs)] + ["0 1"]
@@ -95,15 +96,14 @@ class TestReportShape:
         argvs.append(["count-mod", str(dup), "--p", str(2**31 - 1), "--k", "1"])
         runs = json.loads(run_fresh(FRESH_STREAMS, json.dumps(argvs)))
         assert [code for code, _, _ in runs] == [0, 0, 0]
-        (_, out, err), (_, dup_out, dup_err), (_, _, fallback_err) = runs
+        (_, out, err), (_, dup_out, dup_err), (_, mitm_out, mitm_err) = runs
         assert strip_elapsed(dup_out) == strip_elapsed(out)
         assert dup_err.splitlines()[:1] == ["hamkit: warning: 1 duplicate arc(s) collapsed"]
-        assert fallback_err.splitlines()[1:2] == [
-            "hamkit: warning: meet-in-the-middle tables too large, falling back to naive sieve"
-        ]
+        assert mitm_err.splitlines()[:1] == ["hamkit: warning: 1 duplicate arc(s) collapsed"]
+        assert json.loads(mitm_out)["diagnostics"]["fallback"] is False
         # the warning lines, then the one summary line
-        assert [len(e.splitlines()) for e in (err, dup_err, fallback_err)] == [1, 2, 3]
-        assert ".py:" not in dup_err + fallback_err
+        assert [len(e.splitlines()) for e in (err, dup_err, mitm_err)] == [1, 2, 2]
+        assert ".py:" not in dup_err + mitm_err
 
 
 class TestAnswers:
@@ -154,8 +154,8 @@ class TestAnswers:
         assert code == 0
         assert strip_elapsed(out) == (
             '{"command": "count-mod", "answer": 1, "modulus": 9, "p": 3, "k": 2, "mode": "mitm", '
-            '"diagnostics": {"pairs_listed": 10, "pairs_naive": 32, "candidates_examined": 16, '
-            '"table_keys": 7, "fallback": false, "pruning_ratio": 0.6875}, '
+            '"diagnostics": {"pairs_listed": 1, "pairs_naive": 32, "candidates_examined": 32, '
+            '"table_keys": 5, "fallback": false, "pruning_ratio": 0.96875}, '
             '"seed": 1, "elapsed_ms": _}\n'
         )
 
@@ -362,10 +362,10 @@ class TestExitCodes:
         ["detect-k-leaf", "{none}", "--k", "1", "--budget", "0"],  # before the root screen
     ])
     def test_invalid_arguments_exit_2(self, argv, tmp_path, capsys):
-        # each is checked before any graph work: the 27-cycle would otherwise
-        # meet count-mod's naive subset guard (exit 3), and the graph with no
+        # each is checked before any graph work: the 30-cycle would otherwise
+        # meet count-mod's counting guard (exit 3), and the graph with no
         # spanning root would answer NO at once
-        paths = {"{g}": write_graph(tmp_path, directed_cycle(27), "g.txt"),
+        paths = {"{g}": write_graph(tmp_path, directed_cycle(30), "g.txt"),
                  "{none}": write_graph(tmp_path, make_digraph(4, [(0, 1), (2, 3)]), "none.txt")}
         code, out, err = run_cli([paths.get(a, a) for a in argv], capsys)
         assert code == 2, err
@@ -648,8 +648,8 @@ def counting_corpus(rnd):
 
     The graph is a Digraph, the raw text of a graph file, or None for a
     missing file; "{g}" in argv marks where its path goes. count-mod in
-    both modes at p in {2, 3, 5} with the default and an explicit --k, the
-    mitm fallback at p = 2^31 - 1 and its warning, the exact counters and
+    both modes at p in {2, 3, 5} with the default and an explicit --k,
+    mitm and naive at p = 2^31 - 1, the exact counters and
     count-branchings with zero counts among them, every oracle subcommand,
     repeated arcs, and the usage, input and guard exits.
     """
@@ -717,7 +717,7 @@ def counting_corpus(rnd):
              (five, ["count-cycles", "{g}"]),
              (five, ["oracle", "hc-list", "{g}"]),
              (five, ["oracle", "hp-count", "{g}", "--s", "0", "--t", "0"]),
-             (directed_cycle(26), ["count-mod", "{g}", "--p", "3", "--mode", "naive"])]
+             (directed_cycle(30), ["count-mod", "{g}", "--p", "3", "--mode", "naive"])]
     return runs
 
 
@@ -756,7 +756,7 @@ class TestCountingDigest:
             runs.append(run_cli(argv, capsys))
             assert runs[-1][0] == 0 and runs[-1][1].startswith("usage: hamkit"), argv
         digest = hashlib.sha256(repr(runs).encode()).hexdigest()
-        assert digest == "49411d5e97fb60dc2bf5f9f31893922958bd0f6b2edff74fe21369fc3f9125ad"
+        assert digest == "256c92d545f5b28896efa5d15aba3f472621d44bda25284cde19f7a46530f3e4"
 
 
 # Runs each argv of the JSON list in argv[1] and prints, per run, the exit

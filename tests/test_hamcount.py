@@ -3,8 +3,6 @@
 import math
 import random
 import tracemalloc
-import warnings
-from collections import Counter
 
 import pytest
 
@@ -16,7 +14,6 @@ from conftest import (
     random_digraph,
     random_out_degree_graph,
 )
-from hamkit.algebra import is_prime
 from hamkit.errors import GuardError
 from hamkit.graph import make_digraph, split_vertex
 from hamkit.hamcount import (
@@ -28,7 +25,7 @@ from hamkit.hamcount import (
 )
 from hamkit.matrixtree import det_bareiss_int
 from hamkit import oracle
-from reference import ResidueRing, det_division_free, mitm_block_rule_falls_back, restricted_laplacian, tail_weights
+from reference import ResidueRing, det_division_free, dfs_count_hc, restricted_laplacian, tail_weights
 
 import hamkit.hamcount as hamcount_mod
 
@@ -252,39 +249,49 @@ class TestNaiveSieve:
                 assert res.value == want % (p**k)
 
     def test_guard(self):
-        g = directed_cycle(27)
+        g = directed_cycle(30)
         with pytest.raises(GuardError):
             naive_sieve_count(split_vertex(g, 0), 2, 1)
+        with pytest.raises(GuardError):
+            mitm_count_mod(split_vertex(g, 0), 2, 1)
 
     def test_guard_before_split(self, monkeypatch):
-        # the subset guard depends only on n, so it fires before the split graph is built
+        # the counting guard depends only on n, one rule for both modes and
+        # the exact counter, so it fires before the split graph is built
         def refuse(*args):
-            raise AssertionError("split graph built before the subset guard")
+            raise AssertionError("split graph built before the counting guard")
 
         monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
-        g = directed_cycle(27)
-        with pytest.raises(GuardError, match="naive sieve guard"):
-            count_hc_mod(g, 2, mode="naive")
-        with pytest.raises(GuardError, match="naive sieve guard"):
+        g = directed_cycle(hamcount_mod.COUNT_GUARD + 1)
+        for p in (2, 3, 2**31 - 1):
+            for mode in ("naive", "mitm"):
+                with pytest.raises(GuardError, match="counting guard"):
+                    count_hc_mod(g, p, 1, mode=mode)
+        with pytest.raises(GuardError, match="counting guard"):
             count_exact(g)
+        # at the guard itself every mode reaches the split graph
+        g = directed_cycle(hamcount_mod.COUNT_GUARD)
+        for call in (lambda: count_hc_mod(g, 5, 1, mode="mitm"), lambda: count_hc_mod(g, 5, 1, mode="naive"),
+                     lambda: count_exact(g)):
+            with pytest.raises(AssertionError, match="split graph built"):
+                call()
 
-    def test_mitm_fallback_decided_before_split(self, monkeypatch):
-        # whether the MITM tables fit depends only on n and p, so a mitm call
-        # past MITM_TABLE_GUARD falls back, and meets the subset guard, before
-        # the split graph is built
+    def test_mitm_fallback_decided_before_split(self, monkeypatch, recwarn):
+        # mitm has no fallback left to decide: past the counting guard it is
+        # refused before the split graph is built, with no fallback warning,
+        # and a table size that once fell back (n = 6 at p = 2^31 - 1) lists
         def refuse(*args):
-            raise AssertionError("split graph built before the MITM fallback decision")
+            raise AssertionError("split graph built before the counting guard")
 
         monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
-        with pytest.warns(UserWarning, match="falling back"):
-            with pytest.raises(GuardError, match="naive sieve guard"):
-                count_hc_mod(directed_cycle(27), 2, 1, mode="mitm")
+        with pytest.raises(GuardError, match="counting guard"):
+            count_hc_mod(directed_cycle(hamcount_mod.COUNT_GUARD + 1), 2, 1, mode="mitm")
         monkeypatch.undo()
-        monkeypatch.setattr(hamcount_mod, "MITM_TABLE_GUARD", 1)
-        with pytest.warns(UserWarning, match="falling back"):
-            residue, diag = count_hc_mod(directed_cycle(6), 3, 1, mode="mitm")
-        assert diag.fallback and diag.pairs_listed == diag.pairs_naive == 1 << 6
-        assert residue == naive_sieve_count(split_vertex(directed_cycle(6), 0), 3, 1)
+        p = 2**31 - 1
+        residue, diag = count_hc_mod(directed_cycle(6), p, 1, mode="mitm")
+        assert not diag.fallback and diag.pairs_naive == 1 << 6
+        assert residue == naive_sieve_count(split_vertex(directed_cycle(6), 0), p, 1)
+        assert not recwarn.list
 
     def test_residue_guard(self):
         # count-mod refuses p^k >= 2^62 in both modes, before any work and
@@ -320,6 +327,32 @@ class TestNaiveSieve:
             assert total % ring.modulus == want
 
 
+def screened_masks(core, p, k):
+    """The masks the blocked screen keeps, over every block of one pass."""
+    kept = set()
+    for base, bitmap in hamcount_mod._screen_blocks(core, hamcount_mod.build_lookup_tables(core, p, k), k):
+        kept.update(base + o for o in range(1 << core.cut) if bitmap[o >> 3] >> (o & 7) & 1)
+    return kept
+
+
+def masks_reaching_a_determinant(core, monkeypatch):
+    """The masks on which an unscreened subset_det calls det_bareiss_int."""
+    reached = set()
+    current = []
+    det = det_bareiss_int
+
+    def note_det(rows):
+        reached.add(current[0])
+        return det(rows)
+
+    monkeypatch.setattr(hamcount_mod, "det_bareiss_int", note_det)
+    for omask in range(1 << core.n0):
+        current[:] = [omask]
+        core.subset_det(omask)
+    monkeypatch.setattr(hamcount_mod, "det_bareiss_int", det)
+    return reached
+
+
 class TestPassScreen:
     @staticmethod
     def _cases(n):
@@ -329,37 +362,48 @@ class TestPassScreen:
         # the screen is the set of masks on which an unscreened subset_det
         # calls det_bareiss_int: the zero-diagonal test, and the dead
         # positions' p-valuations summed against k, both with and without
-        # the counter (k past every position's largest valuation)
-        current = []
-        reached = set()
-        det = hamcount_mod.det_bareiss_int
-
-        def note_det(rows):
-            reached.add(current[0])
-            return det(rows)
-
-        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", note_det)
+        # the counter (k past every position's largest valuation); one
+        # block at n <= SCREEN_BITS, and several at a block width of 3
         rnd = random.Random(63)
         kept = 0
-        for _ in range(24):
+        for i in range(24):
             n = rnd.randint(1, 10)
             g = random_digraph(rnd, n, rnd.uniform(0.2, 0.9))
             split = split_vertex(g, rnd.randrange(n))
-            n0 = split.graph.n - 1
+            monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", 16 if i % 2 else 3)
             for p, k in self._cases(n):
                 core = hamcount_mod._SieveCore(split, p**k)
-                reached.clear()
-                for omask in range(1 << n0):
-                    current[:] = [omask]
-                    core.subset_det(omask)
-                screen = hamcount_mod.pass_screen(core, p, k)
-                assert len(screen) == ((1 << n0) + 7) // 8
-                assert {o for o in range(1 << n0) if screen[o >> 3] >> (o & 7) & 1} == reached, (n, p, k)
+                reached = masks_reaching_a_determinant(core, monkeypatch)
+                assert screened_masks(core, p, k) == reached, (n, p, k)
                 kept += len(reached)
         assert kept > 0
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blocks_match_the_determinants_and_the_reference_count(self, p, k, monkeypatch):
+        # blocks of 2^4 to 2^6 masks over n0 = 8 to 12 tail vertices: the
+        # screen is still exactly the determinant set, and both modes and
+        # the exact counter agree with a depth-first count of the cycles
+        rnd = random.Random(70 + 10 * p + k)
+        blocks = 0
+        for bits, n in ((4, 8), (5, 10), (6, 12), (4, 11)):
+            monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", bits)
+            g = random_digraph(rnd, n, rnd.uniform(0.3, 0.55))
+            split = split_vertex(g, 0)
+            core = hamcount_mod._SieveCore(split, p**k)
+            assert core.cut == bits and core.n0 == n
+            assert screened_masks(core, p, k) == masks_reaching_a_determinant(core, monkeypatch), (bits, n)
+            blocks += 1 << (n - bits)
+            want = dfs_count_hc(g)
+            naive, none = count_hc_mod(g, p, k, mode="naive")
+            mitm, diag = count_hc_mod(g, p, k, mode="mitm")
+            assert naive.value == mitm.value == want % p**k and none is None, (bits, n)
+            assert count_exact(g) == want
+        assert blocks >= 4 * 16
+
     def test_visits_every_mask_and_keeps_the_residue(self, monkeypatch):
         # the screened pass still calls signed_contribution once per mask,
+        # in mask order across its blocks (one block, or blocks of 2^3),
         # and sums to the residue of the pass that visits every mask in full
         visits = []
         contribution = hamcount_mod._SieveCore.signed_contribution
@@ -370,7 +414,8 @@ class TestPassScreen:
 
         monkeypatch.setattr(hamcount_mod._SieveCore, "signed_contribution", record)
         rnd = random.Random(64)
-        for _ in range(10):
+        for i in range(20):
+            monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", 16 if i < 10 else 3)
             n = rnd.randint(1, 10)
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.9))
             split = split_vertex(g, rnd.randrange(n))
@@ -385,91 +430,72 @@ class TestPassScreen:
                 assert residue.value == total % p**k, (n, p, k)
 
     def test_memory_at_n0_20(self):
-        # 2^20 masks, 1/16 of the n0 = 24 guard: 4 MiB is the 64 MiB bound at
-        # n0 = 24 scaled down, and the build allocates at most that, for the
-        # bench's count-mod on a density-0.5 graph and for count-exact's
-        # p = 2, k = 57 on the complete graph, where every position weighs in
+        # the screen holds its low tables and a few ints of 2^16 bits per
+        # block, whatever n0: at n0 = 20 its build and every block allocate
+        # at most 3.5 MiB (the whole-pass screen it replaced was bounded by
+        # 4 MiB here and grew as 2^n0), for the bench's count-mod on a
+        # density-0.5 graph and for count-exact's p = 2, k = 57 on the
+        # complete graph, where every position's valuations count
         n = 20
         for g, p, k in ((random_digraph(random.Random(65), n, 0.5), 3, 2),
                         (complete_digraph(n), 2, math.factorial(n - 1).bit_length())):
             core = hamcount_mod._SieveCore(split_vertex(g, 0), p**k)
+            kept = blocks = 0
             tracemalloc.start()
             try:
-                screen = hamcount_mod.pass_screen(core, p, k)
+                for _, bitmap in hamcount_mod._screen_blocks(core, hamcount_mod.build_lookup_tables(core, p, k), k):
+                    assert len(bitmap) == 1 << 13
+                    kept += int.from_bytes(bitmap, "little").bit_count()
+                    blocks += 1
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 4 << 20, f"{peak / 2**20:.1f} MiB"
-            assert len(screen) == 1 << 17
-            assert 0 < int.from_bytes(screen, "little").bit_count() < 1 << 19
+            assert peak <= 3.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+            assert blocks == 1 << 4
+            assert 0 < kept < 1 << 19
 
 
-def first_half_mask(split) -> int:
-    """Mask of the first half of V_t, the ids below ceil(|V| / 3), as mitm_count_mod cuts it."""
-    return (1 << math.ceil(split.graph.n / 3)) - 1
+class TestLookupTables:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_tables_count_in_arcs_exactly(self, p, monkeypatch):
+        # per position, `nonzero` and `at[j]` name the low masks with an
+        # in-arc and with exactly j in-arcs, `high` the in-neighbours among
+        # the high tail vertices, and plan[c][i] the j at which bit i of
+        # v_p(j + c) is set, for every count c a high mask can add
+        monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", 4)
+        rnd = random.Random(80 + p)
+        for _ in range(6):
+            n = rnd.randint(5, 9)
+            split = split_vertex(random_digraph(rnd, n, rnd.uniform(0.3, 0.9)), rnd.randrange(n))
+            core = hamcount_mod._SieveCore(split, p**20)
+            tables = hamcount_mod.build_lookup_tables(core, p, 20)
+            assert [u for u, *_ in tables] == list(core.positions)
+            for u, high, nonzero, at, plan in tables:
+                assert high == core.in_mask[u] >> core.cut
+                for low in range(1 << core.cut):
+                    count = (core.in_mask[u] & low).bit_count()
+                    assert (nonzero >> low & 1) == (count > 0)
+                    for j, at_j in at.items():
+                        assert (at_j >> low & 1) == (count == j)
+                assert len(plan) in (0, high.bit_count() + 1)
+                for c, weights in enumerate(plan):
+                    span = (core.in_mask[u] & core.low).bit_count()
+                    for i, js in enumerate(weights):
+                        want = [j for j in range(span + 1) if j + c and hamcount_mod._valuation(j + c, p) >> i & 1]
+                        assert js == want
+                        assert set(js) <= set(at)
 
-
-class TestFingerprints:
-    def test_z1_empty_is_zero(self):
-        # zero virtual-arc weights: O1 = {} leaves every diagonal at 0
-        split = split_vertex(directed_cycle(5), 0)
-        z = hamcount_mod._SieveCore(split, 5).fingerprint(0, 5, True)
-        assert z == (0,) * (split.graph.n - 1)
-
-    def test_z2_empty_is_zero(self):
-        split = split_vertex(directed_cycle(5), 0)
-        core = hamcount_mod._SieveCore(split, 3)
-        assert core.fingerprint(0, 3, False) == (0,) * (split.graph.n - 1)
-
-    def test_subset_positions_marked(self):
-        split = split_vertex(directed_cycle(6), 1)
-        core = hamcount_mod._SieveCore(split, 3)
-        o1 = 1  # vertex 0, the first vertex of the first half
-        z = core.fingerprint(o1, 3, True)
-        for pos, u in enumerate(core.positions):
-            assert (z[pos] == 3) == bool(o1 >> u & 1)  # the out-of-range marker
-
-    def test_t_entry_is_signed_in_count(self):
-        # t is never in O: its entry is in_t(O1) mod p in the first half and
-        # -in_t(O2) mod p in the second, so the two agree exactly when t's
-        # diagonal in_t(O1 | O2) is divisible by p
-        rnd = random.Random(58)
-        agreed = 0
-        for _ in range(40):
-            g = random_digraph(rnd, 7, 0.6)
-            split = split_vertex(g, rnd.randrange(7))
-            p = rnd.choice([2, 3, 5])
-            core = hamcount_mod._SieveCore(split, p)
-            first_mask = first_half_mask(split)
-            o1 = rnd.getrandbits(split.graph.n - 1) & first_mask
-            o2 = rnd.getrandbits(split.graph.n - 1) & ~first_mask
-            in_t = [(split.graph.in_mask[split.t] & o).bit_count() for o in (o1, o2)]
-            z1 = core.fingerprint(o1, p, True)[0]
-            z2 = core.fingerprint(o2, p, False)[0]
-            assert (z1, z2) == (in_t[0] % p, -in_t[1] % p)
-            assert (z1 == z2) == (sum(in_t) % p == 0)
-            agreed += z1 == z2
-        assert 0 < agreed < 40
-
-    def test_agreement_marks_divisible_row(self):
-        rnd = random.Random(56)
-        for _ in range(20):
-            g = random_digraph(rnd, 7, 0.5)
-            split = split_vertex(g, rnd.randrange(7))
-            p = rnd.choice([2, 3, 5])
-            core = hamcount_mod._SieveCore(split, p)
-            first_mask = first_half_mask(split)
-            o1 = rnd.getrandbits(split.graph.n - 1) & first_mask
-            o2 = rnd.getrandbits(split.graph.n - 1) & ~first_mask
-            z1 = core.fingerprint(o1, p, True)
-            z2 = core.fingerprint(o2, p, False)
-            ring = ResidueRing(p, 1)
-            m = restricted_laplacian(split, o1 | o2, (0,) * split.graph.n, ring)
-            idx = {u: i for i, u in enumerate(m.row_labels)}
-            for pos, u in enumerate(core.positions):
-                if z1[pos] == z2[pos]:
-                    row = m.entries[idx[u]]
-                    assert all(x % p == 0 for x in row)
+    def test_only_the_zero_test_when_valuations_cannot_reach_k(self):
+        # the shortcut: when the positions' largest valuations sum to less
+        # than k, no position tabulates a count, and the screen keeps every
+        # mask with s and an in-arc at every position
+        g = complete_digraph(7)
+        core = hamcount_mod._SieveCore(split_vertex(g, 0), 2**40)
+        tables = hamcount_mod.build_lookup_tables(core, 2, 40)
+        assert all(not at and not plan for _, _, _, at, plan in tables)
+        want = {o for o in range(1 << core.n0)
+                if o >> core.s & 1 and all(core.in_mask[u] & o for u in core.positions)}
+        assert screened_masks(core, 2, 40) == want
 
 
 class TestMitm:
@@ -496,9 +522,10 @@ class TestMitm:
             assert mitm_count_mod(split, p, k)[0] == naive_sieve_count(split, p, k)
 
     def test_listing_soundness(self, monkeypatch):
-        # the listed pairs are exactly the subsets with s whose half-fingerprints
-        # (t and V_st) agree in fewer than k positions, each evaluated once, and
-        # they cover every subset whose determinant is nonzero mod p^k
+        # the visited masks are exactly the screen's survivors, the subsets
+        # whose subset_det reaches a determinant, each evaluated once, in one
+        # block or in blocks of 2^4; they cover every subset whose
+        # determinant is nonzero mod p^k, and pairs_listed counts them
         evaluated = []
         contribution = hamcount_mod._SieveCore.signed_contribution
 
@@ -508,38 +535,34 @@ class TestMitm:
 
         monkeypatch.setattr(hamcount_mod._SieveCore, "signed_contribution", record)
         rnd = random.Random(59)
-        for _ in range(10):
+        for i in range(20):
+            monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", 16 if i < 10 else 4)
             n = rnd.randint(4, 8)
             g = random_digraph(rnd, n, 0.5)
             split = split_vertex(g, rnd.randrange(n))
             p = rnd.choice([2, 3, 5])
             k = rnd.choice([1, 2])
             core = hamcount_mod._SieveCore(split, p**k)
-            first_mask = first_half_mask(split)
             ring = ResidueRing(p, k)
             n0 = split.graph.n - 1
-            want = set()
             nonzero = set()
             for omask in range(1 << n0):
-                z1 = core.fingerprint(omask & first_mask, p, True)
-                z2 = core.fingerprint(omask & ~first_mask, p, False)
-                agree = sum(1 for a, b in zip(z1, z2) if a == b)
-                if omask >> split.s & 1 and agree < k:
-                    want.add(omask)
                 m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
                 if det_division_free(m) != 0:
                     nonzero.add(omask)
+            want = masks_reaching_a_determinant(core, monkeypatch)
             evaluated.clear()
             _, diag = mitm_count_mod(split, p, k)
-            assert len(evaluated) == len(set(evaluated)), "a pair was evaluated twice"
+            assert len(evaluated) == len(set(evaluated)), "a subset was evaluated twice"
             assert set(evaluated) == want
             assert nonzero <= want, "a subset with a nonzero determinant was skipped"
             assert diag.pairs_listed == len(want)
 
     @pytest.mark.parametrize("s_half", ["first", "second"])
     def test_evaluates_exactly_the_naive_determinants(self, s_half, monkeypatch):
-        # every pair the listing drops has p^k in its dead-row product, so the
-        # naive pass drops that subset too: both modes take the same determinants
+        # both modes read one screen, so they take the same determinants,
+        # whether s is a tabulated low vertex ("first") or an enumerated
+        # high one ("second"), in blocks of 2^4 masks
         current = []
         reached = []
         subset_det = hamcount_mod._SieveCore.subset_det
@@ -555,13 +578,13 @@ class TestMitm:
 
         monkeypatch.setattr(hamcount_mod._SieveCore, "subset_det", note_subset)
         monkeypatch.setattr(hamcount_mod, "det_bareiss_int", note_det)
+        monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", 4)
         rnd = random.Random(61 if s_half == "first" else 62)
         evaluated = 0
         for _ in range(24):
-            n = rnd.randint(4, 10)
+            n = rnd.randint(5, 10)
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.8))
-            cut = math.ceil((n + 1) / 3)
-            split = split_vertex(g, rnd.randrange(cut) if s_half == "first" else rnd.randrange(cut, n))
+            split = split_vertex(g, rnd.randrange(4) if s_half == "first" else rnd.randrange(4, n))
             p, k = rnd.choice([2, 3, 5, 7]), rnd.choice([1, 2, 3])
             reached.clear()
             naive = naive_sieve_count(split, p, k)
@@ -573,14 +596,15 @@ class TestMitm:
             evaluated += len(by_naive)
         assert evaluated > 0
 
-    def test_split_vertex_in_second_half(self):
-        # s past the first third: the first half is tabulated whole and only
-        # second-half subsets with s are scanned
+    def test_split_vertex_in_second_half(self, monkeypatch):
+        # s among the enumerated high vertices: the blocks without s keep
+        # nothing, so at most half the subsets are visited
+        monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", 4)
         residues = []
         for seed in range(4):
             g = random_digraph(random.Random(seed), 8, 0.6)
             split = split_vertex(g, 6)
-            assert split.s >= math.ceil(split.graph.n / 3)
+            assert split.s >= hamcount_mod._SieveCore(split, 2).cut
             for p in (2, 3):
                 for k in (1, 2):
                     residue, diag = mitm_count_mod(split, p, k)
@@ -589,21 +613,25 @@ class TestMitm:
                     residues.append(residue.value)
         assert any(residues), "every residue is 0, so a wrong side filter could pass"
 
-    def test_fallback_matches_block_rule(self):
-        # the closed form decides as the old per-block tables did, on both
-        # sides of MITM_TABLE_GUARD, for a grid of primes and tail sizes
-        primes = [p for p in range(2, 1000) if is_prime(p)] + [2_549, 2**31 - 1]
-        decisions = Counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for p in primes:
-                for n0 in range(1, 65):
-                    want = mitm_block_rule_falls_back(n0, p, hamcount_mod.MITM_TABLE_GUARD)
-                    diag = hamcount_mod._mitm_fallback(n0, p)
-                    assert (diag is not None) == want, (n0, p)
-                    assert diag is None or (diag.fallback and diag.pairs_naive == 1 << n0)
-                    decisions[want] += 1
-        assert decisions[True] >= 100 and decisions[False] >= 100, decisions
+    def test_no_fallback_at_any_prime(self, recwarn):
+        # one listing at every prime, including those the block-table rule
+        # once sent to the naive pass (from n = 6 at p = 1,000,003, at every
+        # n at p = 2^31 - 1): no warning, `fallback` is False, and the
+        # diagnostics are the survivors visited, the 2^n subsets screened
+        # and the low-table entries
+        rnd = random.Random(66)
+        for p in (2, 3, 5, 101, 2_549, 1_000_003, 2**31 - 1):
+            for _ in range(3):
+                n = rnd.randint(4, 9)
+                g = random_digraph(rnd, n, rnd.uniform(0.3, 0.9))
+                residue, diag = count_hc_mod(g, p, 1, mode="mitm")
+                assert residue == count_hc_mod(g, p, 1, mode="naive")[0]
+                assert residue.value == oracle.held_karp_count_hc(g) % p
+                core = hamcount_mod._SieveCore(split_vertex(g, 0), p)
+                tables = hamcount_mod.build_lookup_tables(core, p, 1)
+                assert diag == (len(screened_masks(core, p, 1)), 1 << n, 1 << n,
+                                sum(1 + len(at) for _, _, _, at, _ in tables), False)
+        assert not recwarn.list
 
 
 class TestGraphLevel:
@@ -621,14 +649,14 @@ class TestGraphLevel:
         ((2, -1), {"mode": "naive"}, "k must be at least 1"),
     ])
     def test_arguments_checked_first(self, args, kwargs, message, monkeypatch):
-        # ValueError before any graph work: a 27-cycle would otherwise fall
-        # back from mitm and meet the naive subset guard
+        # ValueError before any graph work: a 30-cycle would otherwise meet
+        # the counting guard
         def refuse(*a):
             raise AssertionError("split graph built before the arguments were checked")
 
         monkeypatch.setattr(hamcount_mod, "split_vertex", refuse)
-        monkeypatch.setattr(hamcount_mod, "_mitm_fallback", refuse)
-        for g in (directed_cycle(27), make_digraph(1, []), directed_cycle(4)):
+        monkeypatch.setattr(hamcount_mod, "_check_count_guard", refuse)
+        for g in (directed_cycle(30), make_digraph(1, []), directed_cycle(4)):
             with pytest.raises(ValueError, match=message):
                 count_hc_mod(g, *args, **kwargs)
 

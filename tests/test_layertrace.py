@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import (
     acyclic_tournament,
@@ -16,6 +18,7 @@ from conftest import (
     directed_cycle,
     directed_path,
     out_star,
+    random_digraph,
     run_fresh,
 )
 from hamkit import hamcount, hamdetect
@@ -147,6 +150,43 @@ def test_mitm_count_is_spanned():
     assert tracer.counters["hamcount.subsets"] == diag.pairs_listed
     for name in ("hamcount.build_lookup_tables", "hamcount.mitm_count_mod"):
         assert tracer.spans[name][2] == 1, name
+
+
+@pytest.mark.parametrize("bits", [16, 4])
+def test_counting_passes_keep_the_bench_closed_forms(bits, monkeypatch):
+    # perfbench/run.py's counter checks, in one screen block and in blocks
+    # of 2^4 masks: a mitm run calls signed_contribution once per survivor it
+    # reports as pairs_listed, records both MITM spans, never enters the
+    # naive pass and reports no fallback; a naive run makes 2^n calls inside
+    # naive_sieve_count; neither takes more determinants than it visits
+    monkeypatch.setattr(hamcount, "SCREEN_BITS", bits)
+    rnd = random.Random(401)
+    for n in (6, 9, 10):
+        g = random_digraph(rnd, n, 0.5)
+        residues = []
+        for mode in ("mitm", "naive"):
+            tracer = load_layertrace().Tracer()
+            tracer.install()
+            try:
+                residue, diag = hamcount.count_hc_mod(g, 3, 2, mode=mode)
+            finally:
+                tracer.uninstall()
+            residues.append(residue)
+            counters, spans = tracer.counters, tracer.spans
+            assert counters["hamcount.dets"] <= counters["hamcount.subsets"]
+            if mode == "mitm":
+                assert diag.fallback is False
+                assert counters["hamcount.subsets"] == diag.pairs_listed < 1 << n
+                for name in ("hamcount.build_lookup_tables", "hamcount.mitm_count_mod"):
+                    assert spans[name][2] == 1, name
+                assert "hamcount.naive_sieve_count" not in spans
+                assert not tracer.lists["naive_pass_subsets"]
+            else:
+                assert diag is None
+                assert tracer.lists["naive_pass_subsets"] == [1 << n]
+                assert counters["hamcount.subsets"] == 1 << n
+                assert spans["hamcount.naive_sieve_count"][2] == 1
+        assert residues[0] == residues[1]
 
 
 def test_detector_kernels_are_spanned(monkeypatch):
