@@ -658,15 +658,19 @@ class BranchingLeafPolynomial:
         Rows go through in parts whose largest int64 array (the table, the
         cells' gather, one batched_modp_det stack) holds at most
         LEAF_STACK_LIMIT bytes. Each part, order 0 included, is one
-        batched_modp_det call.
+        batched_modp_det call. ys is left as it is; a copy reduced mod p
+        stands in for it only when some entry lies outside [0, p). The
+        factor rows are centred residues, as every table row is, so each
+        product of the tree stays below 2^62 and lands in [0, p).
         """
-        ys = ys % p
+        if ys.size and (ys.min() < 0 or ys.max() >= p):
+            ys = ys % p
         step = max(1, LEAF_STACK_LIMIT // (8 * self._width))
         out = np.empty(ys.shape[0], dtype=np.int64)
         for lo in range(0, ys.shape[0], step):
             table = self._table(ys[lo : lo + step], p)
             dets = batched_modp_det(self._laplacians(table), p)
-            factors = np.concatenate([dets[None], table[self._factors] % p])
+            factors = np.concatenate([dets[None], table[self._factors]])
             out[lo : lo + step] = _tree_product(factors, lambda a, b: a * b % p)
         return out
 
@@ -676,9 +680,14 @@ class BranchingLeafPolynomial:
         Row u holds y_u, row n + u its negation, row 2n zeros, and the rows
         after it the sums of the plan's cells: one gather of the cells,
         padded with the zero row to the longest, and one sum over its second
-        axis. ys must hold residues in [0, p), so a sum stays below n * p in
-        magnitude, and one _centre_mod of the whole table leaves every row a
-        centred residue of magnitude at most p * (1/2 + 2^-20).
+        axis. ys must hold residues in [0, p). Every entry is y, -y, 0 or a
+        sum of at most depth of them, depth being the longest cell, so where
+        2 * max(ys) * depth <= p (the solver's points 1..2n+1 against a
+        31-bit prime) every row already is a centred residue, |r| <= p/2,
+        and the table is returned unreduced. Past that bound a sum stays
+        below n * p in magnitude, and one _centre_mod of the whole table
+        leaves every row a centred residue of magnitude at most
+        p * (1/2 + 2^-20).
         """
         n = self.n
         table = np.empty((self._rows, ys.shape[0]), dtype=np.int64)
@@ -687,7 +696,9 @@ class BranchingLeafPolynomial:
         table[2 * n] = 0
         if self._cells.size:
             table[self._cells].sum(axis=1, out=table[2 * n + 1 :])
-        return _centre_mod(table, p)
+        if 2 * int(ys.max()) * self._cells.shape[1] > p:
+            _centre_mod(table, p)
+        return table
 
     def _laplacians(self, table: np.ndarray) -> np.ndarray:
         """The contracted Laplacians L' mod p from a _table, a [B, d, d] view of a batch-last [d, d, B] stack.

@@ -1137,6 +1137,23 @@ class TestBatchedInterpolation:
                 assert tuple(got[row].tolist()) == scalar_interpolate(points, npts - 1, p), (npts, row)
 
 
+@pytest.fixture
+def table_centrings(monkeypatch):
+    """The prime of each _centre_mod call that BranchingLeafPolynomial._table makes, in call order.
+
+    Patched under branchings only, so batched_modp_det's own reductions go unrecorded.
+    """
+    seen = []
+    centre_mod = modp._centre_mod
+
+    def recording(x, p, *scratch):
+        seen.append(p)
+        return centre_mod(x, p, *scratch)
+
+    monkeypatch.setattr(branchings, "_centre_mod", recording)
+    return seen
+
+
 class TestLeafPolynomial:
     def test_all_ones_counts_branchings(self):
         rnd = random.Random(86)
@@ -1147,7 +1164,7 @@ class TestLeafPolynomial:
             r = rnd.randrange(n)
             assert leaf_polynomial_value(g, r, [1] * n, p) == count_out_branchings(g, r) % p
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scalar(self, table_centrings):
         rnd = random.Random(87)
         p = 2_147_482_763
         g = random_digraph(rnd, 6, 0.5)
@@ -1156,19 +1173,16 @@ class TestLeafPolynomial:
         batch = P.evaluate_batch(ys, p)
         for row, got in zip(ys.tolist(), batch.tolist()):
             assert leaf_polynomial_value(g, 0, row, p) == got
+        assert table_centrings == [p]  # residues anywhere in [0, p) still centre the table
 
     @staticmethod
-    def check_laplacians(roots):
-        # in-degree 8 sums eight weights on the diagonal; every entry must still
-        # be a centred residue, as batched_modp_det's int64 bound needs. One
-        # root punctures the Laplacian; more replace row roots[0] by y on the roots
+    def check_laplacians(roots, ys):
+        # every entry must be a centred residue, as batched_modp_det's int64
+        # bound needs, whether or not _table reduced it. One root punctures
+        # the Laplacian; more replace row roots[0] by y on the roots
         p = MERSENNE_31
         g = complete_digraph(9)
         P = BranchingLeafPolynomial(g, roots)
-        ys = np.random.default_rng(26).integers(0, p, size=(12, 9))
-        ys[:4] = p - 1
-        ys[4] = p // 2
-        ys[5] = p // 2 + 1
         lap = P._laplacians(P._table(ys, p))
         nn = 9 if len(roots) > 1 else 8
         assert lap.shape == (12, nn, nn) and lap.transpose(1, 2, 0).flags.c_contiguous
@@ -1178,11 +1192,120 @@ class TestLeafPolynomial:
             want = border(full, roots[0], {v: row[v] for v in roots}) if nn == 9 else puncture(full, 0)
             assert (lap[b] % p).tolist() == [list(r) for r in want.entries], b
 
-    def test_laplacians_are_centred_and_batch_last(self):
-        self.check_laplacians([0])
+    @staticmethod
+    def large_ys():
+        # in-degree 8 sums eight weights on the diagonal, each up to p - 1
+        p = MERSENNE_31
+        ys = np.random.default_rng(26).integers(0, p, size=(12, 9))
+        ys[:4] = p - 1
+        ys[4] = p // 2
+        ys[5] = p // 2 + 1
+        return ys
 
-    def test_bordered_laplacians_are_centred_and_batch_last(self):
-        self.check_laplacians([4, 0, 8])
+    def test_laplacians_are_centred_and_batch_last(self, table_centrings):
+        self.check_laplacians([0], self.large_ys())
+        assert table_centrings == [MERSENNE_31]
+
+    def test_bordered_laplacians_are_centred_and_batch_last(self, table_centrings):
+        self.check_laplacians([4, 0, 8], self.large_ys())
+        assert table_centrings == [MERSENNE_31]
+
+    def test_solver_scale_laplacians_skip_the_centring(self, table_centrings):
+        # the solver's points 1..2n+1: every sum of at most eight of them is
+        # already centred, so _table leaves the table as the sums made it
+        ys = np.random.default_rng(27).integers(1, 2 * 9 + 2, size=(12, 9))
+        ys[0] = 2 * 9 + 1
+        for roots in ([0], [4, 0, 8], list(range(9))):
+            self.check_laplacians(roots, ys)
+        assert table_centrings == []
+
+    def test_solver_scale_values_match_the_reference(self, table_centrings):
+        rnd = random.Random(89)
+        p = 2_147_482_763
+        cases = [(complete_digraph(9), [0]), (complete_digraph(9), [4, 0, 8]), *_forced_parent_cases()]
+        for g, roots in cases:
+            P = BranchingLeafPolynomial(g, roots)
+            ys = np.array([[rnd.randint(1, 2 * g.n + 1) for _ in range(g.n)] for _ in range(6)], dtype=np.int64)
+            table = P._table(ys, p)
+            lap = P._laplacians(table)
+            assert lap.shape == (6, P.order, P.order) and lap.transpose(1, 2, 0).flags.c_contiguous
+            assert 2 * np.abs(table).max() <= p
+            for row, value in zip(ys.tolist(), P.evaluate_batch(ys, p).tolist()):
+                assert value == bordered_leaf_value(g, roots, row, p), (sorted(g.arcs), roots, row)
+                assert value == sum(leaf_polynomial_value(g, v, row, p) for v in roots) % p, (sorted(g.arcs), roots)
+        assert table_centrings == []
+
+    @pytest.mark.parametrize(
+        "g, roots",
+        [(directed_path(5), [0]), (out_star(5), [0]), (bidirected_path(5), list(range(5))),
+         (complete_digraph(4), [0]), (complete_digraph(4), [0, 1, 2, 3]), (complete_digraph(6), [0])],
+    )
+    def test_centring_bound_edges(self, g, roots, table_centrings):
+        # a table entry is at most max(ys) * depth; p = 2M + 1 and 2M - 1
+        # (twin primes) put 2 * max(ys) * depth = 2M just below and just
+        # past p, as close as an odd p lets it come
+        P = BranchingLeafPolynomial(g, roots)
+        depth = P._cells.shape[1]
+        m = next(m for m in (6, 9, 15, 21, 30) if m % depth == 0)
+        top = m // depth
+        rnd = random.Random(90 + depth)
+        ys = np.array([[rnd.randint(1, top) for _ in range(g.n)] for _ in range(8)], dtype=np.int64)
+        ys[:, 0] = top
+        ys[1] = top  # a full diagonal cell then sums to top * depth = m
+        for p, centred in ((2 * m + 1, False), (2 * m - 1, True)):
+            del table_centrings[:]
+            got = P.evaluate_batch(ys, p).tolist()
+            assert table_centrings == ([p] if centred else []), (p, depth, top)
+            assert 2 * np.abs(P._table(ys, p)).max() <= p
+            for row, value in zip(ys.tolist(), got):
+                assert value == bordered_leaf_value(g, roots, row, p), (p, row)
+                assert value == sum(leaf_polynomial_value(g, v, row, p) for v in roots) % p, (p, row)
+
+    def test_centring_bound_met_exactly(self, table_centrings):
+        # 2 * max(ys) * depth = p holds only at p = 2, on a plan with no cells:
+        # every entry is then -1, 0 or 1, already centred
+        g = directed_path(4)
+        P = BranchingLeafPolynomial(g, [0])
+        assert P._cells.shape[1] == 1
+        ys = np.array([[1, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]], dtype=np.int64)
+        got = P.evaluate_batch(ys, 2).tolist()
+        assert table_centrings == []
+        assert got == [leaf_polynomial_value(g, 0, row, 2) for row in ys.tolist()] == [1, 0, 0]
+
+    def test_reduces_a_copy_of_ys_only_outside_residues(self, monkeypatch):
+        # entries below 0 or at least p evaluate as ys % p, from a reduced
+        # copy; residues in [0, p), 0 and p - 1 included, reach _table as they are
+        rnd = random.Random(91)
+        p = 1_000_003
+        g = random_digraph(rnd, 6, 0.5)
+        P = BranchingLeafPolynomial(g, [0])
+        seen = []
+        table = P._table
+
+        def recording(ys, q):
+            seen.append(ys)
+            return table(ys, q)
+
+        monkeypatch.setattr(P, "_table", recording)
+        inside = np.array([[rnd.randrange(p) for _ in range(6)] for _ in range(6)], dtype=np.int64)
+        inside[0, :3] = 0
+        inside[1, :3] = p - 1
+        wide = np.array([[rnd.randrange(-3 * p, 3 * p) for _ in range(6)] for _ in range(4)], dtype=np.int64)
+        for edge in (-1, p, None):
+            ys = inside.copy()
+            if edge is None:
+                ys[2:] = wide
+            else:
+                ys[2, 4] = edge
+            before = ys.copy()
+            got = P.evaluate_batch(ys, p)
+            assert (ys == before).all() and not np.shares_memory(seen[-1], ys)
+            assert (got == P.evaluate_batch(ys % p, p)).all()
+            assert got.tolist() == [leaf_polynomial_value(g, 0, row, p) for row in ys.tolist()]
+        before = inside.copy()
+        got = P.evaluate_batch(inside, p)
+        assert (inside == before).all() and np.shares_memory(seen[-1], inside)
+        assert got.tolist() == [leaf_polynomial_value(g, 0, row, p) for row in inside.tolist()]
 
     def test_homogeneous_degree_n(self):
         rnd = random.Random(88)
