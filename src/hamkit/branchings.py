@@ -49,8 +49,9 @@ from .rand import counter_draw, derive_seed, make_rng
 from .report import DetectionReport, run_trials
 
 GROUP_RANK_LIMIT = 6
-# detect_k_internal evaluates its trials in chunks of 1, 4, 16, ...
-# up to this many (see report.trial_chunks)
+# detect_k_internal evaluates its trials in chunks of at most this many: one
+# trial, then the trials its success floor expects to need, then full chunks
+# (see report.trial_chunks)
 INTERNAL_CHUNK = 34
 # Bytes that detect_k_internal allows _internal_gather_bytes, its bound on the
 # largest gather in _InternalSieveEngine._mul: det_batch's first rank-1
@@ -63,8 +64,8 @@ LEAF_BUDGET_LIMIT = 4**6
 # Bytes of the largest int64 stack the k-leaf solver builds at once: one
 # batched_modp_det call of BranchingLeafPolynomial, or one chunk's assignments
 LEAF_STACK_LIMIT = 1 << 24
-# solve_nk_dv evaluates its trials in chunks of 1, 4, 16, ... up to this many
-# (see report.trial_chunks)
+# solve_nk_dv evaluates its trials in chunks of at most this many: one trial,
+# then up to 4^k, then full chunks (see report.trial_chunks)
 LEAF_CHUNK = 64
 
 
@@ -737,18 +738,20 @@ def solve_nk_dv(
     >= 2^-k * 2^-k = 4^-k per trial, so NO answers carry the bound
     (1 - 4^-k)^budget; budget defaults to 4^k trials.
 
-    report.run_trials runs the trials in chunks of 1, 4, 16, ... up to
-    LEAF_CHUNK (fewer when a chunk's assignments would pass LEAF_STACK_LIMIT
-    bytes) and stops after the chunk with the first hit. Per chunk and
-    prime, P is evaluated at tau = 1..2n+1 for every trial in one batch, and
-    one interpolate_univariate call turns those values into coefficients
-    through an inverse Vandermonde built once per prime, when that prime
-    first interpolates (a YES that p1 finds in the first chunk never builds
-    p2's). The scan order is trial, then p1, then p2 (p2 runs only on the
-    trials before p1's first hit in the chunk), so trials_run and the hit
-    are those of a one-trial, one-prime-at-a-time scan. The detail's
-    evaluations counts the points P was evaluated at: every row passed to
-    evaluate_batch.
+    report.run_trials runs the trials in chunks of at most LEAF_CHUNK (fewer
+    when a chunk's assignments would pass LEAF_STACK_LIMIT bytes): one
+    trial, then up to 4^k, the trials a YES at the floor expects to need,
+    then full chunks; it stops after the chunk with the first hit. Per
+    chunk and prime, P is evaluated at tau = 1..2n+1 for every trial in one
+    batch, and one interpolate_univariate call turns those values into
+    coefficients through an inverse Vandermonde at the points 1..2n+1,
+    built once per prime, when that prime first interpolates (a YES that p1
+    finds in the first chunk never builds p2's). The scan order is trial,
+    then p1, then p2 (p2 runs only on the trials before p1's first hit in
+    the chunk), so trials_run and the hit are those of a one-trial,
+    one-prime-at-a-time scan. The detail's evaluations counts the points P
+    was evaluated at: every row passed to evaluate_batch, so it depends on
+    the chunks.
 
     Any 2n+1 points distinct mod p give the same coefficients. The points
     start at 1, not 0, so that no assignment holds a zero: both primes lie
@@ -793,7 +796,7 @@ def solve_nk_dv(
             values = P.evaluate_batch(ys[: first * npts], p).reshape(first, npts)
             evaluations += first * npts
             if p not in vinvs:
-                vinvs[p] = inverse_vandermonde(points, p)
+                vinvs[p] = inverse_vandermonde(npts, p)
             found = (interpolate_univariate(values, vinvs[p], p) != 0) & outside[:first]
             rows = np.flatnonzero(found.any(axis=1))
             if rows.size:

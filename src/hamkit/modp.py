@@ -2,15 +2,15 @@
 
 batched_modp_det takes the determinants of a whole stack of matrices mod
 p, division-free and screened across the stack, and finishes the last
-MINOR_TAIL rows from their signed row-by-row minors; inverse_vandermonde
-and interpolate_univariate turn a batch of values at fixed abscissae into
-coefficients. They share _batch_inverse (one Fermat power per batch) and
-_centre_mod (a float64 quotient in place of an int64 %). The stack helpers
-_live_span and _tree_product serve the marker-ring kernel of branchings as
-well, and minor_plan, the gather plan of the minors, serves the
-characteristic-2 kernels of hamdetect and branchings. The module imports
-numpy and nothing from hamkit, so a caller loads neither the detectors nor
-the binary fields with it.
+MINOR_TAIL rows from their signed row-by-row minors. It divides through
+_batch_inverse (one Fermat power per batch) and reduces through _centre_mod
+(a float64 quotient in place of an int64 %). inverse_vandermonde and
+interpolate_univariate turn a batch of values at the points 1..N into
+coefficients. The stack helpers _live_span and _tree_product serve the
+marker-ring kernel of branchings as well, and minor_plan, the gather plan
+of the minors, serves the characteristic-2 kernels of hamdetect and
+branchings. The module imports numpy and nothing from hamkit, so a caller
+loads neither the detectors nor the binary fields with it.
 """
 
 from __future__ import annotations
@@ -261,45 +261,56 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     return det
 
 
-def inverse_vandermonde(xs: np.ndarray, p: int) -> np.ndarray:
-    """V^-1 mod p for V[i, j] = xs[i]^j, built from the Lagrange basis.
+def inverse_vandermonde(npts: int, p: int) -> np.ndarray:
+    """V^-1 mod p for V[i, j] = x_i^j at the N = npts points x_i = i + 1, from the Lagrange basis.
 
     Column i holds the coefficients, low degree first, of L_i(X) =
     prod_{k != i} (X - x_k) / (x_i - x_k): one synthetic division of
-    F = prod_k (X - x_k) by every (X - x_i) at once, then one _batch_inverse
-    of all the denominators. The abscissae must be distinct mod p, and p
-    below 2^31.
+    F = prod_k (X - x_k) by every (X - x_i) at once, times the inverse
+    denominators. At the points 1..N the denominator of L_i is
+    (-1)^(N - x_i) (x_i - 1)! (N - x_i)!, so the inverse factorials of
+    0..N-1, from one pow, give them all. The points are distinct mod p, and
+    the factorials invertible, exactly when N <= p; p must be below 2^31.
     """
-    xs = np.asarray(xs, dtype=np.int64) % p
-    npts = xs.shape[0]
-    full = np.zeros(npts + 1, dtype=np.int64)  # F, low degree first
-    full[0] = 1
-    for x in xs.tolist():
-        shifted = np.zeros_like(full)
-        shifted[1:] = full[:-1]
-        full = (shifted - x * full) % p
+    if not 1 <= npts <= p:
+        raise ValueError(f"need 1 <= npts <= p for distinct points 1..npts mod {p}, got {npts}")
+    xs = np.arange(1, npts + 1, dtype=np.int64)
+    high = np.zeros(npts + 1, dtype=np.int64)  # F, high degree first, zero past its degree
+    high[0] = 1
+    head, tail = high[:-1], high[1:]
+    scaled = np.empty(npts, dtype=np.int64)
+    for x in range(1, npts + 1):  # F times (X - x): c_j -= x * c_(j-1)
+        np.multiply(head, x, out=scaled)
+        np.subtract(tail, scaled, out=tail)
+        np.remainder(tail, p, out=tail)
+    full = high[::-1]  # F, low degree first
     quot = np.empty((npts, npts), dtype=np.int64)  # quot[j, i]: X^j in F / (X - x_i)
     carry = np.zeros(npts, dtype=np.int64)
     for j in range(npts, 0, -1):
         carry = (full[j] + carry * xs) % p
         quot[j - 1] = carry
-    denom = np.zeros(npts, dtype=np.int64)  # (F / (X - x_i)) at x_i, by Horner
-    for j in range(npts - 1, -1, -1):
-        denom = (denom * xs + quot[j]) % p
-    if not denom.all():
-        raise ValueError("abscissae must be distinct mod p")
-    return quot * _batch_inverse(denom, p) % p
+    inv_fact = [1] * npts  # 1 / m! for m < npts
+    fact = 1
+    for m in range(2, npts):
+        fact = fact * m % p
+    inv_fact[-1] = pow(fact, p - 2, p)
+    for m in range(npts - 1, 1, -1):
+        inv_fact[m - 1] = inv_fact[m] * m % p
+    inv_fact = np.array(inv_fact, dtype=np.int64)
+    inv_denom = inv_fact * inv_fact[::-1] % p  # 1 / ((x_i - 1)! (N - x_i)!)
+    inv_denom[npts % 2 :: 2] = (p - inv_denom[npts % 2 :: 2]) % p  # where N - x_i is odd
+    return quot * inv_denom % p
 
 
 def interpolate_univariate(values: np.ndarray, vinv: np.ndarray, p: int) -> np.ndarray:
     """Coefficients, low degree first, of the polynomial through each row of values mod p.
 
     values is [T, N] with entries in [0, p), row t holding one polynomial's
-    values at the N abscissae that vinv = inverse_vandermonde(xs, p) was
-    built on; the result is [T, N], values @ vinv.T mod p. The product runs
-    in int64 on the 16-bit limbs of vinv: every term is below 2^31 * 2^16 =
-    2^47, so a row sum stays below 2^57 for N up to 1,025 points (n = 512)
-    and the result is exact.
+    values at the N points that vinv, an inverse Vandermonde mod p, was
+    built on (1..N for inverse_vandermonde(N, p)); the result is [T, N],
+    values @ vinv.T mod p. The product runs in int64 on the 16-bit limbs of
+    vinv: every term is below 2^31 * 2^16 = 2^47, so a row sum stays below
+    2^57 for N up to 1,025 points (n = 512) and the result is exact.
     """
     lo = vinv & 0xFFFF
     hi = vinv >> 16

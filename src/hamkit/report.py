@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 
@@ -22,24 +23,30 @@ class DetectionReport(namedtuple("DetectionReport", "verdict trials_run trials_m
                                {} if detail is None else detail)
 
 
-def trial_chunks(total: int, cap: int):
-    """Chunk sizes 1, 4, 16, ..., each at most cap, that add up to total.
+def trial_chunks(total: int, cap: int, floor: float):
+    """Chunk sizes that add up to total: 1, then min(cap, ceil(1 / floor)), then cap.
 
-    A one-sided detector stops after the chunk with its first hit, so the
-    first chunks stay small for YES answers, and growth by 4 keeps the
-    number of fixed-cost kernel calls a NO pays for low.
+    floor is a lower bound on a trial's chance to hit on a YES instance; a
+    floor of at most 1 / cap, 0 included, gives cap (and 1 / floor is not
+    taken, as it overflows for floors like 4^-512). A one-sided detector
+    stops after the chunk with its first hit, so a first trial alone keeps
+    YES answers that hit at once cheap, the second chunk holds the trials a
+    YES at the floor expects to need, and a NO, which runs every trial, pays
+    for few fixed-cost kernel calls after that. The sizes depend only on
+    total, cap and floor, never on the draws.
     """
+    second = min(cap, math.ceil(1 / floor)) if floor > 1 / cap else cap
     done = 0
     size = 1
     while done < total:
-        count = min(size, cap, total - done)
+        count = min(size, total - done)
         yield count
         done += count
-        size *= 4
+        size = second if done == 1 else cap
 
 
 def run_trials(trials: int, cap: int, floor: float, run_chunk):
-    """Run trials 0..trials-1 in trial_chunks(trials, cap) up to the first hit.
+    """Run trials 0..trials-1 in trial_chunks(trials, cap, floor) up to the first hit.
 
     run_chunk(start, count) runs trials start..start+count-1 and returns
     None, or (offset, hit) for the first of them that hits, trial start +
@@ -49,7 +56,7 @@ def run_trials(trials: int, cap: int, floor: float, run_chunk):
     on a YES instance.
     """
     start = 0
-    for count in trial_chunks(trials, cap):
+    for count in trial_chunks(trials, cap, floor):
         found = run_chunk(start, count)
         if found is not None:
             offset, hit = found

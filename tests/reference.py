@@ -6,11 +6,11 @@ division-free and fraction-free determinants; the fields GF(p) and GF(2^m)
 and the rings Z, Z/p^k, the group algebra of (Z/2)^k, the marker ring
 GF(2^m)[x_1..x_k]/(x_i^2) and truncated polynomials; the port matrix of
 one membership pair; the k-internal marker determinant of one draw; the
-branching polynomial at one point; one k-leaf trial at one prime,
-interpolated point by point; the detectors' counter draw (splitmix64) one
-word at a time, with the k-internal draws and k-leaf coins it gives; random
-virtual-arc weights and the restricted Laplacian of one tail subset. It
-also holds the brute-force oracles that no command reaches: a permutation
+branching polynomial at one point; the inverse Vandermonde at any distinct
+points; one k-leaf trial at one prime, interpolated point by point; the
+detectors' counter draw (splitmix64) one word at a time, with the
+k-internal draws and k-leaf coins it gives; random virtual-arc weights
+and the restricted Laplacian of one tail subset. It also holds the brute-force oracles that no command reaches: a permutation
 count of Hamiltonian paths, a depth-first count of Hamiltonian cycles, the
 largest internal-vertex and leaf counts, and the fewest distinct variables
 of a monomial. Tests import this module the way
@@ -775,6 +775,37 @@ def interpolate_univariate(points, degree: int, p: int) -> tuple[int, ...]:
         if acc != y % p:
             raise ValueError("points are not on a single degree-bounded polynomial")
     return tuple(coeffs)
+
+
+def inverse_vandermonde_at(xs, p: int) -> np.ndarray:
+    """V^-1 mod p for V[i, j] = xs[i]^j at any abscissae distinct mod p, from the Lagrange basis.
+
+    Column i holds the coefficients, low degree first, of L_i(X) =
+    prod_{k != i} (X - x_k) / (x_i - x_k): one synthetic division of
+    F = prod_k (X - x_k) by every (X - x_i) at once, each denominator
+    (F / (X - x_i))(x_i) by Horner and inverted with pow. The oracle of
+    hamkit.modp.inverse_vandermonde, which serves only the points 1..N.
+    """
+    xs = np.asarray(xs, dtype=np.int64) % p
+    npts = xs.shape[0]
+    full = np.zeros(npts + 1, dtype=np.int64)  # F, low degree first
+    full[0] = 1
+    for x in xs.tolist():
+        shifted = np.zeros_like(full)
+        shifted[1:] = full[:-1]
+        full = (shifted - x * full) % p
+    quot = np.empty((npts, npts), dtype=np.int64)  # quot[j, i]: X^j in F / (X - x_i)
+    carry = np.zeros(npts, dtype=np.int64)
+    for j in range(npts, 0, -1):
+        carry = (full[j] + carry * xs) % p
+        quot[j - 1] = carry
+    denom = np.zeros(npts, dtype=np.int64)
+    for j in range(npts - 1, -1, -1):
+        denom = (denom * xs + quot[j]) % p
+    if not denom.all():
+        raise ValueError("abscissae must be distinct mod p")
+    inv = np.array([pow(d, p - 2, p) for d in denom.tolist()], dtype=np.int64)
+    return quot * inv % p
 
 
 def dv_trial(P, assignment, p: int) -> tuple[int, ...]:

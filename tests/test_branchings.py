@@ -20,7 +20,7 @@ from conftest import (
     rooted_hubs,
     rooted_path,
 )
-from hamkit import branchings, modp
+from hamkit import branchings, modp, report
 from hamkit.branchings import (
     BranchingLeafPolynomial,
     binary_field_degree,
@@ -54,6 +54,7 @@ from reference import (
     border,
     internal_detect,
     internal_root_sum,
+    inverse_vandermonde_at,
     leaf_polynomial_value,
     puncture,
     root_bordered_laplacian,
@@ -134,21 +135,43 @@ class TestSpanningRoots:
 
 class TestTrialChunks:
     def test_literal_schedules(self):
-        assert list(trial_chunks(0, 34)) == []
-        assert list(trial_chunks(100, 34)) == [1, 4, 16, 34, 34, 11]
-        assert list(trial_chunks(100, 64)) == [1, 4, 16, 64, 15]
-        assert list(trial_chunks(256, 64)) == [1, 4, 16, 64, 64, 64, 43]
+        # the benchmark's NO cells: k-leaf at k = 2, 3, 4 (budget 4^k, floor
+        # 4^-k, cap LEAF_CHUNK) and k-internal at (n, k) = (9, 3), (8, 3),
+        # (7, 4) (100 trials, cap INTERNAL_CHUNK); detect-hc runs one trial a chunk
+        leaf, internal = branchings.LEAF_CHUNK, branchings.INTERNAL_CHUNK
+        assert list(trial_chunks(0, internal, 0.3)) == []
+        assert list(trial_chunks(16, leaf, 4.0**-2)) == [1, 15]
+        assert list(trial_chunks(64, leaf, 4.0**-3)) == [1, 63]
+        assert list(trial_chunks(256, leaf, 4.0**-4)) == [1, 64, 64, 64, 63]
+        assert list(trial_chunks(100, internal, internal_sieve_success_floor(9, 3))) == [1, 4, 34, 34, 27]
+        assert list(trial_chunks(100, internal, internal_sieve_success_floor(8, 3))) == [1, 5, 34, 34, 26]
+        assert list(trial_chunks(100, internal, internal_sieve_success_floor(7, 4))) == [1, 5, 34, 34, 26]
+        assert list(trial_chunks(6, 1, 1.0 - 12 / 2**16)) == [1] * 6
 
-    def test_sizes_grow_by_four_up_to_cap(self):
-        for total in (0, 1, 2, 5, 6, 21, 22, 100, 341, 4096):
+    def test_sizes_follow_the_floor_up_to_cap(self):
+        for total in (0, 1, 2, 5, 6, 21, 22, 100, 256, 341, 4096):
             for cap in (1, 3, 4, 16, 34, 64, 10**6):
-                sizes = list(trial_chunks(total, cap))
-                assert sum(sizes) == total, (total, cap)
-                assert all(0 < size <= cap for size in sizes), (total, cap)
-                # every chunk but the last is full; the last is cut short by total
-                full = [min(4**i, cap) for i in range(len(sizes))]
-                assert sizes[:-1] == full[:-1], (total, cap)
-                assert not sizes or sizes[-1] <= full[-1], (total, cap)
+                for floor in (0.0, 4.0**-6, 4.0**-3, 0.01, 0.24, 0.25, 1 / 3, 0.38, 0.5, 0.99, 1.0):
+                    sizes = list(trial_chunks(total, cap, floor))
+                    case = total, cap, floor
+                    assert sum(sizes) == total, case
+                    assert all(0 < size <= cap for size in sizes), case
+                    # 1, then min(cap, ceil(1 / floor)), then cap; only the
+                    # last chunk is cut short by total
+                    full = [1, min(cap, math.ceil(1 / floor)) if floor else cap] + [cap] * len(sizes)
+                    if sizes:
+                        assert sizes[:-1] == full[: len(sizes) - 1], case
+                        assert sizes[-1] <= full[len(sizes) - 1], case
+
+    def test_edges(self):
+        # floor 0 (no bound on a YES trial) goes straight to cap, floor 1 expects one trial
+        assert list(trial_chunks(100, 34, 0.0)) == [1, 34, 34, 31]
+        assert list(trial_chunks(100, 34, 1.0)) == [1, 1, 34, 34, 30]
+        # 1 / floor overflows to inf at k-leaf's 4^-k for k = 512, n = 512
+        for floor in (4.0**-512, 5e-324):
+            assert list(trial_chunks(100, 64, floor)) == [1, 64, 35], floor
+        for floor in (0.0, 4.0**-6, 0.5, 1.0):
+            assert list(trial_chunks(7, 1, floor)) == [1] * 7, floor
 
 
 class TestDetectKInternal:
@@ -1088,38 +1111,52 @@ class TestBatchedPrimeDet:
 class TestBatchedInterpolation:
     def test_inverse_vandermonde(self):
         p = 1_000_003
-        xs = np.array([0, 3, 7, 2, 999_999], dtype=np.int64)
-        vinv = inverse_vandermonde(xs, p)
-        vander = np.array([[pow(int(x), j, p) for j in range(5)] for x in xs], dtype=np.int64)
+        vinv = inverse_vandermonde(5, p)
+        vander = np.array([[pow(x, j, p) for j in range(5)] for x in range(1, 6)], dtype=np.int64)
         assert (vander @ vinv % p).tolist() == np.eye(5, dtype=np.int64).tolist()
-        with pytest.raises(ValueError, match="distinct"):
-            inverse_vandermonde(np.array([1, 2, p + 1]), p)
+        # the points 1..N are distinct mod p, and their factorials invertible, up to N = p
+        assert (inverse_vandermonde(7, 7) == inverse_vandermonde_at(np.arange(1, 8), 7)).all()
+        for npts in (0, 8):
+            with pytest.raises(ValueError, match="distinct"):
+                inverse_vandermonde(npts, 7)
+
+    def test_matches_the_general_points_builder(self):
+        # the factorial denominators at the points 1..N against Horner's at any points
+        for p in (2_147_483_029, 2_147_483_587, 2_147_481_629, MERSENNE_31, 1_073_741_827):
+            for npts in [*range(1, 41), 121, 1025]:
+                want = inverse_vandermonde_at(np.arange(1, npts + 1), p)
+                assert (inverse_vandermonde(npts, p) == want).all(), (p, npts)
 
     def test_matches_scalar_at_512_vertices(self):
-        # 1,025 points over 0..2n at n = 512 and p = 2^31 - 1: the largest
+        # 1,025 points 1..2n+1 at n = 512 and p = 2^31 - 1: the largest
         # values and vinv entries the 16-bit limbs have to carry exactly
         p = MERSENNE_31
         npts = 2 * 512 + 1
-        vinv = inverse_vandermonde(np.arange(npts), p)
+        vinv = inverse_vandermonde(npts, p)
         values = np.full((2, npts), p - 1, dtype=np.int64)
         values[1] = np.random.default_rng(23).integers(0, p, size=npts)
         got = interpolate_univariate(values, vinv, p)
         assert got.shape == (2, npts)
         assert got[0].tolist() == [p - 1] + [0] * (npts - 1)  # the constant -1
         for row in range(2):
-            points = list(enumerate(values[row].tolist()))
+            points = list(zip(range(1, npts + 1), values[row].tolist()))
             assert tuple(got[row].tolist()) == scalar_interpolate(points, npts - 1, p), row
 
     def test_random_rows(self):
+        # any inverse Vandermonde serves interpolate_univariate: here the
+        # general builder's, at distinct random abscissae
         rnd = random.Random(24)
         for npts in (1, 2, 9, 17):
             p = rnd.choice([1_000_003, 2_147_483_029, MERSENNE_31])
-            vinv = inverse_vandermonde(np.arange(npts), p)
+            xs = rnd.sample(range(p), npts)
+            vinv = inverse_vandermonde_at(xs, p)
             values = np.array([[rnd.randrange(p) for _ in range(npts)] for _ in range(5)], dtype=np.int64)
             got = interpolate_univariate(values, vinv, p)
             for row in range(5):
-                points = list(enumerate(values[row].tolist()))
+                points = list(zip(xs, values[row].tolist()))
                 assert tuple(got[row].tolist()) == scalar_interpolate(points, npts - 1, p)
+        with pytest.raises(ValueError, match="distinct"):
+            inverse_vandermonde_at([1, 2, 1_000_004], 1_000_003)
 
     def test_shifted_abscissae(self):
         # the points 1..N that solve_nk_dv evaluates at, up to N = 1,025 (n = 512)
@@ -1127,7 +1164,7 @@ class TestBatchedInterpolation:
         for npts in (1, 2, 9, 17, 1025):
             p = rnd.choice([1_000_003, 2_147_483_029, MERSENNE_31])
             xs = np.arange(1, npts + 1)
-            vinv = inverse_vandermonde(xs, p)
+            vinv = inverse_vandermonde(npts, p)
             values = np.array([[rnd.randrange(p) for _ in range(npts)] for _ in range(3)], dtype=np.int64)
             values[0] = p - 1
             got = interpolate_univariate(values, vinv, p)
@@ -1488,9 +1525,9 @@ class TestSolveNkDv:
     def test_inverse_vandermonde_built_when_a_prime_first_interpolates(self, monkeypatch):
         built = []
 
-        def recording(xs, p):
+        def recording(npts, p):
             built.append(p)
-            return inverse_vandermonde(xs, p)
+            return inverse_vandermonde(npts, p)
 
         monkeypatch.setattr(branchings, "inverse_vandermonde", recording)
         # p1 hits on trial 0, in the first chunk, so p2 never interpolates
@@ -1849,22 +1886,59 @@ class TestGoldenDigest:
     def test_solver_digest(self):
         # solve_nk_dv's whole report, which detect_k_leaf drops: primes,
         # evaluations and the hit's trial, prime and coefficient indices, on
-        # the leaf cases above and a NO path with backward arcs at n=20, k=3
+        # the leaf cases above and a NO path with backward arcs at n=20, k=3.
+        # The digest leaves out evaluations, which follow the trial chunks
+        # (a NO evaluates trials x 2 x (2n+1) points, a YES its whole chunk
+        # with the hit at p1), and the list pins them
         _, _, leaf = _detector_digest_cases()
         rnd = random.Random(3503)
         n = 20
         backward = rnd.sample([(b, a) for a in range(1, n) for b in range(a + 1, n)], n // 2)
         leaf.append((make_digraph(n, [(i, i + 1) for i in range(n - 1)] + backward), 3))
         runs = []
+        evaluations = []
         for i, (g, k) in enumerate(leaf):
             roots = branchings._spanning_roots(g)
             if not roots:
                 continue
             rep = solve_nk_dv(BranchingLeafPolynomial(g, roots), k, seed=i)
-            runs.append((rep.verdict, rep.trials_run, rep.trials_max, rep.failure_bound, repr(rep.detail)))
+            evaluations.append(rep.detail["evaluations"])
+            detail = {**rep.detail, "evaluations": None}
+            runs.append((rep.verdict, rep.trials_run, rep.trials_max, rep.failure_bound, repr(detail)))
         assert Counter(verdict for verdict, *_ in runs) == {True: 9, False: 4}, runs
+        assert evaluations == [975, 1122, 8704, 1664, 11, 923, 352, 11, 11, 15, 15, 17, 5248]
         digest = hashlib.sha256(repr(runs).encode()).hexdigest()
-        assert digest == "66c7acae2c659c790835047dc94f058e40bf9ae5b20ecb222cfa6a7690a7e012"
+        assert digest == "3715b6ce0fe4b0a9675546f5f6dc6d6e7f0d44b7ff6bd3339b2e20a99d9cf5ec"
+
+    def test_reports_do_not_depend_on_the_chunks(self, monkeypatch):
+        # every draw depends only on (seed, root, trial), so the digest cases
+        # give the same reports under the chunks 1, 4, 16, ... up to cap;
+        # only the solver's evaluations, the rows it evaluated, differ
+        def grown_by_four(total, cap, floor):
+            done, size = 0, 1
+            while done < total:
+                yield min(size, cap, total - done)
+                done += min(size, cap, total - done)
+                size *= 4
+
+        def reports():
+            _, internal, leaf = _detector_digest_cases()
+            runs = [detect_k_internal(g, min(k, g.n - 1), seed=i) for i, (g, k) in enumerate(internal)]
+            runs += [detect_k_leaf(g, k, seed=i) for i, (g, k) in enumerate(leaf)]
+            evaluations = []
+            for i, (g, k) in enumerate(leaf):
+                roots = branchings._spanning_roots(g)
+                if roots:
+                    rep = solve_nk_dv(BranchingLeafPolynomial(g, roots), k, seed=i)
+                    evaluations.append(rep.detail["evaluations"])
+                    runs.append(rep._replace(detail={**rep.detail, "evaluations": None}))
+            return runs, evaluations
+
+        floor_rule, floor_evaluations = reports()
+        monkeypatch.setattr(report, "trial_chunks", grown_by_four)
+        runs, evaluations = reports()
+        assert runs == floor_rule
+        assert evaluations != floor_evaluations
 
 
 def _detector_digest_cases():

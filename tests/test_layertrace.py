@@ -21,7 +21,7 @@ from conftest import (
     random_digraph,
     run_fresh,
 )
-from hamkit import hamcount, hamdetect
+from hamkit import branchings, hamcount, hamdetect
 from hamkit.branchings import (
     BranchingLeafPolynomial,
     detect_k_internal,
@@ -32,6 +32,7 @@ from hamkit.branchings import (
 from hamkit.graph import find_independent_partition, make_digraph
 from hamkit.hamcount import count_exact
 from hamkit.hamdetect import detect_hamiltonian_cycle
+from hamkit.report import trial_chunks
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 SELFTEST = LAYERTRACE.with_name("selftest.py")
@@ -274,26 +275,39 @@ def test_detector_counters_hold_over_many_chunks(monkeypatch):
     assert tracer.spans["hamdetect.batched_gf_det"][2] == 3 * 27
 
 
+def chunk_of(trial, sizes):
+    """(start, size) of the chunk among trial_chunks' sizes that holds trial."""
+    start = 0
+    for size in sizes:
+        if trial < start + size:
+            return start, size
+        start += size
+    raise ValueError(f"trial {trial} is past the {start} trials of the chunks")
+
+
 def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
     # the benchmark's modp-matrices check on a NO whose budget ends mid-chunk:
-    # 100 = 1+4+16+64+15 trials, five chunks, each prime once per chunk
-    n = 5
+    # 100 trials in report.trial_chunks' chunks, each prime once per chunk
+    n, k, budget = 5, 2, 100
+    sizes = list(trial_chunks(budget, branchings.LEAF_CHUNK, 4.0**-k))
+    assert sizes[-1] < branchings.LEAF_CHUNK
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
-        rep = detect_k_leaf(directed_path(n), 2, budget=100, seed=3)
+        rep = detect_k_leaf(directed_path(n), k, budget=budget, seed=3)
     finally:
         tracer.uninstall()
-    assert not rep.verdict and rep.trials_run == 100
-    assert tracer.counters["branchings.modp_matrices"] == 100 * 2 * (2 * n + 1)
-    assert tracer.spans["algebra.interpolate_univariate"][2] == 5 * 2
-    assert tracer.spans["branchings.batched_modp_det"][2] == 5 * 2
+    assert not rep.verdict and rep.trials_run == budget
+    assert tracer.counters["branchings.modp_matrices"] == budget * 2 * (2 * n + 1)
+    assert tracer.spans["algebra.interpolate_univariate"][2] == len(sizes) * 2
+    assert tracer.spans["branchings.batched_modp_det"][2] == len(sizes) * 2
 
 
 def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
     # solve_nk_dv's evaluations detail counts the rows it passes to
-    # evaluate_batch: on this YES, p1 evaluates the whole 16-trial chunk 5..20
-    # and p2 only its 6 trials before the hit at trial 11
+    # evaluate_batch: on this YES, both primes evaluate every trial of the
+    # chunks before the hit at trial 11, p1 the whole chunk that holds it,
+    # and p2 only that chunk's trials before the hit
     yes_graph = make_digraph(6, [(0, 1), (0, 4), (1, 0), (1, 4), (1, 5), (2, 1), (2, 4), (2, 5),
                                  (3, 1), (3, 5), (4, 0), (4, 3), (4, 5), (5, 0), (5, 1), (5, 2),
                                  (5, 3)])
@@ -310,14 +324,17 @@ def test_leaf_evaluations_are_the_matrices_the_kernel_receives():
         tracer.uninstall()
     (yes, yes_count), (no, no_count) = reports
     assert yes.verdict and yes.detail["hit"]["trial"] == 11 and yes.trials_run == 12
-    assert yes.detail["evaluations"] == yes_count == (1 + 4) * 2 * 13 + (16 + 6) * 13
+    assert yes.detail["hit"]["prime"] == yes.detail["primes"][0]
+    start, size = chunk_of(11, trial_chunks(4**3, branchings.LEAF_CHUNK, 4.0**-3))
+    assert yes.detail["evaluations"] == yes_count == start * 2 * 13 + (size + 11 - start) * 13
     assert not no.verdict and no.detail["evaluations"] == no_count == 100 * 2 * 11
 
 
-def test_internal_chunks_grow_by_four_and_a_yes_stops_at_its_hit():
-    # trials run in chunks of 1, 4, 16, ... up to INTERNAL_CHUNK = 34,
-    # so a NO with 100 trials is 1+4+16+34+34+11 over six det_batch calls,
-    # and a YES that hits on its first trial evaluates that one trial
+def test_internal_chunks_follow_the_floor_and_a_yes_stops_at_its_hit():
+    # a NO with 100 trials makes one det_batch call per chunk of
+    # report.trial_chunks, and a YES that hits on its first trial evaluates
+    # that one trial
+    sizes = list(trial_chunks(100, branchings.INTERNAL_CHUNK, internal_sieve_success_floor(5, 2)))
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
@@ -328,7 +345,7 @@ def test_internal_chunks_grow_by_four_and_a_yes_stops_at_its_hit():
     finally:
         tracer.uninstall()
     assert not no.verdict and no.trials_run == 100 and no.detail["roots"] == [0]
-    assert counted == ({"branchings.internal_trials": 100}, 6)
+    assert counted == ({"branchings.internal_trials": 100}, len(sizes))
     assert yes.verdict and yes.trials_run == 1
     assert tracer.counters["branchings.internal_trials"] == 1
     assert tracer.spans["branchings.det_batch"][2] == 1

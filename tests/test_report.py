@@ -22,15 +22,16 @@ def fake_chunks(hit_at=None):
 
 class TestRunTrials:
     def test_no_runs_every_chunk_and_reports_the_bound(self):
+        # floor 0.25: one trial, the 4 a YES at the floor expects, then chunks of 34
         calls, run_chunk = fake_chunks()
         assert run_trials(100, 34, 0.25, run_chunk) == (None, 100, 0.75**100)
-        assert calls == [(0, 1), (1, 4), (5, 16), (21, 34), (55, 34), (89, 11)]
-        assert [count for _, count in calls] == list(trial_chunks(100, 34))
+        assert calls == [(0, 1), (1, 4), (5, 34), (39, 34), (73, 27)]
+        assert [count for _, count in calls] == list(trial_chunks(100, 34, 0.25))
 
     @pytest.mark.parametrize("hit_at, chunks", [
         (0, [(0, 1)]), (1, [(0, 1), (1, 4)]), (4, [(0, 1), (1, 4)]),
-        (5, [(0, 1), (1, 4), (5, 16)]), (60, [(0, 1), (1, 4), (5, 16), (21, 34), (55, 34)]),
-        (99, [(0, 1), (1, 4), (5, 16), (21, 34), (55, 34), (89, 11)]),
+        (5, [(0, 1), (1, 4), (5, 34)]), (60, [(0, 1), (1, 4), (5, 34), (39, 34)]),
+        (99, [(0, 1), (1, 4), (5, 34), (39, 34), (73, 27)]),
     ])
     def test_yes_stops_after_the_chunk_with_the_hit(self, hit_at, chunks):
         calls, run_chunk = fake_chunks(hit_at)
@@ -50,8 +51,13 @@ class TestRunTrials:
         assert calls == [(t, 1) for t in range(7)]
 
     def test_floors_of_zero_and_one(self):
-        assert run_trials(3, 4, 0.0, fake_chunks()[1]) == (None, 3, 1.0)
-        assert run_trials(3, 4, 1.0, fake_chunks()[1]) == (None, 3, 0.0)
+        # floor 0 bounds nothing and goes straight to cap; floor 1 expects one trial
+        calls, run_chunk = fake_chunks()
+        assert run_trials(3, 4, 0.0, run_chunk) == (None, 3, 1.0)
+        assert calls == [(0, 1), (1, 2)]
+        calls, run_chunk = fake_chunks()
+        assert run_trials(6, 4, 1.0, run_chunk) == (None, 6, 0.0)
+        assert calls == [(0, 1), (1, 1), (2, 4)]
 
     def test_cycle_bound_is_exact(self):
         # detect-hc passes floor 1 - n/2^16; for n < 2^16 both subtractions
