@@ -121,10 +121,10 @@ class _InternalSieveEngine:
     slot-0 parts of the entries form the bordered zeta-weighted Laplacian
     over GF(2^m), and elimination acts on them as plain Gaussian
     elimination, so a draw whose slot-0 matrix is nonsingular never lacks a
-    unit pivot. The rare draws that do (det_batch) swap in a later column
-    with a unit, and a trailing block with no unit at all has determinant 0
-    past k rows (M^(k+1) = 0) and is expanded in its sign-free minors
-    (_det_minors) up to k rows. Each batch of ring products is one pass (see
+    unit pivot. The rare draws that do (det_batch) add a later column with
+    a unit to the pivot column, and a trailing block with no unit at all has
+    determinant 0 past k rows (M^(k+1) = 0) and is expanded in its
+    sign-free minors (_det_minors) up to k rows. Each batch of ring products is one pass (see
     _mul): log-table lookups of the operands' 2^k slots, a take of the 3^k
     pairs' logs, an exp-table take of their sums and one reduceat per
     output slot.
@@ -132,24 +132,22 @@ class _InternalSieveEngine:
     Forced parents are factored out first (see _forced_parent_plan): each
     trial's determinant is prod D_j * det L', the ring factors D_j
     multiplied into det_batch's det L' up a pairwise tree. verts are the
-    rows (and columns) of L', the heads of the plan.
+    rows (and columns) of L', the heads of the plan; entries, factors and
+    cells are the rest of the plan, over build_matrices' table.
     """
 
     def __init__(self, g: Digraph, roots: list[int], k: int, field: BinaryField):
-        self.g = g
         self.k = k
         self.f = field
         self.len = 1 << k
-        # in characteristic 2 an arc's weight adds where it subtracts
-        self.verts, entries, factors, border = _forced_parent_plan(g, roots, [*range(g.m)] * 2)
         self.ia, self.ib, self.offsets = _pair_plan(k)
-        # build_matrices' plan over its weight table: arc i's weight at row i,
-        # zeros at row m, then the xor sums of the cells
-        size = len(self.verts) ** 2
-        entries.update(enumerate(factors, size))
-        slots, self.cells = _slot_plan(entries, size + len(factors), g.m)
-        self.entries, self.factors = slots[:size], slots[size:]
-        self.border = np.array([e for e, _ in border], dtype=np.int64)
+        # build_matrices' table: arc i's weight at row i (in characteristic 2
+        # it adds where it subtracts), the ring's one at row m (w on the
+        # roots), zeros at row m + 1, then the cells' xor sums
+        m = g.m
+        self.verts, self.entries, self.factors, self.cells = _forced_parent_plan(
+            g, roots, [*range(m)] * 2, [m] * g.n, m + 1
+        )
         self.tails = np.array([u for u, _ in sorted(g.arcs)], dtype=np.int64)
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,37 +195,36 @@ class _InternalSieveEngine:
         sibling arcs from collapsing pairwise in characteristic 2: a vertex
         with c children contributes 1 + (sum of c independent scalars)*marker,
         nonzero for any c >= 1, where a bare (1 + marker)^c would vanish for
-        even c. The weights are stacked arc-major with one zero row after
-        them, and each cell of _forced_parent_plan's sums (in characteristic
-        2 a minus sign changes nothing) is one gather, padded with the zero
-        row, and one xor reduction into the rows after it. One gather of a
-        table row per entry and per factor follows, and row r, if kept,
-        takes 1 on the roots. The cells hold no more weights than the
-        entries nn^2 plus one row per vertex and arc, times the largest
-        in-degree.
+        even c. The weights are stacked arc-major, then the ring's one (w on
+        the roots) and a zero row, and each cell of _forced_parent_plan's
+        sums (in characteristic 2 a minus sign changes nothing) is one
+        gather, padded with the zero row, and one xor reduction into the
+        rows after it. One gather of a table row per entry and per factor
+        follows. The cells hold no more weights than the entries nn^2 plus
+        one row per vertex and arc, times the largest in-degree.
         """
         nb, m = zeta.shape
         single = 1 << np.arange(self.k, dtype=np.int64)
         marked = (gvec.T[self.tails, :, None] & single) != 0
-        table = np.zeros((m + 1 + len(self.cells), nb, self.len), dtype=np.int32)
+        table = np.zeros((m + 2 + len(self.cells), nb, self.len), dtype=np.int32)
         table[:m, :, 0] = zeta.T
         table[:m, :, single] = np.where(marked, self.f.nmul(zeta, rmul).T[:, :, None], 0)
-        np.bitwise_xor.reduce(table[self.cells], axis=1, out=table[m + 1 :])
+        table[m, :, 0] = 1
+        np.bitwise_xor.reduce(table[self.cells], axis=1, out=table[m + 2 :])
         nn = len(self.verts)
-        mats = table[self.entries]
-        mats[self.border, :, 0] = 1
-        return mats.reshape(nn, nn, nb, self.len), table[self.factors]
+        return table[self.entries].reshape(nn, nn, nb, self.len), table[self.factors]
 
     def det_batch(self, mats: np.ndarray) -> np.ndarray:
         """Determinants [B, len] of a [nn, nn, B, len] stack, by unit-pivot elimination.
 
-        At column j the pivot is the first row at or below j whose slot 0 is
-        nonzero, a unit of R; rows swap only in the matrices whose pivot
-        moved. When every matrix already has a unit on the diagonal, as in
-        most columns of most draws, that search and the swap bookkeeping are
-        skipped. A matrix whose column j has no unit at or below the
-        diagonal first swaps in the first later column with a unit in rows j
-        and below. Characteristic 2 makes both swaps sign-free. One rank-1
+        At column j a matrix whose pivot a[j, j] is not a unit of R (slot 0
+        zero) takes the first row below with a unit in column j added to row
+        j, which makes the pivot a unit. When every matrix already has a
+        unit on the diagonal, as in most columns of most draws, that search
+        is skipped. A matrix whose column j has no unit at or below the
+        diagonal first takes the first later column with a unit in rows j
+        and below added to column j. Both additions keep the determinant,
+        as in hamdetect.batched_gf_det and modp.batched_modp_det. One rank-1
         update with the pivot's inverse clears the column below it. That
         update is screened across the whole stack: it covers the span (see
         _live_span) of columns l > j where row j has a nonzero slot in some
@@ -238,17 +235,19 @@ class _InternalSieveEngine:
         share one graph, so their zero patterns nearly coincide: on a
         k-internal NO on hubs only hub rows hold off-diagonal entries, and
         only a hub's pivot row takes an update. The last pivot is never
-        inverted, so it may be a non-unit. Later column swaps touch only
-        later columns, and later row swaps and updates only later rows, so
-        a[j, j] keeps step j's pivot: the determinant is the product of the
-        eliminated diagonal, taken once at the end by _tree_product. A
-        matrix whose whole trailing s x s block at column j < nn - 1 holds
-        no unit has every entry of that block in M, so its determinant is 0
-        for s > k (it lies in M^s, and M^(k+1) = 0) and otherwise the
-        product of its first j diagonal entries and _det_minors of the block, which it takes at once. That
-        block is then set to the identity, so the matrix rides along with
-        unit pivots and no updates to the end of the loop, where its value
-        overwrites its row. mats is left unchanged. An order-0 stack has
+        inverted, so it may be a non-unit. Later additions and updates touch
+        only later rows and columns, so a[j, j] keeps step j's pivot: the
+        determinant is the product of the eliminated diagonal, taken once
+        at the end by _tree_product. A matrix whose whole trailing s x s
+        block at column j < nn - 1 holds no unit has every entry of that
+        block in M, so the block's determinant is 0 for s > k (it lies in
+        M^s, and M^(k+1) = 0) and otherwise _det_minors of the block. That
+        value is written to a[j, j] and the rest of the block becomes the
+        identity, so the matrix keeps its determinant and needs no later
+        pivot search. Its row j and column j are zero off the diagonal, so
+        step j's update factor for it is 0 whatever _inverse makes of its
+        non-unit pivot (an element of the field's tables all the same), and
+        no later step updates it. mats is left unchanged. An order-0 stack has
         determinant 1, the ring's one.
         """
         nn, _, nb, _ = mats.shape
@@ -258,45 +257,32 @@ class _InternalSieveEngine:
             return one
         a = mats.copy()
         ar = np.arange(nn)
-        settled = []  # (matrix indices, their determinants)
         for j in range(nn - 1):
             if np.count_nonzero(a[j, j, :, 0]) < nb:
                 unit = a[j:, j, :, 0] != 0
                 lack = np.flatnonzero(~unit.any(axis=0))
                 if lack.size:
-                    cols = (a[j:, j:, lack, 0] != 0).any(axis=0)
+                    cols = (a[j:, j + 1 :, lack, 0] != 0).any(axis=0)
                     found = cols.any(axis=0)
-                    swap = lack[found]
-                    src = j + np.argmax(cols[:, found], axis=0)
-                    colj = a[:, j, swap]
-                    a[:, j, swap] = a[:, src, swap]
-                    a[:, src, swap] = colj
+                    fix = lack[found]
+                    src = j + 1 + np.argmax(cols[:, found], axis=0)
+                    a[j:, j, fix] ^= a[j:, src, fix]
                     stuck = lack[~found]
                     if stuck.size:
-                        if nn - j > self.k:
-                            settled.append((stuck, 0))
-                        else:
-                            block = self._det_minors(a[j:, j:, stuck])[None]
-                            prefix = a[ar[:j, None], ar[:j, None], stuck]
-                            settled.append((stuck, _tree_product(np.concatenate([prefix, block]), self._mul)))
+                        value = self._det_minors(a[j:, j:, stuck]) if nn - j <= self.k else 0
                         a[j:, j:, stuck] = 0
                         a[ar[j:, None], ar[j:, None], stuck, 0] = 1
+                        a[j, j, stuck] = value
                     unit[:, lack] = a[j:, j, lack, 0] != 0
-                pidx = j + np.argmax(unit, axis=0)
-                moved = np.flatnonzero(pidx != j)
-                src = pidx[moved]
-                rowj = a[j, j:, moved]
-                a[j, j:, moved] = a[src, j:, moved]
-                a[src, j:, moved] = rowj
+                add = np.flatnonzero(~unit[0] & unit.any(axis=0))
+                src = j + np.argmax(unit[:, add], axis=0)
+                a[j, j:, add] ^= a[src, j:, add]
             right = _live_span(a[j, j + 1 :], j + 1)
             below = _live_span(a[j + 1 :, j], j + 1) if right else None
             if below:
                 fac = self._mul(a[below, j], self._inverse(a[j, j])[None])
                 a[below, right] ^= self._mul(fac[:, None], a[j, right][None])
-        det = _tree_product(a[ar, ar], self._mul)
-        for stuck, value in settled:
-            det[stuck] = value
-        return det
+        return _tree_product(a[ar, ar], self._mul)
 
     def _det_minors(self, mats: np.ndarray) -> np.ndarray:
         """Determinants [B, len] of a [s, s, B, len] stack, s >= 1, from its sign-free minors.
@@ -433,9 +419,9 @@ def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> D
 
 
 def _forced_parent_plan(
-    g: Digraph, roots: list[int], ids: list[int]
-) -> tuple[list[int], dict[int, list[int]], list[list[int]], list[tuple[int, int]]]:
-    """The root-bordered in-arc Laplacian L of (g, roots) with its forced parents factored out.
+    g: Digraph, roots: list[int], ids: list[int], w: list[int], zero: int
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The gather plan of the root-bordered in-arc Laplacian L of (g, roots) with its forced parents factored out.
 
     Row r = roots[0] of the in-arc Laplacian is replaced by a vector w,
     zero off the roots. Its rows add up to the zero row, so over any
@@ -463,15 +449,17 @@ def _forced_parent_plan(
     by the removed group. A graph where no vertex has a single in-neighbour
     pays one pass over the in-degrees for this.
 
-    Returns (heads, entries, factors, border): heads, the vertices whose
-    rows and columns L' keeps, in id order; entries, the arcs that each
-    nonzero entry e = i * d + l of the d x d matrix L' sums (the border's
-    entries are absent); factors, the arcs of each D_j; and border, the
-    entry e of each root v's column in row r = roots[0], which holds w_v,
-    empty with one root. The lists name arc i of sorted(g.arcs) by ids[i]
-    where its weight adds, on the diagonal and in the factors, and by
-    ids[m + i] where it subtracts, off the diagonal. Refuses an empty or
-    out-of-range root list (ValueError).
+    The plan reads a caller's table of rows: arc i of sorted(g.arcs) at row
+    ids[i] where its weight adds, on the diagonal and in the factors, and
+    at ids[m + i] where it subtracts, off the diagonal; w_v at row w[v] for
+    each root v (read only with several roots); zeros at row zero; and the
+    sum of cell c's rows at row zero + 1 + c. Returns (heads, entries,
+    factors, cells): heads, the vertices whose rows and columns L' keeps, in
+    id order; entries, the table row of each entry e = i * d + l of the
+    d x d matrix L' (a term alone is read in place, no term is the zero
+    row, several a cell); factors, the table row of each D_j, likewise;
+    and cells, [cells, depth] rows, each padded with the zero row to the
+    longest. Refuses an empty or out-of-range root list (ValueError).
     """
     if not roots or min(roots) < 0 or max(roots) >= g.n:
         raise ValueError("root out of range")
@@ -528,47 +516,39 @@ def _forced_parent_plan(
     col = [-1] * n  # each vertex's column of L', or -1 where it is gone
     for i, v in enumerate(heads):
         col[v] = i
-    border = [(col[r] * d + col[v], v) for v in roots] if bordered else []
     # each vertex's row of L', or -1 where its group's row is gone (or is w)
     row = [col[find(u)] if u != r else -1 for u in range(n)]
     m = g.m
     arcs = sorted(g.arcs)
-    if factors:
-        index = {a: i for i, a in enumerate(arcs)}
-        factors = [[ids[index[u, j]] for u in terms] for terms, j in factors]
-    entries = {}
+    sums = {}  # the table rows that each nonzero entry of L' sums
     for i, (u, v) in enumerate(arcs):
         c = col[v]
         if c < 0 or row[u] == c:  # a column taken out, or an arc inside v's group
             continue
         if v != r:  # D_v: the arcs into v from outside its group
-            entries.setdefault(c * (d + 1), []).append(ids[i])
+            sums.setdefault(c * (d + 1), []).append(ids[i])
         if row[u] >= 0:
-            entries.setdefault(row[u] * d + c, []).append(ids[m + i])
-    return heads, entries, factors, border
-
-
-def _slot_plan(terms: dict[int, list[int]], size: int, zero: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot s < size, the table row that holds the sum of the rows terms.get(s), and the cells that fill the rows past zero.
-
-    A slot with one row reads that row, one with none the zero row, and one
-    with more a cell: cell c is summed into row zero + 1 + c. The cells come
-    back as [cells, depth] rows, each padded with the zero row to the
-    longest.
-    """
-    slots = [zero] * size
+            sums.setdefault(row[u] * d + c, []).append(ids[m + i])
+    if bordered:
+        sums.update((col[r] * d + col[v], [w[v]]) for v in roots)
     cells = []
-    for s, rows in terms.items():
+
+    def slot(rows: list[int]) -> int:
         if len(rows) == 1:
-            slots[s] = rows[0]
-        elif rows:
-            cells.append(rows)
-            slots[s] = zero + len(cells)
+            return rows[0]
+        cells.append(rows)
+        return zero + len(cells)
+
+    entries = [zero] * (d * d)
+    for e, rows in sums.items():
+        entries[e] = slot(rows)
+    if factors:
+        index = {a: i for i, a in enumerate(arcs)}
+        factors = [slot([ids[index[u, j]] for u in parents]) for parents, j in factors]
     depth = max(map(len, cells), default=1)
-    flat = [zero] * (len(cells) * depth)
-    for c, rows in enumerate(cells):
-        flat[c * depth : c * depth + len(rows)] = rows
-    return np.array(slots, dtype=np.int64), np.array(flat, dtype=np.int64).reshape(len(cells), depth)
+    padded = [rows + [zero] * (depth - len(rows)) for rows in cells]
+    entries, factors, padded = (np.array(rows, dtype=np.int64) for rows in (entries, factors, padded))
+    return heads, entries, factors, padded.reshape(len(cells), depth)
 
 
 def _spanning_roots(g: Digraph) -> list[int]:
@@ -625,33 +605,28 @@ class BranchingLeafPolynomial:
     Laplacian L(y) (arc u->v weighs y_u) bordered with w_v = y_v on the
     roots (see _forced_parent_plan): sum_v y_v * det(L_vv(y)).
 
-    Forced parents are factored out once, when the polynomial is built (see
-    _forced_parent_plan), so P(y) = prod D_j(y) * det L'(y), with one root
-    y_r among the factors, and each evaluation eliminates only the vertices
-    that have a choice. Every diagonal of L' is a sum of variables with
-    coefficient 1, nonzero at the solver's positive points. order is the
-    order of L'.
+    Forced parents are factored out once, when the polynomial is built:
+    _forced_parent_plan's gather plan reads every entry and factor, w_v =
+    y_v included, from one table row, so P(y) = prod D_j(y) * det L'(y),
+    with a single root's y_r among the factors, and each evaluation
+    eliminates only the vertices that have a choice. Every diagonal of L'
+    is a sum of variables with coefficient 1, nonzero at the solver's
+    positive points. order is the order of L'.
     """
 
     def __init__(self, g: Digraph, roots: list[int]):
-        self.g = g
-        self.roots = roots
         self.n = n = g.n
-        # _table's plan. Slot e < d*d is entry e of L', slot d*d + i factor
-        # i; each reads one table row: y_u at row u, -y_u at n + u, 0 at 2n
-        # (no terms), or from row 2n + 1 on a cell's sum. Arc u->v weighs y_u
+        # _table's rows: y_u at row u (w on the roots), -y_u at n + u, 0 at
+        # 2n, then the cells' sums. Arc u->v weighs y_u; with one root, y_r
+        # joins the factors
         tails = [u for u, _ in sorted(g.arcs)]
-        heads, terms, factors, border = _forced_parent_plan(g, roots, tails + [n + u for u in tails])
-        d = self.order = len(heads)
-        size = d * d
-        terms.update((e, [v]) for e, v in border)
-        factors += [[roots[0]]] * (len(roots) == 1)
-        terms.update(enumerate(factors, size))
-        slots, self._cells = _slot_plan(terms, size + len(factors), 2 * n)
-        self._entries = slots[:size]
-        self._factors = slots[size:]
+        heads, self._entries, factors, self._cells = _forced_parent_plan(
+            g, roots, tails + [n + u for u in tails], [*range(n)], 2 * n
+        )
+        self.order = len(heads)
+        self._factors = np.append(factors, roots[0]) if len(roots) == 1 else factors
         self._rows = 2 * n + 1 + len(self._cells)
-        self._width = max(self._rows, size, len(factors), self._cells.size)
+        self._width = max(self._rows, len(self._entries), len(self._factors), self._cells.size)
 
     def evaluate_batch(self, ys: np.ndarray, p: int) -> np.ndarray:
         """P at each row of ys mod p: det L' times the product of the factors.

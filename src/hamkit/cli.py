@@ -161,7 +161,8 @@ def _seed(text: str) -> int:
         ) from None
 
 
-def _cap_base(text: str) -> Fraction:
+def _cap_base(text: str):
+    """count-exact's --d as a Fraction above 1; fractions loads only here."""
     from fractions import Fraction
 
     try:

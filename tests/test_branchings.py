@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,8 +277,8 @@ class TestDetectKInternal:
 
 # Root 4 only. With one zeta z on every arc, vertices 1 and 2 (in-arcs from
 # 0 and the root) have equal slot-0 columns (z in row 0, diagonal z + z = 0),
-# so column 2 has no unit once column 1 is cleared and column 3 swaps in.
-SWAP_GRAPH = make_digraph(5, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
+# so column 2 has no unit once column 1 is cleared and takes column 3 added.
+COLUMN_GRAPH = make_digraph(5, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
 
 
 def _full_dets(engine, mats, factors):
@@ -286,7 +287,7 @@ def _full_dets(engine, mats, factors):
 
 
 def _internal_determinant_cases(seed: int):
-    """(engine, its matrices, its factors, reference determinants) for three draws per graph, every det_batch route included."""
+    """(graph, engine, its matrices, its factors, reference determinants) for three draws per graph, every det_batch route included."""
     rnd = random.Random(seed)
     cases = []
     for k in (1, 2, 3, 4):
@@ -299,7 +300,7 @@ def _internal_determinant_cases(seed: int):
         # left after column 0 holds no unit: 0 at k = 1 (nn - 1 = 2 rows),
         # the minors at k >= 2
         cases.append((complete_digraph(4 if k < 4 else 6), k, True))
-    cases.extend((SWAP_GRAPH, k, True) for k in (1, 2, 3, 4))
+    cases.extend((COLUMN_GRAPH, k, True) for k in (1, 2, 3, 4))
     for g, k, equal_zeta in cases:
         roots = branchings._spanning_roots(g)
         if not roots:
@@ -310,7 +311,7 @@ def _internal_determinant_cases(seed: int):
         if equal_zeta:
             zeta[:] = zeta[:, :1]
         engine = branchings._InternalSieveEngine(g, [root], k, field)
-        yield engine, *engine.build_matrices(zeta, rmul, gvec), internal_determinants(
+        yield g, engine, *engine.build_matrices(zeta, rmul, gvec), internal_determinants(
             g, root, k, field, zeta, rmul, gvec
         )
 
@@ -331,14 +332,16 @@ def minors_draws(monkeypatch):
 
 def _det_routes(engine, mats) -> list[tuple[set, set]]:
     """Per matrix of a det_batch stack, the routes its elimination takes, a subset of
-    {"swap", "zero", "minors"}, and the columns whose pivot search it needs
+    {"column", "zero", "minors"}, and the columns whose pivot search it needs
     (a non-unit on the diagonal while it is live), replayed on slot 0 alone
     over the scalar field.
 
     Slot 0 of every ring sum, product and inverse is the field's, and an entry
     is a unit exactly when its slot 0 is nonzero, so slot 0 of det_batch's
-    elimination is this one: the first row with a unit, else the first later
-    column with a unit in the rows left, else a trailing block with no unit.
+    elimination is this one: a column with no unit in the rows left takes
+    the first later column with one added, or else ends in a trailing block
+    with no unit, and a non-unit pivot takes the first row below with a
+    unit added.
     """
     f = ScalarBinaryField(engine.f)
     nn = mats.shape[0]
@@ -355,11 +358,12 @@ def _det_routes(engine, mats) -> list[tuple[set, set]]:
                 seen.add("zero" if nn - j > engine.k else "minors")
                 break
             if cols[0] != j:
-                seen.add("swap")
-                for row in a:
-                    row[j], row[cols[0]] = row[cols[0]], row[j]
-            piv = next(i for i in range(j, nn) if a[i][j])
-            a[j], a[piv] = a[piv], a[j]
+                seen.add("column")
+                for row in a[j:]:
+                    row[j] ^= row[cols[0]]
+            if not a[j][j]:
+                src = next(i for i in range(j + 1, nn) if a[i][j])
+                a[j] = [x ^ y for x, y in zip(a[j], a[src])]
             inv = f.inv(a[j][j])
             for i in range(j + 1, nn):
                 fac = f.mul(a[i][j], inv)
@@ -372,9 +376,9 @@ def _route_pools(rnd: random.Random):
     """(engine, draws) pools for mixed det_batch stacks, each draw an [nn, nn, len] matrix.
 
     Per pool shape (nn, field degree m) and rank k: draws of the graphs
-    that force a route (SWAP_GRAPH, equal-zeta complete digraphs), and
+    that force a route (COLUMN_GRAPH, equal-zeta complete digraphs), and
     random ring matrices whose slot 0 is a unit everywhere except in some
-    columns: none (plain), column nn-2 (a column swap), the last k+1 (a
+    columns: none (plain), column nn-2 (a column repair), the last k+1 (a
     trailing block with no unit past k rows, determinant 0) or the last k
     (the minors, or a non-unit last pivot at k = 1). GF(2^2) draws are
     random throughout, slot 0 included.
@@ -382,7 +386,7 @@ def _route_pools(rnd: random.Random):
     nprng = np.random.default_rng(rnd.randrange(1 << 30))
     shapes = (
         (3, [(complete_digraph(4), True)]),
-        (4, [(SWAP_GRAPH, True), (random_digraph(rnd, 5, 0.6), False)]),
+        (4, [(COLUMN_GRAPH, True), (random_digraph(rnd, 5, 0.6), False)]),
         (5, [(complete_digraph(6), True)]),
     )
     for nn, graphs in shapes:
@@ -417,19 +421,19 @@ class TestInternalDeterminant:
     def test_matches_reference_every_slot(self, minors_draws):
         # engine slot T is the reference's t^|T| * x^T coefficient (the image
         # of the truncated ring in the 2^k-slot marker ring), on every route:
-        # a column swap, a unit-free trailing block past k rows (determinant
+        # a column repair, a unit-free trailing block past k rows (determinant
         # 0), and one of at most k rows (its minors); each must occur
         routes = Counter()
-        for engine, mats, factors, want in _internal_determinant_cases(86):
+        for g, engine, mats, factors, want in _internal_determinant_cases(86):
             got = _full_dets(engine, mats, factors)
             ga = GroupAlgebra(engine.f, engine.k)
             for b, det in enumerate(want):
                 xdet = [xbasis_to_group(ga, det[a]) for a in range(engine.k + 1)]
                 for t in range(engine.len):
-                    assert got[b, t] == xdet[t.bit_count()][t], (engine.g.arcs, engine.k, b, t)
+                    assert got[b, t] == xdet[t.bit_count()][t], (g.arcs, engine.k, b, t)
             for seen, _ in _det_routes(engine, mats):
                 routes.update(seen or {"plain"})
-        assert min(routes[r] for r in ("plain", "swap", "zero", "minors")) >= 1, routes
+        assert min(routes[r] for r in ("plain", "column", "zero", "minors")) >= 1, routes
         assert sum(minors_draws) == routes["minors"], (minors_draws, routes)
 
     def test_reference_dets_live_in_graded_subring(self, minors_draws):
@@ -437,7 +441,7 @@ class TestInternalDeterminant:
         # every det_batch route: the kernel of the map to the marker ring is
         # an ideal of the subring these terms span
         routes = Counter()
-        for engine, mats, _, want in _internal_determinant_cases(88):
+        for _, engine, mats, _, want in _internal_determinant_cases(88):
             engine.det_batch(mats)  # counts the minors draws
             for seen, _ in _det_routes(engine, mats):
                 routes.update(seen or {"plain"})
@@ -446,7 +450,7 @@ class TestInternalDeterminant:
                 for a in range(engine.k + 1):
                     xdet = xbasis_to_group(ga, det[a])
                     assert all(xdet[t] == 0 for t in range(engine.len) if t.bit_count() < a), (engine.k, a)
-        assert min(routes[r] for r in ("plain", "swap", "zero", "minors")) >= 1, routes
+        assert min(routes[r] for r in ("plain", "column", "zero", "minors")) >= 1, routes
         assert sum(minors_draws) == routes["minors"], (minors_draws, routes)
 
     def test_unit_inverse(self):
@@ -497,7 +501,7 @@ class TestInternalDeterminant:
         # n-1 rows and no factor (TestInternalForcedParents covers the rest)
         rnd = random.Random(89)
         kept = 0
-        graphs = [complete_digraph(5), SWAP_GRAPH, directed_cycle(4), out_star(5)]
+        graphs = [complete_digraph(5), COLUMN_GRAPH, directed_cycle(4), out_star(5)]
         graphs += [random_digraph(rnd, rnd.randint(2, 8), rnd.uniform(0.2, 0.9)) for _ in range(12)]
         for g in graphs:
             field = make_binary_field(binary_field_degree(g.n))
@@ -553,11 +557,11 @@ class TestInternalDeterminant:
         assert nonzero >= 40, nonzero
 
     def test_mixed_route_stacks(self, minors_draws, monkeypatch):
-        # plain, swap, zero and minors draws interleaved in one stack:
+        # plain, column, zero and minors draws interleaved in one stack:
         # every row equals that draw's det_batch alone and the reference
-        # determinant, and the stacks reach a column whose pivot search is
-        # skipped, the eliminated diagonal's product and a settled matrix's own
-        # (nonempty) prefix product
+        # determinant, the stacks reach a column whose pivot search is
+        # skipped, and each stack takes one product, of the eliminated
+        # diagonal, where a unit-free block left its value
         products = []
         product = branchings._tree_product
 
@@ -589,16 +593,14 @@ class TestInternalDeterminant:
                 replay = _det_routes(engine, mats)
                 for seen, _ in replay:
                     routes.update(seen or {"plain"})
-                assert products[-1] == (nn, nb)  # every draw's pivots, once
-                # one prefix product per settled minors group, each taking
-                # the j pivots before its stuck column and the block's value
-                assert sorted(p[1] for p in products[:-1]) == sorted(minors_draws[calls:])
-                assert all(p[0] < nn for p in products[:-1])
-                routes["prefix"] += sum(p[0] > 1 for p in products[:-1])
+                assert products == [(nn, nb)]  # every draw's pivots, once
+                # the draws that end in a unit-free block of at most k rows
+                # take their value from _det_minors
+                assert sum(minors_draws[calls:]) == sum("minors" in seen for seen, _ in replay)
                 if any(seen for seen, _ in replay):
                     searched = set().union(*(cols for _, cols in replay))
                     skipped += len(set(range(nn - 1)) - searched)
-        assert min(routes[r] for r in ("plain", "swap", "zero", "minors", "prefix")) >= 1, routes
+        assert min(routes[r] for r in ("plain", "column", "zero", "minors")) >= 1, routes
         assert skipped >= 1
 
 
@@ -675,7 +677,7 @@ class TestScreenedElimination:
         # and elimination never fills a non-hub row, so a non-hub pivot row
         # triggers no ring product; every update product follows a hub's
         # screen. The stacks keep the draws that need no pivot search, so no
-        # row swap moves a hub's row to a non-hub's pivot.
+        # row addition puts a hub's row into a non-hub's pivot row.
         events = []
         mul, product, live_span = branchings._InternalSieveEngine._mul, branchings._tree_product, branchings._live_span
 
@@ -1802,6 +1804,66 @@ class TestDetectKLeaf:
                 detect_k_leaf(g, k, budget=budget)
 
 
+def _hit_floor(trials: int, rate: float, alarm: float = 1e-9) -> int:
+    """The most hits c with P[Binomial(trials, rate) < c] <= alarm.
+
+    A detector whose single trial hits with probability at least rate falls
+    below c hits in trials independent trials with probability at most
+    alarm, so fewer hits refute the rate at that false-alarm rate.
+    """
+    below = 0.0  # P[Binomial(trials, rate) < c]
+    for c in range(trials + 1):
+        log_pmf = (math.lgamma(trials + 1) - math.lgamma(c + 1) - math.lgamma(trials - c + 1)
+                   + c * math.log(rate) + (trials - c) * math.log1p(-rate))
+        if below + math.exp(log_pmf) > alarm:
+            return c
+        below += math.exp(log_pmf)
+    return trials
+
+
+def _broom(n: int, k: int):
+    """The directed path 0 -> ... -> n-k-1 whose last vertex has the other k vertices as leaves: one out-branching, k leaves."""
+    handle = n - k - 1
+    return make_digraph(n, [(i, i + 1) for i in range(handle)] + [(handle, v) for v in range(handle + 1, n)])
+
+
+class TestSingleTrialRates:
+    """The per-trial floor behind each printed NO bound, measured: one-trial runs
+    over seeds 0..trials-1 on witness-minimal YES instances hit at least as
+    often as the floor allows, with a false alarm of at most 1e-9."""
+
+    def test_hit_floor(self):
+        # against exact binomial tails: the floor is the largest count whose
+        # lower tail stays within the alarm
+        for trials, rate in ((1000, Fraction(1, 4)), (3000, Fraction(1, 64)), (1000, Fraction(1, 16))):
+            def below(c):
+                return sum(math.comb(trials, i) * rate**i * (1 - rate) ** (trials - i) for i in range(c))
+
+            c = _hit_floor(trials, float(rate))
+            assert below(c) <= Fraction(1, 10**9) < below(c + 1), (trials, rate, c)
+        assert _hit_floor(1000, 4.0**-4) == 0  # too few trials to refute a 4^-4 floor
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_internal_on_directed_paths(self, n):
+        # the path is the only spanning out-branching, with its n - 1 internal vertices
+        trials, k = 1000, n - 1
+        hits = sum(detect_k_internal(directed_path(n), k, trials=1, seed=s).verdict for s in range(trials))
+        floor = _hit_floor(trials, internal_sieve_success_floor(n, k))
+        assert floor >= 50 and hits >= floor, (hits, floor)
+
+    @pytest.mark.parametrize(
+        "g, k, trials",
+        [(_broom(8, 3), 3, 3000), (_broom(5, 2), 2, 1000), (bidirected_path(5), 2, 1000)],
+        ids=["broom-8-3", "broom-5-2", "bidirected-path-5-2"],
+    )
+    def test_leaf(self, g, k, trials):
+        # a broom is its own only out-branching, with exactly k leaves; a
+        # bidirected path's branchings have at most 2
+        hits = sum(detect_k_leaf(g, k, budget=1, seed=s).verdict for s in range(trials))
+        floor = _hit_floor(trials, 4.0**-k)
+        assert floor >= 1 and hits >= floor, (hits, floor)
+
+
 def _kernel_digest_stacks(seed: int):
     """Seeded det_batch and batched_modp_det inputs, sparse and dense, one root and several.
 
@@ -1823,7 +1885,7 @@ def _kernel_digest_stacks(seed: int):
         (rooted_hubs(rnd, 9, 2, 18), 3), (rooted_hubs(rnd, 7, 3, 14), 4),
         (rooted_hubs(rnd, 10, 5, 20), 6), (rooted_path(rnd, 8, 3), 2), (rooted_path(rnd, 9, 2), 3),
         (out_star(6), 2), (bidirected_star(6), 3), (bidirected_path(5), 2), (bidirected_path(6), 3),
-        (complete_digraph(5), 2), (SWAP_GRAPH, 2),
+        (complete_digraph(5), 2), (COLUMN_GRAPH, 2),
         (random_digraph(rnd, 7, 0.6), 3), (random_digraph(rnd, 8, 0.3), 2),
     ]
     for g, k in ring_cases:
