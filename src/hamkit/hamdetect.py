@@ -41,10 +41,13 @@ on rows of L entries. Many pair matrices are singular and add nothing to
 the sum, so the elimination drops a matrix as soon as it is known to be
 singular: up front if it has an all-zero column, later if a pivot column
 has no nonzero entry left. A dropped matrix gets determinant 0, which is
-its exact determinant, so the sum does not change. Elimination stops when
-MINOR_TAIL = 4 rows are left: the determinant of that trailing block is
-the xor of its row-by-row minors (characteristic 2 has no signs), a few
-batched gathers that need no pivot and drop nothing.
+its exact determinant, so the sum does not change. Half of the pairs, those
+with the anchor outside O, are singular for every graph and draw (their
+rows xor to zero), so the kernel is told to skip them and reads only the
+anchor-in-O half of each chunk; every pair is still gathered and counted.
+Elimination stops when MINOR_TAIL = 4 rows are left: the determinant of
+that trailing block is the xor of its row-by-row minors (characteristic 2
+has no signs), a few batched gathers that need no pivot and drop nothing.
 """
 
 from __future__ import annotations
@@ -146,8 +149,20 @@ class PortWeights:
 # batched pair sums
 
 
-def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
+def batched_gf_det(field: BinaryField, mats: np.ndarray, singular: int = 0) -> np.ndarray:
     """Determinants of a [B, n, n] int32 stack over GF(2^m). Leaves mats as it was.
+
+    The caller may vouch that the first `singular` matrices are singular:
+    they get determinant 0 and are never read, and everything below runs on
+    the contiguous view mats[singular:] alone, the column screen included.
+    sieve_membership_pairs vouches for the first half of each pair chunk,
+    the pairs with the anchor outside O (see _pair_plan). Their rows xor to
+    zero, so their determinant is 0 for every graph and weight draw. With
+    the anchor outside O, no vertex of O has its exit gated off, so with
+    A_in as in _BatchedSieve the rows sum to
+      (xor over u in I, w in O of A_in[w, u]) xor (xor over u in O, w in I of A_in[u, w]),
+    the same terms twice, which is 0 in characteristic 2. The argument goes
+    once the sieve stops assembling those pairs.
 
     Gaussian elimination down to the last t = min(n, MINOR_TAIL) rows on the
     matrices that can still be nonsingular, then the determinant of that
@@ -187,7 +202,7 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray) -> np.ndarray:
     """
     nmats, n, _ = mats.shape
     det = np.zeros(nmats, dtype=np.int32)
-    live = np.flatnonzero(np.einsum("bij->bj", mats).all(axis=1))
+    live = singular + np.flatnonzero(np.einsum("bij->bj", mats[singular:]).all(axis=1))
     if not len(live):
         return det
     # m[i, j, b] is entry (i, j) of matrix live[b]
@@ -264,7 +279,10 @@ def _pair_plan(nb: int, chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
     position 1..nb-1 (0: I only, 1: O only, 2: both). A chunk holds every
     code with the same high digits a+1..nb-1 (its prefix): the anchor bit
     times digits 1..a, 2 * 3^a pairs, with a the largest value in
-    [0, nb - 1] such that 2 * 3^a <= chunk.
+    [0, nb - 1] such that 2 * 3^a <= chunk. The anchor bit is the highest
+    of the chunk's codes, so its first 3^a pairs have the anchor outside O
+    and are singular for every draw (see batched_gf_det), and the last 3^a
+    have it in O.
 
     The tables of _BatchedSieve, one per side and block of blue positions
     (_table_blocks), each hold a zero block of S * nb rows (gate 0) and
@@ -424,16 +442,23 @@ def sieve_membership_pairs(sieve: _BatchedSieve, weights: PortWeights) -> int:
     independent of visit order. The pairs are taken in chunks of at most
     STATE_CHUNK, one per prefix of high base-3 digits (see _pair_plan),
     each gathered from this trial's tables into the sieve's gather stack.
+    Every chunk is gathered and handed to batched_gf_det whole, so the
+    kernel receives every pair and pairs_per_trial counts them all; but the
+    first half of a chunk, the pairs with the anchor outside O, is singular
+    for every draw, so the kernel is told to skip it and eliminates only
+    the anchor-in-O half.
     The sieve is the detection's own, built for the graph and layout the
     weights were drawn on, so that its trials share the weight plan and the
     gather stack. The stack's contents on entry do not matter.
     """
     tables = sieve.tables(weights)
     plan = sieve.plan
+    # the anchor-outside-O half of every chunk is singular (see batched_gf_det)
+    singular = len(plan[0][0]) // 2
     total = 0
     for h in range(len(plan[0][1])):
         index = [base + offset[h] for base, offset in plan]
-        dets = batched_gf_det(weights.field, sieve.matrices(tables, index))
+        dets = batched_gf_det(weights.field, sieve.matrices(tables, index), singular=singular)
         total ^= int(np.bitwise_xor.reduce(dets))
     return total
 

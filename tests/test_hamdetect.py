@@ -29,6 +29,7 @@ from hamkit.hamdetect import (
     subset_xor_table,
 )
 from hamkit import oracle
+from hamkit.rand import derive_seed
 from reference import (
     ScalarBinaryField,
     build_port_matrix,
@@ -39,6 +40,7 @@ from reference import (
     scalar_pair_sum,
     square,
 )
+from test_branchings import _hit_floor
 
 
 def make_layout(g):
@@ -192,9 +194,9 @@ class TestSieve:
         stacks, passes = [], []
         real_det, real_sieve = hamdetect.batched_gf_det, hamdetect.sieve_membership_pairs
 
-        def record_det(field, mats):
+        def record_det(field, mats, *args, **kwargs):
             stacks.append(mats)
-            return real_det(field, mats)
+            return real_det(field, mats, *args, **kwargs)
 
         def record_sieve(sieve, weights):
             passes.append((weights, sieve))
@@ -355,6 +357,83 @@ class TestFoldedMatrix:
                     if want:
                         seen.add("nonzero det")
         assert seen == {"pool", "no pool", "din = 0", "dout = 0", "nonzero det"}
+
+
+class TestAnchorOutsideO:
+    def test_first_half_of_every_chunk_is_singular(self, monkeypatch):
+        # the first half of each chunk holds the pairs with the anchor outside
+        # O: their rows xor to zero and their port matrices are singular, for
+        # every graph and draw, so batched_gf_det may skip them unread; with
+        # |blue| = 1..6, pool ports and none, dense and sparse weights, and
+        # chunks of 2 and 6 pairs (STATE_CHUNK = 7) or one chunk per trial
+        rnd = random.Random(91)
+        g2 = make_digraph(2, [(0, 1), (1, 0)])
+        cases = [(g2, make_layout(g2)), (g2, PortLayout(blue=(0, 1), yellow=()))]
+        for nb in range(2, 7):
+            bip = random_bipartite(rnd, 2 * nb, rnd.uniform(0.4, 0.9))
+            cases.append((bip, make_layout(bip)))
+            cases.append(random_with_yellow(rnd, nb + nb // 2, nb // 2, rnd.uniform(0.3, 0.8)))
+            cases.append(random_with_yellow(rnd, 2 * nb, nb, rnd.uniform(0.3, 0.8)))
+        field = make_binary_field(FIELD_BITS)
+        rng = np.random.default_rng(92)
+        seen = set()
+        for g, layout in cases:
+            nb, ny, npool = len(layout.blue), len(layout.yellow), layout.pool_count
+            anchor = 1 << layout.anchor
+            seen.add((nb, "pool" if npool else "no pool"))
+            for sparse in (False, True):
+                w = PortWeights.draw(g, layout, field, rnd.randrange(1 << 30))
+                if sparse:  # zero most weights, so din = 0 and dout = 0 turn up
+                    w.values[rng.random(w.values.shape) < 0.7] = 0
+                for chunk in (7, hamdetect.STATE_CHUNK):
+                    monkeypatch.setattr(hamdetect, "STATE_CHUNK", chunk)
+                    total, chunks = gathered_chunks(monkeypatch, g, layout, w)
+                    assert total == scalar_pair_sum(g, layout, w)
+                    for pairs, mats in chunks:
+                        s = len(pairs) // 2
+                        assert all(not omask & anchor for _, omask in pairs[:s])
+                        assert all(omask & anchor for _, omask in pairs[s:])
+                        assert not np.bitwise_xor.reduce(mats[:s], axis=1).any()
+                        if chunk != 7:
+                            continue
+                        for imask, omask in pairs[:s]:
+                            port = build_port_matrix(g, layout, w, imask, omask)
+                            assert det_gauss(port) == 0
+                            for yi in range(ny):
+                                yrow = port.entries[nb + yi]
+                                if yrow[npool + yi] == 0:
+                                    seen.add("din = 0")
+                                if yrow[npool + ny + yi] == 0:
+                                    seen.add("dout = 0")
+                        # the kernel never reads the vouched-for half: nonsingular
+                        # matrices written over it change nothing
+                        full = batched_gf_det(field, mats)
+                        assert not full[:s].any()
+                        junk = mats.copy()
+                        junk[:s] = rng.integers(1, field.q, size=(s, nb, nb), dtype=np.int32)
+                        assert batched_gf_det(field, junk)[:s].all()
+                        before = junk.copy()
+                        got = batched_gf_det(field, junk, singular=s)
+                        assert np.array_equal(junk, before)
+                        assert not got[:s].any() and np.array_equal(got[s:], full[s:])
+                        if full[s:].any():
+                            seen.add("nonzero det")
+        assert {"din = 0", "dout = 0", "nonzero det"} <= seen
+        assert {(nb, p) for nb in range(2, 7) for p in ("pool", "no pool")} | {(1, "no pool")} <= seen
+
+    def test_singular_prefix_of_any_stack(self):
+        # singular = 0 is the plain call, and singular = B returns all zeros
+        field = make_binary_field(FIELD_BITS)
+        rng = np.random.default_rng(93)
+        for n in (1, 4, 7):
+            mats = rng.integers(0, field.q, size=(12, n, n), dtype=np.int32)
+            mats[rng.random(mats.shape) < 0.3] = 0
+            full = batched_gf_det(field, mats)
+            assert np.array_equal(batched_gf_det(field, mats, singular=0), full)
+            for s in (1, 5, 12):
+                got = batched_gf_det(field, mats, singular=s)
+                assert not got[:s].any() and np.array_equal(got[s:], full[s:])
+                assert got.dtype == np.int32 and got.shape == (12,)
 
 
 def random_with_yellow(rnd, n, nyellow, density):
@@ -719,6 +798,35 @@ class TestBatchedDet:
         assert not dets[10:20].any()
         for mat in last:
             assert det_gauss(square(sf, mat[:-1, :-1].tolist())) != 0
+
+
+# a directed 7-cycle with four chords and a bipartite 8-cycle with four arcs
+# between its halves, each still with one Hamiltonian cycle
+CHORDED_CYCLE = make_digraph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 2), (2, 5), (4, 6), (5, 1)])
+BIPARTITE_CYCLE = make_digraph(8, [(0, 4), (4, 1), (1, 5), (5, 2), (2, 6), (6, 3), (3, 7), (7, 0),
+                                   (0, 6), (5, 3), (1, 7), (6, 0)])
+
+
+class TestSingleTrialRate:
+    @pytest.mark.parametrize(
+        "g",
+        [directed_cycle(n) for n in range(4, 9)] + [CHORDED_CYCLE, BIPARTITE_CYCLE],
+        ids=[f"cycle-{n}" for n in range(4, 9)] + ["chorded-cycle-7", "bipartite-cycle-8"],
+    )
+    def test_hits_reach_the_floor(self, g):
+        # the floor behind detect-hc's printed bound, 1 - n/q, measured in
+        # GF(2^4), where it is 0.5-0.75 for n = 4-8: one-trial sums over 2,000
+        # draws on graphs with one Hamiltonian cycle hit at least as often as
+        # the floor allows, with a false alarm of at most 1e-9
+        assert oracle.held_karp_count_hc(g) == 1
+        field = make_binary_field(4)
+        layout = PortLayout.from_partition(g, find_independent_partition(g))
+        sieve = hamdetect._BatchedSieve(g, layout)
+        key, trials = derive_seed("hc-trial", 0), 2000
+        hits = sum(sieve_membership_pairs(sieve, PortWeights.draw(g, layout, field, key, t)) != 0
+                   for t in range(trials))
+        floor = _hit_floor(trials, 1 - g.n / field.q)
+        assert floor >= 800 and hits >= floor, (hits, floor)
 
 
 class TestDetect:

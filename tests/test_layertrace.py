@@ -195,9 +195,9 @@ def test_detector_kernels_are_spanned(monkeypatch):
     shapes = []
     gf_det = hamdetect.batched_gf_det
 
-    def recording_gf_det(field, mats):
+    def recording_gf_det(field, mats, *args, **kwargs):
         shapes.append(mats.shape)
-        return gf_det(field, mats)
+        return gf_det(field, mats, *args, **kwargs)
 
     monkeypatch.setattr(hamdetect, "batched_gf_det", recording_gf_det)
     tracer = load_layertrace().Tracer()
@@ -235,9 +235,9 @@ def test_detector_kernel_sees_every_pair_matrix(monkeypatch):
     shapes, dets = [], []
     gf_det = hamdetect.batched_gf_det
 
-    def recording_gf_det(field, mats):
+    def recording_gf_det(field, mats, *args, **kwargs):
         shapes.append(mats.shape)
-        dets.append(gf_det(field, mats))
+        dets.append(gf_det(field, mats, *args, **kwargs))
         return dets[-1]
 
     monkeypatch.setattr(hamdetect, "batched_gf_det", recording_gf_det)
