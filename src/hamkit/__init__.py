@@ -14,7 +14,8 @@ The package is organised around a weighted-Laplacian toolbox:
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an
   inclusion-exclusion determinant sieve, whose one blocked screen lists
   the subsets both modes evaluate, and CRT over prime powers; exact counts
-  from one integer sieve pass.
+  from one meet-in-the-middle pass modulo a power of two above (n-1)!,
+  which visits only the screen's survivors.
 - hamdetect: one-sided randomized Hamiltonicity detection driven by a
   port matrix indexed by an independent-set partition of the vertices.
 - branchings: detectors for out-branchings with many internal vertices or

@@ -1,7 +1,8 @@
 """Randomized detectors for spanning out-branchings with degree constraints.
 
-Two problems share the Laplacian-determinant backbone from the matrixtree
-module:
+Two problems share one gather plan, `_forced_parent_plan`, and one trial
+loop, `report.run_trials`; their determinant kernels take their fields
+from `gf2m` (GF(2^m)) and `modp` (GF(p)):
 
 * detect_k_internal: is there a spanning out-branching with at least k
   internal (child-bearing) vertices? Arc weights are truncated polynomials

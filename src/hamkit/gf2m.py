@@ -86,7 +86,6 @@ class BinaryField:
             exp[1 << j : 2 << j] = _mul_by_constant(exp[: 1 << j], step, self.poly)
             step = self._raw_mul(step, step)
         assert exp[order] == 1, "generator order mismatch"
-        self.generator = gen
         # Zero sentinel: log 0 is 2(q-1), and np_exp is zero from index 2(q-1)
         # on. Two nonzero logs sum below 2(q-1), any sum with the sentinel lands
         # in the zero tail, so nmul is one add and one gather with no mask.

@@ -14,27 +14,29 @@ Subsets without s contribute 0 for any weights: every column of their
 matrix sums to zero, since s is the one tail whose arcs the diagonals count
 but no row carries. So a pass has 2^|V_t| tail subsets, but at most half
 of them reach a determinant. With zero weights t's row is diagonal as well
-and joins the factored-out diagonals. Each term only has to be right mod
-p^k, so a subset whose dead-row product (the product of those diagonals)
-is 0 mod p^k is skipped before its minor is built; every residue stays the
-same.
+and joins the factored-out diagonals. A zero diagonal on a surviving row
+is a zero column. Each term only has to be right mod p^k, so a subset
+whose dead-row product (the product of those diagonals) is 0 mod p^k is
+skipped before its minor is built; every residue stays the same.
 
-Both modes list their survivors, the masks whose term can be nonzero mod
-p^k, with one screen in the meet-in-the-middle shape: the low SCREEN_BITS
-tail vertices are tabulated once (`build_lookup_tables`: per position, the
-masks of the low part at each in-arc count), and each assignment of the
-high tail vertices, a block of 2^SCREEN_BITS masks, applies subset_det's
-exact rule to all its masks at once on Python ints of one bit per mask.
-The naive pass visits every mask of every block, so a mask outside the
-screen costs one call and one bitmap lookup; mitm mode visits only each
-block's survivors. Both take exactly the same determinants.
+Those three rules are decided in one place, a screen in the
+meet-in-the-middle shape that lists the survivors, the masks whose term
+can be nonzero mod p^k: the low SCREEN_BITS tail vertices are tabulated
+once (`build_lookup_tables`: per position, the masks of the low part at
+each in-arc count), and each assignment of the high tail vertices, a
+block of 2^SCREEN_BITS masks, applies the rules to all its masks at once
+on Python ints of one bit per mask. subset_det takes the exact
+determinant of whatever mask it is handed. The naive pass visits every
+mask of every block, so a mask outside the screen costs one call and one
+bitmap lookup; mitm mode visits only each block's survivors. Both take
+exactly the same determinants.
 
 The modular route of the paper (`crt_count`) combines meet-in-the-middle
 residues by CRT over all primes p up to a cutoff q, each modulo p^k with the
 paper's one exponent schedule `default_k`; that gives the exact count
 whenever the combined modulus exceeds a bound d^n on the count. The exact
-counter `count_exact` takes no such bound: it runs the one integer pass
-modulo a power of two above (n-1)!.
+counter `count_exact` takes no such bound: it runs one meet-in-the-middle
+pass modulo a power of two above (n-1)!, visiting only the survivors.
 """
 
 from __future__ import annotations
@@ -91,24 +93,23 @@ class MitmDiagnostics(
 
 
 class _SieveCore:
-    """Signed subset determinants on zero virtual-arc weights, each right modulo the pass modulus q.
+    """Signed subset determinants on zero virtual-arc weights.
 
     `row_of[u]` is vertex u's off-diagonal Laplacian row over all split-graph
     vertices (-1 at each out-neighbour, 0 elsewhere), so a subset's minor row
     is one `itemgetter` gather over its alive columns plus its diagonal.
     The low `cut` tail vertices span a screen block. `screen`, when the
     naive pass sets it, is the bitmap of the block being visited:
-    signed_contribution answers 0 for a mask outside it from one lookup, and
-    sends every other mask through subset_det, which keeps all its own tests.
+    signed_contribution answers 0 for a mask outside it from one lookup.
+    Which terms vanish is the screen's decision alone; subset_det takes
+    every determinant it is asked for.
     """
 
-    def __init__(self, split: VertexSplit, modulus: int):
+    def __init__(self, split: VertexSplit):
         g = split.graph
-        self.modulus = modulus
         self.s = split.s
         self.n0 = g.n - 1  # |V_t|
-        # every row but s's: t, whose row is diagonal with zero weights, then
-        # V_st; t comes first so that subset_det meets a zero in_t(O) at once
+        # every row but s's: t, whose row is diagonal with zero weights, then V_st
         self.positions = (split.t,) + tuple(u for u in range(self.n0) if u != split.s)
         self.in_mask = g.in_mask
         self.row_of = tuple(tuple(-(om >> v & 1) for v in range(g.n)) for om in g.out_mask)
@@ -117,40 +118,31 @@ class _SieveCore:
         self.screen = None
 
     def subset_det(self, omask: int) -> int:
-        """An integer ≡ the determinant of the tail-restricted punctured Laplacian mod q.
+        """The exact determinant of the tail-restricted punctured Laplacian, for any mask.
 
         With zero virtual-arc weights the rows of t and of the vertices
         outside O carry only their diagonal, the in-arc count from O, so the
         determinant factors into those diagonals (the dead-row product) times
         the minor on the rows of O ∩ V_st, which is what gets eliminated here.
-        Column v of the restricted matrix sums to [s in O and s->v], since s
-        is the one tail whose arcs the diagonals count but no row carries; so
-        a subset without s has determinant 0 and no row is built for it. A
-        dead-row product divisible by q makes the term vanish mod q. A zero
-        diagonal on a surviving row makes it vanish outright: that vertex has
-        no in-arc from O, so its column is zero. Either way it returns 0
-        before the minor is built; any other term is the exact determinant.
+        A subset without s, or with a zero diagonal, has determinant 0, but
+        the screen (`_screen_blocks`) keeps no such mask, so nothing here
+        tests for it.
         """
-        if not omask >> self.s & 1:
-            return 0
         in_mask = self.in_mask
         dead_prod = 1
         alive = []
         diag = []
         for u in self.positions:
             d = (in_mask[u] & omask).bit_count()
-            if d == 0:
-                return 0
             if omask >> u & 1:
                 alive.append(u)
                 diag.append(d)
             else:
                 dead_prod *= d
-        if dead_prod % self.modulus == 0:
-            return 0
-        # alive is never empty: t's nonzero diagonal needs an in-arc from O ∩ V_st
-        if len(alive) == 1:
-            rows = [diag]  # itemgetter of one index gives a bare value
+        if len(alive) < 2:
+            # itemgetter of one index gives a bare value; with O ∩ V_st
+            # empty the minor is the 0×0 matrix, whose determinant is 1
+            rows = [diag] if diag else []
         else:
             row_of = self.row_of
             gather = itemgetter(*alive)
@@ -276,8 +268,8 @@ def _screen_blocks(core: _SieveCore, tables: list[tuple], k: int):
     """Yield (base, bitmap) for each block of 2^cut masks; bit O - base of the bitmap is set
     exactly when O holds s, every position (t and V_st) has an in-arc from O,
     and the p-valuations of the dead positions' diagonals (t's, and those of
-    the vertices outside O) sum to less than k, which is subset_det's
-    dead_prod % p^k test.
+    the vertices outside O) sum to less than k, so that the dead-row
+    product is nonzero mod p^k.
 
     The base runs over the masks of the high tail vertices, and a block's
     masks are its base plus every low mask. The zero tests come first; then
@@ -325,22 +317,21 @@ def naive_sieve_count(split: VertexSplit, p: int, k: int) -> ResidueElem:
 
     The virtual-arc weights are zero (the identity holds for any weights, and
     zero ones make t's row diagonal and let more subsets drop out early).
-    Each term is ≡ its subset's determinant mod p^k, and is 0 when the
-    dead-row product is; the sum is the count mod p^k. Each block of masks
+    Each term is its subset's exact determinant, or 0 when the screen
+    finds it 0 mod p^k; the sum is the count mod p^k. Each block of masks
     is screened before it is visited, so a mask whose term vanishes costs
     one signed_contribution call and one bitmap lookup; the others go
-    through subset_det, which takes exactly their determinants.
+    through subset_det.
     """
     n0 = split.graph.n - 1
     _check_count_guard(n0)
-    modulus = p**k
-    core = _SieveCore(split, modulus)
+    core = _SieveCore(split)
     size = 1 << core.cut
     total = 0
     for base, bitmap in _screen_blocks(core, build_lookup_tables(core, p, k), k):
         core.screen = bitmap
         total += sum(map(core.signed_contribution, range(base, base + size)))
-    return ResidueElem(value=total % modulus, p=p, k=k)
+    return ResidueElem(value=total % p**k, p=p, k=k)
 
 
 def mitm_count_mod(split: VertexSplit, p: int, k: int) -> tuple[ResidueElem, MitmDiagnostics]:
@@ -355,7 +346,7 @@ def mitm_count_mod(split: VertexSplit, p: int, k: int) -> tuple[ResidueElem, Mit
     """
     n0 = split.graph.n - 1
     _check_count_guard(n0)
-    core = _SieveCore(split, p**k)
+    core = _SieveCore(split)
     tables = build_lookup_tables(core, p, k)
     contribution = core.signed_contribution
     listed = 0
@@ -436,12 +427,13 @@ def crt_count(g: Digraph, q: int, lam: float = DEFAULT_LAMBDA) -> tuple[int, int
 
 
 def count_exact(g: Digraph) -> int:
-    """Exact Hamiltonian-cycle count of g from one naive sieve pass.
+    """Exact Hamiltonian-cycle count of g from one meet-in-the-middle pass.
 
     The pass runs modulo a power of two above (n-1)!, the most cycles n
-    vertices can carry, so its residue is the count itself; the counting
-    guard is checked before the split graph is built.
+    vertices can carry, so its residue is the count itself, and it visits
+    only the screen's survivors; the counting guard is checked before the
+    split graph is built.
     """
     _check_count_guard(g.n)
     bits = math.factorial(g.n - 1).bit_length()
-    return naive_sieve_count(split_vertex(g, 0), 2, bits).value
+    return mitm_count_mod(split_vertex(g, 0), 2, bits)[0].value

@@ -69,7 +69,8 @@ FIELD_BITS = 16
 # default trials bound the miss probability by 2^-FAILURE_TARGET_BITS
 FAILURE_TARGET_BITS = 84
 STATE_CHUNK = 1 << 14
-# 2 * 3^(BLUE_LIMIT - 1) pair determinants per trial, about 2.9e7 at 16
+# 2 * 3^(BLUE_LIMIT - 1) pair matrices gathered per trial, about 2.9e7 at
+# 16; batched_gf_det eliminates only the half with the anchor in O
 BLUE_LIMIT = 16
 # batched_gf_det lays its survivors out batch-last this many matrices at a time
 LAYOUT_BLOCK = 1 << 12
@@ -130,7 +131,6 @@ class PortWeights:
     def __init__(self, layout: PortLayout, field: BinaryField, values: np.ndarray):
         if values.ndim != 2 or len(values) != layout.n:
             raise ValueError("weight array shape mismatch")
-        self.layout = layout
         self.field = field
         self.values = values
 

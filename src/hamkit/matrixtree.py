@@ -7,7 +7,9 @@ at r. Determinants over the integers, which the Hamiltonian-cycle sieve
 shares, use ±1-pivot elimination, then Bareiss: every ±1 that can still be a
 pivot is eliminated without division or rescaling, and fraction-free
 (Bareiss) elimination finishes the block with no ±1 left. The kernel does
-not scan for a zero column first: the sieve's minors never have one, and
+not scan for a zero column first. The sieve's minors never have one,
+because hamcount's screen drops every subset in which t or a vertex of O
+other than s has no in-arc from O before its minor is built, and
 count_out_branchings answers 0 for a vertex with no in-arc before it builds
 the matrix.
 """

@@ -9,12 +9,13 @@ one membership pair; the k-internal marker determinant of one draw; the
 branching polynomial at one point; the inverse Vandermonde at any distinct
 points; one k-leaf trial at one prime, interpolated point by point; the
 detectors' counter draw (splitmix64) one word at a time, with the
-k-internal draws and k-leaf coins it gives; random virtual-arc weights
-and the restricted Laplacian of one tail subset. It also holds the brute-force oracles that no command reaches: a permutation
-count of Hamiltonian paths, a depth-first count of Hamiltonian cycles, the
-largest internal-vertex and leaf counts, and the fewest distinct variables
-of a monomial. Tests import this module the way
-they import conftest.
+k-internal draws and k-leaf coins it gives; random virtual-arc weights,
+the restricted Laplacian of one tail subset and the rule that says when
+its counting term vanishes. It also holds the brute-force oracles that no
+command reaches: a permutation count of Hamiltonian paths, a depth-first
+count of Hamiltonian cycles, the largest internal-vertex and leaf counts,
+and the fewest distinct variables of a monomial. Tests import this module
+the way they import conftest.
 """
 
 from __future__ import annotations
@@ -858,7 +859,8 @@ def scalar_solve_nk_dv(P, k: int, budget: int, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# counting: random virtual-arc weights and the restricted Laplacian of one tail subset
+# counting: random virtual-arc weights, the restricted Laplacian of one tail
+# subset and the rule for a vanishing term
 
 
 def tail_weights(split, p: int, seed: int) -> tuple[int, ...]:
@@ -875,7 +877,8 @@ def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
     """Punctured Laplacian with tails outside O zeroed, rows/columns the vertices other than s.
 
     Virtual arcs t->u exist for every u != t with weights wt[u]; real arcs
-    keep weight 1 when their tail lies in O (or is t).
+    keep weight 1 when their tail lies in O (or is t). Over INTEGERS the
+    diagonal is the plain in-arc count.
     """
     g, s, t = split.graph, split.s, split.t
     labels = tuple(u for u in range(g.n) if u != s)
@@ -885,7 +888,7 @@ def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
         diag = sum(1 for w in g.in_adj[u] if w == t or omask >> w & 1)
         if u != t:
             diag += wt[u]
-        rows[idx[u]][idx[u]] = diag % ring.modulus
+        rows[idx[u]][idx[u]] = ring.add(ring.zero, diag)
         if u == t:
             for v in labels:
                 if v != t:
@@ -895,6 +898,30 @@ def restricted_laplacian(split, omask: int, wt, ring) -> SquareMatrix:
                 if v != s:
                     rows[idx[u]][idx[v]] = ring.neg(ring.one)
     return SquareMatrix(ring, labels, labels, tuple(map(tuple, rows)))
+
+
+def term_vanishes(split, omask: int, p: int, k: int) -> bool:
+    """Whether the zero-weight sieve term of tail subset O is 0 mod p^k by one of the counting screen's rules.
+
+    Read off the diagonal of the integer restricted Laplacian: s is not in
+    O (every column sums to zero), or t or a vertex of O ∩ V_st has no
+    in-arc from O (a zero column), or the dead diagonals (t's and those of
+    the vertices outside O) have a product whose p-valuation is at least k,
+    a zero among them included.
+    """
+    if not omask >> split.s & 1:
+        return True
+    m = restricted_laplacian(split, omask, (0,) * split.graph.n, INTEGERS)
+    valuation = 0
+    for i, u in enumerate(m.row_labels):
+        d = m.entries[i][i]
+        if d == 0:
+            return True
+        if u == split.t or not omask >> u & 1:
+            while d % p == 0:
+                d //= p
+                valuation += 1
+    return valuation >= k
 
 
 # ---------------------------------------------------------------------------

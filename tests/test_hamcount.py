@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     acyclic_tournament,
     complete_digraph,
+    cycle_plus,
     directed_cycle,
     out_star,
     random_digraph,
@@ -25,9 +26,55 @@ from hamkit.hamcount import (
 )
 from hamkit.matrixtree import det_bareiss_int
 from hamkit import oracle
-from reference import ResidueRing, det_division_free, dfs_count_hc, restricted_laplacian, tail_weights
+from reference import (
+    ResidueRing,
+    det_division_free,
+    dfs_count_hc,
+    restricted_laplacian,
+    tail_weights,
+    term_vanishes,
+)
 
 import hamkit.hamcount as hamcount_mod
+
+
+def surviving_masks(split, p, k):
+    """The tail subsets whose term term_vanishes does not mark: the survivors by the scalar rule."""
+    return {o for o in range(1 << (split.graph.n - 1)) if not term_vanishes(split, o, p, k)}
+
+
+def eliminated_masks(run, monkeypatch):
+    """The masks on which run() reaches det_bareiss_int through subset_det."""
+    current, reached = [], set()
+    subset_det = hamcount_mod._SieveCore.subset_det
+    det = hamcount_mod.det_bareiss_int
+
+    def note_subset(core, omask):
+        current[:] = [omask]
+        return subset_det(core, omask)
+
+    def note_det(rows):
+        reached.add(current[0])
+        return det(rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(hamcount_mod._SieveCore, "subset_det", note_subset)
+        m.setattr(hamcount_mod, "det_bareiss_int", note_det)
+        run()
+    return reached
+
+
+def assert_passes_skip_vanishing_terms(g, split, p, k, monkeypatch):
+    """No pass eliminates a mask that term_vanishes marks: naive_sieve_count and
+    mitm_count_mod on split at (p, k), and count_exact on g (split at 0, p = 2,
+    k = bitlen((n-1)!)), in one screen block and in blocks of 2^3."""
+    kept = surviving_masks(split, p, k)
+    exact_kept = surviving_masks(split_vertex(g, 0), 2, math.factorial(g.n - 1).bit_length())
+    for screen_bits in (16, 3):
+        monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", screen_bits)
+        for run in (lambda: naive_sieve_count(split, p, k), lambda: mitm_count_mod(split, p, k)):
+            assert eliminated_masks(run, monkeypatch) <= kept
+        assert eliminated_masks(lambda: count_exact(g), monkeypatch) <= exact_kept
 
 
 class TestRestrictedLaplacian:
@@ -84,7 +131,7 @@ class TestRestrictedLaplacian:
             g, split, p, _ = self._setup(rnd, 6)
             k = rnd.choice([1, 2, 3])
             ring = ResidueRing(p, k)
-            core = hamcount_mod._SieveCore(split, ring.modulus)
+            core = hamcount_mod._SieveCore(split)
             for _ in range(8):
                 omask = rnd.getrandbits(split.graph.n - 1)
                 m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
@@ -97,7 +144,7 @@ class TestRestrictedLaplacian:
         for _ in range(10):
             g, split, _, _ = self._setup(rnd, rnd.randint(2, 6))
             wt = (0,) * split.graph.n
-            core = hamcount_mod._SieveCore(split, ring.modulus)
+            core = hamcount_mod._SieveCore(split)
             assert core.positions[0] == split.t
             for omask in range(1 << (split.graph.n - 1)):
                 m = restricted_laplacian(split, omask, wt, ring)
@@ -106,8 +153,9 @@ class TestRestrictedLaplacian:
                 assert det_division_free(m) == core.subset_det(omask) % ring.modulus
 
     def test_one_row_minors_match_reference_every_subset(self, monkeypatch):
-        # O = {s, u} leaves a one-row minor, which is built apart from the
-        # row gather (itemgetter of one index gives a bare value)
+        # O = {s, u} leaves a one-row minor and O = {s} the empty one, both
+        # built apart from the row gather (itemgetter of one index gives a
+        # bare value, and of none raises)
         sizes = []
 
         def recording(rows):
@@ -116,25 +164,25 @@ class TestRestrictedLaplacian:
 
         monkeypatch.setattr(hamcount_mod, "det_bareiss_int", recording)
         rnd = random.Random(56)
-        ring = ResidueRing(2, 61)  # no dead-row product reaches 2^61 here, so every term is exact
+        ring = ResidueRing(2, 61)  # no determinant reaches 2^61 here, so every term is exact
         for _ in range(12):
             g, split, _, _ = self._setup(rnd, rnd.randint(3, 6))
-            core = hamcount_mod._SieveCore(split, ring.modulus)
+            core = hamcount_mod._SieveCore(split)
             for omask in range(1 << (split.graph.n - 1)):
                 m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
                 assert core.subset_det(omask) % ring.modulus == det_division_free(m)
-        assert sizes.count(1) >= 5 and max(sizes) >= 3
+        assert 0 in sizes and sizes.count(1) >= 5 and max(sizes) >= 3
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
     def test_every_subset_matches_reference_mod_q(self, p, k):
-        # terms skipped for a dead-row product divisible by q are still right
-        # mod q, and the signed sum is the same mod q under random weights
+        # every term is the exact determinant, so it is right mod q, and the
+        # signed sum is the same mod q under random weights
         rnd = random.Random(100 * p + k)
         ring = ResidueRing(p, k)
         for _ in range(4):
             g, split, _, _ = self._setup(rnd, rnd.randint(3, 7))
             drawn = tail_weights(split, p, rnd.randrange(1000))
-            core = hamcount_mod._SieveCore(split, ring.modulus)
+            core = hamcount_mod._SieveCore(split)
             zero_sum = drawn_sum = 0
             for omask in range(1 << (split.graph.n - 1)):
                 m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
@@ -149,17 +197,13 @@ class TestRestrictedLaplacian:
         # the dead-row product is read off the reference matrix: the diagonals
         # of the rows outside O, and t's diagonal when the weights are zero.
         # Under random weights t's row is full, and a dead-row product
-        # divisible by q still makes the determinant 0 mod q
-        def refuse(rows):
-            raise AssertionError("eliminated a subset whose dead-row product is 0 mod q")
-
-        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", refuse)
+        # divisible by q still makes the determinant 0 mod q. At zero weights
+        # the rule marks such a term vanishing, and no pass eliminates it
         rnd = random.Random(200 * p + k)
         ring = ResidueRing(p, k)
         skipped = 0
         for _ in range(4):
             g, split, _, _ = self._setup(rnd, rnd.randint(3, 7))
-            core = hamcount_mod._SieveCore(split, ring.modulus)
             for wt in (tail_weights(split, p, rnd.randrange(1000)), (0,) * split.graph.n):
                 for omask in range(1 << (split.graph.n - 1)):
                     m = restricted_laplacian(split, omask, wt, ring)
@@ -170,24 +214,20 @@ class TestRestrictedLaplacian:
                     if dead == 0:
                         assert det_division_free(m) == 0
                         if not any(wt):
-                            assert core.subset_det(omask) == 0
+                            assert term_vanishes(split, omask, p, k)
                             skipped += omask >> split.s & 1
+            assert_passes_skip_vanishing_terms(g, split, p, k, monkeypatch)
         assert skipped > 0
 
     def test_zero_diagonal_on_surviving_row_skips_elimination(self, monkeypatch):
         # a surviving vertex (t included) with weight 0 and no in-arc from O
-        # has an all-zero column, so its subset is 0, and the zero-weight core
-        # returns that without any elimination
-        def refuse(rows):
-            raise AssertionError("eliminated a minor with a zero column")
-
-        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", refuse)
+        # has an all-zero column, so its subset is 0; at zero weights the
+        # rule marks it vanishing, and no pass eliminates it
         rnd = random.Random(57)
         ring = ResidueRing(7, 3)
         skipped = 0
         for _ in range(10):
             g, split, _, random_wt = self._setup(rnd, rnd.randint(3, 7))
-            core = hamcount_mod._SieveCore(split, ring.modulus)
             for wt in (random_wt, (0,) * split.graph.n):
                 for omask in range(1 << (split.graph.n - 1)):
                     if not omask >> split.s & 1:
@@ -197,28 +237,26 @@ class TestRestrictedLaplacian:
                            if u == split.t or omask >> u & 1):
                         assert det_division_free(m) == 0
                         if not any(wt):
-                            assert core.subset_det(omask) == 0
+                            assert term_vanishes(split, omask, 7, 3)
                         skipped += 1
+            assert_passes_skip_vanishing_terms(g, split, 7, 3, monkeypatch)
         assert skipped > 0
 
     def test_subsets_without_s_have_zero_determinant(self, monkeypatch):
         # every column of the surviving minor sums to [s in O and s->v] for
-        # any weights, so no elimination runs for a subset without s
-        def refuse(rows):
-            raise AssertionError("eliminated a subset without s")
-
-        monkeypatch.setattr(hamcount_mod, "det_bareiss_int", refuse)
+        # any weights, so a subset without s is 0; the rule marks it
+        # vanishing, and no pass eliminates it
         rnd = random.Random(56)
         for _ in range(10):
             g, split, p, random_wt = self._setup(rnd, rnd.randint(2, 7))
             ring = ResidueRing(p, 2)
-            core = hamcount_mod._SieveCore(split, ring.modulus)
             for omask in range(1 << (split.graph.n - 1)):
                 if omask >> split.s & 1:
                     continue
-                assert core.subset_det(omask) == 0
+                assert term_vanishes(split, omask, p, 2)
                 for wt in (random_wt, (0,) * split.graph.n):
                     assert det_division_free(restricted_laplacian(split, omask, wt, ring)) == 0
+            assert_passes_skip_vanishing_terms(g, split, p, 2, monkeypatch)
 
 
 class TestNaiveSieve:
@@ -335,35 +373,17 @@ def screened_masks(core, p, k):
     return kept
 
 
-def masks_reaching_a_determinant(core, monkeypatch):
-    """The masks on which an unscreened subset_det calls det_bareiss_int."""
-    reached = set()
-    current = []
-    det = det_bareiss_int
-
-    def note_det(rows):
-        reached.add(current[0])
-        return det(rows)
-
-    monkeypatch.setattr(hamcount_mod, "det_bareiss_int", note_det)
-    for omask in range(1 << core.n0):
-        current[:] = [omask]
-        core.subset_det(omask)
-    monkeypatch.setattr(hamcount_mod, "det_bareiss_int", det)
-    return reached
-
-
 class TestPassScreen:
     @staticmethod
     def _cases(n):
         return [(2, 1), (3, 2), (5, 1), (2, math.factorial(n - 1).bit_length()), (2, 61), (3, 38), (2, 70)]
 
     def test_keeps_exactly_the_masks_reaching_a_determinant(self, monkeypatch):
-        # the screen is the set of masks on which an unscreened subset_det
-        # calls det_bareiss_int: the zero-diagonal test, and the dead
-        # positions' p-valuations summed against k, both with and without
-        # the counter (k past every position's largest valuation); one
-        # block at n <= SCREEN_BITS, and several at a block width of 3
+        # the screen keeps exactly the masks term_vanishes does not mark: s
+        # in O, the zero-diagonal test, and the dead positions'
+        # p-valuations summed against k, both with and without the counter
+        # (k past every position's largest valuation); one block at
+        # n <= SCREEN_BITS, and several at a block width of 3
         rnd = random.Random(63)
         kept = 0
         for i in range(24):
@@ -371,9 +391,9 @@ class TestPassScreen:
             g = random_digraph(rnd, n, rnd.uniform(0.2, 0.9))
             split = split_vertex(g, rnd.randrange(n))
             monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", 16 if i % 2 else 3)
+            core = hamcount_mod._SieveCore(split)
             for p, k in self._cases(n):
-                core = hamcount_mod._SieveCore(split, p**k)
-                reached = masks_reaching_a_determinant(core, monkeypatch)
+                reached = surviving_masks(split, p, k)
                 assert screened_masks(core, p, k) == reached, (n, p, k)
                 kept += len(reached)
         assert kept > 0
@@ -382,17 +402,18 @@ class TestPassScreen:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_blocks_match_the_determinants_and_the_reference_count(self, p, k, monkeypatch):
         # blocks of 2^4 to 2^6 masks over n0 = 8 to 12 tail vertices: the
-        # screen is still exactly the determinant set, and both modes and
-        # the exact counter agree with a depth-first count of the cycles
+        # screen is still exactly the masks term_vanishes keeps, and both
+        # modes and the exact counter agree with a depth-first count of the
+        # cycles
         rnd = random.Random(70 + 10 * p + k)
         blocks = 0
         for bits, n in ((4, 8), (5, 10), (6, 12), (4, 11)):
             monkeypatch.setattr(hamcount_mod, "SCREEN_BITS", bits)
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.55))
             split = split_vertex(g, 0)
-            core = hamcount_mod._SieveCore(split, p**k)
+            core = hamcount_mod._SieveCore(split)
             assert core.cut == bits and core.n0 == n
-            assert screened_masks(core, p, k) == masks_reaching_a_determinant(core, monkeypatch), (bits, n)
+            assert screened_masks(core, p, k) == surviving_masks(split, p, k), (bits, n)
             blocks += 1 << (n - bits)
             want = dfs_count_hc(g)
             naive, none = count_hc_mod(g, p, k, mode="naive")
@@ -404,7 +425,8 @@ class TestPassScreen:
     def test_visits_every_mask_and_keeps_the_residue(self, monkeypatch):
         # the screened pass still calls signed_contribution once per mask,
         # in mask order across its blocks (one block, or blocks of 2^3),
-        # and sums to the residue of the pass that visits every mask in full
+        # and sums to the residue of the pass that visits every mask in
+        # full, which takes every exact determinant, so its sum is the count
         visits = []
         contribution = hamcount_mod._SieveCore.signed_contribution
 
@@ -420,13 +442,13 @@ class TestPassScreen:
             g = random_digraph(rnd, n, rnd.uniform(0.3, 0.9))
             split = split_vertex(g, rnd.randrange(n))
             n0 = split.graph.n - 1
+            core = hamcount_mod._SieveCore(split)
+            assert core.screen is None
+            total = sum(contribution(core, omask) for omask in range(1 << n0))
             for p, k in self._cases(n):
                 visits.clear()
                 residue = naive_sieve_count(split, p, k)
                 assert visits == list(range(1 << n0))
-                core = hamcount_mod._SieveCore(split, p**k)
-                assert core.screen is None
-                total = sum(contribution(core, omask) for omask in range(1 << n0))
                 assert residue.value == total % p**k, (n, p, k)
 
     def test_memory_at_n0_20(self):
@@ -439,7 +461,7 @@ class TestPassScreen:
         n = 20
         for g, p, k in ((random_digraph(random.Random(65), n, 0.5), 3, 2),
                         (complete_digraph(n), 2, math.factorial(n - 1).bit_length())):
-            core = hamcount_mod._SieveCore(split_vertex(g, 0), p**k)
+            core = hamcount_mod._SieveCore(split_vertex(g, 0))
             kept = blocks = 0
             tracemalloc.start()
             try:
@@ -467,7 +489,7 @@ class TestLookupTables:
         for _ in range(6):
             n = rnd.randint(5, 9)
             split = split_vertex(random_digraph(rnd, n, rnd.uniform(0.3, 0.9)), rnd.randrange(n))
-            core = hamcount_mod._SieveCore(split, p**20)
+            core = hamcount_mod._SieveCore(split)
             tables = hamcount_mod.build_lookup_tables(core, p, 20)
             assert [u for u, *_ in tables] == list(core.positions)
             for u, high, nonzero, at, plan in tables:
@@ -490,7 +512,7 @@ class TestLookupTables:
         # than k, no position tabulates a count, and the screen keeps every
         # mask with s and an in-arc at every position
         g = complete_digraph(7)
-        core = hamcount_mod._SieveCore(split_vertex(g, 0), 2**40)
+        core = hamcount_mod._SieveCore(split_vertex(g, 0))
         tables = hamcount_mod.build_lookup_tables(core, 2, 40)
         assert all(not at and not plan for _, _, _, at, plan in tables)
         want = {o for o in range(1 << core.n0)
@@ -523,9 +545,9 @@ class TestMitm:
 
     def test_listing_soundness(self, monkeypatch):
         # the visited masks are exactly the screen's survivors, the subsets
-        # whose subset_det reaches a determinant, each evaluated once, in one
-        # block or in blocks of 2^4; they cover every subset whose
-        # determinant is nonzero mod p^k, and pairs_listed counts them
+        # term_vanishes does not mark, each evaluated once, in one block or
+        # in blocks of 2^4; they cover every subset whose determinant is
+        # nonzero mod p^k, and pairs_listed counts them
         evaluated = []
         contribution = hamcount_mod._SieveCore.signed_contribution
 
@@ -542,7 +564,6 @@ class TestMitm:
             split = split_vertex(g, rnd.randrange(n))
             p = rnd.choice([2, 3, 5])
             k = rnd.choice([1, 2])
-            core = hamcount_mod._SieveCore(split, p**k)
             ring = ResidueRing(p, k)
             n0 = split.graph.n - 1
             nonzero = set()
@@ -550,7 +571,7 @@ class TestMitm:
                 m = restricted_laplacian(split, omask, (0,) * split.graph.n, ring)
                 if det_division_free(m) != 0:
                     nonzero.add(omask)
-            want = masks_reaching_a_determinant(core, monkeypatch)
+            want = surviving_masks(split, p, k)
             evaluated.clear()
             _, diag = mitm_count_mod(split, p, k)
             assert len(evaluated) == len(set(evaluated)), "a subset was evaluated twice"
@@ -604,7 +625,7 @@ class TestMitm:
         for seed in range(4):
             g = random_digraph(random.Random(seed), 8, 0.6)
             split = split_vertex(g, 6)
-            assert split.s >= hamcount_mod._SieveCore(split, 2).cut
+            assert split.s >= hamcount_mod._SieveCore(split).cut
             for p in (2, 3):
                 for k in (1, 2):
                     residue, diag = mitm_count_mod(split, p, k)
@@ -627,7 +648,7 @@ class TestMitm:
                 residue, diag = count_hc_mod(g, p, 1, mode="mitm")
                 assert residue == count_hc_mod(g, p, 1, mode="naive")[0]
                 assert residue.value == oracle.held_karp_count_hc(g) % p
-                core = hamcount_mod._SieveCore(split_vertex(g, 0), p)
+                core = hamcount_mod._SieveCore(split_vertex(g, 0))
                 tables = hamcount_mod.build_lookup_tables(core, p, 1)
                 assert diag == (len(screened_masks(core, p, 1)), 1 << n, 1 << n,
                                 sum(1 + len(at) for _, _, _, at, _ in tables), False)
@@ -719,6 +740,16 @@ class TestGraphLevel:
 
     def test_exact_edge_cases(self):
         assert count_exact(make_digraph(1, [])) == 0
+
+    def test_exact_matches_the_naive_pass(self):
+        # the exact counter visits only the screen's survivors; the naive
+        # pass at its modulus, which visits every mask, stays its reference
+        rnd = random.Random(67)
+        graphs = [random_digraph(rnd, n, density) for n in range(1, 13) for density in (0.2, 0.45, 0.75)]
+        graphs.append(cycle_plus(rnd, 16, 16))
+        for g in graphs:
+            bits = math.factorial(g.n - 1).bit_length()
+            assert count_exact(g) == naive_sieve_count(split_vertex(g, 0), 2, bits).value, g.arcs
 
     def test_avg_degree_cycle(self):
         assert count_exact(directed_cycle(10)) == 1

@@ -121,21 +121,25 @@ def test_install_loads_lazily_imported_modules_itself(tmp_path):
     assert report["cli_names_restored"]
 
 
-def test_naive_exact_count_is_one_pass():
+def test_exact_count_is_one_mitm_pass():
+    # count_exact lists the survivors once and visits only them: one table
+    # build and one mitm pass, no naive pass (so it feeds no
+    # naive-pass-subsets entry), at most one determinant per visit and
+    # fewer visits than the 2^7 masks
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
         assert count_exact(directed_cycle(7)) == 1
     finally:
         tracer.uninstall()
-    counters = tracer.counters
-    assert counters["hamcount.subsets"] == 1 << 7
-    # determinants are taken only for subsets that contain s
-    assert counters["hamcount.dets"] <= 1 << 6
-    assert tracer.spans["hamcount.naive_sieve_count"][2] == 1
-    assert tracer.lists["naive_pass_subsets"] == [1 << 7]
+    counters, spans = tracer.counters, tracer.spans
+    for name in ("hamcount.build_lookup_tables", "hamcount.mitm_count_mod"):
+        assert spans[name][2] == 1, name
+    assert "hamcount.naive_sieve_count" not in spans
+    assert not tracer.lists["naive_pass_subsets"]
+    assert counters["hamcount.dets"] <= counters["hamcount.subsets"] < 1 << 7
     assert counters["hamcount.crt_passes"] == 0
-    assert "hamcount.crt_count" not in tracer.spans
+    assert "hamcount.crt_count" not in spans
 
 
 def test_mitm_count_is_spanned():
