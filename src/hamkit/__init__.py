@@ -7,8 +7,8 @@ The package is organised around a weighted-Laplacian toolbox:
 - algebra: primes, prime-power residues, CRT.
 - gf2m: the detectors' binary fields GF(2^m) on numpy arrays.
 - modp: the prime fields GF(p), p < 2^31, on numpy arrays: batched
-  determinants, batch inverses and interpolation, and the gather plan of
-  row-by-row minors that every batched determinant kernel shares.
+  determinants, batch inverses and interpolation, and the row-by-row
+  minor recurrence that finishes every batched determinant kernel.
 - matrixtree: out-branching counts and the exact integer determinant
   (±1-pivot elimination, then Bareiss).
 - hamcount: Hamiltonian-cycle counts modulo prime powers via an

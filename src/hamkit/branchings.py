@@ -44,10 +44,10 @@ from .graph import Digraph
 # count_out_branchings is not called here; it stays bound because the layer
 # tracer in perfbench/layertrace.py rebinds it under this module's name
 from .matrixtree import BRANCHING_COUNT_GUARD, count_out_branchings  # noqa: F401
-from .modp import _centre_mod, _live_span, _tree_product, batched_modp_det, minor_plan
+from .modp import _centre_mod, _live_span, _tree_product, batched_modp_det, minor_det
 from .modp import interpolate_univariate, inverse_vandermonde
 from .rand import counter_draw, derive_seed, make_rng
-from .report import DetectionReport, run_trials
+from .report import DetectionReport, run_trials, structural
 
 GROUP_RANK_LIMIT = 6
 # detect_k_internal evaluates its trials in chunks of at most this many: one
@@ -288,16 +288,12 @@ class _InternalSieveEngine:
     def _det_minors(self, mats: np.ndarray) -> np.ndarray:
         """Determinants [B, len] of a [s, s, B, len] stack, s >= 1, from its sign-free minors.
 
-        R has characteristic 2, so modp.minor_plan applies with every sign
+        R has characteristic 2, so modp.minor_det applies with every sign
         +1: row r's minors are one ring product per column of each column
         set, from one gather of row r and one of the minors above it, and
         one xor reduction. It needs no unit pivot.
         """
-        minors = mats[0]
-        for r, (cols, rest) in enumerate(minor_plan(len(mats)), 1):
-            prods = self._mul(mats[r].take(cols, axis=0), minors.take(rest, axis=0))
-            minors = np.bitwise_xor.reduce(prods, axis=1)
-        return minors[0]
+        return minor_det(mats, self._mul, lambda prods, _r: np.bitwise_xor.reduce(prods, axis=1))
 
     def run_chunk(self, zeta: np.ndarray, rmul: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         """Per draw: is the verdict slot x^[k] (the image of t^k * x^[k]) of prod D_j * det L' nonzero?"""
@@ -397,17 +393,9 @@ def detect_k_internal(g: Digraph, k: int, trials: int = 100, seed: int = 0) -> D
         raise GuardError(
             f"k-internal gather of {gather} bytes at n={n}, k={k} is past the 2^28-byte guard"
         )
-    roots = _spanning_roots(g)
-    if not roots:
-        return DetectionReport(
-            verdict=False, trials_run=0, trials_max=0, failure_bound=0.0,
-            detail={"reason": "no spanning out-branching from any root"},
-        )
-    if k == 0:
-        return DetectionReport(
-            verdict=True, trials_run=0, trials_max=0, failure_bound=0.0,
-            detail={"reason": "spanning out-branchings exist and k = 0", "roots": roots},
-        )
+    roots, answer = _trial_free(g, k == 0, "spanning out-branchings exist and k = 0")
+    if answer is not None:
+        return answer
     field = make_binary_field(binary_field_degree(n))
     engine = _InternalSieveEngine(g, roots, k, field)
 
@@ -575,6 +563,19 @@ def _spanning_roots(g: Digraph) -> list[int]:
         if seen == everyone:
             roots.append(r)
     return roots
+
+
+def _trial_free(g: Digraph, yes: bool, reason: str) -> tuple[list[int], DetectionReport | None]:
+    """g's spanning roots, and a branching detector's answer where it needs no trial.
+
+    Without a spanning root g has no spanning out-branching: NO. Otherwise
+    yes, the caller's own trial-free YES rule, gives YES for reason, with
+    the roots; else the answer is None and the trials decide.
+    """
+    roots = _spanning_roots(g)
+    if not roots:
+        return roots, structural(False, "no spanning out-branching from any root")
+    return roots, structural(True, reason, roots=roots) if yes else None
 
 
 # ---------------------------------------------------------------------------
@@ -807,17 +808,9 @@ def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) 
         budget = 4**k
     if budget > LEAF_BUDGET_LIMIT:
         raise GuardError(f"k-leaf trial budget {budget} is past the 4^6 = {LEAF_BUDGET_LIMIT} guard")
-    roots = _spanning_roots(g)
-    if not roots:
-        return DetectionReport(
-            verdict=False, trials_run=0, trials_max=0, failure_bound=0.0,
-            detail={"reason": "no spanning out-branching from any root"},
-        )
-    if n == 1:
-        return DetectionReport(
-            verdict=True, trials_run=0, trials_max=0, failure_bound=0.0,
-            detail={"reason": "a single vertex is an out-branching with one leaf", "roots": roots},
-        )
+    roots, answer = _trial_free(g, n == 1, "a single vertex is an out-branching with one leaf")
+    if answer is not None:
+        return answer
     rep = solve_nk_dv(
         BranchingLeafPolynomial(g, roots), k, budget, derive_seed("leaf-root", seed, roots[0])
     )

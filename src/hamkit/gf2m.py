@@ -3,8 +3,8 @@
 A field multiplies whole arrays through log/exp tables (nmul); the
 kernels invert through the same tables, as exp[(q - 1) - log a]. Both
 characteristic-2 determinant kernels take their sign-free row-by-row
-minors through modp.minor_plan, whose signs are all +1 in characteristic
-2. Only hamdetect and branchings import this module.
+minors through modp.minor_det, with a sum that is an xor. Only hamdetect
+and branchings import this module.
 """
 
 from __future__ import annotations

@@ -47,7 +47,9 @@ rows xor to zero), so the kernel is told to skip them and reads only the
 anchor-in-O half of each chunk; every pair is still gathered and counted.
 Elimination stops when MINOR_TAIL = 4 rows are left: the determinant of
 that trailing block is the xor of its row-by-row minors (characteristic 2
-has no signs), a few batched gathers that need no pivot and drop nothing.
+has no signs), taken in the log domain by modp.minor_det, the recurrence
+every batched kernel finishes with: a few batched gathers that need no
+pivot and drop nothing.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ import numpy as np
 from .errors import GuardError
 from .gf2m import BinaryField, make_binary_field
 from .graph import Digraph, IndependentPartition, find_independent_partition
-from .modp import MINOR_TAIL, minor_plan
+from .modp import MINOR_TAIL, minor_det
 from .rand import counter_draw, derive_seed
-from .report import DetectionReport, run_trials
+from .report import DetectionReport, run_trials, structural
 
 # every detection draws its weights from GF(2^FIELD_BITS)
 FIELD_BITS = 16
@@ -72,8 +74,6 @@ STATE_CHUNK = 1 << 14
 # 2 * 3^(BLUE_LIMIT - 1) pair matrices gathered per trial, about 2.9e7 at
 # 16; batched_gf_det eliminates only the half with the anchor in O
 BLUE_LIMIT = 16
-# batched_gf_det lays its survivors out batch-last this many matrices at a time
-LAYOUT_BLOCK = 1 << 12
 # a subset table covers at most this many blue positions: one table per side
 # up to |blue| = 8, two from 9 to BLUE_LIMIT, so a table has at most
 # BLUE_LIMIT * 2 * 2^8 rows and a plan's indices fit in uint16
@@ -177,20 +177,22 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray, singular: int = 0) -> n
     There is no row screen: a matrix with an all-zero row but no all-zero
     column is singular, so it leaves at a pivot column or its tail has
     determinant 0.
-    The L survivors are laid out batch-last, in one C-contiguous [n, n, L]
-    stack gathered LAYOUT_BLOCK matrices at a time, so that no second
-    full-size copy is ever held. Each step then works on rows of L entries,
-    one per matrix: it tests the pivot column on its [s, L] slice, and
-    replaces the trailing block by the next, one row and one column smaller,
-    with one exp-table gather, the logs of the factor column and of the
-    pivot row being taken on their [s-1, L] slices and added by broadcasting
-    into intp. A matrix whose top entry is 0 gets the first row with a
-    nonzero entry added to its top row, which leaves the determinant
-    unchanged; one flat take gathers those rows for the whole stack.
+    The L survivors are gathered and laid out batch-last, in one
+    C-contiguous [n, n, L] stack. The gathered copy and the layout together
+    hold less than the first elimination step (the stack beside its
+    [n-1, n-1, L] intp log sums and their exp gather), so the layout sets
+    no peak. Each step then works on rows of L entries, one per matrix: it
+    tests the pivot column on its [s, L] slice, and replaces the trailing
+    block by the next, one row and one column smaller, with one exp-table
+    gather, the logs of the factor column and of the pivot row being taken
+    on their [s-1, L] slices and added by broadcasting into intp. A matrix
+    whose top entry is 0 gets the first row with a nonzero entry added to
+    its top row, which leaves the determinant unchanged; one flat take
+    gathers those rows for the whole stack.
     The tail needs no pivot and drops nothing: its determinant is the xor
-    of its sign-free row-by-row minors (modp.minor_plan). Row r takes
-    every minor of rows 0..r at once through the cached plan of t: two
-    gathers of logs, one add, one exp-table gather and one xor reduction.
+    of its sign-free row-by-row minors (modp.minor_det, on logs). Row r
+    takes every minor of rows 0..r at once: two gathers of logs, one add
+    (mul), one exp-table gather, one xor reduction and one log lookup (add).
     A matrix of at most MINOR_TAIL rows is its own tail and runs no
     elimination step.
     The pivots multiply as an intp sum of their logs, reduced mod q - 1 once
@@ -206,9 +208,7 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray, singular: int = 0) -> n
     if not len(live):
         return det
     # m[i, j, b] is entry (i, j) of matrix live[b]
-    m = np.empty((n, n, len(live)), dtype=np.int32)
-    for a in range(0, len(live), LAYOUT_BLOCK):
-        m[:, :, a : a + LAYOUT_BLOCK] = mats[live[a : a + LAYOUT_BLOCK]].transpose(1, 2, 0)
+    m = np.ascontiguousarray(mats[live].transpose(1, 2, 0))
     lsum = np.zeros(len(live), dtype=np.intp)
     log, exp = field.np_log, field.np_exp
     order = field.q - 1
@@ -236,18 +236,15 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray, singular: int = 0) -> n
         block = exp.take(np.add(lfac[:, None, :], lrow[None, :, :], dtype=np.intp), mode="clip")
         block ^= m[1:, 1:]
         m = block
-    # the t x t tail from its minors; lprev holds the logs of the minors of
-    # the rows above row r, and a product's two logs, each below 2 * order or
-    # the zero sentinel, add up to at most 4 * order: inside the exp table,
-    # and in int32, which take converts faster than an add into intp on
-    # these small [K, r + 1, L] sums
-    lm = log.take(m, mode="clip")
-    lprev = lm[0]
-    for r, (cols, rest) in enumerate(minor_plan(t), 1):
-        lprods = lm[r].take(cols, axis=0, mode="clip") + lprev.take(rest, axis=0, mode="clip")
-        lprev = log.take(np.bitwise_xor.reduce(exp.take(lprods, mode="clip"), axis=1), mode="clip")
+    # the t x t tail from its minors, in logs: a product's two logs, each
+    # below 2 * order or the zero sentinel, add up to at most 4 * order:
+    # inside the exp table, and in int32, which take converts faster than an
+    # add into intp on these small [K, r + 1, L] sums
+    def xor_sum(lprods, _r):
+        return log.take(np.bitwise_xor.reduce(exp.take(lprods, mode="clip"), axis=1), mode="clip")
+
     lsum %= order
-    lsum += lprev[0]
+    lsum += minor_det(log.take(m, mode="clip"), np.add, xor_sum)
     det[live] = exp.take(lsum, mode="clip")
     return det
 
@@ -491,20 +488,14 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     if trials is not None and trials < 1:
         raise ValueError("need at least one trial")
     if n < 2:
-        return DetectionReport(
-            verdict=False, trials_run=0, trials_max=0, failure_bound=0.0,
-            detail={"reason": "fewer than two vertices"},
-        )
+        return structural(False, "fewer than two vertices")
     if n > 2 * BLUE_LIMIT:
         raise GuardError(f"detect-hc guard: n={n} > {2 * BLUE_LIMIT}")
     part = find_independent_partition(g)
     tmax = trials if trials is not None else default_trial_count(n)
     if len(part.yellow) > n // 2:
-        return DetectionReport(
-            verdict=False, trials_run=0, trials_max=tmax, failure_bound=0.0,
-            detail={"reason": "independent set larger than half the graph",
-                    "independent_set_size": len(part.yellow)},
-        )
+        return structural(False, "independent set larger than half the graph", tmax,
+                          independent_set_size=len(part.yellow))
     if len(part.blue) > BLUE_LIMIT:
         raise GuardError(
             f"detect-hc guard: {len(part.blue)} blue vertices > {BLUE_LIMIT}, "

@@ -17,14 +17,14 @@ the matrix.
 from __future__ import annotations
 
 from .errors import GuardError
-from .graph import Digraph
+from .graph import VERTEX_LIMIT, Digraph
 
 # Largest vertex count for an exact branching count: on a 512-vertex
 # Hamiltonian cycle plus 1,024 random arcs the count takes about 0.45 s
 # (2-vCPU machine, Python 3.11). Dense graphs keep few ±1 pivots and take
 # far longer: at density 0.5, 32 s at 300 vertices and 128 s at 400
 # (measured in id order, which their few in-degree-1 vertices barely change).
-BRANCHING_COUNT_GUARD = 512
+BRANCHING_COUNT_GUARD = VERTEX_LIMIT
 
 
 def det_bareiss_int(rows: list[list[int]]) -> int:

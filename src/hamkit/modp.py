@@ -7,10 +7,12 @@ _batch_inverse (one Fermat power per batch) and reduces through _centre_mod
 (a float64 quotient in place of an int64 %). inverse_vandermonde and
 interpolate_univariate turn a batch of values at the points 1..N into
 coefficients. The stack helpers _live_span and _tree_product serve the
-marker-ring kernel of branchings as well, and minor_plan, the gather plan
-of the minors, serves the characteristic-2 kernels of hamdetect and
-branchings. The module imports numpy and nothing from hamkit, so a caller
-loads neither the detectors nor the binary fields with it.
+marker-ring kernel of branchings as well, and minor_det, the row-by-row
+minor recurrence over the cached gather plan minor_plan, finishes every
+batched determinant kernel: this one's signed tail, hamdetect's
+log-domain tail and the marker ring's unit-free blocks, each with its own
+product and sum. The module imports numpy and nothing from hamkit, so a
+caller loads neither the detectors nor the binary fields with it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,26 @@ def minor_plan(t: int) -> tuple:
         plan.append((cols, rest))
         index = {s: k for k, s in enumerate(sets)}
     return tuple(plan)
+
+
+def minor_det(block: np.ndarray, mul, add) -> np.ndarray:
+    """Determinants of the t x t blocks of a [t, t, ...] stack, t >= 1, from their row-by-row minors.
+
+    The minors follow minor_plan(t): row 0's are its entries, and row r's
+    are add(mul(row r gathered by cols, the minors above gathered by rest),
+    r). mul multiplies the [C(t, r + 1), r + 1, ...] entries and minors
+    elementwise; add sums each column set's r + 1 products over axis 1 into
+    the [C(t, r + 1), ...] minors of row r, signing position j by (-1)^(r+j)
+    outside characteristic 2. The last row's one minor, [...], is returned.
+    No pivot is needed. The plan's indices are in range by construction, so
+    the gathers take mode="clip": it never clips, and it skips the default
+    mode's index check.
+    """
+    minors = block[0]
+    for r, (cols, rest) in enumerate(minor_plan(len(block)), 1):
+        prods = mul(block[r].take(cols, axis=0, mode="clip"), minors.take(rest, axis=0, mode="clip"))
+        minors = add(prods, r)
+    return minors[0]
 
 
 def _live_span(lines: np.ndarray, start: int) -> slice | None:
@@ -150,7 +172,7 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     Elimination stops when t = min(d, MINOR_TAIL) rows are left; a matrix of
     at most MINOR_TAIL rows is its own tail and runs no elimination step.
     The tail's determinant is the last of its signed row-by-row minors
-    (minor_plan): row r takes every minor of rows 0..r at once, one gather
+    (minor_det): row r takes every minor of rows 0..r at once, one gather
     of row r and one of the minors above, their products signed (-1)^(r+j)
     and summed over the positions j. A product of two centred residues is
     below 2^60 in magnitude and a sum of at most MINOR_TAIL of them below
@@ -237,14 +259,14 @@ def batched_modp_det(mats: np.ndarray, p: int) -> np.ndarray:
     chunk = max(1, MODP_BLOCK // max((cols.size for cols, _ in plan), default=1))
     diag = np.empty((steps + 1, nmats), dtype=np.int64)  # step j's pivot in row j, the tail's determinant last
     diag[:steps] = a.diagonal().T[:steps]
+
+    def signed_sum(prods, r):
+        prods[:, (r + 1) % 2 :: 2] *= -1  # the positions j with r + j odd
+        return _centre_mod(prods.sum(axis=1), p)
+
     for lo in range(0, nmats, chunk):
         block = tail[..., lo : lo + chunk]
-        minors = block[0]
-        for r, (cols, rest) in enumerate(plan, 1):
-            prods = block[r].take(cols, axis=0) * minors.take(rest, axis=0)
-            prods[:, (r + 1) % 2 :: 2] *= -1  # the positions j with r + j odd
-            minors = _centre_mod(prods.sum(axis=1), p)
-        diag[steps, lo : lo + chunk] = minors[0]
+        diag[steps, lo : lo + chunk] = minor_det(block, np.multiply, signed_sum)
     diag %= p
     mul = lambda x, y: x * y % p  # noqa: E731
     det = _tree_product(diag, mul)

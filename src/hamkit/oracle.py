@@ -117,30 +117,27 @@ def enumerate_out_branchings(g: Digraph, root: int) -> list[Branching]:
     return list(iter_out_branchings(g, root))
 
 
-def brute_k_internal(g: Digraph, k: int) -> bool:
-    """Does some spanning out-branching have at least k internal vertices?"""
+def _some_branching(g: Digraph, k: int, name: str, count) -> bool:
+    """Does some spanning out-branching b of g have count(b) >= k? name heads the guard message."""
     if g.n > BRANCHING_LIMIT:
-        raise GuardError(f"brute_k_internal guard: n={g.n} > {BRANCHING_LIMIT}")
+        raise GuardError(f"{name} guard: n={g.n} > {BRANCHING_LIMIT}")
     if k < 0:
         raise ValueError("k must be non-negative")
     for root in range(g.n):
         for b in iter_out_branchings(g, root):
-            if b.internal_count >= k:
+            if count(b) >= k:
                 return True
     return False
+
+
+def brute_k_internal(g: Digraph, k: int) -> bool:
+    """Does some spanning out-branching have at least k internal vertices?"""
+    return _some_branching(g, k, "brute_k_internal", Branching.internal_count.fget)
 
 
 def brute_k_leaf(g: Digraph, k: int) -> bool:
     """Does some spanning out-branching have at least k leaves?"""
-    if g.n > BRANCHING_LIMIT:
-        raise GuardError(f"brute_k_leaf guard: n={g.n} > {BRANCHING_LIMIT}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    for root in range(g.n):
-        for b in iter_out_branchings(g, root):
-            if b.leaf_count >= k:
-                return True
-    return False
+    return _some_branching(g, k, "brute_k_leaf", Branching.leaf_count.fget)
 
 
 def brute_mis(g: Digraph) -> frozenset[int]:

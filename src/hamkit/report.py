@@ -1,4 +1,4 @@
-"""Result record and trial driver shared by the randomized detectors."""
+"""Result record, trial-free answers and trial driver shared by the randomized detectors."""
 
 from __future__ import annotations
 
@@ -21,6 +21,14 @@ class DetectionReport(namedtuple("DetectionReport", "verdict trials_run trials_m
                 detail: dict | None = None):
         return super().__new__(cls, verdict, trials_run, trials_max, failure_bound,
                                {} if detail is None else detail)
+
+
+def structural(verdict: bool, reason: str, trials_max: int = 0, **detail) -> DetectionReport:
+    """An answer decided without a trial, so exact: no trial run and failure bound 0.0.
+
+    The detail holds the reason first, then the given detail in order.
+    """
+    return DetectionReport(verdict, 0, trials_max, 0.0, {"reason": reason, **detail})
 
 
 def trial_chunks(total: int, cap: int, floor: float):

@@ -1110,6 +1110,52 @@ class TestBatchedPrimeDet:
             batched_modp_det(np.zeros((1, 2, 2), dtype=np.int64), 2**31)
 
 
+def minor_det_stack(rng, t, batch, low, high):
+    """A [t, t, batch] stack of entries in [low, high): 60 % zeros in its second half, a repeated row in every fifth block."""
+    mats = rng.integers(low, high, size=(t, t, batch), dtype=np.int64)
+    mats[..., batch // 2 :][rng.random((t, t, batch - batch // 2)) < 0.6] = 0
+    if t > 1:
+        mats[t - 1, :, ::5] = mats[0, :, ::5]
+    return mats
+
+
+class TestMinorDet:
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_prime_field_signed(self, t):
+        # centred residues with the signed, re-centred sum of batched_modp_det's
+        # tail: six products of two centred residues stay below 2^63
+        p = 2_147_483_029
+        mats = minor_det_stack(np.random.default_rng(40 + t), t, 40, -(p // 2), p // 2 + 1)
+
+        def signed_sum(prods, r):
+            prods[:, (r + 1) % 2 :: 2] *= -1
+            return modp._centre_mod(prods.sum(axis=1), p)
+
+        got = modp.minor_det(mats, np.multiply, signed_sum) % p
+        field = PrimeField(p)
+        want = [det_gauss(square(field, (mats[..., b] % p).tolist())) for b in range(40)]
+        assert got.tolist() == want
+        assert any(want) and not all(want)
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_binary_field_logs(self, t):
+        # logs in, log of the determinant out, as in hamdetect.batched_gf_det's
+        # tail: mul adds logs, add xors the products and takes their log; two
+        # batch axes, as in the marker ring's [s, s, B, len] blocks
+        field = make_binary_field(8)
+        log, exp = field.np_log, field.np_exp
+        mats = minor_det_stack(np.random.default_rng(50 + t), t, 40, 0, field.q).reshape(t, t, 2, 20)
+
+        def xor_sum(lprods, _r):
+            return log.take(np.bitwise_xor.reduce(exp.take(lprods), axis=1))
+
+        got = exp.take(modp.minor_det(log.take(mats), np.add, xor_sum))
+        ring = ScalarBinaryField(field)
+        want = [[det_gauss(square(ring, mats[:, :, i, b].tolist())) for b in range(20)] for i in range(2)]
+        assert got.tolist() == want
+        assert any(map(any, want)) and not all(map(all, want))
+
+
 class TestBatchedInterpolation:
     def test_inverse_vandermonde(self):
         p = 1_000_003

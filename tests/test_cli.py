@@ -106,6 +106,68 @@ class TestReportShape:
         assert ".py:" not in dup_err + mitm_err
 
 
+# The six answers the detectors give without a trial: the command and k,
+# the graph, then the report's verdict and trials_max, its detail items in
+# order, and the whole stdout line with elapsed_ms masked.
+NO_ROOT = make_digraph(3, [(0, 1)])
+TRIAL_FREE = {
+    "hc-fewer-than-two": (
+        ["detect-hc"], make_digraph(1, []), False, 0, [("reason", "fewer than two vertices")],
+        '{"command": "detect-hc", "answer": "no", "trials": 0, "failure_bound": 0.0, '
+        '"diagnostics": {"reason": "fewer than two vertices"}, "seed": 0, "elapsed_ms": _}\n',
+    ),
+    "hc-independent-set": (
+        ["detect-hc"], bidirected_star(5), False, 7,
+        [("reason", "independent set larger than half the graph"), ("independent_set_size", 4)],
+        '{"command": "detect-hc", "answer": "no", "trials": 0, "failure_bound": 0.0, '
+        '"diagnostics": {"reason": "independent set larger than half the graph", "independent_set_size": 4}, '
+        '"seed": 0, "elapsed_ms": _}\n',
+    ),
+    "internal-no-root": (
+        ["detect-k-internal", "--k", "1"], NO_ROOT, False, 0,
+        [("reason", "no spanning out-branching from any root")],
+        '{"command": "detect-k-internal", "answer": "no", "trials": 0, "failure_bound": 0.0, '
+        '"diagnostics": {"reason": "no spanning out-branching from any root"}, "k": 1, "seed": 0, "elapsed_ms": _}\n',
+    ),
+    "internal-k-zero": (
+        ["detect-k-internal", "--k", "0"], directed_cycle(3), True, 0,
+        [("reason", "spanning out-branchings exist and k = 0"), ("roots", [0, 1, 2])],
+        '{"command": "detect-k-internal", "answer": "yes", "trials": 0, "failure_bound": 0.0, '
+        '"diagnostics": {"reason": "spanning out-branchings exist and k = 0", "roots": [0, 1, 2]}, '
+        '"k": 0, "seed": 0, "elapsed_ms": _}\n',
+    ),
+    "leaf-no-root": (
+        ["detect-k-leaf", "--k", "1"], NO_ROOT, False, 0,
+        [("reason", "no spanning out-branching from any root")],
+        '{"command": "detect-k-leaf", "answer": "no", "trials": 0, "failure_bound": 0.0, '
+        '"diagnostics": {"reason": "no spanning out-branching from any root"}, "k": 1, "seed": 0, "elapsed_ms": _}\n',
+    ),
+    "leaf-single-vertex": (
+        ["detect-k-leaf", "--k", "1"], make_digraph(1, []), True, 0,
+        [("reason", "a single vertex is an out-branching with one leaf"), ("roots", [0])],
+        '{"command": "detect-k-leaf", "answer": "yes", "trials": 0, "failure_bound": 0.0, '
+        '"diagnostics": {"reason": "a single vertex is an out-branching with one leaf", "roots": [0]}, '
+        '"k": 1, "seed": 0, "elapsed_ms": _}\n',
+    ),
+}
+
+
+class TestTrialFreeAnswers:
+    @pytest.mark.parametrize("case", TRIAL_FREE)
+    def test_report_and_stdout(self, case, tmp_path, capsys):
+        argv, g, verdict, trials_max, items, stdout = TRIAL_FREE[case]
+        command, *flags = argv  # flags: none, or --k and its value
+        run = {"detect-hc": hamkit.detect_hamiltonian_cycle, "detect-k-internal": detect_k_internal,
+               "detect-k-leaf": detect_k_leaf}[command]
+        rep = run(g, *map(int, flags[1:]))
+        assert rep == (verdict, 0, trials_max, 0.0, dict(items))
+        assert type(rep.verdict) is bool and type(rep.failure_bound) is float
+        assert list(rep.detail.items()) == items
+        code, out, err = run_cli([command, write_graph(tmp_path, g), *flags], capsys)
+        assert code == 0, err
+        assert strip_elapsed(out) == stdout
+
+
 class TestAnswers:
     def test_detect_hc_yes_and_no(self, tmp_path, capsys):
         yes = write_graph(tmp_path, directed_cycle(6), "yes.txt")

@@ -754,7 +754,7 @@ class TestBatchedDet:
             mats[30:][rng.random((30, n, n)) < 0.5] = 0
             self.routes(field, mats)
         plan = modp.minor_plan(t)
-        assert hamdetect.minor_plan is modp.minor_plan
+        assert hamdetect.minor_det is modp.minor_det
         assert plan is modp.minor_plan(t) and len(plan) == t - 1
         for r, (cols, rest) in enumerate(plan, 1):
             assert cols.shape == rest.shape == (math.comb(t, r + 1), r + 1)
