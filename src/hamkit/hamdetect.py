@@ -32,12 +32,15 @@ matrix is the xor of one gathered row per vertex and table: two tables up
 to |blue| = 8, four beyond. Which rows to gather depends only on |blue|, so
 one cached pair plan serves every trial; a trial draws one weight per
 port and arc, and which weights fill the tables depends only on the graph
-and its layout, so a detection plans it once and a trial only draws and
-gathers its weights. The determinants of a chunk of pairs are taken at
-once by table-driven batched Gaussian elimination, batch-last: the
-matrices that pass an all-zero column screen are laid out in one [n, n, L]
-stack whose innermost axis runs over the L matrices, so every step works
-on rows of L entries. Many pair matrices are singular and add nothing to
+and its layout, so a detection plans it once. A detection also zeroes the
+tables' gate-0 halves once, and builds a chunk's gather index only when
+its prefix differs from the last one built (once a detection up to
+|blue| = 9), so a trial draws and gathers its weights and rewrites only
+the gated halves. The determinants of a chunk of pairs are taken at once
+by table-driven batched Gaussian elimination, batch-last: the matrices
+that pass an all-zero column screen are laid out in one [n, n, L] stack
+whose innermost axis runs over the L matrices, so every step works on
+rows of L entries. Many pair matrices are singular and add nothing to
 the sum, so the elimination drops a matrix as soon as it is known to be
 singular: up front if it has an all-zero column, later if a pivot column
 has no nonzero entry left. A dropped matrix gets determinant 0, which is
@@ -249,12 +252,14 @@ def batched_gf_det(field: BinaryField, mats: np.ndarray, singular: int = 0) -> n
     return det
 
 
-def subset_xor_table(rows: np.ndarray) -> np.ndarray:
-    """table[mask] = xor of rows[i] over the set bits i of mask, built by doubling."""
-    table = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
+def subset_xor_table(rows: np.ndarray, table: np.ndarray) -> None:
+    """Fill table[mask] with the xor of rows[i] over the set bits i of mask, by doubling.
+
+    table[0], the xor of no rows, must be zero already: it is never written,
+    and every other row is overwritten, so a table is refilled in place.
+    """
     for i, row in enumerate(rows):
         np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
-    return table
 
 
 def _table_blocks(nb: int) -> list[tuple[int, int]]:
@@ -336,7 +341,7 @@ def _pair_plan(nb: int, chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 class _BatchedSieve:
-    """One detection's weight plan, pair plan and gather stack for the pair sum.
+    """One detection's state for the pair sum: all of it depends on the graph and layout alone.
 
     Each pair gets a |blue| x |blue| matrix: one row per blue vertex, the
     pool columns, then one merged column per yellow vertex y. In the port
@@ -364,13 +369,20 @@ class _BatchedSieve:
     flattened to rows, so one gather per table through a _pair_plan index
     builds a chunk's gated rows.
 
-    Which weight lands where depends only on the graph and the layout, so
-    the sieve keeps it as flat indices port * arcs + arc into a trial's
-    weights followed by one zero, at n * arcs, which every entry off the
-    arcs reads. A trial (tables) then appends that zero, gathers A_in's
-    pool columns with one take and the ventry and vexit blocks with
-    another, takes the field products once, and builds the tables by
-    doubling.
+    A detection builds once what no trial changes:
+      the weight plan: which weight lands where depends only on the graph
+        and the layout, so the sieve keeps it as flat indices port * arcs +
+        arc into a trial's weights followed by one zero, at n * arcs, which
+        every entry off the arcs reads;
+      the pair plan (_pair_plan, cached per |blue| for the process) and the
+        gather index of the last prefix built from it (index);
+      the subset tables, zeroed once: their gate-0 halves and the empty
+        mask's row stay zero, since no trial writes them;
+      the gather stack and the take scratch.
+    A trial (tables) appends the zero to its weights, gathers A_in's pool
+    columns with one take and the ventry and vexit blocks with another,
+    takes the field products once, and rewrites the gated halves of the
+    tables by doubling in place.
     """
 
     def __init__(self, g: Digraph, layout: PortLayout):
@@ -393,6 +405,13 @@ class _BatchedSieve:
                                  at[npool + ny + yi, yellow, blue[:, None]]])
         self.npool = npool
         self.plan = _pair_plan(nb, STATE_CHUNK)
+        # the gather index of prefix self.prefix, one per table (see index)
+        self.prefix = None
+        self.gather = [np.empty_like(base) for base, _ in self.plan]
+        # one [2, 2^h, nb, nb] table per side and block, in _pair_plan's order
+        self.blocks = [(side, start, stop) for side in (0, 1) for start, stop in _table_blocks(nb)]
+        self.subsets = [np.zeros((2, 1 << (stop - start), nb, nb), dtype=np.int32)
+                        for _, start, stop in self.blocks]
         # the gather stack and the take scratch as one [2, B, nb, nb] block, not
         # two arrays: glibc raises its mmap and trim thresholds to the largest
         # block freed, so once a detection has freed this one, the next
@@ -401,20 +420,34 @@ class _BatchedSieve:
         self.out, self.scratch = np.empty((2, len(self.plan[0][0]), nb, nb), dtype=np.int32)
 
     def tables(self, weights: PortWeights) -> list[np.ndarray]:
-        """This trial's gated subset tables, in _pair_plan's order."""
+        """This trial's gated subset tables, in _pair_plan's order, as [rows, |blue|] views.
+
+        Each is refilled in the sieve's own buffer: only the gate-1 half is
+        rewritten, by doubling, so every trial returns the same buffers.
+        """
         nb = len(self.a_in_at)
         flat = np.append(weights.values, np.int32(0))
         a_in = flat.take(self.a_in_at)
         ventry, vexit = flat.take(self.ends_at)
         a_in[:, :, self.npool:] = weights.field.nmul(ventry[:, None, :], vexit[None, :, :])
-        tables = []
-        for a_side in (a_in, a_in.transpose(1, 0, 2)):
-            for start, stop in _table_blocks(nb):
-                size = 1 << (stop - start)
-                table = np.zeros((2 * size, nb, nb), dtype=np.int32)
-                table[size:] = subset_xor_table(a_side[start:stop])
-                tables.append(table.reshape(-1, nb))
-        return tables
+        a_sides = (a_in, a_in.transpose(1, 0, 2))
+        for (side, start, stop), table in zip(self.blocks, self.subsets):
+            subset_xor_table(a_sides[side][start:stop], table[1])
+        return [table.reshape(-1, nb) for table in self.subsets]
+
+    def index(self, h: int) -> list[np.ndarray]:
+        """The gather index of prefix h, one [B, |blue|] array per table: base + offset[h].
+
+        It is rebuilt only when h is not the last prefix built, so a
+        detection whose pairs fit in one chunk (every |blue| <= 9 at the
+        default STATE_CHUNK) builds it once, and one whose trials cycle
+        through several prefixes builds it once a chunk.
+        """
+        if h != self.prefix:
+            for idx, (base, offset) in zip(self.gather, self.plan):
+                np.add(base, offset[h], out=idx)
+            self.prefix = h
+        return self.gather
 
     def matrices(self, tables: list[np.ndarray], index) -> np.ndarray:
         """The chunk's [B, |blue|, |blue|] pair matrices, gathered into the gather stack.
@@ -438,15 +471,18 @@ def sieve_membership_pairs(sieve: _BatchedSieve, weights: PortWeights) -> int:
     The sum is the xor of 2 * 3^(|blue| - 1) determinants, and is
     independent of visit order. The pairs are taken in chunks of at most
     STATE_CHUNK, one per prefix of high base-3 digits (see _pair_plan),
-    each gathered from this trial's tables into the sieve's gather stack.
+    each gathered from this trial's tables into the sieve's gather stack
+    through the sieve's gather index for that prefix.
     Every chunk is gathered and handed to batched_gf_det whole, so the
     kernel receives every pair and pairs_per_trial counts them all; but the
     first half of a chunk, the pairs with the anchor outside O, is singular
     for every draw, so the kernel is told to skip it and eliminates only
     the anchor-in-O half.
     The sieve is the detection's own, built for the graph and layout the
-    weights were drawn on, so that its trials share the weight plan and the
-    gather stack. The stack's contents on entry do not matter.
+    weights were drawn on, so that its trials share what it builds once
+    (see _BatchedSieve). A trial redoes the tables' gated halves and, when
+    there are several prefixes, the gather index of each chunk. The
+    stack's contents on entry do not matter.
     """
     tables = sieve.tables(weights)
     plan = sieve.plan
@@ -454,8 +490,7 @@ def sieve_membership_pairs(sieve: _BatchedSieve, weights: PortWeights) -> int:
     singular = len(plan[0][0]) // 2
     total = 0
     for h in range(len(plan[0][1])):
-        index = [base + offset[h] for base, offset in plan]
-        dets = batched_gf_det(weights.field, sieve.matrices(tables, index), singular=singular)
+        dets = batched_gf_det(weights.field, sieve.matrices(tables, sieve.index(h)), singular=singular)
         total ^= int(np.bitwise_xor.reduce(dets))
     return total
 
@@ -504,8 +539,8 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
     layout = PortLayout.from_partition(g, part)
     field = make_binary_field(FIELD_BITS)
     key = derive_seed("hc-trial", seed)
-    # one weight plan and gather stack serve every trial and every chunk, so
-    # a trial allocates nothing large
+    # one weight plan, gather index, set of tables and gather stack serve
+    # every trial and every chunk, so a trial allocates nothing large
     sieve = _BatchedSieve(g, layout)
 
     def trial(t: int, _count: int):

@@ -120,7 +120,14 @@ def rooted_path(rnd: random.Random, n: int, extra: int) -> Digraph:
 
 
 def cycle_plus(rnd: random.Random, n: int, extra: int) -> Digraph:
-    """A Hamiltonian cycle on a random vertex order plus `extra` random other arcs."""
+    """A Hamiltonian cycle on a random vertex order plus `extra` random other arcs.
+
+    Raises ValueError, before drawing anything, when n < 2 (no cycle without
+    a self-loop) or when n + extra passes the n(n - 1) arcs a loop-free
+    digraph holds.
+    """
+    if n < 2 or n + extra > n * (n - 1):
+        raise ValueError(f"no {n}-vertex Hamiltonian digraph has {n + extra} arcs")
     order = list(range(n))
     rnd.shuffle(order)
     arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}

@@ -1910,6 +1910,72 @@ class TestSingleTrialRates:
         assert floor >= 1 and hits >= floor, (hits, floor)
 
 
+def _partitions(z: int, largest: int | None = None):
+    """Every partition of z into positive parts, as non-increasing tuples."""
+    if z == 0:
+        yield ()
+        return
+    for part in range(min(z, z if largest is None else largest), 0, -1):
+        for rest in _partitions(z - part, part):
+            yield (part, *rest)
+
+
+def _coin_sum_law(steps) -> dict:
+    """Exact law of the sum over steps s of c * s, with independent fair coins c in {0, 1}."""
+    law = {0: Fraction(1)}
+    for step in steps:
+        law = Counter({x: pr / 2 for x, pr in law.items()}) + Counter({x + step: pr / 2 for x, pr in law.items()})
+    return law
+
+
+class TestLeafFloorProof:
+    """The per-trial floor 2 * 4^-k of a k-leaf trial, replayed in exact rationals.
+
+    A monomial with z absent variables (exponent 0) lands outside the center
+    band exactly when |X| >= k, where X is the sum over the probe side of
+    e_v - 1. The exponents sum to n over n variables, so the present
+    variables' excesses e_v - 1 >= 1 form a partition of z (the excess
+    profile), and X is the profile's parts, each kept by a fair coin, minus
+    a Bin(z, 1/2) count of absent variables on the probe side. A monomial
+    qualifies when z >= k.
+    """
+
+    KMAX = round(math.log(branchings.LEAF_BUDGET_LIMIT, 4))
+
+    def test_budget_limit_is_a_power_of_four(self):
+        assert 4**self.KMAX == branchings.LEAF_BUDGET_LIMIT and self.KMAX == 6
+
+    @pytest.mark.parametrize("k", range(1, KMAX + 1))
+    def test_small_z_profiles(self, k):
+        # k <= z <= 2k - 1: P[|X| >= k] >= 2 * 4^-k for every profile, with
+        # equality only at z = k and k parts equal to 1 (k variables of exponent 2)
+        floor, tails = Fraction(2, 4**k), {}
+        for z in range(k, 2 * k):
+            for parts in _partitions(z):
+                law = _coin_sum_law([*parts, *[-1] * z])
+                assert sum(law.values()) == 1
+                tails[z, parts] = sum(pr for x, pr in law.items() if abs(x) >= k)
+        assert len(tails) == (1, 5, 15, 38, 85, 176)[k - 1]
+        assert min(tails.values()) == floor
+        assert [profile for profile, tail in tails.items() if tail == floor] == [(k, (1,) * k)]
+
+    @pytest.mark.parametrize("k", range(1, KMAX + 1))
+    def test_large_z_window(self, k):
+        # z >= 2k - 1: with the present variables' coins fixed, X is a shift of
+        # -Bin(z, 1/2), so P[|X| < k] is at most the largest mass Bin(z, 1/2)
+        # puts on 2k - 1 consecutive values. That mass is at most 1 - 2 * 4^-k
+        # at z = 2k - 1, and does not grow with z, since Bin(z + 1, 1/2) is an
+        # even mixture of Bin(z, 1/2) and its shift by one (checked here up to
+        # z = 2k + 15)
+        def window(z):
+            mass = [Fraction(math.comb(z, i), 2**z) for i in range(z + 1)]
+            return max(sum(mass[lo : lo + 2 * k - 1]) for lo in range(z - 2 * k + 3))
+
+        masses = [window(z) for z in range(2 * k - 1, 2 * k + 16)]
+        assert masses[0] <= 1 - Fraction(2, 4**k)
+        assert all(b <= a for a, b in zip(masses, masses[1:]))
+
+
 def _kernel_digest_stacks(seed: int):
     """Seeded det_batch and batched_modp_det inputs, sparse and dense, one root and several.
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import complete_digraph, directed_cycle, random_digraph
+from conftest import complete_digraph, cycle_plus, directed_cycle, random_digraph
 from hamkit.errors import ParseError
 from hamkit.graph import (
     find_independent_partition,
@@ -121,3 +121,20 @@ class TestIndependentPartition:
             g = random_digraph(rnd, 10, rnd.uniform(0.15, 0.6))
             part = find_independent_partition(g)
             assert len(part.yellow) == len(oracle.brute_mis(g))
+
+
+class TestTestGraphs:
+    @pytest.mark.parametrize("n, extra", [(0, 0), (1, 0), (1, 1), (2, 1), (2, 5), (3, 4), (3, 9), (4, 9)])
+    def test_cycle_plus_refuses_too_many_arcs(self, n, extra):
+        # n + extra past the n(n - 1) loop-free arcs, or a one-vertex "cycle":
+        # refused before the first draw, where the draw loop would never end
+        rnd = random.Random(36)
+        state = rnd.getstate()
+        with pytest.raises(ValueError, match="Hamiltonian digraph"):
+            cycle_plus(rnd, n, extra)
+        assert rnd.getstate() == state
+
+    @pytest.mark.parametrize("n, extra", [(2, 0), (3, 3), (4, 8), (5, 3)])
+    def test_cycle_plus_at_the_limit(self, n, extra):
+        g = cycle_plus(random.Random(37), n, extra)
+        assert g.n == n and g.m == n + extra and oracle.held_karp_count_hc(g) >= 1

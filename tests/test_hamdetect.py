@@ -191,8 +191,9 @@ class TestSieve:
         g = acyclic_tournament(6)
         layout = PortLayout.from_partition(g, find_independent_partition(g))
         assert len(layout.blue) == 5
-        stacks, passes = [], []
+        stacks, passes, tables = [], [], []
         real_det, real_sieve = hamdetect.batched_gf_det, hamdetect.sieve_membership_pairs
+        real_tables = hamdetect._BatchedSieve.tables
 
         def record_det(field, mats, *args, **kwargs):
             stacks.append(mats)
@@ -202,17 +203,29 @@ class TestSieve:
             passes.append((weights, sieve))
             return real_sieve(sieve, weights)
 
+        def record_tables(sieve, weights):
+            tables.append(real_tables(sieve, weights))
+            return tables[-1]
+
         monkeypatch.setattr(hamdetect, "batched_gf_det", record_det)
         monkeypatch.setattr(hamdetect, "sieve_membership_pairs", record_sieve)
+        monkeypatch.setattr(hamdetect._BatchedSieve, "tables", record_tables)
         rep = detect_hamiltonian_cycle(g, trials=3, seed=4)
         assert not rep.verdict and rep.trials_run == 3
-        assert len(passes) == 3 and len(stacks) == 3 * (27 if chunk else 1)
-        # every trial gets the detection's one sieve: its weight plan, pair plan and gather stack
+        assert len(passes) == len(tables) == 3 and len(stacks) == 3 * (27 if chunk else 1)
+        # every trial gets the detection's one sieve: its weight plan, pair plan,
+        # subset tables and gather stack
         sieve = passes[0][1]
         assert isinstance(sieve, hamdetect._BatchedSieve)
         assert all(s is sieve for _, s in passes)
         assert sieve.plan is hamdetect._pair_plan(5, hamdetect.STATE_CHUNK)
         assert all(np.shares_memory(mats, sieve.out) for mats in stacks)
+        assert all(np.shares_memory(table, first) for trial in tables for table, first in zip(trial, tables[0]))
+        # after the last trial, each table's gate-0 half and the empty mask's
+        # row of its gate-1 half are still zero
+        assert len(tables[-1]) == 2
+        for table in tables[-1]:
+            assert not table[: len(table) // 2 + len(layout.blue)].any()
         # a pass on a fresh sieve gets the same sum as one on a used sieve,
         # with the stack's leftover contents: on this NO, and on a YES at the
         # same |blue| (a directed 10-cycle: five blue, five yellow)
@@ -228,6 +241,21 @@ class TestSieve:
             alone = sieve_membership_pairs(hamdetect._BatchedSieve(graph, lay), w)
             assert (alone != 0) == (graph is yes)
             assert sieve_membership_pairs(own, w) == alone
+        # the same at |blue| = 9 (pool columns) and 10 (none), two tables per
+        # side, with 486-pair chunks: 27 and 81 prefixes a trial, so a used
+        # sieve starts each trial at another prefix than the last one it built
+        monkeypatch.setattr(hamdetect, "STATE_CHUNK", 2 * 3**5)
+        rnd = random.Random(186)
+        for n, ny in ((14, 5), (20, 10)):
+            graph, lay = random_with_yellow(rnd, n, ny, 0.5)
+            own = hamdetect._BatchedSieve(graph, lay)
+            assert len(own.plan) == 4 and len(own.plan[0][1]) == 3 ** (n - ny - 6)
+            sums = []
+            for t in range(3):
+                w = PortWeights.draw(graph, lay, field, 11, t)
+                sums.append(sieve_membership_pairs(hamdetect._BatchedSieve(graph, lay), w))
+                assert sieve_membership_pairs(own, w) == sums[-1]
+            assert any(sums)
 
 
 def golden_reports():
@@ -449,15 +477,18 @@ class TestSubsetTables:
     def test_doubling_matches_brute_force(self):
         rng = np.random.default_rng(81)
         for k in range(7):
-            rows = rng.integers(0, 1 << 16, size=(k, 3, 4), dtype=np.int32)
-            table = subset_xor_table(rows)
-            assert table.shape == (1 << k, 3, 4) and table.dtype == np.int32
-            for mask in range(1 << k):
-                want = np.zeros((3, 4), dtype=np.int32)
-                for i in range(k):
-                    if mask >> i & 1:
-                        want ^= rows[i]
-                assert np.array_equal(table[mask], want)
+            # a used table: row 0 zero, every other row left over; filled twice in place
+            table = rng.integers(0, 1 << 16, size=(1 << k, 3, 4), dtype=np.int32)
+            table[0] = 0
+            for _ in range(2):
+                rows = rng.integers(0, 1 << 16, size=(k, 3, 4), dtype=np.int32)
+                assert subset_xor_table(rows, table) is None
+                for mask in range(1 << k):
+                    want = np.zeros((3, 4), dtype=np.int32)
+                    for i in range(k):
+                        if mask >> i & 1:
+                            want ^= rows[i]
+                    assert np.array_equal(table[mask], want)
 
     def test_pair_matrices_match_folded_port_matrix(self, monkeypatch):
         # every chunk's gathered matrices against the port matrix with its yellow
