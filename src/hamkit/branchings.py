@@ -43,7 +43,7 @@ from .gf2m import BinaryField, make_binary_field
 from .graph import Digraph
 # count_out_branchings is not called here; it stays bound because the layer
 # tracer in perfbench/layertrace.py rebinds it under this module's name
-from .matrixtree import BRANCHING_COUNT_GUARD, count_out_branchings  # noqa: F401
+from .matrixtree import count_out_branchings  # noqa: F401
 from .modp import _centre_mod, _live_span, _tree_product, batched_modp_det, minor_det
 from .modp import interpolate_univariate, inverse_vandermonde
 from .rand import counter_draw, derive_seed, make_rng
@@ -543,11 +543,9 @@ def _forced_parent_plan(
 def _spanning_roots(g: Digraph) -> list[int]:
     """The roots of g's spanning out-branchings, in id order: the vertices that reach every vertex.
 
-    Refuses graphs past BRANCHING_COUNT_GUARD vertices (GuardError), the
-    same cap as an exact branching count.
+    One bitmask search per root, over masks of at most graph.VERTEX_LIMIT
+    bits, the cap Digraph holds every graph to.
     """
-    if g.n > BRANCHING_COUNT_GUARD:
-        raise GuardError(f"branching count guard: n={g.n} > {BRANCHING_COUNT_GUARD}")
     everyone = (1 << g.n) - 1
     roots = []
     for r in range(g.n):
@@ -689,6 +687,36 @@ class BranchingLeafPolynomial:
         return table[self._entries].reshape(d, d, table.shape[1]).transpose(2, 0, 1)
 
 
+def _leaf_budget(n: int, k: int, budget: int | None) -> int:
+    """The k-leaf trial budget for k of n: budget, or 4^k when it is None.
+
+    Refuses a budget below 1, then a k outside 1..n (ValueError).
+    """
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be positive")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    return 4**k if budget is None else budget
+
+
+def leaf_points(n: int) -> int:
+    """Points solve_nk_dv evaluates a degree-n polynomial at, per trial and prime: 2n+1.
+
+    One per coefficient of the trial's univariate image, of degree <= 2n.
+    """
+    return 2 * n + 1
+
+
+def leaf_matrices(n: int, trials: int) -> int:
+    """Determinants a k-leaf NO on n vertices takes over trials trials.
+
+    Each trial evaluates the branching polynomial at leaf_points(n) points
+    for each of its two primes, one contracted Laplacian per point, all of
+    them passed to batched_modp_det. A YES stops early and takes fewer.
+    """
+    return trials * 2 * leaf_points(n)
+
+
 def _draw_dv_chunk(seed: int, start: int, count: int, n: int) -> np.ndarray:
     """Fair-coin routings of trials start..start+count-1, [count, n] bool (True: probe side).
 
@@ -713,22 +741,25 @@ def solve_nk_dv(
     monomial (YES is certain because nonnegative coefficients cannot
     cancel). A qualifying monomial lands outside the band with probability
     >= 2^-k * 2^-k = 4^-k per trial, so NO answers carry the bound
-    (1 - 4^-k)^budget; budget defaults to 4^k trials.
+    (1 - 4^-k)^budget; budget defaults to 4^k trials. Refuses a budget below
+    1, then a k outside 1..n (ValueError), by the rule detect_k_leaf shares
+    (_leaf_budget).
 
     report.run_trials runs the trials in chunks of at most LEAF_CHUNK (fewer
     when a chunk's assignments would pass LEAF_STACK_LIMIT bytes): one
     trial, then up to 4^k, the trials a YES at the floor expects to need,
     then full chunks; it stops after the chunk with the first hit. Per
-    chunk and prime, P is evaluated at tau = 1..2n+1 for every trial in one
-    batch, and one interpolate_univariate call turns those values into
-    coefficients through an inverse Vandermonde at the points 1..2n+1,
-    built once per prime, when that prime first interpolates (a YES that p1
-    finds in the first chunk never builds p2's). The scan order is trial,
-    then p1, then p2 (p2 runs only on the trials before p1's first hit in
-    the chunk), so trials_run and the hit are those of a one-trial,
-    one-prime-at-a-time scan. The detail's evaluations counts the points P
-    was evaluated at: every row passed to evaluate_batch, so it depends on
-    the chunks.
+    chunk and prime, P is evaluated at the leaf_points(n) = 2n+1 points
+    tau = 1..2n+1 for every trial in one batch, and one
+    interpolate_univariate call turns those values into coefficients
+    through an inverse Vandermonde at the points 1..2n+1, built once per
+    prime, when that prime first interpolates (a YES that p1 finds in the
+    first chunk never builds p2's). The scan order is trial, then p1, then
+    p2 (p2 runs only on the trials before p1's first hit in the chunk), so
+    trials_run and the hit are those of a one-trial, one-prime-at-a-time
+    scan. The detail's evaluations counts the points P was evaluated at:
+    every row passed to evaluate_batch, so on a YES it depends on the
+    chunks, and on a NO it is trials_run * 2 * (2n+1).
 
     Any 2n+1 points distinct mod p give the same coefficients. The points
     start at 1, not 0, so that no assignment holds a zero: both primes lie
@@ -738,20 +769,15 @@ def solve_nk_dv(
     probe side; batched_modp_det would then search for pivots and add
     rows in nearly every stack.
     """
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be positive")
     n = P.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    if budget is None:
-        budget = 4**k
+    budget = _leaf_budget(n, k, budget)
     prime_rng = make_rng("dv-primes", seed)
     p1 = random_prime_31(prime_rng)
     p2 = random_prime_31(prime_rng)
     while p2 == p1:
         p2 = random_prime_31(prime_rng)
 
-    npts = 2 * n + 1
+    npts = leaf_points(n)
     taus = np.arange(npts, dtype=np.int64)  # coefficient degrees
     points = taus + 1  # evaluation points
     vinvs = {}  # a prime's inverse Vandermonde, built when it first interpolates
@@ -793,19 +819,16 @@ def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) 
     Wraps the branching polynomial of every spanning root at once
     (distinct-variable count = internal count, so >= k leaves means <= n-k
     distinct variables) and asks solve_nk_dv, seeded by the first root.
-    YES answers are certain; the NO bound is the solver's. The budget
-    defaults to 4^k. A single vertex, one leaf, is answered YES without a
-    trial (its polynomial y_0 would read as NO). Refuses a budget below 1
-    (ValueError) before it reads the graph, and one above LEAF_BUDGET_LIMIT
-    (GuardError) before the roots are screened.
+    YES answers are certain; the NO bound is the solver's, and a NO takes
+    leaf_matrices(n, trials) determinants. The budget defaults to 4^k. A
+    single vertex, one leaf, is answered YES without a trial (its
+    polynomial y_0 would read as NO). Refuses a budget below 1, then a k
+    outside 1..n (ValueError, the solver's own rule, _leaf_budget), then a
+    budget above LEAF_BUDGET_LIMIT (GuardError), all before the roots are
+    screened.
     """
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be positive")
     n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    if budget is None:
-        budget = 4**k
+    budget = _leaf_budget(n, k, budget)
     if budget > LEAF_BUDGET_LIMIT:
         raise GuardError(f"k-leaf trial budget {budget} is past the 4^6 = {LEAF_BUDGET_LIMIT} guard")
     roots, answer = _trial_free(g, n == 1, "a single vertex is an out-branching with one leaf")
@@ -814,4 +837,6 @@ def detect_k_leaf(g: Digraph, k: int, budget: int | None = None, seed: int = 0) 
     rep = solve_nk_dv(
         BranchingLeafPolynomial(g, roots), k, budget, derive_seed("leaf-root", seed, roots[0])
     )
+    # one batched_modp_det matrix per evaluation
+    assert rep.verdict or rep.detail["evaluations"] == leaf_matrices(n, rep.trials_run)
     return rep._replace(detail={"roots": roots})

@@ -35,6 +35,10 @@ from .graph import Digraph, parse_digraph
 from .matrixtree import count_out_branchings
 from .report import DetectionReport
 
+# Most digits count-exact's --d may have in its numerator or denominator:
+# Python's default limit on int-to-text conversion, which the echo runs into
+CAP_BASE_DIGITS = 4300
+
 
 def _verdict_fields(rep: DetectionReport) -> dict:
     return {
@@ -162,14 +166,26 @@ def _seed(text: str) -> int:
 
 
 def _cap_base(text: str):
-    """count-exact's --d as a Fraction above 1; fractions loads only here."""
+    """count-exact's --d as a Fraction above 1; fractions loads only here.
+
+    The value is echoed as cap_base, so one whose numerator or denominator
+    would pass CAP_BASE_DIGITS digits, more than Python converts to text by
+    default, is refused here, before the count. Fraction forms 10^e for an
+    exponent e, so the text decides first: a mantissa of d significant
+    digits, f of them after the point, times 10^e is an integer of d + e - f
+    digits when e >= f, and below 1 when f - e >= d.
+    """
     from fractions import Fraction
 
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.strip().lstrip("+-").replace("_", "").partition(".")
+    digits = len((whole + frac).lstrip("0"))
     try:
-        value = Fraction(text)
+        shift = int(exp or 0) - len(frac)
+        value = None if shift > CAP_BASE_DIGITS - digits or -shift >= digits else Fraction(text)
     except (ValueError, ZeroDivisionError):
         value = None
-    if value is None or value <= 1:
+    if value is None or value <= 1 or max(value.numerator, value.denominator) >= 10**CAP_BASE_DIGITS:
         raise argparse.ArgumentTypeError(f"need a number above 1 such as 9/8, got {text!r}")
     return value
 

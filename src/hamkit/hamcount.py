@@ -75,9 +75,10 @@ class MitmDiagnostics(
     )
 ):
     """What a mitm pass did: the survivors it visited (each one subset term),
-    the 2^|V_t| subsets of the naive pass, the masks it screened, the
-    entries of its low tables, and `fallback`, always False (no fallback is
-    left; the key stays in the report)."""
+    the subsets of the naive pass and the masks it screened (both
+    naive_pass_subsets, 2^|V_t|), the entries of its low tables, and
+    `fallback`, always False (no fallback is left; the key stays in the
+    report)."""
 
     __slots__ = ()
 
@@ -312,6 +313,16 @@ def _screen_blocks(core: _SieveCore, tables: list[tuple], k: int):
         yield h << cut, screen.to_bytes((size + 7) >> 3, "little")
 
 
+def naive_pass_subsets(n: int) -> int:
+    """Subsets a naive pass on an n-vertex graph visits: 2^n, every subset of V_t.
+
+    The split graph's tail side V_t has n vertices, and naive_sieve_count
+    calls signed_contribution once for each of its subsets. mitm screens
+    the same masks and visits only the survivors.
+    """
+    return 1 << n
+
+
 def naive_sieve_count(split: VertexSplit, p: int, k: int) -> ResidueElem:
     """Inclusion-exclusion over all tail subsets, summed over the integers, reduced mod p^k once.
 
@@ -360,8 +371,8 @@ def mitm_count_mod(split: VertexSplit, p: int, k: int) -> tuple[ResidueElem, Mit
             listed += len(bits)
     diag = MitmDiagnostics(
         pairs_listed=listed,
-        pairs_naive=1 << n0,
-        candidates_examined=1 << n0,
+        pairs_naive=naive_pass_subsets(n0),
+        candidates_examined=naive_pass_subsets(n0),
         table_keys=sum(1 + len(at) for _, _, _, at, _ in tables),
     )
     # pruned pairs vanish only mod p^k, so the sum is meaningful only as a residue

@@ -495,6 +495,16 @@ def sieve_membership_pairs(sieve: _BatchedSieve, weights: PortWeights) -> int:
     return total
 
 
+def pairs_per_trial(nb: int) -> int:
+    """Membership pairs, one pair matrix each, that a trial on nb blue vertices sums: 2 * 3^(nb - 1).
+
+    The anchor is in I and either in O or not; every other blue vertex is in
+    I only, O only, or both. sieve_membership_pairs gathers all of them and
+    hands every one to batched_gf_det.
+    """
+    return 2 * 3 ** (nb - 1)
+
+
 def default_trial_count(n: int) -> int:
     """Fewest trials T with (n/2^FIELD_BITS)^T <= 2^-FAILURE_TARGET_BITS, in integers."""
     t = 1
@@ -549,6 +559,6 @@ def detect_hamiltonian_cycle(g: Digraph, trials: int | None = None, seed: int = 
 
     # each zero trial misses a cycle with probability at most n/q
     witness, trials_run, bound = run_trials(tmax, 1, 1.0 - n / field.q, trial)
-    detail = {"pairs_per_trial": 2 * 3 ** (len(layout.blue) - 1), "field_bits": field.m,
+    detail = {"pairs_per_trial": pairs_per_trial(len(layout.blue)), "field_bits": field.m,
               **({} if witness is None else {"witness_value": witness}), "engine": "batched"}
     return DetectionReport(witness is not None, trials_run, tmax, bound, detail)

@@ -11,20 +11,14 @@ not scan for a zero column first. The sieve's minors never have one,
 because hamcount's screen drops every subset in which t or a vertex of O
 other than s has no in-arc from O before its minor is built, and
 count_out_branchings answers 0 for a vertex with no in-arc before it builds
-the matrix.
+the matrix. Branching counts have no size guard of their own: Digraph holds
+every graph to graph.VERTEX_LIMIT vertices, and the count's time at that cap
+is recorded beside it.
 """
 
 from __future__ import annotations
 
-from .errors import GuardError
-from .graph import VERTEX_LIMIT, Digraph
-
-# Largest vertex count for an exact branching count: on a 512-vertex
-# Hamiltonian cycle plus 1,024 random arcs the count takes about 0.45 s
-# (2-vCPU machine, Python 3.11). Dense graphs keep few ±1 pivots and take
-# far longer: at density 0.5, 32 s at 300 vertices and 128 s at 400
-# (measured in id order, which their few in-degree-1 vertices barely change).
-BRANCHING_COUNT_GUARD = VERTEX_LIMIT
+from .graph import Digraph
 
 
 def det_bareiss_int(rows: list[list[int]]) -> int:
@@ -124,15 +118,14 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
 def count_out_branchings(g: Digraph, root: int) -> int:
     """Number of spanning out-branchings of g rooted at `root`.
 
-    Refuses graphs past BRANCHING_COUNT_GUARD vertices (GuardError) before
-    the matrix is built. A non-root vertex with no in-arc (a zero row and
-    column of the matrix) answers 0 before the matrix is built. The
-    punctured Laplacian's rows and columns run in (in-degree, id) order.
+    No size check of its own: g has at most graph.VERTEX_LIMIT vertices,
+    which Digraph enforces, and the README times the count at that cap. A
+    non-root vertex with no in-arc (a zero row and column of the matrix)
+    answers 0 before the matrix is built. The punctured Laplacian's rows and
+    columns run in (in-degree, id) order.
     """
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
-    if g.n > BRANCHING_COUNT_GUARD:
-        raise GuardError(f"branching count guard: n={g.n} > {BRANCHING_COUNT_GUARD}")
     if not all(ins or u == root for u, ins in enumerate(g.in_adj)):
         return 0
     # rows and columns in one order, by in-degree and then id: a simultaneous

@@ -5,8 +5,11 @@ import hashlib
 import json
 import random
 import re
+import pickle
 import time
+import tracemalloc
 from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import ANY
 
@@ -29,10 +32,10 @@ from conftest import (
 )
 from hamkit import count_out_branchings, detect_k_internal, detect_k_leaf
 from hamkit.algebra import ResidueElem
+from hamkit.cli import CAP_BASE_DIGITS
 from hamkit.cli import main as cli_main
 from hamkit.errors import GuardError
-from hamkit.graph import VERTEX_LIMIT, make_digraph
-from hamkit.matrixtree import BRANCHING_COUNT_GUARD
+from hamkit.graph import VERTEX_LIMIT, make_digraph, split_vertex
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -383,6 +386,23 @@ class TestExitCodes:
             assert rep["answer"] == 1
         assert time.perf_counter() - t0 < 1.0
 
+    def test_cap_base_echo_digits(self, tmp_path, capsys):
+        # --d is echoed as cap_base, so a value whose numerator or denominator would
+        # pass CAP_BASE_DIGITS is refused at parse, an exponent from its text before
+        # any power of ten is formed; 0.5e4300 is 5 * 10^4299, 4,300 digits, and
+        # prints, while the 6,000-digit numerator of 111...1.111...1 does not
+        path = write_graph(tmp_path, directed_cycle(5))
+        for d in ("1e4299", "0.5e4300"):
+            rep, _ = run_json(["count-exact", path, "--d", d], capsys)
+            assert rep["cap_base"] == str(Fraction(d))
+            assert len(rep["cap_base"]) == CAP_BASE_DIGITS
+        for d in ("1e4300", "1e5000000", "1e-5000000", "1" * 3000 + "." + "1" * 3000):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(["count-exact", path, "--d", d], capsys)
+            assert time.perf_counter() - t0 < 1.0, d
+            assert (code, out) == (2, ""), d
+            assert err.endswith(f"argument --d: need a number above 1 such as 9/8, got {d!r}\n"), err
+
     def test_removed_beta_option(self, tmp_path, capsys):
         path = write_graph(tmp_path, directed_cycle(4))
         code, out, _ = run_cli(["count-mod", path, "--p", "3", "--beta", "0.1"], capsys)
@@ -449,20 +469,29 @@ class TestExitCodes:
         assert code == 3
 
     def test_branching_count_guard(self):
-        # the header cap stops a 513-vertex file at parse, so the library carries this guard;
-        # the branching detectors screen their roots under the same cap, and
-        # k = 0 keeps k-internal under its gather guard, which fires from k = 1 at this n
-        wide = make_digraph(BRANCHING_COUNT_GUARD + 1, [])
-        for run in (lambda: count_out_branchings(wide, 0),
-                    lambda: detect_k_internal(wide, 0),
-                    lambda: detect_k_leaf(wide, 2)):
-            with pytest.raises(GuardError, match="branching count guard"):
-                run()
+        # the header cap stops a 513-vertex file at parse, and Digraph holds the
+        # same cap for library callers, before it builds an index: the parent
+        # tree built the 10^5-vertex graph in 0.5 s and 16.8 MiB
+        for n in (VERTEX_LIMIT + 1, 10**5):
+            tracemalloc.start()
+            try:
+                with pytest.raises(GuardError, match=f"^vertex count guard: n={n} > {VERTEX_LIMIT}$"):
+                    make_digraph(n, [])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (n, peak)
+        # the cap itself builds and pickles; splitting a vertex off it does not
+        # build, and no command splits a graph past the counting guard
+        g = directed_cycle(VERTEX_LIMIT)
+        assert pickle.loads(pickle.dumps(g)) == g
+        with pytest.raises(GuardError, match="vertex count guard"):
+            split_vertex(g, 0)
 
     def test_branching_count_at_the_guard(self, tmp_path, capsys):
         # the largest input count-branchings answers takes about a second, so a
         # slower determinant shows in the suite's time rather than as a hang
-        n = BRANCHING_COUNT_GUARD
+        n = VERTEX_LIMIT
         g = cycle_plus(random.Random(45), n, 2 * n)
         rep, _ = run_json(["count-branchings", write_graph(tmp_path, g), "--root", "0"], capsys)
         assert rep["answer"] == count_out_branchings(g, 0)
@@ -524,9 +553,12 @@ class TestExitCodes:
         ["detect-hc"],
     ], ids=["count-branchings", "count-exact", "count-avg-degree", "detect-hc"])
     def test_vertex_cap_is_the_branching_guard(self, argv, tmp_path, capsys):
-        # one past the largest n any command answers is refused at parse, every command alike
-        assert VERTEX_LIMIT == BRANCHING_COUNT_GUARD
-        wide = write_graph(tmp_path, directed_cycle(VERTEX_LIMIT + 1), "wide.txt")
+        # one past the largest n any command answers is refused at parse, every
+        # command alike; the file is text, since Digraph cannot hold the cycle
+        n = VERTEX_LIMIT + 1
+        wide = tmp_path / "wide.txt"
+        wide.write_text(f"{n} {n}\n" + "".join(f"{u} {(u + 1) % n}\n" for u in range(n)), encoding="utf-8")
+        wide = str(wide)
         code, out, err = run_cli([argv[0], wide, *argv[1:]], capsys)
         assert code == 3
         assert out == ""

@@ -25,6 +25,7 @@ from hamkit.hamdetect import (
     batched_gf_det,
     default_trial_count,
     detect_hamiltonian_cycle,
+    pairs_per_trial,
     sieve_membership_pairs,
     subset_xor_table,
 )
@@ -74,7 +75,7 @@ class TestLayout:
         g = directed_cycle(6)
         layout = make_layout(g)
         pairs = list(iter_membership_pairs(layout))
-        assert len(pairs) == 2 * 3 ** (len(layout.blue) - 1)
+        assert len(pairs) == pairs_per_trial(len(layout.blue))
         assert len(set(pairs)) == len(pairs)
         anchor_bit = 1 << layout.anchor
         blue_mask = sum(1 << v for v in layout.blue)
@@ -370,7 +371,7 @@ class TestFoldedMatrix:
                 _, chunks = gathered_chunks(monkeypatch, g, layout, w)
                 assert len(chunks) == 1  # |blue| <= 9 is one chunk
                 pairs, mats = chunks[0]
-                assert mats.shape == (2 * 3 ** (nb - 1), nb, nb)
+                assert mats.shape == (pairs_per_trial(nb), nb, nb)
                 dets = batched_gf_det(field, mats)
                 for (imask, omask), mat, got in zip(pairs, mats, dets):
                     port = build_port_matrix(g, layout, w, imask, omask)

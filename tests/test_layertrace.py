@@ -181,15 +181,15 @@ def test_counting_passes_keep_the_bench_closed_forms(bits, monkeypatch):
             assert counters["hamcount.dets"] <= counters["hamcount.subsets"]
             if mode == "mitm":
                 assert diag.fallback is False
-                assert counters["hamcount.subsets"] == diag.pairs_listed < 1 << n
+                assert counters["hamcount.subsets"] == diag.pairs_listed < hamcount.naive_pass_subsets(n)
                 for name in ("hamcount.build_lookup_tables", "hamcount.mitm_count_mod"):
                     assert spans[name][2] == 1, name
                 assert "hamcount.naive_sieve_count" not in spans
                 assert not tracer.lists["naive_pass_subsets"]
             else:
                 assert diag is None
-                assert tracer.lists["naive_pass_subsets"] == [1 << n]
-                assert counters["hamcount.subsets"] == 1 << n
+                assert tracer.lists["naive_pass_subsets"] == [hamcount.naive_pass_subsets(n)]
+                assert counters["hamcount.subsets"] == hamcount.naive_pass_subsets(n)
                 assert spans["hamcount.naive_sieve_count"][2] == 1
         assert residues[0] == residues[1]
 
@@ -248,7 +248,7 @@ def test_detector_kernel_sees_every_pair_matrix(monkeypatch):
     rep = detect_hamiltonian_cycle(g, trials=3, seed=1)
     blue = len(find_independent_partition(g).blue)
     assert not rep.verdict and rep.trials_run == 3 and blue == 5
-    assert sum(shape[0] for shape in shapes) == 3 * 2 * 3 ** (blue - 1)
+    assert sum(shape[0] for shape in shapes) == 3 * hamdetect.pairs_per_trial(blue)
     assert all(shape[1:] == (blue, blue) for shape in shapes)
     dets = np.concatenate(dets)
     assert np.count_nonzero(dets == 0) > 0.7 * len(dets)
@@ -272,11 +272,48 @@ def test_detector_counters_hold_over_many_chunks(monkeypatch):
     finally:
         tracer.uninstall()
     assert not rep.verdict and rep.trials_run == 3
-    assert rep.detail["pairs_per_trial"] == 2 * 3**4
-    assert tracer.counters["hamdetect.gf_matrices"] == 3 * 2 * 3**4
+    assert rep.detail["pairs_per_trial"] == hamdetect.pairs_per_trial(5)
+    assert tracer.counters["hamdetect.gf_matrices"] == 3 * hamdetect.pairs_per_trial(5)
     assert tracer.counters["hamdetect.trials"] == 3
     assert tracer.spans["hamdetect.sieve_membership_pairs"][2] == 3
     assert tracer.spans["hamdetect.batched_gf_det"][2] == 3 * 27
+
+
+def test_work_functions_match_traced_calls():
+    # each module's statement of its own work against what the tracer counts:
+    # the naive pass's subsets, detect-hc's pair matrices per trial and the
+    # k-leaf NO's determinants, on a ladder of small inputs
+    rnd = random.Random(3701)
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        for n in range(2, 10):
+            g = random_digraph(rnd, n, 0.5)
+            tracer.reset()
+            hamcount.count_hc_mod(g, 3, 1, mode="naive")
+            assert tracer.lists["naive_pass_subsets"] == [hamcount.naive_pass_subsets(n)]
+            _, diag = hamcount.count_hc_mod(g, 3, 1)
+            assert diag.pairs_naive == diag.candidates_examined == hamcount.naive_pass_subsets(n)
+        blues = set()
+        for n in range(3, 12):
+            tracer.reset()
+            rep = detect_hamiltonian_cycle(random_digraph(rnd, n, 0.4), trials=2, seed=n)
+            if rep.trials_run:
+                (blue,) = tracer.lists["blue"]
+                blues.add(blue)
+                assert rep.detail["pairs_per_trial"] == hamdetect.pairs_per_trial(blue)
+                assert tracer.counters["hamdetect.gf_matrices"] == rep.trials_run * hamdetect.pairs_per_trial(blue)
+        assert len(blues) >= 4, blues
+        # at most 2 leaves: a path of forced parents, then bidirected paths, whose vertices choose
+        for g, k, budget in ((directed_path(3), 2, 1), (bidirected_path(4), 3, 17),
+                             (bidirected_path(6), 3, 70), (bidirected_path(9), 3, 130)):
+            n = g.n
+            tracer.reset()
+            rep = detect_k_leaf(g, k, budget=budget, seed=n)
+            assert not rep.verdict and rep.trials_run == budget
+            assert tracer.counters["branchings.modp_matrices"] == branchings.leaf_matrices(n, budget)
+    finally:
+        tracer.uninstall()
 
 
 def chunk_of(trial, sizes):
@@ -302,7 +339,7 @@ def test_leaf_no_is_one_interpolation_per_chunk_and_prime():
     finally:
         tracer.uninstall()
     assert not rep.verdict and rep.trials_run == budget
-    assert tracer.counters["branchings.modp_matrices"] == budget * 2 * (2 * n + 1)
+    assert tracer.counters["branchings.modp_matrices"] == branchings.leaf_matrices(n, budget)
     assert tracer.spans["algebra.interpolate_univariate"][2] == len(sizes) * 2
     assert tracer.spans["branchings.batched_modp_det"][2] == len(sizes) * 2
 
